@@ -33,14 +33,7 @@ from .hypergraph import (
     precondition_diag,
     uniform_edge_size,
 )
-from .linalg import (
-    EigenResult,
-    SparseMat,
-    extreme_eigenvalue,
-    kron_matvec,
-    spmm,
-    write_matrix_market,
-)
+from .linalg import EigenResult, extreme_eigenvalue, spmm, write_matrix_market
 from .model import (
     BasePredictor,
     Classifier,

@@ -13,23 +13,32 @@ two backward passes over the same tape produce identical results.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import SparseMat
 
 __all__ = ["Tape", "Var", "GradStore", "backward", "check_gradients"]
 
 
 @dataclass(eq=False)
 class Var:
-    """Handle to one tape node: its id, cached forward value, and grad flag."""
+    """Handle to one tape node: its id, cached forward value, and grad flag.
 
-    tape: "Tape"
+    The node holds its tape weakly: the tape holds its parameter nodes, so a
+    strong reference back would keep every finished tape, and the arrays its
+    vector-Jacobian products capture, alive until the cycle collector runs.
+    """
+
+    tape_ref: weakref.ref
     idx: int
     value: np.ndarray
     requires_grad: bool
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The tape this node was recorded on, or None once that tape is freed."""
+        return self.tape_ref()
 
 
 @dataclass
@@ -55,7 +64,7 @@ class Tape:
     # -- node creation ----------------------------------------------------
 
     def _new_var(self, value, requires_grad: bool) -> Var:
-        v = Var(self, self._next, np.asarray(value, dtype=np.float64), requires_grad)
+        v = Var(weakref.ref(self), self._next, np.asarray(value, dtype=np.float64), requires_grad)
         self._next += 1
         return v
 
@@ -105,15 +114,11 @@ class Tape:
     def transpose(self, a: Var) -> Var:
         return self._record("transpose", np.ascontiguousarray(a.value.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
 
-    def spmm(self, s: SparseMat, a: Var) -> Var:
-        """Multiply by a constant sparse matrix; the adjoint multiplies by its transpose."""
-        if s.cols != a.value.shape[0]:
+    def spmm(self, s, a: Var) -> Var:
+        """Multiply by a constant scipy sparse matrix; the adjoint multiplies by its transpose."""
+        if s.shape[1] != a.value.shape[0]:
             raise ValueError(f"spmm: cannot multiply {s.shape} by {a.value.shape}")
-        mat = s.to_scipy()
-        mat_t = mat.T.tocsr()
-        return self._record(
-            "spmm", np.asarray(mat @ a.value), (a,), lambda g: (np.asarray(mat_t @ g),)
-        )
+        return self._record("spmm", s @ a.value, (a,), lambda g: (s.T @ g,))
 
     def row_scale(self, diag: np.ndarray, a: Var) -> Var:
         """Multiply by a constant diagonal matrix given as a 1-D array."""

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tape, check_gradients, format_report
 from .data import SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
 from .energy import EnergyParams
-from .hypergraph import build_expansion_operators, load_hypergraph
+from .hypergraph import build_clique, build_expansion_operators, build_star_normalized, load_hypergraph
 from .linalg import write_matrix_market
 from .model import (
     ModelConfig,
@@ -294,12 +294,13 @@ def cmd_expand(args) -> int:
     else:
         raise ValueError("expand needs --data or --hypergraph")
     out = _out_dir(args)
-    ops = build_expansion_operators(hg, cfg["lambda0"], cfg["lambda1"])
+    a_c, _ = build_clique(hg)
+    a_s_bar, _ = build_star_normalized(hg)
     clique_path = os.path.join(out, "clique_adjacency.mtx")
     star_path = os.path.join(out, "star_normalized.mtx")
-    write_matrix_market(ops.a_c, clique_path)
-    write_matrix_market(ops.a_s_bar, star_path)
-    print(f"n={hg.n} m={hg.m} nnz(A_C)={ops.a_c.nnz} nnz(A_S_bar)={ops.a_s_bar.nnz}")
+    write_matrix_market(a_c, clique_path)
+    write_matrix_market(a_s_bar, star_path)
+    print(f"n={hg.n} m={hg.m} nnz(A_C)={a_c.nnz} nnz(A_S_bar)={a_s_bar.nnz}")
     if hg.collapsed_duplicates:
         print(f"warning: collapsed {hg.collapsed_duplicates} duplicate node ids within hyperedges")
     print(f"wrote {clique_path} and {star_path}")

@@ -104,6 +104,7 @@ def load_dataset(directory) -> Dataset:
 
     feat_path = _require(os.path.join(directory, "features.csv"))
     rows = []
+    linenos = []
     width = None
     with open(feat_path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -121,7 +122,14 @@ def load_dataset(directory) -> Dataset:
                     f"{feat_path}:{lineno}: expected {width} columns, got {len(vals)}"
                 )
             rows.append(vals)
+            linenos.append(lineno)
     features = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, c = bad[0]
+        raise DatasetError(
+            f"{feat_path}:{linenos[r]}: non-finite feature {float(features[r, c])!r} in column {c + 1}"
+        )
 
     label_path = _require(os.path.join(directory, "labels.txt"))
     with open(label_path, "r", encoding="utf-8") as f:

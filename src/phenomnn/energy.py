@@ -18,6 +18,10 @@ update included, at the same ``(lambda0, lambda1)``.
 
 The nonnegativity barrier is never represented as an infinite float: every
 evaluation returns the smooth value together with a feasibility flag.
+
+Every adjacency product is applied through the incidence matrix, one
+``B^T`` product followed by one ``B`` product (``adjacency_simple``,
+``adjacency_general``); no n x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraph import ExpansionOperators, Hypergraph
-from .linalg import SparseMat, kron_matvec, row_scale, spmm
+from .linalg import row_scale, spmm
 
 __all__ = [
     "EnergyParams",
@@ -40,6 +44,8 @@ __all__ = [
     "grad_simple",
     "grad_general",
     "laplacian_quad",
+    "adjacency_simple",
+    "adjacency_general",
 ]
 
 
@@ -101,12 +107,31 @@ def z_star(hg: Hypergraph, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] != hg.n:
         raise ValueError(f"z_star: expected ({hg.n}, d) embeddings, got {y.shape}")
-    return row_scale(1.0 / hg.edge_sizes, spmm(hg.incidence_t(), y))
+    return row_scale(1.0 / hg.edge_sizes, spmm(hg.incidence.T, y))
 
 
-def laplacian_quad(adj: SparseMat, deg: np.ndarray, y: np.ndarray) -> float:
-    """Quadratic form ``tr[Y^T (D - A) Y]`` from an adjacency and its degree diagonal."""
-    return float(np.sum(y * (row_scale(deg, y) - spmm(adj, y))))
+def adjacency_simple(y: np.ndarray, ops: ExpansionOperators) -> np.ndarray:
+    """Combined adjacency product ``(lambda0 A_C + lambda1 A_S_bar) Y``.
+
+    Applied as ``B [(lambda0 + lambda1 / m_e) * (B^T Y)]``.
+    """
+    return spmm(ops.b, row_scale(ops.lambda0 + ops.lambda1 / ops.d_h, spmm(ops.bt, y)))
+
+
+def adjacency_general(y: np.ndarray, ops: ExpansionOperators, h0_sym: np.ndarray, h1_sym: np.ndarray) -> np.ndarray:
+    """Compatibility-projected adjacency ``(lambda0/2) A_C Y S0 + lambda1 A_S_bar Y (S1 - I)``.
+
+    ``S0 = H0 + H0^T`` and ``S1 = H1 + H1^T``; applied as
+    ``B [(lambda0/2) P S0 + lambda1 D_H^{-1} P (S1 - I)]`` with ``P = B^T Y``.
+    """
+    p = spmm(ops.bt, y)
+    q = 0.5 * ops.lambda0 * (p @ h0_sym) + row_scale(ops.lambda1 / ops.d_h, p @ h1_sym - p)
+    return spmm(ops.b, q)
+
+
+def laplacian_quad(adj_y: np.ndarray, deg: np.ndarray, y: np.ndarray) -> float:
+    """Quadratic form ``tr[Y^T (D - A) Y]`` from the product ``A Y`` and the degree diagonal."""
+    return float(np.sum(y * (row_scale(deg, y) - adj_y)))
 
 
 def energy_simple(y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators) -> EnergyValue:
@@ -115,10 +140,9 @@ def energy_simple(y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators) -> Ene
     if y.shape != fx.shape:
         raise ValueError(f"energy_simple: shape mismatch {y.shape} vs {fx.shape}")
     fit = float(np.sum((y - fx) ** 2))
-    q_c = laplacian_quad(ops.a_c, ops.d_c, y)
-    q_s = laplacian_quad(ops.a_s_bar, ops.d_s_bar, y)
+    deg = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
     return EnergyValue(
-        smooth=fit + ops.lambda0 * q_c + ops.lambda1 * q_s,
+        smooth=fit + laplacian_quad(adjacency_simple(y, ops), deg, y),
         feasible=bool(np.min(y, initial=0.0) >= 0.0),
     )
 
@@ -136,7 +160,7 @@ def energy_general(
     yh0 = y @ h0
     term_a = (
         float(np.sum(yh0 * row_scale(ops.d_c, yh0)))
-        - 2.0 * float(np.sum(yh0 * spmm(ops.a_c, y)))
+        - 2.0 * float(np.sum(yh0 * spmm(ops.b, spmm(ops.bt, y))))
         + float(np.sum(y * row_scale(ops.d_c, y)))
     )
     z = z_star(hg, y)
@@ -183,31 +207,24 @@ def energy_bruteforce(
 def grad_simple(y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators) -> np.ndarray:
     """Gradient of the simple energy: ``2(lambda0 L_C + lambda1 L_S_bar) Y + 2(Y - Fx)``."""
     y = np.asarray(y, dtype=np.float64)
-    l_c_y = row_scale(ops.d_c, y) - spmm(ops.a_c, y)
-    l_s_y = row_scale(ops.d_s_bar, y) - spmm(ops.a_s_bar, y)
-    return 2.0 * (ops.lambda0 * l_c_y + ops.lambda1 * l_s_y + y - fx)
-
-
-def pair_term_correction(y: np.ndarray, ops: ExpansionOperators, h0: np.ndarray) -> np.ndarray:
-    """Compatibility-projected clique message ``A_C Y (H0+H0^T) - D_C Y H0 H0^T``."""
-    return kron_matvec(ops.a_c, h0 + h0.T, y) - kron_matvec(ops.d_c, h0 @ h0.T, y)
-
-
-def mean_term_correction(y: np.ndarray, ops: ExpansionOperators, h1: np.ndarray) -> np.ndarray:
-    """Compatibility-projected star message ``A_S_bar Y (H1+H1^T) - D_S_bar Y H1 H1^T``."""
-    return kron_matvec(ops.a_s_bar, h1 + h1.T, y) - kron_matvec(ops.d_s_bar, h1 @ h1.T, y)
+    deg = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
+    return 2.0 * (row_scale(deg, y) - adjacency_simple(y, ops) + y - fx)
 
 
 def grad_general(
     y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams
 ) -> np.ndarray:
-    """Gradient of the general energy; collapses to ``grad_simple`` at H0 = H1 = I."""
+    """Gradient of the general energy; collapses to ``grad_simple`` at H0 = H1 = I.
+
+    ``lambda0 D_C Y (I + H0 H0^T) + 2 lambda1 D_S_bar Y H1 H1^T - 2 adjacency_general(Y) + 2 (Y - Fx)``.
+    """
     _check_ops_params(ops, params)
     y = np.asarray(y, dtype=np.float64)
-    y_c = pair_term_correction(y, ops, params.h0)
-    y_s = mean_term_correction(y, ops, params.h1)
+    h0, h1 = params.h0, params.h1
+    adj = adjacency_general(y, ops, h0 + h0.T, h1 + h1.T)
     return (
-        params.lambda0 * (row_scale(ops.d_c, y) - y_c)
-        + 2.0 * params.lambda1 * (spmm(ops.a_s_bar, y) - y_s)
+        params.lambda0 * row_scale(ops.d_c, y + y @ (h0 @ h0.T))
+        + 2.0 * params.lambda1 * row_scale(ops.d_s_bar, y @ (h1 @ h1.T))
+        - 2.0 * adj
         + 2.0 * (y - fx)
     )

@@ -1,21 +1,21 @@
 """Hypergraph structure and the clique/star expansion operators.
 
 The incidence matrix ``B`` is binary, with ``B[i, k] = 1`` when node ``i``
-belongs to hyperedge ``k``.  The clique expansion is kept in its raw
-algebraic form ``A_C = B B^T`` (multiplicities and diagonal retained), and
-the normalized star contraction is ``A_S_bar = B D_H^{-1} B^T``; the degree
-identities tied to those definitions are what the energy and update
-formulas rely on.
+belongs to hyperedge ``k``, and is stored as a scipy CSR matrix.  The clique
+expansion is the raw algebraic form ``A_C = B B^T`` (multiplicities and
+diagonal retained), and the normalized star contraction is
+``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators the
+layers, energies and step bounds use keep only ``B`` and ``B^T`` and apply the
+expansions as ``B W B^T``; the n x n matrices are built only on request
+(``build_clique``, ``build_star_normalized``, ``build_star_bipartite``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .linalg import SparseMat
 
 __all__ = [
     "HypergraphError",
@@ -41,18 +41,19 @@ class Hypergraph:
     """Validated hypergraph with cached degree views.
 
     ``edges[k]`` holds the sorted, duplicate-free node ids of hyperedge ``k``;
-    ``edge_sizes[k]`` equals the column sum of ``incidence`` column ``k`` and
-    ``node_degrees[i]`` the row sum of row ``i``.
+    ``incidence`` is the n x m CSR matrix ``B`` in canonical form (sorted,
+    duplicate-free column indices, all values 1).  ``edge_sizes[k]`` equals
+    the column sum of ``incidence`` column ``k`` and ``node_degrees[i]`` the
+    row sum of row ``i``.
     """
 
     n: int
     m: int
-    incidence: SparseMat
+    incidence: sp.csr_matrix
     edges: list
     edge_sizes: np.ndarray
     node_degrees: np.ndarray
     collapsed_duplicates: int = 0
-    _incidence_t: SparseMat | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, edges, collapsed_duplicates: int = 0) -> "Hypergraph":
@@ -70,25 +71,23 @@ class Hypergraph:
                 raise HypergraphError(f"hyperedge {k}: node id {bad} out of range (n={n})")
             clean.append(ids)
         m = len(clean)
-        ii = np.concatenate(clean) if clean else np.zeros(0, dtype=np.int64)
-        jj = np.concatenate([np.full(e.size, k, dtype=np.int64) for k, e in enumerate(clean)]) if clean else np.zeros(0, dtype=np.int64)
-        b = SparseMat.from_coo(n, m, ii, jj, np.ones(ii.size))
-        edge_sizes = np.array([e.size for e in clean], dtype=np.float64)
-        node_degrees = b.row_sums()
+        sizes = np.array([e.size for e in clean], dtype=np.int64)
+        ids = np.concatenate(clean) if clean else np.zeros(0, dtype=np.int64)
+        # column k of B holds edge k's ids, so the compressed-column arrays
+        # are the edges themselves
+        b = sp.csc_matrix((np.ones(ids.size), ids, np.concatenate([[0], np.cumsum(sizes)])), shape=(n, m))
+        if not b.has_canonical_format:
+            raise HypergraphError("incidence columns must hold strictly increasing node ids")
+        b = b.tocsr()
         return cls(
             n=n,
             m=m,
             incidence=b,
             edges=clean,
-            edge_sizes=edge_sizes,
-            node_degrees=node_degrees,
+            edge_sizes=sizes.astype(np.float64),
+            node_degrees=np.diff(b.indptr).astype(np.float64),
             collapsed_duplicates=dups,
         )
-
-    def incidence_t(self) -> SparseMat:
-        if self._incidence_t is None:
-            self._incidence_t = self.incidence.transpose()
-        return self._incidence_t
 
 
 def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
@@ -136,14 +135,19 @@ def load_hypergraph(path) -> Hypergraph:
         return parse_hypergraph(f.read(), source=str(path))
 
 
-def build_clique(hg: Hypergraph) -> tuple[SparseMat, np.ndarray]:
+def _row_sums(a: sp.csr_matrix) -> np.ndarray:
+    return np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
+
+
+def build_clique(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
     """Clique expansion ``A_C = B B^T`` and its degree diagonal ``D_C = diag(A_C 1)``."""
-    b = hg.incidence.to_scipy()
-    a_c = SparseMat.from_scipy((b @ b.T).tocsr())
-    return a_c, a_c.row_sums()
+    b = hg.incidence
+    a_c = (b @ b.T).tocsr()
+    a_c.sort_indices()
+    return a_c, _row_sums(a_c)
 
 
-def build_star_normalized(hg: Hypergraph) -> tuple[SparseMat, np.ndarray]:
+def build_star_normalized(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
     """Normalized star contraction ``A_S_bar = B D_H^{-1} B^T`` with its row-sum diagonal.
 
     Each row sum equals the node's hyperedge count (the 1/m_e weights of one
@@ -151,26 +155,25 @@ def build_star_normalized(hg: Hypergraph) -> tuple[SparseMat, np.ndarray]:
     degrees rather than accumulated floats; ``D_S_bar[i, i] == node_degrees[i]``
     holds exactly.
     """
-    b = hg.incidence.to_scipy()
+    b = hg.incidence
     inv_dh = sp.diags(1.0 / hg.edge_sizes)
-    a_s = SparseMat.from_scipy((b @ inv_dh @ b.T).tocsr())
+    a_s = (b @ inv_dh @ b.T).tocsr()
+    a_s.sort_indices()
     return a_s, hg.node_degrees.copy()
 
 
-def build_star_bipartite(hg: Hypergraph) -> tuple[SparseMat, np.ndarray, SparseMat]:
+def build_star_bipartite(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix]:
     """Star expansion over ``n + m`` nodes: adjacency, degree diagonal, Laplacian.
 
     Hyperedge ``k`` becomes node ``n + k``, joined to each of its members;
     both diagonal blocks are zero by bipartiteness.
     """
-    b = hg.incidence.to_scipy()
+    b = hg.incidence
     zero_nn = sp.csr_matrix((hg.n, hg.n))
     zero_mm = sp.csr_matrix((hg.m, hg.m))
     a_s = sp.bmat([[zero_nn, b], [b.T, zero_mm]], format="csr")
-    a_s_mat = SparseMat.from_scipy(a_s)
-    d_s = a_s_mat.row_sums()
-    l_s = SparseMat.from_scipy((sp.diags(d_s) - a_s).tocsr())
-    return a_s_mat, d_s, l_s
+    d_s = _row_sums(a_s)
+    return a_s, d_s, (sp.diags(d_s) - a_s).tocsr()
 
 
 def uniform_edge_size(hg: Hypergraph):
@@ -192,42 +195,41 @@ def precondition_diag(d_c: np.ndarray, d_s_bar: np.ndarray, lambda0: float, lamb
 
 @dataclass(eq=False)
 class ExpansionOperators:
-    """Precomputed expansion operators for one ``(lambda0, lambda1)`` pair.
+    """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form.
 
-    ``d_tilde`` is the update preconditioner diagonal; ``combined_adjacency``
-    caches ``lambda0*A_C + lambda1*A_S_bar`` for the simple update's hot loop.
+    ``b`` is the hypergraph's own incidence matrix ``B`` and ``bt`` its
+    transpose (both CSR), so ``A_C Y = B (B^T Y)`` and
+    ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
+    diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
+    sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
+    the edge sizes, and ``d_tilde`` the update preconditioner.
     """
 
-    a_c: SparseMat
+    b: sp.csr_matrix
+    bt: sp.csr_matrix
     d_c: np.ndarray
-    a_s_bar: SparseMat
     d_s_bar: np.ndarray
     d_h: np.ndarray
     lambda0: float
     lambda1: float
     d_tilde: np.ndarray
-    combined_adjacency: SparseMat = field(repr=False, compare=False, default=None)
 
     @property
     def n(self) -> int:
-        return self.a_c.rows
+        return self.b.shape[0]
 
 
 def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) -> ExpansionOperators:
-    a_c, d_c = build_clique(hg)
-    a_s_bar, d_s_bar = build_star_normalized(hg)
-    d_tilde = precondition_diag(d_c, d_s_bar, lambda0, lambda1)
-    combined = SparseMat.from_scipy(
-        (lambda0 * a_c.to_scipy() + lambda1 * a_s_bar.to_scipy()).tocsr()
-    )
+    b = hg.incidence
+    d_c = b @ hg.edge_sizes
+    d_s_bar = hg.node_degrees.copy()
     return ExpansionOperators(
-        a_c=a_c,
+        b=b,
+        bt=b.T.tocsr(),
         d_c=d_c,
-        a_s_bar=a_s_bar,
         d_s_bar=d_s_bar,
         d_h=hg.edge_sizes.copy(),
         lambda0=float(lambda0),
         lambda1=float(lambda1),
-        d_tilde=d_tilde,
-        combined_adjacency=combined,
+        d_tilde=precondition_diag(d_c, d_s_bar, lambda0, lambda1),
     )

@@ -1,33 +1,24 @@
-"""Dense and compressed-row sparse kernels plus extreme-eigenvalue estimation.
+"""Sparse-dense products, diagonal scaling and extreme-eigenvalue estimation.
 
-Everything operates on 64-bit floats.  Dense matrices are plain 2-D
-``numpy.ndarray``; diagonal matrices are represented by their 1-D diagonal.
-All functions are pure: the same inputs yield bitwise-identical outputs in
-the (default) sequential build, so results are safe to share across threads.
+Everything operates on 64-bit floats.  Sparse matrices are plain scipy CSR
+matrices; dense matrices are 2-D ``numpy.ndarray``; diagonal matrices are
+represented by their 1-D diagonal.  All functions are pure: the same inputs
+yield bitwise-identical outputs in the (default) sequential build, so results
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
-    "SparseMat",
     "spmm",
-    "kron_matvec",
     "EigenResult",
     "extreme_eigenvalue",
     "gershgorin_interval",
-    "matmul",
-    "transpose",
-    "add",
-    "scale",
     "row_scale",
-    "relu_elementwise",
-    "frobenius_norm",
     "write_matrix_market",
 ]
 
@@ -37,126 +28,12 @@ def _as_f64(a) -> np.ndarray:
     return a
 
 
-@dataclass(eq=False)
-class SparseMat:
-    """Sparse matrix in compressed-row layout.
-
-    Invariants: ``indptr`` is nondecreasing with ``indptr[0] == 0`` and
-    ``indptr[-1] == len(indices)``; column indices are strictly increasing
-    within each row (hence no duplicates); all values are finite.
-    """
-
-    rows: int
-    cols: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    _cached_scipy: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    @classmethod
-    def from_scipy(cls, m) -> "SparseMat":
-        m = sp.csr_matrix(m, dtype=np.float64)
-        m.sum_duplicates()
-        m.sort_indices()
-        m.eliminate_zeros()
-        out = cls(
-            rows=int(m.shape[0]),
-            cols=int(m.shape[1]),
-            indptr=m.indptr.astype(np.int64),
-            indices=m.indices.astype(np.int64),
-            data=m.data.astype(np.float64),
-        )
-        out.validate()
-        return out
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseMat":
-        return cls.from_scipy(sp.csr_matrix(_as_f64(a)))
-
-    @classmethod
-    def from_coo(cls, rows: int, cols: int, ii, jj, vv) -> "SparseMat":
-        m = sp.coo_matrix((_as_f64(vv), (ii, jj)), shape=(rows, cols))
-        return cls.from_scipy(m)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMat":
-        return cls.from_scipy(sp.identity(n, dtype=np.float64, format="csr"))
-
-    @classmethod
-    def from_diag(cls, diag) -> "SparseMat":
-        return cls.from_scipy(sp.diags(_as_f64(diag), format="csr"))
-
-    def validate(self) -> None:
-        if self.indptr[0] != 0 or self.indptr[-1] != self.nnz:
-            raise ValueError("corrupt row offsets")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("row offsets must be nondecreasing")
-        for i in range(self.rows):
-            cols = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.cols):
-                raise ValueError(f"row {i}: column indices must be strictly increasing and in range")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("sparse values must be finite")
-
-    def to_scipy(self) -> sp.csr_matrix:
-        if self._cached_scipy is None:
-            self._cached_scipy = sp.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.rows, self.cols)
-            )
-        return self._cached_scipy
-
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.to_scipy().todense(), dtype=np.float64)
-
-    def transpose(self) -> "SparseMat":
-        return SparseMat.from_scipy(self.to_scipy().T.tocsr())
-
-    def diagonal(self) -> np.ndarray:
-        return _as_f64(self.to_scipy().diagonal())
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.to_scipy().sum(axis=1)).ravel().astype(np.float64)
-
-
-def spmm(s: SparseMat, d: np.ndarray) -> np.ndarray:
-    """Exact sparse-dense product ``s @ d``."""
+def spmm(s, d: np.ndarray) -> np.ndarray:
+    """Exact product ``s @ d`` of a scipy sparse matrix and a 2-D array."""
     d = _as_f64(d)
-    if d.ndim != 2 or s.cols != d.shape[0]:
+    if d.ndim != 2 or s.shape[1] != d.shape[0]:
         raise ValueError(f"spmm: cannot multiply {s.shape} by {d.shape}")
-    return np.asarray(s.to_scipy() @ d, dtype=np.float64)
-
-
-def kron_matvec(m, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Action of the Kronecker operator ``(h^T (x) m)`` on vec(y), as ``m @ y @ h``.
-
-    ``m`` may be a SparseMat, a 1-D diagonal, or a dense square matrix; the
-    Kronecker product itself is never materialized.
-    """
-    y = _as_f64(y)
-    h = _as_f64(h)
-    if y.ndim != 2 or h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] != y.shape[1]:
-        raise ValueError(f"kron_matvec: incompatible h {h.shape} for y {y.shape}")
-    if isinstance(m, SparseMat):
-        my = spmm(m, y)
-    else:
-        m = _as_f64(m)
-        if m.ndim == 1:
-            if m.shape[0] != y.shape[0]:
-                raise ValueError(f"kron_matvec: diagonal of size {m.shape[0]} for y {y.shape}")
-            my = m[:, None] * y
-        else:
-            if m.shape[1] != y.shape[0]:
-                raise ValueError(f"kron_matvec: cannot multiply {m.shape} by {y.shape}")
-            my = m @ y
-    return my @ h
+    return s @ d
 
 
 @dataclass
@@ -238,40 +115,10 @@ def extreme_eigenvalue(
 
 def gershgorin_interval(a) -> tuple[float, float]:
     """Gershgorin disc bounds (lo, hi) on the spectrum of a symmetric matrix."""
-    if isinstance(a, SparseMat):
-        m = a.to_scipy()
-        diag = m.diagonal()
-        radius = np.asarray(abs(m).sum(axis=1)).ravel() - np.abs(diag)
-    else:
-        a = _as_f64(a)
-        diag = np.diag(a)
-        radius = np.abs(a).sum(axis=1) - np.abs(diag)
+    a = _as_f64(a)
+    diag = np.diag(a)
+    radius = np.abs(a).sum(axis=1) - np.abs(diag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
-# -- dense kernels ----------------------------------------------------------
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _as_f64(a), _as_f64(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(_as_f64(a).T)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _as_f64(a), _as_f64(b)
-    if a.shape != b.shape:
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return a + b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return _as_f64(a) * float(c)
 
 
 def row_scale(diag: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -282,30 +129,16 @@ def row_scale(diag: np.ndarray, y: np.ndarray) -> np.ndarray:
     return diag[:, None] * y
 
 
-def relu_elementwise(a: np.ndarray) -> np.ndarray:
-    return np.maximum(_as_f64(a), 0.0)
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(_as_f64(a)))
-
-
-def write_matrix_market(s: SparseMat, target) -> None:
-    """Write a SparseMat in Matrix Market coordinate format (1-based indices)."""
+def write_matrix_market(s, target) -> None:
+    """Write a canonical CSR matrix in Matrix Market coordinate format (1-based indices)."""
     own = isinstance(target, (str, bytes))
     f = open(target, "w", encoding="utf-8") if own else target
     try:
         f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{s.rows} {s.cols} {s.nnz}\n")
-        for i in range(s.rows):
+        f.write(f"{s.shape[0]} {s.shape[1]} {s.nnz}\n")
+        for i in range(s.shape[0]):
             for p in range(s.indptr[i], s.indptr[i + 1]):
                 f.write(f"{i + 1} {int(s.indices[p]) + 1} {float(s.data[p])!r}\n")
     finally:
         if own:
             f.close()
-
-
-def format_matrix_market(s: SparseMat) -> str:
-    buf = io.StringIO()
-    write_matrix_market(s, buf)
-    return buf.getvalue()

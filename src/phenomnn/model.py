@@ -23,23 +23,16 @@ from .autodiff import Tape, Var
 from .energy import (
     EnergyParams,
     EnergyValue,
+    adjacency_general,
+    adjacency_simple,
     energy_general,
     energy_simple,
     grad_general,
     grad_simple,
-    mean_term_correction,
-    pair_term_correction,
     prox_nonneg,
 )
 from .hypergraph import ExpansionOperators, Hypergraph
-from .linalg import (
-    EigenResult,
-    extreme_eigenvalue,
-    frobenius_norm,
-    gershgorin_interval,
-    row_scale,
-    spmm,
-)
+from .linalg import EigenResult, extreme_eigenvalue, row_scale
 
 __all__ = [
     "ModelConfig",
@@ -185,7 +178,7 @@ def layer_simple(
     """One simple-variant step: adjacency message, skip connection, optional ReLU."""
     if y.shape != fx.shape or y.shape[0] != ops.n:
         raise ValueError(f"layer_simple: shapes {y.shape}, {fx.shape} for n={ops.n}")
-    bracket = spmm(ops.combined_adjacency, y) + fx
+    bracket = adjacency_simple(y, ops) + fx
     out = (1.0 - alpha) * y + alpha * row_scale(1.0 / ops.d_tilde, bracket)
     return prox_nonneg(out) if apply_relu else out
 
@@ -203,13 +196,12 @@ def layer_general(
     if ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1:
         raise ValueError("layer_general: params and operators carry different expansion weights")
     alpha = params.alpha
-    y_c = pair_term_correction(y, ops, params.h0)
-    y_s = mean_term_correction(y, ops, params.h1)
-    l_s_y = row_scale(ops.d_s_bar, y) - spmm(ops.a_s_bar, y)
+    h0, h1 = params.h0, params.h1
     bracket = (
         fx
-        + 0.5 * params.lambda0 * (row_scale(ops.d_c, y) + y_c)
-        + params.lambda1 * (l_s_y + y_s)
+        + adjacency_general(y, ops, h0 + h0.T, h1 + h1.T)
+        + row_scale(0.5 * params.lambda0 * ops.d_c, y - y @ (h0 @ h0.T))
+        + row_scale(params.lambda1 * ops.d_s_bar, y - y @ (h1 @ h1.T))
     )
     out = (1.0 - alpha) * y + alpha * row_scale(1.0 / ops.d_tilde, bracket)
     return prox_nonneg(out) if apply_relu else out
@@ -236,8 +228,9 @@ def messagepassing_layer(
     w_mean = params.lambda1 * (h1 + h1.T - eye)
     w_self_pair = 0.5 * params.lambda0 * (h0 @ h0.T - eye)
     w_self_mean = params.lambda1 * (h1 @ h1.T - eye)
-    a_c = ops.a_c.to_dense()
-    a_s = ops.a_s_bar.to_dense()
+    b = ops.b.toarray()
+    a_c = b @ b.T
+    a_s = (b / ops.d_h) @ b.T
     out = np.zeros_like(y)
     for i in range(y.shape[0]):
         scale_i = alpha / ops.d_tilde[i]
@@ -302,8 +295,9 @@ def build_taped_logits(
     inv_dt = model.config.alpha / ops.d_tilde
     y = fx
     if cfg.variant == "simple":
+        w = ops.lambda0 + ops.lambda1 / ops.d_h
         for use_relu in _relu_flags(cfg):
-            bracket = tape.add(tape.spmm(ops.combined_adjacency, y), fx)
+            bracket = tape.add(tape.spmm(ops.b, tape.row_scale(w, tape.spmm(ops.bt, y))), fx)
             y = tape.add(tape.scale(y, 1.0 - cfg.alpha), tape.row_scale(inv_dt, bracket))
             if use_relu:
                 y = tape.relu(y)
@@ -313,23 +307,21 @@ def build_taped_logits(
         h0_gram = tape.matmul(h0, tape.transpose(h0))
         h1_sym = tape.add(h1, tape.transpose(h1))
         h1_gram = tape.matmul(h1, tape.transpose(h1))
+        w_pair = 0.5 * cfg.lambda0 * ops.d_c
+        w_mean = cfg.lambda1 * ops.d_s_bar
+        w_edge = cfg.lambda1 / ops.d_h
         for use_relu in _relu_flags(cfg):
-            y_c = tape.sub(
-                tape.spmm(ops.a_c, tape.matmul(y, h0_sym)),
-                tape.row_scale(ops.d_c, tape.matmul(y, h0_gram)),
+            # the same factoring as adjacency_general, recorded op by op
+            p = tape.spmm(ops.bt, y)
+            q = tape.add(
+                tape.scale(tape.matmul(p, h0_sym), 0.5 * cfg.lambda0),
+                tape.row_scale(w_edge, tape.sub(tape.matmul(p, h1_sym), p)),
             )
-            y_s = tape.sub(
-                tape.spmm(ops.a_s_bar, tape.matmul(y, h1_sym)),
-                tape.row_scale(ops.d_s_bar, tape.matmul(y, h1_gram)),
+            diag = tape.add(
+                tape.row_scale(w_pair, tape.sub(y, tape.matmul(y, h0_gram))),
+                tape.row_scale(w_mean, tape.sub(y, tape.matmul(y, h1_gram))),
             )
-            l_s_y = tape.sub(tape.row_scale(ops.d_s_bar, y), tape.spmm(ops.a_s_bar, y))
-            bracket = tape.add(
-                fx,
-                tape.add(
-                    tape.scale(tape.add(tape.row_scale(ops.d_c, y), y_c), 0.5 * cfg.lambda0),
-                    tape.scale(tape.add(l_s_y, y_s), cfg.lambda1),
-                ),
-            )
+            bracket = tape.add(fx, tape.add(tape.spmm(ops.b, q), diag))
             y = tape.add(tape.scale(y, 1.0 - cfg.alpha), tape.row_scale(inv_dt, bracket))
             if use_relu:
                 y = tape.relu(y)
@@ -353,17 +345,23 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
 
     Computes ``c / (c - sigma_min)`` with ``c = 1 + lambda0*d_Cmin +
     lambda1*d_Smin`` and ``sigma_min`` the minimum eigenvalue of the combined
-    adjacency ``lambda0*A_C + lambda1*A_S_bar``.
+    adjacency ``K = lambda0*A_C + lambda1*A_S_bar = B W B^T``, applied in
+    factored form.  ``K`` is PSD, so ``sigma_min = 0`` is always safe; it is
+    used when the eigensolver stops unconverged, because an unconverged
+    estimate of ``sigma_min`` can only be too high.
     """
-    k = ops.combined_adjacency
     c = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
-    if k.nnz == 0:
+    # K is entrywise nonnegative, so its largest row sum B (W m) is its Gershgorin bound
+    hi = float(np.max(ops.b @ ((ops.lambda0 + ops.lambda1 / ops.d_h) * ops.d_h)))
+    if hi == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0))
-    hi = gershgorin_interval(k)[1]
-    mat = k.to_scipy()
-    eig = extreme_eigenvalue(lambda v: mat @ v, k.rows, which="min", shift=hi, iters=5000, tol=1e-10)
-    # the combined adjacency is PSD by construction; clip eigensolver noise
-    sigma = max(eig.value, 0.0)
+
+    def apply(v):
+        return adjacency_simple(v[:, None], ops)[:, 0]
+
+    eig = extreme_eigenvalue(apply, ops.n, which="min", shift=hi, iters=5000, tol=1e-10)
+    # clip eigensolver noise below zero
+    sigma = max(eig.value, 0.0) if eig.converged else 0.0
     return StepBound(c / (c - sigma), sigma, eig)
 
 
@@ -373,7 +371,8 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     The curvature term is the max eigenvalue of the Kronecker-structured
     operator ``V -> s*(D_C V H0H0^T - A_C V (H0+H0^T)) + lambda1*(D_S_bar V
     H1H1^T - A_S_bar V (H1+H1^T) + A_S_bar V)`` with ``s = lambda0/2``,
-    evaluated matrix-free; the bound is ``(1 + lambda0*d_Cmin +
+    evaluated matrix-free with the adjacency part factored through ``B``
+    (``adjacency_general``); the bound is ``(1 + lambda0*d_Cmin +
     lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``.
     """
     n, d = ops.n, params.d
@@ -383,13 +382,11 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     h0_gram = params.h0 @ params.h0.T
     h1_sym = params.h1 + params.h1.T
     h1_gram = params.h1 @ params.h1.T
-    a_c = ops.a_c.to_scipy()
-    a_s = ops.a_s_bar.to_scipy()
 
     def apply(vec):
         v = vec.reshape(n, d)
-        out = s * (row_scale(ops.d_c, v @ h0_gram) - (a_c @ (v @ h0_sym)))
-        out += lam1 * (row_scale(ops.d_s_bar, v @ h1_gram) - (a_s @ (v @ h1_sym)) + (a_s @ v))
+        out = row_scale(s * ops.d_c, v @ h0_gram) + row_scale(lam1 * ops.d_s_bar, v @ h1_gram)
+        out -= adjacency_general(v, ops, h0_sym, h1_sym)
         return out.ravel()
 
     def spec_norm(m):
@@ -430,7 +427,7 @@ def descent_trace(
         else:
             e = energy_general(y, fx, ops, params, hg)
             g = grad_general(y, fx, ops, params)
-        rows.append((t, e.smooth, e.feasible, frobenius_norm(g)))
+        rows.append((t, e.smooth, e.feasible, float(np.linalg.norm(g))))
         if t == steps:
             break
         if variant == "simple":

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -143,6 +146,22 @@ def test_backward_requires_scalar_loss_on_same_tape():
     loss2 = other.softmax_cross_entropy(w2, np.array([0, 1]), np.arange(2))
     with pytest.raises(ValueError, match="tape"):
         backward(tape, loss2)
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_finished_tape_is_freed_without_cycle_collector(variant):
+    ds, _, model, ops, rows = small_problem(variant=variant)
+    gc.disable()
+    try:
+        tape, loss = taped_loss(model, ops, ds, rows)
+        backward(tape, loss)
+        ref = weakref.ref(tape)
+        del tape
+        # reference counting alone frees it; the loss node outlives it
+        assert ref() is None
+        assert loss.tape is None
+    finally:
+        gc.enable()
 
 
 def test_unrolled_mlp_matches_hand_chain_rule():

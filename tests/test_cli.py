@@ -164,6 +164,23 @@ def test_unknown_preset_lists_options(capsys):
     assert "unknown preset" in err and "cora_coauthorship_simple" in err
 
 
+def test_train_rejects_non_finite_features(synthetic_dir, tmp_path, capsys):
+    path = os.path.join(synthetic_dir, "features.csv")
+    with open(path) as f:
+        lines = f.read().splitlines()
+    row = lines[3].split(",")
+    row[2] = "nan"
+    lines[3] = ",".join(row)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--data", synthetic_dir, "--out", str(out), "--set", "epochs=3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "features.csv:4" in err and "column 3" in err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_missing_dataset_is_single_line_error(capsys):
     rc = main(["train", "--data", "/nonexistent/dir"])
     assert rc == 1

@@ -59,6 +59,13 @@ def test_unknown_split_name(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_feature_rejected(tmp_path, bad):
+    write_toy(tmp_path, features=f"1.0,2.0\n3.0,{bad}\n5.0,6.0\n")
+    with pytest.raises(DatasetError, match=r"features\.csv:2: non-finite feature .* in column 2"):
+        load_dataset(tmp_path)
+
+
 # -- splits ----------------------------------------------------------------------
 
 

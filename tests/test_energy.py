@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from phenomnn.energy import (
     EnergyParams,
+    adjacency_general,
+    adjacency_simple,
     energy_bruteforce,
     energy_general,
     energy_simple,
@@ -14,7 +16,14 @@ from phenomnn.energy import (
     prox_nonneg,
     z_star,
 )
-from phenomnn.hypergraph import Hypergraph, build_expansion_operators, build_star_bipartite, uniform_edge_size
+from phenomnn.hypergraph import (
+    Hypergraph,
+    build_clique,
+    build_expansion_operators,
+    build_star_bipartite,
+    build_star_normalized,
+    uniform_edge_size,
+)
 from helpers import fd_gradient, random_hypergraph, random_instance, rel_err, rng_for
 
 
@@ -134,9 +143,11 @@ def test_bruteforce_equals_bipartite_laplacian_path():
         fit = float(np.sum((y - inst["fx"]) ** 2))
         _, _, l_s = build_star_bipartite(hg)
         stacked = np.vstack([y, z])
-        bipart = float(np.sum(stacked * (l_s.to_scipy() @ stacked)))
-        q_c = laplacian_quad(ops.a_c, ops.d_c, y)
-        q_s = laplacian_quad(ops.a_s_bar, ops.d_s_bar, y)
+        bipart = float(np.sum(stacked * (l_s @ stacked)))
+        a_c, d_c = build_clique(hg)
+        a_s, d_s = build_star_normalized(hg)
+        q_c = laplacian_quad(a_c @ y, d_c, y)
+        q_s = laplacian_quad(a_s @ y, d_s, y)
         want_bipartite = fit + 2.0 * l0 * q_c + l1 * bipart
         want_contracted = fit + 2.0 * l0 * q_c + l1 * q_s
         assert abs(brute - want_bipartite) <= 1e-10 * max(1.0, abs(brute))
@@ -149,12 +160,12 @@ def test_uniform_graph_term_scales_by_beta():
     hg = random_hypergraph(rng, 8, 6, smin=2, smax=2)
     assert uniform_edge_size(hg) == 2
     l0, l1 = 1.0, 2.0
-    ops = build_expansion_operators(hg, l0, l1)
+    a_c, d_c = build_clique(hg)
     y = rng.standard_normal((8, 3))
     pid = EnergyParams.identity(3, l0, l1)
     graph = energy_bruteforce(y, z_star(hg, y), np.zeros_like(y), hg, pid).smooth - np.sum(y**2)
     beta = 2.0 * l0 + l1 / 2.0
-    q_c = laplacian_quad(ops.a_c, ops.d_c, y)
+    q_c = laplacian_quad(a_c @ y, d_c, y)
     assert abs(graph - beta * q_c) <= 1e-10 * max(1.0, abs(graph))
 
 
@@ -167,16 +178,43 @@ def test_prop1_term_equivalences_across_seeds():
         m = int(rng.integers(2, 13))
         d = int(rng.integers(1, 5))
         hg = random_hypergraph(rng, n, m)
-        ops = build_expansion_operators(hg, 1.0, 1.0)
+        a_c, d_c = build_clique(hg)
+        a_s, d_s = build_star_normalized(hg)
         y = rng.standard_normal((n, d))
         pid_pair = EnergyParams.identity(d, 1.0, 0.0)
         pair = energy_bruteforce(y, np.zeros((m, d)), np.zeros_like(y), hg, pid_pair).smooth - np.sum(y**2)
-        q_c = laplacian_quad(ops.a_c, ops.d_c, y)
+        q_c = laplacian_quad(a_c @ y, d_c, y)
         assert abs(pair - 2.0 * q_c) <= 1e-10 * max(1.0, abs(pair))
         pid_mean = EnergyParams.identity(d, 0.0, 1.0)
         mean = energy_bruteforce(y, z_star(hg, y), np.zeros_like(y), hg, pid_mean).smooth - np.sum(y**2)
-        q_s = laplacian_quad(ops.a_s_bar, ops.d_s_bar, y)
+        q_s = laplacian_quad(a_s @ y, d_s, y)
         assert abs(mean - q_s) <= 1e-10 * max(1.0, abs(mean))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factored_products_match_dense_expansions(seed):
+    rng = rng_for(700 + seed)
+    n, d = int(rng.integers(5, 25)), int(rng.integers(1, 5))
+    # edges avoid the last two nodes, which stay isolated; one edge is a singleton
+    edges = [
+        rng.choice(n - 2, size=int(rng.integers(2, min(6, n - 2) + 1)), replace=False).tolist()
+        for _ in range(int(rng.integers(1, 10)))
+    ]
+    edges.append([int(rng.integers(n - 2))])
+    hg = Hypergraph.from_edges(n, edges)
+    b = hg.incidence.toarray()
+    a_c = b @ b.T
+    a_s = b @ np.diag(1.0 / hg.edge_sizes) @ b.T
+    y = rng.standard_normal((n, d))
+    s0, s1 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    s0, s1 = s0 + s0.T, s1 + s1.T
+    for l0, l1 in ((1.0, 0.0), (0.0, 1.0), (float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))):
+        ops = build_expansion_operators(hg, l0, l1)
+        assert rel_err(adjacency_simple(y, ops), (l0 * a_c + l1 * a_s) @ y) <= 1e-12
+        want = 0.5 * l0 * a_c @ y @ s0 + l1 * a_s @ y @ (s1 - np.eye(d))
+        assert rel_err(adjacency_general(y, ops, s0, s1), want) <= 1e-12
+        assert np.max(np.abs(ops.d_c - a_c.sum(axis=1))) <= 1e-12
+        assert np.max(np.abs(ops.d_s_bar - a_s.sum(axis=1))) <= 1e-12
 
 
 def test_mean_embedding_is_optimal():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phenomnn.energy import adjacency_simple
 from phenomnn.hypergraph import (
     Hypergraph,
     HypergraphError,
@@ -70,7 +71,7 @@ def test_duplicate_ids_collapsed_with_counter():
 
 def test_incidence_is_binary():
     hg = toy()
-    assert set(np.unique(hg.incidence.to_dense())) <= {0.0, 1.0}
+    assert set(np.unique(hg.incidence.toarray())) <= {0.0, 1.0}
 
 
 # -- clique expansion --------------------------------------------------------------
@@ -78,21 +79,21 @@ def test_incidence_is_binary():
 
 def test_clique_toy_example():
     a_c, d_c = build_clique(toy())
-    assert np.array_equal(a_c.to_dense(), [[1, 1, 0], [1, 2, 1], [0, 1, 1]])
+    assert np.array_equal(a_c.toarray(), [[1, 1, 0], [1, 2, 1], [0, 1, 1]])
     assert d_c.tolist() == [2.0, 4.0, 2.0]
 
 
 def test_clique_single_node_edge():
     a_c, d_c = build_clique(Hypergraph.from_edges(1, [[0]]))
-    assert a_c.to_dense().tolist() == [[1.0]]
+    assert a_c.toarray().tolist() == [[1.0]]
     assert d_c.tolist() == [1.0]
 
 
 def test_clique_disjoint_edges_block_diagonal():
     hg = Hypergraph.from_edges(4, [[0, 1], [2, 3]])
     a_c, _ = build_clique(hg)
-    dense = a_c.to_dense()
-    b = hg.incidence.to_dense()
+    dense = a_c.toarray()
+    b = hg.incidence.toarray()
     assert np.max(np.abs(dense - b @ b.T)) <= 1e-12
     assert np.all(dense[:2, 2:] == 0.0) and np.all(dense[2:, :2] == 0.0)
 
@@ -103,13 +104,13 @@ def test_expansions_match_dense_oracles(seed):
     n = int(rng.integers(2, 31))
     m = int(rng.integers(1, 31))
     hg = random_hypergraph(rng, n, m)
-    b = hg.incidence.to_dense()
+    b = hg.incidence.toarray()
     a_c, d_c = build_clique(hg)
-    assert np.max(np.abs(a_c.to_dense() - b @ b.T)) <= 1e-12
+    assert np.max(np.abs(a_c.toarray() - b @ b.T)) <= 1e-12
     assert np.max(np.abs(d_c - (b @ b.T).sum(axis=1))) <= 1e-12
     a_s, d_s = build_star_normalized(hg)
     want = b @ np.diag(1.0 / hg.edge_sizes) @ b.T
-    assert np.max(np.abs(a_s.to_dense() - want)) <= 1e-12
+    assert np.max(np.abs(a_s.toarray() - want)) <= 1e-12
     assert np.max(np.abs(d_s - want.sum(axis=1))) <= 1e-12
 
 
@@ -118,7 +119,8 @@ def test_expansions_symmetric_exactly(seed):
     rng = rng_for(100 + seed)
     hg = random_hypergraph(rng, int(rng.integers(3, 20)), int(rng.integers(2, 15)))
     for mat, _ in (build_clique(hg), build_star_normalized(hg)):
-        t = mat.transpose()
+        t = mat.T.tocsr()
+        t.sort_indices()
         assert np.array_equal(mat.indptr, t.indptr)
         assert np.array_equal(mat.indices, t.indices)
         assert np.array_equal(mat.data, t.data)
@@ -130,7 +132,7 @@ def test_expansions_symmetric_exactly(seed):
 def test_star_normalized_toy():
     a_s, d_s = build_star_normalized(toy())
     want = 0.5 * np.array([[1, 1, 0], [1, 2, 1], [0, 1, 1]], dtype=float)
-    assert np.max(np.abs(a_s.to_dense() - want)) <= 1e-12
+    assert np.max(np.abs(a_s.toarray() - want)) <= 1e-12
     assert d_s.tolist() == [1.0, 2.0, 1.0]
 
 
@@ -144,7 +146,7 @@ def test_star_normalized_degree_identity():
 
 def test_star_normalized_singleton():
     a_s, _ = build_star_normalized(Hypergraph.from_edges(1, [[0]]))
-    assert a_s.to_dense().tolist() == [[1.0]]
+    assert a_s.toarray().tolist() == [[1.0]]
 
 
 def test_uniform_hypergraph_collapse():
@@ -157,24 +159,24 @@ def test_uniform_hypergraph_collapse():
         assert me == size
         a_c, d_c = build_clique(hg)
         a_s, d_s = build_star_normalized(hg)
-        assert np.max(np.abs(a_s.to_dense() - a_c.to_dense() / me)) <= 1e-12
-        l_c = np.diag(d_c) - a_c.to_dense()
-        l_s = np.diag(d_s) - a_s.to_dense()
+        assert np.max(np.abs(a_s.toarray() - a_c.toarray() / me)) <= 1e-12
+        l_c = np.diag(d_c) - a_c.toarray()
+        l_s = np.diag(d_s) - a_s.toarray()
         assert np.linalg.norm(l_s - l_c / me) <= 1e-12
 
 
 def test_star_bipartite_single_edge():
     a_s, d_s, l_s = build_star_bipartite(Hypergraph.from_edges(2, [[0, 1]]))
-    assert np.array_equal(a_s.to_dense(), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    assert np.array_equal(a_s.toarray(), [[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     assert d_s.tolist() == [1.0, 1.0, 2.0]
-    assert np.array_equal(l_s.to_dense(), np.diag(d_s) - a_s.to_dense())
+    assert np.array_equal(l_s.toarray(), np.diag(d_s) - a_s.toarray())
 
 
 def test_star_bipartite_blocks_and_edge_degrees():
     rng = rng_for(6)
     hg = random_hypergraph(rng, 10, 7)
     a_s, d_s, _ = build_star_bipartite(hg)
-    dense = a_s.to_dense()
+    dense = a_s.toarray()
     assert np.all(dense[: hg.n, : hg.n] == 0.0)
     assert np.all(dense[hg.n :, hg.n :] == 0.0)
     assert np.array_equal(d_s[hg.n :], hg.edge_sizes)
@@ -211,8 +213,22 @@ def test_operator_invariants():
     rng = rng_for(11)
     hg = random_hypergraph(rng, 14, 9)
     ops = build_expansion_operators(hg, 1.5, 0.5)
-    assert np.array_equal(ops.d_c, ops.a_c.row_sums())
-    assert np.max(np.abs(ops.d_s_bar - ops.a_s_bar.row_sums())) <= 1e-12
+    a_c, _ = build_clique(hg)
+    a_s, _ = build_star_normalized(hg)
+    assert np.array_equal(ops.d_c, np.asarray(a_c.sum(axis=1)).ravel())
+    assert np.max(np.abs(ops.d_s_bar - np.asarray(a_s.sum(axis=1)).ravel())) <= 1e-12
     assert np.array_equal(ops.d_tilde, 1.5 * ops.d_c + 0.5 * ops.d_s_bar + 1.0)
-    want = 1.5 * ops.a_c.to_dense() + 0.5 * ops.a_s_bar.to_dense()
-    assert np.max(np.abs(ops.combined_adjacency.to_dense() - want)) <= 1e-12
+    want = 1.5 * a_c.toarray() + 0.5 * a_s.toarray()
+    assert np.max(np.abs(adjacency_simple(np.eye(hg.n), ops) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_operators_store_no_more_than_the_incidence(seed):
+    rng = rng_for(12 + seed)
+    hg = random_hypergraph(rng, 30, 12, smin=4, smax=10)
+    ops = build_expansion_operators(hg, 1.0, 2.0)
+    assert ops.b is hg.incidence
+    sparse = [v for v in vars(ops).values() if hasattr(v, "nnz")]
+    assert len(sparse) == 2
+    assert all(v.nnz <= hg.incidence.nnz for v in sparse)
+    assert np.array_equal(ops.bt.toarray(), hg.incidence.toarray().T)

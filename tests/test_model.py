@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams, energy_general, energy_simple, prox_nonneg
-from phenomnn.hypergraph import Hypergraph, build_expansion_operators
+from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
 from phenomnn.model import (
     Model,
     ModelConfig,
@@ -105,8 +105,8 @@ def test_positive_fixed_point_of_simple_layer():
     ops = build_expansion_operators(hg, l0, l1)
     d = 3
     y_star = 1.0 + rng.random((10, d))  # strictly positive target
-    l_c = sp.diags(ops.d_c) - ops.a_c.to_scipy()
-    l_s = sp.diags(ops.d_s_bar) - ops.a_s_bar.to_scipy()
+    l_c = sp.diags(ops.d_c) - build_clique(hg)[0]
+    l_s = sp.diags(ops.d_s_bar) - build_star_normalized(hg)[0]
     system = (l0 * l_c + l1 * l_s + sp.identity(10)).tocsr()
     fx = np.asarray(system @ y_star)
     # conjugate-gradient oracle recovers the minimizer column by column
@@ -181,12 +181,26 @@ def test_step_bound_simple_matches_hand_formula():
     hg = Hypergraph.from_edges(3, [[0, 1], [1, 2]])
     ops = build_expansion_operators(hg, 1.0, 0.0)
     # dense oracle for the extreme eigenvalue, then the closed formula
-    sigma_min = float(np.linalg.eigvalsh(ops.a_c.to_dense())[0])
+    sigma_min = float(np.linalg.eigvalsh(build_clique(hg)[0].toarray())[0])
     c = 1.0 + 1.0 * ops.d_c.min()
     want = c / (c - max(sigma_min, 0.0))
     got = step_bound_simple(ops)
     assert abs(got.value - want) <= 1e-8
     assert abs(got.sigma - max(sigma_min, 0.0)) <= 1e-8
+
+
+def test_step_bound_simple_unconverged_uses_zero_sigma(monkeypatch):
+    import phenomnn.model as model_mod
+    from phenomnn.linalg import EigenResult
+
+    inst = random_instance(8, n=12, m=6)
+    ops = inst["ops"]
+    stuck = EigenResult(value=0.5, residual=1e-3, converged=False, iterations=5000)
+    monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: stuck)
+    got = step_bound_simple(ops)
+    # an unconverged sigma_min estimate can only be too high; K is PSD, so 0 is safe
+    assert got.sigma == 0.0 and got.value == 1.0
+    assert got.eig is stuck
 
 
 def test_step_bound_general_sigma_matches_dense_operator():
@@ -196,7 +210,7 @@ def test_step_bound_general_sigma_matches_dense_operator():
     s = 0.5 * params.lambda0
     h0g, h0s = params.h0 @ params.h0.T, params.h0 + params.h0.T
     h1g, h1s = params.h1 @ params.h1.T, params.h1 + params.h1.T
-    a_c, a_s = ops.a_c.to_dense(), ops.a_s_bar.to_dense()
+    a_c, a_s = build_clique(inst["hg"])[0].toarray(), build_star_normalized(inst["hg"])[0].toarray()
 
     def apply(v):
         m = v.reshape(n, d)
