@@ -136,9 +136,9 @@ class Tape:
         return self._record("mul_const", mask * a.value, (a,), lambda g: (mask * g,))
 
     def relu(self, a: Var) -> Var:
-        # subgradient 0 at exactly 0
+        # the forward value is prox_nonneg's (NaN stays NaN); subgradient 0 at exactly 0
         keep = a.value > 0.0
-        return self._record("relu", np.where(keep, a.value, 0.0), (a,), lambda g: (np.where(keep, g, 0.0),))
+        return self._record("relu", np.maximum(a.value, 0.0), (a,), lambda g: (np.where(keep, g, 0.0),))
 
     def add_rowvec(self, a: Var, bias: Var) -> Var:
         """Broadcast-add a 1-D bias across rows; its adjoint sums over rows."""

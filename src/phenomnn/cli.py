@@ -264,14 +264,17 @@ def cmd_check_gradients(args) -> int:
     return 0 if report["passed"] else 1
 
 
+def _need_hypergraph(cfg: dict, args):
+    if cfg["dataset"]:
+        return load_dataset(cfg["dataset"]).hypergraph
+    if args.hypergraph:
+        return load_hypergraph(args.hypergraph)
+    raise ValueError(f"{args.command} needs --data or --hypergraph")
+
+
 def cmd_step_bound(args) -> int:
     cfg = resolve_config(args)
-    if cfg["dataset"]:
-        hg = load_dataset(cfg["dataset"]).hypergraph
-    elif args.hypergraph:
-        hg = load_hypergraph(args.hypergraph)
-    else:
-        raise ValueError("step-bound needs --data or --hypergraph")
+    hg = _need_hypergraph(cfg, args)
     mc = model_config(cfg)
     ops = build_expansion_operators(hg, mc.lambda0, mc.lambda1)
     if mc.variant == "simple":
@@ -280,19 +283,14 @@ def cmd_step_bound(args) -> int:
         bound = step_bound_general(ops, EnergyParams.identity(mc.d, mc.lambda0, mc.lambda1, mc.alpha))
     status = "converged" if bound.eig.converged else f"NOT converged (residual {bound.eig.residual:.3g})"
     print(f"step bound ({mc.variant}): {bound.value:.10g}  [sigma={bound.sigma:.6g}, {status}]")
+    print(f"certificate: {bound.certificate} ({bound.eig.iterations} operator applications)")
     if mc.alpha >= bound.value:
         print(f"configured alpha={mc.alpha} exceeds the bound")
     return 0
 
 
 def cmd_expand(args) -> int:
-    cfg = resolve_config(args)
-    if cfg["dataset"]:
-        hg = load_dataset(cfg["dataset"]).hypergraph
-    elif args.hypergraph:
-        hg = load_hypergraph(args.hypergraph)
-    else:
-        raise ValueError("expand needs --data or --hypergraph")
+    hg = _need_hypergraph(resolve_config(args), args)
     out = _out_dir(args)
     a_c, _ = build_clique(hg)
     a_s_bar, _ = build_star_normalized(hg)

@@ -62,8 +62,9 @@ class Hypergraph:
         clean = []
         dups = collapsed_duplicates
         for k, e in enumerate(edges):
-            ids = np.asarray(sorted(set(int(i) for i in e)), dtype=np.int64)
-            dups += len(list(e)) - ids.size
+            e = [int(i) for i in e]  # an edge may be a one-shot iterator
+            ids = np.asarray(sorted(set(e)), dtype=np.int64)
+            dups += len(e) - ids.size
             if ids.size == 0:
                 raise HypergraphError(f"hyperedge {k} is empty")
             if ids[0] < 0 or ids[-1] >= n:

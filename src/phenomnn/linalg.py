@@ -1,4 +1,4 @@
-"""Sparse-dense products, diagonal scaling and extreme-eigenvalue estimation.
+"""Sparse-dense products, diagonal scaling and extreme eigenvalues by Lanczos.
 
 Everything operates on 64-bit floats.  Sparse matrices are plain scipy CSR
 matrices; dense matrices are 2-D ``numpy.ndarray``; diagonal matrices are
@@ -12,20 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
     "spmm",
     "EigenResult",
     "extreme_eigenvalue",
-    "gershgorin_interval",
     "row_scale",
     "write_matrix_market",
 ]
 
 
 def _as_f64(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    return a
+    return np.asarray(a, dtype=np.float64)
 
 
 def spmm(s, d: np.ndarray) -> np.ndarray:
@@ -38,12 +37,8 @@ def spmm(s, d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EigenResult:
-    """Outcome of a power-iteration run.
-
-    ``residual`` is ``||A v - value v||_2`` for the returned estimate; a run
-    that exhausts its iteration budget is returned with ``converged=False``
-    and carries the best estimate found.
-    """
+    """An eigenvalue, the residual ``||A x - value x||`` of its unit vector ``x``,
+    whether the solve converged, and the number of operator applications it took."""
 
     value: float
     residual: float
@@ -51,23 +46,25 @@ class EigenResult:
     iterations: int
 
 
+# Lanczos basis size (scipy's default is 20).  On one core of a 2-vCPU VM, a
+# general-variant operator of size 32,000 took 107 applications in 0.12 s with
+# 8 vectors (a 2.0 MiB basis), 83 in 0.14 s with 20 (4.9 MiB); freeing the
+# larger basis also raises glibc's mmap threshold, which moved later timings.
+KRYLOV_BASIS = 8
+
+
 def extreme_eigenvalue(
-    apply,
-    size: int,
-    which: str = "max",
-    iters: int = 500,
-    tol: float = 1e-9,
-    shift: float | None = None,
-    seed: int = 0,
+    apply, size: int, which: str = "max", iters: int = 500, tol: float = 1e-9, seed: int = 0
 ) -> EigenResult:
-    """Estimate an extreme eigenvalue of a symmetric operator via power iteration.
+    """Largest (``which="max"``) or smallest (``"min"``) eigenvalue of a symmetric operator.
 
     ``apply`` maps a vector of length ``size`` to the operator applied to it.
-    For ``which="min"`` a spectral shift is required (typically the Gershgorin
-    upper bound of the operator) and the iteration runs on ``shift*I - A``.
-    For ``which="max"`` an optional nonnegative ``shift`` lifts an indefinite
-    operator to positive semidefinite so the dominant eigenvalue is the
-    algebraic maximum.
+    The solve is ARPACK's implicitly restarted Lanczos (``eigsh``) from a
+    PCG64 start vector drawn from ``seed``, so a fixed seed reproduces it
+    exactly.  ``iters`` caps the operator applications; ``tol`` is the
+    relative accuracy of the Ritz value.  ARPACK returns no Ritz pair before
+    one converges, so a solve that stops early reports the start vector's
+    Rayleigh quotient with ``converged=False``.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -75,50 +72,41 @@ def extreme_eigenvalue(
         raise ValueError("tol must be positive")
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    if which == "min" and shift is None:
-        raise ValueError("which='min' requires a spectral shift (Gershgorin upper bound)")
-    c = 0.0 if shift is None else float(shift)
-
-    def apply_shifted(v):
-        av = np.asarray(apply(v), dtype=np.float64)
-        if which == "max":
-            return av + c * v
-        return c * v - av
-
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    ray = 0.0
-    residual = np.inf
-    converged = False
-    it = 0
-    w = apply_shifted(v)
-    for it in range(1, iters + 1):
-        norm_w = np.linalg.norm(w)
-        if norm_w < 1e-300:
-            # operator annihilates the iterate: eigenvalue 0 of the shifted map
-            ray = 0.0
-            residual = 0.0
-            converged = True
-            break
-        v = w / norm_w
-        w = apply_shifted(v)
-        ray = float(v @ w)
-        # for a symmetric operator the eigenvalue error is at most the residual
-        residual = float(np.linalg.norm(w - ray * v))
-        if residual <= tol * max(1.0, abs(ray)):
-            converged = True
-            break
-    value = ray - c if which == "max" else c - ray
-    return EigenResult(value=value, residual=residual, converged=converged, iterations=it)
+    v0 = rng.standard_normal(size)
+    v0 /= np.linalg.norm(v0)
+    calls = 0
 
+    def rayleigh(x):
+        nonlocal calls
+        calls += 1
+        ax = _as_f64(apply(x))
+        theta = float(x @ ax)
+        return theta, float(np.linalg.norm(ax - theta * x))
 
-def gershgorin_interval(a) -> tuple[float, float]:
-    """Gershgorin disc bounds (lo, hi) on the spectrum of a symmetric matrix."""
-    a = _as_f64(a)
-    diag = np.diag(a)
-    radius = np.abs(a).sum(axis=1) - np.abs(diag)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
+    theta, residual = rayleigh(v0)
+    # A random start vector lies in the null space of a nonzero operator with
+    # probability 0, so an annihilated one (||A v0||^2 = theta^2 + r^2) means
+    # the zero operator, on which ARPACK fails with error -9; a 1x1 operator
+    # is its own answer.
+    if size == 1 or np.hypot(theta, residual) < 1e-300:
+        return EigenResult(theta, residual, True, calls)
+
+    def matvec(x):
+        nonlocal calls
+        if calls >= iters - 1:  # keep one application for the residual
+            raise ArpackNoConvergence("operator application cap reached", np.zeros(0), np.zeros((size, 0)))
+        calls += 1
+        return apply(x)
+
+    op = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    kind = "LA" if which == "max" else "SA"
+    try:
+        _, vec = eigsh(op, 1, which=kind, v0=v0, ncv=min(KRYLOV_BASIS, size), maxiter=iters, tol=tol, rng=rng)
+    except ArpackNoConvergence:
+        return EigenResult(theta, residual, False, calls)
+    theta, residual = rayleigh(vec[:, 0] / np.linalg.norm(vec[:, 0]))
+    return EigenResult(theta, residual, True, calls)
 
 
 def row_scale(diag: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ equivalence oracle for the matrix path and is quadratic in n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -333,11 +333,17 @@ def build_taped_logits(
 
 @dataclass
 class StepBound:
-    """Convergence step-size bound with the eigenvalue estimate behind it."""
+    """Convergence step-size bound, the eigenvalue solve behind it, and what makes it safe.
+
+    ``certificate`` is ``rank`` (``K`` is singular), ``lanczos`` (a converged
+    Ritz value moved by its residual), ``psd-floor`` (``sigma_min(K) >= 0``),
+    ``norm-bound`` (the norm bound ``lift``) or ``trivial`` (a zero operator).
+    """
 
     value: float
     sigma: float
     eig: EigenResult
+    certificate: str
 
 
 def step_bound_simple(ops: ExpansionOperators) -> StepBound:
@@ -345,24 +351,26 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
 
     Computes ``c / (c - sigma_min)`` with ``c = 1 + lambda0*d_Cmin +
     lambda1*d_Smin`` and ``sigma_min`` the minimum eigenvalue of the combined
-    adjacency ``K = lambda0*A_C + lambda1*A_S_bar = B W B^T``, applied in
-    factored form.  ``K`` is PSD, so ``sigma_min = 0`` is always safe; it is
-    used when the eigensolver stops unconverged, because an unconverged
-    estimate of ``sigma_min`` can only be too high.
+    adjacency ``K = lambda0*A_C + lambda1*A_S_bar = B W B^T``.  ``K`` is
+    singular, so ``sigma_min = 0`` with no solve, when ``m < n`` (rank ``K <=
+    m``) or a node is isolated (a zero row).  Otherwise Lanczos gives a Ritz
+    value ``theta`` with residual ``r``; some eigenvalue lies within ``||r||``
+    of ``theta``, and ``sigma_min = max(theta - ||r||, 0)``.  ``K`` is PSD,
+    so ``sigma_min = 0`` is used when the solve does not converge: an
+    unconverged estimate of ``sigma_min`` can only be too high.
     """
-    c = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
-    # K is entrywise nonnegative, so its largest row sum B (W m) is its Gershgorin bound
-    hi = float(np.max(ops.b @ ((ops.lambda0 + ops.lambda1 / ops.d_h) * ops.d_h)))
-    if hi == 0.0:
-        return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0))
+    if not np.any(ops.lambda0 + ops.lambda1 / ops.d_h):
+        return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
+    if ops.b.shape[1] < ops.n or float(ops.d_s_bar.min()) == 0.0:
+        return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "rank")
 
     def apply(v):
         return adjacency_simple(v[:, None], ops)[:, 0]
 
-    eig = extreme_eigenvalue(apply, ops.n, which="min", shift=hi, iters=5000, tol=1e-10)
-    # clip eigensolver noise below zero
-    sigma = max(eig.value, 0.0) if eig.converged else 0.0
-    return StepBound(c / (c - sigma), sigma, eig)
+    eig = extreme_eigenvalue(apply, ops.n, which="min", iters=5000, tol=1e-10)
+    c = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
+    sigma = max(eig.value - eig.residual, 0.0) if eig.converged else 0.0
+    return StepBound(c / (c - sigma), sigma, eig, "lanczos" if sigma > 0.0 else "psd-floor")
 
 
 def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBound:
@@ -373,7 +381,10 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     H1H1^T - A_S_bar V (H1+H1^T) + A_S_bar V)`` with ``s = lambda0/2``,
     evaluated matrix-free with the adjacency part factored through ``B``
     (``adjacency_general``); the bound is ``(1 + lambda0*d_Cmin +
-    lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``.
+    lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``.  As ``||A_C|| <= max
+    d_C`` and ``||A_S_bar|| <= max d_S_bar``, ``lift`` bounds the operator's
+    norm; ``sigma_max`` is ``min(theta + ||r||, lift)`` for a converged Ritz
+    value ``theta`` with residual ``r``, and ``lift`` otherwise.
     """
     n, d = ops.n, params.d
     s = 0.5 * params.lambda0
@@ -392,19 +403,20 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     def spec_norm(m):
         return float(np.max(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0))))
 
-    d_c_max = float(ops.d_c.max()) if n else 0.0
-    d_s_max = float(ops.d_s_bar.max()) if n else 0.0
-    lift = s * d_c_max * (spec_norm(h0_gram) + spec_norm(h0_sym)) + lam1 * d_s_max * (
-        spec_norm(h1_gram) + spec_norm(h1_sym) + 1.0
-    )
+    lift = s * float(ops.d_c.max()) * (spec_norm(h0_gram) + spec_norm(h0_sym))
+    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(h1_gram) + spec_norm(h1_sym) + 1.0)
     if lift == 0.0:
-        return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0))
-    eig = extreme_eigenvalue(apply, n * d, which="max", shift=lift, iters=5000, tol=1e-10)
+        return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
+    eig = extreme_eigenvalue(apply, n * d, which="max", iters=5000, tol=1e-10)
+    if eig.converged and eig.value + eig.residual < lift:
+        sigma, certificate = eig.value + eig.residual, "lanczos"
+    else:
+        sigma, certificate = lift, "norm-bound"
     numer = 1.0 + params.lambda0 * float(ops.d_c.min()) + lam1 * float(ops.d_s_bar.min())
-    denom = 1.0 + s * float(ops.d_c.min()) + eig.value
+    denom = 1.0 + s * float(ops.d_c.min()) + sigma
     if denom <= 0.0:
         raise ValueError(f"degenerate curvature: bound denominator {denom} <= 0")
-    return StepBound(numer / denom, eig.value, eig)
+    return StepBound(numer / denom, sigma, eig, certificate)
 
 
 def descent_trace(
@@ -446,16 +458,7 @@ def save_checkpoint(model: Model, path) -> None:
     """Serialize every parameter tensor plus the config; round-trips bit-exactly."""
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "config": {
-            "variant": model.config.variant,
-            "t_layers": model.config.t_layers,
-            "d": model.config.d,
-            "alpha": model.config.alpha,
-            "lambda0": model.config.lambda0,
-            "lambda1": model.config.lambda1,
-            "relu_mode": model.config.relu_mode,
-            "strict_alpha": model.config.strict_alpha,
-        },
+        "config": asdict(model.config),
         "predictor": {
             "weights": [w.tolist() for w in model.predictor.weights],
             "biases": [b.tolist() for b in model.predictor.biases],

@@ -46,7 +46,7 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss, a gradient or a parameter becomes non-finite."""
 
 
 @dataclass
@@ -126,11 +126,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> f
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
-    """Argmax accuracy over ``rows``; ties resolve to the lowest class index."""
+    """Argmax accuracy over ``rows``; ties resolve to the lowest class index.
+
+    Non-finite logits are rejected: ``argmax`` reads NaN as the top class.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("accuracy: empty row set")
-    pred = np.argmax(np.asarray(logits)[rows], axis=1)
+    logits = np.asarray(logits)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("accuracy: logits contain NaN or inf")
+    pred = np.argmax(logits[rows], axis=1)
     return float(np.mean(pred == np.asarray(labels)[rows]))
 
 
@@ -194,11 +200,8 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
         model_config, dataset.features.shape[1], dataset.n_classes, seed=train_config.seed
     )
     if model_config.strict_alpha:
-        bound = (
-            step_bound_simple(ops)
-            if model_config.variant == "simple"
-            else step_bound_general(ops, model.params)
-        )
+        simple = model_config.variant == "simple"
+        bound = step_bound_simple(ops) if simple else step_bound_general(ops, model.params)
         if model_config.alpha >= bound.value:
             raise ValueError(
                 f"alpha={model_config.alpha} violates the convergence bound {bound.value:.6g}"
@@ -236,8 +239,14 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
             adam_step(params, grads, state, train_config)
         else:
             sgd_step(params, grads, train_config)
+        for kind, arrays in (("gradient", grads), ("parameter", params)):
+            for name, arr in arrays.items():
+                if not np.all(np.isfinite(arr)):
+                    raise TrainingDiverged(f"{kind} {name!r} became non-finite at epoch {epoch}")
 
         _, eval_logits = forward(x, model, ops)
+        if not np.all(np.isfinite(eval_logits)):
+            raise TrainingDiverged(f"eval logits became non-finite at epoch {epoch}")
         metrics.loss.append(loss)
         metrics.train_acc.append(accuracy(eval_logits, labels, train_rows))
         metrics.val_acc.append(accuracy(eval_logits, labels, val_rows) if val_rows.size else 0.0)

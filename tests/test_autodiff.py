@@ -80,6 +80,16 @@ def test_relu_backward_positive_passthrough():
     assert np.array_equal(g_relu, g_plain)
 
 
+def test_relu_matches_prox_nonneg_bitwise():
+    from phenomnn.energy import prox_nonneg
+
+    a = np.array([[np.nan, -np.inf, -1.0, -0.0, 0.0, 2.0, np.inf]])
+    tape = Tape()
+    taped = tape.relu(tape.constant(a)).value
+    untaped = prox_nonneg(a)
+    assert taped.tobytes() == untaped.tobytes()
+
+
 def test_relu_subgradient_zero_at_zero():
     tape = Tape()
     x = tape.leaf(np.array([[0.0, 1.0]]), name="x")

@@ -30,6 +30,7 @@ def test_step_bound_trivial_prints_one(toy_hypergraph, capsys):
     out = capsys.readouterr().out
     bound = float(out.split("step bound (simple):")[1].split()[0])
     assert bound == 1.0
+    assert "certificate: trivial" in out
 
 
 def test_expand_writes_expected_matrices(toy_hypergraph, tmp_path, capsys):

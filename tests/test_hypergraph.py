@@ -67,6 +67,10 @@ def test_duplicate_ids_collapsed_with_counter():
     assert hg.edges[0].tolist() == [1, 2]
     assert hg.edge_sizes[0] == 2.0
     assert hg.collapsed_duplicates == 1
+    # an edge given as a one-shot iterator is counted like a list
+    gen = Hypergraph.from_edges(4, [(i for i in [0, 1, 1, 2]), [2, 3]])
+    assert gen.collapsed_duplicates == Hypergraph.from_edges(4, [[0, 1, 1, 2], [2, 3]]).collapsed_duplicates == 1
+    assert gen.edges[0].tolist() == [0, 1, 2]
 
 
 def test_incidence_is_binary():

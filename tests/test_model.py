@@ -193,7 +193,8 @@ def test_step_bound_simple_unconverged_uses_zero_sigma(monkeypatch):
     import phenomnn.model as model_mod
     from phenomnn.linalg import EigenResult
 
-    inst = random_instance(8, n=12, m=6)
+    # m >= n and no isolated node, so K is not known to be singular
+    inst = random_instance(9, n=12, m=12)
     ops = inst["ops"]
     stuck = EigenResult(value=0.5, residual=1e-3, converged=False, iterations=5000)
     monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: stuck)
@@ -201,6 +202,85 @@ def test_step_bound_simple_unconverged_uses_zero_sigma(monkeypatch):
     # an unconverged sigma_min estimate can only be too high; K is PSD, so 0 is safe
     assert got.sigma == 0.0 and got.value == 1.0
     assert got.eig is stuck
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (5, [[0, 1, 2], [2, 3, 4], [1, 3]]),  # m < n: rank K <= m
+        (4, [[0, 1], [1, 2], [0, 2], [0, 1, 2]]),  # m >= n, node 3 isolated
+    ],
+)
+def test_step_bound_simple_singular_needs_no_solve(n, edges):
+    hg = Hypergraph.from_edges(n, edges)
+    ops = build_expansion_operators(hg, 1.3, 0.7)
+    # the dense oracle agrees that K is singular
+    k = 1.3 * build_clique(hg)[0].toarray() + 0.7 * build_star_normalized(hg)[0].toarray()
+    assert abs(np.linalg.eigvalsh(k)[0]) <= 1e-12
+    got = step_bound_simple(ops)
+    assert got.sigma == 0.0 and got.value == 1.0
+    assert got.eig.iterations == 0
+    assert got.certificate == "rank"
+
+
+def _dense_general_bound(hg, ops, params):
+    """Step bound from the materialised curvature operator (row-major vec of V)."""
+    d = params.d
+    s = 0.5 * params.lambda0
+    g0, s0 = params.h0 @ params.h0.T, params.h0 + params.h0.T
+    g1, s1 = params.h1 @ params.h1.T, params.h1 + params.h1.T
+    a_c, a_s = build_clique(hg)[0].toarray(), build_star_normalized(hg)[0].toarray()
+    op = s * (np.kron(np.diag(ops.d_c), g0.T) - np.kron(a_c, s0.T))
+    op += params.lambda1 * (np.kron(np.diag(ops.d_s_bar), g1.T) - np.kron(a_s, s1.T) + np.kron(a_s, np.eye(d)))
+    sigma_max = float(np.linalg.eigvalsh((op + op.T) / 2.0)[-1])
+    numer = 1.0 + params.lambda0 * ops.d_c.min() + params.lambda1 * ops.d_s_bar.min()
+    return numer / (1.0 + s * ops.d_c.min() + sigma_max)
+
+
+@pytest.mark.parametrize("seed", [9202, 9208])
+def test_step_bound_general_not_above_dense_bound(seed):
+    # the criterion-3 instances on which a capped power loop reported too high a bound
+    rng = rng_for(seed)
+    n = int(rng.integers(30, 201))
+    m = int(rng.integers(10, min(101, n)))
+    d = int(rng.integers(2, 17))
+    l0 = float(rng.uniform(0.0, 3.0))
+    l1 = float(rng.uniform(0.0, 3.0))
+    hg = random_hypergraph(rng, n, m)
+    ops = build_expansion_operators(hg, l0, l1)
+    noise = 0.01 if seed % 2 == 0 else 0.1
+    h0 = np.eye(d) + noise * rng.standard_normal((d, d))
+    h1 = np.eye(d) + noise * rng.standard_normal((d, d))
+    params = EnergyParams(h0, h1, l0, l1)
+    want = _dense_general_bound(hg, ops, params)
+    got = step_bound_general(ops, params)
+    assert got.value <= want * (1.0 + 1e-12)
+    assert abs(got.value - want) <= 1e-8 * want
+    assert got.certificate == "lanczos" and got.eig.converged
+
+
+def test_step_bound_general_unconverged_uses_lift(monkeypatch):
+    import phenomnn.model as model_mod
+    from phenomnn.linalg import EigenResult
+
+    inst = random_instance(7, n=6, m=4, d=3, h_noise=0.2)
+    ops, params = inst["ops"], inst["params"]
+    stuck = EigenResult(value=0.5, residual=1e-3, converged=False, iterations=5000)
+    monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: stuck)
+    got = step_bound_general(ops, params)
+    s = 0.5 * params.lambda0
+
+    def norm(m):
+        return np.linalg.norm(m, 2)
+
+    h0, h1 = params.h0, params.h1
+    lift = s * ops.d_c.max() * (norm(h0 @ h0.T) + norm(h0 + h0.T)) + params.lambda1 * ops.d_s_bar.max() * (
+        norm(h1 @ h1.T) + norm(h1 + h1.T) + 1.0
+    )
+    numer = 1.0 + params.lambda0 * ops.d_c.min() + params.lambda1 * ops.d_s_bar.min()
+    assert abs(got.sigma - lift) <= 1e-12 * lift
+    assert abs(got.value - numer / (1.0 + s * ops.d_c.min() + lift)) <= 1e-12
+    assert got.certificate == "norm-bound" and got.eig is stuck
 
 
 def test_step_bound_general_sigma_matches_dense_operator():

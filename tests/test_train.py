@@ -227,6 +227,15 @@ def test_divergence_is_reported():
             train(ds, simple_cfg(t_layers=4), TrainConfig(lr=1e200, epochs=5, seed=0))
 
 
+def test_nan_feature_stops_training():
+    # in memory, so load_dataset's check does not apply; NaN reaches the
+    # predictor's gradient through the input column
+    ds = dataset(n_per=10, edges=10)
+    ds.features[3, 0] = np.nan
+    with pytest.raises(TrainingDiverged, match="epoch 0"):
+        train(ds, simple_cfg(t_layers=2), TrainConfig(lr=0.02, epochs=5, seed=0))
+
+
 def test_dropout_only_in_training_mode():
     ds = dataset(n_per=15, edges=15)
     cfg = simple_cfg(t_layers=2)
@@ -279,6 +288,14 @@ def test_accuracy_tie_breaks_to_lowest_class():
     logits = np.array([[0.5, 0.5], [1.0, 1.0]])
     labels = np.array([0, 1])
     assert accuracy(logits, labels, np.arange(2)) == 0.5  # both predicted as class 0
+
+
+def test_accuracy_rejects_non_finite_logits():
+    for bad in (np.nan, np.inf, -np.inf):
+        logits = np.eye(3)
+        logits[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            accuracy(logits, np.arange(3), np.arange(3))
 
 
 def test_accuracy_random_logits_near_half():
