@@ -39,11 +39,11 @@ from .model import (
     Classifier,
     Model,
     ModelConfig,
+    Propagation,
     StepBound,
     forward,
     init_model,
-    layer_general,
-    layer_simple,
+    layer,
     load_checkpoint,
     messagepassing_layer,
     save_checkpoint,

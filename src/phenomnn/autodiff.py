@@ -3,8 +3,8 @@
 A :class:`Tape` records every primitive applied during one forward pass as an
 ordered list of operations.  Recording order is topological by construction,
 so :func:`backward` visits operations in strict reverse order, accumulating
-vector-Jacobian products.  Sparse matrices, diagonal scalings, index sets, and
-dropout masks enter as constants of the graph: no gradient flows to them.
+vector-Jacobian products; a propagation layer is one node (``Tape.layer``).
+Operators, index sets, and dropout masks are constants: no gradient flows to them.
 
 Gradients are exact for the recorded composition and bitwise deterministic:
 two backward passes over the same tape produce identical results.
@@ -97,37 +97,6 @@ class Tape:
             "matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g)
         )
 
-    def add(self, a: Var, b: Var) -> Var:
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"add: shape mismatch {a.value.shape} vs {b.value.shape}")
-        return self._record("add", a.value + b.value, (a, b), lambda g: (g, g))
-
-    def sub(self, a: Var, b: Var) -> Var:
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"sub: shape mismatch {a.value.shape} vs {b.value.shape}")
-        return self._record("sub", a.value - b.value, (a, b), lambda g: (g, -g))
-
-    def scale(self, a: Var, c: float) -> Var:
-        c = float(c)
-        return self._record("scale", c * a.value, (a,), lambda g: (c * g,))
-
-    def transpose(self, a: Var) -> Var:
-        return self._record("transpose", np.ascontiguousarray(a.value.T), (a,), lambda g: (np.ascontiguousarray(g.T),))
-
-    def spmm(self, s, a: Var) -> Var:
-        """Multiply by a constant scipy sparse matrix; the adjoint multiplies by its transpose."""
-        if s.shape[1] != a.value.shape[0]:
-            raise ValueError(f"spmm: cannot multiply {s.shape} by {a.value.shape}")
-        return self._record("spmm", s @ a.value, (a,), lambda g: (s.T @ g,))
-
-    def row_scale(self, diag: np.ndarray, a: Var) -> Var:
-        """Multiply by a constant diagonal matrix given as a 1-D array."""
-        diag = np.asarray(diag, dtype=np.float64)
-        if diag.ndim != 1 or diag.shape[0] != a.value.shape[0]:
-            raise ValueError(f"row_scale: diagonal {diag.shape} for {a.value.shape}")
-        col = diag[:, None]
-        return self._record("row_scale", col * a.value, (a,), lambda g: (col * g,))
-
     def mul_const(self, a: Var, mask: np.ndarray) -> Var:
         """Elementwise product with a constant array (dropout masks and the like)."""
         mask = np.asarray(mask, dtype=np.float64)
@@ -139,6 +108,11 @@ class Tape:
         # the forward value is prox_nonneg's (NaN stays NaN); subgradient 0 at exactly 0
         keep = a.value > 0.0
         return self._record("relu", np.maximum(a.value, 0.0), (a,), lambda g: (np.where(keep, g, 0.0),))
+
+    def layer(self, value: np.ndarray, inputs: tuple, vjp) -> Var:
+        """A propagation layer's output (``model.layer``) as one node over ``(Y, Fx[, H0, H1])``;
+        ``vjp`` is its hand-written adjoint (``model.layer_vjp``), one gradient per input."""
+        return self._record("layer", value, inputs, vjp)
 
     def add_rowvec(self, a: Var, bias: Var) -> Var:
         """Broadcast-add a 1-D bias across rows; its adjoint sums over rows."""
@@ -180,14 +154,12 @@ def backward(tape: Tape, loss: Var) -> GradStore:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     grads: dict[int, np.ndarray] = {loss.idx: np.ones(())}
     for op in reversed(tape.ops):
-        g = grads.pop(op.out, None)
-        if g is None:
+        if op.out not in grads:
             continue
-        for idx, ig in zip(op.inputs, op.vjp(g)):
-            if idx in grads:
-                grads[idx] = grads[idx] + ig
-            else:
-                grads[idx] = ig
+        # popped into the call, so the output gradient is freed once its VJP returns
+        for idx, ig in zip(op.inputs, op.vjp(grads.pop(op.out))):
+            grads[idx] = grads[idx] + ig if idx in grads else ig
+        del ig  # or the last input gradient outlives its sum, through the next VJP
     store = GradStore()
     for name, var in tape.params.items():
         g = grads.get(var.idx)

@@ -7,17 +7,23 @@ energy variant:
 
 where the bracket collects the adjacency messages of the variant.  With
 ``relu_mode="end_only"`` the nonlinearity is skipped on all but the final
-layer.  ``messagepassing_layer`` re-derives the same update as an explicit
-per-node loop with node-dependent projection matrices; it exists as an
-equivalence oracle for the matrix path and is quadratic in n.
+layer.  The step is written once, as ``layer`` over a pass's constants
+(``Propagation``); ``forward``, ``descent_trace`` and the taped pass call it,
+the last recording each layer as one node with the adjoint ``layer_vjp``.
+``messagepassing_layer`` re-derives the same update as an explicit per-node
+loop with node-dependent projection matrices; it exists as an equivalence
+oracle for the matrix path and is quadratic in n.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 
 from .autodiff import Tape, Var
 from .energy import (
@@ -40,8 +46,9 @@ __all__ = [
     "Classifier",
     "Model",
     "init_model",
-    "layer_simple",
-    "layer_general",
+    "Propagation",
+    "layer",
+    "layer_vjp",
     "messagepassing_layer",
     "forward",
     "build_taped_logits",
@@ -172,39 +179,99 @@ def init_model(
 # -- propagation layers ------------------------------------------------------
 
 
-def layer_simple(
-    y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, alpha: float, apply_relu: bool = True
-) -> np.ndarray:
-    """One simple-variant step: adjacency message, skip connection, optional ReLU."""
-    if y.shape != fx.shape or y.shape[0] != ops.n:
-        raise ValueError(f"layer_simple: shapes {y.shape}, {fx.shape} for n={ops.n}")
-    bracket = adjacency_simple(y, ops) + fx
-    out = (1.0 - alpha) * y + alpha * row_scale(1.0 / ops.d_tilde, bracket)
-    return prox_nonneg(out) if apply_relu else out
+class Propagation:
+    """The constants every layer of one pass shares, worked out once per pass.
+
+    With ``c = alpha / d_tilde`` and ``*`` scaling rows, the pre-ReLU step is
+    ``K(Y; diag(c) B, B^T) + c * Fx``, where ``K(V; left, right) = left Q(right V)
+    + u * V - ca * (V G0) - cb * (V G1)``, ``Q(P) = P M0 + (lambda1 / m_e) * (P M1)``,
+    ``M0 = (lambda0/2)(H0 + H0^T)``, ``M1 = H1 + H1^T - I``, ``G_k = H_k H_k^T``,
+    ``ca = c (lambda0/2) d_C``, ``cb = c lambda1 d_S_bar`` and ``u = 1 - alpha +
+    ca + cb``.  In the simple variant (``H0 = H1 = I``) the ``G`` terms cancel
+    ``ca + cb`` and ``Q`` folds into ``left``.  ``K``'s operators are symmetric,
+    so the step's adjoint is ``K(.; B, B^T diag(c))``.  Callers form ``c * Fx``.
+    """
+
+    def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str):
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        self.general = variant == "general"
+        if self.general and (ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1):
+            raise ValueError("Propagation: params and operators carry different expansion weights")
+        c = params.alpha / ops.d_tilde
+        self.c = c[:, None]
+        data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
+        if not self.general:
+            data *= (ops.lambda0 + ops.lambda1 / ops.d_h)[ops.b.indices]
+        left = sp.csr_matrix((data, ops.b.indices, ops.b.indptr), shape=ops.b.shape)
+        self.fwd, self.adj = (left, ops.bt), (ops.b, left.T)
+        self.u = 1.0 - params.alpha
+        if not self.general:
+            return
+        h0, h1 = self.h0, self.h1 = params.h0, params.h1
+        self.half_l0 = 0.5 * ops.lambda0
+        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(params.d)
+        self.g0, self.g1 = h0 @ h0.T, h1 @ h1.T
+        self.e = (ops.lambda1 / ops.d_h)[:, None]
+        self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
+        self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
+        self.u = self.u + self.ca + self.cb
+
+    def kernel(self, v: np.ndarray, left, right):
+        """``K(v; left, right)`` and the edge-side product ``right v``."""
+        p = right @ v
+        if not self.general:
+            out = left @ p  # a new C-contiguous array, so daxpy adds u v into it in place
+            return daxpy(v.ravel(), out.ravel(), a=self.u).reshape(out.shape), p
+        out = left @ (p @ self.m0 + self.e * (p @ self.m1))
+        t = v @ self.g0
+        t *= self.ca
+        out -= t
+        np.matmul(v, self.g1, out=t)
+        t *= self.cb
+        out -= t
+        np.multiply(v, self.u, out=t)
+        out += t
+        return out, p
 
 
-def layer_general(
-    y: np.ndarray,
-    fx: np.ndarray,
-    ops: ExpansionOperators,
-    params: EnergyParams,
-    apply_relu: bool = True,
+def layer(
+    y: np.ndarray, c_fx: np.ndarray, prop: Propagation, apply_relu: bool = True, kept: list | None = None
 ) -> np.ndarray:
-    """One general-variant step; equals ``layer_simple`` when H0 = H1 = I."""
-    if y.shape != fx.shape or y.shape[0] != ops.n:
-        raise ValueError(f"layer_general: shapes {y.shape}, {fx.shape} for n={ops.n}")
-    if ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1:
-        raise ValueError("layer_general: params and operators carry different expansion weights")
-    alpha = params.alpha
-    h0, h1 = params.h0, params.h1
-    bracket = (
-        fx
-        + adjacency_general(y, ops, h0 + h0.T, h1 + h1.T)
-        + row_scale(0.5 * params.lambda0 * ops.d_c, y - y @ (h0 @ h0.T))
-        + row_scale(params.lambda1 * ops.d_s_bar, y - y @ (h1 @ h1.T))
-    )
-    out = (1.0 - alpha) * y + alpha * row_scale(1.0 / ops.d_tilde, bracket)
-    return prox_nonneg(out) if apply_relu else out
+    """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
+
+    A ``kept`` list receives what ``layer_vjp`` reads: the ReLU mask (None
+    without ReLU), plus ``Y`` and ``P = B^T Y`` in the general variant."""
+    if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
+        raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
+    out, p = prop.kernel(y, *prop.fwd)
+    out += c_fx
+    if apply_relu:
+        np.maximum(out, 0.0, out=out)
+    if kept is not None:
+        kept.append(out > 0.0 if apply_relu else None)
+        if prop.general:
+            kept += (y, p)
+    return out
+
+
+def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
+    """Hand-written adjoint of ``layer``: gradients for ``(Y, Fx)``, and ``(H0, H1)`` when general.
+
+    With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
+    ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
+    ``Y^T (ca * g)`` and ``Y^T (cb * g)``."""
+    mask = kept[0]
+    if mask is not None:
+        g = g * mask  # a copy, which R then overwrites
+    dy, s = prop.kernel(g, *prop.adj)
+    grads = ()
+    if prop.general:
+        y, p = kept[1], kept[2]
+        y0, y1 = y.T @ (prop.ca * g), y.T @ (prop.cb * g)
+        c0, c1 = p.T @ s, p.T @ (prop.e * s)
+        grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
+    return (dy, np.multiply(g, prop.c, out=g if mask is not None else None), *grads)
 
 
 def messagepassing_layer(
@@ -253,12 +320,11 @@ def _relu_flags(config: ModelConfig):
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
     """Full unrolled pass: base projection, T propagation steps, classifier logits."""
     fx = model.predictor.apply(x)
+    prop = Propagation(ops, model.params, model.config.variant)
+    c_fx = prop.c * fx
     y = fx
     for use_relu in _relu_flags(model.config):
-        if model.config.variant == "simple":
-            y = layer_simple(y, fx, ops, model.config.alpha, apply_relu=use_relu)
-        else:
-            y = layer_general(y, fx, ops, model.params, apply_relu=use_relu)
+        y = layer(y, c_fx, prop, use_relu)
     return y, model.classifier.apply(y)
 
 
@@ -266,12 +332,8 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
 
 
 def build_taped_logits(
-    tape: Tape,
-    model: Model,
-    ops: ExpansionOperators,
-    x: np.ndarray,
-    input_mask: np.ndarray | None = None,
-    feature_mask: np.ndarray | None = None,
+    tape: Tape, model: Model, ops: ExpansionOperators, x: np.ndarray,
+    input_mask: np.ndarray | None = None, feature_mask: np.ndarray | None = None
 ) -> Var:
     """Record the full forward pass on ``tape`` and return the logits node.
 
@@ -292,39 +354,14 @@ def build_taped_logits(
     if feature_mask is not None:
         fx = tape.mul_const(fx, feature_mask)
 
-    inv_dt = model.config.alpha / ops.d_tilde
+    prop = Propagation(ops, model.params, cfg.variant)
+    c_fx = prop.c * fx.value
+    compat = (params["h0"], params["h1"]) if prop.general else ()
     y = fx
-    if cfg.variant == "simple":
-        w = ops.lambda0 + ops.lambda1 / ops.d_h
-        for use_relu in _relu_flags(cfg):
-            bracket = tape.add(tape.spmm(ops.b, tape.row_scale(w, tape.spmm(ops.bt, y))), fx)
-            y = tape.add(tape.scale(y, 1.0 - cfg.alpha), tape.row_scale(inv_dt, bracket))
-            if use_relu:
-                y = tape.relu(y)
-    else:
-        h0, h1 = params["h0"], params["h1"]
-        h0_sym = tape.add(h0, tape.transpose(h0))
-        h0_gram = tape.matmul(h0, tape.transpose(h0))
-        h1_sym = tape.add(h1, tape.transpose(h1))
-        h1_gram = tape.matmul(h1, tape.transpose(h1))
-        w_pair = 0.5 * cfg.lambda0 * ops.d_c
-        w_mean = cfg.lambda1 * ops.d_s_bar
-        w_edge = cfg.lambda1 / ops.d_h
-        for use_relu in _relu_flags(cfg):
-            # the same factoring as adjacency_general, recorded op by op
-            p = tape.spmm(ops.bt, y)
-            q = tape.add(
-                tape.scale(tape.matmul(p, h0_sym), 0.5 * cfg.lambda0),
-                tape.row_scale(w_edge, tape.sub(tape.matmul(p, h1_sym), p)),
-            )
-            diag = tape.add(
-                tape.row_scale(w_pair, tape.sub(y, tape.matmul(y, h0_gram))),
-                tape.row_scale(w_mean, tape.sub(y, tape.matmul(y, h1_gram))),
-            )
-            bracket = tape.add(fx, tape.add(tape.spmm(ops.b, q), diag))
-            y = tape.add(tape.scale(y, 1.0 - cfg.alpha), tape.row_scale(inv_dt, bracket))
-            if use_relu:
-                y = tape.relu(y)
+    for use_relu in _relu_flags(cfg):
+        kept = []
+        value = layer(y.value, c_fx, prop, use_relu, kept)
+        y = tape.layer(value, (y, fx, *compat), partial(layer_vjp, prop=prop, kept=kept))
     return tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
 
 
@@ -420,18 +457,13 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
 
 
 def descent_trace(
-    y0: np.ndarray,
-    fx: np.ndarray,
-    ops: ExpansionOperators,
-    params: EnergyParams,
-    hg: Hypergraph,
-    steps: int,
-    variant: str = "simple",
-    relu: bool = True,
+    y0: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams, hg: Hypergraph,
+    steps: int, variant: str = "simple", relu: bool = True
 ) -> list:
     """Run plain descent steps and record (iteration, energy, feasible, grad norm) rows."""
     rows = []
     y = np.asarray(y0, dtype=np.float64)
+    prop = Propagation(ops, params, variant)
     for t in range(steps + 1):
         if variant == "simple":
             e: EnergyValue = energy_simple(y, fx, ops)
@@ -440,12 +472,8 @@ def descent_trace(
             e = energy_general(y, fx, ops, params, hg)
             g = grad_general(y, fx, ops, params)
         rows.append((t, e.smooth, e.feasible, float(np.linalg.norm(g))))
-        if t == steps:
-            break
-        if variant == "simple":
-            y = layer_simple(y, fx, ops, params.alpha, apply_relu=relu)
-        else:
-            y = layer_general(y, fx, ops, params, apply_relu=relu)
+        if t < steps:  # c * Fx kept across the energy evaluations would raise their peak memory
+            y = layer(y, prop.c * fx, prop, relu)
     return rows
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from phenomnn import EnergyParams, Hypergraph, build_expansion_operators
+from phenomnn import EnergyParams, Hypergraph, Propagation, build_expansion_operators, layer
 
 
 def rng_for(seed):
@@ -37,6 +37,12 @@ def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha
     y = rng.standard_normal((n, d))
     fx = rng.standard_normal((n, d))
     return {"hg": hg, "ops": ops, "params": params, "y": y, "fx": fx, "d": d, "rng": rng}
+
+
+def one_layer(y, fx, ops, params, variant, apply_relu=True):
+    """One ``layer`` step, with the pass constants built for this step alone."""
+    prop = Propagation(ops, params, variant)
+    return layer(y, prop.c * fx, prop, apply_relu)
 
 
 def fd_gradient(f, y, step=1e-5):

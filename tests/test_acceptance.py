@@ -33,16 +33,16 @@ from phenomnn.hypergraph import (
 )
 from phenomnn.model import (
     ModelConfig,
+    Propagation,
     build_taped_logits,
     init_model,
-    layer_general,
-    layer_simple,
+    layer,
     messagepassing_layer,
     step_bound_general,
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
-from helpers import fd_gradient, random_hypergraph, rel_err, rng_for
+from helpers import fd_gradient, one_layer, random_hypergraph, rel_err, rng_for
 
 
 def report(num, ok, detail):
@@ -159,28 +159,31 @@ def test_criterion_3_monotone_convergence():
 
         bound_g = step_bound_general(ops, EnergyParams(h0, h1, l0, l1))
         pg = EnergyParams(h0, h1, l0, l1, 0.9 * bound_g.value)
+        prop = Propagation(ops, pg, "general")
         y = prox_nonneg(fx)
         prev = energy_general(y, fx, ops, pg, hg).smooth
         for _ in range(100):
-            y = layer_general(y, fx, ops, pg)
+            y = layer(y, prop.c * fx, prop)
             e = energy_general(y, fx, ops, pg, hg).smooth
             worst_gen = max(worst_gen, (e - prev) / max(1.0, abs(prev)))
             prev = e
 
         bound_s = step_bound_simple(ops)
         alpha = 0.9 * bound_s.value
+        prop = Propagation(ops, EnergyParams.identity(d, l0, l1, alpha), "simple")
         y = prox_nonneg(fx)
         prev = energy_simple(y, fx, ops).smooth
         for _ in range(100):
-            y = layer_simple(y, fx, ops, alpha)
+            y = layer(y, prop.c * fx, prop)
             e = energy_simple(y, fx, ops).smooth
             worst_sim = max(worst_sim, (e - prev) / max(1.0, abs(prev)))
             prev = e
 
+        prop = Propagation(ops, EnergyParams.identity(d, l0, l1, 5.0 * bound_s.value), "simple")
         y = prox_nonneg(fx)
         prev = energy_simple(y, fx, ops).smooth
         for _ in range(30):
-            y = layer_simple(y, fx, ops, 5.0 * bound_s.value)
+            y = layer(y, prop.c * fx, prop)
             e = energy_simple(y, fx, ops).smooth
             if e > prev * (1 + 1e-9):
                 any_increase_at_5x = True
@@ -210,12 +213,12 @@ def test_criterion_4_form_equivalences():
         params = EnergyParams(h0, h1, l0, l1, float(rng.uniform(0.1, 0.9)))
         y = rng.standard_normal((n, d))
         fx = rng.standard_normal((n, d))
-        a = layer_general(y, fx, ops, params)
+        a = one_layer(y, fx, ops, params, "general")
         b = messagepassing_layer(y, fx, ops, params)
         worst_mp = max(worst_mp, float(np.max(np.abs(a - b))))
         pid = EnergyParams.identity(d, l0, l1, params.alpha)
-        c = layer_general(y, fx, ops, pid)
-        s = layer_simple(y, fx, ops, params.alpha)
+        c = one_layer(y, fx, ops, pid, "general")
+        s = one_layer(y, fx, ops, pid, "simple")
         worst_collapse = max(worst_collapse, float(np.max(np.abs(c - s))))
     ok = worst_mp <= 1e-12 and worst_collapse <= 1e-12
     report(

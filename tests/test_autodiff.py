@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,17 +7,20 @@ import pytest
 
 from phenomnn.autodiff import Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.hypergraph import build_expansion_operators
-from phenomnn.model import ModelConfig, build_taped_logits, init_model
-from helpers import rel_err, rng_for
+from phenomnn.energy import EnergyParams
+from phenomnn.hypergraph import Hypergraph, build_expansion_operators
+from phenomnn.model import ModelConfig, Propagation, build_taped_logits, forward, init_model, layer, layer_vjp
+from helpers import random_hypergraph, rel_err, rng_for
 
 
-def small_problem(seed=0, variant="general", t_layers=2, noise=0.5):
+def small_problem(seed=0, variant="general", t_layers=2, noise=0.5, relu_mode="every_step"):
     ds = generate_synthetic(
         SyntheticSpec(nodes_per_community=8, num_edges=8, edge_size_min=2, edge_size_max=4,
                       feature_dim=4, noise_std=noise, seed=seed)
     )
-    cfg = ModelConfig(variant=variant, t_layers=t_layers, d=5, alpha=0.4, lambda0=1.2, lambda1=0.8)
+    cfg = ModelConfig(
+        variant=variant, t_layers=t_layers, d=5, alpha=0.4, lambda0=1.2, lambda1=0.8, relu_mode=relu_mode
+    )
     model = init_model(cfg, 4, ds.n_classes, seed=seed)
     ops = build_expansion_operators(ds.hypergraph, cfg.lambda0, cfg.lambda1)
     rows = ds.split_indices("train")
@@ -42,7 +46,7 @@ def test_matmul_chain_matches_finite_differences():
         tape = Tape()
         a = tape.leaf(a_arr, name="a")
         b = tape.leaf(b_arr, name="b")
-        out = tape.matmul(tape.matmul(a, b), tape.transpose(a))
+        out = tape.matmul(tape.matmul(a, b), a)
         # reduce to a scalar through a fixed linear functional
         w = tape.constant(np.full((2, 2), 0.37))
         loss = tape.softmax_cross_entropy(
@@ -121,7 +125,7 @@ def test_primitive_shape_validation():
     with pytest.raises(ValueError):
         tape.matmul(a, b)
     with pytest.raises(ValueError):
-        tape.row_scale(np.ones(5), a)
+        tape.mul_const(a, np.ones(5))
 
 
 # -- backward -------------------------------------------------------------------------
@@ -215,11 +219,15 @@ def test_unrolled_mlp_matches_hand_chain_rule():
         assert np.max(np.abs(grads[name] - want)) <= 1e-10
 
 
-@pytest.mark.parametrize("variant", ["simple", "general"])
-def test_full_model_gradients_match_finite_differences(variant):
-    # oracle agreement across 10 random seeds in total (5 per variant)
+@pytest.mark.parametrize(
+    "variant, relu_mode",
+    [("simple", "every_step"), ("general", "every_step"), ("simple", "end_only"), ("general", "end_only")],
+    ids=["simple", "general", "simple-end_only", "general-end_only"],
+)
+def test_full_model_gradients_match_finite_differences(variant, relu_mode):
+    # oracle agreement across 5 random seeds per variant and ReLU mode
     for seed in range(5):
-        ds, cfg, model, ops, rows = small_problem(seed=seed, variant=variant)
+        ds, cfg, model, ops, rows = small_problem(seed=seed, variant=variant, relu_mode=relu_mode)
         params = model.parameters()
         report = check_gradients(
             lambda p: taped_loss(model, ops, ds, rows), params, samples=40, step=1e-5, seed=seed
@@ -239,6 +247,103 @@ def test_taped_forward_matches_plain_forward(variant):
     taped = build_taped_logits(tape, model, ops, ds.features).value
     _, plain = forward(ds.features, model, ops)
     assert np.max(np.abs(taped - plain)) <= 1e-9 * max(1.0, np.abs(plain).max())
+
+
+@pytest.mark.parametrize("relu_mode", ["every_step", "end_only"])
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_taped_forward_equals_plain_forward_bitwise(variant, relu_mode):
+    # both paths run the same layer on the same constants, so without dropout
+    # the logits agree to the last bit
+    ds, cfg, model, ops, rows = small_problem(seed=12, variant=variant, t_layers=3, relu_mode=relu_mode)
+    taped = build_taped_logits(Tape(), model, ops, ds.features).value
+    _, plain = forward(ds.features, model, ops)
+    assert taped.tobytes() == plain.tobytes()
+
+
+def edge_case_hypergraph():
+    # node 11 belongs to no edge and edge [4] has a single member
+    return Hypergraph.from_edges(12, [[0, 1, 2], [2, 3], [4], [5, 6, 7, 8], [8, 9, 10], [1, 9]])
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_gradients_match_finite_differences_isolated_node_and_singleton_edge(variant):
+    hg = edge_case_hypergraph()
+    rng = rng_for(13)
+    x = rng.standard_normal((hg.n, 4))
+    labels = rng.integers(0, 3, hg.n)
+    rows = np.arange(hg.n)
+    cfg = ModelConfig(variant=variant, t_layers=3, d=5, alpha=0.4, lambda0=1.2, lambda1=0.8)
+    model = init_model(cfg, 4, 3, seed=13)
+    ops = build_expansion_operators(hg, cfg.lambda0, cfg.lambda1)
+
+    def build(params):
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x)
+        return tape, tape.softmax_cross_entropy(logits, labels, rows)
+
+    report = check_gradients(build, model.parameters(), samples=40, step=1e-5, seed=13)
+    assert report["passed"], report
+    assert report["max_rel_err"] <= 1e-5
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_layer_adjoint_passes_dot_product_test(variant):
+    # <g, J v> = <J^T g, v> for the pre-ReLU step's derivative in Y, Fx, H0, H1
+    hg = edge_case_hypergraph()
+    ops = build_expansion_operators(hg, 1.3, 0.7)
+    rng = rng_for(17)
+    n, d = hg.n, 4
+    h0 = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    y, fx, g, vy, vfx = (rng.standard_normal((n, d)) for _ in range(5))
+    v0, v1 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+
+    def step(y_, fx_, h0_=h0, h1_=h1):
+        prop = Propagation(ops, EnergyParams(h0_, h1_, 1.3, 0.7, 0.45), variant)
+        return layer(y_, prop.c * fx_, prop, apply_relu=False)
+
+    prop = Propagation(ops, EnergyParams(h0, h1, 1.3, 0.7, 0.45), variant)
+    kept = []
+    layer(y, prop.c * fx, prop, apply_relu=False, kept=kept)
+    grads = layer_vjp(g, prop, kept)
+    zero = np.zeros((n, d))
+    # the step is linear in (Y, Fx)
+    pairs = [(step(vy, zero), grads[0], vy), (step(zero, vfx), grads[1], vfx)]
+    if variant == "general":
+        # and quadratic in each H, so a central difference of step 1 is exact
+        pairs.append(((step(y, fx, h0_=h0 + v0) - step(y, fx, h0_=h0 - v0)) / 2.0, grads[2], v0))
+        pairs.append(((step(y, fx, h1_=h1 + v1) - step(y, fx, h1_=h1 - v1)) / 2.0, grads[3], v1))
+    assert len(grads) == len(pairs)
+    for jv, jtg, v in pairs:
+        lhs, rhs = float(np.sum(g * jv)), float(np.sum(jtg * v))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
+    # four more layers may keep four more of each layer's saved arrays: the
+    # ReLU mask, plus Y_t and P_t = B^T Y_t in the general variant
+    n, m, d = 2000, 400, 16
+    rng = rng_for(19)
+    ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
+    x = rng.standard_normal((n, 8))
+
+    def kept_bytes(t_layers):
+        cfg = ModelConfig(variant=variant, t_layers=t_layers, d=d, alpha=0.3, lambda0=1.0, lambda1=1.0)
+        model = init_model(cfg, 8, 3, seed=19)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            logits = build_taped_logits(tape, model, ops, x)
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            del tape, logits
+            tracemalloc.stop()
+
+    per_layer = n * d + (8 * n * d + 8 * m * d if variant == "general" else 0)
+    bookkeeping = 1024  # per layer: the tape node, its Var, the adjoint's closure and array headers
+    assert kept_bytes(6) - kept_bytes(2) <= 4 * (per_layer + bookkeeping)
 
 
 def test_backward_is_bitwise_deterministic():
@@ -282,20 +387,20 @@ def test_check_gradients_identity_toy():
 
 
 def test_check_gradients_detects_corrupted_adjoint(monkeypatch):
-    original = Tape.relu
+    import phenomnn.model as model_mod
 
-    def corrupted(self, a):
-        keep = a.value > 0.0
-        return self._record(
-            "relu", np.where(keep, a.value, 0.0), (a,), lambda g: (1.7 * g,)
-        )
+    original = model_mod.layer_vjp
 
-    monkeypatch.setattr(Tape, "relu", corrupted)
+    def corrupted(g, prop, kept):
+        dy, *rest = original(g, prop, kept)
+        return (1.7 * dy, *rest)
+
+    monkeypatch.setattr(model_mod, "layer_vjp", corrupted)
     ds, cfg, model, ops, rows = small_problem(seed=8, variant="simple", t_layers=2)
     params = model.parameters()
     report = check_gradients(
         lambda p: taped_loss(model, ops, ds, rows), params, samples=30, step=1e-5
     )
-    monkeypatch.setattr(Tape, "relu", original)
+    monkeypatch.setattr(model_mod, "layer_vjp", original)
     assert not report["passed"]
     assert report["max_rel_err"] >= 1e-2

@@ -11,10 +11,10 @@ from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operat
 from phenomnn.model import (
     Model,
     ModelConfig,
+    Propagation,
     forward,
     init_model,
-    layer_general,
-    layer_simple,
+    layer,
     load_checkpoint,
     messagepassing_layer,
     save_checkpoint,
@@ -22,7 +22,7 @@ from phenomnn.model import (
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
-from helpers import random_hypergraph, random_instance, rng_for
+from helpers import one_layer, random_hypergraph, random_instance, rng_for
 
 
 # -- layer basics ---------------------------------------------------------------
@@ -32,33 +32,33 @@ def test_layer_collapses_to_skip_connection():
     inst = random_instance(0)
     hg, fx, y = inst["hg"], inst["fx"], inst["y"]
     ops0 = build_expansion_operators(hg, 0.0, 0.0)
-    out = layer_simple(y, fx, ops0, alpha=1.0)
-    assert np.array_equal(out, prox_nonneg(fx))
     p0 = EnergyParams.identity(inst["d"], 0.0, 0.0, alpha=1.0)
-    assert np.array_equal(layer_general(y, fx, ops0, p0), prox_nonneg(fx))
+    out = one_layer(y, fx, ops0, p0, "simple")
+    assert np.array_equal(out, prox_nonneg(fx))
+    assert np.array_equal(one_layer(y, fx, ops0, p0, "general"), prox_nonneg(fx))
 
 
 def test_layer_alpha_zero_is_projection():
     inst = random_instance(1)
-    out = layer_simple(inst["y"], inst["fx"], inst["ops"], alpha=0.0)
-    assert np.array_equal(out, prox_nonneg(inst["y"]))
     p = EnergyParams.identity(inst["d"], inst["ops"].lambda0, inst["ops"].lambda1, alpha=0.0)
-    assert np.array_equal(layer_general(inst["y"], inst["fx"], inst["ops"], p), prox_nonneg(inst["y"]))
+    out = one_layer(inst["y"], inst["fx"], inst["ops"], p, "simple")
+    assert np.array_equal(out, prox_nonneg(inst["y"]))
+    assert np.array_equal(one_layer(inst["y"], inst["fx"], inst["ops"], p, "general"), prox_nonneg(inst["y"]))
 
 
 def test_layer_general_identity_equals_layer_simple():
     for seed in range(8):
         inst = random_instance(seed, alpha=0.37)
         pid = EnergyParams.identity(inst["d"], inst["ops"].lambda0, inst["ops"].lambda1, alpha=0.37)
-        a = layer_general(inst["y"], inst["fx"], inst["ops"], pid)
-        b = layer_simple(inst["y"], inst["fx"], inst["ops"], 0.37)
+        a = one_layer(inst["y"], inst["fx"], inst["ops"], pid, "general")
+        b = one_layer(inst["y"], inst["fx"], inst["ops"], pid, "simple")
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_layer_shape_validation():
     inst = random_instance(2)
     with pytest.raises(ValueError):
-        layer_simple(inst["y"][:-1], inst["fx"], inst["ops"], 0.5)
+        one_layer(inst["y"][:-1], inst["fx"], inst["ops"], inst["params"], "simple")
 
 
 # -- node-wise reference -----------------------------------------------------------
@@ -81,7 +81,7 @@ def test_messagepassing_matches_matrix_layer(h_noise):
     for seed in range(5):
         inst = random_instance(seed + 50, n=6, m=5, h_noise=h_noise, alpha=0.45)
         got = messagepassing_layer(inst["y"], inst["fx"], inst["ops"], inst["params"])
-        want = layer_general(inst["y"], inst["fx"], inst["ops"], inst["params"])
+        want = one_layer(inst["y"], inst["fx"], inst["ops"], inst["params"], "general")
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -91,7 +91,7 @@ def test_messagepassing_identity_pair_only_matches_simple():
     ops = build_expansion_operators(hg, 2.0, 0.0)
     p = EnergyParams.identity(inst["d"], 2.0, 0.0, alpha=0.5)
     got = messagepassing_layer(inst["y"], inst["fx"], ops, p)
-    want = layer_simple(inst["y"], inst["fx"], ops, 0.5)
+    want = one_layer(inst["y"], inst["fx"], ops, p, "simple")
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -114,7 +114,7 @@ def test_positive_fixed_point_of_simple_layer():
         [spla.cg(system, fx[:, j], rtol=1e-12, atol=0.0)[0] for j in range(d)]
     )
     assert np.max(np.abs(recovered - y_star)) <= 1e-8
-    stepped = layer_simple(recovered, fx, ops, alpha=0.6)
+    stepped = one_layer(recovered, fx, ops, EnergyParams.identity(d, l0, l1, alpha=0.6), "simple")
     assert np.max(np.abs(stepped - recovered)) <= 1e-8
 
 
@@ -141,10 +141,11 @@ def test_forward_energy_nonincreasing_within_bound():
     inst = random_instance(5, n=15, m=8, alpha=0.5)
     ops, hg, fx = inst["ops"], inst["hg"], inst["fx"]
     alpha = 0.9 * step_bound_simple(ops).value
+    prop = Propagation(ops, EnergyParams.identity(inst["d"], ops.lambda0, ops.lambda1, alpha), "simple")
     y = prox_nonneg(fx)
     prev = energy_simple(y, fx, ops).smooth
     for _ in range(60):
-        y = layer_simple(y, fx, ops, alpha)
+        y = layer(y, prop.c * fx, prop)
         e = energy_simple(y, fx, ops).smooth
         assert e <= prev + 1e-9 * abs(prev)
         prev = e
@@ -162,8 +163,9 @@ def test_relu_mode_end_only():
     assert np.min(y) >= 0.0  # final ReLU still applied
     fx = model.predictor.apply(ds.features)
     h = fx
+    prop = Propagation(ops, EnergyParams.identity(4, 1.0, 1.0, 0.4), "simple")
     for t in range(3):
-        h = layer_simple(h, fx, ops, 0.4, apply_relu=(t == 2))
+        h = layer(h, prop.c * fx, prop, apply_relu=(t == 2))
     assert np.array_equal(y, h)
 
 
@@ -316,19 +318,21 @@ def test_monotone_descent_both_variants():
 
         bound = step_bound_general(ops, params)
         pg = EnergyParams(params.h0, params.h1, ops.lambda0, ops.lambda1, 0.9 * bound.value)
+        prop = Propagation(ops, pg, "general")
         y = prox_nonneg(fx)
         prev = energy_general(y, fx, ops, pg, hg).smooth
         for _ in range(100):
-            y = layer_general(y, fx, ops, pg)
+            y = layer(y, prop.c * fx, prop)
             e = energy_general(y, fx, ops, pg, hg).smooth
             assert e <= prev + 1e-9 * abs(prev)
             prev = e
 
         alpha = 0.9 * step_bound_simple(ops).value
+        prop = Propagation(ops, EnergyParams.identity(6, ops.lambda0, ops.lambda1, alpha), "simple")
         y = prox_nonneg(fx)
         prev = energy_simple(y, fx, ops).smooth
         for _ in range(100):
-            y = layer_simple(y, fx, ops, alpha)
+            y = layer(y, prop.c * fx, prop)
             e = energy_simple(y, fx, ops).smooth
             assert e <= prev + 1e-9 * abs(prev)
             prev = e
@@ -341,12 +345,13 @@ def test_fixed_point_approach_and_uniqueness():
         rng = inst["rng"]
         fx = rng.standard_normal((30, 4))
         alpha = 0.9 * step_bound_simple(ops).value
+        prop = Propagation(ops, EnergyParams.identity(4, ops.lambda0, ops.lambda1, alpha), "simple")
 
         def run(y0, steps=5000, tol=1e-12):
             y = y0
             deltas = []
             for _ in range(steps):
-                nxt = layer_simple(y, fx, ops, alpha)
+                nxt = layer(y, prop.c * fx, prop)
                 deltas.append(float(np.linalg.norm(nxt - y)))
                 y = nxt
                 if deltas[-1] <= tol:
