@@ -9,43 +9,29 @@ classification loss.
 
 from .autodiff import GradStore, Tape, Var, backward, check_gradients
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
-from .energy import (
-    EnergyParams,
-    EnergyValue,
-    energy_bruteforce,
-    energy_general,
-    energy_simple,
-    grad_general,
-    grad_simple,
-    prox_nonneg,
-    z_star,
-)
+from .energy import EnergyParams, EnergyValue, Propagation, energy_and_grad, prox_nonneg
 from .hypergraph import (
     ExpansionOperators,
     Hypergraph,
     HypergraphError,
     build_clique,
     build_expansion_operators,
-    build_star_bipartite,
     build_star_normalized,
     load_hypergraph,
     parse_hypergraph,
     precondition_diag,
-    uniform_edge_size,
 )
-from .linalg import EigenResult, extreme_eigenvalue, spmm, write_matrix_market
+from .linalg import EigenResult, extreme_eigenvalue, write_matrix_market
 from .model import (
     BasePredictor,
     Classifier,
     Model,
     ModelConfig,
-    Propagation,
     StepBound,
     forward,
     init_model,
     layer,
     load_checkpoint,
-    messagepassing_layer,
     save_checkpoint,
     step_bound_general,
     step_bound_simple,

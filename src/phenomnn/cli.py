@@ -211,10 +211,9 @@ def cmd_energy_trace(args) -> int:
         fx,
         ops,
         model.params,
-        dataset.hypergraph,
         steps=args.steps or mc.t_layers,
         variant=mc.variant,
-        relu=mc.relu_mode == "every_step",
+        relu_mode=mc.relu_mode,
     )
     lines = ["iteration,energy,feasible,grad_norm"]
     lines += [f"{t},{e!r},{int(feas)},{g!r}" for t, e, feas, g in rows]

@@ -1,12 +1,10 @@
-"""Hypergraph energies, their gradients, and the brute-force summation oracle.
+"""Hypergraph energies: their parameters, the one operator ``L_H``, and the energy entry point.
 
-Two energy variants are provided.  The simple variant penalizes the quadratic
-forms of the clique and normalized-star Laplacians:
-
-    E_simple(Y) = ||Y - Fx||_F^2 + lambda0 tr[Y^T L_C Y] + lambda1 tr[Y^T L_S_bar Y]
-
-The general variant replaces the two graph terms with compatibility-projected
-sums, with the edge embedding eliminated by its per-edge mean ``Z* = D_H^{-1} B^T Y``:
+Both variants share the form ``E(Y) = ||Y - Fx||_F^2 + <Y, L_H Y>``.  In the
+simple variant ``L_H = lambda0 L_C + lambda1 L_S_bar``, the clique and
+normalized-star Laplacians.  The general variant compares embeddings through
+compatibility matrices, with the edge embedding eliminated by its per-edge
+mean ``z*_e``:
 
     E_general(Y) = ||Y - Fx||_F^2
                  + (lambda0 / 2) * sum_e sum_{i,j in e} ||y_i H0 - y_j||^2
@@ -16,12 +14,12 @@ The pairwise term is weighted ``lambda0 / 2`` (the double sum counts every
 ordered pair) so that ``H0 = H1 = I`` recovers E_simple exactly, gradient and
 update included, at the same ``(lambda0, lambda1)``.
 
-The nonnegativity barrier is never represented as an infinite float: every
-evaluation returns the smooth value together with a feasibility flag.
-
-Every adjacency product is applied through the incidence matrix, one
-``B^T`` product followed by one ``B`` product (``adjacency_simple``,
-``adjacency_general``); no n x n matrix is formed.
+``L_H`` is written once, as ``Propagation.kernel``; the layers, the energy
+and its gradient (``energy_and_grad``) and the step bounds apply it at their
+own per-row constants.  Every adjacency product goes through the incidence
+matrix, one ``B^T`` product followed by one ``B`` product; no n x n matrix is
+formed.  The nonnegativity barrier is never represented as an infinite float:
+the energy is returned as its smooth value with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -29,24 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 
-from .hypergraph import ExpansionOperators, Hypergraph
-from .linalg import row_scale, spmm
+from .hypergraph import ExpansionOperators
 
 __all__ = [
     "EnergyParams",
     "EnergyValue",
+    "Propagation",
+    "energy_and_grad",
     "prox_nonneg",
-    "z_star",
-    "energy_simple",
-    "energy_general",
-    "energy_bruteforce",
-    "grad_simple",
-    "grad_general",
-    "laplacian_quad",
-    "adjacency_simple",
-    "adjacency_general",
 ]
+
+VARIANTS = ("general", "simple")
 
 
 @dataclass(eq=False)
@@ -80,21 +74,13 @@ class EnergyParams:
         return self.h0.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergyValue:
-    """Smooth energy value plus feasibility of the nonnegativity barrier."""
+    """Smooth energy value, feasibility of the nonnegativity barrier, and the gradient."""
 
     smooth: float
     feasible: bool
-
-
-def _check_ops_params(ops: ExpansionOperators, params: EnergyParams) -> None:
-    if ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1:
-        raise ValueError(
-            "expansion operators were built for "
-            f"(lambda0={ops.lambda0}, lambda1={ops.lambda1}) but params carry "
-            f"({params.lambda0}, {params.lambda1})"
-        )
+    grad: np.ndarray
 
 
 def prox_nonneg(v: np.ndarray) -> np.ndarray:
@@ -102,129 +88,106 @@ def prox_nonneg(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
-def z_star(hg: Hypergraph, y: np.ndarray) -> np.ndarray:
-    """Optimal edge embeddings ``D_H^{-1} B^T Y``: row k is the mean of y over edge k."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2 or y.shape[0] != hg.n:
-        raise ValueError(f"z_star: expected ({hg.n}, d) embeddings, got {y.shape}")
-    return row_scale(1.0 / hg.edge_sizes, spmm(hg.incidence.T, y))
+class Propagation:
+    """The kernel ``K``, the one definition of ``L_H``, at the per-row constants ``c`` and ``u``.
 
+    With ``*`` scaling rows, ``a = (lambda0/2) d_C`` and ``b = lambda1 d_S_bar``,
+    ``K(V) = c * (B Q(B^T V) - a * (V G0) - b * (V G1)) + u * V``, where
+    ``Q(P) = P M0 + (lambda1 / m_e) * (P M1)``, ``M0 = (lambda0/2)(H0 + H0^T)``,
+    ``M1 = H1 + H1^T - I`` and ``G_k = H_k H_k^T``.  In the simple variant
+    (``H0 = H1 = I``) the ``G`` terms are left out, ``u`` absorbs them, and
+    ``Q`` folds into the left factor: ``K(V) = c * (B W B^T V) + u * V`` with
+    ``W = lambda0 + lambda1 / m_e``.  The constants used in the package are:
 
-def adjacency_simple(y: np.ndarray, ops: ExpansionOperators) -> np.ndarray:
-    """Combined adjacency product ``(lambda0 A_C + lambda1 A_S_bar) Y``.
+    - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha``,
+      plus ``c (a + b)`` when general, so that ``K(Y) + c * Fx`` is the step
+      ``Y - c * grad E(Y) / 2``;
+    - ``-L_H`` (``energy_and_grad``): ``c = 1``, ``u = -a`` (general) or
+      ``-(lambda0 d_C + lambda1 d_S_bar)`` (simple);
+    - the general step bound's operator: ``c = -1``, ``u = 0``;
+    - the simple step bound's operator ``B W B^T``: ``c = 1``, ``u = 0``.
 
-    Applied as ``B [(lambda0 + lambda1 / m_e) * (B^T Y)]``.
+    ``K``'s operators are symmetric, so the adjoint of ``V -> K(V)`` is
+    ``K(.; B, B^T diag(c))``; ``fwd`` and ``adj`` hold the two factor pairs.
     """
-    return spmm(ops.b, row_scale(ops.lambda0 + ops.lambda1 / ops.d_h, spmm(ops.bt, y)))
+
+    def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str):
+        self._bind(ops, params, variant, params.alpha / ops.d_tilde, 1.0 - params.alpha)
+        if self.general:
+            self.u = self.u + self.ca + self.cb
+
+    @classmethod
+    def _at(cls, ops: ExpansionOperators, params: EnergyParams, variant: str, c: float, u) -> "Propagation":
+        """The kernel at constants other than a layer's: ``c`` the same on every row, ``u`` a scalar or a column."""
+        self = cls.__new__(cls)
+        self._bind(ops, params, variant, np.full(ops.n, c), u)
+        return self
+
+    def _bind(self, ops: ExpansionOperators, params: EnergyParams, variant: str, c: np.ndarray, u) -> None:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1:
+            raise ValueError(
+                "expansion operators were built for "
+                f"(lambda0={ops.lambda0}, lambda1={ops.lambda1}) but params carry "
+                f"({params.lambda0}, {params.lambda1})"
+            )
+        self.general = variant == "general"
+        self.c, self.u = c[:, None], u
+        data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
+        if not self.general:
+            data *= (ops.lambda0 + ops.lambda1 / ops.d_h)[ops.b.indices]
+        left = sp.csr_matrix((data, ops.b.indices, ops.b.indptr), shape=ops.b.shape)
+        self.fwd, self.adj = (left, ops.bt), (ops.b, left.T)
+        if not self.general:
+            return
+        h0, h1 = self.h0, self.h1 = params.h0, params.h1
+        self.half_l0 = 0.5 * ops.lambda0
+        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(params.d)
+        self.g0, self.g1 = h0 @ h0.T, h1 @ h1.T
+        self.e = (ops.lambda1 / ops.d_h)[:, None]
+        self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
+        self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
+
+    def kernel(self, v: np.ndarray, left, right):
+        """``K(v; left, right)`` and the edge-side product ``right v``."""
+        p = right @ v
+        if not self.general:
+            out = left @ p  # a new C-contiguous array, so u v is added into it in place
+            if np.ndim(self.u):  # per-row u (-L_H), which daxpy cannot take
+                out += self.u * v
+                return out, p
+            return daxpy(v.ravel(), out.ravel(), a=self.u).reshape(out.shape), p
+        out = left @ (p @ self.m0 + self.e * (p @ self.m1))
+        t = v @ self.g0
+        t *= self.ca
+        out -= t
+        np.matmul(v, self.g1, out=t)
+        t *= self.cb
+        out -= t
+        np.multiply(v, self.u, out=t)
+        out += t
+        return out, p
 
 
-def adjacency_general(y: np.ndarray, ops: ExpansionOperators, h0_sym: np.ndarray, h1_sym: np.ndarray) -> np.ndarray:
-    """Compatibility-projected adjacency ``(lambda0/2) A_C Y S0 + lambda1 A_S_bar Y (S1 - I)``.
+def energy_and_grad(
+    y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams, variant: str
+) -> EnergyValue:
+    """``E(Y)``, its feasibility and ``grad E(Y) = 2 (L_H Y + Y - Fx)``, from one kernel call.
 
-    ``S0 = H0 + H0^T`` and ``S1 = H1 + H1^T``; applied as
-    ``B [(lambda0/2) P S0 + lambda1 D_H^{-1} P (S1 - I)]`` with ``P = B^T Y``.
+    The energy is taken from ``L_H Y`` as ``||Y - Fx||^2 + <Y, L_H Y>``, not
+    from ``<Y, grad E / 2>``, whose terms of the size of ``||Fx||^2`` cancel.
     """
-    p = spmm(ops.bt, y)
-    q = 0.5 * ops.lambda0 * (p @ h0_sym) + row_scale(ops.lambda1 / ops.d_h, p @ h1_sym - p)
-    return spmm(ops.b, q)
-
-
-def laplacian_quad(adj_y: np.ndarray, deg: np.ndarray, y: np.ndarray) -> float:
-    """Quadratic form ``tr[Y^T (D - A) Y]`` from the product ``A Y`` and the degree diagonal."""
-    return float(np.sum(y * (row_scale(deg, y) - adj_y)))
-
-
-def energy_simple(y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators) -> EnergyValue:
-    """Simple-variant energy; expansion weights are taken from ``ops``."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != fx.shape:
-        raise ValueError(f"energy_simple: shape mismatch {y.shape} vs {fx.shape}")
-    fit = float(np.sum((y - fx) ** 2))
-    deg = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
-    return EnergyValue(
-        smooth=fit + laplacian_quad(adjacency_simple(y, ops), deg, y),
-        feasible=bool(np.min(y, initial=0.0) >= 0.0),
-    )
-
-
-def energy_general(
-    y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams, hg: Hypergraph
-) -> EnergyValue:
-    """General-variant energy in its matrix/trace form (edge means substituted)."""
-    _check_ops_params(ops, params)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != fx.shape:
-        raise ValueError(f"energy_general: shape mismatch {y.shape} vs {fx.shape}")
-    h0, h1 = params.h0, params.h1
-    fit = float(np.sum((y - fx) ** 2))
-    yh0 = y @ h0
-    term_a = (
-        float(np.sum(yh0 * row_scale(ops.d_c, yh0)))
-        - 2.0 * float(np.sum(yh0 * spmm(ops.b, spmm(ops.bt, y))))
-        + float(np.sum(y * row_scale(ops.d_c, y)))
-    )
-    z = z_star(hg, y)
-    yh1 = y @ h1
-    term_b = (
-        float(np.sum(yh1 * row_scale(ops.d_s_bar, yh1)))
-        - 2.0 * float(np.sum(yh1 * spmm(hg.incidence, z)))
-        + float(np.sum(z * row_scale(ops.d_h, z)))
-    )
-    return EnergyValue(
-        smooth=fit + 0.5 * params.lambda0 * term_a + params.lambda1 * term_b,
-        feasible=bool(np.min(y, initial=0.0) >= 0.0),
-    )
-
-
-def energy_bruteforce(
-    y: np.ndarray, z: np.ndarray, fx: np.ndarray, hg: Hypergraph, params: EnergyParams
-) -> EnergyValue:
-    """Literal summation form of the full energy; the ground-truth oracle.
-
-    Evaluates ``||Y - Fx||^2 + lambda0 * sum_e sum_{i,j in e} ||y_i H0 - y_j||^2
-    + lambda1 * sum_e sum_{i in e} ||y_i H1 - z_e||^2`` by explicit loops, with
-    the pairwise sum over ordered pairs.  Feasibility covers both Y and Z.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    h0, h1 = params.h0, params.h1
-    total = float(np.sum((y - fx) ** 2))
-    pair = 0.0
-    mean = 0.0
-    for k, e in enumerate(hg.edges):
-        for i in e:
-            yi_h0 = y[i] @ h0
-            for j in e:
-                diff = yi_h0 - y[j]
-                pair += float(diff @ diff)
-            diff = y[i] @ h1 - z[k]
-            mean += float(diff @ diff)
-    total += params.lambda0 * pair + params.lambda1 * mean
-    feasible = bool(np.min(y, initial=0.0) >= 0.0 and np.min(z, initial=0.0) >= 0.0)
-    return EnergyValue(smooth=total, feasible=feasible)
-
-
-def grad_simple(y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators) -> np.ndarray:
-    """Gradient of the simple energy: ``2(lambda0 L_C + lambda1 L_S_bar) Y + 2(Y - Fx)``."""
-    y = np.asarray(y, dtype=np.float64)
-    deg = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
-    return 2.0 * (row_scale(deg, y) - adjacency_simple(y, ops) + y - fx)
-
-
-def grad_general(
-    y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams
-) -> np.ndarray:
-    """Gradient of the general energy; collapses to ``grad_simple`` at H0 = H1 = I.
-
-    ``lambda0 D_C Y (I + H0 H0^T) + 2 lambda1 D_S_bar Y H1 H1^T - 2 adjacency_general(Y) + 2 (Y - Fx)``.
-    """
-    _check_ops_params(ops, params)
-    y = np.asarray(y, dtype=np.float64)
-    h0, h1 = params.h0, params.h1
-    adj = adjacency_general(y, ops, h0 + h0.T, h1 + h1.T)
-    return (
-        params.lambda0 * row_scale(ops.d_c, y + y @ (h0 @ h0.T))
-        + 2.0 * params.lambda1 * row_scale(ops.d_s_bar, y @ (h1 @ h1.T))
-        - 2.0 * adj
-        + 2.0 * (y - fx)
-    )
+        raise ValueError(f"energy: shape mismatch {y.shape} vs {fx.shape}")
+    diag = 0.5 * ops.lambda0 * ops.d_c
+    if variant == "simple":
+        diag = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
+    k = Propagation._at(ops, params, variant, 1.0, -diag[:, None])
+    neg_lap, _ = k.kernel(y, *k.fwd)
+    r = y - fx
+    smooth = float(np.sum(r * r)) - float(np.sum(y * neg_lap))
+    np.subtract(r, neg_lap, out=r)
+    r *= 2.0
+    return EnergyValue(smooth, bool(np.min(y, initial=0.0) >= 0.0), r)

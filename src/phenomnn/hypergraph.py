@@ -7,7 +7,7 @@ diagonal retained), and the normalized star contraction is
 ``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators the
 layers, energies and step bounds use keep only ``B`` and ``B^T`` and apply the
 expansions as ``B W B^T``; the n x n matrices are built only on request
-(``build_clique``, ``build_star_normalized``, ``build_star_bipartite``).
+(``build_clique``, ``build_star_normalized``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "load_hypergraph",
     "build_clique",
     "build_star_normalized",
-    "build_star_bipartite",
-    "uniform_edge_size",
     "precondition_diag",
     "ExpansionOperators",
     "build_expansion_operators",
@@ -161,30 +159,6 @@ def build_star_normalized(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
     a_s = (b @ inv_dh @ b.T).tocsr()
     a_s.sort_indices()
     return a_s, hg.node_degrees.copy()
-
-
-def build_star_bipartite(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix]:
-    """Star expansion over ``n + m`` nodes: adjacency, degree diagonal, Laplacian.
-
-    Hyperedge ``k`` becomes node ``n + k``, joined to each of its members;
-    both diagonal blocks are zero by bipartiteness.
-    """
-    b = hg.incidence
-    zero_nn = sp.csr_matrix((hg.n, hg.n))
-    zero_mm = sp.csr_matrix((hg.m, hg.m))
-    a_s = sp.bmat([[zero_nn, b], [b.T, zero_mm]], format="csr")
-    d_s = _row_sums(a_s)
-    return a_s, d_s, (sp.diags(d_s) - a_s).tocsr()
-
-
-def uniform_edge_size(hg: Hypergraph):
-    """The common hyperedge cardinality, or None when sizes differ."""
-    if hg.m == 0:
-        return None
-    first = hg.edge_sizes[0]
-    if np.all(hg.edge_sizes == first):
-        return int(first)
-    return None
 
 
 def precondition_diag(d_c: np.ndarray, d_s_bar: np.ndarray, lambda0: float, lambda1: float) -> np.ndarray:

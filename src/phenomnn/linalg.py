@@ -1,10 +1,9 @@
-"""Sparse-dense products, diagonal scaling and extreme eigenvalues by Lanczos.
+"""Extreme eigenvalues of symmetric operators by Lanczos, and Matrix Market export.
 
-Everything operates on 64-bit floats.  Sparse matrices are plain scipy CSR
-matrices; dense matrices are 2-D ``numpy.ndarray``; diagonal matrices are
-represented by their 1-D diagonal.  All functions are pure: the same inputs
-yield bitwise-identical outputs in the (default) sequential build, so results
-are safe to share across threads.
+Everything operates on 64-bit floats; sparse matrices are plain scipy CSR
+matrices.  Both functions are pure: the same inputs yield bitwise-identical
+outputs in the (default) sequential build, so results are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -15,24 +14,10 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
-    "spmm",
     "EigenResult",
     "extreme_eigenvalue",
-    "row_scale",
     "write_matrix_market",
 ]
-
-
-def _as_f64(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
-
-
-def spmm(s, d: np.ndarray) -> np.ndarray:
-    """Exact product ``s @ d`` of a scipy sparse matrix and a 2-D array."""
-    d = _as_f64(d)
-    if d.ndim != 2 or s.shape[1] != d.shape[0]:
-        raise ValueError(f"spmm: cannot multiply {s.shape} by {d.shape}")
-    return s @ d
 
 
 @dataclass
@@ -80,7 +65,7 @@ def extreme_eigenvalue(
     def rayleigh(x):
         nonlocal calls
         calls += 1
-        ax = _as_f64(apply(x))
+        ax = np.asarray(apply(x), dtype=np.float64)
         theta = float(x @ ax)
         return theta, float(np.linalg.norm(ax - theta * x))
 
@@ -107,14 +92,6 @@ def extreme_eigenvalue(
         return EigenResult(theta, residual, False, calls)
     theta, residual = rayleigh(vec[:, 0] / np.linalg.norm(vec[:, 0]))
     return EigenResult(theta, residual, True, calls)
-
-
-def row_scale(diag: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Product ``D @ y`` for a diagonal matrix given by its 1-D diagonal."""
-    diag, y = _as_f64(diag), _as_f64(y)
-    if diag.ndim != 1 or diag.shape[0] != y.shape[0]:
-        raise ValueError(f"row_scale: diagonal of size {diag.shape} for {y.shape}")
-    return diag[:, None] * y
 
 
 def write_matrix_market(s, target) -> None:

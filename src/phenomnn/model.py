@@ -3,16 +3,14 @@
 Each layer applies one preconditioned proximal-gradient step of the chosen
 energy variant:
 
-    Y <- ReLU( (1 - alpha) Y + alpha * D_tilde^{-1} [ bracket(Y) + Fx ] )
+    Y <- ReLU( Y - alpha * D_tilde^{-1} grad E(Y) / 2 )
 
-where the bracket collects the adjacency messages of the variant.  With
-``relu_mode="end_only"`` the nonlinearity is skipped on all but the final
-layer.  The step is written once, as ``layer`` over a pass's constants
-(``Propagation``); ``forward``, ``descent_trace`` and the taped pass call it,
-the last recording each layer as one node with the adjoint ``layer_vjp``.
-``messagepassing_layer`` re-derives the same update as an explicit per-node
-loop with node-dependent projection matrices; it exists as an equivalence
-oracle for the matrix path and is quadratic in n.
+which is the kernel of ``energy.Propagation`` at a layer's constants plus
+``alpha * D_tilde^{-1} Fx``.  With ``relu_mode="end_only"`` the nonlinearity
+is skipped on all but the final layer.  The step is written once, as
+``layer``; ``forward``, ``descent_trace`` and the taped pass call it, the last
+recording each layer as one node with the adjoint ``layer_vjp``.  The step
+bounds apply the same kernel at their own constants.
 """
 
 from __future__ import annotations
@@ -22,23 +20,11 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import daxpy
 
 from .autodiff import Tape, Var
-from .energy import (
-    EnergyParams,
-    EnergyValue,
-    adjacency_general,
-    adjacency_simple,
-    energy_general,
-    energy_simple,
-    grad_general,
-    grad_simple,
-    prox_nonneg,
-)
-from .hypergraph import ExpansionOperators, Hypergraph
-from .linalg import EigenResult, extreme_eigenvalue, row_scale
+from .energy import VARIANTS, EnergyParams, Propagation, energy_and_grad
+from .hypergraph import ExpansionOperators
+from .linalg import EigenResult, extreme_eigenvalue
 
 __all__ = [
     "ModelConfig",
@@ -49,7 +35,6 @@ __all__ = [
     "Propagation",
     "layer",
     "layer_vjp",
-    "messagepassing_layer",
     "forward",
     "build_taped_logits",
     "StepBound",
@@ -60,7 +45,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-VARIANTS = ("general", "simple")
 RELU_MODES = ("every_step", "end_only")
 
 
@@ -179,62 +163,6 @@ def init_model(
 # -- propagation layers ------------------------------------------------------
 
 
-class Propagation:
-    """The constants every layer of one pass shares, worked out once per pass.
-
-    With ``c = alpha / d_tilde`` and ``*`` scaling rows, the pre-ReLU step is
-    ``K(Y; diag(c) B, B^T) + c * Fx``, where ``K(V; left, right) = left Q(right V)
-    + u * V - ca * (V G0) - cb * (V G1)``, ``Q(P) = P M0 + (lambda1 / m_e) * (P M1)``,
-    ``M0 = (lambda0/2)(H0 + H0^T)``, ``M1 = H1 + H1^T - I``, ``G_k = H_k H_k^T``,
-    ``ca = c (lambda0/2) d_C``, ``cb = c lambda1 d_S_bar`` and ``u = 1 - alpha +
-    ca + cb``.  In the simple variant (``H0 = H1 = I``) the ``G`` terms cancel
-    ``ca + cb`` and ``Q`` folds into ``left``.  ``K``'s operators are symmetric,
-    so the step's adjoint is ``K(.; B, B^T diag(c))``.  Callers form ``c * Fx``.
-    """
-
-    def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        self.general = variant == "general"
-        if self.general and (ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1):
-            raise ValueError("Propagation: params and operators carry different expansion weights")
-        c = params.alpha / ops.d_tilde
-        self.c = c[:, None]
-        data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
-        if not self.general:
-            data *= (ops.lambda0 + ops.lambda1 / ops.d_h)[ops.b.indices]
-        left = sp.csr_matrix((data, ops.b.indices, ops.b.indptr), shape=ops.b.shape)
-        self.fwd, self.adj = (left, ops.bt), (ops.b, left.T)
-        self.u = 1.0 - params.alpha
-        if not self.general:
-            return
-        h0, h1 = self.h0, self.h1 = params.h0, params.h1
-        self.half_l0 = 0.5 * ops.lambda0
-        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(params.d)
-        self.g0, self.g1 = h0 @ h0.T, h1 @ h1.T
-        self.e = (ops.lambda1 / ops.d_h)[:, None]
-        self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
-        self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
-        self.u = self.u + self.ca + self.cb
-
-    def kernel(self, v: np.ndarray, left, right):
-        """``K(v; left, right)`` and the edge-side product ``right v``."""
-        p = right @ v
-        if not self.general:
-            out = left @ p  # a new C-contiguous array, so daxpy adds u v into it in place
-            return daxpy(v.ravel(), out.ravel(), a=self.u).reshape(out.shape), p
-        out = left @ (p @ self.m0 + self.e * (p @ self.m1))
-        t = v @ self.g0
-        t *= self.ca
-        out -= t
-        np.matmul(v, self.g1, out=t)
-        t *= self.cb
-        out -= t
-        np.multiply(v, self.u, out=t)
-        out += t
-        return out, p
-
-
 def layer(
     y: np.ndarray, c_fx: np.ndarray, prop: Propagation, apply_relu: bool = True, kept: list | None = None
 ) -> np.ndarray:
@@ -274,47 +202,8 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     return (dy, np.multiply(g, prop.c, out=g if mask is not None else None), *grads)
 
 
-def messagepassing_layer(
-    y: np.ndarray,
-    fx: np.ndarray,
-    ops: ExpansionOperators,
-    params: EnergyParams,
-    apply_relu: bool = True,
-) -> np.ndarray:
-    """Node-wise reference form of the general update.
-
-    Every node aggregates its clique-expansion neighbors (self-loops included)
-    through per-pair projection matrices, adds its own projection, and a
-    weighted skip from the base prediction.  Small-n oracle path only.
-    """
-    alpha = params.alpha
-    h0, h1 = params.h0, params.h1
-    d = y.shape[1]
-    eye = np.eye(d)
-    w_pair = 0.5 * params.lambda0 * (h0 + h0.T)
-    w_mean = params.lambda1 * (h1 + h1.T - eye)
-    w_self_pair = 0.5 * params.lambda0 * (h0 @ h0.T - eye)
-    w_self_mean = params.lambda1 * (h1 @ h1.T - eye)
-    b = ops.b.toarray()
-    a_c = b @ b.T
-    a_s = (b / ops.d_h) @ b.T
-    out = np.zeros_like(y)
-    for i in range(y.shape[0]):
-        scale_i = alpha / ops.d_tilde[i]
-        w_i = (1.0 - alpha) * eye - scale_i * (ops.d_c[i] * w_self_pair + ops.d_s_bar[i] * w_self_mean)
-        acc = y[i] @ w_i + scale_i * fx[i]
-        for j in range(y.shape[0]):
-            if a_c[i, j] == 0.0 and a_s[i, j] == 0.0:
-                continue
-            w_ij = scale_i * (a_c[i, j] * w_pair + a_s[i, j] * w_mean)
-            acc = acc + y[j] @ w_ij
-        out[i] = acc
-    return prox_nonneg(out) if apply_relu else out
-
-
-def _relu_flags(config: ModelConfig):
-    last = config.t_layers - 1
-    return [config.relu_mode == "every_step" or t == last for t in range(config.t_layers)]
+def _relu_flags(relu_mode: str, steps: int):
+    return [relu_mode == "every_step" or t == steps - 1 for t in range(steps)]
 
 
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
@@ -323,7 +212,7 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
     prop = Propagation(ops, model.params, model.config.variant)
     c_fx = prop.c * fx
     y = fx
-    for use_relu in _relu_flags(model.config):
+    for use_relu in _relu_flags(model.config.relu_mode, model.config.t_layers):
         y = layer(y, c_fx, prop, use_relu)
     return y, model.classifier.apply(y)
 
@@ -358,7 +247,7 @@ def build_taped_logits(
     c_fx = prop.c * fx.value
     compat = (params["h0"], params["h1"]) if prop.general else ()
     y = fx
-    for use_relu in _relu_flags(cfg):
+    for use_relu in _relu_flags(cfg.relu_mode, cfg.t_layers):
         kept = []
         value = layer(y.value, c_fx, prop, use_relu, kept)
         y = tape.layer(value, (y, fx, *compat), partial(layer_vjp, prop=prop, kept=kept))
@@ -388,21 +277,24 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
 
     Computes ``c / (c - sigma_min)`` with ``c = 1 + lambda0*d_Cmin +
     lambda1*d_Smin`` and ``sigma_min`` the minimum eigenvalue of the combined
-    adjacency ``K = lambda0*A_C + lambda1*A_S_bar = B W B^T``.  ``K`` is
-    singular, so ``sigma_min = 0`` with no solve, when ``m < n`` (rank ``K <=
-    m``) or a node is isolated (a zero row).  Otherwise Lanczos gives a Ritz
-    value ``theta`` with residual ``r``; some eigenvalue lies within ``||r||``
-    of ``theta``, and ``sigma_min = max(theta - ||r||, 0)``.  ``K`` is PSD,
-    so ``sigma_min = 0`` is used when the solve does not converge: an
-    unconverged estimate of ``sigma_min`` can only be too high.
+    adjacency ``K = lambda0*A_C + lambda1*A_S_bar = B W B^T``, applied as the
+    kernel at ``c = 1``, ``u = 0``.  ``K`` is singular, so ``sigma_min = 0``
+    with no solve, when ``m < n`` (rank ``K <= m``) or a node is isolated (a
+    zero row).  Otherwise Lanczos gives a Ritz value ``theta`` with residual
+    ``r``; some eigenvalue lies within ``||r||`` of ``theta``, and
+    ``sigma_min = max(theta - ||r||, 0)``.  ``K`` is PSD, so ``sigma_min = 0``
+    is used when the solve does not converge: an unconverged estimate of
+    ``sigma_min`` can only be too high.
     """
     if not np.any(ops.lambda0 + ops.lambda1 / ops.d_h):
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
     if ops.b.shape[1] < ops.n or float(ops.d_s_bar.min()) == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "rank")
 
+    k = Propagation._at(ops, EnergyParams.identity(1, ops.lambda0, ops.lambda1), "simple", 1.0, 0.0)
+
     def apply(v):
-        return adjacency_simple(v[:, None], ops)[:, 0]
+        return k.kernel(v[:, None], *k.fwd)[0][:, 0]
 
     eig = extreme_eigenvalue(apply, ops.n, which="min", iters=5000, tol=1e-10)
     c = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
@@ -416,9 +308,8 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     The curvature term is the max eigenvalue of the Kronecker-structured
     operator ``V -> s*(D_C V H0H0^T - A_C V (H0+H0^T)) + lambda1*(D_S_bar V
     H1H1^T - A_S_bar V (H1+H1^T) + A_S_bar V)`` with ``s = lambda0/2``,
-    evaluated matrix-free with the adjacency part factored through ``B``
-    (``adjacency_general``); the bound is ``(1 + lambda0*d_Cmin +
-    lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``.  As ``||A_C|| <= max
+    applied as the kernel at ``c = -1``, ``u = 0``; the bound is ``(1 +
+    lambda0*d_Cmin + lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``.  As ``||A_C|| <= max
     d_C`` and ``||A_S_bar|| <= max d_S_bar``, ``lift`` bounds the operator's
     norm; ``sigma_max`` is ``min(theta + ||r||, lift)`` for a converged Ritz
     value ``theta`` with residual ``r``, and ``lift`` otherwise.
@@ -426,22 +317,16 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     n, d = ops.n, params.d
     s = 0.5 * params.lambda0
     lam1 = params.lambda1
-    h0_sym = params.h0 + params.h0.T
-    h0_gram = params.h0 @ params.h0.T
-    h1_sym = params.h1 + params.h1.T
-    h1_gram = params.h1 @ params.h1.T
+    k = Propagation._at(ops, params, "general", -1.0, 0.0)
 
     def apply(vec):
-        v = vec.reshape(n, d)
-        out = row_scale(s * ops.d_c, v @ h0_gram) + row_scale(lam1 * ops.d_s_bar, v @ h1_gram)
-        out -= adjacency_general(v, ops, h0_sym, h1_sym)
-        return out.ravel()
+        return k.kernel(vec.reshape(n, d), *k.fwd)[0].ravel()
 
     def spec_norm(m):
         return float(np.max(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0))))
 
-    lift = s * float(ops.d_c.max()) * (spec_norm(h0_gram) + spec_norm(h0_sym))
-    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(h1_gram) + spec_norm(h1_sym) + 1.0)
+    lift = s * float(ops.d_c.max()) * (spec_norm(k.g0) + spec_norm(k.h0 + k.h0.T))
+    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(k.g1) + spec_norm(k.h1 + k.h1.T) + 1.0)
     if lift == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
     eig = extreme_eigenvalue(apply, n * d, which="max", iters=5000, tol=1e-10)
@@ -457,23 +342,23 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
 
 
 def descent_trace(
-    y0: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams, hg: Hypergraph,
-    steps: int, variant: str = "simple", relu: bool = True
+    y0: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams,
+    steps: int, variant: str = "simple", relu_mode: str = "every_step"
 ) -> list:
-    """Run plain descent steps and record (iteration, energy, feasible, grad norm) rows."""
+    """Run ``steps`` layers from ``y0`` and record (iteration, energy, feasible, grad norm) rows.
+
+    The ReLU follows ``relu_mode`` as in ``forward``, the last step always
+    rectified, so from ``y0 = Fx`` the last row is the energy of ``forward``'s
+    embedding.  Each row costs one kernel call, each step one more."""
     rows = []
     y = np.asarray(y0, dtype=np.float64)
     prop = Propagation(ops, params, variant)
+    flags = _relu_flags(relu_mode, steps)
     for t in range(steps + 1):
-        if variant == "simple":
-            e: EnergyValue = energy_simple(y, fx, ops)
-            g = grad_simple(y, fx, ops)
-        else:
-            e = energy_general(y, fx, ops, params, hg)
-            g = grad_general(y, fx, ops, params)
-        rows.append((t, e.smooth, e.feasible, float(np.linalg.norm(g))))
+        e = energy_and_grad(y, fx, ops, params, variant)
+        rows.append((t, e.smooth, e.feasible, float(np.linalg.norm(e.grad))))
         if t < steps:  # c * Fx kept across the energy evaluations would raise their peak memory
-            y = layer(y, prop.c * fx, prop, relu)
+            y = layer(y, prop.c * fx, prop, flags[t])
     return rows
 
 

@@ -274,10 +274,9 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
             fx,
             ops,
             best.params,
-            dataset.hypergraph,
             steps=model_config.t_layers,
             variant=model_config.variant,
-            relu=model_config.relu_mode == "every_step",
+            relu_mode=model_config.relu_mode,
         )
     ]
     if out_dir is not None:

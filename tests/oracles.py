@@ -1,0 +1,118 @@
+"""Reference forms the package is checked against; nothing in ``phenomnn`` calls them.
+
+The summation-form energy, the per-edge means, the trace-form energies, the
+node-wise layer and the bipartite star expansion each restate a quantity the
+package computes through ``Propagation.kernel``, by a different route.
+"""
+
+from collections import namedtuple
+
+import numpy as np
+import scipy.sparse as sp
+
+from phenomnn.hypergraph import build_clique, build_star_normalized
+
+Energy = namedtuple("Energy", "smooth feasible")
+
+
+def z_star(hg, y):
+    """Optimal edge embeddings ``D_H^{-1} B^T Y``: row k is the mean of y over edge k."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2 or y.shape[0] != hg.n:
+        raise ValueError(f"z_star: expected ({hg.n}, d) embeddings, got {y.shape}")
+    return (hg.incidence.T @ y) / hg.edge_sizes[:, None]
+
+
+def energy_bruteforce(y, z, fx, hg, params):
+    """Literal summation form of the full energy, by explicit loops.
+
+    ``||Y - Fx||^2 + lambda0 * sum_e sum_{i,j in e} ||y_i H0 - y_j||^2
+    + lambda1 * sum_e sum_{i in e} ||y_i H1 - z_e||^2``, the pairwise sum over
+    ordered pairs (the package's energy is this at pair weight ``lambda0 / 2``).
+    Feasibility covers both Y and Z.
+    """
+    total = float(np.sum((y - fx) ** 2))
+    pair = mean = 0.0
+    for k, e in enumerate(hg.edges):
+        for i in e:
+            yi_h0 = y[i] @ params.h0
+            for j in e:
+                pair += float((yi_h0 - y[j]) @ (yi_h0 - y[j]))
+            diff = y[i] @ params.h1 - z[k]
+            mean += float(diff @ diff)
+    total += params.lambda0 * pair + params.lambda1 * mean
+    return Energy(total, bool(np.min(y, initial=0.0) >= 0.0 and np.min(z, initial=0.0) >= 0.0))
+
+
+def laplacian_quad(adj_y, deg, y):
+    """Quadratic form ``tr[Y^T (D - A) Y]`` from the product ``A Y`` and the degree diagonal."""
+    return float(np.sum(y * (deg[:, None] * y - adj_y)))
+
+
+def energy_trace_simple(y, fx, hg, lambda0, lambda1):
+    """``||Y - Fx||^2 + lambda0 tr[Y^T L_C Y] + lambda1 tr[Y^T L_S_bar Y]`` from the n x n expansions."""
+    a_c, d_c = build_clique(hg)
+    a_s, d_s = build_star_normalized(hg)
+    fit = float(np.sum((y - fx) ** 2))
+    return fit + lambda0 * laplacian_quad(a_c @ y, d_c, y) + lambda1 * laplacian_quad(a_s @ y, d_s, y)
+
+
+def energy_trace_general(y, fx, hg, params):
+    """General energy in its matrix/trace form, the edge means substituted."""
+    a_c, d_c = build_clique(hg)
+    b = hg.incidence
+    yh0, yh1, z = y @ params.h0, y @ params.h1, z_star(hg, y)
+    term_a = np.sum(yh0 * (d_c[:, None] * yh0)) - 2.0 * np.sum(yh0 * (a_c @ y)) + np.sum(y * (d_c[:, None] * y))
+    term_b = (
+        np.sum(yh1 * (hg.node_degrees[:, None] * yh1))
+        - 2.0 * np.sum(yh1 * (b @ z))
+        + np.sum(z * (hg.edge_sizes[:, None] * z))
+    )
+    return float(np.sum((y - fx) ** 2) + 0.5 * params.lambda0 * term_a + params.lambda1 * term_b)
+
+
+def messagepassing_layer(y, fx, ops, params, apply_relu=True):
+    """Node-wise form of the general update, quadratic in n.
+
+    Every node aggregates its clique-expansion neighbors (self-loops included)
+    through per-pair projection matrices, adds its own projection, and a
+    weighted skip from the base prediction.
+    """
+    alpha, h0, h1 = params.alpha, params.h0, params.h1
+    eye = np.eye(y.shape[1])
+    w_pair = 0.5 * params.lambda0 * (h0 + h0.T)
+    w_mean = params.lambda1 * (h1 + h1.T - eye)
+    w_self_pair = 0.5 * params.lambda0 * (h0 @ h0.T - eye)
+    w_self_mean = params.lambda1 * (h1 @ h1.T - eye)
+    b = ops.b.toarray()
+    a_c = b @ b.T
+    a_s = (b / ops.d_h) @ b.T
+    out = np.zeros_like(y)
+    for i in range(y.shape[0]):
+        scale_i = alpha / ops.d_tilde[i]
+        w_i = (1.0 - alpha) * eye - scale_i * (ops.d_c[i] * w_self_pair + ops.d_s_bar[i] * w_self_mean)
+        acc = y[i] @ w_i + scale_i * fx[i]
+        for j in range(y.shape[0]):
+            if a_c[i, j] != 0.0 or a_s[i, j] != 0.0:
+                acc = acc + y[j] @ (scale_i * (a_c[i, j] * w_pair + a_s[i, j] * w_mean))
+        out[i] = acc
+    return np.maximum(out, 0.0) if apply_relu else out
+
+
+def build_star_bipartite(hg):
+    """Star expansion over ``n + m`` nodes: adjacency, degree diagonal, Laplacian.
+
+    Hyperedge ``k`` becomes node ``n + k``, joined to each of its members;
+    both diagonal blocks are zero by bipartiteness.
+    """
+    b = hg.incidence
+    a_s = sp.bmat([[sp.csr_matrix((hg.n, hg.n)), b], [b.T, sp.csr_matrix((hg.m, hg.m))]], format="csr")
+    d_s = np.asarray(a_s.sum(axis=1), dtype=np.float64).ravel()
+    return a_s, d_s, (sp.diags(d_s) - a_s).tocsr()
+
+
+def uniform_edge_size(hg):
+    """The common hyperedge cardinality, or None when sizes differ."""
+    if hg.m == 0 or not np.all(hg.edge_sizes == hg.edge_sizes[0]):
+        return None
+    return int(hg.edge_sizes[0])

@@ -13,36 +13,29 @@ import pytest
 
 from phenomnn.autodiff import Tape, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.energy import (
-    EnergyParams,
-    energy_bruteforce,
-    energy_general,
-    energy_simple,
-    grad_general,
-    grad_simple,
-    laplacian_quad,
-    prox_nonneg,
-    z_star,
-)
-from phenomnn.hypergraph import (
-    build_clique,
-    build_expansion_operators,
-    build_star_bipartite,
-    build_star_normalized,
-    uniform_edge_size,
-)
+from phenomnn.energy import EnergyParams, energy_and_grad, prox_nonneg
+from phenomnn.hypergraph import build_clique, build_expansion_operators, build_star_normalized
 from phenomnn.model import (
     ModelConfig,
     Propagation,
     build_taped_logits,
     init_model,
     layer,
-    messagepassing_layer,
     step_bound_general,
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
 from helpers import fd_gradient, one_layer, random_hypergraph, rel_err, rng_for
+from oracles import (
+    build_star_bipartite,
+    energy_bruteforce,
+    energy_trace_general,
+    energy_trace_simple,
+    laplacian_quad,
+    messagepassing_layer,
+    uniform_edge_size,
+    z_star,
+)
 
 
 def report(num, ok, detail):
@@ -74,6 +67,19 @@ def test_criterion_1_energy_equivalence_oracle():
         fx = rng.standard_normal((n, d))
         z = z_star(hg, y)
         brute = energy_bruteforce(y, z, fx, hg, pid).smooth
+        # the kernel-derived energy: summation form at pair weight lambda0/2, and trace form
+        ops = build_expansion_operators(hg, l0, l1)
+        h0, h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        for variant, params in (("simple", pid), ("general", EnergyParams(h0, h1, l0, l1))):
+            mine = energy_and_grad(y, fx, ops, params, variant).smooth
+            half = EnergyParams(params.h0, params.h1, 0.5 * l0, l1)
+            summed = energy_bruteforce(y, z, fx, hg, half).smooth
+            worst = max(worst, abs(mine - summed) / max(1.0, abs(summed)))
+            if variant == "simple":
+                trace = energy_trace_simple(y, fx, hg, l0, l1)
+            else:
+                trace = energy_trace_general(y, fx, hg, params)
+            worst = max(worst, abs(mine - trace) / max(1.0, abs(trace)))
         fit = float(np.sum((y - fx) ** 2))
         q_c = laplacian_quad(a_c @ y, d_c, y)
         q_s = laplacian_quad(a_s @ y, d_s, y)
@@ -90,7 +96,7 @@ def test_criterion_1_energy_equivalence_oracle():
             worst = max(worst, abs(graph - beta * q_c) / max(1.0, abs(graph)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
-    report(1, ok, f"brute-force vs trace energies, worst rel err {worst:.2e}, {elapsed:.1f}s (<10s)")
+    report(1, ok, f"kernel vs brute-force vs trace energies, worst rel err {worst:.2e}, {elapsed:.1f}s (<10s)")
 
 
 def test_criterion_2_gradient_correctness():
@@ -104,13 +110,14 @@ def test_criterion_2_gradient_correctness():
         ops = build_expansion_operators(hg, l0, l1)
         h0 = np.eye(d) + 0.2 * rng.standard_normal((d, d))
         h1 = np.eye(d) + 0.2 * rng.standard_normal((d, d))
-        params = EnergyParams(h0, h1, l0, l1)
         y = rng.standard_normal((n, d))
         fx = rng.standard_normal((n, d))
-        fd_s = fd_gradient(lambda v: energy_simple(v, fx, ops).smooth, y)
-        worst_energy = max(worst_energy, rel_err(grad_simple(y, fx, ops), fd_s))
-        fd_g = fd_gradient(lambda v: energy_general(v, fx, ops, params, hg).smooth, y)
-        worst_energy = max(worst_energy, rel_err(grad_general(y, fx, ops, params), fd_g))
+        # the kernel-derived gradient vs central differences of the summation form
+        compat = {"simple": EnergyParams.identity(d, l0, l1), "general": EnergyParams(h0, h1, l0, l1)}
+        for variant, params in compat.items():
+            half = EnergyParams(params.h0, params.h1, 0.5 * l0, l1)
+            fd = fd_gradient(lambda v: energy_bruteforce(v, z_star(hg, v), fx, hg, half).smooth, y)
+            worst_energy = max(worst_energy, rel_err(energy_and_grad(y, fx, ops, params, variant).grad, fd))
 
     worst_loss = 0.0
     for variant in ("simple", "general"):
@@ -161,30 +168,31 @@ def test_criterion_3_monotone_convergence():
         pg = EnergyParams(h0, h1, l0, l1, 0.9 * bound_g.value)
         prop = Propagation(ops, pg, "general")
         y = prox_nonneg(fx)
-        prev = energy_general(y, fx, ops, pg, hg).smooth
+        prev = energy_and_grad(y, fx, ops, pg, "general").smooth
         for _ in range(100):
             y = layer(y, prop.c * fx, prop)
-            e = energy_general(y, fx, ops, pg, hg).smooth
+            e = energy_and_grad(y, fx, ops, pg, "general").smooth
             worst_gen = max(worst_gen, (e - prev) / max(1.0, abs(prev)))
             prev = e
 
         bound_s = step_bound_simple(ops)
         alpha = 0.9 * bound_s.value
-        prop = Propagation(ops, EnergyParams.identity(d, l0, l1, alpha), "simple")
+        ps = EnergyParams.identity(d, l0, l1, alpha)
+        prop = Propagation(ops, ps, "simple")
         y = prox_nonneg(fx)
-        prev = energy_simple(y, fx, ops).smooth
+        prev = energy_and_grad(y, fx, ops, ps, "simple").smooth
         for _ in range(100):
             y = layer(y, prop.c * fx, prop)
-            e = energy_simple(y, fx, ops).smooth
+            e = energy_and_grad(y, fx, ops, ps, "simple").smooth
             worst_sim = max(worst_sim, (e - prev) / max(1.0, abs(prev)))
             prev = e
 
         prop = Propagation(ops, EnergyParams.identity(d, l0, l1, 5.0 * bound_s.value), "simple")
         y = prox_nonneg(fx)
-        prev = energy_simple(y, fx, ops).smooth
+        prev = energy_and_grad(y, fx, ops, ps, "simple").smooth
         for _ in range(30):
             y = layer(y, prop.c * fx, prop)
-            e = energy_simple(y, fx, ops).smooth
+            e = energy_and_grad(y, fx, ops, ps, "simple").smooth
             if e > prev * (1 + 1e-9):
                 any_increase_at_5x = True
                 break

@@ -185,6 +185,7 @@ def test_unrolled_mlp_matches_hand_chain_rule():
     model.params.alpha = 1.0
     ops0 = build_expansion_operators(ds.hypergraph, 0.0, 0.0)
     model.config.lambda0 = model.config.lambda1 = 0.0
+    model.params.lambda0 = model.params.lambda1 = 0.0
     tape = Tape()
     logits = build_taped_logits(tape, model, ops0, ds.features)
     labels = ds.labels[rows]

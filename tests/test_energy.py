@@ -3,28 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenomnn.energy import (
-    EnergyParams,
-    adjacency_general,
-    adjacency_simple,
+from phenomnn.energy import EnergyParams, Propagation, energy_and_grad, prox_nonneg
+from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
+from helpers import fd_gradient, random_hypergraph, random_instance, rel_err, rng_for
+from oracles import (
+    build_star_bipartite,
     energy_bruteforce,
-    energy_general,
-    energy_simple,
-    grad_general,
-    grad_simple,
+    energy_trace_general,
+    energy_trace_simple,
     laplacian_quad,
-    prox_nonneg,
+    uniform_edge_size,
     z_star,
 )
-from phenomnn.hypergraph import (
-    Hypergraph,
-    build_clique,
-    build_expansion_operators,
-    build_star_bipartite,
-    build_star_normalized,
-    uniform_edge_size,
-)
-from helpers import fd_gradient, random_hypergraph, random_instance, rel_err, rng_for
 
 
 # -- prox ------------------------------------------------------------------------
@@ -92,26 +82,28 @@ def test_energy_zero_at_base_prediction():
     hg, d = inst["hg"], inst["d"]
     ops0 = build_expansion_operators(hg, 0.0, 0.0)
     fx = inst["fx"]
-    assert energy_simple(fx, fx, ops0).smooth == 0.0
     p0 = EnergyParams.identity(d, 0.0, 0.0)
-    assert energy_general(fx, fx, ops0, p0, hg).smooth == 0.0
+    assert energy_and_grad(fx, fx, ops0, p0, "simple").smooth == 0.0
+    assert energy_and_grad(fx, fx, ops0, p0, "general").smooth == 0.0
 
 
 def test_energy_general_identity_equals_simple():
     for seed in range(6):
         inst = random_instance(seed)
         pid = EnergyParams.identity(inst["d"], inst["params"].lambda0, inst["params"].lambda1)
-        eg = energy_general(inst["y"], inst["fx"], inst["ops"], pid, inst["hg"]).smooth
-        es = energy_simple(inst["y"], inst["fx"], inst["ops"]).smooth
+        eg = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "general").smooth
+        es = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "simple").smooth
         assert abs(eg - es) <= 1e-10 * max(1.0, abs(es))
 
 
 def test_energy_feasibility_flag():
     inst = random_instance(5)
     y = np.abs(inst["y"])
-    assert energy_simple(y, inst["fx"], inst["ops"]).feasible
+    for variant in ("simple", "general"):
+        assert energy_and_grad(y, inst["fx"], inst["ops"], inst["params"], variant).feasible
     y[0, 0] = -1e-9
-    assert not energy_simple(y, inst["fx"], inst["ops"]).feasible
+    for variant in ("simple", "general"):
+        assert not energy_and_grad(y, inst["fx"], inst["ops"], inst["params"], variant).feasible
 
 
 def test_bruteforce_trivial_zero():
@@ -193,6 +185,8 @@ def test_prop1_term_equivalences_across_seeds():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_factored_products_match_dense_expansions(seed):
+    # the kernel at each of its four constant sets against dense I-, B B^T- and
+    # B D_H^{-1} B^T-built operators
     rng = rng_for(700 + seed)
     n, d = int(rng.integers(5, 25)), int(rng.integers(1, 5))
     # edges avoid the last two nodes, which stay isolated; one edge is a singleton
@@ -205,16 +199,31 @@ def test_factored_products_match_dense_expansions(seed):
     b = hg.incidence.toarray()
     a_c = b @ b.T
     a_s = b @ np.diag(1.0 / hg.edge_sizes) @ b.T
-    y = rng.standard_normal((n, d))
-    s0, s1 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
-    s0, s1 = s0 + s0.T, s1 + s1.T
+    d_c, d_s = np.diag(a_c.sum(axis=1)), np.diag(a_s.sum(axis=1))
+    v = rng.standard_normal((n, d))
+    h0, h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
     for l0, l1 in ((1.0, 0.0), (0.0, 1.0), (float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))):
         ops = build_expansion_operators(hg, l0, l1)
-        assert rel_err(adjacency_simple(y, ops), (l0 * a_c + l1 * a_s) @ y) <= 1e-12
-        want = 0.5 * l0 * a_c @ y @ s0 + l1 * a_s @ y @ (s1 - np.eye(d))
-        assert rel_err(adjacency_general(y, ops, s0, s1), want) <= 1e-12
         assert np.max(np.abs(ops.d_c - a_c.sum(axis=1))) <= 1e-12
         assert np.max(np.abs(ops.d_s_bar - a_s.sum(axis=1))) <= 1e-12
+        c = 0.4 / ops.d_tilde[:, None]
+        compat = {"simple": EnergyParams.identity(d, l0, l1, 0.4), "general": EnergyParams(h0, h1, l0, l1, 0.4)}
+        for variant, params in compat.items():
+            g0, g1 = params.h0 @ params.h0.T, params.h1 @ params.h1.T
+            s0, s1 = params.h0 + params.h0.T, params.h1 + params.h1.T
+            lap = 0.5 * l0 * (d_c @ v @ (np.eye(d) + g0) - a_c @ v @ s0)
+            lap += l1 * (d_s @ v @ g1 - a_s @ v @ (s1 - np.eye(d)))
+            if variant == "general":
+                diag, bound_c, bound = 0.5 * l0 * ops.d_c, -1.0, lap - 0.5 * l0 * d_c @ v
+            else:
+                diag, bound_c, bound = l0 * ops.d_c + l1 * ops.d_s_bar, 1.0, (l0 * a_c + l1 * a_s) @ v
+            # a layer (the step Y - c * grad E(Y) / 2 without its c * Fx part), -L_H, the step bound's operator
+            for prop, want in (
+                (Propagation(ops, params, variant), v - c * (lap + v)),
+                (Propagation._at(ops, params, variant, 1.0, -diag[:, None]), -lap),
+                (Propagation._at(ops, params, variant, bound_c, 0.0), bound),
+            ):
+                assert rel_err(prop.kernel(v, *prop.fwd)[0], want) <= 1e-12
 
 
 def test_mean_embedding_is_optimal():
@@ -236,17 +245,17 @@ def test_gradient_zero_at_minimizer():
     hg = inst["hg"]
     ops0 = build_expansion_operators(hg, 0.0, 0.0)
     fx = inst["fx"]
-    assert np.max(np.abs(grad_simple(fx, fx, ops0))) == 0.0
     p0 = EnergyParams.identity(inst["d"], 0.0, 0.0)
-    assert np.max(np.abs(grad_general(fx, fx, ops0, p0))) == 0.0
+    assert np.max(np.abs(energy_and_grad(fx, fx, ops0, p0, "simple").grad)) == 0.0
+    assert np.max(np.abs(energy_and_grad(fx, fx, ops0, p0, "general").grad)) == 0.0
 
 
 def test_grad_general_identity_equals_grad_simple():
     for seed in range(6):
         inst = random_instance(seed + 20)
         pid = EnergyParams.identity(inst["d"], inst["ops"].lambda0, inst["ops"].lambda1)
-        gg = grad_general(inst["y"], inst["fx"], inst["ops"], pid)
-        gs = grad_simple(inst["y"], inst["fx"], inst["ops"])
+        gg = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "general").grad
+        gs = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "simple").grad
         assert np.max(np.abs(gg - gs)) <= 1e-12 * max(1.0, np.abs(gs).max())
 
 
@@ -255,16 +264,20 @@ def test_gradients_match_finite_differences(seed):
     inst = random_instance(seed + 30, h_noise=0.2)
     hg, ops, params, fx = inst["hg"], inst["ops"], inst["params"], inst["fx"]
     y = inst["y"].copy()
-    gs = grad_simple(y, fx, ops)
-    fd_s = fd_gradient(lambda v: energy_simple(v, fx, ops).smooth, y)
+    pid = EnergyParams.identity(inst["d"], ops.lambda0, ops.lambda1)
+    gs = energy_and_grad(y, fx, ops, pid, "simple").grad
+    fd_s = fd_gradient(lambda v: energy_trace_simple(v, fx, hg, ops.lambda0, ops.lambda1), y)
     assert rel_err(gs, fd_s) <= 1e-6
-    gg = grad_general(y, fx, ops, params)
-    fd_g = fd_gradient(lambda v: energy_general(v, fx, ops, params, hg).smooth, y)
+    gg = energy_and_grad(y, fx, ops, params, "general").grad
+    fd_g = fd_gradient(lambda v: energy_trace_general(v, fx, hg, params), y)
     assert rel_err(gg, fd_g) <= 1e-6
 
 
 def test_params_must_match_operators():
     inst = random_instance(40)
     other = EnergyParams.identity(inst["d"], inst["ops"].lambda0 + 1.0, inst["ops"].lambda1)
-    with pytest.raises(ValueError, match="built for"):
-        energy_general(inst["y"], inst["fx"], inst["ops"], other, inst["hg"])
+    for variant in ("general", "simple"):
+        with pytest.raises(ValueError, match="built for"):
+            energy_and_grad(inst["y"], inst["fx"], inst["ops"], other, variant)
+        with pytest.raises(ValueError, match="built for"):
+            Propagation(inst["ops"], other, variant)

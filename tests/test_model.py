@@ -6,23 +6,24 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.energy import EnergyParams, energy_general, energy_simple, prox_nonneg
+from phenomnn.energy import EnergyParams, energy_and_grad, prox_nonneg
 from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
 from phenomnn.model import (
     Model,
     ModelConfig,
     Propagation,
+    descent_trace,
     forward,
     init_model,
     layer,
     load_checkpoint,
-    messagepassing_layer,
     save_checkpoint,
     step_bound_general,
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
 from helpers import one_layer, random_hypergraph, random_instance, rng_for
+from oracles import messagepassing_layer
 
 
 # -- layer basics ---------------------------------------------------------------
@@ -139,14 +140,15 @@ def test_forward_trivial_config_is_mlp():
 
 def test_forward_energy_nonincreasing_within_bound():
     inst = random_instance(5, n=15, m=8, alpha=0.5)
-    ops, hg, fx = inst["ops"], inst["hg"], inst["fx"]
+    ops, fx = inst["ops"], inst["fx"]
     alpha = 0.9 * step_bound_simple(ops).value
-    prop = Propagation(ops, EnergyParams.identity(inst["d"], ops.lambda0, ops.lambda1, alpha), "simple")
+    params = EnergyParams.identity(inst["d"], ops.lambda0, ops.lambda1, alpha)
+    prop = Propagation(ops, params, "simple")
     y = prox_nonneg(fx)
-    prev = energy_simple(y, fx, ops).smooth
+    prev = energy_and_grad(y, fx, ops, params, "simple").smooth
     for _ in range(60):
         y = layer(y, prop.c * fx, prop)
-        e = energy_simple(y, fx, ops).smooth
+        e = energy_and_grad(y, fx, ops, params, "simple").smooth
         assert e <= prev + 1e-9 * abs(prev)
         prev = e
 
@@ -167,6 +169,37 @@ def test_relu_mode_end_only():
     for t in range(3):
         h = layer(h, prop.c * fx, prop, apply_relu=(t == 2))
     assert np.array_equal(y, h)
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+@pytest.mark.parametrize("relu_mode", ["every_step", "end_only"])
+def test_descent_trace_ends_at_forward(variant, relu_mode, monkeypatch):
+    import phenomnn.model as model_mod
+
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
+    cfg = ModelConfig(variant=variant, t_layers=3, d=4, alpha=0.4, lambda0=1.0, lambda1=0.5, relu_mode=relu_mode)
+    model = init_model(cfg, 3, ds.n_classes, seed=6)
+    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
+    y, _ = forward(ds.features, model, ops)
+    fx = model.predictor.apply(ds.features)
+    calls, iterates = [0], []
+    kernel, plain_layer = Propagation.kernel, model_mod.layer
+
+    def counted(self, *args):
+        calls[0] += 1
+        return kernel(self, *args)
+
+    def recorded(*args, **kwargs):
+        iterates.append(plain_layer(*args, **kwargs))
+        return iterates[-1]
+
+    monkeypatch.setattr(Propagation, "kernel", counted)
+    monkeypatch.setattr(model_mod, "layer", recorded)
+    rows = descent_trace(fx, fx, ops, model.params, 3, variant, relu_mode)
+    # one kernel call per row for the energy and gradient, one per layer
+    assert calls[0] == len(rows) + len(iterates) == 7
+    assert np.array_equal(iterates[-1], y)
+    assert rows[-1][1] == energy_and_grad(y, fx, ops, model.params, variant).smooth
 
 
 # -- step bounds -----------------------------------------------------------------------
@@ -312,7 +345,7 @@ def test_step_bound_general_sigma_matches_dense_operator():
 def test_monotone_descent_both_variants():
     for seed in range(5):
         inst = random_instance(seed + 70, n=40, m=20, d=6, h_noise=0.05)
-        ops, hg, params = inst["ops"], inst["hg"], inst["params"]
+        ops, params = inst["ops"], inst["params"]
         rng = inst["rng"]
         fx = rng.standard_normal((40, 6))
 
@@ -320,20 +353,21 @@ def test_monotone_descent_both_variants():
         pg = EnergyParams(params.h0, params.h1, ops.lambda0, ops.lambda1, 0.9 * bound.value)
         prop = Propagation(ops, pg, "general")
         y = prox_nonneg(fx)
-        prev = energy_general(y, fx, ops, pg, hg).smooth
+        prev = energy_and_grad(y, fx, ops, pg, "general").smooth
         for _ in range(100):
             y = layer(y, prop.c * fx, prop)
-            e = energy_general(y, fx, ops, pg, hg).smooth
+            e = energy_and_grad(y, fx, ops, pg, "general").smooth
             assert e <= prev + 1e-9 * abs(prev)
             prev = e
 
         alpha = 0.9 * step_bound_simple(ops).value
-        prop = Propagation(ops, EnergyParams.identity(6, ops.lambda0, ops.lambda1, alpha), "simple")
+        ps = EnergyParams.identity(6, ops.lambda0, ops.lambda1, alpha)
+        prop = Propagation(ops, ps, "simple")
         y = prox_nonneg(fx)
-        prev = energy_simple(y, fx, ops).smooth
+        prev = energy_and_grad(y, fx, ops, ps, "simple").smooth
         for _ in range(100):
             y = layer(y, prop.c * fx, prop)
-            e = energy_simple(y, fx, ops).smooth
+            e = energy_and_grad(y, fx, ops, ps, "simple").smooth
             assert e <= prev + 1e-9 * abs(prev)
             prev = e
 
