@@ -133,6 +133,7 @@ class Propagation:
                 f"({params.lambda0}, {params.lambda1})"
             )
         self.general = variant == "general"
+        self.scratch = None
         self.c, self.u = c[:, None], u
         data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
         if not self.general:
@@ -159,7 +160,11 @@ class Propagation:
                 return out, p
             return daxpy(v.ravel(), out.ravel(), a=self.u).reshape(out.shape), p
         out = left @ (p @ self.m0 + self.e * (p @ self.m1))
-        t = v @ self.g0
+        # one n x d scratch for every call through this instance: a fresh one
+        # per layer is paged in anew whenever the allocator has trimmed the heap
+        if self.scratch is None or self.scratch.shape != v.shape:
+            self.scratch = np.empty(v.shape)
+        t = np.matmul(v, self.g0, out=self.scratch)
         t *= self.ca
         out -= t
         np.matmul(v, self.g1, out=t)

@@ -214,7 +214,9 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
     x = dataset.features
 
     metrics = Metrics()
-    best_snapshot = None
+    # the checkpoint is allocated once, before any tape, and overwritten in place
+    best = copy.deepcopy(model)
+    best_params = best.parameters()
     start = time.perf_counter()
     for epoch in range(train_config.epochs):
         tick = time.perf_counter()
@@ -254,15 +256,17 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
         metrics.seconds.append(time.perf_counter() - tick)
 
         gate = metrics.val_acc[-1] if val_rows.size else metrics.train_acc[-1]
-        if best_snapshot is None or gate > metrics.best_val_acc:
+        if epoch == 0 or gate > metrics.best_val_acc:
             metrics.best_val_acc = gate
             metrics.best_epoch = epoch
-            best_snapshot = copy.deepcopy(model)
+            for name, value in params.items():
+                np.copyto(best_params[name], value)
         if epoch - metrics.best_epoch >= train_config.early_stop_patience:
             break
 
+    # the last tape is not needed by the trace: free it before the trace allocates
+    del tape, logits_var, loss_var, grads, eval_logits, input_mask, feature_mask
     metrics.wall_time = time.perf_counter() - start
-    best = best_snapshot if best_snapshot is not None else model
     metrics.final_test_acc = (
         metrics.test_acc[metrics.best_epoch] if test_rows.size else metrics.train_acc[metrics.best_epoch]
     )

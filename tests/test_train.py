@@ -132,6 +132,17 @@ def test_single_epoch_runs_one_step():
     assert metrics.best_epoch == 0
 
 
+def test_returned_model_is_the_best_epoch_checkpoint():
+    ds = dataset(noise=2.0, seed=3)
+    model, metrics = train(ds, simple_cfg(), TrainConfig(lr=0.05, epochs=30, seed=2))
+    best = metrics.best_epoch
+    # training went on past the best epoch, and the last epoch scores differently
+    assert best < len(metrics.loss) - 1
+    assert metrics.test_acc[-1] != metrics.test_acc[best]
+    for split, accs in (("train", metrics.train_acc), ("val", metrics.val_acc), ("test", metrics.test_acc)):
+        assert evaluate(model, ds, split) == accs[best]
+
+
 def test_zero_weights_reduces_to_mlp_oracle():
     # with both expansion weights at zero the model is h(ReLU(f(X; W))); an
     # independently hand-differentiated MLP trained identically must match
