@@ -132,9 +132,10 @@ class Tape:
             raise ValueError("softmax_cross_entropy: rows and labels must align")
         sel = logits.value[rows]
         shifted = sel - sel.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(log_z - shifted[np.arange(rows.size), labels]))
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        probs = np.exp(shifted)
+        z = probs.sum(axis=1, keepdims=True)
+        loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(rows.size), labels]))
+        probs /= z
 
         def vjp(g):
             delta = probs.copy()

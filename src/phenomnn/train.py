@@ -3,7 +3,12 @@
 Every epoch records the unrolled forward pass on a fresh tape, backpropagates
 the cross-entropy loss over the labeled training nodes through all T
 propagation steps, and applies one optimizer step to every trainable
-parameter.  The checkpoint kept is the one with the best validation accuracy.
+parameter.  Each epoch is then scored on all nodes from the logits of its
+post-step parameters.  An epoch that draws no dropout mask takes them from the
+next epoch's taped pass, whose logits an untaped ``forward`` would reproduce
+bitwise; one untaped ``forward`` after the last epoch scores that epoch.  With
+dropout masks, an untaped ``forward`` right after each step scores it.  The
+checkpoint kept is the one with the best validation accuracy.
 All randomness (initialization, dropout masks) derives from the configured
 seed through PCG64 streams, so a fixed seed reproduces runs exactly.
 """
@@ -77,7 +82,17 @@ class TrainConfig:
 
 @dataclass
 class Metrics:
-    """Per-epoch training curves plus the summary of the best checkpoint."""
+    """Per-epoch training curves plus the summary of the best checkpoint.
+
+    ``loss[e]`` is the training loss of epoch e's taped pass, before its step.
+    The accuracies of epoch e are those of its post-step parameters: from the
+    next epoch's taped pass when no dropout mask is drawn, otherwise from an
+    untaped ``forward`` right after the step.  ``seconds[e]`` ends at the start
+    of epoch e + 1 when that epoch's taped pass scores epoch e, and otherwise
+    at the end of the ``forward`` that scores it; each entry starts where the
+    one before ends, so the entries tile ``wall_time``.  After an early stop
+    found by a taped pass, that pass is in neither.
+    """
 
     loss: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
@@ -217,11 +232,36 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
     # the checkpoint is allocated once, before any tape, and overwritten in place
     best = copy.deepcopy(model)
     best_params = best.parameters()
-    start = time.perf_counter()
+    masked = train_config.dropout > 0.0 and (
+        train_config.dropout_inputs or train_config.dropout_features
+    )
+    start = scored_to = time.perf_counter()
+
+    def score(epoch: int, logits: np.ndarray, end: float) -> bool:
+        """Record ``epoch``'s metrics from the logits of its post-step parameters,
+        its time as ending at ``end``; True when early stopping ends the run."""
+        nonlocal scored_to
+        if not np.all(np.isfinite(logits)):
+            raise TrainingDiverged(f"eval logits became non-finite at epoch {epoch}")
+        metrics.train_acc.append(accuracy(logits, labels, train_rows))
+        metrics.val_acc.append(accuracy(logits, labels, val_rows) if val_rows.size else 0.0)
+        metrics.test_acc.append(accuracy(logits, labels, test_rows) if test_rows.size else 0.0)
+        metrics.seconds.append(end - scored_to)
+        scored_to = end
+
+        gate = metrics.val_acc[-1] if val_rows.size else metrics.train_acc[-1]
+        if epoch == 0 or gate > metrics.best_val_acc:
+            metrics.best_val_acc = gate
+            metrics.best_epoch = epoch
+            for name, value in params.items():
+                np.copyto(best_params[name], value)
+        return epoch - metrics.best_epoch >= train_config.early_stop_patience
+
+    eval_logits = None
     for epoch in range(train_config.epochs):
         tick = time.perf_counter()
         input_mask = feature_mask = None
-        if train_config.dropout > 0.0:
+        if masked:
             if train_config.dropout_inputs:
                 input_mask = _dropout_mask(rng, x.shape, train_config.dropout)
             if train_config.dropout_features:
@@ -230,6 +270,9 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
                 )
         tape = Tape()
         logits_var = build_taped_logits(tape, model, ops, x, input_mask, feature_mask)
+        # without masks this pass is the previous epoch's eval forward, bitwise
+        if epoch and not masked and score(epoch - 1, logits_var.value, tick):
+            break
         loss_var = tape.softmax_cross_entropy(logits_var, labels[train_rows], train_rows)
         loss = float(loss_var.value)
         if not np.isfinite(loss):
@@ -245,28 +288,19 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
             for name, arr in arrays.items():
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDiverged(f"{kind} {name!r} became non-finite at epoch {epoch}")
-
-        _, eval_logits = forward(x, model, ops)
-        if not np.all(np.isfinite(eval_logits)):
-            raise TrainingDiverged(f"eval logits became non-finite at epoch {epoch}")
         metrics.loss.append(loss)
-        metrics.train_acc.append(accuracy(eval_logits, labels, train_rows))
-        metrics.val_acc.append(accuracy(eval_logits, labels, val_rows) if val_rows.size else 0.0)
-        metrics.test_acc.append(accuracy(eval_logits, labels, test_rows) if test_rows.size else 0.0)
-        metrics.seconds.append(time.perf_counter() - tick)
-
-        gate = metrics.val_acc[-1] if val_rows.size else metrics.train_acc[-1]
-        if epoch == 0 or gate > metrics.best_val_acc:
-            metrics.best_val_acc = gate
-            metrics.best_epoch = epoch
-            for name, value in params.items():
-                np.copyto(best_params[name], value)
-        if epoch - metrics.best_epoch >= train_config.early_stop_patience:
-            break
+        if masked:
+            _, eval_logits = forward(x, model, ops)
+            if score(epoch, eval_logits, time.perf_counter()):
+                break
+    else:
+        if not masked:
+            _, eval_logits = forward(x, model, ops)
+            score(train_config.epochs - 1, eval_logits, time.perf_counter())
 
     # the last tape is not needed by the trace: free it before the trace allocates
     del tape, logits_var, loss_var, grads, eval_logits, input_mask, feature_mask
-    metrics.wall_time = time.perf_counter() - start
+    metrics.wall_time = scored_to - start
     metrics.final_test_acc = (
         metrics.test_acc[metrics.best_epoch] if test_rows.size else metrics.train_acc[metrics.best_epoch]
     )

@@ -10,6 +10,7 @@ from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import ModelConfig, Propagation, build_taped_logits, forward, init_model, layer, layer_vjp
+from phenomnn.train import cross_entropy
 from helpers import random_hypergraph, rel_err, rng_for
 
 
@@ -116,6 +117,14 @@ def test_softmax_cross_entropy_closed_form_gradient():
     probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     onehot = np.eye(3)[labels]
     assert np.max(np.abs(g - (probs - onehot) / 4.0)) <= 1e-12
+    # the taped loss is the metric's cross entropy, bitwise
+    assert float(loss.value) == cross_entropy(logits_arr, labels, rows)
+    wide = 30.0 * rng.standard_normal((50, 7))
+    some = rng.choice(50, size=20, replace=False)
+    some_labels = rng.integers(0, 7, size=20)
+    tape = Tape()
+    taped = tape.softmax_cross_entropy(tape.leaf(wide), some_labels, some)
+    assert float(taped.value) == cross_entropy(wide, some_labels, some)
 
 
 def test_primitive_shape_validation():

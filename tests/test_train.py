@@ -1,10 +1,14 @@
+import copy
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+from phenomnn.autodiff import Tape, backward
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.model import ModelConfig
+from phenomnn.hypergraph import build_expansion_operators
+from phenomnn.model import ModelConfig, build_taped_logits, descent_trace, forward, init_model
 from phenomnn.train import (
     AdamState,
     Metrics,
@@ -18,6 +22,9 @@ from phenomnn.train import (
     train,
 )
 from helpers import rng_for
+
+# the module, not the package's ``train`` function of the same name
+train_mod = importlib.import_module("phenomnn.train")
 
 
 def dataset(noise=0.5, seed=0, n_per=40, edges=40):
@@ -231,10 +238,118 @@ def test_training_is_deterministic():
     assert m1.test_acc == m2.test_acc
 
 
+def reference_train(ds, mcfg, tcfg):
+    """The training loop written plainly: an untaped eval ``forward`` after every step."""
+    splits = {s: ds.split_indices(s) for s in ("train", "val", "test")}
+    train_rows = splits["train"]
+    ops = build_expansion_operators(ds.hypergraph, mcfg.lambda0, mcfg.lambda1)
+    model = init_model(mcfg, ds.features.shape[1], ds.n_classes, seed=tcfg.seed)
+    params = model.parameters()
+    state = AdamState.for_params(params)
+    rng = np.random.Generator(np.random.PCG64(tcfg.seed))
+    x, labels = ds.features, ds.labels
+
+    def mask(shape):
+        return (rng.random(shape) >= tcfg.dropout).astype(np.float64) / (1.0 - tcfg.dropout)
+
+    out = {"loss": [], "train_acc": [], "val_acc": [], "test_acc": []}
+    best, best_epoch = None, -1
+    for epoch in range(tcfg.epochs):
+        input_mask = feature_mask = None
+        if tcfg.dropout > 0.0:
+            if tcfg.dropout_inputs:
+                input_mask = mask(x.shape)
+            if tcfg.dropout_features:
+                feature_mask = mask((x.shape[0], mcfg.d))
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x, input_mask, feature_mask)
+        loss = tape.softmax_cross_entropy(logits, labels[train_rows], train_rows)
+        adam_step(params, backward(tape, loss), state, tcfg)
+        _, eval_logits = forward(x, model, ops)
+        out["loss"].append(float(loss.value))
+        for split, rows in splits.items():
+            out[f"{split}_acc"].append(accuracy(eval_logits, labels, rows))
+        if epoch == 0 or out["val_acc"][-1] > out["val_acc"][best_epoch]:
+            best, best_epoch = copy.deepcopy(model), epoch
+        if epoch - best_epoch >= tcfg.early_stop_patience:
+            break
+    out["best_epoch"] = best_epoch
+    out["best_val_acc"] = out["val_acc"][best_epoch]
+    out["final_test_acc"] = out["test_acc"][best_epoch]
+    fx = best.predictor.apply(x)
+    out["energy_trace"] = [
+        {"iteration": t, "energy": e, "feasible": feas, "grad_norm": g}
+        for t, e, feas, g in descent_trace(
+            fx, fx, ops, best.params, steps=mcfg.t_layers, variant=mcfg.variant, relu_mode=mcfg.relu_mode
+        )
+    ]
+    return best, out
+
+
+ORACLE_RUNS = {
+    "simple-dropout0": (simple_cfg(), dict(dropout=0.0), False),
+    "general-end_only-stops": (
+        ModelConfig(variant="general", t_layers=3, d=6, alpha=0.05, lambda0=1.0, lambda1=1.0,
+                    relu_mode="end_only"),
+        dict(dropout=0.0, early_stop_patience=3),
+        True,
+    ),
+    "dropout-masks-off": (simple_cfg(), dict(dropout=0.5, dropout_inputs=False, dropout_features=False), False),
+    "dropout-masks-stops": (simple_cfg(), dict(dropout=0.5, early_stop_patience=3), True),
+}
+
+
+@pytest.mark.parametrize("run", list(ORACLE_RUNS))
+def test_train_matches_eval_after_every_step_bitwise(run):
+    # epochs without dropout masks are scored from the next taped pass; the
+    # curves, the checkpoint and its trace must not show it
+    mcfg, overrides, stops = ORACLE_RUNS[run]
+    ds = dataset(noise=2.0, seed=3)
+    tcfg = TrainConfig(lr=0.05, epochs=20, seed=4, **overrides)
+    want_model, want = reference_train(ds, mcfg, tcfg)
+    model, metrics = train(ds, mcfg, tcfg)
+    assert (len(metrics.loss) < tcfg.epochs) == stops
+    for key in ("loss", "train_acc", "val_acc", "test_acc", "best_epoch", "best_val_acc",
+                "final_test_acc", "energy_trace"):
+        assert getattr(metrics, key) == want[key], key
+    assert len(metrics.seconds) == len(metrics.loss)
+    got_params, want_params = model.parameters(), want_model.parameters()
+    assert got_params.keys() == want_params.keys()
+    for name, value in want_params.items():
+        assert got_params[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_each_epoch_is_one_tape_and_the_last_score_is_untaped(monkeypatch, dropout):
+    # an epoch is the span between two tapes (the benchmark's epoch clock
+    # counts them), so the closing score must be an untaped forward
+    events = []
+
+    def logged(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("Tape", "forward", "descent_trace"):
+        monkeypatch.setattr(train_mod, name, logged(name, getattr(train_mod, name)))
+    ds = dataset(n_per=10, edges=10)
+    epochs = 4
+    _, metrics = train(ds, simple_cfg(t_layers=2), TrainConfig(lr=0.02, dropout=dropout, epochs=epochs, seed=1))
+    if dropout:
+        assert events == ["Tape", "forward"] * epochs + ["descent_trace"]
+    else:
+        assert events == ["Tape"] * epochs + ["forward", "descent_trace"]
+    # the epoch times tile the run
+    assert len(metrics.seconds) == epochs
+    assert sum(metrics.seconds) == pytest.approx(metrics.wall_time, rel=1e-9)
+
+
 def test_divergence_is_reported():
     ds = dataset(n_per=10, edges=10)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged, match="eval logits became non-finite at epoch 0"):
             train(ds, simple_cfg(t_layers=4), TrainConfig(lr=1e200, epochs=5, seed=0))
 
 
