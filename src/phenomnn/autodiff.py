@@ -54,7 +54,14 @@ class GradStore(dict):
 
 
 class Tape:
-    """Ordered record of primitive operations for one forward pass."""
+    """Ordered record of primitive operations for one forward pass.
+
+    Each op's ``vjp`` owns the output gradient it is handed: it may write into
+    it and return it as an input gradient.  It returns no array that anything
+    else holds (a forward value, a captured constant, a scratch buffer, another
+    of its returned arrays), because ``backward`` sums into the first gradient
+    an input receives in place.
+    """
 
     def __init__(self):
         self.ops: list[TapeOp] = []
@@ -148,7 +155,12 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Var) -> GradStore:
-    """Exact gradients of the recorded composition w.r.t. every trainable leaf."""
+    """Exact gradients of the recorded composition w.r.t. every trainable leaf.
+
+    The first gradient an input receives is kept as its accumulator and later
+    ones are added into it in place; this is sound because, by the ``Tape``
+    rule, no VJP returns an array that anything else holds.
+    """
     if loss.tape is not tape:
         raise ValueError("loss was not recorded on this tape")
     if loss.value.ndim != 0:
@@ -159,7 +171,10 @@ def backward(tape: Tape, loss: Var) -> GradStore:
             continue
         # popped into the call, so the output gradient is freed once its VJP returns
         for idx, ig in zip(op.inputs, op.vjp(grads.pop(op.out))):
-            grads[idx] = grads[idx] + ig if idx in grads else ig
+            if idx in grads:
+                grads[idx] += ig
+            else:
+                grads[idx] = ig
         del ig  # or the last input gradient outlives its sum, through the next VJP
     store = GradStore()
     for name, var in tape.params.items():

@@ -156,9 +156,11 @@ def _worker(payload):
 
 
 def cmd_train(args) -> int:
+    repeats = args.repeats
+    if repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {repeats}")
     cfg = resolve_config(args)
     out = _out_dir(args)
-    repeats = args.repeats or 1
     if repeats == 1:
         model, metrics = _single_run(cfg, int(cfg["seed"]), bool(cfg["resplit"]))
         metrics.write(out)
@@ -200,6 +202,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_energy_trace(args) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise ValueError(f"--steps must be at least 0, got {args.steps}")
     cfg = resolve_config(args)
     dataset = _need_dataset(cfg)
     mc = model_config(cfg)
@@ -211,7 +215,7 @@ def cmd_energy_trace(args) -> int:
         fx,
         ops,
         model.params,
-        steps=args.steps or mc.t_layers,
+        steps=mc.t_layers if args.steps is None else args.steps,
         variant=mc.variant,
         relu_mode=mc.relu_mode,
     )

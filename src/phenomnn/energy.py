@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, dgemm
 
 from .hypergraph import ExpansionOperators
 
@@ -91,30 +91,35 @@ def prox_nonneg(v: np.ndarray) -> np.ndarray:
 class Propagation:
     """The kernel ``K``, the one definition of ``L_H``, at the per-row constants ``c`` and ``u``.
 
-    With ``*`` scaling rows, ``a = (lambda0/2) d_C`` and ``b = lambda1 d_S_bar``,
-    ``K(V) = c * (B Q(B^T V) - a * (V G0) - b * (V G1)) + u * V``, where
+    With ``*`` scaling rows, ``ca = c (lambda0/2) d_C`` and ``cb = c lambda1 d_S_bar``,
+    ``K(V) = c * B Q(B^T V) + ca * (V A0) + cb * (V A1) + u * V``, where
     ``Q(P) = P M0 + (lambda1 / m_e) * (P M1)``, ``M0 = (lambda0/2)(H0 + H0^T)``,
-    ``M1 = H1 + H1^T - I`` and ``G_k = H_k H_k^T``.  In the simple variant
-    (``H0 = H1 = I``) the ``G`` terms are left out, ``u`` absorbs them, and
-    ``Q`` folds into the left factor: ``K(V) = c * (B W B^T V) + u * V`` with
-    ``W = lambda0 + lambda1 / m_e``.  The constants used in the package are:
+    ``M1 = H1 + H1^T - I`` and ``A_k = -G_k`` with ``G_k = H_k H_k^T``.  In the
+    simple variant (``H0 = H1 = I``) the ``A`` terms are left out, ``u`` absorbs
+    them, and ``Q`` folds into the left factor: ``K(V) = c * (B W B^T V) + u * V``
+    with ``W = lambda0 + lambda1 / m_e``.  The constants used in the package are:
 
-    - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha``,
-      plus ``c (a + b)`` when general, so that ``K(Y) + c * Fx`` is the step
-      ``Y - c * grad E(Y) / 2``;
-    - ``-L_H`` (``energy_and_grad``): ``c = 1``, ``u = -a`` (general) or
-      ``-(lambda0 d_C + lambda1 d_S_bar)`` (simple);
+    - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha``, so
+      that ``K(Y) + c * Fx`` is the step ``Y - c * grad E(Y) / 2``.  When
+      general, the step's diagonal term ``(ca + cb) * Y`` is folded into the
+      matrices, ``A_k = I - G_k``, so ``u`` stays the scalar ``1 - alpha``;
+    - ``-L_H`` (``energy_and_grad``): ``c = 1``, ``u = -(lambda0/2) d_C`` (general)
+      or ``-(lambda0 d_C + lambda1 d_S_bar)`` (simple), a column;
     - the general step bound's operator: ``c = -1``, ``u = 0``;
     - the simple step bound's operator ``B W B^T``: ``c = 1``, ``u = 0``.
 
     ``K``'s operators are symmetric, so the adjoint of ``V -> K(V)`` is
     ``K(.; B, B^T diag(c))``; ``fwd`` and ``adj`` hold the two factor pairs.
+    A general call writes ``ca * v`` and then ``cb * v`` into ``scratch``, the
+    one n x d work array of the instance, and leaves ``cb * v`` there for
+    ``layer_vjp`` to read.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str):
         self._bind(ops, params, variant, params.alpha / ops.d_tilde, 1.0 - params.alpha)
-        if self.general:
-            self.u = self.u + self.ca + self.cb
+        if self.general:  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
+            self.a0 += np.eye(params.d)
+            self.a1 += np.eye(params.d)
 
     @classmethod
     def _at(cls, ops: ExpansionOperators, params: EnergyParams, variant: str, c: float, u) -> "Propagation":
@@ -145,33 +150,33 @@ class Propagation:
         h0, h1 = self.h0, self.h1 = params.h0, params.h1
         self.half_l0 = 0.5 * ops.lambda0
         self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(params.d)
-        self.g0, self.g1 = h0 @ h0.T, h1 @ h1.T
+        self.a0, self.a1 = -(h0 @ h0.T), -(h1 @ h1.T)
         self.e = (ops.lambda1 / ops.d_h)[:, None]
         self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
         self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
 
     def kernel(self, v: np.ndarray, left, right):
-        """``K(v; left, right)`` and the edge-side product ``right v``."""
+        """``K(v; left, right)`` and the edge-side product ``right v``.
+
+        ``left @ ...`` is a new C-contiguous array, so BLAS adds the ``A`` terms
+        and ``u v`` into it in place, and it is what the kernel returns."""
         p = right @ v
         if not self.general:
-            out = left @ p  # a new C-contiguous array, so u v is added into it in place
-            if np.ndim(self.u):  # per-row u (-L_H), which daxpy cannot take
-                out += self.u * v
-                return out, p
-            return daxpy(v.ravel(), out.ravel(), a=self.u).reshape(out.shape), p
-        out = left @ (p @ self.m0 + self.e * (p @ self.m1))
-        # one n x d scratch for every call through this instance: a fresh one
-        # per layer is paged in anew whenever the allocator has trimmed the heap
-        if self.scratch is None or self.scratch.shape != v.shape:
-            self.scratch = np.empty(v.shape)
-        t = np.matmul(v, self.g0, out=self.scratch)
-        t *= self.ca
-        out -= t
-        np.matmul(v, self.g1, out=t)
-        t *= self.cb
-        out -= t
-        np.multiply(v, self.u, out=t)
-        out += t
+            out = left @ p
+        else:
+            out = left @ (p @ self.m0 + self.e * (p @ self.m1))
+            # one n x d scratch for every call through this instance: a fresh one
+            # per layer is paged in anew whenever the allocator has trimmed the heap
+            if self.scratch is None or self.scratch.shape != v.shape:
+                self.scratch = np.empty(v.shape)
+            for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
+                t = np.multiply(v, ck, out=self.scratch)
+                # out^T += A_k^T (c_k * v)^T, all three F-contiguous views
+                dgemm(1.0, ak.T, t.T, beta=1.0, c=out.T, overwrite_c=True)
+        if np.ndim(self.u):  # per-row u, which daxpy cannot take
+            out += self.u * v
+        else:
+            daxpy(v.ravel(), out.ravel(), a=self.u)
         return out, p
 
 

@@ -188,15 +188,19 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
 
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
     ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
-    ``Y^T (ca * g)`` and ``Y^T (cb * g)``."""
+    ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  ``backward`` hands ``g`` over, so
+    the mask, and then ``R``, are written into it; without a mask ``g`` is left
+    as it is.  ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where
+    the kernel leaves it, and ``ca * g`` is then written over it."""
     mask = kept[0]
     if mask is not None:
-        g = g * mask  # a copy, which R then overwrites
+        np.multiply(g, mask, out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
         y, p = kept[1], kept[2]
-        y0, y1 = y.T @ (prop.ca * g), y.T @ (prop.cb * g)
+        y1 = y.T @ prop.scratch
+        y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
         c0, c1 = p.T @ s, p.T @ (prop.e * s)
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
     return (dy, np.multiply(g, prop.c, out=g if mask is not None else None), *grads)
@@ -325,8 +329,8 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     def spec_norm(m):
         return float(np.max(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0))))
 
-    lift = s * float(ops.d_c.max()) * (spec_norm(k.g0) + spec_norm(k.h0 + k.h0.T))
-    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(k.g1) + spec_norm(k.h1 + k.h1.T) + 1.0)
+    lift = s * float(ops.d_c.max()) * (spec_norm(k.h0 @ k.h0.T) + spec_norm(k.h0 + k.h0.T))
+    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(k.h1 @ k.h1.T) + spec_norm(k.h1 + k.h1.T) + 1.0)
     if lift == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
     eig = extreme_eigenvalue(apply, n * d, which="max", iters=5000, tol=1e-10)
@@ -350,6 +354,8 @@ def descent_trace(
     The ReLU follows ``relu_mode`` as in ``forward``, the last step always
     rectified, so from ``y0 = Fx`` the last row is the energy of ``forward``'s
     embedding.  Each row costs one kernel call, each step one more."""
+    if steps < 0:
+        raise ValueError(f"descent_trace: steps must be nonnegative, got {steps}")
     rows = []
     y = np.asarray(y0, dtype=np.float64)
     prop = Propagation(ops, params, variant)

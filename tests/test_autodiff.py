@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -354,6 +355,135 @@ def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
     per_layer = n * d + (8 * n * d + 8 * m * d if variant == "general" else 0)
     bookkeeping = 1024  # per layer: the tape node, its Var, the adjoint's closure and array headers
     assert kept_bytes(6) - kept_bytes(2) <= 4 * (per_layer + bookkeeping)
+
+
+def test_layer_adjoint_allocates_only_dy():
+    # with a ReLU mask in the general variant, the mask and R = c * g are
+    # written into g, and cb * g and ca * g into the kernel's scratch; what
+    # is left is dY plus the kernel's m x d products (B^T R, P M0, P M1 and
+    # e * (P M1))
+    n, m, d = 2000, 400, 16
+    rng = rng_for(23)
+    ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
+    h0, h1 = (np.eye(d) + 0.1 * rng.standard_normal((d, d)) for _ in range(2))
+    prop = Propagation(ops, EnergyParams(h0, h1, 1.0, 1.0, 0.3), "general")
+    y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
+    kept = []
+    layer(y, prop.c * fx, prop, apply_relu=True, kept=kept)
+    assert 0.0 < kept[0].mean() < 1.0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grads = layer_vjp(g, prop, kept)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert grads[1] is g
+    assert peak <= 8 * n * d + 4 * 8 * m * d + 1024
+
+
+def test_backward_sums_fan_out_gradients_in_place():
+    # x feeds two matmuls and an add_rowvec; the add_rowvec is recorded last,
+    # so its pass-through gradient reaches x first and the matmuls' are summed into it
+    k = 5
+    rng = rng_for(29)
+    xv, wv, bv = rng.standard_normal((k, k)), rng.standard_normal((k, k)), rng.standard_normal(k)
+    labels, rows = rng.integers(0, k, 4), np.array([0, 2, 3, 4])
+    tape = Tape()
+    x, w, b = tape.leaf(xv, name="x"), tape.leaf(wv, name="w"), tape.leaf(bv, name="b")
+    a = tape.matmul(x, w)
+    c = tape.matmul(a, x)
+    z = tape.add_rowvec(x, b)
+    loss = tape.softmax_cross_entropy(tape.matmul(z, c), labels, rows)
+    grads = backward(tape, loss)
+
+    av = xv @ wv
+    cv, zv = av @ xv, xv + bv[None, :]
+    sel = (zv @ cv)[rows]
+    probs = np.exp(sel - sel.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(rows.size), labels] -= 1.0
+    dl = np.zeros((k, k))
+    dl[rows] = probs / rows.size
+    dz, dc = dl @ cv.T, zv.T @ dl
+    da = dc @ xv.T
+    expected = {"x": dz + av.T @ dc + da @ wv.T, "w": xv.T @ da, "b": dz.sum(axis=0)}
+    for name, value in expected.items():
+        np.testing.assert_allclose(grads[name], value, rtol=1e-12, atol=1e-14)
+    for var, value in ((x, xv), (w, wv), (b, bv)):
+        assert np.array_equal(var.value, value)
+
+
+def _primitive_cases():
+    rng = rng_for(31)
+    n, d = 9, 3
+    hg = random_hypergraph(rng, n, 5)
+    ops = build_expansion_operators(hg, 1.1, 0.6)
+    h0, h1 = (np.eye(d) + 0.2 * rng.standard_normal((d, d)) for _ in range(2))
+
+    def leaves(tape, *shapes):
+        return [tape.leaf(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate(shapes)]
+
+    def matmul(tape):
+        a, b = leaves(tape, (n, d), (d, 2))
+        return tape.matmul(a, b), ()
+
+    def mul_const(tape):
+        (a,) = leaves(tape, (n, d))
+        return tape.mul_const(a, rng.random((n, d)) > 0.5), ()
+
+    def relu(tape):
+        (a,) = leaves(tape, (n, d))
+        return tape.relu(a), ()
+
+    def add_rowvec(tape):
+        a, b = leaves(tape, (n, d), (d,))
+        return tape.add_rowvec(a, b), ()
+
+    def softmax_cross_entropy(tape):
+        (a,) = leaves(tape, (n, d))
+        return tape.softmax_cross_entropy(a, rng.integers(0, d, 4), np.arange(4)), ()
+
+    def layer_node(variant, apply_relu):
+        def build(tape):
+            prop = Propagation(ops, EnergyParams(h0, h1, 1.1, 0.6, 0.4), variant)
+            y, fx, p0, p1 = leaves(tape, (n, d), (n, d), (d, d), (d, d))
+            kept = []
+            value = layer(y.value, prop.c * fx.value, prop, apply_relu, kept)
+            inputs = (y, fx, p0, p1) if prop.general else (y, fx)
+            out = tape.layer(value, inputs, partial(layer_vjp, prop=prop, kept=kept))
+            return out, (*(k for k in kept if k is not None), prop.scratch)
+
+        return build
+
+    cases = {f.__name__: f for f in (matmul, mul_const, relu, add_rowvec, softmax_cross_entropy)}
+    for variant in ("simple", "general"):
+        cases[f"layer-{variant}"] = layer_node(variant, True)
+        cases[f"layer-{variant}-no-relu"] = layer_node(variant, False)
+    return cases
+
+
+PRIMITIVE_CASES = ["matmul", "mul_const", "relu", "add_rowvec", "softmax_cross_entropy", "layer-simple",
+                   "layer-simple-no-relu", "layer-general", "layer-general-no-relu"]
+
+
+@pytest.mark.parametrize("case", PRIMITIVE_CASES)
+def test_no_vjp_returns_memory_that_something_else_holds(case):
+    # backward sums later gradients into the first one in place, so a VJP's
+    # arrays must be its own: neither each other nor a value the tape keeps
+    cases = _primitive_cases()
+    assert sorted(cases) == sorted(PRIMITIVE_CASES)
+    build = cases[case]
+    tape = Tape()
+    out, kept = build(tape)
+    (op,) = [op for op in tape.ops if op.out == out.idx]
+    g = np.ones(()) if out.value.ndim == 0 else rng_for(37).standard_normal(out.value.shape)
+    returned = [r for r in op.vjp(g) if r is not None]
+    assert len(returned) == len(op.inputs)
+    held = [v.value for v in tape.params.values()] + [out.value, *kept]
+    for i, r in enumerate(returned):
+        assert not any(np.shares_memory(r, other) for other in returned[i + 1:])
+        assert not any(np.shares_memory(r, value) for value in held if value is not None)
 
 
 def test_backward_is_bitwise_deterministic():

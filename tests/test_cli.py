@@ -128,6 +128,34 @@ def test_energy_trace_general_variant(synthetic_dir, capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_train_rejects_repeats_below_one(synthetic_dir, tmp_path, capsys, repeats):
+    out = tmp_path / "runs"
+    rc = main(["train", "--data", synthetic_dir, "--out", str(out), "--repeats", repeats,
+               "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=8"])
+    assert rc == 1
+    assert f"--repeats must be at least 1, got {repeats}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_trace_rejects_negative_steps(synthetic_dir, tmp_path, capsys):
+    out = tmp_path / "trace"
+    rc = main(["energy-trace", "--data", synthetic_dir, "--out", str(out), "--steps", "-3",
+               "--set", "hidden=8"])
+    assert rc == 1
+    assert "--steps must be at least 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_trace_zero_steps_is_one_row(synthetic_dir, capsys):
+    rc = main(["energy-trace", "--data", synthetic_dir, "--steps", "0",
+               "--set", "prop_step=2", "--set", "hidden=8"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "iteration,energy,feasible,grad_norm"
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
 def test_check_gradients_cli(synthetic_dir, capsys):
     rc = main(["check-gradients", "--data", synthetic_dir, "--samples", "10",
                "--set", "prop_step=2", "--set", "hidden=6", "--set", "variant=general"])

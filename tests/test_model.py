@@ -202,6 +202,15 @@ def test_descent_trace_ends_at_forward(variant, relu_mode, monkeypatch):
     assert rows[-1][1] == energy_and_grad(y, fx, ops, model.params, variant).smooth
 
 
+def test_descent_trace_rejects_negative_steps():
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
+    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
+    fx = ds.features[:, :2]
+    with pytest.raises(ValueError, match="steps must be nonnegative, got -1"):
+        descent_trace(fx, fx, ops, EnergyParams.identity(2, 1.0, 0.5), -1)
+    assert len(descent_trace(fx, fx, ops, EnergyParams.identity(2, 1.0, 0.5), 0)) == 1
+
+
 # -- step bounds -----------------------------------------------------------------------
 
 
