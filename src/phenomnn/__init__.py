@@ -7,7 +7,7 @@ a from-scratch tape, and trains the whole stack end to end against a node
 classification loss.
 """
 
-from .autodiff import GradStore, Tape, Var, backward, check_gradients
+from .autodiff import Tape, Var, backward, check_gradients
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
 from .energy import EnergyParams, EnergyValue, Propagation, energy_and_grad, prox_nonneg
 from .hypergraph import (
@@ -23,8 +23,7 @@ from .hypergraph import (
 )
 from .linalg import EigenResult, extreme_eigenvalue, write_matrix_market
 from .model import (
-    BasePredictor,
-    Classifier,
+    Affine,
     Model,
     ModelConfig,
     StepBound,

@@ -222,7 +222,7 @@ class SyntheticSpec:
             raise ValueError("feature_dim must be >= 1")
 
 
-def generate_synthetic(spec: SyntheticSpec, split_fractions=(0.5, 0.25, 0.25)) -> Dataset:
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic community hypergraph with label-aligned noisy features."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = spec.communities * spec.nodes_per_community
@@ -243,7 +243,7 @@ def generate_synthetic(spec: SyntheticSpec, split_fractions=(0.5, 0.25, 0.25)) -
         size = min(size, pool.size)
         edges.append(rng.choice(pool, size=size, replace=False).tolist())
     hg = Hypergraph.from_edges(n, edges)
-    splits = make_splits(n, split_fractions, seed=spec.seed)
+    splits = make_splits(n, seed=spec.seed)
     ds = Dataset(hg, features, labels.astype(np.int64), splits, spec.communities)
     ds.validate()
     return ds

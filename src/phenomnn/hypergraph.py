@@ -54,11 +54,11 @@ class Hypergraph:
     collapsed_duplicates: int = 0
 
     @classmethod
-    def from_edges(cls, n: int, edges, collapsed_duplicates: int = 0) -> "Hypergraph":
+    def from_edges(cls, n: int, edges) -> "Hypergraph":
         if n < 1:
             raise HypergraphError(f"node count must be positive, got {n}")
         clean = []
-        dups = collapsed_duplicates
+        dups = 0
         for k, e in enumerate(edges):
             e = [int(i) for i in e]  # an edge may be a one-shot iterator
             ids = np.asarray(sorted(set(e)), dtype=np.int64)
@@ -134,16 +134,12 @@ def load_hypergraph(path) -> Hypergraph:
         return parse_hypergraph(f.read(), source=str(path))
 
 
-def _row_sums(a: sp.csr_matrix) -> np.ndarray:
-    return np.asarray(a.sum(axis=1), dtype=np.float64).ravel()
-
-
 def build_clique(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
     """Clique expansion ``A_C = B B^T`` and its degree diagonal ``D_C = diag(A_C 1)``."""
     b = hg.incidence
     a_c = (b @ b.T).tocsr()
     a_c.sort_indices()
-    return a_c, _row_sums(a_c)
+    return a_c, np.asarray(a_c.sum(axis=1), dtype=np.float64).ravel()
 
 
 def build_star_normalized(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Unrolled propagation layers, the base predictor and classifier, and step bounds.
+"""Unrolled propagation layers, the affine base predictor and classifier, and step bounds.
 
 Each layer applies one preconditioned proximal-gradient step of the chosen
 energy variant:
@@ -28,8 +28,7 @@ from .linalg import EigenResult, extreme_eigenvalue
 
 __all__ = [
     "ModelConfig",
-    "BasePredictor",
-    "Classifier",
+    "Affine",
     "Model",
     "init_model",
     "Propagation",
@@ -80,38 +79,21 @@ class ModelConfig:
 
 
 @dataclass(eq=False)
-class BasePredictor:
-    """P-layer MLP mapping input features to the embedding width (ReLU between layers)."""
-
-    weights: list
-    biases: list
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b[None, :]
-            if i < last:
-                h = np.maximum(h, 0.0)
-        return h
-
-
-@dataclass(eq=False)
-class Classifier:
-    """Affine node-wise map from embeddings to class logits."""
+class Affine:
+    """Node-wise affine map ``x @ w + b``: the base predictor f(X; W) and the classifier head."""
 
     w: np.ndarray
     b: np.ndarray
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64) @ self.w + self.b[None, :]
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64) @ self.w + self.b[None, :]
 
 
 @dataclass(eq=False)
 class Model:
     config: ModelConfig
-    predictor: BasePredictor
-    classifier: Classifier
+    predictor: Affine
+    classifier: Affine
     params: EnergyParams
 
     def parameters(self) -> dict:
@@ -119,12 +101,12 @@ class Model:
 
         Compatibility matrices are trainable only in the general variant.
         """
-        out = {}
-        for i, (w, b) in enumerate(zip(self.predictor.weights, self.predictor.biases)):
-            out[f"predictor.w{i}"] = w
-            out[f"predictor.b{i}"] = b
-        out["classifier.w"] = self.classifier.w
-        out["classifier.b"] = self.classifier.b
+        out = {
+            "predictor.w0": self.predictor.w,
+            "predictor.b0": self.predictor.b,
+            "classifier.w": self.classifier.w,
+            "classifier.b": self.classifier.b,
+        }
         if self.config.variant == "general":
             out["h0"] = self.params.h0
             out["h1"] = self.params.h1
@@ -136,20 +118,11 @@ def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_model(
-    config: ModelConfig,
-    d_x: int,
-    n_classes: int,
-    seed: int = 0,
-    predictor_layers: int = 1,
-) -> Model:
+def init_model(config: ModelConfig, d_x: int, n_classes: int, seed: int = 0) -> Model:
     """Seeded initialization; compatibility matrices start at identity plus small noise."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    dims = [d_x] + [config.d] * predictor_layers
-    weights = [_glorot(rng, dims[i], dims[i + 1]) for i in range(predictor_layers)]
-    biases = [np.zeros(dims[i + 1]) for i in range(predictor_layers)]
-    cw = _glorot(rng, config.d, n_classes)
-    cb = np.zeros(n_classes)
+    predictor = Affine(_glorot(rng, d_x, config.d), np.zeros(config.d))
+    classifier = Affine(_glorot(rng, config.d, n_classes), np.zeros(n_classes))
     if config.variant == "general":
         h0 = np.eye(config.d) + 0.01 * rng.standard_normal((config.d, config.d))
         h1 = np.eye(config.d) + 0.01 * rng.standard_normal((config.d, config.d))
@@ -157,7 +130,7 @@ def init_model(
         h0 = np.eye(config.d)
         h1 = np.eye(config.d)
     params = EnergyParams(h0, h1, config.lambda0, config.lambda1, config.alpha)
-    return Model(config, BasePredictor(weights, biases), Classifier(cw, cb), params)
+    return Model(config, predictor, classifier, params)
 
 
 # -- propagation layers ------------------------------------------------------
@@ -238,12 +211,7 @@ def build_taped_logits(
     h = tape.constant(x)
     if input_mask is not None:
         h = tape.mul_const(h, input_mask)
-    last = len(model.predictor.weights) - 1
-    for i in range(last + 1):
-        h = tape.add_rowvec(tape.matmul(h, params[f"predictor.w{i}"]), params[f"predictor.b{i}"])
-        if i < last:
-            h = tape.relu(h)
-    fx = h
+    fx = tape.add_rowvec(tape.matmul(h, params["predictor.w0"]), params["predictor.b0"])
     if feature_mask is not None:
         fx = tape.mul_const(fx, feature_mask)
 
@@ -374,14 +342,13 @@ CHECKPOINT_FORMAT = "phenomnn-checkpoint-v1"
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Serialize every parameter tensor plus the config; round-trips bit-exactly."""
+    """Serialize every parameter tensor plus the config; round-trips bit-exactly.
+
+    The predictor is stored as one-element ``weights``/``biases`` lists."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
-        "predictor": {
-            "weights": [w.tolist() for w in model.predictor.weights],
-            "biases": [b.tolist() for b in model.predictor.biases],
-        },
+        "predictor": {"weights": [model.predictor.w.tolist()], "biases": [model.predictor.b.tolist()]},
         "classifier": {"w": model.classifier.w.tolist(), "b": model.classifier.b.tolist()},
         "h0": model.params.h0.tolist(),
         "h1": model.params.h1.tolist(),
@@ -391,24 +358,33 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Read a ``save_checkpoint`` file.  One that does not describe a model (a
+    missing key, a predictor that is not one layer, array shapes that disagree
+    with ``config.d`` or with each other) raises ``ValueError`` naming ``path``."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint: {path}")
-    cfg = ModelConfig(**payload["config"])
-    predictor = BasePredictor(
-        [np.array(w, dtype=np.float64) for w in payload["predictor"]["weights"]],
-        [np.array(b, dtype=np.float64) for b in payload["predictor"]["biases"]],
-    )
-    classifier = Classifier(
-        np.array(payload["classifier"]["w"], dtype=np.float64),
-        np.array(payload["classifier"]["b"], dtype=np.float64),
-    )
-    params = EnergyParams(
-        np.array(payload["h0"], dtype=np.float64),
-        np.array(payload["h1"], dtype=np.float64),
-        cfg.lambda0,
-        cfg.lambda1,
-        cfg.alpha,
-    )
-    return Model(cfg, predictor, classifier, params)
+    try:
+        cfg = ModelConfig(**payload["config"])
+        pred, head = payload["predictor"], payload["classifier"]
+        layers = (len(pred["weights"]), len(pred["biases"]))
+        arrays = [
+            np.array(a, dtype=np.float64)
+            for a in (*pred["weights"], *pred["biases"], head["w"], head["b"], payload["h0"], payload["h1"])
+        ]
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if layers != (1, 1):
+        raise ValueError(f"{path}: the predictor has {layers[0]} weight and {layers[1]} bias arrays, not one layer")
+    w, b, cw, cb, h0, h1 = arrays
+    d = cfg.d
+    expected = (w.shape[:1] + (d,), (d,), (d, cb.size), (cb.size,), (d, d), (d, d))
+    names = ("predictor.w0", "predictor.b0", "classifier.w", "classifier.b", "h0", "h1")
+    for name, a, shape in zip(names, arrays, expected):
+        if a.shape != shape:
+            raise ValueError(f"{path}: {name} has shape {a.shape}, expected {shape} for d={d}")
+    params = EnergyParams(h0, h1, cfg.lambda0, cfg.lambda1, cfg.alpha)
+    return Model(cfg, Affine(w, b), Affine(cw, cb), params)

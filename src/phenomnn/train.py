@@ -50,6 +50,12 @@ __all__ = [
 ]
 
 
+# Adam's decay rates and denominator floor, the usual defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss, a gradient or a parameter becomes non-finite."""
 
@@ -61,9 +67,6 @@ class TrainConfig:
     epochs: int = 200
     weight_decay: float = 0.0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 100
     dropout_inputs: bool = True
@@ -176,7 +179,7 @@ class AdamState:
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) -> None:
     """Standard bias-corrected Adam update, applied in place."""
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         if config.weight_decay:
@@ -185,7 +188,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) 
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / (1.0 - b1**state.t)
         v_hat = state.v[name] / (1.0 - b2**state.t)
-        p -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        p -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def sgd_step(params: dict, grads: dict, config: TrainConfig) -> None:
@@ -202,7 +205,7 @@ def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
-def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir=None):
+def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
     """Run the full training loop; returns the best-validation model and metrics."""
     train_rows = dataset.split_indices("train")
     if train_rows.size == 0:
@@ -317,8 +320,6 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig, out_dir
             relu_mode=model_config.relu_mode,
         )
     ]
-    if out_dir is not None:
-        metrics.write(out_dir)
     return best, metrics
 
 

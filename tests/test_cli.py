@@ -84,6 +84,39 @@ def test_eval_on_checkpoint(synthetic_dir, tmp_path, capsys):
     assert "test accuracy" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("case, cause", [
+    ("no-predictor", "no key 'predictor'"),
+    ("empty-predictor", "0 weight and 0 bias arrays, not one layer"),
+    ("stacked-predictor", "2 weight and 2 bias arrays, not one layer"),
+    ("short-bias", "predictor.b0 has shape (1,), expected (5,)"),
+    ("not-an-object", "not a recognized checkpoint"),
+])
+def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_path, capsys, case, cause):
+    # hidden equals the 5 features, so a predictor of zero or two layers would
+    # still run, and a bias of length 1 would broadcast
+    out = tmp_path / "run"
+    assert main(["train", "--data", synthetic_dir, "--out", str(out), "--seed", "1",
+                 "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=5"]) == 0
+    path = out / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    pred = payload["predictor"]
+    if case == "no-predictor":
+        del payload["predictor"]
+    elif case == "empty-predictor":
+        pred["weights"], pred["biases"] = [], []
+    elif case == "stacked-predictor":
+        pred["weights"], pred["biases"] = pred["weights"] * 2, pred["biases"] * 2
+    elif case == "short-bias":
+        pred["biases"][0] = pred["biases"][0][:1]
+    else:
+        payload = [payload]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--data", synthetic_dir, "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and cause in err
+
+
 def test_train_repeats_summary(synthetic_dir, tmp_path):
     out = str(tmp_path / "runs")
     rc = main(["train", "--data", synthetic_dir, "--out", out, "--seed", "0",

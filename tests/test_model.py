@@ -440,10 +440,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(model, str(path))
     loaded = load_checkpoint(str(path))
     assert loaded.config == model.config
-    for (a, b) in zip(loaded.predictor.weights, model.predictor.weights):
-        assert np.array_equal(a, b)
-    for (a, b) in zip(loaded.predictor.biases, model.predictor.biases):
-        assert np.array_equal(a, b)
+    assert np.array_equal(loaded.predictor.w, model.predictor.w)
+    assert np.array_equal(loaded.predictor.b, model.predictor.b)
     assert np.array_equal(loaded.classifier.w, model.classifier.w)
     assert np.array_equal(loaded.classifier.b, model.classifier.b)
     assert np.array_equal(loaded.params.h0, model.params.h0)

@@ -373,7 +373,8 @@ def test_dropout_only_in_training_mode():
 
 def test_metrics_files(tmp_path):
     ds = dataset(n_per=10, edges=10)
-    _, metrics = train(ds, simple_cfg(t_layers=2), TrainConfig(lr=0.02, epochs=3, seed=2), out_dir=str(tmp_path))
+    _, metrics = train(ds, simple_cfg(t_layers=2), TrainConfig(lr=0.02, epochs=3, seed=2))
+    metrics.write(tmp_path)
     summary = json.loads((tmp_path / "metrics.json").read_text())
     assert summary["epochs_run"] == 3
     # one trace row per propagation step plus the initial point
