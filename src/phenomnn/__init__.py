@@ -9,7 +9,7 @@ classification loss.
 
 from .autodiff import Tape, Var, backward, check_gradients
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
-from .energy import EnergyParams, EnergyValue, Propagation, energy_and_grad, prox_nonneg
+from .energy import EnergyParams, EnergyValue, Propagation, energy_and_grad
 from .hypergraph import (
     ExpansionOperators,
     Hypergraph,
@@ -35,6 +35,6 @@ from .model import (
     step_bound_general,
     step_bound_simple,
 )
-from .train import Metrics, TrainConfig, TrainingDiverged, adam_step, cross_entropy, evaluate, train
+from .train import Metrics, TrainConfig, TrainingDiverged, adam_step, evaluate, train
 
 __version__ = "0.1.0"

@@ -152,7 +152,7 @@ def _single_run(cfg: dict, seed: int, resplit: bool):
 def _worker(payload):
     cfg, seed, resplit = payload
     _, metrics = _single_run(cfg, seed, resplit)
-    return {"seed": seed, **{k: v for k, v in metrics.summary().items() if k != "energy_trace"}}
+    return {"seed": seed, **metrics.summary()}
 
 
 def cmd_train(args) -> int:
@@ -196,6 +196,9 @@ def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     dataset = _need_dataset(cfg)
     model = load_checkpoint(args.checkpoint)
+    width, have = model.predictor.w.shape[0], dataset.features.shape[1]
+    if have != width:
+        raise ValueError(f"{args.checkpoint}: predictor.w0 takes {width} features, the dataset has {have}")
     acc = evaluate(model, dataset, args.split)
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0
@@ -209,18 +212,9 @@ def cmd_energy_trace(args) -> int:
     mc = model_config(cfg)
     ops = build_expansion_operators(dataset.hypergraph, mc.lambda0, mc.lambda1)
     model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=int(cfg["seed"]))
-    fx = model.predictor.apply(dataset.features)
-    rows = descent_trace(
-        fx,
-        fx,
-        ops,
-        model.params,
-        steps=mc.t_layers if args.steps is None else args.steps,
-        variant=mc.variant,
-        relu_mode=mc.relu_mode,
-    )
+    rows = descent_trace(dataset.features, model, ops, args.steps)
     lines = ["iteration,energy,feasible,grad_norm"]
-    lines += [f"{t},{e!r},{int(feas)},{g!r}" for t, e, feas, g in rows]
+    lines += [f"{r['iteration']},{r['energy']!r},{int(r['feasible'])},{r['grad_norm']!r}" for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         out = _out_dir(args)

@@ -37,7 +37,6 @@ __all__ = [
     "EnergyValue",
     "Propagation",
     "energy_and_grad",
-    "prox_nonneg",
 ]
 
 VARIANTS = ("general", "simple")
@@ -81,11 +80,6 @@ class EnergyValue:
     smooth: float
     feasible: bool
     grad: np.ndarray
-
-
-def prox_nonneg(v: np.ndarray) -> np.ndarray:
-    """Proximal map of the nonnegativity barrier: elementwise max(0, v)."""
-    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
 class Propagation:
@@ -144,7 +138,7 @@ class Propagation:
         if not self.general:
             data *= (ops.lambda0 + ops.lambda1 / ops.d_h)[ops.b.indices]
         left = sp.csr_matrix((data, ops.b.indices, ops.b.indptr), shape=ops.b.shape)
-        self.fwd, self.adj = (left, ops.bt), (ops.b, left.T)
+        self.fwd, self.adj = (left, ops.b.T), (ops.b, left.T)
         if not self.general:
             return
         h0, h1 = self.h0, self.h1 = params.h0, params.h1

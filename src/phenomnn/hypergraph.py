@@ -5,7 +5,7 @@ belongs to hyperedge ``k``, and is stored as a scipy CSR matrix.  The clique
 expansion is the raw algebraic form ``A_C = B B^T`` (multiplicities and
 diagonal retained), and the normalized star contraction is
 ``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators the
-layers, energies and step bounds use keep only ``B`` and ``B^T`` and apply the
+layers, energies and step bounds use keep only ``B`` and apply the
 expansions as ``B W B^T``; the n x n matrices are built only on request
 (``build_clique``, ``build_star_normalized``).
 """
@@ -168,16 +168,15 @@ def precondition_diag(d_c: np.ndarray, d_s_bar: np.ndarray, lambda0: float, lamb
 class ExpansionOperators:
     """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form.
 
-    ``b`` is the hypergraph's own incidence matrix ``B`` and ``bt`` its
-    transpose (both CSR), so ``A_C Y = B (B^T Y)`` and
-    ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
+    ``b`` is the hypergraph's own CSR incidence matrix ``B``, the only sparse
+    array kept (``b.T`` is its CSC view, not a copy), so ``A_C Y = B (B^T Y)``
+    and ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
     diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
     sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
     the edge sizes, and ``d_tilde`` the update preconditioner.
     """
 
     b: sp.csr_matrix
-    bt: sp.csr_matrix
     d_c: np.ndarray
     d_s_bar: np.ndarray
     d_h: np.ndarray
@@ -196,7 +195,6 @@ def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) ->
     d_s_bar = hg.node_degrees.copy()
     return ExpansionOperators(
         b=b,
-        bt=b.T.tocsr(),
         d_c=d_c,
         d_s_bar=d_s_bar,
         d_h=hg.edge_sizes.copy(),

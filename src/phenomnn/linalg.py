@@ -38,7 +38,7 @@ class EigenResult:
 KRYLOV_BASIS = 8
 
 
-def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 500, tol: float = 1e-9) -> EigenResult:
+def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 5000, tol: float = 1e-10) -> EigenResult:
     """Largest (``which="max"``) or smallest (``"min"``) eigenvalue of a symmetric operator.
 
     ``apply`` maps a vector of length ``size`` to the operator applied to it.

@@ -268,7 +268,7 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
     def apply(v):
         return k.kernel(v[:, None], *k.fwd)[0][:, 0]
 
-    eig = extreme_eigenvalue(apply, ops.n, which="min", iters=5000, tol=1e-10)
+    eig = extreme_eigenvalue(apply, ops.n, which="min")
     c = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
     sigma = max(eig.value - eig.residual, 0.0) if eig.converged else 0.0
     return StepBound(c / (c - sigma), sigma, eig, "lanczos" if sigma > 0.0 else "psd-floor")
@@ -301,7 +301,7 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(k.h1 @ k.h1.T) + spec_norm(k.h1 + k.h1.T) + 1.0)
     if lift == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
-    eig = extreme_eigenvalue(apply, n * d, which="max", iters=5000, tol=1e-10)
+    eig = extreme_eigenvalue(apply, n * d, which="max")
     if eig.converged and eig.value + eig.residual < lift:
         sigma, certificate = eig.value + eig.residual, "lanczos"
     else:
@@ -313,24 +313,25 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     return StepBound(numer / denom, sigma, eig, certificate)
 
 
-def descent_trace(
-    y0: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams,
-    steps: int, variant: str = "simple", relu_mode: str = "every_step"
-) -> list:
-    """Run ``steps`` layers from ``y0`` and record (iteration, energy, feasible, grad norm) rows.
+def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: int | None = None) -> list:
+    """Run ``model``'s layers from its base prediction ``Fx`` and record one row per iterate.
 
-    The ReLU follows ``relu_mode`` as in ``forward``, the last step always
-    rectified, so from ``y0 = Fx`` the last row is the energy of ``forward``'s
-    embedding.  Each row costs one kernel call, each step one more."""
+    Rows are dicts of ``iteration``, ``energy``, ``feasible`` and ``grad_norm``.
+    ``steps`` defaults to ``t_layers``; the ReLU follows ``relu_mode`` as in
+    ``forward``, the last step always rectified, so the last row is the energy
+    of ``forward``'s embedding.  Each row costs one kernel call, each step one more."""
+    cfg = model.config
+    steps = cfg.t_layers if steps is None else steps
     if steps < 0:
         raise ValueError(f"descent_trace: steps must be nonnegative, got {steps}")
     rows = []
-    y = np.asarray(y0, dtype=np.float64)
-    prop = Propagation(ops, params, variant)
-    flags = _relu_flags(relu_mode, steps)
+    y = fx = model.predictor.apply(x)
+    prop = Propagation(ops, model.params, cfg.variant)
+    flags = _relu_flags(cfg.relu_mode, steps)
     for t in range(steps + 1):
-        e = energy_and_grad(y, fx, ops, params, variant)
-        rows.append((t, e.smooth, e.feasible, float(np.linalg.norm(e.grad))))
+        e = energy_and_grad(y, fx, ops, model.params, cfg.variant)
+        norm = float(np.linalg.norm(e.grad))
+        rows.append({"iteration": t, "energy": e.smooth, "feasible": e.feasible, "grad_norm": norm})
         if t < steps:  # c * Fx kept across the energy evaluations would raise their peak memory
             y = layer(y, prop.c * fx, prop, flags[t])
     return rows

@@ -40,7 +40,6 @@ __all__ = [
     "TrainConfig",
     "Metrics",
     "TrainingDiverged",
-    "cross_entropy",
     "accuracy",
     "AdamState",
     "adam_step",
@@ -129,18 +128,6 @@ class Metrics:
                 w.writerow(
                     [i, self.loss[i], self.train_acc[i], self.val_acc[i], self.test_acc[i], self.seconds[i]]
                 )
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
-    """Mean negative log softmax probability of the true class over ``rows``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("cross_entropy: empty row set")
-    sel = np.asarray(logits, dtype=np.float64)[rows]
-    labels = np.asarray(labels, dtype=np.int64)
-    shifted = sel - sel.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(log_z - shifted[np.arange(rows.size), labels]))
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
@@ -307,19 +294,7 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
     metrics.final_test_acc = (
         metrics.test_acc[metrics.best_epoch] if test_rows.size else metrics.train_acc[metrics.best_epoch]
     )
-    fx = best.predictor.apply(x)
-    metrics.energy_trace = [
-        {"iteration": t, "energy": e, "feasible": feas, "grad_norm": g}
-        for t, e, feas, g in descent_trace(
-            fx,
-            fx,
-            ops,
-            best.params,
-            steps=model_config.t_layers,
-            variant=model_config.variant,
-            relu_mode=model_config.relu_mode,
-        )
-    ]
+    metrics.energy_trace = descent_trace(x, best, ops)
     return best, metrics
 
 

@@ -2,7 +2,9 @@
 
 The summation-form energy, the per-edge means, the trace-form energies, the
 node-wise layer and the bipartite star expansion each restate a quantity the
-package computes through ``Propagation.kernel``, by a different route.
+package computes through ``Propagation.kernel``, by a different route.  The
+cross entropy restates the tape's ``softmax_cross_entropy``, and ``prox_nonneg``
+the ReLU of a layer.
 """
 
 from collections import namedtuple
@@ -13,6 +15,23 @@ import scipy.sparse as sp
 from phenomnn.hypergraph import build_clique, build_star_normalized
 
 Energy = namedtuple("Energy", "smooth feasible")
+
+
+def prox_nonneg(v):
+    """Proximal map of the nonnegativity barrier: elementwise max(0, v)."""
+    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
+
+
+def cross_entropy(logits, labels, rows):
+    """Mean negative log softmax probability of the true class over ``rows``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("cross_entropy: empty row set")
+    sel = np.asarray(logits, dtype=np.float64)[rows]
+    labels = np.asarray(labels, dtype=np.int64)
+    shifted = sel - sel.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(log_z - shifted[np.arange(rows.size), labels]))
 
 
 def z_star(hg, y):

@@ -13,7 +13,7 @@ import pytest
 
 from phenomnn.autodiff import Tape, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.energy import EnergyParams, energy_and_grad, prox_nonneg
+from phenomnn.energy import EnergyParams, energy_and_grad
 from phenomnn.hypergraph import build_clique, build_expansion_operators, build_star_normalized
 from phenomnn.model import (
     ModelConfig,
@@ -33,6 +33,7 @@ from oracles import (
     energy_trace_simple,
     laplacian_quad,
     messagepassing_layer,
+    prox_nonneg,
     uniform_edge_size,
     z_star,
 )

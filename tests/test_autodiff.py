@@ -11,8 +11,8 @@ from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import ModelConfig, Propagation, build_taped_logits, forward, init_model, layer, layer_vjp
-from phenomnn.train import cross_entropy
 from helpers import random_hypergraph, rel_err, rng_for
+from oracles import cross_entropy
 
 
 def small_problem(seed=0, variant="general", t_layers=2, noise=0.5, relu_mode="every_step"):

@@ -117,6 +117,20 @@ def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_pa
     assert err.startswith("error: ") and str(path) in err and cause in err
 
 
+def test_eval_rejects_a_dataset_of_another_feature_width(synthetic_dir, tmp_path, capsys):
+    wide = str(tmp_path / "wide")
+    assert main(["gen-synthetic", "--out", wide, "--seed", "0", "--nodes-per-community", "20",
+                 "--edges", "25", "--feature-dim", "8"]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--data", wide, "--out", str(out), "--seed", "1",
+                 "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=4"]) == 0
+    path = out / "checkpoint.json"
+    capsys.readouterr()
+    assert main(["eval", "--data", synthetic_dir, "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: predictor.w0 takes 8 features, the dataset has 5" in err
+
+
 def test_train_repeats_summary(synthetic_dir, tmp_path):
     out = str(tmp_path / "runs")
     rc = main(["train", "--data", synthetic_dir, "--out", out, "--seed", "0",
@@ -128,6 +142,8 @@ def test_train_repeats_summary(synthetic_dir, tmp_path):
     accs = [r["final_test_acc"] for r in summary["runs"]]
     assert abs(summary["mean_test_acc"] - np.mean(accs)) <= 1e-12
     assert abs(summary["std_test_acc"] - np.std(accs)) <= 1e-12
+    # each run keeps its descent trace: one row per layer plus the start
+    assert all(len(r["energy_trace"]) == 2 + 1 for r in summary["runs"])
 
 
 def test_train_parallel_repeats(synthetic_dir, tmp_path, monkeypatch):

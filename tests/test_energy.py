@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenomnn.energy import EnergyParams, Propagation, energy_and_grad, prox_nonneg
+from phenomnn.energy import EnergyParams, Propagation, energy_and_grad
 from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
 from helpers import fd_gradient, random_hypergraph, random_instance, rel_err, rng_for
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     energy_trace_general,
     energy_trace_simple,
     laplacian_quad,
+    prox_nonneg,
     uniform_edge_size,
     z_star,
 )

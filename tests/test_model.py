@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.energy import EnergyParams, energy_and_grad, prox_nonneg
+from phenomnn.energy import EnergyParams, energy_and_grad
 from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
 from phenomnn.model import (
     Model,
@@ -23,7 +23,7 @@ from phenomnn.model import (
 )
 from phenomnn.train import TrainConfig, train
 from helpers import one_layer, random_hypergraph, random_instance, rng_for
-from oracles import messagepassing_layer
+from oracles import messagepassing_layer, prox_nonneg
 
 
 # -- layer basics ---------------------------------------------------------------
@@ -195,20 +195,37 @@ def test_descent_trace_ends_at_forward(variant, relu_mode, monkeypatch):
 
     monkeypatch.setattr(Propagation, "kernel", counted)
     monkeypatch.setattr(model_mod, "layer", recorded)
-    rows = descent_trace(fx, fx, ops, model.params, 3, variant, relu_mode)
+    rows = descent_trace(ds.features, model, ops)
     # one kernel call per row for the energy and gradient, one per layer
     assert calls[0] == len(rows) + len(iterates) == 7
     assert np.array_equal(iterates[-1], y)
-    assert rows[-1][1] == energy_and_grad(y, fx, ops, model.params, variant).smooth
+    assert rows[-1]["energy"] == energy_and_grad(y, fx, ops, model.params, variant).smooth
 
 
 def test_descent_trace_rejects_negative_steps():
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
     ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
-    fx = ds.features[:, :2]
+    cfg = ModelConfig(variant="simple", t_layers=3, d=2, alpha=0.5, lambda0=1.0, lambda1=0.5)
+    model = init_model(cfg, 3, ds.n_classes)
     with pytest.raises(ValueError, match="steps must be nonnegative, got -1"):
-        descent_trace(fx, fx, ops, EnergyParams.identity(2, 1.0, 0.5), -1)
-    assert len(descent_trace(fx, fx, ops, EnergyParams.identity(2, 1.0, 0.5), 0)) == 1
+        descent_trace(ds.features, model, ops, -1)
+    assert len(descent_trace(ds.features, model, ops, 0)) == 1
+
+
+@pytest.mark.parametrize("variant,relu_mode", [("simple", "every_step"), ("general", "end_only")])
+def test_descent_trace_recomputed_from_the_checkpoint(variant, relu_mode, tmp_path):
+    # the trace a run writes must be the one its saved model gives, ending at forward's energy
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=10, num_edges=10, feature_dim=4, seed=8))
+    cfg = ModelConfig(variant=variant, t_layers=3, d=5, alpha=0.2, lambda0=1.0, lambda1=0.5, relu_mode=relu_mode)
+    model, metrics = train(ds, cfg, TrainConfig(lr=0.05, dropout=0.3, epochs=4, seed=2))
+    save_checkpoint(model, tmp_path / "ckpt.json")
+    loaded = load_checkpoint(tmp_path / "ckpt.json")
+    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
+    rows = descent_trace(ds.features, loaded, ops)
+    assert rows == metrics.energy_trace
+    y, _ = forward(ds.features, loaded, ops)
+    fx = loaded.predictor.apply(ds.features)
+    assert rows[-1]["energy"] == energy_and_grad(y, fx, ops, loaded.params, variant).smooth
 
 
 # -- step bounds -----------------------------------------------------------------------

@@ -28,10 +28,15 @@ def test_small_general_benchmark_run_is_correct():
 
 def test_names_the_benchmark_patches_resolve():
     # the benchmark's epoch clock patches train.Tape and train.descent_trace,
-    # and its in-solve speed probe model.extreme_eigenvalue; its patcher skips
-    # a missing name without a word, so a rename would only show as bad numbers
+    # its tracer the names train looks up for an epoch's phases, and its
+    # in-solve speed probe model.extreme_eigenvalue; its patcher skips a
+    # missing name without a word, so a rename would only show as bad numbers
     autodiff, linalg, model, train = (importlib.import_module(f"phenomnn.{m}") for m in MODULES)
 
     assert train.Tape is autodiff.Tape
     assert train.descent_trace is model.descent_trace
+    assert train.build_taped_logits is model.build_taped_logits
+    assert train.backward is autodiff.backward
+    assert train.forward is model.forward
+    assert callable(train.adam_step) and callable(train.accuracy)
     assert model.extreme_eigenvalue is linalg.extreme_eigenvalue

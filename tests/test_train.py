@@ -16,12 +16,12 @@ from phenomnn.train import (
     TrainingDiverged,
     accuracy,
     adam_step,
-    cross_entropy,
     evaluate,
     sgd_step,
     train,
 )
 from helpers import rng_for
+from oracles import cross_entropy
 
 # the module, not the package's ``train`` function of the same name
 train_mod = importlib.import_module("phenomnn.train")
@@ -276,13 +276,7 @@ def reference_train(ds, mcfg, tcfg):
     out["best_epoch"] = best_epoch
     out["best_val_acc"] = out["val_acc"][best_epoch]
     out["final_test_acc"] = out["test_acc"][best_epoch]
-    fx = best.predictor.apply(x)
-    out["energy_trace"] = [
-        {"iteration": t, "energy": e, "feasible": feas, "grad_norm": g}
-        for t, e, feas, g in descent_trace(
-            fx, fx, ops, best.params, steps=mcfg.t_layers, variant=mcfg.variant, relu_mode=mcfg.relu_mode
-        )
-    ]
+    out["energy_trace"] = descent_trace(x, best, ops)
     return best, out
 
 
