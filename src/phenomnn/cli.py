@@ -10,6 +10,7 @@ flags such as ``--seed``.  Unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -138,10 +139,10 @@ def _out_dir(args) -> str:
     return out
 
 
-def _single_run(cfg: dict, seed: int, resplit: bool):
-    dataset = _need_dataset(cfg)
+def _single_run(dataset, cfg: dict, seed: int, resplit: bool):
     if resplit:
-        dataset.splits = make_splits(dataset.hypergraph.n, seed=seed)
+        # on a copy: every serial run shares the loaded dataset
+        dataset = dataclasses.replace(dataset, splits=make_splits(dataset.hypergraph.n, seed=seed))
         dataset.validate()
     run_cfg = dict(cfg)
     run_cfg["seed"] = seed
@@ -149,10 +150,14 @@ def _single_run(cfg: dict, seed: int, resplit: bool):
     return model, metrics
 
 
+def _run_summary(dataset, cfg: dict, seed: int, resplit: bool) -> dict:
+    _, metrics = _single_run(dataset, cfg, seed, resplit)
+    return {"seed": seed, **metrics.summary()}
+
+
 def _worker(payload):
     cfg, seed, resplit = payload
-    _, metrics = _single_run(cfg, seed, resplit)
-    return {"seed": seed, **metrics.summary()}
+    return _run_summary(_need_dataset(cfg), cfg, seed, resplit)
 
 
 def cmd_train(args) -> int:
@@ -162,7 +167,7 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(args)
     if repeats == 1:
-        model, metrics = _single_run(cfg, int(cfg["seed"]), bool(cfg["resplit"]))
+        model, metrics = _single_run(_need_dataset(cfg), cfg, int(cfg["seed"]), bool(cfg["resplit"]))
         metrics.write(out)
         save_checkpoint(model, os.path.join(out, "checkpoint.json"))
         print(
@@ -178,7 +183,8 @@ def cmd_train(args) -> int:
         with mp.Pool(workers) as pool:
             results = pool.map(_worker, payloads)
     else:
-        results = [_worker(p) for p in payloads]
+        dataset = _need_dataset(cfg)
+        results = [_run_summary(dataset, *p) for p in payloads]
     accs = np.array([r["final_test_acc"] for r in results])
     summary = {
         "repeats": repeats,

@@ -6,6 +6,17 @@ grammar), ``features.csv`` (n rows of comma-separated floats, no header),
 ``splits.txt`` (one of train/val/test/none per line).  Floats round-trip
 exactly through save/load.
 
+``load_dataset`` parses ``features.csv``, ``labels.txt`` and ``splits.txt``
+with numpy's C reader, ``np.loadtxt``, when the file holds only the bytes the
+format needs (``_FEATURE_BYTES`` and its siblings).  Any other file, and any
+file that reader rejects or whose features are not finite, is read line by
+line with ``float`` and ``int``.  The two readers give the same arrays bit
+for bit on every file the line reader accepts, so the fast path changes no
+result; the line reader keeps its leniency (``float("1_0")`` is 10.0) and
+raises every error, naming the file and the line: a ``DatasetError`` for a
+malformed value, a ``DatasetShapeMismatch`` for a ragged row.  An empty
+file loads as no rows and fails ``Dataset.validate``.
+
 All randomness in this module flows through numpy's PCG64 generator seeded
 explicitly, so a given seed reproduces the same splits and synthetic data
 anywhere this generator is available.
@@ -20,6 +31,7 @@ verbatim.  Such converters stay outside this package.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,16 +109,37 @@ def _require(path: str) -> str:
     return path
 
 
-def load_dataset(directory) -> Dataset:
-    """Load and validate a dataset directory."""
-    directory = str(directory)
-    hg = load_hypergraph(_require(os.path.join(directory, "hypergraph.txt")))
+# The bytes a file may hold for numpy's C reader to parse it.  On these,
+# ``np.loadtxt`` accepts the same tokens as ``float`` and ``int`` and gives the
+# same values; outside them it does not (it strips ``\x1c``-``\x1f`` around a
+# float, and reads some non-ASCII letters as digits of an integer).
+_FEATURE_BYTES = b"0123456789.eE+-, \t\r\n"
+_LABEL_BYTES = b"0123456789+- \t\r\n"
+_SPLIT_BYTES = "".join(sorted(set("".join(SPLIT_NAMES)))).encode() + b" \t\r\n"
 
-    feat_path = _require(os.path.join(directory, "features.csv"))
+
+def _loadtxt(path: str, alphabet: bytes, **kwargs):
+    """``np.loadtxt`` of a file made of ``alphabet`` bytes only; None for any other file or a parse error."""
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            if chunk.translate(None, alphabet):
+                return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no data; Dataset.validate rejects it
+            return np.loadtxt(path, comments=None, encoding="utf-8", **kwargs)
+    except ValueError:
+        return None
+
+
+def _read_features(path: str) -> np.ndarray:
+    features = _loadtxt(path, _FEATURE_BYTES, delimiter=",", dtype=np.float64, ndmin=2)
+    if features is not None and np.isfinite(features).all():
+        return features
     rows = []
     linenos = []
     width = None
-    with open(feat_path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -114,38 +147,61 @@ def load_dataset(directory) -> Dataset:
             try:
                 vals = [float(tok) for tok in line.split(",")]
             except ValueError:
-                raise DatasetError(f"{feat_path}:{lineno}: malformed feature row") from None
+                raise DatasetError(f"{path}:{lineno}: malformed feature row") from None
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
-                raise DatasetShapeMismatch(
-                    f"{feat_path}:{lineno}: expected {width} columns, got {len(vals)}"
-                )
+                raise DatasetShapeMismatch(f"{path}:{lineno}: expected {width} columns, got {len(vals)}")
             rows.append(vals)
             linenos.append(lineno)
     features = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, c = bad[0]
-        raise DatasetError(
-            f"{feat_path}:{linenos[r]}: non-finite feature {float(features[r, c])!r} in column {c + 1}"
-        )
+        raise DatasetError(f"{path}:{linenos[r]}: non-finite feature {float(features[r, c])!r} in column {c + 1}")
+    return features
 
-    label_path = _require(os.path.join(directory, "labels.txt"))
-    with open(label_path, "r", encoding="utf-8") as f:
-        try:
-            labels = np.array([int(line.strip()) for line in f if line.strip()], dtype=np.int64)
-        except ValueError:
-            raise DatasetError(f"{label_path}: malformed label line") from None
 
-    split_path = _require(os.path.join(directory, "splits.txt"))
-    with open(split_path, "r", encoding="utf-8") as f:
-        names = [line.strip() for line in f if line.strip()]
-    for i, s in enumerate(names):
-        if s not in SPLIT_NAMES:
-            raise DatasetError(f"{split_path}:{i + 1}: unknown split {s!r}")
-    splits = np.array(names)
+def _read_labels(path: str) -> np.ndarray:
+    labels = _loadtxt(path, _LABEL_BYTES, dtype=np.int64, ndmin=1)
+    if labels is not None and labels.ndim == 1:
+        return labels
+    values = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            token = line.strip()
+            if not token:
+                continue
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: malformed label {token!r}") from None
+    return np.array(values, dtype=np.int64)
 
+
+def _read_splits(path: str) -> np.ndarray:
+    splits = _loadtxt(path, _SPLIT_BYTES, dtype=str, ndmin=1)
+    if splits is not None and splits.ndim == 1 and np.isin(splits, SPLIT_NAMES).all():
+        return splits
+    names = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            name = line.strip()
+            if not name:
+                continue
+            if name not in SPLIT_NAMES:
+                raise DatasetError(f"{path}:{lineno}: unknown split {name!r}")
+            names.append(name)
+    return np.array(names)
+
+
+def load_dataset(directory) -> Dataset:
+    """Load and validate a dataset directory."""
+    directory = str(directory)
+    hg = load_hypergraph(_require(os.path.join(directory, "hypergraph.txt")))
+    features = _read_features(_require(os.path.join(directory, "features.csv")))
+    labels = _read_labels(_require(os.path.join(directory, "labels.txt")))
+    splits = _read_splits(_require(os.path.join(directory, "splits.txt")))
     labeled = labels[labels >= 0]
     n_classes = int(labeled.max()) + 1 if labeled.size else 0
     ds = Dataset(hg, features, labels, splits, n_classes)

@@ -57,40 +57,101 @@ class Hypergraph:
     def from_edges(cls, n: int, edges) -> "Hypergraph":
         if n < 1:
             raise HypergraphError(f"node count must be positive, got {n}")
-        clean = []
-        dups = 0
-        for k, e in enumerate(edges):
-            e = [int(i) for i in e]  # an edge may be a one-shot iterator
-            ids = np.asarray(sorted(set(e)), dtype=np.int64)
-            dups += len(e) - ids.size
-            if ids.size == 0:
-                raise HypergraphError(f"hyperedge {k} is empty")
-            if ids[0] < 0 or ids[-1] >= n:
-                bad = ids[0] if ids[0] < 0 else ids[-1]
-                raise HypergraphError(f"hyperedge {k}: node id {bad} out of range (n={n})")
-            clean.append(ids)
-        m = len(clean)
-        sizes = np.array([e.size for e in clean], dtype=np.int64)
-        ids = np.concatenate(clean) if clean else np.zeros(0, dtype=np.int64)
+        columns = []
+        try:
+            for e in edges:
+                columns.append(np.fromiter(map(int, e), dtype=np.int64))  # an edge may be a one-shot iterator
+        except (TypeError, ValueError, OverflowError):
+            _check_edges(n, *_concat(columns))  # a fault in an earlier edge is named first
+            raise
+        return cls._from_columns(n, *_concat(columns))
+
+    @classmethod
+    def _from_columns(cls, n: int, ids: np.ndarray, ptr: np.ndarray) -> "Hypergraph":
+        """Hyperedge ``k`` holds ``ids[ptr[k]:ptr[k + 1]]``, in any order and with repeats."""
+        _check_edges(n, ids, ptr)
+        m = ptr.size - 1
         # column k of B holds edge k's ids, so the compressed-column arrays
-        # are the edges themselves
-        b = sp.csc_matrix((np.ones(ids.size), ids, np.concatenate([[0], np.cumsum(sizes)])), shape=(n, m))
-        if not b.has_canonical_format:
-            raise HypergraphError("incidence columns must hold strictly increasing node ids")
+        # are the edges themselves; summing duplicates sorts each column
+        b = sp.csc_matrix((np.ones(ids.size), ids, ptr), shape=(n, m))
+        b.sum_duplicates()
+        b.data.fill(1.0)
+        flat = b.indices.astype(np.int64)
+        cuts = b.indptr.tolist()
+        sizes = np.diff(b.indptr).astype(np.float64)
         b = b.tocsr()
         return cls(
             n=n,
             m=m,
             incidence=b,
-            edges=clean,
-            edge_sizes=sizes.astype(np.float64),
+            edges=[flat[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])],
+            edge_sizes=sizes,
             node_degrees=np.diff(b.indptr).astype(np.float64),
-            collapsed_duplicates=dups,
+            collapsed_duplicates=int(ids.size - b.nnz),
         )
 
 
+def _concat(columns) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.concatenate(columns) if columns else np.zeros(0, dtype=np.int64)
+    return ids, np.concatenate(([0], np.cumsum([c.size for c in columns], dtype=np.int64)))
+
+
+def _check_edges(n: int, ids: np.ndarray, ptr: np.ndarray) -> None:
+    """Raise for the first hyperedge that is empty or holds an id outside ``[0, n)``."""
+    m = ptr.size - 1
+    empty = np.flatnonzero(ptr[1:] == ptr[:-1])
+    outside = np.flatnonzero((ids < 0) | (ids >= n))
+    k_empty = int(empty[0]) if empty.size else m
+    k_out = int(np.searchsorted(ptr, outside[0], side="right")) - 1 if outside.size else m
+    if k_empty < k_out:
+        raise HypergraphError(f"hyperedge {k_empty} is empty")
+    if k_out < m:
+        e = ids[ptr[k_out] : ptr[k_out + 1]]
+        bad = e.min() if e.min() < 0 else e.max()
+        raise HypergraphError(f"hyperedge {k_out}: node id {bad} out of range (n={n})")
+
+
+# a file of these bytes alone has no comment, sign or other whitespace for
+# the line parser to judge: its tokens are the digit runs of each line
+_PLAIN_BYTES = b"0123456789 \t\n"
+
+
+def _parse_plain(text: str):
+    """``(n, ids, ptr)`` of a well-formed file of digits, blanks and newlines; else None."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    digit = (buf >= ord("0")).view(np.int8)  # of these bytes, the digits are those from "0" up
+    starts = np.flatnonzero(np.diff(digit, prepend=np.int8(0)) == 1)
+    line_of = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    lines = text.count("\n") + (not text.endswith("\n"))  # as str.splitlines counts them
+    counts = np.bincount(line_of, minlength=lines)
+    if counts[0] != 2:
+        return None
+    try:
+        values = np.array(raw.split(), dtype=np.int64)
+    except OverflowError:
+        return None
+    n, m = int(values[0]), int(values[1])
+    ids = values[2:]
+    if n < 1 or lines - 1 != m or not counts[1:].all() or (ids.size and ids.max() >= n):
+        return None
+    return n, ids, np.concatenate(([0], np.cumsum(counts[1:])))
+
+
 def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
-    """Parse the hypergraph text grammar; errors name the offending line."""
+    """Parse the hypergraph text grammar; errors name the offending line.
+
+    A file of digits, blanks and newlines alone is parsed as arrays in one
+    pass; any other file, and any file that pass finds at fault, is read
+    line by line, which accepts the same files and names the line at fault.
+    """
+    plain = _parse_plain(text)
+    if plain is not None:
+        return Hypergraph._from_columns(*plain)
     header = None
     edges = []
     n = m = 0

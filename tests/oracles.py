@@ -4,7 +4,8 @@ The summation-form energy, the per-edge means, the trace-form energies, the
 node-wise layer and the bipartite star expansion each restate a quantity the
 package computes through ``Propagation.kernel``, by a different route.  The
 cross entropy restates the tape's ``softmax_cross_entropy``, and ``prox_nonneg``
-the ReLU of a layer.
+the ReLU of a layer.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
+at a time, as ``Hypergraph.from_edges`` does with arrays.
 """
 
 from collections import namedtuple
@@ -12,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 import scipy.sparse as sp
 
-from phenomnn.hypergraph import build_clique, build_star_normalized
+from phenomnn.hypergraph import Hypergraph, HypergraphError, build_clique, build_star_normalized
 
 Energy = namedtuple("Energy", "smooth feasible")
 
@@ -135,3 +136,34 @@ def uniform_edge_size(hg):
     if hg.m == 0 or not np.all(hg.edge_sizes == hg.edge_sizes[0]):
         return None
     return int(hg.edge_sizes[0])
+
+
+def from_edges_by_edge(n, edges):
+    """``Hypergraph.from_edges`` with each edge sorted, deduplicated and checked on its own."""
+    if n < 1:
+        raise HypergraphError(f"node count must be positive, got {n}")
+    clean = []
+    dups = 0
+    for k, e in enumerate(edges):
+        e = [int(i) for i in e]
+        ids = np.asarray(sorted(set(e)), dtype=np.int64)
+        dups += len(e) - ids.size
+        if ids.size == 0:
+            raise HypergraphError(f"hyperedge {k} is empty")
+        if ids[0] < 0 or ids[-1] >= n:
+            bad = ids[0] if ids[0] < 0 else ids[-1]
+            raise HypergraphError(f"hyperedge {k}: node id {bad} out of range (n={n})")
+        clean.append(ids)
+    m = len(clean)
+    sizes = np.array([e.size for e in clean], dtype=np.int64)
+    ids = np.concatenate(clean) if clean else np.zeros(0, dtype=np.int64)
+    b = sp.csc_matrix((np.ones(ids.size), ids, np.concatenate([[0], np.cumsum(sizes)])), shape=(n, m)).tocsr()
+    return Hypergraph(
+        n=n,
+        m=m,
+        incidence=b,
+        edges=clean,
+        edge_sizes=sizes.astype(np.float64),
+        node_degrees=np.diff(b.indptr).astype(np.float64),
+        collapsed_duplicates=dups,
+    )

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from phenomnn import cli
 from phenomnn.cli import main
 from phenomnn.data import load_dataset
 
@@ -144,6 +145,29 @@ def test_train_repeats_summary(synthetic_dir, tmp_path):
     assert abs(summary["std_test_acc"] - np.std(accs)) <= 1e-12
     # each run keeps its descent trace: one row per layer plus the start
     assert all(len(r["energy_trace"]) == 2 + 1 for r in summary["runs"])
+
+
+def test_serial_repeats_load_the_dataset_once(synthetic_dir, tmp_path, monkeypatch):
+    common = ["--data", synthetic_dir, "--set", "epochs=3", "--set", "prop_step=2", "--set", "hidden=8",
+              "--set", "dropout=0.3", "--set", "resplit=true"]
+    calls = []
+
+    def counted(directory):
+        calls.append(directory)
+        return load_dataset(directory)
+
+    monkeypatch.setattr(cli, "load_dataset", counted)
+    assert main(["train", "--out", str(tmp_path / "runs"), "--seed", "4", "--repeats", "3", *common]) == 0
+    assert calls == [synthetic_dir]
+    summary = json.loads((tmp_path / "runs" / "summary.json").read_text())
+    # each run equals a run of its seed alone, which loads its own dataset
+    for run in summary["runs"]:
+        single = tmp_path / f"seed{run['seed']}"
+        assert main(["train", "--out", str(single), "--seed", str(run["seed"]), *common]) == 0
+        alone = json.loads((single / "metrics.json").read_text())
+        assert {k: v for k, v in run.items() if k not in ("seed", "wall_time")} == {
+            k: v for k, v in alone.items() if k != "wall_time"
+        }
 
 
 def test_train_parallel_repeats(synthetic_dir, tmp_path, monkeypatch):

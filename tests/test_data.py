@@ -1,8 +1,15 @@
 import math
+import os
+import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phenomnn.hypergraph import Hypergraph
 from phenomnn.data import (
     Dataset,
     DatasetError,
@@ -19,10 +26,10 @@ from helpers import rng_for
 
 
 def write_toy(tmp_path, features=None, labels=None, splits=None):
-    (tmp_path / "hypergraph.txt").write_text("3 2\n0 1\n1 2\n")
-    (tmp_path / "features.csv").write_text(features or "1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-    (tmp_path / "labels.txt").write_text(labels or "0\n1\n-1\n")
-    (tmp_path / "splits.txt").write_text(splits or "train\nval\nnone\n")
+    (tmp_path / "hypergraph.txt").write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    (tmp_path / "features.csv").write_text(features or "1.0,2.0\n3.0,4.0\n5.0,6.0\n", encoding="utf-8")
+    (tmp_path / "labels.txt").write_text(labels or "0\n1\n-1\n", encoding="utf-8")
+    (tmp_path / "splits.txt").write_text(splits or "train\nval\nnone\n", encoding="utf-8")
     return tmp_path
 
 
@@ -64,6 +71,145 @@ def test_non_finite_feature_rejected(tmp_path, bad):
     write_toy(tmp_path, features=f"1.0,2.0\n3.0,{bad}\n5.0,6.0\n")
     with pytest.raises(DatasetError, match=r"features\.csv:2: non-finite feature .* in column 2"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "features, error, message",
+    [
+        ("1.0,2.0\n3.0,x\n5.0,6.0\n", DatasetError, r"features\.csv:2: malformed feature row"),
+        ("1.0,2.0\n\n3.0,4.0,5.0\n5.0,6.0\n", DatasetShapeMismatch, r"features\.csv:3: expected 2 columns, got 3"),
+        ("1.0,2.0\n\n \n3.0,4.0\n5.0,nan\n", DatasetError, r"features\.csv:5: non-finite feature nan in column 2"),
+        # np.loadtxt strips \x1c around a number; float does not
+        ("1.0\x1c,2.0\n3.0,4.0\n5.0,6.0\n", DatasetError, r"features\.csv:1: malformed feature row"),
+    ],
+)
+def test_feature_fault_names_its_line(tmp_path, features, error, message):
+    write_toy(tmp_path, features=features)
+    with pytest.raises(error, match=message):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("features", ["", "\n\n"])
+def test_empty_features_are_a_shape_mismatch(tmp_path, features):
+    write_toy(tmp_path)
+    (tmp_path / "features.csv").write_text(features)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetShapeMismatch, match="features have 0 rows but hypergraph has 3 nodes"):
+            load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("0\n\n1.5\n-1\n", r"labels\.txt:3: malformed label '1\.5'"),
+        ("0 0\n1 1\n-1 -1\n", r"labels\.txt:1: malformed label '0 0'"),
+        # np.loadtxt reads this letter as a digit of an integer
+        ("0\n1\u01fe\n-1\n", r"labels\.txt:2: malformed label '1\u01fe'"),
+    ],
+)
+def test_bad_label_names_its_line_and_token(tmp_path, labels, message):
+    write_toy(tmp_path, labels=labels)
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "splits, message",
+    [
+        ("train\n\nval\nbogus\n", r"splits\.txt:4: unknown split 'bogus'"),
+        ("train val\nval none\nnone test\n", r"splits\.txt:1: unknown split 'train val'"),
+    ],
+)
+def test_unknown_split_names_its_line(tmp_path, splits, message):
+    write_toy(tmp_path, splits=splits)
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("features.csv", "1_0,2.0\n3.0,4.0\n5.0,6.0\n"),
+        ("features.csv", "10,2\x0c\n3,4\n5.0,6.0\n"),
+        ("features.csv", "10,2\n \n3,4\n5.0,6.0\n"),
+        ("labels.txt", "0\n0_1\n-1\n"),
+        ("labels.txt", "0\n\x0c1\n \n-1\n"),
+        ("splits.txt", "train\x0c\nval\n\x0c\nnone\n"),
+    ],
+)
+def test_files_numpy_turns_away_load_as_the_line_reader_reads_them(tmp_path, name, text):
+    # float("1_0") and int("0_1") accept what np.loadtxt does not, and str.strip
+    # takes a form feed for whitespace; these files load as the canonical toy
+    for side in ("plain", "odd"):
+        (tmp_path / side).mkdir()
+        write_toy(tmp_path / side, features="10.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    want = load_dataset(tmp_path / "plain")
+    (tmp_path / "odd" / name).write_text(text)
+    got = load_dataset(tmp_path / "odd")
+    for field in ("features", "labels", "splits"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_numpy_read_equals_the_line_read(tmp_path):
+    # a line of one form feed is blank to the line reader and sends each file
+    # to it; the C reader must give the same arrays bit for bit
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=30, num_edges=20, seed=4))
+    save_dataset(tmp_path / "fast", ds)
+    save_dataset(tmp_path / "slow", ds)
+    for name in ("features.csv", "labels.txt", "splits.txt"):
+        with open(tmp_path / "slow" / name, "a", encoding="utf-8") as f:
+            f.write("\x0c\n")
+    fast, slow = load_dataset(tmp_path / "fast"), load_dataset(tmp_path / "slow")
+    for field in ("features", "labels", "splits"):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7e308, -1.7e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS),
+                     min_size=d, max_size=d),
+            min_size=3, max_size=3,
+        )
+    )
+)
+def test_features_round_trip_bit_for_bit(rows):
+    features = np.array(rows, dtype=np.float64)
+    hg = Hypergraph.from_edges(3, [[0, 1], [1, 2]])
+    ds = Dataset(hg, features, np.array([0, 1, -1]), np.array(["train", "val", "none"]), 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(tmp, ds)
+        out = load_dataset(tmp)
+    assert out.features.shape == features.shape
+    assert out.features.tobytes() == features.tobytes()
+
+
+def test_load_peaks_under_twice_the_arrays_it_returns(tmp_path):
+    n, d = 20_000, 32
+    rng = rng_for(29)
+    hg = Hypergraph.from_edges(n, [[i, i + 1] for i in range(0, n, 2)])
+    ds = Dataset(hg, rng.standard_normal((n, d)), rng.integers(0, 3, n), make_splits(n, seed=29), 3)
+    save_dataset(tmp_path, ds)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    b = out.hypergraph.incidence
+    returned = sum(a.nbytes for a in (out.features, out.labels, out.splits, b.data, b.indices, b.indptr))
+    assert peak <= 2 * returned
 
 
 # -- splits ----------------------------------------------------------------------

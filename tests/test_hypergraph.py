@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phenomnn import hypergraph
 from phenomnn.hypergraph import (
     Hypergraph,
     HypergraphError,
@@ -11,7 +12,7 @@ from phenomnn.hypergraph import (
     precondition_diag,
 )
 from helpers import random_hypergraph, rng_for
-from oracles import build_star_bipartite, uniform_edge_size
+from oracles import build_star_bipartite, from_edges_by_edge, uniform_edge_size
 
 TOY = "3 2\n0 1\n1 2\n"
 
@@ -69,6 +70,112 @@ def test_duplicate_ids_collapsed_with_counter():
     gen = Hypergraph.from_edges(4, [(i for i in [0, 1, 1, 2]), [2, 3]])
     assert gen.collapsed_duplicates == Hypergraph.from_edges(4, [[0, 1, 1, 2], [2, 3]]).collapsed_duplicates == 1
     assert gen.edges[0].tolist() == [0, 1, 2]
+
+
+def assert_same_hypergraph(got, want):
+    assert (got.n, got.m, got.collapsed_duplicates) == (want.n, want.m, want.collapsed_duplicates)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.incidence, name), getattr(want.incidence, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.incidence.shape == want.incidence.shape
+    assert got.incidence.has_canonical_format
+    assert len(got.edges) == len(want.edges)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.edges, want.edges))
+    for name in ("edge_sizes", "node_degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def random_edge_lists(rng, n, m):
+    """Edges of 1-8 ids drawn with replacement, in drawn order."""
+    return [rng.integers(0, n, size=int(rng.integers(1, 9))).tolist() for _ in range(m)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_edges_matches_the_per_edge_oracle(seed):
+    rng = rng_for(300 + seed)
+    n = int(rng.integers(1, 40))
+    edges = random_edge_lists(rng, n, int(rng.integers(0, 30)))
+    hg = Hypergraph.from_edges(n, edges)
+    assert_same_hypergraph(hg, from_edges_by_edge(n, edges))
+    assert hg.collapsed_duplicates == sum(len(e) - len(set(e)) for e in edges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_from_edges_names_the_same_faulty_edge_as_the_oracle(seed):
+    # one or two faults (an empty edge, an id below 0 or at n or above) at
+    # random places; both builders must name the first edge at fault
+    rng = rng_for(400 + seed)
+    n = int(rng.integers(1, 20))
+    edges = random_edge_lists(rng, n, 12)
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(0, len(edges)))
+        fault = int(rng.integers(0, 3))
+        if fault == 0:
+            edges[k] = []
+        else:
+            edges[k] = edges[k] + [-int(rng.integers(1, 5)) if fault == 1 else n + int(rng.integers(0, 5))]
+    with pytest.raises(HypergraphError) as want:
+        from_edges_by_edge(n, edges)
+    with pytest.raises(HypergraphError) as got:
+        Hypergraph.from_edges(n, edges)
+    assert str(got.value) == str(want.value)
+
+
+def test_from_edges_names_an_earlier_fault_before_a_bad_id():
+    with pytest.raises(HypergraphError, match="hyperedge 1 is empty"):
+        Hypergraph.from_edges(3, [[0], [], ["x"]])
+    with pytest.raises(ValueError, match="invalid literal"):
+        Hypergraph.from_edges(3, [[0], ["x"], []])
+
+
+def random_hypergraph_text(rng, n, m):
+    """A file of the grammar with blank runs, tabs, leading zeros and repeated ids."""
+    def blank():
+        return str(rng.choice([" ", "  ", "\t", " \t"]))
+
+    lines = [f"{n}{blank()}{m}"]
+    for e in random_edge_lists(rng, n, m):
+        ids = [f"{i:0{int(rng.integers(1, 4))}d}" for i in e]
+        lines.append(blank() * int(rng.integers(0, 2)) + blank().join(ids) + blank() * int(rng.integers(0, 2)))
+    return "\n".join(lines) + "\n" * int(rng.integers(0, 2))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_of_plain_text_matches_the_line_parser(seed):
+    # with CRLF line ends the text is read line by line; on plain text the
+    # array parse must give the same hypergraph
+    rng = rng_for(500 + seed)
+    n = int(rng.integers(1, 40))
+    text = random_hypergraph_text(rng, n, int(rng.integers(0, 30)))
+    assert hypergraph._parse_plain(text) is not None
+    assert_same_hypergraph(parse_hypergraph(text), parse_hypergraph(text.replace("\n", "\r\n")))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n3 1\n0 1\n",
+        "3\n0 1\n",
+        "3 1 1\n0 1\n",
+        "0 1\n0\n",
+        "3 2\n0 1\n",
+        "3 1\n0 1\n2\n",
+        "3 1\n0 1\n\n",
+        "3 2\n0 1\n\n",
+        "3 2\n \t\n1\n",
+        "3 1\n0 3\n",
+        "3 1\n0 99999999999999999999\n",
+        "99999999999999999999 1\n0 1\n",
+    ],
+)
+def test_parse_of_plain_text_faults_matches_the_line_parser(text):
+    with pytest.raises(Exception) as want:
+        parse_hypergraph(text.replace("\n", "\r\n"))
+    with pytest.raises(want.type) as got:
+        parse_hypergraph(text)
+    assert str(got.value) == str(want.value)
 
 
 def test_incidence_is_binary():
