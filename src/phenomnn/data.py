@@ -162,6 +162,9 @@ def _read_features(path: str) -> np.ndarray:
     return features
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _read_labels(path: str) -> np.ndarray:
     labels = _loadtxt(path, _LABEL_BYTES, dtype=np.int64, ndmin=1)
     if labels is not None and labels.ndim == 1:
@@ -173,9 +176,12 @@ def _read_labels(path: str) -> np.ndarray:
             if not token:
                 continue
             try:
-                values.append(int(token))
+                value = int(token)
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: malformed label {token!r}") from None
+            if not _INT64.min <= value <= _INT64.max:
+                raise DatasetError(f"{path}:{lineno}: label {token!r} does not fit in 64 bits")
+            values.append(value)
     return np.array(values, dtype=np.int64)
 
 

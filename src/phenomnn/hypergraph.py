@@ -60,8 +60,17 @@ class Hypergraph:
         columns = []
         try:
             for e in edges:
-                columns.append(np.fromiter(map(int, e), dtype=np.int64))  # an edge may be a one-shot iterator
-        except (TypeError, ValueError, OverflowError):
+                vals = list(e)  # an edge may be a one-shot iterator
+                try:
+                    col = np.fromiter(map(int, vals), dtype=np.int64, count=len(vals))
+                except (TypeError, ValueError, OverflowError) as err:
+                    raise HypergraphError(f"hyperedge {len(columns)}: {err}") from None
+                if col.tolist() != vals:  # int() truncated a fraction or parsed a string
+                    bad = next(v for v, i in zip(vals, col.tolist()) if v != i)
+                    bad = bad.item() if isinstance(bad, np.generic) else bad
+                    raise HypergraphError(f"hyperedge {len(columns)}: node id {bad!r} is not an integer")
+                columns.append(col)
+        except (TypeError, ValueError):
             _check_edges(n, *_concat(columns))  # a fault in an earlier edge is named first
             raise
         return cls._from_columns(n, *_concat(columns))
@@ -137,17 +146,20 @@ def _parse_plain(text: str):
         return None
     n, m = int(values[0]), int(values[1])
     ids = values[2:]
-    if n < 1 or lines - 1 != m or not counts[1:].all() or (ids.size and ids.max() >= n):
+    edges = counts[1:]  # blank lines after the last hyperedge are skipped
+    if n < 1 or edges.size < m or not edges[:m].all() or edges[m:].any() or (ids.size and ids.max() >= n):
         return None
-    return n, ids, np.concatenate(([0], np.cumsum(counts[1:])))
+    return n, ids, np.concatenate(([0], np.cumsum(edges[:m])))
 
 
 def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
     """Parse the hypergraph text grammar; errors name the offending line.
 
-    A file of digits, blanks and newlines alone is parsed as arrays in one
-    pass; any other file, and any file that pass finds at fault, is read
-    line by line, which accepts the same files and names the line at fault.
+    Blank lines after the last hyperedge are skipped; a blank line before it
+    is an empty hyperedge.  A file of digits, blanks and newlines alone is
+    parsed as arrays in one pass; any other file, and any file that pass
+    finds at fault, is read line by line, which accepts the same files and
+    names the line at fault.
     """
     plain = _parse_plain(text)
     if plain is not None:
@@ -169,9 +181,13 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
                 raise HypergraphError(f"{source}:{lineno}: expected integer header 'n m', got {raw!r}") from None
             if n < 1 or m < 0:
                 raise HypergraphError(f"{source}:{lineno}: invalid sizes n={n} m={m}")
+            if n > np.iinfo(np.int64).max:
+                raise HypergraphError(f"{source}:{lineno}: node count {n} does not fit in 64 bits")
             header = (n, m)
             continue
         if len(edges) >= m:
+            if not line:
+                continue
             raise HypergraphError(f"{source}:{lineno}: unexpected extra line after {m} hyperedges")
         if not line:
             raise HypergraphError(f"{source}:{lineno}: hyperedge {len(edges)} is empty")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phenomnn.hypergraph import Hypergraph
+from phenomnn.hypergraph import Hypergraph, HypergraphError
 from phenomnn.data import (
     Dataset,
     DatasetError,
@@ -106,11 +106,20 @@ def test_empty_features_are_a_shape_mismatch(tmp_path, features):
         ("0 0\n1 1\n-1 -1\n", r"labels\.txt:1: malformed label '0 0'"),
         # np.loadtxt reads this letter as a digit of an integer
         ("0\n1\u01fe\n-1\n", r"labels\.txt:2: malformed label '1\u01fe'"),
+        ("0\n\n99999999999999999999\n-1\n", r"labels\.txt:3: label '99999999999999999999' does not fit in 64 bits"),
+        ("0\n-9223372036854775809\n-1\n", r"labels\.txt:2: label '-9223372036854775809' does not fit in 64 bits"),
     ],
 )
 def test_bad_label_names_its_line_and_token(tmp_path, labels, message):
     write_toy(tmp_path, labels=labels)
     with pytest.raises(DatasetError, match=message):
+        load_dataset(tmp_path)
+
+
+def test_node_count_beyond_64_bits_names_the_hypergraph_file(tmp_path):
+    write_toy(tmp_path)
+    (tmp_path / "hypergraph.txt").write_text("99999999999999999999 2\n0 1\n1 2\n", encoding="utf-8")
+    with pytest.raises(HypergraphError, match=r"hypergraph\.txt:1: node count 99999999999999999999 does not fit"):
         load_dataset(tmp_path)
 
 

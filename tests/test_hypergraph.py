@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ def test_parse_of_plain_text_matches_the_line_parser(seed):
         "0 1\n0\n",
         "3 2\n0 1\n",
         "3 1\n0 1\n2\n",
-        "3 1\n0 1\n\n",
+        "3 1\n0 1\n\n2\n",
         "3 2\n0 1\n\n",
         "3 2\n \t\n1\n",
         "3 1\n0 3\n",
@@ -176,6 +178,51 @@ def test_parse_of_plain_text_faults_matches_the_line_parser(text):
     with pytest.raises(want.type) as got:
         parse_hypergraph(text)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", ["3 1\n0 1\n\n", "3 2\n0 1\n1 2\n\n", "3 2\n0 1\n1 2\n \t\n\n", "3 2\n0 1\n1 2\n\n  "])
+def test_blank_lines_after_the_last_hyperedge_are_skipped(text):
+    # on the array path and, with CRLF line ends, on the line path alike
+    assert hypergraph._parse_plain(text) is not None
+    want = parse_hypergraph(text.rstrip() + "\n")
+    for got in (parse_hypergraph(text), parse_hypergraph(text.replace("\n", "\r\n"))):
+        assert_same_hypergraph(got, want)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_blank_line_before_the_last_hyperedge_is_an_empty_one(newline):
+    with pytest.raises(HypergraphError, match=":3: hyperedge 1 is empty"):
+        parse_hypergraph("3 2\n0 1\n\n1 2\n\n".replace("\n", newline))
+    with pytest.raises(HypergraphError, match=":4: unexpected extra line after 1 hyperedges"):
+        parse_hypergraph("3 1\n0 1\n\n2\n".replace("\n", newline))
+
+
+@pytest.mark.parametrize(
+    "edge, shown", [([0.9, 2.5], "0.9"), ([0, 1.5], "1.5"), (np.array([0.0, 0.5]), "0.5"), (["1"], "'1'")]
+)
+def test_from_edges_rejects_a_non_integral_id(edge, shown):
+    with pytest.raises(HypergraphError, match=rf"^hyperedge 1: node id {re.escape(shown)} is not an integer$"):
+        Hypergraph.from_edges(3, [[0, 1], edge])
+    # a fault in an earlier edge is still named first
+    with pytest.raises(HypergraphError, match="hyperedge 0 is empty"):
+        Hypergraph.from_edges(3, [[], edge])
+
+
+@pytest.mark.parametrize(
+    "edge, cause", [([0, float("nan")], "NaN"), ([float("inf")], "infinity"), ([0, 2**70], "too large"), (["x"], "invalid")]
+)
+def test_from_edges_names_the_edge_of_an_id_int_rejects(edge, cause):
+    with pytest.raises(HypergraphError, match=rf"^hyperedge 1: .*{cause}"):
+        Hypergraph.from_edges(3, [[0, 1], edge])
+
+
+def test_from_edges_takes_integer_lists_and_arrays():
+    want = Hypergraph.from_edges(4, [[0, 2], [1, 3], [3]])
+    for edges in (
+        [np.array([0, 2]), np.array([1, 3], dtype=np.uint8), [np.int32(3)]],
+        [[0, 2.0], np.array([1.0, 3.0]), (i for i in [3])],
+    ):
+        assert_same_hypergraph(Hypergraph.from_edges(4, edges), want)
 
 
 def test_incidence_is_binary():
