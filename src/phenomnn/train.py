@@ -164,17 +164,25 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) -> None:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place.
+
+    The moments are updated in their own arrays too.  Moments allocated anew
+    at every step land among that epoch's tape arrays and outlive them, and
+    so can keep the last tape's freed memory from being returned to the OS
+    after ``train`` ends."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         if config.weight_decay:
             g = g + config.weight_decay * p
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**state.t)
-        v_hat = state.v[name] / (1.0 - b2**state.t)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**state.t)
+        v_hat = v / (1.0 - b2**state.t)
         p -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 

@@ -99,6 +99,26 @@ def test_adam_first_step_magnitude_is_lr():
     assert np.array_equal(np.sign(params["w"]), -np.sign(g))
 
 
+def test_adam_updates_moments_in_place():
+    rng = rng_for(2)
+    params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
+    state = AdamState.for_params(params)
+    m, v = dict(state.m), dict(state.v)
+    cfg = TrainConfig(lr=0.01, weight_decay=1e-3)
+    ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+    for _ in range(3):
+        grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+        for k, p in params.items():
+            g = grads[k] + cfg.weight_decay * p
+            ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
+            ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * g * g
+        adam_step(params, grads, state, cfg)
+        for k in params:
+            assert state.m[k] is m[k] and state.v[k] is v[k]
+            assert np.array_equal(state.m[k], ref_m[k]) and np.array_equal(state.v[k], ref_v[k])
+
+
 def test_sgd_step():
     params = {"w": np.ones((2, 2))}
     sgd_step(params, {"w": np.full((2, 2), 2.0)}, TrainConfig(lr=0.25, optimizer="sgd"))
