@@ -184,19 +184,22 @@ def check_gradients(build, params: dict, samples: int = 256, step: float = 1e-5,
     For each parameter a random subset of coordinates is perturbed by ``step``.
     The reported error is ``|analytic - fd|`` normalized by
     ``max(1, |analytic|, |fd|)`` per coordinate; the check fails when any
-    parameter exceeds ``GRADIENT_THRESHOLD``.
+    parameter exceeds ``GRADIENT_THRESHOLD`` or an error is not finite.
     """
+    if samples < 1:
+        raise ValueError(f"check_gradients: samples must be at least 1, got {samples}")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"check_gradients: step must be positive and finite, got {step}")
     tape, loss = build(params)
     analytic = backward(tape, loss)
     rng = np.random.Generator(np.random.PCG64(seed))
     report = {"params": {}, "threshold": GRADIENT_THRESHOLD}
-    worst = 0.0
     for name in sorted(params):
         base = params[name]
         flat = base.ravel()
         k = min(samples, flat.size)
         coords = rng.choice(flat.size, size=k, replace=False)
-        max_err = 0.0
+        errs = []
         for c in coords:
             orig = flat[c]
             flat[c] = orig + step
@@ -206,10 +209,10 @@ def check_gradients(build, params: dict, samples: int = 256, step: float = 1e-5,
             flat[c] = orig
             fd = (float(lp.value) - float(lm.value)) / (2.0 * step)
             a = float(analytic[name].ravel()[c])
-            err = abs(a - fd) / max(1.0, abs(a), abs(fd))
-            max_err = max(max_err, err)
-        report["params"][name] = {"max_rel_err": max_err, "checked": int(k)}
-        worst = max(worst, max_err)
+            errs.append(abs(a - fd) / max(1.0, abs(a), abs(fd)))
+        # np.max keeps a NaN error, where max() would drop it
+        report["params"][name] = {"max_rel_err": float(np.max(errs, initial=0.0)), "checked": int(k)}
+    worst = float(np.max([p["max_rel_err"] for p in report["params"].values()], initial=0.0))
     report["max_rel_err"] = worst
     report["passed"] = bool(worst <= GRADIENT_THRESHOLD)
     return report

@@ -4,7 +4,9 @@ Configuration is a flat JSON object whose keys mirror the preset tables
 (``lr``, ``dropout``, ``hidden``, ``lambda0``, ``lambda1``, ``alpha``,
 ``prop_step``, ...).  Precedence: built-in defaults, then ``--preset``, then
 ``--config``, then repeated ``--set key=value`` overrides, then explicit
-flags such as ``--seed``.  Unknown keys are rejected.
+flags such as ``--seed``.  Unknown keys are rejected, and so is a value not
+of its key's type: a boolean key takes ``true`` or ``false``, an integer key
+an integer, a float key a finite number.
 """
 
 from __future__ import annotations
@@ -45,15 +47,11 @@ CONFIG_DEFAULTS = {
     "lambda1": 1.0,
     "alpha": 0.1,
     "prop_step": 16,
-    "relu_mode": "every_step",
     "strict_alpha": False,
     "epochs": 200,
     "weight_decay": 0.0,
-    "optimizer": "adam",
     "seed": 0,
     "patience": 100,
-    "dropout_inputs": True,
-    "dropout_features": True,
     "resplit": False,
 }
 
@@ -62,6 +60,25 @@ def _reject_unknown(keys, origin: str) -> None:
     unknown = sorted(set(keys) - set(CONFIG_DEFAULTS))
     if unknown:
         raise ValueError(f"{origin}: unknown config keys {unknown}")
+
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _check_types(cfg: dict) -> None:
+    """Each boolean, integer or float key takes a value of its default's type; a float key also takes an int."""
+    for key, value in cfg.items():
+        kind = type(CONFIG_DEFAULTS[key])
+        if kind not in _KIND_NAMES:
+            continue
+        if kind is bool or isinstance(value, bool):
+            ok = kind is bool and isinstance(value, bool)
+        elif kind is int:
+            ok = isinstance(value, int)
+        else:  # an int past the float range would overflow float()
+            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def load_preset(name: str) -> dict:
@@ -82,6 +99,8 @@ def resolve_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:
             user = json.load(f)
+        if not isinstance(user, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object, got {type(user).__name__}")
         _reject_unknown(user, args.config)
         cfg.update(user)
     for item in getattr(args, "set", None) or []:
@@ -97,19 +116,19 @@ def resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if getattr(args, "data", None):
         cfg["dataset"] = args.data
+    _check_types(cfg)
     return cfg
 
 
 def model_config(cfg: dict) -> ModelConfig:
     return ModelConfig(
         variant=cfg["variant"],
-        t_layers=int(cfg["prop_step"]),
-        d=int(cfg["hidden"]),
+        t_layers=cfg["prop_step"],
+        d=cfg["hidden"],
         alpha=float(cfg["alpha"]),
         lambda0=float(cfg["lambda0"]),
         lambda1=float(cfg["lambda1"]),
-        relu_mode=cfg["relu_mode"],
-        strict_alpha=bool(cfg["strict_alpha"]),
+        strict_alpha=cfg["strict_alpha"],
     )
 
 
@@ -117,13 +136,10 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(
         lr=float(cfg["lr"]),
         dropout=float(cfg["dropout"]),
-        epochs=int(cfg["epochs"]),
+        epochs=cfg["epochs"],
         weight_decay=float(cfg["weight_decay"]),
-        optimizer=cfg["optimizer"],
-        seed=int(cfg["seed"]),
-        early_stop_patience=int(cfg["patience"]),
-        dropout_inputs=bool(cfg["dropout_inputs"]),
-        dropout_features=bool(cfg["dropout_features"]),
+        seed=cfg["seed"],
+        early_stop_patience=cfg["patience"],
     )
 
 
@@ -167,7 +183,7 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out = _out_dir(args)
     if repeats == 1:
-        model, metrics = _single_run(_need_dataset(cfg), cfg, int(cfg["seed"]), bool(cfg["resplit"]))
+        model, metrics = _single_run(_need_dataset(cfg), cfg, cfg["seed"], cfg["resplit"])
         metrics.write(out)
         save_checkpoint(model, os.path.join(out, "checkpoint.json"))
         print(
@@ -175,11 +191,14 @@ def cmd_train(args) -> int:
             f"test acc {metrics.final_test_acc:.4f} (epoch {metrics.best_epoch})"
         )
         return 0
-    payloads = [(cfg, int(cfg["seed"]) + i, bool(cfg["resplit"])) for i in range(repeats)]
+    payloads = [(cfg, cfg["seed"] + i, cfg["resplit"]) for i in range(repeats)]
     if args.parallel:
         import multiprocessing as mp
 
-        workers = min(repeats, int(os.environ.get("PHENOMNN_THREADS", os.cpu_count() or 1)))
+        threads = os.environ.get("PHENOMNN_THREADS", str(os.cpu_count() or 1))
+        if not threads.isdecimal() or int(threads) < 1:
+            raise ValueError(f"PHENOMNN_THREADS must be a positive integer, got {threads!r}")
+        workers = min(repeats, int(threads))
         with mp.Pool(workers) as pool:
             results = pool.map(_worker, payloads)
     else:
@@ -217,7 +236,7 @@ def cmd_energy_trace(args) -> int:
     dataset = _need_dataset(cfg)
     mc = model_config(cfg)
     ops = build_expansion_operators(dataset.hypergraph, mc.lambda0, mc.lambda1)
-    model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=int(cfg["seed"]))
+    model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=cfg["seed"])
     rows = descent_trace(dataset.features, model, ops, args.steps)
     lines = ["iteration,energy,feasible,grad_norm"]
     lines += [f"{r['iteration']},{r['energy']!r},{int(r['feasible'])},{r['grad_norm']!r}" for r in rows]
@@ -238,11 +257,11 @@ def cmd_check_gradients(args) -> int:
         dataset = _need_dataset(cfg)
     else:
         dataset = generate_synthetic(
-            SyntheticSpec(nodes_per_community=12, num_edges=10, feature_dim=5, seed=int(cfg["seed"]))
+            SyntheticSpec(nodes_per_community=12, num_edges=10, feature_dim=5, seed=cfg["seed"])
         )
     mc = model_config(cfg)
     ops = build_expansion_operators(dataset.hypergraph, mc.lambda0, mc.lambda1)
-    model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=int(cfg["seed"]))
+    model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=cfg["seed"])
     base = model.parameters()
     rows = dataset.split_indices("train")
     labels = dataset.labels[rows]
@@ -254,7 +273,7 @@ def cmd_check_gradients(args) -> int:
         loss = tape.softmax_cross_entropy(logits, labels, rows)
         return tape, loss
 
-    report = check_gradients(build, base, samples=args.samples, step=args.step, seed=int(cfg["seed"]))
+    report = check_gradients(build, base, samples=args.samples, step=args.step, seed=cfg["seed"])
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         out = _out_dir(args)

@@ -6,16 +6,17 @@ grammar), ``features.csv`` (n rows of comma-separated floats, no header),
 ``splits.txt`` (one of train/val/test/none per line).  Floats round-trip
 exactly through save/load.
 
-``load_dataset`` parses ``features.csv``, ``labels.txt`` and ``splits.txt``
-with numpy's C reader, ``np.loadtxt``, when the file holds only the bytes the
-format needs (``_FEATURE_BYTES`` and its siblings).  Any other file, and any
-file that reader rejects or whose features are not finite, is read line by
-line with ``float`` and ``int``.  The two readers give the same arrays bit
-for bit on every file the line reader accepts, so the fast path changes no
-result; the line reader keeps its leniency (``float("1_0")`` is 10.0) and
-raises every error, naming the file and the line: a ``DatasetError`` for a
-malformed value, a ``DatasetShapeMismatch`` for a ragged row.  An empty
-file loads as no rows and fails ``Dataset.validate``.
+``load_dataset`` parses ``features.csv`` and ``labels.txt`` with numpy's C
+reader, ``np.loadtxt``, when the file holds only the bytes the format needs
+(``_FEATURE_BYTES``, ``_LABEL_BYTES``).  Any other file, and any file that
+reader rejects or whose features are not finite, is read line by line with
+``float`` and ``int``.  ``splits.txt`` is always read line by line: on a file
+of short words the C reader is no faster.  The two readers give the same
+arrays bit for bit on every file the line reader accepts, so the fast path
+changes no result; the line reader keeps its leniency (``float("1_0")`` is
+10.0) and raises every error, naming the file and the line: a
+``DatasetError`` for a malformed value, a ``DatasetShapeMismatch`` for a
+ragged row.  An empty file loads as no rows and fails ``Dataset.validate``.
 
 All randomness in this module flows through numpy's PCG64 generator seeded
 explicitly, so a given seed reproduces the same splits and synthetic data
@@ -115,7 +116,6 @@ def _require(path: str) -> str:
 # float, and reads some non-ASCII letters as digits of an integer).
 _FEATURE_BYTES = b"0123456789.eE+-, \t\r\n"
 _LABEL_BYTES = b"0123456789+- \t\r\n"
-_SPLIT_BYTES = "".join(sorted(set("".join(SPLIT_NAMES)))).encode() + b" \t\r\n"
 
 
 def _loadtxt(path: str, alphabet: bytes, **kwargs):
@@ -186,9 +186,6 @@ def _read_labels(path: str) -> np.ndarray:
 
 
 def _read_splits(path: str) -> np.ndarray:
-    splits = _loadtxt(path, _SPLIT_BYTES, dtype=str, ndmin=1)
-    if splits is not None and splits.ndim == 1 and np.isin(splits, SPLIT_NAMES).all():
-        return splits
     names = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -198,7 +195,7 @@ def _read_splits(path: str) -> np.ndarray:
             if name not in SPLIT_NAMES:
                 raise DatasetError(f"{path}:{lineno}: unknown split {name!r}")
             names.append(name)
-    return np.array(names)
+    return np.array(names, dtype=str)
 
 
 def load_dataset(directory) -> Dataset:

@@ -6,9 +6,9 @@ energy variant:
     Y <- ReLU( Y - alpha * D_tilde^{-1} grad E(Y) / 2 )
 
 which is the kernel of ``energy.Propagation`` at a layer's constants plus
-``alpha * D_tilde^{-1} Fx``.  With ``relu_mode="end_only"`` the nonlinearity
-is skipped on all but the final layer.  The step is written once, as
-``layer``; ``forward``, ``descent_trace`` and the taped pass call it, the last
+``alpha * D_tilde^{-1} Fx``; the ReLU is the prox of the nonnegativity
+barrier and applies at every step.  The step is written once, as ``layer``;
+``forward``, ``descent_trace`` and the taped pass call it, the last
 recording each layer as one node with the adjoint ``layer_vjp``.  The step
 bounds apply the same kernel at their own constants.
 """
@@ -44,9 +44,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-RELU_MODES = ("every_step", "end_only")
-
-
 @dataclass
 class ModelConfig:
     """Architecture settings: variant, depth, width, step size, expansion weights.
@@ -62,20 +59,17 @@ class ModelConfig:
     alpha: float
     lambda0: float
     lambda1: float
-    relu_mode: str = "every_step"
     strict_alpha: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.relu_mode not in RELU_MODES:
-            raise ValueError(f"relu_mode must be one of {RELU_MODES}, got {self.relu_mode!r}")
         if self.t_layers < 1:
             raise ValueError(f"t_layers must be >= 1, got {self.t_layers}")
         if self.d < 1:
             raise ValueError(f"embedding width must be >= 1, got {self.d}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(eq=False)
@@ -136,21 +130,18 @@ def init_model(config: ModelConfig, d_x: int, n_classes: int, seed: int = 0) -> 
 # -- propagation layers ------------------------------------------------------
 
 
-def layer(
-    y: np.ndarray, c_fx: np.ndarray, prop: Propagation, apply_relu: bool = True, kept: list | None = None
-) -> np.ndarray:
+def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None = None) -> np.ndarray:
     """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
 
-    A ``kept`` list receives what ``layer_vjp`` reads: the ReLU mask (None
-    without ReLU), plus ``Y`` and ``P = B^T Y`` in the general variant."""
+    A ``kept`` list receives what ``layer_vjp`` reads: the ReLU mask, plus
+    ``Y`` and ``P = B^T Y`` in the general variant."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
     out, p = prop.kernel(y, *prop.fwd)
     out += c_fx
-    if apply_relu:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     if kept is not None:
-        kept.append(out > 0.0 if apply_relu else None)
+        kept.append(out > 0.0)
         if prop.general:
             kept += (y, p)
     return out
@@ -162,12 +153,10 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
     ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
     ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  ``backward`` hands ``g`` over, so
-    the mask, and then ``R``, are written into it; without a mask ``g`` is left
-    as it is.  ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where
-    the kernel leaves it, and ``ca * g`` is then written over it."""
-    mask = kept[0]
-    if mask is not None:
-        np.multiply(g, mask, out=g)
+    the mask, and then ``R``, are written into it.  ``Y^T (cb * g)`` reads
+    ``cb * g`` from ``prop.scratch``, where the kernel leaves it, and ``ca * g``
+    is then written over it."""
+    np.multiply(g, kept[0], out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
@@ -176,11 +165,7 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
         y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
         c0, c1 = p.T @ s, p.T @ (prop.e * s)
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
-    return (dy, np.multiply(g, prop.c, out=g if mask is not None else None), *grads)
-
-
-def _relu_flags(relu_mode: str, steps: int):
-    return [relu_mode == "every_step" or t == steps - 1 for t in range(steps)]
+    return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
@@ -189,8 +174,8 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
     prop = Propagation(ops, model.params, model.config.variant)
     c_fx = prop.c * fx
     y = fx
-    for use_relu in _relu_flags(model.config.relu_mode, model.config.t_layers):
-        y = layer(y, c_fx, prop, use_relu)
+    for _ in range(model.config.t_layers):
+        y = layer(y, c_fx, prop)
     return y, model.classifier.apply(y)
 
 
@@ -219,9 +204,9 @@ def build_taped_logits(
     c_fx = prop.c * fx.value
     compat = (params["h0"], params["h1"]) if prop.general else ()
     y = fx
-    for use_relu in _relu_flags(cfg.relu_mode, cfg.t_layers):
+    for _ in range(cfg.t_layers):
         kept = []
-        value = layer(y.value, c_fx, prop, use_relu, kept)
+        value = layer(y.value, c_fx, prop, kept)
         y = tape.layer(value, (y, fx, *compat), partial(layer_vjp, prop=prop, kept=kept))
     return tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
 
@@ -317,9 +302,8 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     """Run ``model``'s layers from its base prediction ``Fx`` and record one row per iterate.
 
     Rows are dicts of ``iteration``, ``energy``, ``feasible`` and ``grad_norm``.
-    ``steps`` defaults to ``t_layers``; the ReLU follows ``relu_mode`` as in
-    ``forward``, the last step always rectified, so the last row is the energy
-    of ``forward``'s embedding.  Each row costs one kernel call, each step one more."""
+    ``steps`` defaults to ``t_layers``, so the last row is the energy of
+    ``forward``'s embedding.  Each row costs one kernel call, each step one more."""
     cfg = model.config
     steps = cfg.t_layers if steps is None else steps
     if steps < 0:
@@ -327,13 +311,12 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     rows = []
     y = fx = model.predictor.apply(x)
     prop = Propagation(ops, model.params, cfg.variant)
-    flags = _relu_flags(cfg.relu_mode, steps)
     for t in range(steps + 1):
         e = energy_and_grad(y, fx, ops, model.params, cfg.variant)
         norm = float(np.linalg.norm(e.grad))
         rows.append({"iteration": t, "energy": e.smooth, "feasible": e.feasible, "grad_norm": norm})
         if t < steps:  # c * Fx kept across the energy evaluations would raise their peak memory
-            y = layer(y, prop.c * fx, prop, flags[t])
+            y = layer(y, prop.c * fx, prop)
     return rows
 
 
@@ -361,13 +344,20 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file.  One that does not describe a model (a
     missing key, a predictor that is not one layer, array shapes that disagree
-    with ``config.d`` or with each other) raises ``ValueError`` naming ``path``."""
+    with ``config.d`` or with each other) raises ``ValueError`` naming ``path``.
+
+    Earlier files also hold ``config.relu_mode``; ``"every_step"`` is the layer
+    this package runs, and any other value is rejected."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognized checkpoint: {path}")
     try:
-        cfg = ModelConfig(**payload["config"])
+        config = dict(payload["config"])
+        relu_mode = config.pop("relu_mode", "every_step")
+        if relu_mode != "every_step":
+            raise ValueError(f"relu_mode {relu_mode!r} is not supported; every layer applies the ReLU")
+        cfg = ModelConfig(**config)
         pred, head = payload["predictor"], payload["classifier"]
         layers = (len(pred["weights"]), len(pred["biases"]))
         arrays = [

@@ -1,8 +1,8 @@
-"""Full-batch bilevel training loop with Adam/SGD, dropout, and evaluation.
+"""Full-batch bilevel training loop with Adam, dropout, and evaluation.
 
 Every epoch records the unrolled forward pass on a fresh tape, backpropagates
 the cross-entropy loss over the labeled training nodes through all T
-propagation steps, and applies one optimizer step to every trainable
+propagation steps, and applies one Adam step to every trainable
 parameter.  Each epoch is then scored on all nodes from the logits of its
 post-step parameters.  An epoch that draws no dropout mask takes them from the
 next epoch's taped pass, whose logits an untaped ``forward`` would reproduce
@@ -43,7 +43,6 @@ __all__ = [
     "accuracy",
     "AdamState",
     "adam_step",
-    "sgd_step",
     "train",
     "evaluate",
 ]
@@ -65,21 +64,20 @@ class TrainConfig:
     dropout: float = 0.0
     epochs: int = 200
     weight_decay: float = 0.0
-    optimizer: str = "adam"
     seed: int = 0
     early_stop_patience: int = 100
-    dropout_inputs: bool = True
-    dropout_features: bool = True
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
+        if self.early_stop_patience < 1:
+            raise ValueError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
 
 
 @dataclass
@@ -145,7 +143,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(labels)[rows]))
 
 
-# -- optimizers ----------------------------------------------------------------
+# -- optimizer -----------------------------------------------------------------
 
 
 @dataclass(eq=False)
@@ -186,14 +184,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) 
         p -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def sgd_step(params: dict, grads: dict, config: TrainConfig) -> None:
-    for name, p in params.items():
-        g = grads[name]
-        if config.weight_decay:
-            g = g + config.weight_decay * p
-        p -= config.lr * g
-
-
 def _dropout_mask(rng, shape, rate: float) -> np.ndarray:
     # inverted dropout: kept units are rescaled so expectations match eval mode
     keep = rng.random(shape) >= rate
@@ -230,9 +220,7 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
     # the checkpoint is allocated once, before any tape, and overwritten in place
     best = copy.deepcopy(model)
     best_params = best.parameters()
-    masked = train_config.dropout > 0.0 and (
-        train_config.dropout_inputs or train_config.dropout_features
-    )
+    masked = train_config.dropout > 0.0
     start = scored_to = time.perf_counter()
 
     def score(epoch: int, logits: np.ndarray, end: float) -> bool:
@@ -260,12 +248,8 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
         tick = time.perf_counter()
         input_mask = feature_mask = None
         if masked:
-            if train_config.dropout_inputs:
-                input_mask = _dropout_mask(rng, x.shape, train_config.dropout)
-            if train_config.dropout_features:
-                feature_mask = _dropout_mask(
-                    rng, (x.shape[0], model_config.d), train_config.dropout
-                )
+            input_mask = _dropout_mask(rng, x.shape, train_config.dropout)
+            feature_mask = _dropout_mask(rng, (x.shape[0], model_config.d), train_config.dropout)
         tape = Tape()
         logits_var = build_taped_logits(tape, model, ops, x, input_mask, feature_mask)
         # without masks this pass is the previous epoch's eval forward, bitwise
@@ -278,10 +262,7 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
                 f"loss became {loss} at epoch {epoch}; lower lr or alpha (bound may help)"
             )
         grads = backward(tape, loss_var)
-        if train_config.optimizer == "adam":
-            adam_step(params, grads, state, train_config)
-        else:
-            sgd_step(params, grads, train_config)
+        adam_step(params, grads, state, train_config)
         for kind, arrays in (("gradient", grads), ("parameter", params)):
             for name, arr in arrays.items():
                 if not np.all(np.isfinite(arr)):

@@ -39,10 +39,10 @@ def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha
     return {"hg": hg, "ops": ops, "params": params, "y": y, "fx": fx, "d": d, "rng": rng}
 
 
-def one_layer(y, fx, ops, params, variant, apply_relu=True):
+def one_layer(y, fx, ops, params, variant):
     """One ``layer`` step, with the pass constants built for this step alone."""
     prop = Propagation(ops, params, variant)
-    return layer(y, prop.c * fx, prop, apply_relu)
+    return layer(y, prop.c * fx, prop)
 
 
 def fd_gradient(f, y, step=1e-5):

@@ -91,7 +91,7 @@ def energy_trace_general(y, fx, hg, params):
     return float(np.sum((y - fx) ** 2) + 0.5 * params.lambda0 * term_a + params.lambda1 * term_b)
 
 
-def messagepassing_layer(y, fx, ops, params, apply_relu=True):
+def messagepassing_layer(y, fx, ops, params):
     """Node-wise form of the general update, quadratic in n.
 
     Every node aggregates its clique-expansion neighbors (self-loops included)
@@ -116,7 +116,7 @@ def messagepassing_layer(y, fx, ops, params, apply_relu=True):
             if a_c[i, j] != 0.0 or a_s[i, j] != 0.0:
                 acc = acc + y[j] @ (scale_i * (a_c[i, j] * w_pair + a_s[i, j] * w_mean))
         out[i] = acc
-    return np.maximum(out, 0.0) if apply_relu else out
+    return np.maximum(out, 0.0)
 
 
 def build_star_bipartite(hg):

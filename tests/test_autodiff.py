@@ -15,14 +15,12 @@ from helpers import random_hypergraph, rel_err, rng_for
 from oracles import cross_entropy
 
 
-def small_problem(seed=0, variant="general", t_layers=2, noise=0.5, relu_mode="every_step"):
+def small_problem(seed=0, variant="general", t_layers=2, noise=0.5):
     ds = generate_synthetic(
         SyntheticSpec(nodes_per_community=8, num_edges=8, edge_size_min=2, edge_size_max=4,
                       feature_dim=4, noise_std=noise, seed=seed)
     )
-    cfg = ModelConfig(
-        variant=variant, t_layers=t_layers, d=5, alpha=0.4, lambda0=1.2, lambda1=0.8, relu_mode=relu_mode
-    )
+    cfg = ModelConfig(variant=variant, t_layers=t_layers, d=5, alpha=0.4, lambda0=1.2, lambda1=0.8)
     model = init_model(cfg, 4, ds.n_classes, seed=seed)
     ops = build_expansion_operators(ds.hypergraph, cfg.lambda0, cfg.lambda1)
     rows = ds.split_indices("train")
@@ -197,15 +195,11 @@ def test_unrolled_mlp_matches_hand_chain_rule():
         assert np.max(np.abs(grads[name] - want)) <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "variant, relu_mode",
-    [("simple", "every_step"), ("general", "every_step"), ("simple", "end_only"), ("general", "end_only")],
-    ids=["simple", "general", "simple-end_only", "general-end_only"],
-)
-def test_full_model_gradients_match_finite_differences(variant, relu_mode):
-    # oracle agreement across 5 random seeds per variant and ReLU mode
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_full_model_gradients_match_finite_differences(variant):
+    # oracle agreement across 5 random seeds per variant
     for seed in range(5):
-        ds, cfg, model, ops, rows = small_problem(seed=seed, variant=variant, relu_mode=relu_mode)
+        ds, cfg, model, ops, rows = small_problem(seed=seed, variant=variant)
         params = model.parameters()
         report = check_gradients(
             lambda p: taped_loss(model, ops, ds, rows), params, samples=40, step=1e-5, seed=seed
@@ -227,12 +221,11 @@ def test_taped_forward_matches_plain_forward(variant):
     assert np.max(np.abs(taped - plain)) <= 1e-9 * max(1.0, np.abs(plain).max())
 
 
-@pytest.mark.parametrize("relu_mode", ["every_step", "end_only"])
 @pytest.mark.parametrize("variant", ["simple", "general"])
-def test_taped_forward_equals_plain_forward_bitwise(variant, relu_mode):
+def test_taped_forward_equals_plain_forward_bitwise(variant):
     # both paths run the same layer on the same constants, so without dropout
     # the logits agree to the last bit
-    ds, cfg, model, ops, rows = small_problem(seed=12, variant=variant, t_layers=3, relu_mode=relu_mode)
+    ds, cfg, model, ops, rows = small_problem(seed=12, variant=variant, t_layers=3)
     taped = build_taped_logits(Tape(), model, ops, ds.features).value
     _, plain = forward(ds.features, model, ops)
     assert taped.tobytes() == plain.tobytes()
@@ -278,12 +271,13 @@ def test_layer_adjoint_passes_dot_product_test(variant):
 
     def step(y_, fx_, h0_=h0, h1_=h1):
         prop = Propagation(ops, EnergyParams(h0_, h1_, 1.3, 0.7, 0.45), variant)
-        return layer(y_, prop.c * fx_, prop, apply_relu=False)
+        return prop.kernel(y_, *prop.fwd)[0] + prop.c * fx_
 
     prop = Propagation(ops, EnergyParams(h0, h1, 1.3, 0.7, 0.45), variant)
     kept = []
-    layer(y, prop.c * fx, prop, apply_relu=False, kept=kept)
-    grads = layer_vjp(g, prop, kept)
+    layer(y, prop.c * fx, prop, kept)
+    kept[0][:] = True  # the pre-ReLU step: every entry passes the mask
+    grads = layer_vjp(g.copy(), prop, kept)  # the adjoint writes into the gradient it is handed
     zero = np.zeros((n, d))
     # the step is linear in (Y, Fx)
     pairs = [(step(vy, zero), grads[0], vy), (step(zero, vfx), grads[1], vfx)]
@@ -337,7 +331,7 @@ def test_layer_adjoint_allocates_only_dy():
     prop = Propagation(ops, EnergyParams(h0, h1, 1.0, 1.0, 0.3), "general")
     y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
     kept = []
-    layer(y, prop.c * fx, prop, apply_relu=True, kept=kept)
+    layer(y, prop.c * fx, prop, kept)
     assert 0.0 < kept[0].mean() < 1.0
     tracemalloc.start()
     try:
@@ -408,27 +402,25 @@ def _primitive_cases():
         (a,) = leaves(tape, (n, d))
         return tape.softmax_cross_entropy(a, rng.integers(0, d, 4), np.arange(4)), ()
 
-    def layer_node(variant, apply_relu):
+    def layer_node(variant):
         def build(tape):
             prop = Propagation(ops, EnergyParams(h0, h1, 1.1, 0.6, 0.4), variant)
             y, fx, p0, p1 = leaves(tape, (n, d), (n, d), (d, d), (d, d))
             kept = []
-            value = layer(y.value, prop.c * fx.value, prop, apply_relu, kept)
+            value = layer(y.value, prop.c * fx.value, prop, kept)
             inputs = (y, fx, p0, p1) if prop.general else (y, fx)
             out = tape.layer(value, inputs, partial(layer_vjp, prop=prop, kept=kept))
-            return out, (*(k for k in kept if k is not None), prop.scratch)
+            return out, (*kept, prop.scratch)
 
         return build
 
     cases = {f.__name__: f for f in (matmul, mul_const, add_rowvec, softmax_cross_entropy)}
     for variant in ("simple", "general"):
-        cases[f"layer-{variant}"] = layer_node(variant, True)
-        cases[f"layer-{variant}-no-relu"] = layer_node(variant, False)
+        cases[f"layer-{variant}"] = layer_node(variant)
     return cases
 
 
-PRIMITIVE_CASES = ["matmul", "mul_const", "add_rowvec", "softmax_cross_entropy", "layer-simple",
-                   "layer-simple-no-relu", "layer-general", "layer-general-no-relu"]
+PRIMITIVE_CASES = ["matmul", "mul_const", "add_rowvec", "softmax_cross_entropy", "layer-simple", "layer-general"]
 
 
 @pytest.mark.parametrize("case", PRIMITIVE_CASES)
@@ -508,3 +500,42 @@ def test_check_gradients_detects_corrupted_adjoint(monkeypatch):
     monkeypatch.setattr(model_mod, "layer_vjp", original)
     assert not report["passed"]
     assert report["max_rel_err"] >= 1e-2
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(samples=0), "samples must be at least 1, got 0"),
+        (dict(samples=-3), "samples must be at least 1, got -3"),
+        (dict(step=0.0), "step must be positive and finite, got 0.0"),
+        (dict(step=-1e-5), "step must be positive and finite"),
+        (dict(step=float("nan")), "step must be positive and finite, got nan"),
+        (dict(step=float("inf")), "step must be positive and finite, got inf"),
+    ],
+    ids=["samples-0", "samples-negative", "step-0", "step-negative", "step-nan", "step-inf"],
+)
+def test_check_gradients_rejects_a_check_of_nothing(kwargs, message):
+    # no coordinate checked, or a difference quotient that is not a number,
+    # would pass every gradient; the call fails before any forward pass
+    def build(params):
+        raise AssertionError("no forward pass for an invalid check")
+
+    with pytest.raises(ValueError, match=message):
+        check_gradients(build, {"w": np.ones((2, 2))}, **kwargs)
+
+
+def test_check_gradients_fails_on_a_nan_gradient():
+    # an identity node whose adjoint returns NaN: the error is NaN, which
+    # compares false against every bound and must not read as zero
+    labels, rows = np.array([0, 1]), np.array([0, 1])
+
+    def build(params):
+        tape = Tape()
+        w = tape.leaf(params["w"], name="w")
+        out = tape.layer(w.value.copy(), (w,), lambda g: (np.full_like(g, np.nan),))
+        return tape, tape.softmax_cross_entropy(out, labels, rows)
+
+    report = check_gradients(build, {"w": rng_for(41).standard_normal((2, 3))}, samples=6)
+    assert np.isnan(report["params"]["w"]["max_rel_err"])
+    assert np.isnan(report["max_rel_err"])
+    assert report["passed"] is False

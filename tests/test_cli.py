@@ -181,6 +181,18 @@ def test_train_parallel_repeats(synthetic_dir, tmp_path, monkeypatch):
     assert summary["repeats"] == 2 and len(summary["runs"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "2.5", "x", ""])
+def test_parallel_rejects_a_thread_count_that_is_not_a_positive_integer(
+    synthetic_dir, tmp_path, monkeypatch, capsys, threads
+):
+    monkeypatch.setenv("PHENOMNN_THREADS", threads)
+    rc = main(["train", "--data", synthetic_dir, "--out", str(tmp_path / "pruns"), "--repeats", "2",
+               "--parallel", "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=8"])
+    assert rc == 1
+    assert f"error: PHENOMNN_THREADS must be a positive integer, got {threads!r}" in capsys.readouterr().err
+    assert not (tmp_path / "pruns" / "summary.json").exists()
+
+
 def test_energy_trace_csv(synthetic_dir, capsys):
     rc = main(["energy-trace", "--data", synthetic_dir, "--steps", "4",
                "--set", "prop_step=2", "--set", "hidden=8"])
@@ -237,10 +249,90 @@ def test_check_gradients_cli(synthetic_dir, capsys):
     assert report["passed"]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--samples", "0", "samples must be at least 1, got 0"),
+    ("--step", "0", "step must be positive and finite, got 0.0"),
+    ("--step", "nan", "step must be positive and finite, got nan"),
+])
+def test_check_gradients_cli_rejects_a_check_of_nothing(synthetic_dir, capsys, flag, value, message):
+    rc = main(["check-gradients", "--data", synthetic_dir, flag, value,
+               "--set", "prop_step=2", "--set", "hidden=6"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: check_gradients: {message}\n"
+
+
 def test_unknown_config_key_rejected(synthetic_dir, capsys):
     rc = main(["train", "--data", synthetic_dir, "--set", "learning_rate=0.1"])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("relu_mode", "every_step"), ("optimizer", "adam"),
+                                        ("dropout_inputs", "true"), ("dropout_features", "true")])
+def test_removed_config_keys_are_unknown(synthetic_dir, capsys, key, value):
+    # one layer (ReLU at every step), one optimizer (Adam), and both dropout
+    # masks whenever dropout > 0: none of these is a key any longer
+    rc = main(["train", "--data", synthetic_dir, "--set", f"{key}={value}"])
+    assert rc == 1
+    assert f"--set: unknown config keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("strict_alpha=False", "config key 'strict_alpha' must be true or false, got 'False'"),
+    ("resplit=1", "config key 'resplit' must be true or false, got 1"),
+    ("hidden=true", "config key 'hidden' must be an integer, got True"),
+    ("prop_step=2.5", "config key 'prop_step' must be an integer, got 2.5"),
+    ("epochs=ten", "config key 'epochs' must be an integer, got 'ten'"),
+    ("alpha=NaN", "config key 'alpha' must be a finite number, got nan"),
+    ("lr=Infinity", "config key 'lr' must be a finite number, got inf"),
+    ("lambda0=false", "config key 'lambda0' must be a finite number, got False"),
+    ('dropout="0.1"', "config key 'dropout' must be a finite number, got '0.1'"),
+    ("weight_decay=1" + "0" * 400, "config key 'weight_decay' must be a finite number, got 1000"),
+])
+def test_config_value_of_the_wrong_type_is_rejected(synthetic_dir, tmp_path, capsys, setting, message):
+    # "False" is a string, which bool() would read as true; 2.5 layers would
+    # truncate to 2, and true to a width of 1
+    out = tmp_path / "run"
+    rc = main(["train", "--data", synthetic_dir, "--out", str(out), "--set", setting])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"patience": 2.0}, "config key 'patience' must be an integer, got 2.0"),
+    ([["lr", 0.1]], "a config must be a JSON object, got list"),
+    (5, "a config must be a JSON object, got int"),
+])
+def test_config_file_is_checked(synthetic_dir, tmp_path, capsys, config, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    rc = main(["train", "--data", synthetic_dir, "--config", str(path)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("patience=0", "early_stop_patience must be >= 1, got 0"),
+    ("weight_decay=-1", "weight_decay must be nonnegative and finite, got -1.0"),
+])
+def test_config_value_out_of_range_is_rejected(synthetic_dir, tmp_path, capsys, setting, message):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", synthetic_dir, "--out", str(out), "--set", setting, "--set", "epochs=50"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+
+
+@pytest.mark.parametrize("strict, rc", [("false", 0), ("true", 1)])
+def test_strict_alpha_takes_json_booleans(synthetic_dir, tmp_path, capsys, strict, rc):
+    # alpha=1.5 lies above the simple bound of at most 1
+    got = main(["train", "--data", synthetic_dir, "--out", str(tmp_path / "run"), "--set", f"strict_alpha={strict}",
+                "--set", "alpha=1.5", "--set", "epochs=1", "--set", "prop_step=2", "--set", "hidden=4"])
+    assert got == rc
+    assert ("violates the convergence bound" in capsys.readouterr().err) == (rc == 1)
 
 
 def test_unknown_flag_is_error(toy_hypergraph):

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -127,6 +128,22 @@ def test_forward_rejects_zero_layers():
         ModelConfig(variant="simple", t_layers=0, d=4, alpha=0.5, lambda0=0.0, lambda1=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(alpha=float("nan")), "alpha must be positive and finite, got nan"),
+        (dict(alpha=float("inf")), "alpha must be positive and finite, got inf"),
+        (dict(alpha=0.0), "alpha must be positive and finite, got 0.0"),
+    ],
+    ids=["alpha-nan", "alpha-inf", "alpha-0"],
+)
+def test_model_config_rejects_a_step_that_is_not_positive_and_finite(kwargs, message):
+    # a NaN alpha would otherwise surface as a diverged loss that blames lr or alpha
+    base = dict(variant="simple", t_layers=2, d=4, alpha=0.5, lambda0=1.0, lambda1=0.5)
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{**base, **kwargs})
+
+
 def test_forward_trivial_config_is_mlp():
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=5, feature_dim=3, seed=4))
     cfg = ModelConfig(variant="simple", t_layers=5, d=4, alpha=1.0, lambda0=0.0, lambda1=0.0)
@@ -153,31 +170,12 @@ def test_forward_energy_nonincreasing_within_bound():
         prev = e
 
 
-def test_relu_mode_end_only():
-    inst = random_instance(6, alpha=0.4)
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
-    cfg = ModelConfig(
-        variant="simple", t_layers=3, d=4, alpha=0.4, lambda0=1.0, lambda1=1.0, relu_mode="end_only"
-    )
-    model = init_model(cfg, 3, ds.n_classes, seed=6)
-    ops = build_expansion_operators(ds.hypergraph, 1.0, 1.0)
-    y, _ = forward(ds.features, model, ops)
-    assert np.min(y) >= 0.0  # final ReLU still applied
-    fx = model.predictor.apply(ds.features)
-    h = fx
-    prop = Propagation(ops, EnergyParams.identity(4, 1.0, 1.0, 0.4), "simple")
-    for t in range(3):
-        h = layer(h, prop.c * fx, prop, apply_relu=(t == 2))
-    assert np.array_equal(y, h)
-
-
 @pytest.mark.parametrize("variant", ["simple", "general"])
-@pytest.mark.parametrize("relu_mode", ["every_step", "end_only"])
-def test_descent_trace_ends_at_forward(variant, relu_mode, monkeypatch):
+def test_descent_trace_ends_at_forward(variant, monkeypatch):
     import phenomnn.model as model_mod
 
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
-    cfg = ModelConfig(variant=variant, t_layers=3, d=4, alpha=0.4, lambda0=1.0, lambda1=0.5, relu_mode=relu_mode)
+    cfg = ModelConfig(variant=variant, t_layers=3, d=4, alpha=0.4, lambda0=1.0, lambda1=0.5)
     model = init_model(cfg, 3, ds.n_classes, seed=6)
     ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
     y, _ = forward(ds.features, model, ops)
@@ -212,11 +210,11 @@ def test_descent_trace_rejects_negative_steps():
     assert len(descent_trace(ds.features, model, ops, 0)) == 1
 
 
-@pytest.mark.parametrize("variant,relu_mode", [("simple", "every_step"), ("general", "end_only")])
-def test_descent_trace_recomputed_from_the_checkpoint(variant, relu_mode, tmp_path):
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_descent_trace_recomputed_from_the_checkpoint(variant, tmp_path):
     # the trace a run writes must be the one its saved model gives, ending at forward's energy
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=10, num_edges=10, feature_dim=4, seed=8))
-    cfg = ModelConfig(variant=variant, t_layers=3, d=5, alpha=0.2, lambda0=1.0, lambda1=0.5, relu_mode=relu_mode)
+    cfg = ModelConfig(variant=variant, t_layers=3, d=5, alpha=0.2, lambda0=1.0, lambda1=0.5)
     model, metrics = train(ds, cfg, TrainConfig(lr=0.05, dropout=0.3, epochs=4, seed=2))
     save_checkpoint(model, tmp_path / "ckpt.json")
     loaded = load_checkpoint(tmp_path / "ckpt.json")
@@ -466,6 +464,36 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     second = tmp_path / "ck2.json"
     save_checkpoint(loaded, str(second))
     assert path.read_bytes() == second.read_bytes()
+
+
+def _earlier_checkpoint(tmp_path, relu_mode):
+    """A model and the file an earlier version wrote for it, which also held ``config.relu_mode``."""
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=14))
+    model = init_model(ModelConfig(variant="general", t_layers=3, d=4, alpha=0.3, lambda0=1.0, lambda1=0.5),
+                       3, ds.n_classes, seed=14)
+    path = tmp_path / "v1.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    assert "relu_mode" not in payload["config"]
+    payload["config"]["relu_mode"] = relu_mode
+    path.write_text(json.dumps(payload))
+    return ds, model, path
+
+
+def test_checkpoint_with_every_step_relu_mode_loads_the_same_model(tmp_path):
+    ds, model, path = _earlier_checkpoint(tmp_path, "every_step")
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
+    assert forward(ds.features, loaded, ops)[1].tobytes() == forward(ds.features, model, ops)[1].tobytes()
+
+
+def test_checkpoint_with_end_only_relu_mode_is_rejected(tmp_path):
+    # the every-step layer would give other logits than the model was trained with
+    _, _, path = _earlier_checkpoint(tmp_path, "end_only")
+    with pytest.raises(ValueError, match="relu_mode 'end_only'") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
 
 
 def test_strict_alpha_rejects_oversized_step():

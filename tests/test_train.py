@@ -17,7 +17,6 @@ from phenomnn.train import (
     accuracy,
     adam_step,
     evaluate,
-    sgd_step,
     train,
 )
 from helpers import rng_for
@@ -117,12 +116,6 @@ def test_adam_updates_moments_in_place():
         for k in params:
             assert state.m[k] is m[k] and state.v[k] is v[k]
             assert np.array_equal(state.m[k], ref_m[k]) and np.array_equal(state.v[k], ref_v[k])
-
-
-def test_sgd_step():
-    params = {"w": np.ones((2, 2))}
-    sgd_step(params, {"w": np.full((2, 2), 2.0)}, TrainConfig(lr=0.25, optimizer="sgd"))
-    assert np.array_equal(params["w"], np.full((2, 2), 0.5))
 
 
 # -- train --------------------------------------------------------------------------
@@ -277,10 +270,8 @@ def reference_train(ds, mcfg, tcfg):
     for epoch in range(tcfg.epochs):
         input_mask = feature_mask = None
         if tcfg.dropout > 0.0:
-            if tcfg.dropout_inputs:
-                input_mask = mask(x.shape)
-            if tcfg.dropout_features:
-                feature_mask = mask((x.shape[0], mcfg.d))
+            input_mask = mask(x.shape)
+            feature_mask = mask((x.shape[0], mcfg.d))
         tape = Tape()
         logits = build_taped_logits(tape, model, ops, x, input_mask, feature_mask)
         loss = tape.softmax_cross_entropy(logits, labels[train_rows], train_rows)
@@ -302,13 +293,11 @@ def reference_train(ds, mcfg, tcfg):
 
 ORACLE_RUNS = {
     "simple-dropout0": (simple_cfg(), dict(dropout=0.0), False),
-    "general-end_only-stops": (
-        ModelConfig(variant="general", t_layers=3, d=6, alpha=0.05, lambda0=1.0, lambda1=1.0,
-                    relu_mode="end_only"),
+    "general-stops": (
+        ModelConfig(variant="general", t_layers=3, d=6, alpha=0.05, lambda0=1.0, lambda1=1.0),
         dict(dropout=0.0, early_stop_patience=3),
         True,
     ),
-    "dropout-masks-off": (simple_cfg(), dict(dropout=0.5, dropout_inputs=False, dropout_features=False), False),
     "dropout-masks-stops": (simple_cfg(), dict(dropout=0.5, early_stop_patience=3), True),
 }
 
@@ -396,6 +385,25 @@ def test_metrics_files(tmp_path):
     lines = (tmp_path / "epochs.csv").read_text().strip().split("\n")
     assert lines[0] == "epoch,loss,train_acc,val_acc,test_acc,seconds"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(lr=float("nan")), "lr must be positive and finite, got nan"),
+        (dict(lr=float("inf")), "lr must be positive and finite, got inf"),
+        (dict(lr=0.0), "lr must be positive and finite, got 0.0"),
+        (dict(weight_decay=-1.0), "weight_decay must be nonnegative and finite, got -1.0"),
+        (dict(weight_decay=float("nan")), "weight_decay must be nonnegative and finite, got nan"),
+        (dict(early_stop_patience=0), "early_stop_patience must be >= 1, got 0"),
+    ],
+    ids=["lr-nan", "lr-inf", "lr-0", "weight_decay-negative", "weight_decay-nan", "patience-0"],
+)
+def test_train_config_rejects_values_no_run_can_use(kwargs, message):
+    # a patience of 0 would end every run after its first epoch, and a NaN
+    # rate would surface later as a diverged loss that blames lr or alpha
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**kwargs)
 
 
 def test_empty_train_split_rejected():
