@@ -21,7 +21,7 @@ from .hypergraph import (
     parse_hypergraph,
     precondition_diag,
 )
-from .linalg import EigenResult, extreme_eigenvalue, write_matrix_market
+from .linalg import EigenResult, extreme_eigenvalue
 from .model import (
     Affine,
     Model,

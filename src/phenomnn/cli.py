@@ -6,7 +6,7 @@ Configuration is a flat JSON object whose keys mirror the preset tables
 ``--config``, then repeated ``--set key=value`` overrides, then explicit
 flags such as ``--seed``.  Unknown keys are rejected, and so is a value not
 of its key's type: a boolean key takes ``true`` or ``false``, an integer key
-an integer, a float key a finite number.
+an integer, a float key a finite number.  The seed must be at least 0.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ import sys
 from importlib import resources
 
 import numpy as np
+from scipy.io import mmwrite
 
 from .autodiff import Tape, check_gradients
 from .data import SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
 from .energy import EnergyParams
 from .hypergraph import build_clique, build_expansion_operators, build_star_normalized, load_hypergraph
-from .linalg import write_matrix_market
 from .model import (
     ModelConfig,
     build_taped_logits,
+    check_config_value,
     descent_trace,
     init_model,
     load_checkpoint,
@@ -62,23 +63,15 @@ def _reject_unknown(keys, origin: str) -> None:
         raise ValueError(f"{origin}: unknown config keys {unknown}")
 
 
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number"}
-
-
 def _check_types(cfg: dict) -> None:
-    """Each boolean, integer or float key takes a value of its default's type; a float key also takes an int."""
+    """Each boolean, integer or float key takes a value of its default's type (a float key also
+    takes an int), and the seed is at least 0."""
     for key, value in cfg.items():
         kind = type(CONFIG_DEFAULTS[key])
-        if kind not in _KIND_NAMES:
-            continue
-        if kind is bool or isinstance(value, bool):
-            ok = kind is bool and isinstance(value, bool)
-        elif kind is int:
-            ok = isinstance(value, int)
-        else:  # an int past the float range would overflow float()
-            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        if not ok:
-            raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        if kind in (bool, int, float):
+            check_config_value(key, value, kind)
+    if cfg["seed"] < 0:
+        raise ValueError(f"config key 'seed' must be at least 0, got {cfg['seed']}")
 
 
 def load_preset(name: str) -> dict:
@@ -285,7 +278,7 @@ def cmd_check_gradients(args) -> int:
 
 def _need_hypergraph(cfg: dict, args):
     if cfg["dataset"]:
-        return load_dataset(cfg["dataset"]).hypergraph
+        return load_hypergraph(os.path.join(cfg["dataset"], "hypergraph.txt"))
     if args.hypergraph:
         return load_hypergraph(args.hypergraph)
     raise ValueError(f"{args.command} needs --data or --hypergraph")
@@ -315,8 +308,8 @@ def cmd_expand(args) -> int:
     a_s_bar, _ = build_star_normalized(hg)
     clique_path = os.path.join(out, "clique_adjacency.mtx")
     star_path = os.path.join(out, "star_normalized.mtx")
-    write_matrix_market(a_c, clique_path)
-    write_matrix_market(a_s_bar, star_path)
+    mmwrite(clique_path, a_c, symmetry="general")
+    mmwrite(star_path, a_s_bar, symmetry="general")
     print(f"n={hg.n} m={hg.m} nnz(A_C)={a_c.nnz} nnz(A_S_bar)={a_s_bar.nnz}")
     if hg.collapsed_duplicates:
         print(f"warning: collapsed {hg.collapsed_duplicates} duplicate node ids within hyperedges")
@@ -325,6 +318,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {seed}")
     spec = SyntheticSpec(
         communities=args.communities,
         nodes_per_community=args.nodes_per_community,
@@ -334,7 +330,7 @@ def cmd_gen_synthetic(args) -> int:
         p_intra=args.p_intra,
         feature_dim=args.feature_dim,
         noise_std=args.noise_std,
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
     )
     ds = generate_synthetic(spec)
     out = _out_dir(args)

@@ -2,9 +2,10 @@
 
 A dataset directory holds four text files: ``hypergraph.txt`` (incidence
 grammar), ``features.csv`` (n rows of comma-separated floats, no header),
-``labels.txt`` (one integer class per line, ``-1`` for unlabeled) and
-``splits.txt`` (one of train/val/test/none per line).  Floats round-trip
-exactly through save/load.
+``labels.txt`` (one integer class per line, ``-1`` for unlabeled, which
+only a ``none`` node may be) and ``splits.txt`` (one of train/val/test/none
+per line).  Floats round-trip exactly through save/load; ``save_dataset``
+writes hyperedge ``k`` from column ``k`` of the incidence matrix ``B``.
 
 ``load_dataset`` parses ``features.csv`` and ``labels.txt`` with numpy's C
 reader, ``np.loadtxt``, when the file holds only the bytes the format needs
@@ -94,6 +95,10 @@ class Dataset:
             raise DatasetShapeMismatch(f"labels have {self.labels.shape[0]} entries for {n} nodes")
         if self.splits.shape[0] != n:
             raise DatasetShapeMismatch(f"splits have {self.splits.shape[0]} entries for {n} nodes")
+        below = np.flatnonzero(self.labels < -1)
+        if below.size:
+            i = int(below[0])
+            raise DatasetError(f"node {i} has label {int(self.labels[i])}; a label is a class id, or -1 for unlabeled")
         labeled = self.labels >= 0
         if not labeled.any():
             raise DatasetError("dataset has no labeled nodes")
@@ -102,6 +107,10 @@ class Dataset:
         bad = np.flatnonzero((self.splits == "train") & ~labeled)
         if bad.size:
             raise UnlabeledTrainNode(f"train node {int(bad[0])} is unlabeled")
+        bad = np.flatnonzero(((self.splits == "val") | (self.splits == "test")) & ~labeled)
+        if bad.size:
+            i = int(bad[0])
+            raise DatasetError(f"{self.splits[i]} node {i} is unlabeled; evaluation nodes need a label")
 
 
 def _require(path: str) -> str:
@@ -216,10 +225,11 @@ def save_dataset(directory, ds: Dataset) -> None:
     """Write the dataset directory; floats are emitted with exact round-trip repr."""
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
+    b = ds.hypergraph.incidence.tocsc()  # column k holds hyperedge k's ids, sorted
+    ids, cuts = b.indices.tolist(), b.indptr.tolist()
     with open(os.path.join(directory, "hypergraph.txt"), "w", encoding="utf-8") as f:
         f.write(f"{ds.hypergraph.n} {ds.hypergraph.m}\n")
-        for e in ds.hypergraph.edges:
-            f.write(" ".join(str(int(i)) for i in e) + "\n")
+        f.writelines(" ".join(map(str, ids[lo:hi])) + "\n" for lo, hi in zip(cuts, cuts[1:]))
     with open(os.path.join(directory, "features.csv"), "w", encoding="utf-8") as f:
         for row in ds.features:
             f.write(",".join(repr(float(v)) for v in row) + "\n")

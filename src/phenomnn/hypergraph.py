@@ -1,11 +1,12 @@
 """Hypergraph structure and the clique/star expansion operators.
 
 The incidence matrix ``B`` is binary, with ``B[i, k] = 1`` when node ``i``
-belongs to hyperedge ``k``, and is stored as a scipy CSR matrix.  The clique
-expansion is the raw algebraic form ``A_C = B B^T`` (multiplicities and
-diagonal retained), and the normalized star contraction is
-``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators the
-layers, energies and step bounds use keep only ``B`` and apply the
+belongs to hyperedge ``k``.  A scipy CSR matrix, it is the only copy of the
+structure, and every constructor builds it in ``Hypergraph._from_columns``.
+The clique expansion is the raw algebraic form ``A_C = B B^T``
+(multiplicities and diagonal retained), and the normalized star contraction
+is ``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators
+the layers, energies and step bounds use keep only ``B`` and apply the
 expansions as ``B W B^T``; the n x n matrices are built only on request
 (``build_clique``, ``build_star_normalized``).
 """
@@ -38,17 +39,16 @@ class HypergraphError(ValueError):
 class Hypergraph:
     """Validated hypergraph with cached degree views.
 
-    ``edges[k]`` holds the sorted, duplicate-free node ids of hyperedge ``k``;
     ``incidence`` is the n x m CSR matrix ``B`` in canonical form (sorted,
-    duplicate-free column indices, all values 1).  ``edge_sizes[k]`` equals
-    the column sum of ``incidence`` column ``k`` and ``node_degrees[i]`` the
-    row sum of row ``i``.
+    duplicate-free column indices, all values 1) and the only copy of the
+    structure: the sorted, duplicate-free node ids of hyperedge ``k`` are
+    column ``k`` of ``incidence.tocsc()``.  ``edge_sizes[k]`` equals the
+    column sum of column ``k`` and ``node_degrees[i]`` the row sum of row ``i``.
     """
 
     n: int
     m: int
     incidence: sp.csr_matrix
-    edges: list
     edge_sizes: np.ndarray
     node_degrees: np.ndarray
     collapsed_duplicates: int = 0
@@ -80,20 +80,16 @@ class Hypergraph:
         """Hyperedge ``k`` holds ``ids[ptr[k]:ptr[k + 1]]``, in any order and with repeats."""
         _check_edges(n, ids, ptr)
         m = ptr.size - 1
-        # column k of B holds edge k's ids, so the compressed-column arrays
-        # are the edges themselves; summing duplicates sorts each column
+        # column k of B holds edge k's ids; summing duplicates sorts each column
         b = sp.csc_matrix((np.ones(ids.size), ids, ptr), shape=(n, m))
         b.sum_duplicates()
         b.data.fill(1.0)
-        flat = b.indices.astype(np.int64)
-        cuts = b.indptr.tolist()
         sizes = np.diff(b.indptr).astype(np.float64)
         b = b.tocsr()
         return cls(
             n=n,
             m=m,
             incidence=b,
-            edges=[flat[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])],
             edge_sizes=sizes,
             node_degrees=np.diff(b.indptr).astype(np.float64),
             collapsed_duplicates=int(ids.size - b.nnz),
@@ -165,7 +161,7 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
     if plain is not None:
         return Hypergraph._from_columns(*plain)
     header = None
-    edges = []
+    ids, ptr = [], [0]  # hyperedge k holds ids[ptr[k]:ptr[k + 1]]
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -185,25 +181,26 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
                 raise HypergraphError(f"{source}:{lineno}: node count {n} does not fit in 64 bits")
             header = (n, m)
             continue
-        if len(edges) >= m:
+        if len(ptr) > m:
             if not line:
                 continue
             raise HypergraphError(f"{source}:{lineno}: unexpected extra line after {m} hyperedges")
         if not line:
-            raise HypergraphError(f"{source}:{lineno}: hyperedge {len(edges)} is empty")
+            raise HypergraphError(f"{source}:{lineno}: hyperedge {len(ptr) - 1} is empty")
         try:
-            ids = [int(p) for p in line.split()]
+            edge = [int(p) for p in line.split()]
         except ValueError:
             raise HypergraphError(f"{source}:{lineno}: malformed hyperedge line {raw!r}") from None
-        for i in ids:
+        for i in edge:
             if i < 0 or i >= n:
                 raise HypergraphError(f"{source}:{lineno}: node id {i} out of range (n={n})")
-        edges.append(ids)
+        ids += edge
+        ptr.append(len(ids))
     if header is None:
         raise HypergraphError(f"{source}: missing header line 'n m'")
-    if len(edges) != m:
-        raise HypergraphError(f"{source}: expected {m} hyperedges, found {len(edges)}")
-    return Hypergraph.from_edges(n, edges)
+    if len(ptr) - 1 != m:
+        raise HypergraphError(f"{source}: expected {m} hyperedges, found {len(ptr) - 1}")
+    return Hypergraph._from_columns(n, np.array(ids, dtype=np.int64), np.array(ptr, dtype=np.int64))
 
 
 def load_hypergraph(path) -> Hypergraph:
@@ -250,7 +247,8 @@ class ExpansionOperators:
     and ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
     diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
     sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
-    the edge sizes, and ``d_tilde`` the update preconditioner.
+    the edge sizes, and ``d_tilde`` the update preconditioner; ``d_s_bar``
+    and ``d_h`` are the hypergraph's own arrays, read and never written.
     """
 
     b: sp.csr_matrix
@@ -269,13 +267,12 @@ class ExpansionOperators:
 def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) -> ExpansionOperators:
     b = hg.incidence
     d_c = b @ hg.edge_sizes
-    d_s_bar = hg.node_degrees.copy()
     return ExpansionOperators(
         b=b,
         d_c=d_c,
-        d_s_bar=d_s_bar,
-        d_h=hg.edge_sizes.copy(),
+        d_s_bar=hg.node_degrees,
+        d_h=hg.edge_sizes,
         lambda0=float(lambda0),
         lambda1=float(lambda1),
-        d_tilde=precondition_diag(d_c, d_s_bar, lambda0, lambda1),
+        d_tilde=precondition_diag(d_c, hg.node_degrees, lambda0, lambda1),
     )

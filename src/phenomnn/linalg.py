@@ -1,9 +1,10 @@
-"""Extreme eigenvalues of symmetric operators by Lanczos, and Matrix Market export.
+"""Extreme eigenvalues of symmetric operators by Lanczos.
 
 ``extreme_eigenvalue`` runs the three-term Lanczos recurrence and keeps no
 basis: three vectors of the operator's size and the tridiagonal's scalars.
-Everything operates on 64-bit floats.  Both functions are pure: the same
-inputs yield bitwise-identical outputs in the (default) sequential build.
+Everything operates on 64-bit floats.  The solve is pure: the same inputs
+yield bitwise-identical outputs in the (default) sequential build.  Matrix
+Market export is ``scipy.io.mmwrite``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from scipy.linalg.blas import daxpy
 __all__ = [
     "EigenResult",
     "extreme_eigenvalue",
-    "write_matrix_market",
 ]
 
 
@@ -88,18 +88,3 @@ def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 5000, 
         r /= beta
         r, v = v, r
     return EigenResult(theta, residual, False, iters)
-
-
-def write_matrix_market(s, target) -> None:
-    """Write a canonical CSR matrix in Matrix Market coordinate format (1-based indices)."""
-    own = isinstance(target, (str, bytes))
-    f = open(target, "w", encoding="utf-8") if own else target
-    try:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{s.shape[0]} {s.shape[1]} {s.nnz}\n")
-        for i in range(s.shape[0]):
-            for p in range(s.indptr[i], s.indptr[i + 1]):
-                f.write(f"{i + 1} {int(s.indices[p]) + 1} {float(s.data[p])!r}\n")
-    finally:
-        if own:
-            f.close()

@@ -16,6 +16,8 @@ bounds apply the same kernel at their own constants.
 from __future__ import annotations
 
 import json
+import sys
+import typing
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -70,6 +72,22 @@ class ModelConfig:
             raise ValueError(f"embedding width must be >= 1, got {self.d}")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def check_config_value(key: str, value, kind: type) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is a ``bool`` for ``bool``,
+    an ``int`` that is not a ``bool`` for ``int``, or a finite int or float for ``float``."""
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:  # an int past the float range would overflow float()
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -343,7 +361,8 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file.  One that does not describe a model (a
-    missing key, a predictor that is not one layer, array shapes that disagree
+    missing key, a config value not of its field's type as ``check_config_value``
+    judges it, a predictor that is not one layer, array shapes that disagree
     with ``config.d`` or with each other) raises ``ValueError`` naming ``path``.
 
     Earlier files also hold ``config.relu_mode``; ``"every_step"`` is the layer
@@ -357,6 +376,10 @@ def load_checkpoint(path) -> Model:
         relu_mode = config.pop("relu_mode", "every_step")
         if relu_mode != "every_step":
             raise ValueError(f"relu_mode {relu_mode!r} is not supported; every layer applies the ReLU")
+        kinds = typing.get_type_hints(ModelConfig)
+        for key, value in config.items():
+            if kinds.get(key) in _KIND_NAMES:
+                check_config_value(key, value, kinds[key])
         cfg = ModelConfig(**config)
         pred, head = payload["predictor"], payload["classifier"]
         layers = (len(pred["weights"]), len(pred["biases"]))

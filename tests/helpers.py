@@ -17,6 +17,13 @@ def random_hypergraph(rng, n, m, smin=2, smax=6):
     return Hypergraph.from_edges(n, edges)
 
 
+def hyperedges(hg):
+    """The sorted node ids of each hyperedge, as int64 arrays: the columns of ``B``."""
+    b = hg.incidence.tocsc()
+    ids = b.indices.astype(np.int64)
+    return [ids[lo:hi] for lo, hi in zip(b.indptr[:-1], b.indptr[1:])]
+
+
 def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha=0.5):
     """One seeded problem instance: hypergraph, operators, params, embeddings."""
     rng = rng_for(seed)

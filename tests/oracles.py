@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from phenomnn.hypergraph import Hypergraph, HypergraphError, build_clique, build_star_normalized
+from helpers import hyperedges
 
 Energy = namedtuple("Energy", "smooth feasible")
 
@@ -53,7 +54,7 @@ def energy_bruteforce(y, z, fx, hg, params):
     """
     total = float(np.sum((y - fx) ** 2))
     pair = mean = 0.0
-    for k, e in enumerate(hg.edges):
+    for k, e in enumerate(hyperedges(hg)):
         for i in e:
             yi_h0 = y[i] @ params.h0
             for j in e:
@@ -162,7 +163,6 @@ def from_edges_by_edge(n, edges):
         n=n,
         m=m,
         incidence=b,
-        edges=clean,
         edge_sizes=sizes.astype(np.float64),
         node_degrees=np.diff(b.indptr).astype(np.float64),
         collapsed_duplicates=dups,

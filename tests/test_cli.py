@@ -3,10 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.io import mmread
 
 from phenomnn import cli
 from phenomnn.cli import main
 from phenomnn.data import load_dataset
+from phenomnn.hypergraph import build_clique, build_star_normalized
+from helpers import hyperedges, random_hypergraph, rng_for
 
 
 @pytest.fixture()
@@ -40,12 +43,26 @@ def test_expand_writes_expected_matrices(toy_hypergraph, tmp_path, capsys):
     assert rc == 0
     clique = (tmp_path / "exp" / "clique_adjacency.mtx").read_text().strip().split("\n")
     assert clique[0] == "%%MatrixMarket matrix coordinate real general"
-    assert clique[1] == "3 3 7"
-    entries = {tuple(line.split()[:2]): float(line.split()[2]) for line in clique[2:]}
+    clique = [line for line in clique if not line.startswith("%")]
+    assert clique[0] == "3 3 7"
+    entries = {tuple(line.split()[:2]): float(line.split()[2]) for line in clique[1:]}
     assert entries[("1", "1")] == 1.0 and entries[("2", "2")] == 2.0 and entries[("1", "2")] == 1.0
     star = (tmp_path / "exp" / "star_normalized.mtx").read_text().strip().split("\n")
-    svals = {tuple(line.split()[:2]): float(line.split()[2]) for line in star[2:]}
+    svals = {tuple(line.split()[:2]): float(line.split()[2]) for line in star if not line.startswith("%")}
     assert svals[("1", "1")] == 0.5 and svals[("2", "2")] == 1.0
+
+
+def test_expand_files_read_back_exactly(tmp_path):
+    # edges of 2-6 ids put 1/3 and 1/5 weights in A_S_bar, which must survive the text exactly
+    path = tmp_path / "hg.txt"
+    hg = random_hypergraph(rng_for(10), 30, 25)
+    path.write_text(f"{hg.n} {hg.m}\n" + "".join(" ".join(map(str, e)) + "\n" for e in hyperedges(hg)))
+    assert main(["expand", "--hypergraph", str(path), "--out", str(tmp_path / "exp")]) == 0
+    for name, build in (("clique_adjacency", build_clique), ("star_normalized", build_star_normalized)):
+        got = mmread(tmp_path / "exp" / f"{name}.mtx").tocsr()
+        want = build(hg)[0]
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert np.array_equal(got.toarray(), want.toarray())
 
 
 def test_expand_is_idempotent(toy_hypergraph, tmp_path):
@@ -90,6 +107,7 @@ def test_eval_on_checkpoint(synthetic_dir, tmp_path, capsys):
     ("empty-predictor", "0 weight and 0 bias arrays, not one layer"),
     ("stacked-predictor", "2 weight and 2 bias arrays, not one layer"),
     ("short-bias", "predictor.b0 has shape (1,), expected (5,)"),
+    ("fractional-layers", "config key 't_layers' must be an integer, got 2.5"),
     ("not-an-object", "not a recognized checkpoint"),
 ])
 def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_path, capsys, case, cause):
@@ -109,6 +127,8 @@ def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_pa
         pred["weights"], pred["biases"] = pred["weights"] * 2, pred["biases"] * 2
     elif case == "short-bias":
         pred["biases"][0] = pred["biases"][0][:1]
+    elif case == "fractional-layers":
+        payload["config"]["t_layers"] = 2.5
     else:
         payload = [payload]
     path.write_text(json.dumps(payload))
@@ -230,6 +250,37 @@ def test_energy_trace_rejects_negative_steps(synthetic_dir, tmp_path, capsys):
     assert rc == 1
     assert "--steps must be at least 0, got -3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["train", "--set", "seed=-1"],
+    ["energy-trace", "--seed", "-1"],
+    ["check-gradients", "--seed", "-1"],
+])
+def test_negative_seed_is_rejected(synthetic_dir, tmp_path, capsys, argv):
+    # PCG64 would reject it with "expected non-negative integer", naming nothing
+    rc = main([*argv, "--data", synthetic_dir, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config key 'seed' must be at least 0, got -1\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_gen_synthetic_rejects_a_negative_seed(tmp_path, capsys):
+    rc = main(["gen-synthetic", "--out", str(tmp_path / "ds"), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+    assert not (tmp_path / "ds").exists()
+
+
+def test_step_bound_and_expand_read_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "hypergraph.txt").write_text("3 2\n0 1\n1 2\n")
+    assert main(["step-bound", "--data", str(data), "--set", "lambda0=0", "--set", "lambda1=0"]) == 0
+    assert "step bound (simple): 1 " in capsys.readouterr().out
+    assert main(["expand", "--data", str(data), "--out", str(tmp_path / "exp")]) == 0
+    assert "n=3 m=2 nnz(A_C)=7" in capsys.readouterr().out
 
 
 def test_energy_trace_zero_steps_is_one_row(synthetic_dir, capsys):

@@ -22,7 +22,7 @@ from phenomnn.data import (
     make_splits,
     save_dataset,
 )
-from helpers import rng_for
+from helpers import hyperedges, rng_for
 
 
 def write_toy(tmp_path, features=None, labels=None, splits=None):
@@ -57,6 +57,19 @@ def test_feature_row_count_mismatch(tmp_path):
 def test_unlabeled_train_node(tmp_path):
     write_toy(tmp_path, labels="-1\n1\n0\n")
     with pytest.raises(UnlabeledTrainNode, match="train node 0"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("labels, splits, message", [
+    ("0\n1\n-1\n", "train\nval\ntest\n", "test node 2 is unlabeled"),
+    ("0\n-1\n1\n", "train\nval\nnone\n", "val node 1 is unlabeled"),
+    ("0\n1\n-2\n", "train\nval\nnone\n", "node 2 has label -2"),
+])
+def test_unusable_label_is_named(tmp_path, labels, splits, message):
+    # accuracy would score an unlabeled evaluation node as a wrong class, and
+    # -2 would pass as unlabeled
+    write_toy(tmp_path, labels=labels, splits=splits)
+    with pytest.raises(DatasetError, match=message):
         load_dataset(tmp_path)
 
 
@@ -266,7 +279,7 @@ def test_synthetic_pure_communities_are_separable():
     means[1, 1] = 1.0
     dist = ((ds.features[:, None, :] - means[None]) ** 2).sum(axis=2)
     assert np.array_equal(np.argmin(dist, axis=1), ds.labels)
-    for e in ds.hypergraph.edges:
+    for e in hyperedges(ds.hypergraph):
         assert len(set(ds.labels[e])) == 1
 
 
@@ -284,7 +297,7 @@ def test_synthetic_intra_fraction_matches_expectation():
     for seed in range(30):
         spec.seed = seed
         ds = generate_synthetic(spec)
-        single = sum(1 for e in ds.hypergraph.edges if len(set(ds.labels[e])) == 1)
+        single = sum(1 for e in hyperedges(ds.hypergraph) if len(set(ds.labels[e])) == 1)
         fractions.append(single / ds.hypergraph.m)
     measured = np.mean(fractions)
     sigma = math.sqrt(expect * (1 - expect) / (spec.num_edges * 30))
@@ -297,7 +310,7 @@ def test_synthetic_deterministic_per_seed():
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.splits, b.splits)
-    assert all(np.array_equal(x, y) for x, y in zip(a.hypergraph.edges, b.hypergraph.edges))
+    assert all(np.array_equal(x, y) for x, y in zip(hyperedges(a.hypergraph), hyperedges(b.hypergraph)))
 
 
 def test_roundtrip_save_load_exact(tmp_path):
@@ -308,7 +321,7 @@ def test_roundtrip_save_load_exact(tmp_path):
     assert np.array_equal(out.labels, ds.labels)
     assert np.array_equal(out.splits, ds.splits)
     assert out.hypergraph.m == ds.hypergraph.m
-    assert all(np.array_equal(x, y) for x, y in zip(out.hypergraph.edges, ds.hypergraph.edges))
+    assert all(np.array_equal(x, y) for x, y in zip(hyperedges(out.hypergraph), hyperedges(ds.hypergraph)))
 
 
 def test_degenerate_spec_rejected():

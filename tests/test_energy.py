@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from phenomnn.energy import EnergyParams, Propagation, energy_and_grad
 from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
-from helpers import fd_gradient, random_hypergraph, random_instance, rel_err, rng_for
+from helpers import fd_gradient, hyperedges, random_hypergraph, random_instance, rel_err, rng_for
 from oracles import (
     build_star_bipartite,
     energy_bruteforce,
@@ -65,7 +65,7 @@ def test_z_star_matches_mean_loop_oracle():
     hg = random_hypergraph(rng, 6, 5)
     y = rng.standard_normal((6, 3))
     z = z_star(hg, y)
-    for k, e in enumerate(hg.edges):
+    for k, e in enumerate(hyperedges(hg)):
         assert np.max(np.abs(z[k] - y[e].mean(axis=0))) <= 1e-12
 
 

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ import scipy.sparse as sp
 
 from phenomnn import linalg
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
-from phenomnn.linalg import extreme_eigenvalue, write_matrix_market
+from phenomnn.linalg import extreme_eigenvalue
 from phenomnn.model import step_bound_simple
 from helpers import rng_for
 
@@ -138,33 +137,3 @@ def test_eigen_checks_convergence_on_a_spaced_schedule(monkeypatch):
     assert bound.certificate == "psd-floor" and bound.value == 1.0
     assert solves[-1] == 5000
     assert len(solves) <= 200
-
-
-# -- matrix market export ------------------------------------------------------------
-
-
-def test_matrix_market_grammar():
-    s = sp.csr_matrix([[1.5, 0.0], [0.0, -2.0], [3.0, 0.0]])
-    buf = io.StringIO()
-    write_matrix_market(s, buf)
-    text = buf.getvalue()
-    lines = text.strip().split("\n")
-    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
-    assert lines[1] == "3 2 3"
-    assert lines[2:] == ["1 1 1.5", "2 2 -2.0", "3 1 3.0"]
-
-
-def test_matrix_market_file_roundtrip(tmp_path):
-    rng = rng_for(10)
-    dense = rng.standard_normal((4, 4)) * (rng.random((4, 4)) < 0.5)
-    s = sp.csr_matrix(dense)
-    path = tmp_path / "m.mtx"
-    write_matrix_market(s, str(path))
-    lines = path.read_text().strip().split("\n")
-    rows, cols, nnz = (int(x) for x in lines[1].split())
-    assert (rows, cols, nnz) == (4, 4, s.nnz)
-    rebuilt = np.zeros((rows, cols))
-    for entry in lines[2:]:
-        i, j, v = entry.split()
-        rebuilt[int(i) - 1, int(j) - 1] = float(v)
-    assert np.array_equal(rebuilt, s.toarray())

@@ -496,6 +496,24 @@ def test_checkpoint_with_end_only_relu_mode_is_rejected(tmp_path):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("t_layers", 2.5, "config key 't_layers' must be an integer, got 2.5"),
+    ("alpha", "0.1", "config key 'alpha' must be a finite number, got '0.1'"),
+    ("strict_alpha", "False", "config key 'strict_alpha' must be true or false, got 'False'"),
+    ("d", True, "config key 'd' must be an integer, got True"),
+])
+def test_checkpoint_config_of_the_wrong_type_is_rejected(tmp_path, key, value, message):
+    # 2.5 layers would fail inside forward, "0.1" in a comparison, "False"
+    # would read as true, and true as a width of 1
+    _, _, path = _earlier_checkpoint(tmp_path, "every_step")
+    payload = json.loads(path.read_text())
+    payload["config"][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_strict_alpha_rejects_oversized_step():
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=12))
     cfg = ModelConfig(

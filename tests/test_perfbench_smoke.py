@@ -6,6 +6,7 @@ kernel rewrite that drifts from the paper's update fails here too.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,14 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("autodiff", "linalg", "model", "train")
+# every phenomnn name perfbench/run.py calls itself; small-general, the one
+# workload run above, times the general bound, so it alone never reaches
+# step_bound_simple, which wide-simple and narrow-general time
+CALLED = (
+    "data.load_dataset", "hypergraph.build_expansion_operators", "model.ModelConfig", "model.init_model",
+    "model.step_bound_simple", "model.step_bound_general", "model.forward", "model.build_taped_logits",
+    "autodiff.Tape", "autodiff.backward", "train.TrainConfig", "train.train",
+)
 
 
 def test_small_general_benchmark_run_is_correct():
@@ -40,3 +49,24 @@ def test_names_the_benchmark_patches_resolve():
     assert train.forward is model.forward
     assert callable(train.adam_step) and callable(train.accuracy)
     assert model.extreme_eigenvalue is linalg.extreme_eigenvalue
+
+
+def test_names_the_benchmark_calls_resolve():
+    for dotted in CALLED:
+        module, name = dotted.split(".")
+        assert callable(getattr(importlib.import_module(f"phenomnn.{module}"), name, None)), dotted
+
+
+def test_configs_take_the_benchmark_arguments(monkeypatch):
+    # the keyword arguments and values perfbench/run.py passes, for each workload
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    model, train = (importlib.import_module(f"phenomnn.{m}") for m in ("model", "train"))
+    for w in workloads.WORKLOADS.values():
+        model.ModelConfig(
+            variant=w.variant, t_layers=w.t_layers, d=w.d, alpha=w.alpha, lambda0=w.lambda0, lambda1=w.lambda1
+        )
+        train.TrainConfig(lr=w.lr, dropout=w.dropout, epochs=w.epochs, seed=1, early_stop_patience=w.epochs + 1)
