@@ -159,8 +159,8 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
     """
     plain = _parse_plain(text)
     if plain is not None:
-        return Hypergraph._from_columns(*plain)
-    header = None
+        return _build(source, 1, *plain)
+    header = None  # the header's line number, once read
     ids, ptr = [], [0]  # hyperedge k holds ids[ptr[k]:ptr[k + 1]]
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -179,7 +179,7 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
                 raise HypergraphError(f"{source}:{lineno}: invalid sizes n={n} m={m}")
             if n > np.iinfo(np.int64).max:
                 raise HypergraphError(f"{source}:{lineno}: node count {n} does not fit in 64 bits")
-            header = (n, m)
+            header = lineno
             continue
         if len(ptr) > m:
             if not line:
@@ -200,7 +200,17 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
         raise HypergraphError(f"{source}: missing header line 'n m'")
     if len(ptr) - 1 != m:
         raise HypergraphError(f"{source}: expected {m} hyperedges, found {len(ptr) - 1}")
-    return Hypergraph._from_columns(n, np.array(ids, dtype=np.int64), np.array(ptr, dtype=np.int64))
+    return _build(source, header, n, np.array(ids, dtype=np.int64), np.array(ptr, dtype=np.int64))
+
+
+def _build(source: str, header: int, n: int, ids: np.ndarray, ptr: np.ndarray) -> Hypergraph:
+    """``Hypergraph._from_columns`` of parsed, checked columns; a ``B`` that cannot be
+    built for the header's sizes raises ``HypergraphError`` naming the header line."""
+    try:
+        return Hypergraph._from_columns(n, ids, ptr)
+    except (ValueError, MemoryError) as err:  # numpy's dimension limit, or an allocation refused
+        reason = str(err) or type(err).__name__
+    raise HypergraphError(f"{source}:{header}: cannot build the incidence matrix for n={n} m={ptr.size - 1}: {reason}")
 
 
 def load_hypergraph(path) -> Hypergraph:

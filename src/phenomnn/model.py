@@ -151,17 +151,20 @@ def init_model(config: ModelConfig, d_x: int, n_classes: int, seed: int = 0) -> 
 def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None = None) -> np.ndarray:
     """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
 
-    A ``kept`` list receives what ``layer_vjp`` reads: the ReLU mask, plus
-    ``Y`` and ``P = B^T Y`` in the general variant."""
+    A ``kept`` list receives what ``layer_vjp`` reads.  In the general variant
+    that is ``(Y, out)``, two arrays the taped pass holds anyway (``out`` is
+    the next layer's ``Y`` or the classifier's input), so the layer allocates
+    nothing for its adjoint: the ReLU mask is ``out > 0`` and ``P = B^T Y``
+    is one sparse product, both rebuilt in the reverse sweep.  The simple
+    variant's adjoint does not read ``Y``, which nothing else holds, so it
+    keeps the ReLU mask alone: n x d bytes, where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
-    out, p = prop.kernel(y, *prop.fwd)
+    out, _ = prop.kernel(y, *prop.fwd)
     out += c_fx
     np.maximum(out, 0.0, out=out)
     if kept is not None:
-        kept.append(out > 0.0)
-        if prop.general:
-            kept += (y, p)
+        kept += (y, out) if prop.general else (out > 0.0,)
     return out
 
 
@@ -170,18 +173,24 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
 
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
     ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
-    ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  ``backward`` hands ``g`` over, so
-    the mask, and then ``R``, are written into it.  ``Y^T (cb * g)`` reads
-    ``cb * g`` from ``prop.scratch``, where the kernel leaves it, and ``ca * g``
-    is then written over it."""
-    np.multiply(g, kept[0], out=g)
+    ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  The general variant's mask
+    ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the forward's
+    own factor, so they equal, bit for bit, what the forward computed.
+    ``backward`` hands ``g`` over, so the mask, and then ``R``, are written
+    into it.  ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where
+    the kernel leaves it, and ``ca * g`` is then written over it; ``e`` scales
+    ``B^T R``, the kernel's fresh array, in place once ``P^T (B^T R)`` is taken."""
+    np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
-        y, p = kept[1], kept[2]
+        y = kept[0]
+        p = prop.fwd[1] @ y
         y1 = y.T @ prop.scratch
         y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
-        c0, c1 = p.T @ s, p.T @ (prop.e * s)
+        c0 = p.T @ s
+        s *= prop.e
+        c1 = p.T @ s
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 

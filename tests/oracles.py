@@ -4,7 +4,9 @@ The summation-form energy, the per-edge means, the trace-form energies, the
 node-wise layer and the bipartite star expansion each restate a quantity the
 package computes through ``Propagation.kernel``, by a different route.  The
 cross entropy restates the tape's ``softmax_cross_entropy``, and ``prox_nonneg``
-the ReLU of a layer.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
+the ReLU of a layer.  ``layer_keeping_mask_and_p`` and ``layer_vjp_reading_p``
+are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
+kept, where ``model.layer_vjp`` rebuilds both.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
 at a time, as ``Hypergraph.from_edges`` does with arrays.
 """
 
@@ -118,6 +120,34 @@ def messagepassing_layer(y, fx, ops, params):
                 acc = acc + y[j] @ (scale_i * (a_c[i, j] * w_pair + a_s[i, j] * w_mean))
         out[i] = acc
     return np.maximum(out, 0.0)
+
+
+def layer_keeping_mask_and_p(y, c_fx, prop, kept=None):
+    """``model.layer``, its ``kept`` list receiving the ReLU mask, plus ``Y`` and
+    the kernel's own ``P = B^T Y`` in the general variant."""
+    out, p = prop.kernel(y, *prop.fwd)
+    out += c_fx
+    np.maximum(out, 0.0, out=out)
+    if kept is not None:
+        kept.append(out > 0.0)
+        if prop.general:
+            kept += (y, p)
+    return out
+
+
+def layer_vjp_reading_p(g, prop, kept):
+    """``model.layer_vjp`` over the ``kept`` of ``layer_keeping_mask_and_p``: the
+    mask and ``P`` are read, not rebuilt.  Writes into ``g``, as the adjoint does."""
+    np.multiply(g, kept[0], out=g)
+    dy, s = prop.kernel(g, *prop.adj)
+    grads = ()
+    if prop.general:
+        y, p = kept[1], kept[2]
+        y1 = y.T @ prop.scratch
+        y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
+        c0, c1 = p.T @ s, p.T @ (prop.e * s)
+        grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
+    return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
 def build_star_bipartite(hg):

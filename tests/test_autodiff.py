@@ -12,7 +12,7 @@ from phenomnn.energy import EnergyParams
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import ModelConfig, Propagation, build_taped_logits, forward, init_model, layer, layer_vjp
 from helpers import random_hypergraph, rel_err, rng_for
-from oracles import cross_entropy
+from oracles import cross_entropy, layer_keeping_mask_and_p, layer_vjp_reading_p
 
 
 def small_problem(seed=0, variant="general", t_layers=2, noise=0.5):
@@ -275,8 +275,9 @@ def test_layer_adjoint_passes_dot_product_test(variant):
 
     prop = Propagation(ops, EnergyParams(h0, h1, 1.3, 0.7, 0.45), variant)
     kept = []
-    layer(y, prop.c * fx, prop, kept)
-    kept[0][:] = True  # the pre-ReLU step: every entry passes the mask
+    # the pre-ReLU step: Fx is lifted so that every output entry passes the mask
+    lift = 1.0 - step(y, fx).min()
+    assert layer(y, prop.c * fx + lift, prop, kept).min() > 0.0
     grads = layer_vjp(g.copy(), prop, kept)  # the adjoint writes into the gradient it is handed
     zero = np.zeros((n, d))
     # the step is linear in (Y, Fx)
@@ -294,7 +295,8 @@ def test_layer_adjoint_passes_dot_product_test(variant):
 @pytest.mark.parametrize("variant", ["simple", "general"])
 def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
     # four more layers may keep four more of each layer's saved arrays: the
-    # ReLU mask, plus Y_t and P_t = B^T Y_t in the general variant
+    # ReLU mask in the simple variant, and in the general one Y_t alone, as
+    # Y_{t+1} is the next layer's Y (or the classifier's input)
     n, m, d = 2000, 400, 16
     rng = rng_for(19)
     ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
@@ -313,7 +315,7 @@ def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
             del tape, logits
             tracemalloc.stop()
 
-    per_layer = n * d + (8 * n * d + 8 * m * d if variant == "general" else 0)
+    per_layer = 8 * n * d if variant == "general" else n * d
     bookkeeping = 1024  # per layer: the tape node, its Var, the adjoint's closure and array headers
     kept_bytes(2)  # the first pass also counts one-time allocations, whatever tests ran before
     assert kept_bytes(6) - kept_bytes(2) <= 4 * (per_layer + bookkeeping)
@@ -321,9 +323,10 @@ def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
 
 def test_layer_adjoint_allocates_only_dy():
     # with a ReLU mask in the general variant, the mask and R = c * g are
-    # written into g, and cb * g and ca * g into the kernel's scratch; what
-    # is left is dY plus the kernel's m x d products (B^T R, P M0, P M1 and
-    # e * (P M1))
+    # written into g, cb * g and ca * g into the kernel's scratch, and e * B^T R
+    # into B^T R; what is left is dY plus four m x d arrays: the kernel's
+    # products (B^T R, P M0, P M1 and e * (P M1)) and then B^T R with the
+    # rebuilt P = B^T Y
     n, m, d = 2000, 400, 16
     rng = rng_for(23)
     ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
@@ -331,8 +334,8 @@ def test_layer_adjoint_allocates_only_dy():
     prop = Propagation(ops, EnergyParams(h0, h1, 1.0, 1.0, 0.3), "general")
     y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
     kept = []
-    layer(y, prop.c * fx, prop, kept)
-    assert 0.0 < kept[0].mean() < 1.0
+    out = layer(y, prop.c * fx, prop, kept)
+    assert 0.0 < (out > 0.0).mean() < 1.0
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -342,6 +345,50 @@ def test_layer_adjoint_allocates_only_dy():
         tracemalloc.stop()
     assert grads[1] is g
     assert peak <= 8 * n * d + 4 * 8 * m * d + 1024
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_layer_adjoint_matches_the_kept_mask_oracle_bitwise(variant):
+    # the general adjoint rebuilds the mask as out > 0 and P = B^T Y; both must
+    # be, bit for bit, the mask and P the forward computed, exact zeros included
+    rng = rng_for(43)
+    n, d = 40, 6
+    ops = build_expansion_operators(random_hypergraph(rng, n, 12), 1.1, 0.9)
+    h0, h1 = (np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(2))
+    prop = Propagation(ops, EnergyParams(h0, h1, 1.1, 0.9, 0.5), variant)
+    y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
+    kept, kept_oracle = [], []
+    out = layer(y, prop.c * fx, prop, kept)
+    assert out.tobytes() == layer_keeping_mask_and_p(y, prop.c * fx, prop, kept_oracle).tobytes()
+    assert 0.0 < (out == 0.0).mean() < 1.0
+    got = layer_vjp(g.copy(), prop, kept)
+    want = layer_vjp_reading_p(g.copy(), prop, kept_oracle)
+    assert len(got) == len(want) == (4 if variant == "general" else 2)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_taped_pass_with_dropout_masks_matches_the_kept_mask_oracle_bitwise(variant, monkeypatch):
+    import phenomnn.model as model_mod
+
+    ds, cfg, model, ops, rows = small_problem(seed=9, variant=variant, t_layers=3)
+    rng = rng_for(47)
+    input_mask = (rng.random(ds.features.shape) > 0.3) / 0.7
+    feature_mask = (rng.random((ds.features.shape[0], cfg.d)) > 0.3) / 0.7
+
+    def gradients():
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, ds.features, input_mask, feature_mask)
+        return backward(tape, tape.softmax_cross_entropy(logits, ds.labels[rows], rows))
+
+    got = gradients()
+    monkeypatch.setattr(model_mod, "layer", layer_keeping_mask_and_p)
+    monkeypatch.setattr(model_mod, "layer_vjp", layer_vjp_reading_p)
+    want = gradients()
+    assert sorted(got) == sorted(want) == sorted(model.parameters())
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_backward_sums_fan_out_gradients_in_place():

@@ -195,6 +195,28 @@ def test_blank_line_before_the_last_hyperedge_is_an_empty_one(newline):
         parse_hypergraph("3 1\n0 1\n\n2\n".replace("\n", newline))
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_a_node_count_past_numpy_dimensions_names_the_header(newline):
+    # B's row pointer would hold n + 1 entries: numpy refuses it before allocating
+    text = "9223372036854775807 1\n0\n".replace("\n", newline)
+    assert (hypergraph._parse_plain(text) is None) == (newline == "\r\n")
+    with pytest.raises(HypergraphError, match=r"^f\.txt:1: cannot build the incidence matrix for n=9223372036854775807 m=1: "):
+        parse_hypergraph(text, source="f.txt")
+
+
+@pytest.mark.parametrize(
+    "text, line", [("3037000500 1\n0\n", 1), ("3037000500 1\r\n0\r\n", 1), ("# sizes\n3037000500 1\n0\n", 2)]
+)
+def test_an_incidence_matrix_that_cannot_be_allocated_names_the_header(monkeypatch, text, line):
+    def refused(cls, n, ids, ptr):
+        raise MemoryError()
+
+    monkeypatch.setattr(Hypergraph, "_from_columns", classmethod(refused))
+    message = rf"^f\.txt:{line}: cannot build the incidence matrix for n=3037000500 m=1: MemoryError$"
+    with pytest.raises(HypergraphError, match=message):
+        parse_hypergraph(text, source="f.txt")
+
+
 @pytest.mark.parametrize(
     "edge, shown", [([0.9, 2.5], "0.9"), ([0, 1.5], "1.5"), (np.array([0.0, 0.5]), "0.5"), (["1"], "'1'")]
 )

@@ -1,6 +1,7 @@
 import copy
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,29 @@ def test_each_epoch_is_one_tape_and_the_last_score_is_untaped(monkeypatch, dropo
     # the epoch times tile the run
     assert len(metrics.seconds) == epochs
     assert sum(metrics.seconds) == pytest.approx(metrics.wall_time, rel=1e-9)
+
+
+def test_train_peak_grows_by_one_embedding_per_general_layer():
+    # an epoch's backward runs through every taped layer, so the run's peak
+    # grows with T by what a general layer keeps for its adjoint: Y_t alone,
+    # 8nd bytes (Y_{t+1} is the next layer's).  Keeping the ReLU mask and
+    # P_t = B^T Y_t as well would add 9nd + 8md bytes a layer.
+    ds = generate_synthetic(
+        SyntheticSpec(communities=4, nodes_per_community=500, num_edges=400, feature_dim=8, seed=3)
+    )
+    n, d = ds.features.shape[0], 16
+
+    def peak(t_layers):
+        cfg = ModelConfig(variant="general", t_layers=t_layers, d=d, alpha=0.3, lambda0=1.0, lambda1=1.0)
+        tracemalloc.start()
+        try:
+            train(ds, cfg, TrainConfig(dropout=0.5, epochs=2, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # the first run also counts one-time allocations, whatever tests ran before
+    assert peak(8) - peak(2) <= 6 * (8 * n * d + 2048)
 
 
 def test_divergence_is_reported():
