@@ -19,7 +19,6 @@ from .hypergraph import (
     build_star_normalized,
     load_hypergraph,
     parse_hypergraph,
-    precondition_diag,
 )
 from .linalg import EigenResult, extreme_eigenvalue
 from .model import (

@@ -50,7 +50,6 @@ CONFIG_DEFAULTS = {
     "prop_step": 16,
     "strict_alpha": False,
     "epochs": 200,
-    "weight_decay": 0.0,
     "seed": 0,
     "patience": 100,
     "resplit": False,
@@ -130,7 +129,6 @@ def train_config(cfg: dict) -> TrainConfig:
         lr=float(cfg["lr"]),
         dropout=float(cfg["dropout"]),
         epochs=cfg["epochs"],
-        weight_decay=float(cfg["weight_decay"]),
         seed=cfg["seed"],
         early_stop_patience=cfg["patience"],
     )
@@ -292,7 +290,7 @@ def cmd_step_bound(args) -> int:
     if mc.variant == "simple":
         bound = step_bound_simple(ops)
     else:
-        bound = step_bound_general(ops, EnergyParams.identity(mc.d, mc.lambda0, mc.lambda1, mc.alpha))
+        bound = step_bound_general(ops, EnergyParams.identity(mc.d))
     status = "converged" if bound.eig.converged else f"NOT converged (residual {bound.eig.residual:.3g})"
     print(f"step bound ({mc.variant}): {bound.value:.10g}  [sigma={bound.sigma:.6g}, {status}]")
     print(f"certificate: {bound.certificate} ({bound.eig.iterations} operator applications)")

@@ -241,18 +241,20 @@ def save_dataset(directory, ds: Dataset) -> None:
             f.write(f"{s}\n")
 
 
-def make_splits(n: int, fractions=(0.5, 0.25, 0.25), seed: int = 0) -> np.ndarray:
+# the train, val and test shares of ``make_splits``
+SPLIT_FRACTIONS = (0.5, 0.25, 0.25)
+
+
+def make_splits(n: int, seed: int = 0) -> np.ndarray:
     """Uniformly random disjoint train/val/test assignment, deterministic per seed.
 
-    Counts are ``floor(n * fraction)`` per split; any remainder stays 'none'.
+    Counts are ``floor(n * fraction)`` per split of ``SPLIT_FRACTIONS``; any
+    remainder stays 'none'.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or sum(fractions) > 1.0 + 1e-12:
-        raise ValueError(f"fractions must be three nonnegative values summing to <= 1, got {fractions}")
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
     out = np.array(["none"] * n, dtype="<U5")
-    counts = [int(np.floor(n * f)) for f in fractions]
+    counts = [int(np.floor(n * f)) for f in SPLIT_FRACTIONS]
     pos = 0
     for name, k in zip(("train", "val", "test"), counts):
         out[order[pos : pos + k]] = name

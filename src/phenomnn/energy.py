@@ -14,6 +14,8 @@ The pairwise term is weighted ``lambda0 / 2`` (the double sum counts every
 ordered pair) so that ``H0 = H1 = I`` recovers E_simple exactly, gradient and
 update included, at the same ``(lambda0, lambda1)``.
 
+The weights ``lambda0``, ``lambda1`` are read from the ``ExpansionOperators``
+they were built for, and ``EnergyParams`` holds the learned ``H0``, ``H1``.
 ``L_H`` is written once, as ``Propagation.kernel``; the layers, the energy
 and its gradient (``energy_and_grad``) and the step bounds apply it at their
 own per-row constants.  Every adjacency product goes through the incidence
@@ -44,29 +46,20 @@ VARIANTS = ("general", "simple")
 
 @dataclass(eq=False)
 class EnergyParams:
-    """Energy-shape parameters: compatibility matrices, expansion weights, step size."""
+    """The learned energy parameters: the compatibility matrices ``H0`` and ``H1``."""
 
     h0: np.ndarray
     h1: np.ndarray
-    lambda0: float
-    lambda1: float
-    alpha: float = 0.5
 
     def __post_init__(self):
         self.h0 = np.asarray(self.h0, dtype=np.float64)
         self.h1 = np.asarray(self.h1, dtype=np.float64)
         if self.h0.shape != self.h1.shape or self.h0.ndim != 2 or self.h0.shape[0] != self.h0.shape[1]:
             raise ValueError(f"h0/h1 must be square with matching size, got {self.h0.shape} and {self.h1.shape}")
-        if self.lambda0 < 0 or self.lambda1 < 0:
-            raise ValueError("lambda0 and lambda1 must be nonnegative")
-        # alpha = 0 is a valid degenerate step at the layer level; training
-        # configs require a strictly positive step via ModelConfig
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
 
     @classmethod
-    def identity(cls, d: int, lambda0: float, lambda1: float, alpha: float = 0.5) -> "EnergyParams":
-        return cls(np.eye(d), np.eye(d), lambda0, lambda1, alpha)
+    def identity(cls, d: int) -> "EnergyParams":
+        return cls(np.eye(d), np.eye(d))
 
     @property
     def d(self) -> int:
@@ -109,28 +102,23 @@ class Propagation:
     ``layer_vjp`` to read.
     """
 
-    def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str):
-        self._bind(ops, params, variant, params.alpha / ops.d_tilde, 1.0 - params.alpha)
+    def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
+        self._bind(ops, params, variant, alpha / ops.d_tilde, 1.0 - alpha)
         if self.general:  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
             self.a0 += np.eye(params.d)
             self.a1 += np.eye(params.d)
 
     @classmethod
-    def _at(cls, ops: ExpansionOperators, params: EnergyParams, variant: str, c: float, u) -> "Propagation":
-        """The kernel at constants other than a layer's: ``c`` the same on every row, ``u`` a scalar or a column."""
+    def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float, u) -> "Propagation":
+        """The kernel at constants other than a layer's: ``c`` the same on every row, ``u`` a scalar or a column.
+        ``params`` is read only when general."""
         self = cls.__new__(cls)
         self._bind(ops, params, variant, np.full(ops.n, c), u)
         return self
 
-    def _bind(self, ops: ExpansionOperators, params: EnergyParams, variant: str, c: np.ndarray, u) -> None:
+    def _bind(self, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: np.ndarray, u) -> None:
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if ops.lambda0 != params.lambda0 or ops.lambda1 != params.lambda1:
-            raise ValueError(
-                "expansion operators were built for "
-                f"(lambda0={ops.lambda0}, lambda1={ops.lambda1}) but params carry "
-                f"({params.lambda0}, {params.lambda1})"
-            )
         self.general = variant == "general"
         self.scratch = None
         self.c, self.u = c[:, None], u

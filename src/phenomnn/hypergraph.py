@@ -25,7 +25,6 @@ __all__ = [
     "load_hypergraph",
     "build_clique",
     "build_star_normalized",
-    "precondition_diag",
     "ExpansionOperators",
     "build_expansion_operators",
 ]
@@ -241,13 +240,6 @@ def build_star_normalized(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
     return a_s, hg.node_degrees.copy()
 
 
-def precondition_diag(d_c: np.ndarray, d_s_bar: np.ndarray, lambda0: float, lambda1: float) -> np.ndarray:
-    """Diagonal preconditioner ``lambda0*D_C + lambda1*D_S_bar + I`` (entrywise >= 1)."""
-    if lambda0 < 0 or lambda1 < 0:
-        raise ValueError(f"expansion weights must be nonnegative, got {lambda0}, {lambda1}")
-    return lambda0 * np.asarray(d_c, dtype=np.float64) + lambda1 * np.asarray(d_s_bar, dtype=np.float64) + 1.0
-
-
 @dataclass(eq=False)
 class ExpansionOperators:
     """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form.
@@ -257,8 +249,9 @@ class ExpansionOperators:
     and ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
     diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
     sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
-    the edge sizes, and ``d_tilde`` the update preconditioner; ``d_s_bar``
-    and ``d_h`` are the hypergraph's own arrays, read and never written.
+    the edge sizes, and ``d_tilde = lambda0 d_c + lambda1 d_s_bar + 1`` the
+    update preconditioner; ``d_s_bar`` and ``d_h`` are the hypergraph's own
+    arrays, read and never written.  The weights must be nonnegative and finite.
     """
 
     b: sp.csr_matrix
@@ -275,6 +268,8 @@ class ExpansionOperators:
 
 
 def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) -> ExpansionOperators:
+    if not (0.0 <= lambda0 < np.inf and 0.0 <= lambda1 < np.inf):
+        raise ValueError(f"expansion weights must be nonnegative and finite, got {lambda0}, {lambda1}")
     b = hg.incidence
     d_c = b @ hg.edge_sizes
     return ExpansionOperators(
@@ -284,5 +279,5 @@ def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) ->
         d_h=hg.edge_sizes,
         lambda0=float(lambda0),
         lambda1=float(lambda1),
-        d_tilde=precondition_diag(d_c, hg.node_degrees, lambda0, lambda1),
+        d_tilde=lambda0 * d_c + lambda1 * hg.node_degrees + 1.0,
     )

@@ -50,6 +50,8 @@ __all__ = [
 class ModelConfig:
     """Architecture settings: variant, depth, width, step size, expansion weights.
 
+    This is the one home of ``alpha``; a model runs only on operators built for
+    its ``(lambda0, lambda1)``.
     ``strict_alpha`` makes run setup reject an ``alpha`` above the computed
     convergence bound for the variant; by default the configured value is
     trusted (preset tables are empirical).
@@ -72,6 +74,9 @@ class ModelConfig:
             raise ValueError(f"embedding width must be >= 1, got {self.d}")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        for key in ("lambda0", "lambda1"):
+            if not 0.0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be nonnegative and finite, got {getattr(self, key)}")
 
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number"}
@@ -141,8 +146,7 @@ def init_model(config: ModelConfig, d_x: int, n_classes: int, seed: int = 0) -> 
     else:
         h0 = np.eye(config.d)
         h1 = np.eye(config.d)
-    params = EnergyParams(h0, h1, config.lambda0, config.lambda1, config.alpha)
-    return Model(config, predictor, classifier, params)
+    return Model(config, predictor, classifier, EnergyParams(h0, h1))
 
 
 # -- propagation layers ------------------------------------------------------
@@ -195,10 +199,21 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
+def _propagation(model: Model, ops: ExpansionOperators) -> Propagation:
+    """The layers' kernel of ``model`` on ``ops``, which must be built for the model's ``(lambda0, lambda1)``."""
+    cfg = model.config
+    if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
+        raise ValueError(
+            f"expansion operators were built for (lambda0={ops.lambda0}, lambda1={ops.lambda1}) "
+            f"but the model's config has ({cfg.lambda0}, {cfg.lambda1})"
+        )
+    return Propagation(ops, model.params, cfg.variant, cfg.alpha)
+
+
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
     """Full unrolled pass: base projection, T propagation steps, classifier logits."""
     fx = model.predictor.apply(x)
-    prop = Propagation(ops, model.params, model.config.variant)
+    prop = _propagation(model, ops)
     c_fx = prop.c * fx
     y = fx
     for _ in range(model.config.t_layers):
@@ -227,7 +242,7 @@ def build_taped_logits(
     if feature_mask is not None:
         fx = tape.mul_const(fx, feature_mask)
 
-    prop = Propagation(ops, model.params, cfg.variant)
+    prop = _propagation(model, ops)
     c_fx = prop.c * fx.value
     compat = (params["h0"], params["h1"]) if prop.general else ()
     y = fx
@@ -275,7 +290,7 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
     if ops.b.shape[1] < ops.n or float(ops.d_s_bar.min()) == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "rank")
 
-    k = Propagation._at(ops, EnergyParams.identity(1, ops.lambda0, ops.lambda1), "simple", 1.0, 0.0)
+    k = Propagation._at(ops, None, "simple", 1.0, 0.0)
 
     def apply(v):
         return k.kernel(v[:, None], *k.fwd)[0][:, 0]
@@ -299,8 +314,7 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     value ``theta`` with residual ``r``, and ``lift`` otherwise.
     """
     n, d = ops.n, params.d
-    s = 0.5 * params.lambda0
-    lam1 = params.lambda1
+    s, lam1 = 0.5 * ops.lambda0, ops.lambda1
     k = Propagation._at(ops, params, "general", -1.0, 0.0)
 
     def apply(vec):
@@ -318,7 +332,7 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
         sigma, certificate = eig.value + eig.residual, "lanczos"
     else:
         sigma, certificate = lift, "norm-bound"
-    numer = 1.0 + params.lambda0 * float(ops.d_c.min()) + lam1 * float(ops.d_s_bar.min())
+    numer = 1.0 + ops.lambda0 * float(ops.d_c.min()) + lam1 * float(ops.d_s_bar.min())
     denom = 1.0 + s * float(ops.d_c.min()) + sigma
     if denom <= 0.0:
         raise ValueError(f"degenerate curvature: bound denominator {denom} <= 0")
@@ -337,7 +351,7 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
         raise ValueError(f"descent_trace: steps must be nonnegative, got {steps}")
     rows = []
     y = fx = model.predictor.apply(x)
-    prop = Propagation(ops, model.params, cfg.variant)
+    prop = _propagation(model, ops)
     for t in range(steps + 1):
         e = energy_and_grad(y, fx, ops, model.params, cfg.variant)
         norm = float(np.linalg.norm(e.grad))
@@ -409,5 +423,4 @@ def load_checkpoint(path) -> Model:
     for name, a, shape in zip(names, arrays, expected):
         if a.shape != shape:
             raise ValueError(f"{path}: {name} has shape {a.shape}, expected {shape} for d={d}")
-    params = EnergyParams(h0, h1, cfg.lambda0, cfg.lambda1, cfg.alpha)
-    return Model(cfg, Affine(w, b), Affine(cw, cb), params)
+    return Model(cfg, Affine(w, b), Affine(cw, cb), EnergyParams(h0, h1))

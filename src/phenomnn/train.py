@@ -63,7 +63,6 @@ class TrainConfig:
     lr: float = 0.01
     dropout: float = 0.0
     epochs: int = 200
-    weight_decay: float = 0.0
     seed: int = 0
     early_stop_patience: int = 100
 
@@ -74,8 +73,6 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
         if self.early_stop_patience < 1:
             raise ValueError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
 
@@ -171,10 +168,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) 
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
-        g = grads[name]
-        if config.weight_decay:
-            g = g + config.weight_decay * p
-        m, v = state.m[name], state.v[name]
+        g, m, v = grads[name], state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

@@ -25,7 +25,7 @@ def hyperedges(hg):
 
 
 def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha=0.5):
-    """One seeded problem instance: hypergraph, operators, params, embeddings."""
+    """One seeded problem instance: hypergraph, operators, params, step size, embeddings."""
     rng = rng_for(seed)
     n = n or int(rng.integers(6, 16))
     m = m or int(rng.integers(3, 10))
@@ -40,15 +40,15 @@ def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha
     else:
         h0 = np.eye(d)
         h1 = np.eye(d)
-    params = EnergyParams(h0, h1, lambda0, lambda1, alpha)
+    params = EnergyParams(h0, h1)
     y = rng.standard_normal((n, d))
     fx = rng.standard_normal((n, d))
-    return {"hg": hg, "ops": ops, "params": params, "y": y, "fx": fx, "d": d, "rng": rng}
+    return {"hg": hg, "ops": ops, "params": params, "alpha": alpha, "y": y, "fx": fx, "d": d, "rng": rng}
 
 
-def one_layer(y, fx, ops, params, variant):
-    """One ``layer`` step, with the pass constants built for this step alone."""
-    prop = Propagation(ops, params, variant)
+def one_layer(y, fx, ops, params, variant, alpha):
+    """One ``layer`` step of size ``alpha``, with the pass constants built for this step alone."""
+    prop = Propagation(ops, params, variant, alpha)
     return layer(y, prop.c * fx, prop)
 
 

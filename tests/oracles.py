@@ -46,7 +46,7 @@ def z_star(hg, y):
     return (hg.incidence.T @ y) / hg.edge_sizes[:, None]
 
 
-def energy_bruteforce(y, z, fx, hg, params):
+def energy_bruteforce(y, z, fx, hg, params, lambda0, lambda1):
     """Literal summation form of the full energy, by explicit loops.
 
     ``||Y - Fx||^2 + lambda0 * sum_e sum_{i,j in e} ||y_i H0 - y_j||^2
@@ -63,7 +63,7 @@ def energy_bruteforce(y, z, fx, hg, params):
                 pair += float((yi_h0 - y[j]) @ (yi_h0 - y[j]))
             diff = y[i] @ params.h1 - z[k]
             mean += float(diff @ diff)
-    total += params.lambda0 * pair + params.lambda1 * mean
+    total += lambda0 * pair + lambda1 * mean
     return Energy(total, bool(np.min(y, initial=0.0) >= 0.0 and np.min(z, initial=0.0) >= 0.0))
 
 
@@ -80,7 +80,7 @@ def energy_trace_simple(y, fx, hg, lambda0, lambda1):
     return fit + lambda0 * laplacian_quad(a_c @ y, d_c, y) + lambda1 * laplacian_quad(a_s @ y, d_s, y)
 
 
-def energy_trace_general(y, fx, hg, params):
+def energy_trace_general(y, fx, hg, params, lambda0, lambda1):
     """General energy in its matrix/trace form, the edge means substituted."""
     a_c, d_c = build_clique(hg)
     b = hg.incidence
@@ -91,22 +91,22 @@ def energy_trace_general(y, fx, hg, params):
         - 2.0 * np.sum(yh1 * (b @ z))
         + np.sum(z * (hg.edge_sizes[:, None] * z))
     )
-    return float(np.sum((y - fx) ** 2) + 0.5 * params.lambda0 * term_a + params.lambda1 * term_b)
+    return float(np.sum((y - fx) ** 2) + 0.5 * lambda0 * term_a + lambda1 * term_b)
 
 
-def messagepassing_layer(y, fx, ops, params):
-    """Node-wise form of the general update, quadratic in n.
+def messagepassing_layer(y, fx, ops, params, alpha):
+    """Node-wise form of the general update of step ``alpha``, quadratic in n.
 
     Every node aggregates its clique-expansion neighbors (self-loops included)
     through per-pair projection matrices, adds its own projection, and a
     weighted skip from the base prediction.
     """
-    alpha, h0, h1 = params.alpha, params.h0, params.h1
+    h0, h1 = params.h0, params.h1
     eye = np.eye(y.shape[1])
-    w_pair = 0.5 * params.lambda0 * (h0 + h0.T)
-    w_mean = params.lambda1 * (h1 + h1.T - eye)
-    w_self_pair = 0.5 * params.lambda0 * (h0 @ h0.T - eye)
-    w_self_mean = params.lambda1 * (h1 @ h1.T - eye)
+    w_pair = 0.5 * ops.lambda0 * (h0 + h0.T)
+    w_mean = ops.lambda1 * (h1 + h1.T - eye)
+    w_self_pair = 0.5 * ops.lambda0 * (h0 @ h0.T - eye)
+    w_self_mean = ops.lambda1 * (h1 @ h1.T - eye)
     b = ops.b.toarray()
     a_c = b @ b.T
     a_s = (b / ops.d_h) @ b.T

@@ -63,23 +63,22 @@ def test_criterion_1_energy_equivalence_oracle():
         l1 = float(rng.uniform(0.1, 3.0))
         a_c, d_c = build_clique(hg)
         a_s, d_s = build_star_normalized(hg)
-        pid = EnergyParams.identity(d, l0, l1)
+        pid = EnergyParams.identity(d)
         y = rng.standard_normal((n, d))
         fx = rng.standard_normal((n, d))
         z = z_star(hg, y)
-        brute = energy_bruteforce(y, z, fx, hg, pid).smooth
+        brute = energy_bruteforce(y, z, fx, hg, pid, l0, l1).smooth
         # the kernel-derived energy: summation form at pair weight lambda0/2, and trace form
         ops = build_expansion_operators(hg, l0, l1)
         h0, h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
-        for variant, params in (("simple", pid), ("general", EnergyParams(h0, h1, l0, l1))):
+        for variant, params in (("simple", pid), ("general", EnergyParams(h0, h1))):
             mine = energy_and_grad(y, fx, ops, params, variant).smooth
-            half = EnergyParams(params.h0, params.h1, 0.5 * l0, l1)
-            summed = energy_bruteforce(y, z, fx, hg, half).smooth
+            summed = energy_bruteforce(y, z, fx, hg, params, 0.5 * l0, l1).smooth
             worst = max(worst, abs(mine - summed) / max(1.0, abs(summed)))
             if variant == "simple":
                 trace = energy_trace_simple(y, fx, hg, l0, l1)
             else:
-                trace = energy_trace_general(y, fx, hg, params)
+                trace = energy_trace_general(y, fx, hg, params, l0, l1)
             worst = max(worst, abs(mine - trace) / max(1.0, abs(trace)))
         fit = float(np.sum((y - fx) ** 2))
         q_c = laplacian_quad(a_c @ y, d_c, y)
@@ -114,10 +113,9 @@ def test_criterion_2_gradient_correctness():
         y = rng.standard_normal((n, d))
         fx = rng.standard_normal((n, d))
         # the kernel-derived gradient vs central differences of the summation form
-        compat = {"simple": EnergyParams.identity(d, l0, l1), "general": EnergyParams(h0, h1, l0, l1)}
+        compat = {"simple": EnergyParams.identity(d), "general": EnergyParams(h0, h1)}
         for variant, params in compat.items():
-            half = EnergyParams(params.h0, params.h1, 0.5 * l0, l1)
-            fd = fd_gradient(lambda v: energy_bruteforce(v, z_star(hg, v), fx, hg, half).smooth, y)
+            fd = fd_gradient(lambda v: energy_bruteforce(v, z_star(hg, v), fx, hg, params, 0.5 * l0, l1).smooth, y)
             worst_energy = max(worst_energy, rel_err(energy_and_grad(y, fx, ops, params, variant).grad, fd))
 
     worst_loss = 0.0
@@ -165,9 +163,9 @@ def test_criterion_3_monotone_convergence():
         h1 = np.eye(d) + noise * rng.standard_normal((d, d))
         fx = rng.standard_normal((n, d))
 
-        bound_g = step_bound_general(ops, EnergyParams(h0, h1, l0, l1))
-        pg = EnergyParams(h0, h1, l0, l1, 0.9 * bound_g.value)
-        prop = Propagation(ops, pg, "general")
+        pg = EnergyParams(h0, h1)
+        bound_g = step_bound_general(ops, pg)
+        prop = Propagation(ops, pg, "general", 0.9 * bound_g.value)
         y = prox_nonneg(fx)
         prev = energy_and_grad(y, fx, ops, pg, "general").smooth
         for _ in range(100):
@@ -178,8 +176,8 @@ def test_criterion_3_monotone_convergence():
 
         bound_s = step_bound_simple(ops)
         alpha = 0.9 * bound_s.value
-        ps = EnergyParams.identity(d, l0, l1, alpha)
-        prop = Propagation(ops, ps, "simple")
+        ps = EnergyParams.identity(d)
+        prop = Propagation(ops, ps, "simple", alpha)
         y = prox_nonneg(fx)
         prev = energy_and_grad(y, fx, ops, ps, "simple").smooth
         for _ in range(100):
@@ -188,7 +186,7 @@ def test_criterion_3_monotone_convergence():
             worst_sim = max(worst_sim, (e - prev) / max(1.0, abs(prev)))
             prev = e
 
-        prop = Propagation(ops, EnergyParams.identity(d, l0, l1, 5.0 * bound_s.value), "simple")
+        prop = Propagation(ops, ps, "simple", 5.0 * bound_s.value)
         y = prox_nonneg(fx)
         prev = energy_and_grad(y, fx, ops, ps, "simple").smooth
         for _ in range(30):
@@ -219,15 +217,15 @@ def test_criterion_4_form_equivalences():
         noise = 0.0 if seed % 2 == 0 else 0.3
         h0 = np.eye(d) + noise * rng.standard_normal((d, d))
         h1 = np.eye(d) + noise * rng.standard_normal((d, d))
-        params = EnergyParams(h0, h1, l0, l1, float(rng.uniform(0.1, 0.9)))
+        params, alpha = EnergyParams(h0, h1), float(rng.uniform(0.1, 0.9))
         y = rng.standard_normal((n, d))
         fx = rng.standard_normal((n, d))
-        a = one_layer(y, fx, ops, params, "general")
-        b = messagepassing_layer(y, fx, ops, params)
+        a = one_layer(y, fx, ops, params, "general", alpha)
+        b = messagepassing_layer(y, fx, ops, params, alpha)
         worst_mp = max(worst_mp, float(np.max(np.abs(a - b))))
-        pid = EnergyParams.identity(d, l0, l1, params.alpha)
-        c = one_layer(y, fx, ops, pid, "general")
-        s = one_layer(y, fx, ops, pid, "simple")
+        pid = EnergyParams.identity(d)
+        c = one_layer(y, fx, ops, pid, "general", alpha)
+        s = one_layer(y, fx, ops, pid, "simple", alpha)
         worst_collapse = max(worst_collapse, float(np.max(np.abs(c - s))))
     ok = worst_mp <= 1e-12 and worst_collapse <= 1e-12
     report(

@@ -157,10 +157,8 @@ def test_unrolled_mlp_matches_hand_chain_rule():
     # one propagation layer with zero expansion weights is h(ReLU(f(X; W)))
     ds, cfg, model, ops, rows = small_problem(seed=3, variant="simple", t_layers=1)
     model.config.alpha = 1.0
-    model.params.alpha = 1.0
     ops0 = build_expansion_operators(ds.hypergraph, 0.0, 0.0)
     model.config.lambda0 = model.config.lambda1 = 0.0
-    model.params.lambda0 = model.params.lambda1 = 0.0
     tape = Tape()
     logits = build_taped_logits(tape, model, ops0, ds.features)
     labels = ds.labels[rows]
@@ -270,10 +268,10 @@ def test_layer_adjoint_passes_dot_product_test(variant):
     v0, v1 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
 
     def step(y_, fx_, h0_=h0, h1_=h1):
-        prop = Propagation(ops, EnergyParams(h0_, h1_, 1.3, 0.7, 0.45), variant)
+        prop = Propagation(ops, EnergyParams(h0_, h1_), variant, 0.45)
         return prop.kernel(y_, *prop.fwd)[0] + prop.c * fx_
 
-    prop = Propagation(ops, EnergyParams(h0, h1, 1.3, 0.7, 0.45), variant)
+    prop = Propagation(ops, EnergyParams(h0, h1), variant, 0.45)
     kept = []
     # the pre-ReLU step: Fx is lifted so that every output entry passes the mask
     lift = 1.0 - step(y, fx).min()
@@ -331,7 +329,7 @@ def test_layer_adjoint_allocates_only_dy():
     rng = rng_for(23)
     ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
     h0, h1 = (np.eye(d) + 0.1 * rng.standard_normal((d, d)) for _ in range(2))
-    prop = Propagation(ops, EnergyParams(h0, h1, 1.0, 1.0, 0.3), "general")
+    prop = Propagation(ops, EnergyParams(h0, h1), "general", 0.3)
     y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
     kept = []
     out = layer(y, prop.c * fx, prop, kept)
@@ -355,7 +353,7 @@ def test_layer_adjoint_matches_the_kept_mask_oracle_bitwise(variant):
     n, d = 40, 6
     ops = build_expansion_operators(random_hypergraph(rng, n, 12), 1.1, 0.9)
     h0, h1 = (np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(2))
-    prop = Propagation(ops, EnergyParams(h0, h1, 1.1, 0.9, 0.5), variant)
+    prop = Propagation(ops, EnergyParams(h0, h1), variant, 0.5)
     y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
     kept, kept_oracle = [], []
     out = layer(y, prop.c * fx, prop, kept)
@@ -451,7 +449,7 @@ def _primitive_cases():
 
     def layer_node(variant):
         def build(tape):
-            prop = Propagation(ops, EnergyParams(h0, h1, 1.1, 0.6, 0.4), variant)
+            prop = Propagation(ops, EnergyParams(h0, h1), variant, 0.4)
             y, fx, p0, p1 = leaves(tape, (n, d), (n, d), (d, d), (d, d))
             kept = []
             value = layer(y.value, prop.c * fx.value, prop, kept)

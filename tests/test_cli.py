@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from phenomnn.cli import main
 from phenomnn.data import load_dataset
 from phenomnn.hypergraph import build_clique, build_star_normalized
 from helpers import hyperedges, random_hypergraph, rng_for
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture()
@@ -314,6 +318,15 @@ def test_check_gradients_cli_rejects_a_check_of_nothing(synthetic_dir, capsys, f
     assert captured.err == f"error: check_gradients: {message}\n"
 
 
+def test_readme_lists_exactly_the_config_keys():
+    # the README's CLI section names every key in its "Keys mirror ..." sentence,
+    # so a key added or removed in CONFIG_DEFAULTS must be added or removed there
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(r"Keys mirror[^:]*:(.*?)\.", section, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(cli.CONFIG_DEFAULTS)
+
+
 def test_unknown_config_key_rejected(synthetic_dir, capsys):
     rc = main(["train", "--data", synthetic_dir, "--set", "learning_rate=0.1"])
     assert rc == 1
@@ -321,10 +334,11 @@ def test_unknown_config_key_rejected(synthetic_dir, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("relu_mode", "every_step"), ("optimizer", "adam"),
-                                        ("dropout_inputs", "true"), ("dropout_features", "true")])
+                                        ("dropout_inputs", "true"), ("dropout_features", "true"),
+                                        ("weight_decay", "0.001")])
 def test_removed_config_keys_are_unknown(synthetic_dir, capsys, key, value):
-    # one layer (ReLU at every step), one optimizer (Adam), and both dropout
-    # masks whenever dropout > 0: none of these is a key any longer
+    # one layer (ReLU at every step), one optimizer (Adam) without weight decay,
+    # and both dropout masks whenever dropout > 0: none of these is a key any longer
     rc = main(["train", "--data", synthetic_dir, "--set", f"{key}={value}"])
     assert rc == 1
     assert f"--set: unknown config keys ['{key}']" in capsys.readouterr().err
@@ -340,7 +354,7 @@ def test_removed_config_keys_are_unknown(synthetic_dir, capsys, key, value):
     ("lr=Infinity", "config key 'lr' must be a finite number, got inf"),
     ("lambda0=false", "config key 'lambda0' must be a finite number, got False"),
     ('dropout="0.1"', "config key 'dropout' must be a finite number, got '0.1'"),
-    ("weight_decay=1" + "0" * 400, "config key 'weight_decay' must be a finite number, got 1000"),
+    ("lambda1=1" + "0" * 400, "config key 'lambda1' must be a finite number, got 1000"),
 ])
 def test_config_value_of_the_wrong_type_is_rejected(synthetic_dir, tmp_path, capsys, setting, message):
     # "False" is a string, which bool() would read as true; 2.5 layers would
@@ -367,7 +381,7 @@ def test_config_file_is_checked(synthetic_dir, tmp_path, capsys, config, message
 
 @pytest.mark.parametrize("setting, message", [
     ("patience=0", "early_stop_patience must be >= 1, got 0"),
-    ("weight_decay=-1", "weight_decay must be nonnegative and finite, got -1.0"),
+    ("lambda1=-0.5", "lambda1 must be nonnegative and finite, got -0.5"),
 ])
 def test_config_value_out_of_range_is_rejected(synthetic_dir, tmp_path, capsys, setting, message):
     out = tmp_path / "run"

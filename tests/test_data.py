@@ -238,7 +238,7 @@ def test_load_peaks_under_twice_the_arrays_it_returns(tmp_path):
 
 
 def test_make_splits_exact_counts():
-    s = make_splits(100, (0.5, 0.25, 0.25), seed=0)
+    s = make_splits(100, seed=0)
     assert (s == "train").sum() == 50
     assert (s == "val").sum() == 25
     assert (s == "test").sum() == 25
@@ -246,24 +246,19 @@ def test_make_splits_exact_counts():
 
 
 def test_make_splits_deterministic_and_disjoint():
-    a = make_splits(57, (0.5, 0.25, 0.25), seed=3)
-    b = make_splits(57, (0.5, 0.25, 0.25), seed=3)
+    a = make_splits(57, seed=3)
+    b = make_splits(57, seed=3)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, make_splits(57, (0.5, 0.25, 0.25), seed=4))
+    assert not np.array_equal(a, make_splits(57, seed=4))
     # every node is assigned exactly one value by construction; just check coverage
     assert set(np.unique(a)) <= {"train", "val", "test", "none"}
 
 
 def test_make_splits_small_n():
-    s = make_splits(4, (0.5, 0.25, 0.25), seed=1)
+    s = make_splits(4, seed=1)
     assert (s == "train").sum() == 2
     assert (s == "val").sum() == 1
     assert (s == "test").sum() == 1
-
-
-def test_make_splits_invalid_fractions():
-    with pytest.raises(ValueError, match="fractions"):
-        make_splits(10, (0.8, 0.3, 0.1), seed=0)
 
 
 # -- synthetic ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phenomnn.autodiff import Tape
 from phenomnn.energy import EnergyParams, Propagation, energy_and_grad
 from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
+from phenomnn.model import ModelConfig, build_taped_logits, descent_trace, forward, init_model
 from helpers import fd_gradient, hyperedges, random_hypergraph, random_instance, rel_err, rng_for
 from oracles import (
     build_star_bipartite,
@@ -83,7 +87,7 @@ def test_energy_zero_at_base_prediction():
     hg, d = inst["hg"], inst["d"]
     ops0 = build_expansion_operators(hg, 0.0, 0.0)
     fx = inst["fx"]
-    p0 = EnergyParams.identity(d, 0.0, 0.0)
+    p0 = EnergyParams.identity(d)
     assert energy_and_grad(fx, fx, ops0, p0, "simple").smooth == 0.0
     assert energy_and_grad(fx, fx, ops0, p0, "general").smooth == 0.0
 
@@ -91,7 +95,7 @@ def test_energy_zero_at_base_prediction():
 def test_energy_general_identity_equals_simple():
     for seed in range(6):
         inst = random_instance(seed)
-        pid = EnergyParams.identity(inst["d"], inst["params"].lambda0, inst["params"].lambda1)
+        pid = EnergyParams.identity(inst["d"])
         eg = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "general").smooth
         es = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "simple").smooth
         assert abs(eg - es) <= 1e-10 * max(1.0, abs(es))
@@ -109,18 +113,18 @@ def test_energy_feasibility_flag():
 
 def test_bruteforce_trivial_zero():
     hg = Hypergraph.from_edges(3, [[0, 1], [1, 2]])
-    p = EnergyParams.identity(2, 1.0, 1.0)
+    p = EnergyParams.identity(2)
     z = np.zeros((2, 2))
     y = np.zeros((3, 2))
-    assert energy_bruteforce(y, z, np.zeros((3, 2)), hg, p).smooth == 0.0
+    assert energy_bruteforce(y, z, np.zeros((3, 2)), hg, p, 1.0, 1.0).smooth == 0.0
 
 
 def test_bruteforce_single_edge_pair_term():
     hg = Hypergraph.from_edges(2, [[0, 1]])
     rng = rng_for(6)
     y = rng.standard_normal((2, 3))
-    p = EnergyParams.identity(3, 1.0, 0.0)
-    got = energy_bruteforce(y, np.zeros((1, 3)), y, hg, p).smooth
+    p = EnergyParams.identity(3)
+    got = energy_bruteforce(y, np.zeros((1, 3)), y, hg, p, 1.0, 0.0).smooth
     # ordered pairs (0,1) and (1,0); fit and mean terms vanish
     assert abs(got - 2.0 * np.sum((y[0] - y[1]) ** 2)) <= 1e-12
 
@@ -130,9 +134,9 @@ def test_bruteforce_equals_bipartite_laplacian_path():
         inst = random_instance(seed + 10)
         hg, ops, y = inst["hg"], inst["ops"], inst["y"]
         l0, l1 = ops.lambda0, ops.lambda1
-        pid = EnergyParams.identity(inst["d"], l0, l1)
+        pid = EnergyParams.identity(inst["d"])
         z = z_star(hg, y)
-        brute = energy_bruteforce(y, z, inst["fx"], hg, pid).smooth
+        brute = energy_bruteforce(y, z, inst["fx"], hg, pid, l0, l1).smooth
         fit = float(np.sum((y - inst["fx"]) ** 2))
         _, _, l_s = build_star_bipartite(hg)
         stacked = np.vstack([y, z])
@@ -155,8 +159,8 @@ def test_uniform_graph_term_scales_by_beta():
     l0, l1 = 1.0, 2.0
     a_c, d_c = build_clique(hg)
     y = rng.standard_normal((8, 3))
-    pid = EnergyParams.identity(3, l0, l1)
-    graph = energy_bruteforce(y, z_star(hg, y), np.zeros_like(y), hg, pid).smooth - np.sum(y**2)
+    pid = EnergyParams.identity(3)
+    graph = energy_bruteforce(y, z_star(hg, y), np.zeros_like(y), hg, pid, l0, l1).smooth - np.sum(y**2)
     beta = 2.0 * l0 + l1 / 2.0
     q_c = laplacian_quad(a_c @ y, d_c, y)
     assert abs(graph - beta * q_c) <= 1e-10 * max(1.0, abs(graph))
@@ -174,12 +178,11 @@ def test_prop1_term_equivalences_across_seeds():
         a_c, d_c = build_clique(hg)
         a_s, d_s = build_star_normalized(hg)
         y = rng.standard_normal((n, d))
-        pid_pair = EnergyParams.identity(d, 1.0, 0.0)
-        pair = energy_bruteforce(y, np.zeros((m, d)), np.zeros_like(y), hg, pid_pair).smooth - np.sum(y**2)
+        pid = EnergyParams.identity(d)
+        pair = energy_bruteforce(y, np.zeros((m, d)), np.zeros_like(y), hg, pid, 1.0, 0.0).smooth - np.sum(y**2)
         q_c = laplacian_quad(a_c @ y, d_c, y)
         assert abs(pair - 2.0 * q_c) <= 1e-10 * max(1.0, abs(pair))
-        pid_mean = EnergyParams.identity(d, 0.0, 1.0)
-        mean = energy_bruteforce(y, z_star(hg, y), np.zeros_like(y), hg, pid_mean).smooth - np.sum(y**2)
+        mean = energy_bruteforce(y, z_star(hg, y), np.zeros_like(y), hg, pid, 0.0, 1.0).smooth - np.sum(y**2)
         q_s = laplacian_quad(a_s @ y, d_s, y)
         assert abs(mean - q_s) <= 1e-10 * max(1.0, abs(mean))
 
@@ -208,7 +211,7 @@ def test_factored_products_match_dense_expansions(seed):
         assert np.max(np.abs(ops.d_c - a_c.sum(axis=1))) <= 1e-12
         assert np.max(np.abs(ops.d_s_bar - a_s.sum(axis=1))) <= 1e-12
         c = 0.4 / ops.d_tilde[:, None]
-        compat = {"simple": EnergyParams.identity(d, l0, l1, 0.4), "general": EnergyParams(h0, h1, l0, l1, 0.4)}
+        compat = {"simple": EnergyParams.identity(d), "general": EnergyParams(h0, h1)}
         for variant, params in compat.items():
             g0, g1 = params.h0 @ params.h0.T, params.h1 @ params.h1.T
             s0, s1 = params.h0 + params.h0.T, params.h1 + params.h1.T
@@ -220,7 +223,7 @@ def test_factored_products_match_dense_expansions(seed):
                 diag, bound_c, bound = l0 * ops.d_c + l1 * ops.d_s_bar, 1.0, (l0 * a_c + l1 * a_s) @ v
             # a layer (the step Y - c * grad E(Y) / 2 without its c * Fx part), -L_H, the step bound's operator
             for prop, want in (
-                (Propagation(ops, params, variant), v - c * (lap + v)),
+                (Propagation(ops, params, variant, 0.4), v - c * (lap + v)),
                 (Propagation._at(ops, params, variant, 1.0, -diag[:, None]), -lap),
                 (Propagation._at(ops, params, variant, bound_c, 0.0), bound),
             ):
@@ -230,12 +233,12 @@ def test_factored_products_match_dense_expansions(seed):
 def test_mean_embedding_is_optimal():
     inst = random_instance(8)
     hg, y, d = inst["hg"], np.abs(inst["y"]), inst["d"]
-    pid = EnergyParams.identity(d, inst["ops"].lambda0, inst["ops"].lambda1)
+    pid, lams = EnergyParams.identity(d), (inst["ops"].lambda0, inst["ops"].lambda1)
     rng = inst["rng"]
-    base = energy_bruteforce(y, z_star(hg, y), inst["fx"], hg, pid).smooth
+    base = energy_bruteforce(y, z_star(hg, y), inst["fx"], hg, pid, *lams).smooth
     for _ in range(100):
         cand = np.abs(rng.standard_normal((hg.m, d)))
-        assert base <= energy_bruteforce(y, cand, inst["fx"], hg, pid).smooth + 1e-9
+        assert base <= energy_bruteforce(y, cand, inst["fx"], hg, pid, *lams).smooth + 1e-9
 
 
 # -- gradients -----------------------------------------------------------------------
@@ -246,7 +249,7 @@ def test_gradient_zero_at_minimizer():
     hg = inst["hg"]
     ops0 = build_expansion_operators(hg, 0.0, 0.0)
     fx = inst["fx"]
-    p0 = EnergyParams.identity(inst["d"], 0.0, 0.0)
+    p0 = EnergyParams.identity(inst["d"])
     assert np.max(np.abs(energy_and_grad(fx, fx, ops0, p0, "simple").grad)) == 0.0
     assert np.max(np.abs(energy_and_grad(fx, fx, ops0, p0, "general").grad)) == 0.0
 
@@ -254,7 +257,7 @@ def test_gradient_zero_at_minimizer():
 def test_grad_general_identity_equals_grad_simple():
     for seed in range(6):
         inst = random_instance(seed + 20)
-        pid = EnergyParams.identity(inst["d"], inst["ops"].lambda0, inst["ops"].lambda1)
+        pid = EnergyParams.identity(inst["d"])
         gg = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "general").grad
         gs = energy_and_grad(inst["y"], inst["fx"], inst["ops"], pid, "simple").grad
         assert np.max(np.abs(gg - gs)) <= 1e-12 * max(1.0, np.abs(gs).max())
@@ -265,20 +268,29 @@ def test_gradients_match_finite_differences(seed):
     inst = random_instance(seed + 30, h_noise=0.2)
     hg, ops, params, fx = inst["hg"], inst["ops"], inst["params"], inst["fx"]
     y = inst["y"].copy()
-    pid = EnergyParams.identity(inst["d"], ops.lambda0, ops.lambda1)
+    pid = EnergyParams.identity(inst["d"])
     gs = energy_and_grad(y, fx, ops, pid, "simple").grad
     fd_s = fd_gradient(lambda v: energy_trace_simple(v, fx, hg, ops.lambda0, ops.lambda1), y)
     assert rel_err(gs, fd_s) <= 1e-6
     gg = energy_and_grad(y, fx, ops, params, "general").grad
-    fd_g = fd_gradient(lambda v: energy_trace_general(v, fx, hg, params), y)
+    fd_g = fd_gradient(lambda v: energy_trace_general(v, fx, hg, params, ops.lambda0, ops.lambda1), y)
     assert rel_err(gg, fd_g) <= 1e-6
 
 
 def test_params_must_match_operators():
+    # a model runs only on operators built for its config's (lambda0, lambda1); the error names both pairs
     inst = random_instance(40)
-    other = EnergyParams.identity(inst["d"], inst["ops"].lambda0 + 1.0, inst["ops"].lambda1)
+    ops, x = inst["ops"], inst["fx"]
     for variant in ("general", "simple"):
-        with pytest.raises(ValueError, match="built for"):
-            energy_and_grad(inst["y"], inst["fx"], inst["ops"], other, variant)
-        with pytest.raises(ValueError, match="built for"):
-            Propagation(inst["ops"], other, variant)
+        cfg = ModelConfig(variant, 2, inst["d"], inst["alpha"], ops.lambda0 + 1.0, ops.lambda1)
+        model = init_model(cfg, x.shape[1], 3)
+        message = (
+            f"built for (lambda0={ops.lambda0}, lambda1={ops.lambda1}) "
+            f"but the model's config has ({cfg.lambda0}, {cfg.lambda1})"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            forward(x, model, ops)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_taped_logits(Tape(), model, ops, x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            descent_trace(x, model, ops)

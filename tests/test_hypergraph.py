@@ -11,7 +11,6 @@ from phenomnn.hypergraph import (
     build_expansion_operators,
     build_star_normalized,
     parse_hypergraph,
-    precondition_diag,
 )
 from helpers import hyperedges, random_hypergraph, rng_for
 from oracles import build_star_bipartite, from_edges_by_edge, uniform_edge_size
@@ -368,14 +367,14 @@ def test_uniform_edge_size_cases():
 
 
 def test_precondition_diag_cases():
+    # d_tilde = lambda0 D_C + lambda1 D_S_bar + I, with D_C = (2, 4, 2) and D_S_bar = (1, 2, 1) here
     hg = toy()
-    _, d_c = build_clique(hg)
-    _, d_s = build_star_normalized(hg)
-    assert precondition_diag(d_c, d_s, 0.0, 0.0).tolist() == [1.0, 1.0, 1.0]
-    assert precondition_diag(d_c, d_s, 1.0, 0.0).tolist() == [3.0, 5.0, 3.0]
-    assert precondition_diag(d_c, d_s, 0.0, 1.0).tolist() == [2.0, 3.0, 2.0]
-    with pytest.raises(ValueError, match="nonnegative"):
-        precondition_diag(d_c, d_s, -1.0, 0.0)
+    assert build_expansion_operators(hg, 0.0, 0.0).d_tilde.tolist() == [1.0, 1.0, 1.0]
+    assert build_expansion_operators(hg, 1.0, 0.0).d_tilde.tolist() == [3.0, 5.0, 3.0]
+    assert build_expansion_operators(hg, 0.0, 1.0).d_tilde.tolist() == [2.0, 3.0, 2.0]
+    for lambdas in ((-1.0, 0.0), (0.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="expansion weights must be nonnegative and finite"):
+            build_expansion_operators(hg, *lambdas)
 
 
 def test_isolated_nodes_degenerate_to_skip_connection():

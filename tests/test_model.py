@@ -34,33 +34,33 @@ def test_layer_collapses_to_skip_connection():
     inst = random_instance(0)
     hg, fx, y = inst["hg"], inst["fx"], inst["y"]
     ops0 = build_expansion_operators(hg, 0.0, 0.0)
-    p0 = EnergyParams.identity(inst["d"], 0.0, 0.0, alpha=1.0)
-    out = one_layer(y, fx, ops0, p0, "simple")
+    p0 = EnergyParams.identity(inst["d"])
+    out = one_layer(y, fx, ops0, p0, "simple", 1.0)
     assert np.array_equal(out, prox_nonneg(fx))
-    assert np.array_equal(one_layer(y, fx, ops0, p0, "general"), prox_nonneg(fx))
+    assert np.array_equal(one_layer(y, fx, ops0, p0, "general", 1.0), prox_nonneg(fx))
 
 
 def test_layer_alpha_zero_is_projection():
     inst = random_instance(1)
-    p = EnergyParams.identity(inst["d"], inst["ops"].lambda0, inst["ops"].lambda1, alpha=0.0)
-    out = one_layer(inst["y"], inst["fx"], inst["ops"], p, "simple")
+    p = EnergyParams.identity(inst["d"])
+    out = one_layer(inst["y"], inst["fx"], inst["ops"], p, "simple", 0.0)
     assert np.array_equal(out, prox_nonneg(inst["y"]))
-    assert np.array_equal(one_layer(inst["y"], inst["fx"], inst["ops"], p, "general"), prox_nonneg(inst["y"]))
+    assert np.array_equal(one_layer(inst["y"], inst["fx"], inst["ops"], p, "general", 0.0), prox_nonneg(inst["y"]))
 
 
 def test_layer_general_identity_equals_layer_simple():
     for seed in range(8):
         inst = random_instance(seed, alpha=0.37)
-        pid = EnergyParams.identity(inst["d"], inst["ops"].lambda0, inst["ops"].lambda1, alpha=0.37)
-        a = one_layer(inst["y"], inst["fx"], inst["ops"], pid, "general")
-        b = one_layer(inst["y"], inst["fx"], inst["ops"], pid, "simple")
+        pid = EnergyParams.identity(inst["d"])
+        a = one_layer(inst["y"], inst["fx"], inst["ops"], pid, "general", inst["alpha"])
+        b = one_layer(inst["y"], inst["fx"], inst["ops"], pid, "simple", inst["alpha"])
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_layer_shape_validation():
     inst = random_instance(2)
     with pytest.raises(ValueError):
-        one_layer(inst["y"][:-1], inst["fx"], inst["ops"], inst["params"], "simple")
+        one_layer(inst["y"][:-1], inst["fx"], inst["ops"], inst["params"], "simple", inst["alpha"])
 
 
 # -- node-wise reference -----------------------------------------------------------
@@ -70,10 +70,10 @@ def test_messagepassing_single_isolated_node():
     hg = Hypergraph.from_edges(1, [[0]])
     # remove the only edge's influence by zero weights: update is the skip connection
     ops = build_expansion_operators(hg, 0.0, 0.0)
-    p = EnergyParams.identity(2, 0.0, 0.0, alpha=0.3)
+    p = EnergyParams.identity(2)
     y = np.array([[-1.0, 2.0]])
     fx = np.array([[4.0, -8.0]])
-    got = messagepassing_layer(y, fx, ops, p)
+    got = messagepassing_layer(y, fx, ops, p, 0.3)
     want = prox_nonneg((1 - 0.3) * y + 0.3 * fx)
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -82,8 +82,8 @@ def test_messagepassing_single_isolated_node():
 def test_messagepassing_matches_matrix_layer(h_noise):
     for seed in range(5):
         inst = random_instance(seed + 50, n=6, m=5, h_noise=h_noise, alpha=0.45)
-        got = messagepassing_layer(inst["y"], inst["fx"], inst["ops"], inst["params"])
-        want = one_layer(inst["y"], inst["fx"], inst["ops"], inst["params"], "general")
+        got = messagepassing_layer(inst["y"], inst["fx"], inst["ops"], inst["params"], inst["alpha"])
+        want = one_layer(inst["y"], inst["fx"], inst["ops"], inst["params"], "general", inst["alpha"])
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -91,9 +91,9 @@ def test_messagepassing_identity_pair_only_matches_simple():
     inst = random_instance(55, n=7, m=4, alpha=0.5)
     hg = inst["hg"]
     ops = build_expansion_operators(hg, 2.0, 0.0)
-    p = EnergyParams.identity(inst["d"], 2.0, 0.0, alpha=0.5)
-    got = messagepassing_layer(inst["y"], inst["fx"], ops, p)
-    want = one_layer(inst["y"], inst["fx"], ops, p, "simple")
+    p = EnergyParams.identity(inst["d"])
+    got = messagepassing_layer(inst["y"], inst["fx"], ops, p, inst["alpha"])
+    want = one_layer(inst["y"], inst["fx"], ops, p, "simple", inst["alpha"])
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -116,7 +116,7 @@ def test_positive_fixed_point_of_simple_layer():
         [spla.cg(system, fx[:, j], rtol=1e-12, atol=0.0)[0] for j in range(d)]
     )
     assert np.max(np.abs(recovered - y_star)) <= 1e-8
-    stepped = one_layer(recovered, fx, ops, EnergyParams.identity(d, l0, l1, alpha=0.6), "simple")
+    stepped = one_layer(recovered, fx, ops, EnergyParams.identity(d), "simple", 0.6)
     assert np.max(np.abs(stepped - recovered)) <= 1e-8
 
 
@@ -144,6 +144,23 @@ def test_model_config_rejects_a_step_that_is_not_positive_and_finite(kwargs, mes
         ModelConfig(**{**base, **kwargs})
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(lambda0=float("nan")), "lambda0 must be nonnegative and finite, got nan"),
+        (dict(lambda0=float("inf")), "lambda0 must be nonnegative and finite, got inf"),
+        (dict(lambda1=-0.5), "lambda1 must be nonnegative and finite, got -0.5"),
+    ],
+    ids=["lambda0-nan", "lambda0-inf", "lambda1-negative"],
+)
+def test_model_config_rejects_weights_that_are_not_nonnegative_and_finite(kwargs, message):
+    # a NaN weight would otherwise fail where a model meets its operators, with
+    # a message whose two pairs look equal, and an infinite one as a diverged loss
+    base = dict(variant="simple", t_layers=2, d=4, alpha=0.5, lambda0=1.0, lambda1=0.5)
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{**base, **kwargs})
+
+
 def test_forward_trivial_config_is_mlp():
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=5, feature_dim=3, seed=4))
     cfg = ModelConfig(variant="simple", t_layers=5, d=4, alpha=1.0, lambda0=0.0, lambda1=0.0)
@@ -159,8 +176,8 @@ def test_forward_energy_nonincreasing_within_bound():
     inst = random_instance(5, n=15, m=8, alpha=0.5)
     ops, fx = inst["ops"], inst["fx"]
     alpha = 0.9 * step_bound_simple(ops).value
-    params = EnergyParams.identity(inst["d"], ops.lambda0, ops.lambda1, alpha)
-    prop = Propagation(ops, params, "simple")
+    params = EnergyParams.identity(inst["d"])
+    prop = Propagation(ops, params, "simple", alpha)
     y = prox_nonneg(fx)
     prev = energy_and_grad(y, fx, ops, params, "simple").smooth
     for _ in range(60):
@@ -233,7 +250,7 @@ def test_step_bound_trivial_is_one():
     hg = Hypergraph.from_edges(3, [[0, 1], [1, 2]])
     ops = build_expansion_operators(hg, 0.0, 0.0)
     assert step_bound_simple(ops).value == 1.0
-    assert step_bound_general(ops, EnergyParams.identity(2, 0.0, 0.0)).value == 1.0
+    assert step_bound_general(ops, EnergyParams.identity(2)).value == 1.0
 
 
 def test_step_bound_simple_matches_hand_formula():
@@ -285,14 +302,14 @@ def test_step_bound_simple_singular_needs_no_solve(n, edges):
 def _dense_general_bound(hg, ops, params):
     """Step bound from the materialised curvature operator (row-major vec of V)."""
     d = params.d
-    s = 0.5 * params.lambda0
+    s = 0.5 * ops.lambda0
     g0, s0 = params.h0 @ params.h0.T, params.h0 + params.h0.T
     g1, s1 = params.h1 @ params.h1.T, params.h1 + params.h1.T
     a_c, a_s = build_clique(hg)[0].toarray(), build_star_normalized(hg)[0].toarray()
     op = s * (np.kron(np.diag(ops.d_c), g0.T) - np.kron(a_c, s0.T))
-    op += params.lambda1 * (np.kron(np.diag(ops.d_s_bar), g1.T) - np.kron(a_s, s1.T) + np.kron(a_s, np.eye(d)))
+    op += ops.lambda1 * (np.kron(np.diag(ops.d_s_bar), g1.T) - np.kron(a_s, s1.T) + np.kron(a_s, np.eye(d)))
     sigma_max = float(np.linalg.eigvalsh((op + op.T) / 2.0)[-1])
-    numer = 1.0 + params.lambda0 * ops.d_c.min() + params.lambda1 * ops.d_s_bar.min()
+    numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
     return numer / (1.0 + s * ops.d_c.min() + sigma_max)
 
 
@@ -310,7 +327,7 @@ def test_step_bound_general_not_above_dense_bound(seed):
     noise = 0.01 if seed % 2 == 0 else 0.1
     h0 = np.eye(d) + noise * rng.standard_normal((d, d))
     h1 = np.eye(d) + noise * rng.standard_normal((d, d))
-    params = EnergyParams(h0, h1, l0, l1)
+    params = EnergyParams(h0, h1)
     want = _dense_general_bound(hg, ops, params)
     got = step_bound_general(ops, params)
     assert got.value <= want * (1.0 + 1e-12)
@@ -327,16 +344,16 @@ def test_step_bound_general_unconverged_uses_lift(monkeypatch):
     stuck = EigenResult(value=0.5, residual=1e-3, converged=False, iterations=5000)
     monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: stuck)
     got = step_bound_general(ops, params)
-    s = 0.5 * params.lambda0
+    s = 0.5 * ops.lambda0
 
     def norm(m):
         return np.linalg.norm(m, 2)
 
     h0, h1 = params.h0, params.h1
-    lift = s * ops.d_c.max() * (norm(h0 @ h0.T) + norm(h0 + h0.T)) + params.lambda1 * ops.d_s_bar.max() * (
+    lift = s * ops.d_c.max() * (norm(h0 @ h0.T) + norm(h0 + h0.T)) + ops.lambda1 * ops.d_s_bar.max() * (
         norm(h1 @ h1.T) + norm(h1 + h1.T) + 1.0
     )
-    numer = 1.0 + params.lambda0 * ops.d_c.min() + params.lambda1 * ops.d_s_bar.min()
+    numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
     assert abs(got.sigma - lift) <= 1e-12 * lift
     assert abs(got.value - numer / (1.0 + s * ops.d_c.min() + lift)) <= 1e-12
     assert got.certificate == "norm-bound" and got.eig is stuck
@@ -346,7 +363,7 @@ def test_step_bound_general_sigma_matches_dense_operator():
     inst = random_instance(7, n=6, m=4, d=3, h_noise=0.2)
     ops, params = inst["ops"], inst["params"]
     n, d = 6, 3
-    s = 0.5 * params.lambda0
+    s = 0.5 * ops.lambda0
     h0g, h0s = params.h0 @ params.h0.T, params.h0 + params.h0.T
     h1g, h1s = params.h1 @ params.h1.T, params.h1 + params.h1.T
     a_c, a_s = build_clique(inst["hg"])[0].toarray(), build_star_normalized(inst["hg"])[0].toarray()
@@ -354,14 +371,14 @@ def test_step_bound_general_sigma_matches_dense_operator():
     def apply(v):
         m = v.reshape(n, d)
         out = s * (np.diag(ops.d_c) @ m @ h0g - a_c @ m @ h0s)
-        out += params.lambda1 * (np.diag(ops.d_s_bar) @ m @ h1g - a_s @ m @ h1s + a_s @ m)
+        out += ops.lambda1 * (np.diag(ops.d_s_bar) @ m @ h1g - a_s @ m @ h1s + a_s @ m)
         return out.ravel()
 
     dense = np.column_stack([apply(col) for col in np.eye(n * d)])
     sigma_max = float(np.linalg.eigvalsh((dense + dense.T) / 2.0)[-1])
     got = step_bound_general(ops, params)
     assert abs(got.sigma - sigma_max) <= 1e-8
-    numer = 1.0 + params.lambda0 * ops.d_c.min() + params.lambda1 * ops.d_s_bar.min()
+    numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
     denom = 1.0 + s * ops.d_c.min() + sigma_max
     assert abs(got.value - numer / denom) <= 1e-8
 
@@ -374,19 +391,18 @@ def test_monotone_descent_both_variants():
         fx = rng.standard_normal((40, 6))
 
         bound = step_bound_general(ops, params)
-        pg = EnergyParams(params.h0, params.h1, ops.lambda0, ops.lambda1, 0.9 * bound.value)
-        prop = Propagation(ops, pg, "general")
+        prop = Propagation(ops, params, "general", 0.9 * bound.value)
         y = prox_nonneg(fx)
-        prev = energy_and_grad(y, fx, ops, pg, "general").smooth
+        prev = energy_and_grad(y, fx, ops, params, "general").smooth
         for _ in range(100):
             y = layer(y, prop.c * fx, prop)
-            e = energy_and_grad(y, fx, ops, pg, "general").smooth
+            e = energy_and_grad(y, fx, ops, params, "general").smooth
             assert e <= prev + 1e-9 * abs(prev)
             prev = e
 
         alpha = 0.9 * step_bound_simple(ops).value
-        ps = EnergyParams.identity(6, ops.lambda0, ops.lambda1, alpha)
-        prop = Propagation(ops, ps, "simple")
+        ps = EnergyParams.identity(6)
+        prop = Propagation(ops, ps, "simple", alpha)
         y = prox_nonneg(fx)
         prev = energy_and_grad(y, fx, ops, ps, "simple").smooth
         for _ in range(100):
@@ -403,7 +419,7 @@ def test_fixed_point_approach_and_uniqueness():
         rng = inst["rng"]
         fx = rng.standard_normal((30, 4))
         alpha = 0.9 * step_bound_simple(ops).value
-        prop = Propagation(ops, EnergyParams.identity(4, ops.lambda0, ops.lambda1, alpha), "simple")
+        prop = Propagation(ops, EnergyParams.identity(4), "simple", alpha)
 
         def run(y0, steps=5000, tol=1e-12):
             y = y0
@@ -505,6 +521,21 @@ def test_checkpoint_with_end_only_relu_mode_is_rejected(tmp_path):
 def test_checkpoint_config_of_the_wrong_type_is_rejected(tmp_path, key, value, message):
     # 2.5 layers would fail inside forward, "0.1" in a comparison, "False"
     # would read as true, and true as a width of 1
+    _, _, path = _earlier_checkpoint(tmp_path, "every_step")
+    payload = json.loads(path.read_text())
+    payload["config"][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda0", -1.0, "lambda0 must be nonnegative and finite, got -1.0"),
+    ("lambda1", -0.5, "lambda1 must be nonnegative and finite, got -0.5"),
+    ("alpha", 0.0, "alpha must be positive and finite, got 0.0"),
+])
+def test_checkpoint_config_out_of_range_names_the_file_and_key(tmp_path, key, value, message):
     _, _, path = _earlier_checkpoint(tmp_path, "every_step")
     payload = json.loads(path.read_text())
     payload["config"][key] = value

@@ -104,13 +104,12 @@ def test_adam_updates_moments_in_place():
     params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
     state = AdamState.for_params(params)
     m, v = dict(state.m), dict(state.v)
-    cfg = TrainConfig(lr=0.01, weight_decay=1e-3)
+    cfg = TrainConfig(lr=0.01)
     ref_m = {k: np.zeros_like(p) for k, p in params.items()}
     ref_v = {k: np.zeros_like(p) for k, p in params.items()}
     for _ in range(3):
         grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
-        for k, p in params.items():
-            g = grads[k] + cfg.weight_decay * p
+        for k, g in grads.items():
             ref_m[k] = 0.9 * ref_m[k] + (1.0 - 0.9) * g
             ref_v[k] = 0.999 * ref_v[k] + (1.0 - 0.999) * g * g
         adam_step(params, grads, state, cfg)
@@ -417,11 +416,9 @@ def test_metrics_files(tmp_path):
         (dict(lr=float("nan")), "lr must be positive and finite, got nan"),
         (dict(lr=float("inf")), "lr must be positive and finite, got inf"),
         (dict(lr=0.0), "lr must be positive and finite, got 0.0"),
-        (dict(weight_decay=-1.0), "weight_decay must be nonnegative and finite, got -1.0"),
-        (dict(weight_decay=float("nan")), "weight_decay must be nonnegative and finite, got nan"),
         (dict(early_stop_patience=0), "early_stop_patience must be >= 1, got 0"),
     ],
-    ids=["lr-nan", "lr-inf", "lr-0", "weight_decay-negative", "weight_decay-nan", "patience-0"],
+    ids=["lr-nan", "lr-inf", "lr-0", "patience-0"],
 )
 def test_train_config_rejects_values_no_run_can_use(kwargs, message):
     # a patience of 0 would end every run after its first epoch, and a NaN
