@@ -146,25 +146,22 @@ def _out_dir(args) -> str:
     return out
 
 
-def _single_run(dataset, cfg: dict, seed: int, resplit: bool):
+def _single_run(dataset, mc: ModelConfig, tc: TrainConfig, resplit: bool):
     if resplit:
         # on a copy: every serial run shares the loaded dataset
-        dataset = dataclasses.replace(dataset, splits=make_splits(dataset.hypergraph.n, seed=seed))
+        dataset = dataclasses.replace(dataset, splits=make_splits(dataset.hypergraph.n, seed=tc.seed))
         dataset.validate()
-    run_cfg = dict(cfg)
-    run_cfg["seed"] = seed
-    model, metrics = train(dataset, model_config(run_cfg), train_config(run_cfg))
-    return model, metrics
+    return train(dataset, mc, tc)
 
 
-def _run_summary(dataset, cfg: dict, seed: int, resplit: bool) -> dict:
-    _, metrics = _single_run(dataset, cfg, seed, resplit)
-    return {"seed": seed, **metrics.summary()}
+def _run_summary(dataset, mc: ModelConfig, tc: TrainConfig, resplit: bool) -> dict:
+    _, metrics = _single_run(dataset, mc, tc, resplit)
+    return {"seed": tc.seed, **metrics.summary()}
 
 
 def _worker(payload):
-    cfg, seed, resplit = payload
-    return _run_summary(_need_dataset(cfg), cfg, seed, resplit)
+    cfg, *run = payload
+    return _run_summary(_need_dataset(cfg), *run)
 
 
 def cmd_train(args) -> int:
@@ -172,9 +169,11 @@ def cmd_train(args) -> int:
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
     cfg = resolve_config(args)
+    # every value is checked before the output directory is made
+    mc, tc = model_config(cfg), train_config(cfg)
     out = _out_dir(args)
     if repeats == 1:
-        model, metrics = _single_run(_need_dataset(cfg), cfg, cfg["seed"], cfg["resplit"])
+        model, metrics = _single_run(_need_dataset(cfg), mc, tc, cfg["resplit"])
         metrics.write(out)
         save_checkpoint(model, os.path.join(out, "checkpoint.json"))
         print(
@@ -182,7 +181,7 @@ def cmd_train(args) -> int:
             f"test acc {metrics.final_test_acc:.4f} (epoch {metrics.best_epoch})"
         )
         return 0
-    payloads = [(cfg, cfg["seed"] + i, cfg["resplit"]) for i in range(repeats)]
+    runs = [(mc, dataclasses.replace(tc, seed=tc.seed + i), cfg["resplit"]) for i in range(repeats)]
     if args.parallel:
         import multiprocessing as mp
 
@@ -191,10 +190,10 @@ def cmd_train(args) -> int:
             raise ValueError(f"PHENOMNN_THREADS must be a positive integer, got {threads!r}")
         workers = min(repeats, int(threads))
         with mp.Pool(workers) as pool:
-            results = pool.map(_worker, payloads)
+            results = pool.map(_worker, [(cfg, *run) for run in runs])
     else:
         dataset = _need_dataset(cfg)
-        results = [_run_summary(dataset, *p) for p in payloads]
+        results = [_run_summary(dataset, *run) for run in runs]
     accs = np.array([r["final_test_acc"] for r in results])
     summary = {
         "repeats": repeats,

@@ -16,12 +16,15 @@ update included, at the same ``(lambda0, lambda1)``.
 
 The weights ``lambda0``, ``lambda1`` are read from the ``ExpansionOperators``
 they were built for, and ``EnergyParams`` holds the learned ``H0``, ``H1``.
-``L_H`` is written once, as ``Propagation.kernel``; the layers, the energy
-and its gradient (``energy_and_grad``) and the step bounds apply it at their
-own per-row constants.  Every adjacency product goes through the incidence
-matrix, one ``B^T`` product followed by one ``B`` product; no n x n matrix is
-formed.  The nonnegativity barrier is never represented as an infinite float:
-the energy is returned as its smooth value with a feasibility flag.
+``L_H`` is written once, as ``Propagation.kernel``: its ``products`` plus a
+``u * V`` term.  The layers, the energy and its gradient (``energy_and_grad``)
+and the step bounds apply it at their own per-row constants; the descent
+trace reads ``-L_H Y`` off a layer's own products, so ``energy_from_neg_lap``
+turns ``-L_H Y`` into the energy and gradient for both.  Every adjacency
+product goes through the incidence matrix, one ``B^T`` product followed by
+one ``B`` product; no n x n matrix is formed.  The nonnegativity barrier is
+never represented as an infinite float: the energy is returned as its smooth
+value with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "EnergyValue",
     "Propagation",
     "energy_and_grad",
+    "energy_from_neg_lap",
 ]
 
 VARIANTS = ("general", "simple")
@@ -89,17 +93,21 @@ class Propagation:
     - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha``, so
       that ``K(Y) + c * Fx`` is the step ``Y - c * grad E(Y) / 2``.  When
       general, the step's diagonal term ``(ca + cb) * Y`` is folded into the
-      matrices, ``A_k = I - G_k``, so ``u`` stays the scalar ``1 - alpha``;
+      matrices, ``A_k = I - G_k``, so ``u`` stays the scalar ``1 - alpha``.
+      ``model.layer`` adds ``u * Y`` to ``products`` itself, so that the
+      descent trace can read the same products as ``-L_H Y = (d_tilde /
+      alpha) * products - (d_tilde - 1) * Y``;
     - ``-L_H`` (``energy_and_grad``): ``c = 1``, ``u = -(lambda0/2) d_C`` (general)
       or ``-(lambda0 d_C + lambda1 d_S_bar)`` (simple), a column;
     - the general step bound's operator: ``c = -1``, ``u = 0``;
     - the simple step bound's operator ``B W B^T``: ``c = 1``, ``u = 0``.
 
-    ``K``'s operators are symmetric, so the adjoint of ``V -> K(V)`` is
-    ``K(.; B, B^T diag(c))``; ``fwd`` and ``adj`` hold the two factor pairs.
-    A general call writes ``ca * v`` and then ``cb * v`` into ``scratch``, the
-    one n x d work array of the instance, and leaves ``cb * v`` there for
-    ``layer_vjp`` to read.
+    ``kernel`` is ``products`` followed by ``add_u``; the callers other than
+    ``model.layer`` take the whole kernel.  ``K``'s operators are symmetric,
+    so the adjoint of ``V -> K(V)`` is ``K(.; B, B^T diag(c))``; ``fwd`` and
+    ``adj`` hold the two factor pairs.  A general call writes ``ca * v`` and
+    then ``cb * v`` into ``scratch``, the one n x d work array of the
+    instance, and leaves ``cb * v`` there for ``layer_vjp`` to read.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
@@ -137,39 +145,43 @@ class Propagation:
         self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
         self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
 
-    def kernel(self, v: np.ndarray, left, right):
-        """``K(v; left, right)`` and the edge-side product ``right v``.
+    def products(self, v: np.ndarray, left, right):
+        """The kernel's products, ``K(v; left, right) - u v``, and the edge-side product ``right v``.
 
         ``left @ ...`` is a new C-contiguous array, so BLAS adds the ``A`` terms
-        and ``u v`` into it in place, and it is what the kernel returns."""
+        into it in place, and it is what this returns."""
         p = right @ v
         if not self.general:
-            out = left @ p
-        else:
-            out = left @ (p @ self.m0 + self.e * (p @ self.m1))
-            # one n x d scratch for every call through this instance: a fresh one
-            # per layer is paged in anew whenever the allocator has trimmed the heap
-            if self.scratch is None or self.scratch.shape != v.shape:
-                self.scratch = np.empty(v.shape)
-            for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
-                t = np.multiply(v, ck, out=self.scratch)
-                # out^T += A_k^T (c_k * v)^T, all three F-contiguous views
-                dgemm(1.0, ak.T, t.T, beta=1.0, c=out.T, overwrite_c=True)
+            return left @ p, p
+        out = left @ (p @ self.m0 + self.e * (p @ self.m1))
+        # one n x d scratch for every call through this instance: a fresh one
+        # per layer is paged in anew whenever the allocator has trimmed the heap
+        if self.scratch is None or self.scratch.shape != v.shape:
+            self.scratch = np.empty(v.shape)
+        for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
+            t = np.multiply(v, ck, out=self.scratch)
+            # out^T += A_k^T (c_k * v)^T, all three F-contiguous views
+            dgemm(1.0, ak.T, t.T, beta=1.0, c=out.T, overwrite_c=True)
+        return out, p
+
+    def add_u(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += u v``, in place, and ``out``."""
         if np.ndim(self.u):  # per-row u, which daxpy cannot take
             out += self.u * v
         else:
             daxpy(v.ravel(), out.ravel(), a=self.u)
-        return out, p
+        return out
+
+    def kernel(self, v: np.ndarray, left, right):
+        """``K(v; left, right)``, the ``products`` plus ``u v``, and the edge-side product ``right v``."""
+        out, p = self.products(v, left, right)
+        return self.add_u(v, out), p
 
 
 def energy_and_grad(
     y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams, variant: str
 ) -> EnergyValue:
-    """``E(Y)``, its feasibility and ``grad E(Y) = 2 (L_H Y + Y - Fx)``, from one kernel call.
-
-    The energy is taken from ``L_H Y`` as ``||Y - Fx||^2 + <Y, L_H Y>``, not
-    from ``<Y, grad E / 2>``, whose terms of the size of ``||Fx||^2`` cancel.
-    """
+    """``E(Y)``, its feasibility and ``grad E(Y) = 2 (L_H Y + Y - Fx)``, from one kernel call."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != fx.shape:
         raise ValueError(f"energy: shape mismatch {y.shape} vs {fx.shape}")
@@ -178,8 +190,20 @@ def energy_and_grad(
         diag = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
     k = Propagation._at(ops, params, variant, 1.0, -diag[:, None])
     neg_lap, _ = k.kernel(y, *k.fwd)
-    r = y - fx
-    smooth = float(np.sum(r * r)) - float(np.sum(y * neg_lap))
-    np.subtract(r, neg_lap, out=r)
-    r *= 2.0
-    return EnergyValue(smooth, bool(np.min(y, initial=0.0) >= 0.0), r)
+    return energy_from_neg_lap(y, fx, neg_lap, np.empty_like(neg_lap))
+
+
+def energy_from_neg_lap(y: np.ndarray, fx: np.ndarray, neg_lap: np.ndarray, work: np.ndarray) -> EnergyValue:
+    """``E(Y)``, its feasibility and ``grad E(Y)``, given ``-L_H Y``.
+
+    The energy is taken as ``||Y - Fx||^2 + <Y, L_H Y>``, not from
+    ``<Y, grad E / 2>``, whose terms of the size of ``||Fx||^2`` cancel.  The
+    gradient is written into ``neg_lap``, and ``work``, an array of ``Y``'s
+    shape, is written over, so a caller that evaluates many iterates
+    allocates both once."""
+    cross = float(np.sum(np.multiply(y, neg_lap, out=work)))
+    r = np.subtract(y, fx, out=work)
+    grad = np.subtract(r, neg_lap, out=neg_lap)
+    grad *= 2.0
+    smooth = float(np.sum(np.multiply(r, r, out=work))) - cross
+    return EnergyValue(smooth, bool(np.min(y, initial=0.0) >= 0.0), grad)

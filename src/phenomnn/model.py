@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tape, Var
-from .energy import VARIANTS, EnergyParams, Propagation, energy_and_grad
+from .energy import VARIANTS, EnergyParams, Propagation, energy_from_neg_lap
 from .hypergraph import ExpansionOperators
 from .linalg import EigenResult, extreme_eigenvalue
 
@@ -69,9 +69,9 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.t_layers < 1:
-            raise ValueError(f"t_layers must be >= 1, got {self.t_layers}")
+            raise ValueError(f"t_layers must be >= 1, got {self.t_layers} (the config key 'prop_step')")
         if self.d < 1:
-            raise ValueError(f"embedding width must be >= 1, got {self.d}")
+            raise ValueError(f"embedding width must be >= 1, got {self.d} (the config key 'hidden')")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for key in ("lambda0", "lambda1"):
@@ -152,8 +152,13 @@ def init_model(config: ModelConfig, d_x: int, n_classes: int, seed: int = 0) -> 
 # -- propagation layers ------------------------------------------------------
 
 
-def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None = None) -> np.ndarray:
+def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None = None,
+          pre: np.ndarray | None = None) -> np.ndarray:
     """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
+
+    ``K(Y)`` is the kernel's products, then ``u * Y``.  ``pre``, when given,
+    is ``prop.products(y, *prop.fwd)[0]``, taken by a caller that also reads
+    it; the step is finished in it, in place.
 
     A ``kept`` list receives what ``layer_vjp`` reads.  In the general variant
     that is ``(Y, out)``, two arrays the taped pass holds anyway (``out`` is
@@ -164,7 +169,8 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
     keeps the ReLU mask alone: n x d bytes, where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
-    out, _ = prop.kernel(y, *prop.fwd)
+    out = prop.products(y, *prop.fwd)[0] if pre is None else pre
+    prop.add_u(y, out)
     out += c_fx
     np.maximum(out, 0.0, out=out)
     if kept is not None:
@@ -339,12 +345,23 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     return StepBound(numer / denom, sigma, eig, certificate)
 
 
+# The energy is row-separable, so the trace evaluates it in row blocks of
+# this many bytes per array: its dozen elementwise passes then run in a
+# core's L2, where on n x d arrays of several MB they stream from memory.
+_TRACE_BLOCK_BYTES = 1 << 18
+
+
 def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: int | None = None) -> list:
     """Run ``model``'s layers from its base prediction ``Fx`` and record one row per iterate.
 
     Rows are dicts of ``iteration``, ``energy``, ``feasible`` and ``grad_norm``.
     ``steps`` defaults to ``t_layers``, so the last row is the energy of
-    ``forward``'s embedding.  Each row costs one kernel call, each step one more."""
+    ``forward``'s embedding.  Each row runs the layers' kernel products
+    ``pre`` once and reads them twice: ``-L_H Y = (d_tilde / alpha) * pre -
+    (d_tilde - 1) * Y`` (both variants, as ``lambda0 d_C + lambda1 d_S_bar =
+    d_tilde - 1``) for the energy, and the next iterate, which ``layer``
+    finishes in ``pre``.  The energy is not taken from ``(Y_t - Y_{t+1}) / c``:
+    its ``(1 - alpha) Y`` and ``c * Fx`` terms cancel as the descent converges."""
     cfg = model.config
     steps = cfg.t_layers if steps is None else steps
     if steps < 0:
@@ -352,12 +369,27 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     rows = []
     y = fx = model.predictor.apply(x)
     prop = _propagation(model, ops)
+    c_fx = prop.c * fx
+    scale, diag = (ops.d_tilde / cfg.alpha)[:, None], (ops.d_tilde - 1.0)[:, None]
+    n, d = fx.shape
+    block = max(1, _TRACE_BLOCK_BYTES // (8 * d))
+    neg_lap, work = np.empty((min(n, block), d)), np.empty((min(n, block), d))
     for t in range(steps + 1):
-        e = energy_and_grad(y, fx, ops, model.params, cfg.variant)
-        norm = float(np.linalg.norm(e.grad))
-        rows.append({"iteration": t, "energy": e.smooth, "feasible": e.feasible, "grad_norm": norm})
-        if t < steps:  # c * Fx kept across the energy evaluations would raise their peak memory
-            y = layer(y, prop.c * fx, prop)
+        pre, _ = prop.products(y, *prop.fwd)
+        energy, feasible, grad_sq = 0.0, True, 0.0
+        for lo in range(0, n, block):
+            rb = slice(lo, lo + block)
+            y_b = y[rb]
+            nl, w = neg_lap[: len(y_b)], work[: len(y_b)]
+            np.multiply(pre[rb], scale[rb], out=nl)
+            nl -= np.multiply(y_b, diag[rb], out=w)
+            e = energy_from_neg_lap(y_b, fx[rb], nl, w)
+            energy += e.smooth
+            feasible &= e.feasible
+            grad_sq += float(np.vdot(e.grad, e.grad))
+        rows.append({"iteration": t, "energy": energy, "feasible": feasible, "grad_norm": grad_sq**0.5})
+        if t < steps:
+            y = layer(y, c_fx, prop, pre=pre)
     return rows
 
 

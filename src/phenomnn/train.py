@@ -74,7 +74,9 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.early_stop_patience < 1:
-            raise ValueError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
+            raise ValueError(
+                f"early_stop_patience must be >= 1, got {self.early_stop_patience} (the config key 'patience')"
+            )
 
 
 @dataclass

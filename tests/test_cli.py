@@ -391,6 +391,20 @@ def test_config_value_out_of_range_is_rejected(synthetic_dir, tmp_path, capsys, 
     assert not (out / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["patience=0", "lambda1=-0.5", "prop_step=0"])
+def test_config_value_out_of_range_makes_no_output_directory(synthetic_dir, tmp_path, setting):
+    out = tmp_path / "run"
+    assert main(["train", "--data", synthetic_dir, "--out", str(out), "--set", setting]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["patience", "prop_step", "hidden"])
+def test_range_error_names_the_config_key(synthetic_dir, capsys, key):
+    # the config fields these keys set are early_stop_patience, t_layers and d
+    assert main(["train", "--data", synthetic_dir, "--set", f"{key}=0"]) == 1
+    assert f"(the config key '{key}')" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("strict, rc", [("false", 0), ("true", 1)])
 def test_strict_alpha_takes_json_booleans(synthetic_dir, tmp_path, capsys, strict, rc):
     # alpha=1.5 lies above the simple bound of at most 1

@@ -24,7 +24,7 @@ from phenomnn.model import (
 )
 from phenomnn.train import TrainConfig, train
 from helpers import one_layer, random_hypergraph, random_instance, rng_for
-from oracles import messagepassing_layer, prox_nonneg
+from oracles import energy_bruteforce, messagepassing_layer, prox_nonneg, z_star
 
 
 # -- layer basics ---------------------------------------------------------------
@@ -197,24 +197,73 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
     ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
     y, _ = forward(ds.features, model, ops)
     fx = model.predictor.apply(ds.features)
-    calls, iterates = [0], []
-    kernel, plain_layer = Propagation.kernel, model_mod.layer
+    calls, binds, iterates = [0], [0], []
+    products, bind, plain_layer = Propagation.products, Propagation._bind, model_mod.layer
 
     def counted(self, *args):
         calls[0] += 1
-        return kernel(self, *args)
+        return products(self, *args)
+
+    def built(self, *args):
+        binds[0] += 1
+        return bind(self, *args)
 
     def recorded(*args, **kwargs):
         iterates.append(plain_layer(*args, **kwargs))
         return iterates[-1]
 
-    monkeypatch.setattr(Propagation, "kernel", counted)
+    monkeypatch.setattr(Propagation, "products", counted)
+    monkeypatch.setattr(Propagation, "_bind", built)
     monkeypatch.setattr(model_mod, "layer", recorded)
     rows = descent_trace(ds.features, model, ops)
-    # one kernel call per row for the energy and gradient, one per layer
-    assert calls[0] == len(rows) + len(iterates) == 7
+    # one set of kernel products per row, read by its energy and by the next
+    # layer, and no Propagation built after the pass's own
+    assert calls[0] == len(rows) == len(iterates) + 1 == 4
+    assert binds[0] == 1
     assert np.array_equal(iterates[-1], y)
-    assert rows[-1]["energy"] == energy_and_grad(y, fx, ops, model.params, variant).smooth
+    want = energy_and_grad(y, fx, ops, model.params, variant).smooth
+    assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant, block_rows, monkeypatch):
+    # each row's energy against the literal summation form (pair weight lambda0/2),
+    # its gradient norm against energy_and_grad's, at every iterate of the layers;
+    # with blocks of 3 rows, the 16 nodes take five full blocks and one of a row
+    import phenomnn.model as model_mod
+
+    if block_rows:
+        monkeypatch.setattr(model_mod, "_TRACE_BLOCK_BYTES", 8 * 3 * block_rows)
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=7))
+    cfg = ModelConfig(variant=variant, t_layers=4, d=3, alpha=0.3, lambda0=1.5, lambda1=0.7)
+    model = init_model(cfg, 3, ds.n_classes, seed=7)
+    if variant == "general":
+        rng = rng_for(7)
+        model.params.h0 += 0.2 * rng.standard_normal((3, 3))
+        model.params.h1 += 0.2 * rng.standard_normal((3, 3))
+    hg = ds.hypergraph
+    ops = build_expansion_operators(hg, 1.5, 0.7)
+    rows = descent_trace(ds.features, model, ops)
+    fx = model.predictor.apply(ds.features)
+    assert fx.shape == (16, 3)
+    prop = Propagation(ops, model.params, variant, cfg.alpha)
+    ys = [fx]
+    for _ in range(cfg.t_layers):
+        ys.append(layer(ys[-1], prop.c * fx, prop))
+    assert len(rows) == len(ys)
+    for row, y in zip(rows, ys):
+        summed = energy_bruteforce(y, z_star(hg, y), fx, hg, model.params, 0.75, 0.7).smooth
+        assert abs(row["energy"] - summed) <= 1e-10 * max(1.0, abs(summed))
+        norm = float(np.linalg.norm(energy_and_grad(y, fx, ops, model.params, variant).grad))
+        assert abs(row["grad_norm"] - norm) <= 1e-12 * norm
+        assert row["feasible"] == bool(np.min(y) >= 0.0)
+    # Fx = X with one negative entry, in node 0: the first row is infeasible
+    model.predictor.w[:] = np.eye(3)
+    model.predictor.b[:] = 0.0
+    x = np.abs(ds.features)
+    x[0, 0] = -1.0
+    assert not descent_trace(x, model, ops, 0)[0]["feasible"]
 
 
 def test_descent_trace_rejects_negative_steps():
@@ -240,7 +289,8 @@ def test_descent_trace_recomputed_from_the_checkpoint(variant, tmp_path):
     assert rows == metrics.energy_trace
     y, _ = forward(ds.features, loaded, ops)
     fx = loaded.predictor.apply(ds.features)
-    assert rows[-1]["energy"] == energy_and_grad(y, fx, ops, loaded.params, variant).smooth
+    want = energy_and_grad(y, fx, ops, loaded.params, variant).smooth
+    assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
 
 
 # -- step bounds -----------------------------------------------------------------------
