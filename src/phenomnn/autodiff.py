@@ -114,6 +114,13 @@ class Tape:
         ``vjp`` is its hand-written adjoint (``model.layer_vjp``), one gradient per input."""
         return self._record("layer", value, inputs, vjp)
 
+    def take_rows(self, a: Var, rows: np.ndarray, back: np.ndarray) -> Var:
+        """``a``'s rows in the order ``rows``, a permutation whose inverse is ``back``;
+        the adjoint is the gather ``g[back]``."""
+        if rows.shape != (a.value.shape[0],) or back.shape != rows.shape:
+            raise ValueError(f"take_rows: permutations of shapes {rows.shape}, {back.shape} for {a.value.shape}")
+        return self._record("take_rows", a.value[rows], (a,), lambda g: (g[back],))
+
     def add_rowvec(self, a: Var, bias: Var) -> Var:
         """Broadcast-add a 1-D bias across rows; its adjoint sums over rows."""
         if bias.value.ndim != 1 or bias.value.shape[0] != a.value.shape[1]:

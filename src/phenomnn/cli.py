@@ -22,7 +22,7 @@ import numpy as np
 from scipy.io import mmwrite
 
 from .autodiff import Tape, check_gradients
-from .data import SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
+from .data import SyntheticSpec, dataset_paths, generate_synthetic, load_dataset, make_splits, save_dataset
 from .energy import EnergyParams
 from .hypergraph import build_clique, build_expansion_operators, build_star_normalized, load_hypergraph
 from .model import (
@@ -134,10 +134,14 @@ def train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def _need_dataset(cfg: dict):
+def _dataset_dir(cfg: dict) -> str:
     if not cfg["dataset"]:
         raise ValueError("no dataset given (use --data, or 'dataset' in the config)")
-    return load_dataset(cfg["dataset"])
+    return cfg["dataset"]
+
+
+def _need_dataset(cfg: dict):
+    return load_dataset(_dataset_dir(cfg))
 
 
 def _out_dir(args) -> str:
@@ -169,11 +173,15 @@ def cmd_train(args) -> int:
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
     cfg = resolve_config(args)
-    # every value is checked before the output directory is made
+    # every value, and the dataset, is checked before the output directory is made
     mc, tc = model_config(cfg), train_config(cfg)
+    if args.parallel and repeats > 1:  # each worker loads the dataset: its files are checked here
+        dataset_paths(_dataset_dir(cfg))
+    else:
+        dataset = _need_dataset(cfg)
     out = _out_dir(args)
     if repeats == 1:
-        model, metrics = _single_run(_need_dataset(cfg), mc, tc, cfg["resplit"])
+        model, metrics = _single_run(dataset, mc, tc, cfg["resplit"])
         metrics.write(out)
         save_checkpoint(model, os.path.join(out, "checkpoint.json"))
         print(
@@ -192,7 +200,6 @@ def cmd_train(args) -> int:
         with mp.Pool(workers) as pool:
             results = pool.map(_worker, [(cfg, *run) for run in runs])
     else:
-        dataset = _need_dataset(cfg)
         results = [_run_summary(dataset, *run) for run in runs]
     accs = np.array([r["final_test_acc"] for r in results])
     summary = {

@@ -46,6 +46,7 @@ __all__ = [
     "DatasetShapeMismatch",
     "UnlabeledTrainNode",
     "Dataset",
+    "dataset_paths",
     "load_dataset",
     "save_dataset",
     "make_splits",
@@ -207,13 +208,23 @@ def _read_splits(path: str) -> np.ndarray:
     return np.array(names, dtype=str)
 
 
+# the files of a dataset directory, in the order ``dataset_paths`` returns them
+DATASET_FILES = ("hypergraph.txt", "features.csv", "labels.txt", "splits.txt")
+
+
+def dataset_paths(directory) -> tuple:
+    """The paths of a dataset directory's files, in ``DATASET_FILES`` order;
+    raises ``MissingDatasetFile`` for the first that is not a file."""
+    return tuple(_require(os.path.join(str(directory), name)) for name in DATASET_FILES)
+
+
 def load_dataset(directory) -> Dataset:
     """Load and validate a dataset directory."""
-    directory = str(directory)
-    hg = load_hypergraph(_require(os.path.join(directory, "hypergraph.txt")))
-    features = _read_features(_require(os.path.join(directory, "features.csv")))
-    labels = _read_labels(_require(os.path.join(directory, "labels.txt")))
-    splits = _read_splits(_require(os.path.join(directory, "splits.txt")))
+    graph_path, features_path, labels_path, splits_path = dataset_paths(directory)
+    hg = load_hypergraph(graph_path)
+    features = _read_features(features_path)
+    labels = _read_labels(labels_path)
+    splits = _read_splits(splits_path)
     labeled = labels[labels >= 0]
     n_classes = int(labeled.max()) + 1 if labeled.size else 0
     ds = Dataset(hg, features, labels, splits, n_classes)

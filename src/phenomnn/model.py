@@ -11,6 +11,14 @@ barrier and applies at every step.  The step is written once, as ``layer``;
 ``forward``, ``descent_trace`` and the taped pass call it, the last
 recording each layer as one node with the adjoint ``layer_vjp``.  The step
 bounds apply the same kernel at their own constants.
+
+A node in no hyperedge has zero rows in ``L_H``; every layer maps it by
+``ReLU((1 - alpha) y + alpha fx)``.  The general layers therefore run on
+``ExpansionOperators.linked_first``, the nodes in some hyperedge first, and
+their kernel takes its ``d x d`` terms over those rows alone.  ``forward``
+and the taped pass move ``Fx`` into that order and the logits back, and
+``descent_trace`` runs in it throughout; the simple layers, which have no
+dense row terms, run in node order.
 """
 
 from __future__ import annotations
@@ -183,7 +191,8 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
 
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
     ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
-    ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  The general variant's mask
+    ``Y^T (ca * g)`` and ``Y^T (cb * g)``, the last two over rows ``[:prop.k]``
+    alone, where ``ca`` and ``cb`` may be nonzero.  The general variant's mask
     ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the forward's
     own factor, so they equal, bit for bit, what the forward computed.
     ``backward`` hands ``g`` over, so the mask, and then ``R``, are written
@@ -194,10 +203,10 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
-        y = kept[0]
+        y, k = kept[0], prop.k
         p = prop.fwd[1] @ y
-        y1 = y.T @ prop.scratch
-        y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
+        y1 = y[:k].T @ prop.scratch[:k]
+        y0 = y[:k].T @ np.multiply(g[:k], prop.ca[:k], out=prop.scratch[:k])
         c0 = p.T @ s
         s *= prop.e
         c1 = p.T @ s
@@ -205,26 +214,42 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
-def _propagation(model: Model, ops: ExpansionOperators) -> Propagation:
-    """The layers' kernel of ``model`` on ``ops``, which must be built for the model's ``(lambda0, lambda1)``."""
+def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
+    """``(prop, order, inverse, ops)``: the layers' kernel of ``model``, the node order it runs
+    in, that order's inverse, and the operators in that order.
+
+    ``ops`` must be built for the model's ``(lambda0, lambda1)``.  The general
+    kernel runs in ``ops.linked_first`` order, so its ``d x d`` terms cover
+    the first ``prop.k`` rows alone; ``order`` and ``inverse`` are None when
+    that is node order, and always for the simple kernel, which has no dense
+    row terms."""
     cfg = model.config
     if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
         raise ValueError(
             f"expansion operators were built for (lambda0={ops.lambda0}, lambda1={ops.lambda1}) "
             f"but the model's config has ({cfg.lambda0}, {cfg.lambda1})"
         )
-    return Propagation(ops, model.params, cfg.variant, cfg.alpha)
+    order, inverse, ops = ops.linked_first if cfg.variant == "general" else (None, None, ops)
+    return Propagation(ops, model.params, cfg.variant, cfg.alpha), order, inverse, ops
 
 
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
-    """Full unrolled pass: base projection, T propagation steps, classifier logits."""
+    """Full unrolled pass: base projection, T propagation steps, classifier logits.
+
+    The layers and the classifier run in the kernel's node order (see
+    ``_propagation``); ``Y`` and the logits are returned in node order."""
     fx = model.predictor.apply(x)
-    prop = _propagation(model, ops)
+    prop, order, inverse, _ = _propagation(model, ops)
+    if order is not None:
+        fx = fx[order]
     c_fx = prop.c * fx
     y = fx
     for _ in range(model.config.t_layers):
         y = layer(y, c_fx, prop)
-    return y, model.classifier.apply(y)
+    logits = model.classifier.apply(y)
+    if order is None:
+        return y, logits
+    return y[inverse], logits[inverse]
 
 
 # -- taped forward (training path) -------------------------------------------
@@ -237,7 +262,10 @@ def build_taped_logits(
     """Record the full forward pass on ``tape`` and return the logits node.
 
     Dropout enters as constant multiplicative masks on the input features and
-    on the base prediction; passing ``None`` disables either mask.
+    on the base prediction; passing ``None`` disables either mask.  When the
+    kernel runs in an order other than node order (see ``_propagation``), a
+    ``take_rows`` node moves ``Fx`` into it and another moves the logits
+    back, so the last layer's ``Y`` is held in the kernel's order alone.
     """
     cfg = model.config
     params = {name: tape.leaf(arr, name=name) for name, arr in model.parameters().items()}
@@ -248,7 +276,9 @@ def build_taped_logits(
     if feature_mask is not None:
         fx = tape.mul_const(fx, feature_mask)
 
-    prop = _propagation(model, ops)
+    prop, order, inverse, _ = _propagation(model, ops)
+    if order is not None:
+        fx = tape.take_rows(fx, order, inverse)
     c_fx = prop.c * fx.value
     compat = (params["h0"], params["h1"]) if prop.general else ()
     y = fx
@@ -256,7 +286,8 @@ def build_taped_logits(
         kept = []
         value = layer(y.value, c_fx, prop, kept)
         y = tape.layer(value, (y, fx, *compat), partial(layer_vjp, prop=prop, kept=kept))
-    return tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
+    logits = tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
+    return logits if order is None else tape.take_rows(logits, inverse, order)
 
 
 # -- step-size bounds ---------------------------------------------------------
@@ -361,14 +392,18 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     (d_tilde - 1) * Y`` (both variants, as ``lambda0 d_C + lambda1 d_S_bar =
     d_tilde - 1``) for the energy, and the next iterate, which ``layer``
     finishes in ``pre``.  The energy is not taken from ``(Y_t - Y_{t+1}) / c``:
-    its ``(1 - alpha) Y`` and ``c * Fx`` terms cancel as the descent converges."""
+    its ``(1 - alpha) Y`` and ``c * Fx`` terms cancel as the descent converges.
+    The iterates stay in the kernel's node order (see ``_propagation``), and
+    ``d_tilde`` is read from the operators in that order; the energy, a sum
+    over nodes, is taken in it too."""
     cfg = model.config
     steps = cfg.t_layers if steps is None else steps
     if steps < 0:
         raise ValueError(f"descent_trace: steps must be nonnegative, got {steps}")
     rows = []
-    y = fx = model.predictor.apply(x)
-    prop = _propagation(model, ops)
+    fx = model.predictor.apply(x)
+    prop, order, _, ops = _propagation(model, ops)
+    y = fx = fx if order is None else fx[order]
     c_fx = prop.c * fx
     scale, diag = (ops.d_tilde / cfg.alpha)[:, None], (ops.d_tilde - 1.0)[:, None]
     n, d = fx.shape

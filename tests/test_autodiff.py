@@ -584,3 +584,21 @@ def test_check_gradients_fails_on_a_nan_gradient():
     assert np.isnan(report["params"]["w"]["max_rel_err"])
     assert np.isnan(report["max_rel_err"])
     assert report["passed"] is False
+
+
+def test_take_rows_permutes_and_its_adjoint_gathers_by_the_inverse():
+    rng = rng_for(53)
+    tape = Tape()
+    a = tape.leaf(rng.standard_normal((5, 3)), name="a")
+    rows = np.array([3, 0, 4, 1, 2])
+    out = tape.take_rows(a, rows, np.argsort(rows))
+    assert np.array_equal(out.value, a.value[rows])
+    (op,) = tape.ops
+    g = rng.standard_normal((5, 3))
+    (ga,) = op.vjp(g)
+    want = np.empty_like(g)
+    want[rows] = g
+    assert np.array_equal(ga, want)
+    assert not any(np.shares_memory(ga, held) for held in (g, a.value, out.value))
+    with pytest.raises(ValueError, match="take_rows"):
+        tape.take_rows(a, rows[:4], np.argsort(rows[:4]))

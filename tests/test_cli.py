@@ -461,6 +461,19 @@ def test_missing_dataset_is_single_line_error(capsys):
     assert err.startswith("error:") and "\n" not in err
 
 
+@pytest.mark.parametrize("repeats", [["--repeats", "1"], ["--repeats", "2"], ["--repeats", "2", "--parallel"]])
+@pytest.mark.parametrize("data", [[], ["--data", "/nonexistent/dir"], ["--data", "partial"]])
+def test_train_without_a_dataset_makes_no_output_directory(tmp_path, monkeypatch, capsys, data, repeats):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "partial").mkdir()
+    (tmp_path / "partial" / "hypergraph.txt").write_text("3 1\n0 1\n")
+    out = tmp_path / "X"
+    assert main(["train", "--out", str(out), *data, *repeats]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("no dataset given" in err or "missing dataset file" in err)
+    assert not out.exists()
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -404,3 +404,23 @@ def test_operators_store_no_more_than_the_incidence(seed):
     sparse = [v for v in vars(ops).values() if hasattr(v, "nnz")]
     assert len(sparse) == 1
     assert all(v.nnz <= hg.incidence.nnz for v in sparse)
+
+
+def test_linked_first_puts_the_nodes_in_some_hyperedge_first_in_node_order():
+    hg = Hypergraph.from_edges(7, [[1, 4], [6, 4, 2]])
+    ops = build_expansion_operators(hg, 1.0, 0.5)
+    order, inverse, lf = ops.linked_first
+    assert order.tolist() == [1, 2, 4, 6, 0, 3, 5]
+    assert np.array_equal(order[inverse], np.arange(7))
+    assert np.array_equal(lf.b.toarray(), hg.incidence.toarray()[order])
+    for name in ("d_c", "d_s_bar", "d_tilde"):
+        assert np.array_equal(getattr(lf, name), getattr(ops, name)[order]), name
+    assert lf.d_h is ops.d_h and (lf.lambda0, lf.lambda1) == (1.0, 0.5)
+    assert ops.linked_first is ops.linked_first
+    assert lf.linked_first == (None, None, lf)
+
+
+@pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])
+def test_linked_first_is_node_order_when_the_linked_nodes_come_first(n, edges):
+    ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
+    assert ops.linked_first == (None, None, ops)

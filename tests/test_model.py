@@ -6,17 +6,26 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from phenomnn.autodiff import Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams, energy_and_grad
-from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
+from phenomnn.hypergraph import (
+    ExpansionOperators,
+    Hypergraph,
+    build_clique,
+    build_expansion_operators,
+    build_star_normalized,
+)
 from phenomnn.model import (
     Model,
     ModelConfig,
     Propagation,
+    build_taped_logits,
     descent_trace,
     forward,
     init_model,
     layer,
+    layer_vjp,
     load_checkpoint,
     save_checkpoint,
     step_bound_general,
@@ -220,7 +229,9 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
     # layer, and no Propagation built after the pass's own
     assert calls[0] == len(rows) == len(iterates) + 1 == 4
     assert binds[0] == 1
-    assert np.array_equal(iterates[-1], y)
+    # the general trace runs in the kernel's linked-first order
+    order = ops.linked_first[0] if variant == "general" else None
+    assert np.array_equal(iterates[-1], y if order is None else y[order])
     want = energy_and_grad(y, fx, ops, model.params, variant).smooth
     assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
 
@@ -291,6 +302,128 @@ def test_descent_trace_recomputed_from_the_checkpoint(variant, tmp_path):
     fx = loaded.predictor.apply(ds.features)
     want = energy_and_grad(y, fx, ops, loaded.params, variant).smooth
     assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
+
+
+# -- general layers on the linked nodes first -----------------------------------------
+
+
+def isolated_first_problem(t_layers=3):
+    """A general model on a hypergraph whose nodes 0, 1, 5, 9 and 13 are in no hyperedge."""
+    rng = rng_for(61)
+    n, d = 14, 5
+    hg = Hypergraph.from_edges(n, [[2, 3, 4], [4, 6, 7], [8, 10], [2, 11, 12], [6, 12], [3]])
+    cfg = ModelConfig(variant="general", t_layers=t_layers, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
+    model = init_model(cfg, 4, 3, seed=61)
+    model.params.h0 += 0.2 * rng.standard_normal((d, d))
+    model.params.h1 += 0.2 * rng.standard_normal((d, d))
+    x = rng.standard_normal((n, 4)) + 0.5
+    labels = rng.integers(0, 3, n)
+    return x, labels, model, build_expansion_operators(hg, cfg.lambda0, cfg.lambda1)
+
+
+def node_order_pass(x, model, ops):
+    """``forward`` as a plain loop of ``layer`` over the nodes in node order."""
+    prop = Propagation(ops, model.params, "general", model.config.alpha)
+    fx = model.predictor.apply(x)
+    c_fx, y = prop.c * fx, fx
+    for _ in range(model.config.t_layers):
+        y = layer(y, c_fx, prop)
+    return y, model.classifier.apply(y)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked, monkeypatch):
+    x, labels, model, ops = isolated_first_problem()
+    order, _, _ = ops.linked_first
+    assert order is not None and order[:9].tolist() == [2, 3, 4, 6, 7, 8, 10, 11, 12]
+    rows = np.arange(0, x.shape[0], 2)
+    rng = rng_for(62)
+    masks = (None, None)
+    if masked:
+        masks = ((rng.random(x.shape) > 0.3) / 0.7, (rng.random((x.shape[0], model.config.d)) > 0.3) / 0.7)
+
+    def taped():
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x, *masks)
+        loss = tape.softmax_cross_entropy(logits, labels[rows], rows)
+        return logits.value, float(loss.value), backward(tape, loss)
+
+    y, logits = forward(x, model, ops)
+    y_ref, logits_ref = node_order_pass(x, model, ops)
+    assert np.array_equal(y, y_ref) and np.array_equal(logits, logits_ref)
+    fx = y_node_wise = model.predictor.apply(x)
+    for _ in range(model.config.t_layers):
+        y_node_wise = messagepassing_layer(y_node_wise, fx, ops, model.params, model.config.alpha)
+    assert np.max(np.abs(y - y_node_wise)) <= 1e-12 * np.max(np.abs(y))
+    got_logits, got_loss, got = taped()
+    trace = descent_trace(x, model, ops)
+    monkeypatch.setattr(ExpansionOperators, "linked_first", property(lambda self: (None, None, self)))
+    want_logits, want_loss, want = taped()
+    if not masked:
+        assert np.array_equal(got_logits, logits_ref)
+    assert np.array_equal(got_logits, want_logits) and got_loss == want_loss
+    for name in ("predictor.w0", "predictor.b0"):
+        assert np.array_equal(got[name], want[name]), name
+    # sums over nodes, taken in the kernel's order
+    for name in ("classifier.w", "classifier.b", "h0", "h1"):
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
+    for row, ref in zip(trace, descent_trace(x, model, ops)):
+        assert abs(row["energy"] - ref["energy"]) <= 1e-12 * abs(ref["energy"])
+        assert abs(row["grad_norm"] - ref["grad_norm"]) <= 1e-12 * ref["grad_norm"]
+
+
+def test_general_gradients_on_isolated_nodes_first_match_finite_differences():
+    x, labels, model, ops = isolated_first_problem()
+    rows = np.arange(x.shape[0])
+
+    def build(params):
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x)
+        return tape, tape.softmax_cross_entropy(logits, labels, rows)
+
+    report = check_gradients(build, model.parameters(), samples=40, step=1e-5, seed=61)
+    assert report["passed"], report
+    assert report["max_rel_err"] <= 1e-5
+
+
+def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
+    import phenomnn.energy as energy_mod
+
+    x, _, model, ops = isolated_first_problem(t_layers=2)
+    n, d = x.shape[0], model.config.d
+    linked = int(np.count_nonzero(ops.d_c))
+    shapes, plain = [], energy_mod.dgemm
+
+    def counted(alpha, a, b, **kwargs):
+        shapes.append((b.shape, kwargs["c"].shape))
+        return plain(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "dgemm", counted)
+    forward(x, model, ops)
+    assert shapes == [((d, linked), (d, linked))] * (2 * 2)
+    # a layer and its adjoint in the kernel's order write the scratch's linked rows alone
+    order, _, lf = ops.linked_first
+    prop = Propagation(lf, model.params, "general", model.config.alpha)
+    assert prop.k == linked
+    fx = model.predictor.apply(x)[order]
+    shapes.clear()
+    kept = []
+    layer(fx, prop.c * fx, prop, kept)
+    layer_vjp(rng_for(63).standard_normal((n, d)), prop, kept)
+    assert shapes == [((d, linked), (d, linked))] * 4
+    assert prop.scratch.shape == (n, d) and prop.scratch[:linked].any()
+    assert not prop.scratch[linked:].any()
+
+
+def test_isolated_nodes_end_at_the_relu_of_their_base_prediction():
+    # a node in no hyperedge has the energy term ||y_i - f_i||^2 alone: its
+    # minimiser over y_i >= 0 is ReLU(f_i), a fixed point of every layer
+    x, _, model, ops = isolated_first_problem(t_layers=6)
+    y, _ = forward(x, model, ops)
+    fx = model.predictor.apply(x)
+    isolated = ops.d_c == 0
+    assert isolated.sum() == 5 and (fx[isolated] < 0.0).any() and (fx[isolated] > 0.0).any()
+    assert np.max(np.abs(y[isolated] - np.maximum(fx[isolated], 0.0))) <= 1e-12 * max(1.0, np.abs(fx).max())
 
 
 # -- step bounds -----------------------------------------------------------------------
