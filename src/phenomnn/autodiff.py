@@ -95,12 +95,16 @@ class Tape:
     # -- primitives --------------------------------------------------------
 
     def matmul(self, a: Var, b: Var) -> Var:
+        """``a @ b``; an operand that needs no gradient (the input features) is
+        not an input of the node, so its adjoint is never formed."""
         if a.value.shape[1] != b.value.shape[0]:
             raise ValueError(f"matmul: cannot multiply {a.value.shape} by {b.value.shape}")
         av, bv = a.value, b.value
-        return self._record(
-            "matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g)
-        )
+        if not a.requires_grad:
+            return self._record("matmul", av @ bv, (b,), lambda g: (av.T @ g,))
+        if not b.requires_grad:
+            return self._record("matmul", av @ bv, (a,), lambda g: (g @ bv.T,))
+        return self._record("matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
     def mul_const(self, a: Var, mask: np.ndarray) -> Var:
         """Elementwise product with a constant array (dropout masks and the like)."""
@@ -110,16 +114,39 @@ class Tape:
         return self._record("mul_const", mask * a.value, (a,), lambda g: (mask * g,))
 
     def layer(self, value: np.ndarray, inputs: tuple, vjp) -> Var:
-        """A propagation layer's output (``model.layer``) as one node over ``(Y, Fx[, H0, H1])``;
-        ``vjp`` is its hand-written adjoint (``model.layer_vjp``), one gradient per input."""
+        """A node with a hand-written adjoint ``vjp``, one gradient per input: a
+        propagation layer's output (``model.layer``) over ``(Y, Fx[, H0, H1])``,
+        or every layer at once on the nodes in no hyperedge, in closed form."""
         return self._record("layer", value, inputs, vjp)
 
-    def take_rows(self, a: Var, rows: np.ndarray, back: np.ndarray) -> Var:
-        """``a``'s rows in the order ``rows``, a permutation whose inverse is ``back``;
-        the adjoint is the gather ``g[back]``."""
-        if rows.shape != (a.value.shape[0],) or back.shape != rows.shape:
-            raise ValueError(f"take_rows: permutations of shapes {rows.shape}, {back.shape} for {a.value.shape}")
-        return self._record("take_rows", a.value[rows], (a,), lambda g: (g[back],))
+    def take_rows(self, a: Var, rows: np.ndarray) -> Var:
+        """Rows ``rows`` of ``a``, strictly increasing; the adjoint scatters ``g``
+        into those rows of a zero array of ``a``'s shape."""
+        shape = a.value.shape
+        inside = rows.ndim == 1 and (not rows.size or 0 <= rows[0] and rows[-1] < shape[0])
+        if not inside or np.any(rows[1:] <= rows[:-1]):
+            raise ValueError(f"take_rows: rows must be increasing indices below {shape[0]}")
+
+        def vjp(g):
+            out = np.zeros(shape)
+            out[rows] = g
+            return (out,)
+
+        return self._record("take_rows", a.value[rows], (a,), vjp)
+
+    def merge_rows(self, parts: tuple, rows: tuple) -> Var:
+        """One array whose rows ``rows[i]`` are ``parts[i]``'s, the index sets
+        partitioning its rows; the adjoint of ``parts[i]`` is ``g[rows[i]]``."""
+        sizes = [p.value.shape[0] for p in parts]
+        if sizes != [r.size for r in rows]:
+            raise ValueError(f"merge_rows: parts of {sizes} rows for {[r.size for r in rows]} indices")
+        n = sum(sizes)
+        if n and not np.array_equal(np.bincount(np.concatenate(rows), minlength=n), np.ones(n, dtype=np.int64)):
+            raise ValueError(f"merge_rows: the row indices do not partition range({n})")
+        out = np.empty((n, *parts[0].value.shape[1:]))
+        for p, r in zip(parts, rows):
+            out[r] = p.value
+        return self._record("merge_rows", out, tuple(parts), lambda g: tuple(g[r] for r in rows))
 
     def add_rowvec(self, a: Var, bias: Var) -> Var:
         """Broadcast-add a 1-D bias across rows; its adjoint sums over rows."""

@@ -176,6 +176,9 @@ def cmd_train(args) -> int:
     # every value, and the dataset, is checked before the output directory is made
     mc, tc = model_config(cfg), train_config(cfg)
     if args.parallel and repeats > 1:  # each worker loads the dataset: its files are checked here
+        threads = os.environ.get("PHENOMNN_THREADS", str(os.cpu_count() or 1))
+        if not threads.isdecimal() or int(threads) < 1:
+            raise ValueError(f"PHENOMNN_THREADS must be a positive integer, got {threads!r}")
         dataset_paths(_dataset_dir(cfg))
     else:
         dataset = _need_dataset(cfg)
@@ -193,9 +196,6 @@ def cmd_train(args) -> int:
     if args.parallel:
         import multiprocessing as mp
 
-        threads = os.environ.get("PHENOMNN_THREADS", str(os.cpu_count() or 1))
-        if not threads.isdecimal() or int(threads) < 1:
-            raise ValueError(f"PHENOMNN_THREADS must be a positive integer, got {threads!r}")
         workers = min(repeats, int(threads))
         with mp.Pool(workers) as pool:
             results = pool.map(_worker, [(cfg, *run) for run in runs])

@@ -23,12 +23,12 @@ trace reads ``-L_H Y`` off a layer's own products, so ``energy_from_neg_lap``
 turns ``-L_H Y`` into the energy and gradient for both.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
-zero rows in ``L_H``, so the general kernel's ``d x d`` row terms run over
-rows ``[:k]`` alone, ``k`` one past the last row with ``d_C > 0``: about
-``n`` in node order, and the number of linked nodes when the operators come
-in ``ExpansionOperators.linked_first`` order.  The nonnegativity barrier is
-never represented as an infinite float: the energy is returned as its smooth
-value with a feasibility flag.
+zero rows in ``L_H``: the general layers run the kernel on
+``ExpansionOperators.linked``, the linked nodes alone, and the energy and the
+step bounds on every node, where the general kernel's ``d x d`` row terms
+add exact zeros on the isolated rows.  The nonnegativity barrier is never
+represented as an infinite float: the energy is returned as its smooth value
+with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -111,13 +111,9 @@ class Propagation:
     so the adjoint of ``V -> K(V)`` is ``K(.; B, B^T diag(c))``; ``fwd`` and
     ``adj`` hold the two factor pairs.
 
-    ``ca`` and ``cb`` are zero on a node in no hyperedge, so a general call
-    takes the ``A`` terms over rows ``[:k]`` alone, ``k`` one past the last
-    row with ``d_C > 0``; on operators in ``linked_first`` order that is the
-    number of linked nodes.  It writes ``ca * v`` and then ``cb * v`` into
-    rows ``[:k]`` of ``scratch``, the one n x d work array of the instance,
-    made zero and never written past row ``k``, and leaves ``cb * v`` there
-    for ``layer_vjp`` to read.
+    A general call writes ``ca * v`` and then ``cb * v`` into ``scratch``, the
+    one work array of the instance, of ``v``'s shape, and leaves ``cb * v``
+    there for ``layer_vjp`` to read.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
@@ -154,8 +150,6 @@ class Propagation:
         self.e = (ops.lambda1 / ops.d_h)[:, None]
         self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
         self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
-        linked = np.flatnonzero(ops.d_c)
-        self.k = int(linked[-1]) + 1 if linked.size else 0
 
     def products(self, v: np.ndarray, left, right):
         """The kernel's products, ``K(v; left, right) - u v``, and the edge-side product ``right v``.
@@ -166,16 +160,14 @@ class Propagation:
         if not self.general:
             return left @ p, p
         out = left @ (p @ self.m0 + self.e * (p @ self.m1))
-        # one n x d scratch for every call through this instance: a fresh one
-        # per layer is paged in anew whenever the allocator has trimmed the heap
+        # one scratch for every call through this instance: a fresh one per
+        # layer is paged in anew whenever the allocator has trimmed the heap
         if self.scratch is None or self.scratch.shape != v.shape:
-            self.scratch = np.zeros(v.shape)
-        k = self.k
-        if k:  # ca = cb = 0 on the rows from k on: their A terms add nothing
-            for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
-                t = np.multiply(v[:k], ck[:k], out=self.scratch[:k])
-                # out[:k]^T += A_k^T (c_k * v)[:k]^T, all three F-contiguous views
-                dgemm(1.0, ak.T, t.T, beta=1.0, c=out[:k].T, overwrite_c=True)
+            self.scratch = np.empty(v.shape)
+        for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
+            t = np.multiply(v, ck, out=self.scratch)
+            # out^T += A_k^T (c_k * v)^T, all three F-contiguous views
+            dgemm(1.0, ak.T, t.T, beta=1.0, c=out.T, overwrite_c=True)
         return out, p
 
     def add_u(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -246,8 +246,8 @@ class ExpansionOperators:
     """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form.
 
     ``b`` is the hypergraph's own CSR incidence matrix ``B``, the only sparse
-    array kept besides the row-permuted copy in ``linked_first`` (``b.T`` is
-    its CSC view, not a copy), so ``A_C Y = B (B^T Y)``
+    array kept besides the linked rows' copy in ``linked`` (``b.T`` is its
+    CSC view, not a copy), so ``A_C Y = B (B^T Y)``
     and ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
     diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
     sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
@@ -269,33 +269,32 @@ class ExpansionOperators:
         return self.b.shape[0]
 
     @cached_property
-    def linked_first(self) -> tuple:
-        """``(order, inverse, ops)``: these operators with the nodes in some hyperedge first.
+    def linked(self) -> tuple:
+        """``(linked, isolated, ops)``: the nodes in some hyperedge, those in none, and
+        these operators on the first alone.
 
-        ``order`` lists the nodes with ``d_c > 0`` and then those with
-        ``d_c = 0``, each group in node order; ``inverse`` maps a node to its
-        position in ``order``, and ``ops`` holds ``b[order]``, ``d_c``,
-        ``d_s_bar`` and ``d_tilde`` in that order, with the edges unchanged.  The
-        order is stable, so each hyperedge keeps its members' relative order and
-        ``B^T Y`` and ``B Q`` sum in node order's sequence, bit for bit.  When the
-        linked nodes already come first this is ``(None, None, self)``.  Built
+        ``linked`` lists the nodes with ``d_c > 0`` and ``isolated`` those with
+        ``d_c = 0``, each in node order; ``ops`` holds ``b[linked]``, ``d_c``,
+        ``d_s_bar`` and ``d_tilde`` on those rows, with the edges unchanged.  An
+        isolated node is a zero row of ``B``, so each hyperedge keeps its
+        members in their order and ``B^T Y`` and ``B Q`` sum in node order's
+        sequence, bit for bit.  When no node is isolated, or none is linked (a
+        hypergraph with no hyperedge), this is ``(None, None, self)``.  Built
         once per instance: a model pass reads it on every call."""
         isolated = self.d_c == 0
-        if not np.any(isolated[:-1] > isolated[1:]):
+        if isolated.all() or not isolated.any():
             return None, None, self
-        order = np.argsort(isolated, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
+        linked = np.flatnonzero(~isolated)
         ops = ExpansionOperators(
-            b=self.b[order],
-            d_c=self.d_c[order],
-            d_s_bar=self.d_s_bar[order],
+            b=self.b[linked],
+            d_c=self.d_c[linked],
+            d_s_bar=self.d_s_bar[linked],
             d_h=self.d_h,
             lambda0=self.lambda0,
             lambda1=self.lambda1,
-            d_tilde=self.d_tilde[order],
+            d_tilde=self.d_tilde[linked],
         )
-        return order, inverse, ops
+        return linked, np.flatnonzero(isolated), ops
 
 
 def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) -> ExpansionOperators:

@@ -12,13 +12,14 @@ barrier and applies at every step.  The step is written once, as ``layer``;
 recording each layer as one node with the adjoint ``layer_vjp``.  The step
 bounds apply the same kernel at their own constants.
 
-A node in no hyperedge has zero rows in ``L_H``; every layer maps it by
-``ReLU((1 - alpha) y + alpha fx)``.  The general layers therefore run on
-``ExpansionOperators.linked_first``, the nodes in some hyperedge first, and
-their kernel takes its ``d x d`` terms over those rows alone.  ``forward``
-and the taped pass move ``Fx`` into that order and the logits back, and
-``descent_trace`` runs in it throughout; the simple layers, which have no
-dense row terms, run in node order.
+A node in no hyperedge has zero rows in ``L_H``, so its energy term is
+``||y_i - f_i||^2`` alone: its minimiser over ``y_i >= 0``, ``ReLU(f_i)``, is
+where the first layer takes it from ``Y_0 = Fx`` and where every later layer
+keeps it.  The general layers therefore run on ``ExpansionOperators.linked``,
+the nodes in some hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in
+closed form: ``forward``, the taped pass and ``descent_trace`` hold ``k x d``
+arrays per layer, ``k`` the number of linked nodes.  The simple layers keep a
+ReLU mask alone, so they run on every node, in node order.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
 
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
     ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
-    ``Y^T (ca * g)`` and ``Y^T (cb * g)``, the last two over rows ``[:prop.k]``
-    alone, where ``ca`` and ``cb`` may be nonzero.  The general variant's mask
+    ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  The general variant's mask
     ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the forward's
     own factor, so they equal, bit for bit, what the forward computed.
     ``backward`` hands ``g`` over, so the mask, and then ``R``, are written
@@ -203,10 +203,10 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
-        y, k = kept[0], prop.k
+        y = kept[0]
         p = prop.fwd[1] @ y
-        y1 = y[:k].T @ prop.scratch[:k]
-        y0 = y[:k].T @ np.multiply(g[:k], prop.ca[:k], out=prop.scratch[:k])
+        y1 = y.T @ prop.scratch
+        y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
         c0 = p.T @ s
         s *= prop.e
         c1 = p.T @ s
@@ -214,42 +214,54 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
+def _isolated_vjp(g: np.ndarray, rows: np.ndarray, out: np.ndarray, n: int) -> tuple:
+    """Adjoint of ``ReLU(Fx[rows])`` with output ``out``: ``g * (out > 0)`` in rows ``rows``
+    of an ``n``-row zero array (``out > 0`` exactly where ``Fx[rows] > 0``)."""
+    dfx = np.zeros((n, g.shape[1]))
+    dfx[rows] = np.multiply(g, out > 0.0, out=g)
+    return (dfx,)
+
+
 def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
-    """``(prop, order, inverse, ops)``: the layers' kernel of ``model``, the node order it runs
-    in, that order's inverse, and the operators in that order.
+    """``(prop, linked, isolated)``: the layers' kernel of ``model`` and the rows it runs on.
 
     ``ops`` must be built for the model's ``(lambda0, lambda1)``.  The general
-    kernel runs in ``ops.linked_first`` order, so its ``d x d`` terms cover
-    the first ``prop.k`` rows alone; ``order`` and ``inverse`` are None when
-    that is node order, and always for the simple kernel, which has no dense
-    row terms."""
+    kernel is built on ``ops.linked``, the nodes in some hyperedge, listed in
+    ``linked``; ``isolated`` lists the others, whose rows are ``ReLU(Fx)``.
+    Both are None when no node is isolated, and always for the simple kernel,
+    which runs on every node in node order."""
     cfg = model.config
     if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
         raise ValueError(
             f"expansion operators were built for (lambda0={ops.lambda0}, lambda1={ops.lambda1}) "
             f"but the model's config has ({cfg.lambda0}, {cfg.lambda1})"
         )
-    order, inverse, ops = ops.linked_first if cfg.variant == "general" else (None, None, ops)
-    return Propagation(ops, model.params, cfg.variant, cfg.alpha), order, inverse, ops
+    linked, isolated, ops = ops.linked if cfg.variant == "general" else (None, None, ops)
+    return Propagation(ops, model.params, cfg.variant, cfg.alpha), linked, isolated
 
 
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
     """Full unrolled pass: base projection, T propagation steps, classifier logits.
 
-    The layers and the classifier run in the kernel's node order (see
-    ``_propagation``); ``Y`` and the logits are returned in node order."""
+    The layers run on the kernel's rows (see ``_propagation``); the last
+    ``Y`` and ``ReLU(Fx)`` on the isolated rows are written into ``Fx``'s
+    array, which is returned as ``Y``.  The classifier is applied to each
+    set of rows on its own, as in ``build_taped_logits``: a BLAS product's
+    rows can depend on its row count, and ``train`` scores an epoch from
+    the next taped pass's logits, which must equal these bit for bit."""
     fx = model.predictor.apply(x)
-    prop, order, inverse, _ = _propagation(model, ops)
-    if order is not None:
-        fx = fx[order]
-    c_fx = prop.c * fx
-    y = fx
+    prop, linked, isolated = _propagation(model, ops)
+    y = fx if linked is None else fx[linked]
+    c_fx = prop.c * y
     for _ in range(model.config.t_layers):
         y = layer(y, c_fx, prop)
-    logits = model.classifier.apply(y)
-    if order is None:
-        return y, logits
-    return y[inverse], logits[inverse]
+    if linked is None:
+        return y, model.classifier.apply(y)
+    iso = np.maximum(fx[isolated], 0.0)
+    logits = np.empty((fx.shape[0], model.classifier.b.size))
+    logits[linked], logits[isolated] = model.classifier.apply(y), model.classifier.apply(iso)
+    fx[linked], fx[isolated] = y, iso
+    return fx, logits
 
 
 # -- taped forward (training path) -------------------------------------------
@@ -262,10 +274,12 @@ def build_taped_logits(
     """Record the full forward pass on ``tape`` and return the logits node.
 
     Dropout enters as constant multiplicative masks on the input features and
-    on the base prediction; passing ``None`` disables either mask.  When the
-    kernel runs in an order other than node order (see ``_propagation``), a
-    ``take_rows`` node moves ``Fx`` into it and another moves the logits
-    back, so the last layer's ``Y`` is held in the kernel's order alone.
+    on the base prediction; passing ``None`` disables either mask.  When some
+    node is isolated (see ``_propagation``), a ``take_rows`` node selects the
+    linked rows of ``Fx`` for the layers, one node with the adjoint
+    ``_isolated_vjp`` gives ``ReLU(Fx)`` on the isolated rows, the classifier
+    runs on each, and a ``merge_rows`` node puts the two sets of logits in
+    node order: no n x d ``Y`` is held for the classifier's adjoint.
     """
     cfg = model.config
     params = {name: tape.leaf(arr, name=name) for name, arr in model.parameters().items()}
@@ -276,18 +290,22 @@ def build_taped_logits(
     if feature_mask is not None:
         fx = tape.mul_const(fx, feature_mask)
 
-    prop, order, inverse, _ = _propagation(model, ops)
-    if order is not None:
-        fx = tape.take_rows(fx, order, inverse)
-    c_fx = prop.c * fx.value
+    def classify(y: Var) -> Var:
+        return tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
+
+    prop, linked, isolated = _propagation(model, ops)
+    y = fl = fx if linked is None else tape.take_rows(fx, linked)
+    c_fx = prop.c * fl.value
     compat = (params["h0"], params["h1"]) if prop.general else ()
-    y = fx
     for _ in range(cfg.t_layers):
         kept = []
         value = layer(y.value, c_fx, prop, kept)
-        y = tape.layer(value, (y, fx, *compat), partial(layer_vjp, prop=prop, kept=kept))
-    logits = tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
-    return logits if order is None else tape.take_rows(logits, inverse, order)
+        y = tape.layer(value, (y, fl, *compat), partial(layer_vjp, prop=prop, kept=kept))
+    if linked is None:
+        return classify(y)
+    relu = np.maximum(fx.value[isolated], 0.0)
+    iso = tape.layer(relu, (fx,), partial(_isolated_vjp, rows=isolated, out=relu, n=fx.value.shape[0]))
+    return tape.merge_rows((classify(y), classify(iso)), (linked, isolated))
 
 
 # -- step-size bounds ---------------------------------------------------------
@@ -393,17 +411,26 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     d_tilde - 1``) for the energy, and the next iterate, which ``layer``
     finishes in ``pre``.  The energy is not taken from ``(Y_t - Y_{t+1}) / c``:
     its ``(1 - alpha) Y`` and ``c * Fx`` terms cancel as the descent converges.
-    The iterates stay in the kernel's node order (see ``_propagation``), and
-    ``d_tilde`` is read from the operators in that order; the energy, a sum
-    over nodes, is taken in it too."""
+    The iterates cover the kernel's rows alone (see ``_propagation``).  An
+    isolated row is ``Fx`` at iterate 0, where it adds nothing to the energy
+    or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
+    from iterate 1 on, where its residual ``min(Fx, 0)`` adds
+    ``||min(Fx, 0)||^2`` to the energy and ``4 ||min(Fx, 0)||^2`` to the
+    squared gradient norm."""
     cfg = model.config
     steps = cfg.t_layers if steps is None else steps
     if steps < 0:
         raise ValueError(f"descent_trace: steps must be nonnegative, got {steps}")
     rows = []
     fx = model.predictor.apply(x)
-    prop, order, _, ops = _propagation(model, ops)
-    y = fx = fx if order is None else fx[order]
+    prop, linked, isolated = _propagation(model, ops)
+    iso_feasible, iso_sq = True, 0.0
+    if linked is not None:
+        ops = ops.linked[2]
+        residual = np.minimum(fx[isolated], 0.0)  # Fx - ReLU(Fx), zero where Fx >= 0
+        iso_feasible, iso_sq = not residual.any(), float(np.vdot(residual, residual))
+        fx = fx[linked]
+    y = fx
     c_fx = prop.c * fx
     scale, diag = (ops.d_tilde / cfg.alpha)[:, None], (ops.d_tilde - 1.0)[:, None]
     n, d = fx.shape
@@ -411,7 +438,7 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     neg_lap, work = np.empty((min(n, block), d)), np.empty((min(n, block), d))
     for t in range(steps + 1):
         pre, _ = prop.products(y, *prop.fwd)
-        energy, feasible, grad_sq = 0.0, True, 0.0
+        energy, feasible, grad_sq = 0.0, iso_feasible or t > 0, 0.0
         for lo in range(0, n, block):
             rb = slice(lo, lo + block)
             y_b = y[rb]
@@ -422,6 +449,9 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
             energy += e.smooth
             feasible &= e.feasible
             grad_sq += float(np.vdot(e.grad, e.grad))
+        if t:  # the isolated rows, at ReLU(Fx)
+            energy += iso_sq
+            grad_sq += 4.0 * iso_sq
         rows.append({"iteration": t, "energy": energy, "feasible": feasible, "grad_norm": grad_sq**0.5})
         if t < steps:
             y = layer(y, c_fx, prop, pre=pre)

@@ -10,7 +10,16 @@ from phenomnn.autodiff import Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
-from phenomnn.model import ModelConfig, Propagation, build_taped_logits, forward, init_model, layer, layer_vjp
+from phenomnn.model import (
+    ModelConfig,
+    Propagation,
+    _isolated_vjp,
+    build_taped_logits,
+    forward,
+    init_model,
+    layer,
+    layer_vjp,
+)
 from helpers import random_hypergraph, rel_err, rng_for
 from oracles import cross_entropy, layer_keeping_mask_and_p, layer_vjp_reading_p
 
@@ -290,6 +299,25 @@ def test_layer_adjoint_passes_dot_product_test(variant):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def taped_bytes(ops, x, variant, t_layers, d=16):
+    """The bytes a taped pass of ``t_layers`` layers keeps alive until its tape is freed."""
+    cfg = ModelConfig(variant=variant, t_layers=t_layers, d=d, alpha=0.3, lambda0=1.0, lambda1=1.0)
+    model = init_model(cfg, x.shape[1], 3, seed=19)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        del tape, logits
+        tracemalloc.stop()
+
+
+# per layer: the tape node, its Var, the adjoint's closure and array headers
+BOOKKEEPING = 1024
+
+
 @pytest.mark.parametrize("variant", ["simple", "general"])
 def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
     # four more layers may keep four more of each layer's saved arrays: the
@@ -299,24 +327,25 @@ def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
     rng = rng_for(19)
     ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
     x = rng.standard_normal((n, 8))
-
-    def kept_bytes(t_layers):
-        cfg = ModelConfig(variant=variant, t_layers=t_layers, d=d, alpha=0.3, lambda0=1.0, lambda1=1.0)
-        model = init_model(cfg, 8, 3, seed=19)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tape = Tape()
-            logits = build_taped_logits(tape, model, ops, x)
-            return tracemalloc.get_traced_memory()[0] - before
-        finally:
-            del tape, logits
-            tracemalloc.stop()
-
     per_layer = 8 * n * d if variant == "general" else n * d
-    bookkeeping = 1024  # per layer: the tape node, its Var, the adjoint's closure and array headers
-    kept_bytes(2)  # the first pass also counts one-time allocations, whatever tests ran before
-    assert kept_bytes(6) - kept_bytes(2) <= 4 * (per_layer + bookkeeping)
+    taped_bytes(ops, x, variant, 2)  # the first pass also counts one-time allocations, whatever tests ran before
+    assert taped_bytes(ops, x, variant, 6) - taped_bytes(ops, x, variant, 2) <= 4 * (per_layer + BOOKKEEPING)
+
+
+def test_general_taped_forward_keeps_only_the_linked_rows():
+    # with 30% of the nodes in no hyperedge, spread among the others, a general
+    # layer keeps Y_t on the k linked rows alone
+    n, d = 2000, 16
+    rng = rng_for(20)
+    isolated = rng.choice(n, size=600, replace=False)
+    linked = rng.permutation(np.setdiff1d(np.arange(n), isolated))
+    edges = [linked[i : i + 5].tolist() for i in range(0, linked.size - 1, 4)]
+    ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
+    k = ops.linked[0].size
+    assert k == 1400 and ops.linked[1].min() < ops.linked[0].max()
+    x = rng.standard_normal((n, 8))
+    taped_bytes(ops, x, "general", 2)
+    assert taped_bytes(ops, x, "general", 6) - taped_bytes(ops, x, "general", 2) <= 4 * (8 * k * d + BOOKKEEPING)
 
 
 def test_layer_adjoint_allocates_only_dy():
@@ -586,19 +615,79 @@ def test_check_gradients_fails_on_a_nan_gradient():
     assert report["passed"] is False
 
 
-def test_take_rows_permutes_and_its_adjoint_gathers_by_the_inverse():
+def test_take_rows_selects_and_its_adjoint_scatters_into_zeros():
     rng = rng_for(53)
     tape = Tape()
     a = tape.leaf(rng.standard_normal((5, 3)), name="a")
-    rows = np.array([3, 0, 4, 1, 2])
-    out = tape.take_rows(a, rows, np.argsort(rows))
+    rows = np.array([0, 2, 3])
+    out = tape.take_rows(a, rows)
     assert np.array_equal(out.value, a.value[rows])
     (op,) = tape.ops
-    g = rng.standard_normal((5, 3))
+    g = rng.standard_normal((3, 3))
     (ga,) = op.vjp(g)
-    want = np.empty_like(g)
+    want = np.zeros((5, 3))
     want[rows] = g
     assert np.array_equal(ga, want)
     assert not any(np.shares_memory(ga, held) for held in (g, a.value, out.value))
-    with pytest.raises(ValueError, match="take_rows"):
-        tape.take_rows(a, rows[:4], np.argsort(rows[:4]))
+    for bad in (rows[::-1], np.array([0, 2, 2]), np.array([-1, 2]), np.array([3, 5]), rows[None]):
+        with pytest.raises(ValueError, match="take_rows"):
+            tape.take_rows(a, bad)
+
+
+def test_merge_rows_puts_each_part_in_its_rows_and_its_adjoint_gathers_them():
+    rng = rng_for(54)
+    tape = Tape()
+    rows = (np.array([1, 2, 4]), np.array([0, 3]))
+    a, b = tape.leaf(rng.standard_normal((3, 2)), name="a"), tape.leaf(rng.standard_normal((2, 2)), name="b")
+    out = tape.merge_rows((a, b), rows)
+    assert np.array_equal(out.value[rows[0]], a.value) and np.array_equal(out.value[rows[1]], b.value)
+    (op,) = tape.ops
+    assert op.inputs == (a.idx, b.idx)
+    g = rng.standard_normal((5, 2))
+    ga, gb = op.vjp(g)
+    assert np.array_equal(ga, g[rows[0]]) and np.array_equal(gb, g[rows[1]])
+    assert not any(np.shares_memory(x, held) for x in (ga, gb) for held in (g, out.value, a.value, b.value))
+    for bad in ((rows[0], np.array([0, 4])), (rows[0], np.array([0, 5])), (rows[0], np.array([0, 3, 5]))):
+        with pytest.raises(ValueError, match="merge_rows"):
+            tape.merge_rows((a, b), bad)
+
+
+def test_row_adjoints_pass_dot_product_test():
+    # <g, J v> = <J^T g, v> for the linked rows' selection, the isolated rows'
+    # ReLU at Fx, and the assembly of the two sets of logits in node order
+    rng = rng_for(56)
+    n, d = 9, 4
+    linked, isolated = np.array([1, 2, 4, 5, 8]), np.array([0, 3, 6, 7])
+    fx = rng.standard_normal((n, d))
+    relu = np.maximum(fx[isolated], 0.0)
+    assert 0 < np.count_nonzero(relu) < relu.size
+    tape = Tape()
+    a = tape.leaf(fx, name="fx")
+    sel = tape.take_rows(a, linked)
+    iso = tape.layer(relu, (a,), partial(_isolated_vjp, rows=isolated, out=relu, n=n))
+    tape.merge_rows((sel, iso), (linked, isolated))
+    v, v_l, v_i = rng.standard_normal((n, d)), rng.standard_normal((5, d)), rng.standard_normal((4, d))
+    merged = np.empty((n, d))
+    merged[linked], merged[isolated] = v_l, v_i
+    maps = [(v[linked], (v,)), (v[isolated] * (fx[isolated] > 0.0), (v,)), (merged, (v_l, v_i))]
+    for op, (jv, vs) in zip(tape.ops, maps):
+        g = rng.standard_normal(jv.shape)
+        lhs = float(np.sum(g * jv))
+        rhs = sum(float(np.sum(jtg * x)) for jtg, x in zip(op.vjp(g.copy()), vs))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), op.name
+
+
+def test_matmul_records_no_adjoint_for_a_constant_operand():
+    # the input features are a constant: no n x d_x gradient is formed for them
+    rng = rng_for(57)
+    tape = Tape()
+    x, c = tape.constant(rng.standard_normal((6, 3))), tape.constant(rng.standard_normal((2, 4)))
+    w, v = tape.leaf(rng.standard_normal((3, 2)), name="w"), tape.leaf(rng.standard_normal((2, 4)), name="v")
+    tape.matmul(x, w)
+    tape.matmul(w, c)
+    tape.matmul(w, v)
+    assert [op.inputs for op in tape.ops] == [(w.idx,), (w.idx,), (w.idx, v.idx)]
+    g, h = rng.standard_normal((6, 2)), rng.standard_normal((3, 4))
+    (gw,) = tape.ops[0].vjp(g)
+    (hw,) = tape.ops[1].vjp(h)
+    assert np.array_equal(gw, x.value.T @ g) and np.array_equal(hw, h @ c.value.T)

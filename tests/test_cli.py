@@ -214,7 +214,7 @@ def test_parallel_rejects_a_thread_count_that_is_not_a_positive_integer(
                "--parallel", "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=8"])
     assert rc == 1
     assert f"error: PHENOMNN_THREADS must be a positive integer, got {threads!r}" in capsys.readouterr().err
-    assert not (tmp_path / "pruns" / "summary.json").exists()
+    assert not (tmp_path / "pruns").exists()
 
 
 def test_energy_trace_csv(synthetic_dir, capsys):

@@ -406,21 +406,28 @@ def test_operators_store_no_more_than_the_incidence(seed):
     assert all(v.nnz <= hg.incidence.nnz for v in sparse)
 
 
-def test_linked_first_puts_the_nodes_in_some_hyperedge_first_in_node_order():
+def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
     hg = Hypergraph.from_edges(7, [[1, 4], [6, 4, 2]])
     ops = build_expansion_operators(hg, 1.0, 0.5)
-    order, inverse, lf = ops.linked_first
-    assert order.tolist() == [1, 2, 4, 6, 0, 3, 5]
-    assert np.array_equal(order[inverse], np.arange(7))
-    assert np.array_equal(lf.b.toarray(), hg.incidence.toarray()[order])
+    linked, isolated, lo = ops.linked
+    assert linked.tolist() == [1, 2, 4, 6] and isolated.tolist() == [0, 3, 5]
+    assert np.array_equal(np.sort(np.concatenate([linked, isolated])), np.arange(7))
+    assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked])
     for name in ("d_c", "d_s_bar", "d_tilde"):
-        assert np.array_equal(getattr(lf, name), getattr(ops, name)[order]), name
-    assert lf.d_h is ops.d_h and (lf.lambda0, lf.lambda1) == (1.0, 0.5)
-    assert ops.linked_first is ops.linked_first
-    assert lf.linked_first == (None, None, lf)
+        assert np.array_equal(getattr(lo, name), getattr(ops, name)[linked]), name
+    assert lo.d_h is ops.d_h and (lo.lambda0, lo.lambda1) == (1.0, 0.5)
+    assert ops.linked is ops.linked
+    assert lo.linked == (None, None, lo)
 
 
-@pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])
-def test_linked_first_is_node_order_when_the_linked_nodes_come_first(n, edges):
+@pytest.mark.parametrize(
+    "n, edges, isolated", [(4, [[0, 1], [1, 2]], [3]), (3, [[0, 1, 2]], None), (3, [], None)]
+)
+def test_linked_is_the_operators_themselves_when_no_node_is_isolated_or_none_is_linked(n, edges, isolated):
     ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
-    assert ops.linked_first == (None, None, ops)
+    if isolated is None:
+        assert ops.linked == (None, None, ops)
+        return
+    linked, got, lo = ops.linked
+    assert got.tolist() == isolated and linked.tolist() == sorted(set(range(n)) - set(isolated))
+    assert lo.b.shape == (n - len(isolated), len(edges))

@@ -229,9 +229,9 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
     # layer, and no Propagation built after the pass's own
     assert calls[0] == len(rows) == len(iterates) + 1 == 4
     assert binds[0] == 1
-    # the general trace runs in the kernel's linked-first order
-    order = ops.linked_first[0] if variant == "general" else None
-    assert np.array_equal(iterates[-1], y if order is None else y[order])
+    # the general trace runs on the linked nodes alone
+    linked = ops.linked[0] if variant == "general" else None
+    assert np.array_equal(iterates[-1], y if linked is None else y[linked])
     want = energy_and_grad(y, fx, ops, model.params, variant).smooth
     assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
 
@@ -334,8 +334,8 @@ def node_order_pass(x, model, ops):
 @pytest.mark.parametrize("masked", [False, True])
 def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked, monkeypatch):
     x, labels, model, ops = isolated_first_problem()
-    order, _, _ = ops.linked_first
-    assert order is not None and order[:9].tolist() == [2, 3, 4, 6, 7, 8, 10, 11, 12]
+    linked, isolated, _ = ops.linked
+    assert linked.tolist() == [2, 3, 4, 6, 7, 8, 10, 11, 12] and isolated.tolist() == [0, 1, 5, 9, 13]
     rows = np.arange(0, x.shape[0], 2)
     rng = rng_for(62)
     masks = (None, None)
@@ -350,22 +350,23 @@ def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked,
 
     y, logits = forward(x, model, ops)
     y_ref, logits_ref = node_order_pass(x, model, ops)
-    assert np.array_equal(y, y_ref) and np.array_equal(logits, logits_ref)
+    assert np.array_equal(y[linked], y_ref[linked]) and np.array_equal(logits[linked], logits_ref[linked])
+    # isolated rows are ReLU(Fx) in closed form; the loop's recurrence ends within ulps of it
     fx = y_node_wise = model.predictor.apply(x)
+    assert np.array_equal(y[isolated], np.maximum(fx[isolated], 0.0))
+    assert np.max(np.abs(y[isolated] - y_ref[isolated])) <= 1e-15 * np.max(np.abs(y_ref[isolated]))
     for _ in range(model.config.t_layers):
         y_node_wise = messagepassing_layer(y_node_wise, fx, ops, model.params, model.config.alpha)
     assert np.max(np.abs(y - y_node_wise)) <= 1e-12 * np.max(np.abs(y))
     got_logits, got_loss, got = taped()
     trace = descent_trace(x, model, ops)
-    monkeypatch.setattr(ExpansionOperators, "linked_first", property(lambda self: (None, None, self)))
+    monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (None, None, self)))
     want_logits, want_loss, want = taped()
     if not masked:
-        assert np.array_equal(got_logits, logits_ref)
-    assert np.array_equal(got_logits, want_logits) and got_loss == want_loss
-    for name in ("predictor.w0", "predictor.b0"):
-        assert np.array_equal(got[name], want[name]), name
-    # sums over nodes, taken in the kernel's order
-    for name in ("classifier.w", "classifier.b", "h0", "h1"):
+        assert np.array_equal(got_logits[linked], logits_ref[linked])
+    assert np.array_equal(got_logits[linked], want_logits[linked]) and got_loss == want_loss
+    # sums over nodes, taken over the linked and the isolated rows apart
+    for name in ("predictor.w0", "predictor.b0", "classifier.w", "classifier.b", "h0", "h1"):
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
     for row, ref in zip(trace, descent_trace(x, model, ops)):
         assert abs(row["energy"] - ref["energy"]) <= 1e-12 * abs(ref["energy"])
@@ -390,7 +391,7 @@ def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
     import phenomnn.energy as energy_mod
 
     x, _, model, ops = isolated_first_problem(t_layers=2)
-    n, d = x.shape[0], model.config.d
+    d = model.config.d
     linked = int(np.count_nonzero(ops.d_c))
     shapes, plain = [], energy_mod.dgemm
 
@@ -401,18 +402,16 @@ def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
     monkeypatch.setattr(energy_mod, "dgemm", counted)
     forward(x, model, ops)
     assert shapes == [((d, linked), (d, linked))] * (2 * 2)
-    # a layer and its adjoint in the kernel's order write the scratch's linked rows alone
-    order, _, lf = ops.linked_first
-    prop = Propagation(lf, model.params, "general", model.config.alpha)
-    assert prop.k == linked
-    fx = model.predictor.apply(x)[order]
+    # a layer and its adjoint on the linked operators hold the linked rows alone
+    rows, _, lo = ops.linked
+    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    fx = model.predictor.apply(x)[rows]
     shapes.clear()
     kept = []
     layer(fx, prop.c * fx, prop, kept)
-    layer_vjp(rng_for(63).standard_normal((n, d)), prop, kept)
+    layer_vjp(rng_for(63).standard_normal((linked, d)), prop, kept)
     assert shapes == [((d, linked), (d, linked))] * 4
-    assert prop.scratch.shape == (n, d) and prop.scratch[:linked].any()
-    assert not prop.scratch[linked:].any()
+    assert prop.scratch.shape == (linked, d)
 
 
 def test_isolated_nodes_end_at_the_relu_of_their_base_prediction():
@@ -424,6 +423,92 @@ def test_isolated_nodes_end_at_the_relu_of_their_base_prediction():
     isolated = ops.d_c == 0
     assert isolated.sum() == 5 and (fx[isolated] < 0.0).any() and (fx[isolated] > 0.0).any()
     assert np.max(np.abs(y[isolated] - np.maximum(fx[isolated], 0.0))) <= 1e-12 * max(1.0, np.abs(fx).max())
+
+
+def isolated_third_problem(seed=71, n=60, d=16, t_layers=3):
+    """A general model on ``n`` nodes, 30% of them in no hyperedge and spread among the others.
+
+    With ``d = 16``, three classes and 42 linked nodes, a BLAS product's last
+    rows can differ by the row count: the classifier must be applied alike by
+    ``forward`` and the taped pass."""
+    rng = rng_for(seed)
+    isolated = np.sort(rng.choice(n, size=int(0.3 * n), replace=False))
+    linked = rng.permutation(np.setdiff1d(np.arange(n), isolated))
+    edges = [linked[i : i + 4].tolist() for i in range(0, linked.size - 1, 3)]
+    edges += [rng.choice(linked, size=3, replace=False).tolist() for _ in range(8)]
+    cfg = ModelConfig(variant="general", t_layers=t_layers, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
+    model = init_model(cfg, 6, 3, seed=seed)
+    model.params.h0 += 0.2 * rng.standard_normal((d, d))
+    model.params.h1 += 0.2 * rng.standard_normal((d, d))
+    x = rng.standard_normal((n, 6))
+    labels = rng.integers(0, 3, n)
+    ops = build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
+    assert np.array_equal(ops.linked[1], isolated) and isolated[0] < linked.max()
+    return x, labels, model, ops
+
+
+def test_general_passes_give_the_isolated_rows_the_relu_of_their_base_prediction(monkeypatch):
+    import phenomnn.model as model_mod
+
+    x, _, model, ops = isolated_third_problem()
+    linked, isolated, _ = ops.linked
+    fx = model.predictor.apply(x)
+    relu = np.maximum(fx[isolated], 0.0)
+    assert (fx[isolated] < 0.0).any() and (fx[isolated] > 0.0).any()
+    y, logits = forward(x, model, ops)
+    assert np.array_equal(y[isolated], relu)
+    assert np.array_equal(logits[isolated], model.classifier.apply(relu))
+    tape = Tape()
+    taped = build_taped_logits(tape, model, ops, x)
+    assert np.array_equal(taped.value, logits)
+    # each trace row is the energy of the linked iterate beside Fx (iterate 0) or ReLU(Fx)
+    iterates, plain_layer = [], model_mod.layer
+
+    def recorded(*args, **kwargs):
+        iterates.append(plain_layer(*args, **kwargs))
+        return iterates[-1]
+
+    monkeypatch.setattr(model_mod, "layer", recorded)
+    rows = descent_trace(x, model, ops)
+    assert np.array_equal(iterates[-1], y[linked])
+    for t, (row, y_linked) in enumerate(zip(rows, [fx[linked], *iterates])):
+        y_t = fx.copy()
+        y_t[linked] = y_linked
+        if t:
+            y_t[isolated] = relu
+        want = energy_and_grad(y_t, fx, ops, model.params, "general")
+        assert abs(row["energy"] - want.smooth) <= 1e-12 * abs(want.smooth), t
+        norm = float(np.linalg.norm(want.grad))
+        assert abs(row["grad_norm"] - norm) <= 1e-12 * norm, t
+        assert row["feasible"] == want.feasible == (t > 0), t
+
+
+def test_general_passes_run_on_a_hypergraph_with_no_hyperedge():
+    # no node is linked: the layers run on every node, as on any other graph
+    cfg = ModelConfig(variant="general", t_layers=2, d=3, alpha=0.3, lambda0=1.0, lambda1=1.0)
+    model = init_model(cfg, 4, 2, seed=73)
+    x = rng_for(73).standard_normal((5, 4))
+    ops = build_expansion_operators(Hypergraph.from_edges(5, []), 1.0, 1.0)
+    y, logits = forward(x, model, ops)
+    fx = model.predictor.apply(x)
+    assert np.max(np.abs(y - np.maximum(fx, 0.0))) <= 1e-15 * np.max(np.abs(fx))
+    assert np.array_equal(build_taped_logits(Tape(), model, ops, x).value, logits)
+    assert [row["feasible"] for row in descent_trace(x, model, ops)] == [bool(fx.min() >= 0.0), True, True]
+
+
+def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_differences():
+    x, labels, model, ops = isolated_third_problem(d=4)
+    rows = np.arange(0, x.shape[0], 2)
+    masks = [(rng_for(72).random(shape) > 0.3) / 0.7 for shape in (x.shape, (x.shape[0], 4))]
+
+    def build(params):
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x, *masks)
+        return tape, tape.softmax_cross_entropy(logits, labels[rows], rows)
+
+    report = check_gradients(build, model.parameters(), samples=40, step=1e-5, seed=71)
+    assert report["passed"], report
+    assert report["max_rel_err"] <= 1e-5
 
 
 # -- step bounds -----------------------------------------------------------------------
