@@ -420,14 +420,15 @@ def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
     assert lo.linked == (None, None, lo)
 
 
-@pytest.mark.parametrize(
-    "n, edges, isolated", [(4, [[0, 1], [1, 2]], [3]), (3, [[0, 1, 2]], None), (3, [], None)]
-)
-def test_linked_is_the_operators_themselves_when_no_node_is_isolated_or_none_is_linked(n, edges, isolated):
+@pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])
+def test_linked_first_is_node_order_when_the_linked_nodes_come_first(n, edges):
+    # The linked nodes are a prefix of node order: their rows keep that order, and
+    # with no node isolated (or none linked) the operators are returned themselves.
     ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
-    if isolated is None:
+    k = len({v for e in edges for v in e})
+    if k in (0, n):
         assert ops.linked == (None, None, ops)
         return
-    linked, got, lo = ops.linked
-    assert got.tolist() == isolated and linked.tolist() == sorted(set(range(n)) - set(isolated))
-    assert lo.b.shape == (n - len(isolated), len(edges))
+    linked, isolated, lo = ops.linked
+    assert linked.tolist() == list(range(k)) and isolated.tolist() == list(range(k, n))
+    assert np.array_equal(lo.b.toarray(), ops.b.toarray()[:k])
