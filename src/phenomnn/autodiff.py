@@ -120,12 +120,13 @@ class Tape:
         return self._record("layer", value, inputs, vjp)
 
     def take_rows(self, a: Var, rows: np.ndarray) -> Var:
-        """Rows ``rows`` of ``a``, strictly increasing; the adjoint scatters ``g``
-        into those rows of a zero array of ``a``'s shape."""
+        """Rows ``rows`` of ``a``, distinct and in any order (the linked nodes come by
+        degree class); the adjoint scatters ``g`` into those rows of a zero array
+        of ``a``'s shape."""
         shape = a.value.shape
-        inside = rows.ndim == 1 and (not rows.size or 0 <= rows[0] and rows[-1] < shape[0])
-        if not inside or np.any(rows[1:] <= rows[:-1]):
-            raise ValueError(f"take_rows: rows must be increasing indices below {shape[0]}")
+        inside = rows.ndim == 1 and (not rows.size or 0 <= rows.min() and rows.max() < shape[0])
+        if not inside or np.unique(rows).size != rows.size:
+            raise ValueError(f"take_rows: rows must be distinct indices below {shape[0]}")
 
         def vjp(g):
             out = np.zeros(shape)

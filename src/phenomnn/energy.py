@@ -26,7 +26,9 @@ one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
 zero rows in ``L_H``: the general layers run the kernel on
 ``ExpansionOperators.linked``, the linked nodes alone, and the energy and the
 step bounds on every node, where the general kernel's ``d x d`` row terms
-add exact zeros on the isolated rows.  The nonnegativity barrier is never
+add exact zeros on the isolated rows.  On the linked operators the nodes come
+by degree class, and each large class takes its row terms as one product
+with a ``d x d`` matrix of its own.  The nonnegativity barrier is never
 represented as an infinite float: the energy is returned as its smooth value
 with a feasibility flag.
 """
@@ -50,6 +52,17 @@ __all__ = [
 ]
 
 VARIANTS = ("general", "simple")
+
+# A degree class of n_g rows takes its own d x d product in a general layer
+# when n_g >= max(d, _CLASS_WORK / d^2); the rest form the tail, which scales
+# its rows and takes two products.  Measured on one class beside a 512-row
+# tail (layer plus layer_vjp, 300 interleaved calls, one BLAS thread, 2-vCPU
+# VM), a class's own product breaks even at about 256 rows for d = 16 (n_g d^2
+# = 2^16), 16-64 rows for d = 64 and 32 rows for d = 256: the call's overhead
+# sets the bound at small d.  The d floor, which binds above d = 40, makes each
+# class repay building its matrix and keeps the class matrices within one
+# k x d array.
+_CLASS_WORK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -111,16 +124,37 @@ class Propagation:
     so the adjoint of ``V -> K(V)`` is ``K(.; B, B^T diag(c))``; ``fwd`` and
     ``adj`` hold the two factor pairs.
 
-    A general call writes ``ca * v`` and then ``cb * v`` into ``scratch``, the
-    one work array of the instance, of ``v``'s shape, and leaves ``cb * v``
+    A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
+    alone.  On ``ExpansionOperators.linked``'s operators, which list the rows
+    by class, a layer's kernel (the constructor) gives each class of at least
+    ``max(d, _CLASS_WORK / d^2)`` rows one product ``V_g M_g`` with the
+    symmetric ``M_g = ca_g A0 + cb_g A1``, and no row scaling: ``classes``
+    lists ``(rows, ca_g, cb_g, M_g)``.  Those classes come first, so the rows
+    from ``tail`` on, the tail, keep the two row-scaled products.  On
+    node-order operators, and in the kernels of the other constants, there
+    are no classes and ``tail`` is 0.
+
+    A general call writes ``ca * v`` and then ``cb * v`` on the tail rows into
+    ``scratch``, the one work array of the instance, and leaves ``cb * v``
     there for ``layer_vjp`` to read.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
         self._bind(ops, params, variant, alpha / ops.d_tilde, 1.0 - alpha)
-        if self.general:  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
-            self.a0 += np.eye(params.d)
-            self.a1 += np.eye(params.d)
+        if not self.general:
+            return
+        self.a0 += np.eye(params.d)  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
+        self.a1 += np.eye(params.d)
+        if ops.classes is None:
+            return
+        # the classes come largest first, so those that take a product are a prefix
+        d = params.d
+        taken = np.count_nonzero(np.diff(ops.classes) >= max(d, _CLASS_WORK / d**2))
+        bounds = ops.classes[: taken + 1].tolist()
+        self.tail = bounds[-1]
+        for lo, hi in zip(bounds, bounds[1:]):
+            ca, cb = self.ca[lo, 0], self.cb[lo, 0]
+            self.classes.append((slice(lo, hi), ca, cb, ca * self.a0 + cb * self.a1))
 
     @classmethod
     def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float, u) -> "Propagation":
@@ -134,7 +168,7 @@ class Propagation:
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         self.general = variant == "general"
-        self.scratch = None
+        self.scratch, self.classes, self.tail = None, [], 0
         self.c, self.u = c[:, None], u
         data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
         if not self.general:
@@ -160,14 +194,18 @@ class Propagation:
         if not self.general:
             return left @ p, p
         out = left @ (p @ self.m0 + self.e * (p @ self.m1))
+        # out^T += M^T v^T in BLAS, all three F-contiguous views
+        for rows, _, _, mg in self.classes:
+            dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
+        v, out_t = v[self.tail :], out[self.tail :]
         # one scratch for every call through this instance: a fresh one per
         # layer is paged in anew whenever the allocator has trimmed the heap
         if self.scratch is None or self.scratch.shape != v.shape:
             self.scratch = np.empty(v.shape)
-        for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
-            t = np.multiply(v, ck, out=self.scratch)
-            # out^T += A_k^T (c_k * v)^T, all three F-contiguous views
-            dgemm(1.0, ak.T, t.T, beta=1.0, c=out.T, overwrite_c=True)
+        if v.size:
+            for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
+                t = np.multiply(v, ck[self.tail :], out=self.scratch)
+                dgemm(1.0, ak.T, t.T, beta=1.0, c=out_t.T, overwrite_c=True)
         return out, p
 
     def add_u(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:

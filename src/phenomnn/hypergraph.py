@@ -254,6 +254,8 @@ class ExpansionOperators:
     the edge sizes, and ``d_tilde = lambda0 d_c + lambda1 d_s_bar + 1`` the
     update preconditioner; ``d_s_bar`` and ``d_h`` are the hypergraph's own
     arrays, read and never written.  The weights must be nonnegative and finite.
+    ``classes`` is None in node order, and in ``linked``'s operators the row
+    offsets of the degree classes.
     """
 
     b: sp.csr_matrix
@@ -263,6 +265,7 @@ class ExpansionOperators:
     lambda0: float
     lambda1: float
     d_tilde: np.ndarray
+    classes: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -271,20 +274,26 @@ class ExpansionOperators:
     @cached_property
     def linked(self) -> tuple:
         """``(linked, isolated, ops)``: the nodes in some hyperedge, those in none, and
-        these operators on the first alone.
+        these operators on the first alone, ordered by degree class.
 
-        ``linked`` lists the nodes with ``d_c > 0`` and ``isolated`` those with
-        ``d_c = 0``, each in node order; ``ops`` holds ``b[linked]``, ``d_c``,
-        ``d_s_bar`` and ``d_tilde`` on those rows, with the edges unchanged.  An
-        isolated node is a zero row of ``B``, so each hyperedge keeps its
-        members in their order and ``B^T Y`` and ``B Q`` sum in node order's
-        sequence, bit for bit.  When no node is isolated, or none is linked (a
-        hypergraph with no hyperedge), this is ``(None, None, self)``.  Built
-        once per instance: a model pass reads it on every call."""
+        ``isolated`` lists the nodes with ``d_c = 0`` in node order, and
+        ``linked`` the others by degree class: the nodes of equal ``(d_c,
+        d_s_bar)``, both exact integer sums as ``B`` is binary.  The classes
+        come largest first, ties by ``(d_c, d_s_bar)``, each in node order, and
+        ``ops.classes`` holds their row offsets.  ``ops`` holds ``b[linked]``,
+        ``d_c``, ``d_s_bar`` and ``d_tilde`` on those rows, with the edges
+        unchanged; a layer's ``d x d`` row terms share their weights within a
+        class (see ``energy.Propagation``).  Operators that carry classes, and
+        those of a hypergraph with no hyperedge, give ``(None, None, self)``.
+        Built once per instance: a model pass reads it on every call."""
         isolated = self.d_c == 0
-        if isolated.all() or not isolated.any():
+        if self.classes is not None or isolated.all():
             return None, None, self
         linked = np.flatnonzero(~isolated)
+        degrees = np.stack((self.d_c[linked], self.d_s_bar[linked]), axis=1)
+        _, cls, sizes = np.unique(degrees, axis=0, return_inverse=True, return_counts=True)
+        cls = cls.ravel()  # numbered in (d_c, d_s_bar) order; lexsort is stable
+        linked = linked[np.lexsort((cls, -sizes[cls]))]
         ops = ExpansionOperators(
             b=self.b[linked],
             d_c=self.d_c[linked],
@@ -293,6 +302,7 @@ class ExpansionOperators:
             lambda0=self.lambda0,
             lambda1=self.lambda1,
             d_tilde=self.d_tilde[linked],
+            classes=np.concatenate(([0], np.cumsum(np.sort(sizes)[::-1]))),
         )
         return linked, np.flatnonzero(isolated), ops
 

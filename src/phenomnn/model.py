@@ -18,8 +18,14 @@ where the first layer takes it from ``Y_0 = Fx`` and where every later layer
 keeps it.  The general layers therefore run on ``ExpansionOperators.linked``,
 the nodes in some hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in
 closed form: ``forward``, the taped pass and ``descent_trace`` hold ``k x d``
-arrays per layer, ``k`` the number of linked nodes.  The simple layers keep a
-ReLU mask alone, so they run on every node, in node order.
+arrays per layer, ``k`` the number of linked nodes.  The linked nodes come by
+degree class, so a general layer's ``d x d`` row terms take one BLAS
+``dgemm`` per class of at least ``max(d, 2^16 / d^2)`` rows and two on the
+other rows: ``G + 2`` calls for ``G`` such classes (``G`` when they hold
+every row), and as many again in its adjoint's ``dY``.  A pass of ``T`` layers
+makes ``T`` times a layer's calls, and ``descent_trace`` one layer's per
+iterate.  The simple layers keep a ReLU mask alone, so they run on every
+node, in node order, and make no such call.
 """
 
 from __future__ import annotations
@@ -196,17 +202,25 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the forward's
     own factor, so they equal, bit for bit, what the forward computed.
     ``backward`` hands ``g`` over, so the mask, and then ``R``, are written
-    into it.  ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where
-    the kernel leaves it, and ``ca * g`` is then written over it; ``e`` scales
-    ``B^T R``, the kernel's fresh array, in place once ``P^T (B^T R)`` is taken."""
+    into it.  ``dY`` takes the kernel's per-class products, as each class's
+    ``M_g`` is symmetric.  Each class (``prop.classes``) adds ``ca_g Z_g`` and
+    ``cb_g Z_g`` to the two reductions, with ``Z_g = Y_g^T g_g``; on the tail,
+    ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
+    leaves it, and ``ca * g`` is then written over it.  ``e`` scales ``B^T R``,
+    the kernel's fresh array, in place once ``P^T (B^T R)`` is taken."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
         y = kept[0]
         p = prop.fwd[1] @ y
-        y1 = y.T @ prop.scratch
-        y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
+        t = prop.tail
+        y1 = y[t:].T @ prop.scratch
+        y0 = y[t:].T @ np.multiply(g[t:], prop.ca[t:], out=prop.scratch)
+        for rows, ca, cb, _ in prop.classes:
+            z = y[rows].T @ g[rows]
+            y0 += ca * z
+            y1 += cb * z
         c0 = p.T @ s
         s *= prop.e
         c1 = p.T @ s
@@ -227,9 +241,9 @@ def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
 
     ``ops`` must be built for the model's ``(lambda0, lambda1)``.  The general
     kernel is built on ``ops.linked``, the nodes in some hyperedge, listed in
-    ``linked``; ``isolated`` lists the others, whose rows are ``ReLU(Fx)``.
-    Both are None when no node is isolated, and always for the simple kernel,
-    which runs on every node in node order."""
+    ``linked`` by degree class; ``isolated`` lists the others, whose rows are
+    ``ReLU(Fx)``, and may be empty.  Both are None when no node is linked,
+    and always for the simple kernel, which runs on every node in node order."""
     cfg = model.config
     if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
         raise ValueError(
@@ -257,10 +271,12 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
         y = layer(y, c_fx, prop)
     if linked is None:
         return y, model.classifier.apply(y)
-    iso = np.maximum(fx[isolated], 0.0)
     logits = np.empty((fx.shape[0], model.classifier.b.size))
-    logits[linked], logits[isolated] = model.classifier.apply(y), model.classifier.apply(iso)
-    fx[linked], fx[isolated] = y, iso
+    logits[linked] = model.classifier.apply(y)
+    if isolated.size:
+        iso = np.maximum(fx[isolated], 0.0)
+        logits[isolated], fx[isolated] = model.classifier.apply(iso), iso
+    fx[linked] = y
     return fx, logits
 
 
@@ -274,12 +290,13 @@ def build_taped_logits(
     """Record the full forward pass on ``tape`` and return the logits node.
 
     Dropout enters as constant multiplicative masks on the input features and
-    on the base prediction; passing ``None`` disables either mask.  When some
-    node is isolated (see ``_propagation``), a ``take_rows`` node selects the
-    linked rows of ``Fx`` for the layers, one node with the adjoint
-    ``_isolated_vjp`` gives ``ReLU(Fx)`` on the isolated rows, the classifier
-    runs on each, and a ``merge_rows`` node puts the two sets of logits in
-    node order: no n x d ``Y`` is held for the classifier's adjoint.
+    on the base prediction; passing ``None`` disables either mask.  When the
+    layers run on the linked nodes (see ``_propagation``), a ``take_rows``
+    node selects their rows of ``Fx``, by degree class, and when some node is
+    isolated, one node with the adjoint ``_isolated_vjp`` gives ``ReLU(Fx)``
+    on its rows.  The classifier runs on each set of rows, and a
+    ``merge_rows`` node puts the logits in node order: no n x d ``Y`` is held
+    for the classifier's adjoint.
     """
     cfg = model.config
     params = {name: tape.leaf(arr, name=name) for name, arr in model.parameters().items()}
@@ -303,6 +320,8 @@ def build_taped_logits(
         y = tape.layer(value, (y, fl, *compat), partial(layer_vjp, prop=prop, kept=kept))
     if linked is None:
         return classify(y)
+    if not isolated.size:
+        return tape.merge_rows((classify(y),), (linked,))
     relu = np.maximum(fx.value[isolated], 0.0)
     iso = tape.layer(relu, (fx,), partial(_isolated_vjp, rows=isolated, out=relu, n=fx.value.shape[0]))
     return tape.merge_rows((classify(y), classify(iso)), (linked, isolated))

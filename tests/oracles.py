@@ -7,7 +7,9 @@ cross entropy restates the tape's ``softmax_cross_entropy``, and ``prox_nonneg``
 the ReLU of a layer.  ``layer_keeping_mask_and_p`` and ``layer_vjp_reading_p``
 are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
 kept, where ``model.layer_vjp`` rebuilds both.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
-at a time, as ``Hypergraph.from_edges`` does with arrays.
+at a time, as ``Hypergraph.from_edges`` does with arrays, and ``class_order``
+sorts the linked nodes by degree class, as ``ExpansionOperators.linked`` does
+with arrays.
 """
 
 from collections import namedtuple
@@ -142,9 +144,13 @@ def layer_vjp_reading_p(g, prop, kept):
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
-        y, p = kept[1], kept[2]
-        y1 = y.T @ prop.scratch
-        y0 = y.T @ np.multiply(g, prop.ca, out=prop.scratch)
+        y, p, t = kept[1], kept[2], prop.tail
+        y1 = y[t:].T @ prop.scratch
+        y0 = y[t:].T @ np.multiply(g[t:], prop.ca[t:], out=prop.scratch)
+        for rows, ca, cb, _ in prop.classes:
+            z = y[rows].T @ g[rows]
+            y0 += ca * z
+            y1 += cb * z
         c0, c1 = p.T @ s, p.T @ (prop.e * s)
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
     return (dy, np.multiply(g, prop.c, out=g), *grads)
@@ -197,3 +203,11 @@ def from_edges_by_edge(n, edges):
         node_degrees=np.diff(b.indptr).astype(np.float64),
         collapsed_duplicates=dups,
     )
+
+
+def class_order(ops):
+    """The nodes in some hyperedge by degree class ``(d_c, d_s_bar)``: larger classes
+    first, ties by ``(d_c, d_s_bar)``, and node order within a class."""
+    key = {i: (float(ops.d_c[i]), float(ops.d_s_bar[i])) for i in range(ops.n) if ops.d_c[i] > 0}
+    size = {k: list(key.values()).count(k) for k in key.values()}
+    return sorted(key, key=lambda i: (-size[key[i]], key[i], i))

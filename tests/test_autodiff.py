@@ -620,16 +620,18 @@ def test_take_rows_selects_and_its_adjoint_scatters_into_zeros():
     tape = Tape()
     a = tape.leaf(rng.standard_normal((5, 3)), name="a")
     rows = np.array([0, 2, 3])
-    out = tape.take_rows(a, rows)
-    assert np.array_equal(out.value, a.value[rows])
-    (op,) = tape.ops
-    g = rng.standard_normal((3, 3))
-    (ga,) = op.vjp(g)
-    want = np.zeros((5, 3))
-    want[rows] = g
-    assert np.array_equal(ga, want)
-    assert not any(np.shares_memory(ga, held) for held in (g, a.value, out.value))
-    for bad in (rows[::-1], np.array([0, 2, 2]), np.array([-1, 2]), np.array([3, 5]), rows[None]):
+    # distinct rows in any order: the linked nodes come by degree class
+    for i, taken in enumerate((rows, rows[::-1])):
+        out = tape.take_rows(a, taken)
+        assert np.array_equal(out.value, a.value[taken])
+        op = tape.ops[i]
+        g = rng.standard_normal((3, 3))
+        (ga,) = op.vjp(g)
+        want = np.zeros((5, 3))
+        want[taken] = g
+        assert np.array_equal(ga, want)
+        assert not any(np.shares_memory(ga, held) for held in (g, a.value, out.value))
+    for bad in (np.array([0, 2, 2]), np.array([-1, 2]), np.array([3, 5]), rows[None]):
         with pytest.raises(ValueError, match="take_rows"):
             tape.take_rows(a, bad)
 

@@ -13,7 +13,7 @@ from phenomnn.hypergraph import (
     parse_hypergraph,
 )
 from helpers import hyperedges, random_hypergraph, rng_for
-from oracles import build_star_bipartite, from_edges_by_edge, uniform_edge_size
+from oracles import build_star_bipartite, class_order, from_edges_by_edge, uniform_edge_size
 
 TOY = "3 2\n0 1\n1 2\n"
 
@@ -410,7 +410,9 @@ def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
     hg = Hypergraph.from_edges(7, [[1, 4], [6, 4, 2]])
     ops = build_expansion_operators(hg, 1.0, 0.5)
     linked, isolated, lo = ops.linked
-    assert linked.tolist() == [1, 2, 4, 6] and isolated.tolist() == [0, 3, 5]
+    # classes (d_c, d_s_bar): (3, 1) holds 2 and 6, then (2, 1) holds 1 and (5, 2) holds 4
+    assert linked.tolist() == class_order(ops) == [2, 6, 1, 4] and isolated.tolist() == [0, 3, 5]
+    assert lo.classes.tolist() == [0, 2, 3, 4] and ops.classes is None
     assert np.array_equal(np.sort(np.concatenate([linked, isolated])), np.arange(7))
     assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked])
     for name in ("d_c", "d_s_bar", "d_tilde"):
@@ -422,13 +424,17 @@ def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
 
 @pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])
 def test_linked_first_is_node_order_when_the_linked_nodes_come_first(n, edges):
-    # The linked nodes are a prefix of node order: their rows keep that order, and
-    # with no node isolated (or none linked) the operators are returned themselves.
+    # The linked nodes are a prefix of node order: their rows come by degree class,
+    # each class in node order, also with no node isolated.  With no node linked
+    # (no hyperedge) the operators are returned themselves.
     ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
     k = len({v for e in edges for v in e})
-    if k in (0, n):
+    if k == 0:
         assert ops.linked == (None, None, ops)
         return
     linked, isolated, lo = ops.linked
-    assert linked.tolist() == list(range(k)) and isolated.tolist() == list(range(k, n))
-    assert np.array_equal(lo.b.toarray(), ops.b.toarray()[:k])
+    assert sorted(linked.tolist()) == list(range(k)) and isolated.tolist() == list(range(k, n))
+    assert linked.tolist() == class_order(ops)
+    for a, b in zip(lo.classes[:-1], lo.classes[1:]):
+        assert np.all(np.diff(linked[a:b]) > 0)
+    assert np.array_equal(lo.b.toarray(), ops.b.toarray()[linked])

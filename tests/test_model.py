@@ -335,7 +335,7 @@ def node_order_pass(x, model, ops):
 def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked, monkeypatch):
     x, labels, model, ops = isolated_first_problem()
     linked, isolated, _ = ops.linked
-    assert linked.tolist() == [2, 3, 4, 6, 7, 8, 10, 11, 12] and isolated.tolist() == [0, 1, 5, 9, 13]
+    assert sorted(linked.tolist()) == [2, 3, 4, 6, 7, 8, 10, 11, 12] and isolated.tolist() == [0, 1, 5, 9, 13]
     rows = np.arange(0, x.shape[0], 2)
     rng = rng_for(62)
     masks = (None, None)
@@ -348,9 +348,13 @@ def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked,
         loss = tape.softmax_cross_entropy(logits, labels[rows], rows)
         return logits.value, float(loss.value), backward(tape, loss)
 
+    def close(a, b):
+        # B^T Y sums each hyperedge's members in degree-class order, not node order
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
     y, logits = forward(x, model, ops)
     y_ref, logits_ref = node_order_pass(x, model, ops)
-    assert np.array_equal(y[linked], y_ref[linked]) and np.array_equal(logits[linked], logits_ref[linked])
+    assert close(y[linked], y_ref[linked]) and close(logits[linked], logits_ref[linked])
     # isolated rows are ReLU(Fx) in closed form; the loop's recurrence ends within ulps of it
     fx = y_node_wise = model.predictor.apply(x)
     assert np.array_equal(y[isolated], np.maximum(fx[isolated], 0.0))
@@ -363,8 +367,8 @@ def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked,
     monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (None, None, self)))
     want_logits, want_loss, want = taped()
     if not masked:
-        assert np.array_equal(got_logits[linked], logits_ref[linked])
-    assert np.array_equal(got_logits[linked], want_logits[linked]) and got_loss == want_loss
+        assert close(got_logits[linked], logits_ref[linked])
+    assert close(got_logits[linked], want_logits[linked]) and abs(got_loss - want_loss) <= 1e-13 * abs(want_loss)
     # sums over nodes, taken over the linked and the isolated rows apart
     for name in ("predictor.w0", "predictor.b0", "classifier.w", "classifier.b", "h0", "h1"):
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
@@ -509,6 +513,140 @@ def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_diffe
     report = check_gradients(build, model.parameters(), samples=40, step=1e-5, seed=71)
     assert report["passed"], report
     assert report["max_rel_err"] <= 1e-5
+
+
+# -- general layers by degree class ------------------------------------------------------
+
+
+def degree_class_problem(isolated_share, seed=81):
+    """A general model at ``d = 32`` whose linked nodes form four degree classes.
+
+    With ``max(d, 2^16 / d^2) = 64`` rows as the class threshold, the classes
+    of 96 (edges of 4) and 64 rows (edges of 2) take their own products, and
+    those of 63 (edges of 3) and 40 rows (two edges of 5 each) form the tail.
+    The linked nodes are spread over the node ids, among the isolated ones."""
+    rng = rng_for(seed)
+    d, k = 32, 96 + 64 + 63 + 40
+    n = int(round(k / (1.0 - isolated_share)))
+    ids = rng.permutation(n)
+    blocks = np.split(ids[:k], [96, 160, 223])
+    edges = [e.tolist() for size, block in zip((4, 2, 3), blocks) for e in block.reshape(-1, size)]
+    edges += [e.tolist() for block in (blocks[3], rng.permutation(blocks[3])) for e in block.reshape(-1, 5)]
+    cfg = ModelConfig(variant="general", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
+    model = init_model(cfg, 6, 3, seed=seed)
+    model.params.h0 += 0.2 * rng.standard_normal((d, d))
+    model.params.h1 += 0.2 * rng.standard_normal((d, d))
+    x = rng.standard_normal((n, 6)) + 0.3
+    labels = rng.integers(0, 3, n)
+    return x, labels, model, build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
+
+
+@pytest.mark.parametrize("isolated_share", [0.3, 0.0])
+def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share):
+    x, _, model, ops = degree_class_problem(isolated_share)
+    linked, isolated, lo = ops.linked
+    assert isolated.size == ops.n - 263 and lo.classes.tolist() == [0, 96, 160, 223, 263]
+    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    # a class of 64 rows takes its own product, one of 63 goes to the tail
+    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 96), (96, 160)] and prop.tail == 160
+    for a, b in zip(lo.classes[:-1], lo.classes[1:]):
+        for name in ("c", "ca", "cb"):
+            col = getattr(prop, name)[a:b]
+            assert np.array_equal(col, np.full_like(col, col[0, 0])), name
+    for rows, ca, cb, mg in prop.classes:
+        assert ca == prop.ca[rows.start, 0] and cb == prop.cb[rows.start, 0]
+        assert np.array_equal(mg, mg.T)
+    # one layer and its adjoint, against the same kernel with every row in the tail
+    plain = Propagation(lo, model.params, "general", model.config.alpha)
+    plain.classes, plain.tail = [], 0
+    fx = model.predictor.apply(x)[linked]
+    g = rng_for(82).standard_normal(fx.shape)
+    kept, kept_plain = [], []
+    out, want = layer(fx, prop.c * fx, prop, kept), layer(fx, plain.c * fx, plain, kept_plain)
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+    for got, ref in zip(layer_vjp(g.copy(), prop, kept), layer_vjp(g.copy(), plain, kept_plain)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("isolated_share", [0.3, 0.0])
+def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share, monkeypatch):
+    x, labels, model, ops = degree_class_problem(isolated_share)
+    rows = np.arange(0, x.shape[0], 2)
+
+    def passes():
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x)
+        loss = tape.softmax_cross_entropy(logits, labels[rows], rows)
+        grads = backward(tape, loss)
+        return forward(x, model, ops), logits.value, float(loss.value), grads, descent_trace(x, model, ops)
+
+    def close(a, b, rtol=1e-13):
+        return np.max(np.abs(np.asarray(a) - b)) <= rtol * np.max(np.abs(b))
+
+    (y, logits), taped, loss, grads, trace = passes()
+    assert np.array_equal(taped, logits)
+    y_node_wise = fx = model.predictor.apply(x)
+    for _ in range(model.config.t_layers):
+        y_node_wise = messagepassing_layer(y_node_wise, fx, ops, model.params, model.config.alpha)
+    assert close(y, y_node_wise, 1e-12)
+    monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (None, None, self)))
+    (y_ref, logits_ref), taped_ref, loss_ref, grads_ref, trace_ref = passes()
+    assert close(y, y_ref) and close(logits, logits_ref) and close(taped, taped_ref)
+    assert abs(loss - loss_ref) <= 1e-13 * abs(loss_ref)
+    for name in grads_ref:
+        assert close(grads[name], grads_ref[name]), name
+    for row, ref in zip(trace, trace_ref):
+        assert abs(row["energy"] - ref["energy"]) <= 1e-13 * abs(ref["energy"])
+        assert abs(row["grad_norm"] - ref["grad_norm"]) <= 1e-13 * ref["grad_norm"]
+
+
+@pytest.mark.parametrize("isolated_share", [0.3, 0.0])
+def test_general_gradients_by_degree_class_match_finite_differences(isolated_share):
+    x, labels, model, ops = degree_class_problem(isolated_share)
+    rows = np.arange(0, x.shape[0], 2)
+
+    def build(params):
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, x)
+        return tape, tape.softmax_cross_entropy(logits, labels[rows], rows)
+
+    report = check_gradients(build, model.parameters(), samples=20, step=1e-5, seed=81)
+    assert report["passed"], report
+
+
+def test_general_layer_cost_is_one_product_per_class_and_two_on_the_tail(monkeypatch):
+    # the dgemm calls of a pass, by their row counts; every count is linear in depth
+    import phenomnn.energy as energy_mod
+
+    x, labels, model, ops = degree_class_problem(0.3)
+    d = model.config.d
+    calls, plain = [], energy_mod.dgemm
+
+    def counted(alpha, a, b, **kwargs):
+        assert b.shape[0] == d and kwargs["c"].shape == b.shape
+        calls.append(b.shape[1])
+        return plain(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "dgemm", counted)
+    one_layer = [96, 64, 103, 103]  # the two classes, then A0 and A1 on the tail
+    rows = np.arange(x.shape[0])
+
+    def count(t_layers, taped):
+        model.config.t_layers = t_layers
+        calls.clear()
+        if taped:
+            tape = Tape()
+            backward(tape, tape.softmax_cross_entropy(build_taped_logits(tape, model, ops, x), labels, rows))
+        else:
+            forward(x, model, ops)
+        return list(calls)
+
+    assert count(1, False) == one_layer
+    assert count(1, True) == one_layer * 2  # the layer, then its adjoint's dY
+    for taped in (False, True):
+        t_calls, t2_calls = count(3, taped), count(6, taped)
+        assert len(t2_calls) - len(t_calls) == 3 * len(one_layer) * (1 + taped)
+        assert t2_calls == one_layer * 6 * (1 + taped)
 
 
 # -- step bounds -----------------------------------------------------------------------
@@ -715,18 +853,22 @@ def test_forward_runtime_scales_linearly_in_depth():
     )
     ops = build_expansion_operators(ds.hypergraph, 1.0, 1.0)
 
-    def timed(t_layers):
-        cfg = ModelConfig(variant="simple", t_layers=t_layers, d=32, alpha=0.5, lambda0=1.0, lambda1=1.0)
-        model = init_model(cfg, 16, ds.n_classes, seed=9)
-        forward(ds.features, model, ops)  # warmup
-        best = np.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            forward(ds.features, model, ops)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    models = {
+        t: init_model(ModelConfig(variant="simple", t_layers=t, d=32, alpha=0.5, lambda0=1.0, lambda1=1.0), 16,
+                      ds.n_classes, seed=9)
+        for t in (16, 32)
+    }
 
-    assert timed(32) <= 2.5 * timed(16)
+    def timed(t_layers):
+        t0 = time.perf_counter()
+        forward(ds.features, models[t_layers], ops)
+        return time.perf_counter() - t0
+
+    timed(16), timed(32)  # warmup
+    # Alternate the depths, so that a burst of load from other processes on the
+    # machine slows runs of both depths rather than only the deeper ones.
+    runs = [(timed(16), timed(32)) for _ in range(3)]
+    assert min(r[1] for r in runs) <= 2.5 * min(r[0] for r in runs)
 
 
 # -- checkpoints -----------------------------------------------------------------------
