@@ -27,10 +27,10 @@ zero rows in ``L_H``: the general layers run the kernel on
 ``ExpansionOperators.linked``, the linked nodes alone, and the energy and the
 step bounds on every node, where the general kernel's ``d x d`` row terms
 add exact zeros on the isolated rows.  On the linked operators the nodes come
-by degree class, and each large class takes its row terms as one product
-with a ``d x d`` matrix of its own.  The nonnegativity barrier is never
-represented as an infinite float: the energy is returned as its smooth value
-with a feasibility flag.
+by degree class and the edges by size class, and each large class takes its
+``d x d`` terms as one product with a matrix of its own.  The nonnegativity
+barrier is never represented as an infinite float: the energy is returned as
+its smooth value with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -61,8 +61,17 @@ VARIANTS = ("general", "simple")
 # = 2^16), 16-64 rows for d = 64 and 32 rows for d = 256: the call's overhead
 # sets the bound at small d.  The d floor, which binds above d = 40, makes each
 # class repay building its matrix and keeps the class matrices within one
-# k x d array.
+# k x d array.  An edge size class takes its own product by the same rule;
+# measured alike (one class beside a 512-edge tail), it breaks even at 128-256
+# edges for d = 16, 8-16 for d = 64 and 32-64 for d = 256.
 _CLASS_WORK = 1 << 16
+
+
+def _grouped(offsets: np.ndarray, d: int) -> tuple[list, int]:
+    """The classes of ``offsets`` that take their own ``d x d`` product, as slices, and the
+    tail's offset: the classes come largest first, so those of ``max(d, _CLASS_WORK / d^2)`` are a prefix."""
+    bounds = offsets[: np.count_nonzero(np.diff(offsets) >= max(d, _CLASS_WORK / d**2)) + 1].tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds[-1]
 
 
 @dataclass(eq=False)
@@ -130,9 +139,15 @@ class Propagation:
     ``max(d, _CLASS_WORK / d^2)`` rows one product ``V_g M_g`` with the
     symmetric ``M_g = ca_g A0 + cb_g A1``, and no row scaling: ``classes``
     lists ``(rows, ca_g, cb_g, M_g)``.  Those classes come first, so the rows
-    from ``tail`` on, the tail, keep the two row-scaled products.  On
-    node-order operators, and in the kernels of the other constants, there
-    are no classes and ``tail`` is 0.
+    from ``tail`` on, the tail, keep the two row-scaled products.
+
+    Likewise every edge of size ``s`` has ``e_s = lambda1 / s``, and the
+    linked operators list the edges by size class: a layer's kernel gives
+    each class of at least as many edges one product ``P_s N_s`` with the
+    symmetric ``N_s = M0 + e_s M1``, and ``edge_classes`` lists ``(edges,
+    e_s, N_s)``.  The edges from ``edge_tail`` on keep ``P M0 + e * (P M1)``.
+    On node-order operators, and in the kernels of the other constants,
+    there are no classes of either kind and ``tail`` and ``edge_tail`` are 0.
 
     A general call writes ``ca * v`` and then ``cb * v`` on the tail rows into
     ``scratch``, the one work array of the instance, and leaves ``cb * v``
@@ -147,14 +162,12 @@ class Propagation:
         self.a1 += np.eye(params.d)
         if ops.classes is None:
             return
-        # the classes come largest first, so those that take a product are a prefix
-        d = params.d
-        taken = np.count_nonzero(np.diff(ops.classes) >= max(d, _CLASS_WORK / d**2))
-        bounds = ops.classes[: taken + 1].tolist()
-        self.tail = bounds[-1]
-        for lo, hi in zip(bounds, bounds[1:]):
-            ca, cb = self.ca[lo, 0], self.cb[lo, 0]
-            self.classes.append((slice(lo, hi), ca, cb, ca * self.a0 + cb * self.a1))
+        groups, self.tail = _grouped(ops.classes, params.d)
+        for rows in groups:
+            ca, cb = self.ca[rows.start, 0], self.cb[rows.start, 0]
+            self.classes.append((rows, ca, cb, ca * self.a0 + cb * self.a1))
+        groups, self.edge_tail = _grouped(ops.edge_classes, params.d)
+        self.edge_classes = [(r, self.e[r.start, 0], self.m0 + self.e[r.start, 0] * self.m1) for r in groups]
 
     @classmethod
     def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float, u) -> "Propagation":
@@ -168,7 +181,7 @@ class Propagation:
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         self.general = variant == "general"
-        self.scratch, self.classes, self.tail = None, [], 0
+        self.scratch, self.classes, self.tail, self.edge_classes, self.edge_tail = None, [], 0, [], 0
         self.c, self.u = c[:, None], u
         data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
         if not self.general:
@@ -193,7 +206,14 @@ class Propagation:
         p = right @ v
         if not self.general:
             return left @ p, p
-        out = left @ (p @ self.m0 + self.e * (p @ self.m1))
+        # q^T = N_s^T p^T on each grouped class, in BLAS; the edge tail after them
+        q, et = np.empty(p.shape), self.edge_tail
+        for rows, _, ns in self.edge_classes:
+            dgemm(1.0, ns.T, p[rows].T, c=q[rows].T, overwrite_c=True)
+        np.multiply(self.e[et:], p[et:] @ self.m1, out=q[et:])
+        q[et:] += p[et:] @ self.m0
+        out = left @ q
+        del q  # freed before the row terms: held on, it raises the call's peak by its m x d
         # out^T += M^T v^T in BLAS, all three F-contiguous views
         for rows, _, _, mg in self.classes:
             dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
@@ -212,7 +232,7 @@ class Propagation:
         """``out += u v``, in place, and ``out``."""
         if np.ndim(self.u):  # per-row u, which daxpy cannot take
             out += self.u * v
-        else:
+        elif self.u != 0.0:  # the step bounds' u = 0 would read and write out for nothing
             daxpy(v.ravel(), out.ravel(), a=self.u)
         return out
 

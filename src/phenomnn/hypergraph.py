@@ -246,16 +246,16 @@ class ExpansionOperators:
     """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form.
 
     ``b`` is the hypergraph's own CSR incidence matrix ``B``, the only sparse
-    array kept besides the linked rows' copy in ``linked`` (``b.T`` is its
+    array kept besides its reordered copy in ``linked`` (``b.T`` is its
     CSC view, not a copy), so ``A_C Y = B (B^T Y)``
     and ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
     diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
     sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
     the edge sizes, and ``d_tilde = lambda0 d_c + lambda1 d_s_bar + 1`` the
-    update preconditioner; ``d_s_bar`` and ``d_h`` are the hypergraph's own
-    arrays, read and never written.  The weights must be nonnegative and finite.
-    ``classes`` is None in node order, and in ``linked``'s operators the row
-    offsets of the degree classes.
+    update preconditioner; ``d_s_bar`` and ``d_h`` are read and never written.
+    The weights must be nonnegative and finite.  ``classes`` and
+    ``edge_classes`` are None in node order, and in ``linked``'s operators
+    the offsets of the degree classes and of the edge size classes.
     """
 
     b: sp.csr_matrix
@@ -266,6 +266,7 @@ class ExpansionOperators:
     lambda1: float
     d_tilde: np.ndarray
     classes: np.ndarray | None = None
+    edge_classes: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -274,37 +275,50 @@ class ExpansionOperators:
     @cached_property
     def linked(self) -> tuple:
         """``(linked, isolated, ops)``: the nodes in some hyperedge, those in none, and
-        these operators on the first alone, ordered by degree class.
+        these operators on the first alone, ordered by degree class and edge size class.
 
         ``isolated`` lists the nodes with ``d_c = 0`` in node order, and
         ``linked`` the others by degree class: the nodes of equal ``(d_c,
         d_s_bar)``, both exact integer sums as ``B`` is binary.  The classes
         come largest first, ties by ``(d_c, d_s_bar)``, each in node order, and
-        ``ops.classes`` holds their row offsets.  ``ops`` holds ``b[linked]``,
-        ``d_c``, ``d_s_bar`` and ``d_tilde`` on those rows, with the edges
-        unchanged; a layer's ``d x d`` row terms share their weights within a
-        class (see ``energy.Propagation``).  Operators that carry classes, and
-        those of a hypergraph with no hyperedge, give ``(None, None, self)``.
-        Built once per instance: a model pass reads it on every call."""
+        ``ops.classes`` holds their row offsets.  The edges come by the same
+        rule on their sizes, and ``ops.edge_classes`` holds their offsets.
+        ``ops`` holds ``b[linked]`` and ``d_h`` with the edges in that order,
+        and ``d_c``, ``d_s_bar`` and ``d_tilde`` on the linked rows; a layer's
+        ``d x d`` terms share their weights within a class (see
+        ``energy.Propagation``).  Operators that carry classes, and those of a
+        hypergraph with no hyperedge, give ``(None, None, self)``.  Built once
+        per instance: a model pass reads it on every call."""
         isolated = self.d_c == 0
         if self.classes is not None or isolated.all():
             return None, None, self
         linked = np.flatnonzero(~isolated)
-        degrees = np.stack((self.d_c[linked], self.d_s_bar[linked]), axis=1)
-        _, cls, sizes = np.unique(degrees, axis=0, return_inverse=True, return_counts=True)
-        cls = cls.ravel()  # numbered in (d_c, d_s_bar) order; lexsort is stable
-        linked = linked[np.lexsort((cls, -sizes[cls]))]
+        order, classes = _class_order(np.stack((self.d_c[linked], self.d_s_bar[linked]), axis=1))
+        linked = linked[order]
+        edges, edge_classes = _class_order(self.d_h[:, None])
+        b = self.b[linked]
+        b = sp.csr_matrix((b.data, np.argsort(edges)[b.indices], b.indptr), shape=b.shape)  # column k: edge edges[k]
+        b.sort_indices()
         ops = ExpansionOperators(
-            b=self.b[linked],
+            b=b,
             d_c=self.d_c[linked],
             d_s_bar=self.d_s_bar[linked],
-            d_h=self.d_h,
+            d_h=self.d_h[edges],
             lambda0=self.lambda0,
             lambda1=self.lambda1,
             d_tilde=self.d_tilde[linked],
-            classes=np.concatenate(([0], np.cumsum(np.sort(sizes)[::-1]))),
+            classes=classes,
+            edge_classes=edge_classes,
         )
         return linked, np.flatnonzero(isolated), ops
+
+
+def _class_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``keys`` by class, the rows of equal keys, and the class offsets in
+    that order: larger classes first, ties by key, each class in row order."""
+    _, cls, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    cls = cls.ravel()  # numbered in key order; lexsort is stable
+    return np.lexsort((cls, -sizes[cls])), np.concatenate(([0], np.cumsum(np.sort(sizes)[::-1])))
 
 
 def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) -> ExpansionOperators:

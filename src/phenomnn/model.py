@@ -21,11 +21,13 @@ closed form: ``forward``, the taped pass and ``descent_trace`` hold ``k x d``
 arrays per layer, ``k`` the number of linked nodes.  The linked nodes come by
 degree class, so a general layer's ``d x d`` row terms take one BLAS
 ``dgemm`` per class of at least ``max(d, 2^16 / d^2)`` rows and two on the
-other rows: ``G + 2`` calls for ``G`` such classes (``G`` when they hold
-every row), and as many again in its adjoint's ``dY``.  A pass of ``T`` layers
-makes ``T`` times a layer's calls, and ``descent_trace`` one layer's per
-iterate.  The simple layers keep a ReLU mask alone, so they run on every
-node, in node order, and make no such call.
+other rows, and, the edges coming by size class, one per size class of as
+many edges: ``G + 2 + E`` calls for ``G`` and ``E`` such classes (``G + E``
+when the ``G`` hold every row).  Its adjoint makes as many for ``dY``; its
+``d x d`` reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per class, are
+numpy's.  A pass of ``T`` layers makes ``T`` times a layer's calls, and
+``descent_trace`` one layer's per iterate.  The simple layers keep a ReLU
+mask alone, so they run on every node, in node order, and make no such call.
 """
 
 from __future__ import annotations
@@ -202,12 +204,13 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the forward's
     own factor, so they equal, bit for bit, what the forward computed.
     ``backward`` hands ``g`` over, so the mask, and then ``R``, are written
-    into it.  ``dY`` takes the kernel's per-class products, as each class's
-    ``M_g`` is symmetric.  Each class (``prop.classes``) adds ``ca_g Z_g`` and
-    ``cb_g Z_g`` to the two reductions, with ``Z_g = Y_g^T g_g``; on the tail,
+    into it.  ``dY`` takes the kernel's per-class products, each ``M_g`` and
+    ``N_s`` being symmetric.  Each class (``prop.classes``) adds ``ca_g Z_g``
+    and ``cb_g Z_g`` to the two reductions, ``Z_g = Y_g^T g_g``; on the tail,
     ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
-    leaves it, and ``ca * g`` is then written over it.  ``e`` scales ``B^T R``,
-    the kernel's fresh array, in place once ``P^T (B^T R)`` is taken."""
+    leaves it, and ``ca * g`` is then written over it.  Each edge size class
+    adds ``Z_s = P_s^T S_s`` and ``e_s Z_s`` to ``P^T S`` and ``P^T (e * S)``,
+    ``S = B^T R``; on the edge tail ``e`` scales ``S`` in place."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
@@ -221,9 +224,14 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
             z = y[rows].T @ g[rows]
             y0 += ca * z
             y1 += cb * z
-        c0 = p.T @ s
-        s *= prop.e
-        c1 = p.T @ s
+        t = prop.edge_tail
+        c0 = p[t:].T @ s[t:]
+        s[t:] *= prop.e[t:]
+        c1 = p[t:].T @ s[t:]
+        for rows, w, _ in prop.edge_classes:
+            z = p[rows].T @ s[rows]
+            c0 += z
+            c1 += w * z
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 

@@ -1,5 +1,9 @@
 """Shared seeded generators for the test suite."""
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
 
 from phenomnn import EnergyParams, Hypergraph, Propagation, build_expansion_operators, layer
@@ -67,6 +71,57 @@ def fd_gradient(f, y, step=1e-5):
         g[idx] = (fp - fm) / (2.0 * step)
         it.iternext()
     return g
+
+
+def record_dgemm(monkeypatch):
+    """Route ``phenomnn.energy``'s BLAS ``dgemm`` calls through a recorder, and return the
+    list it appends ``(a.shape, b.shape)`` to, one pair per call, as the arguments are given.
+
+    These are the kernel's ``d x d`` class and row-tail products: ``a`` is
+    the ``d x d`` matrix and ``b`` is ``d x rows``.  The edge tail's two
+    products and the adjoint's ``d x d`` reductions are numpy's and are not
+    recorded.  A call given an output ``c`` must give it the product's shape."""
+    import phenomnn.energy as energy_mod
+
+    calls, plain = [], energy_mod.dgemm
+
+    def recorded(alpha, a, b, **kwargs):
+        rows = a.shape[1] if kwargs.get("trans_a") else a.shape[0]
+        cols = b.shape[0] if kwargs.get("trans_b") else b.shape[1]
+        assert kwargs.get("c") is None or kwargs["c"].shape == (rows, cols)
+        calls.append((a.shape, b.shape))
+        return plain(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "dgemm", recorded)
+    return calls
+
+
+def criterion_3_problems():
+    """The 20 seeded problems of the criterion-3 acceptance test, each as
+    ``(ops, h0, h1, fx)``: a random hypergraph's operators, noisy compatibility
+    matrices and base predictions."""
+    for seed in range(20):
+        rng = rng_for(9200 + seed)
+        n = int(rng.integers(30, 201))
+        m = int(rng.integers(10, min(101, n)))
+        d = int(rng.integers(2, 17))
+        l0 = float(rng.uniform(0.0, 3.0))
+        l1 = float(rng.uniform(0.0, 3.0))
+        ops = build_expansion_operators(random_hypergraph(rng, n, m), l0, l1)
+        noise = 0.01 if seed % 2 == 0 else 0.1
+        h0 = np.eye(d) + noise * rng.standard_normal((d, d))
+        h1 = np.eye(d) + noise * rng.standard_normal((d, d))
+        yield ops, h0, h1, rng.standard_normal((n, d))
+
+
+def load_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded as a module without importing ``perfbench``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def rel_err(a, b):

@@ -8,14 +8,18 @@ the ReLU of a layer.  ``layer_keeping_mask_and_p`` and ``layer_vjp_reading_p``
 are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
 kept, where ``model.layer_vjp`` rebuilds both.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
 at a time, as ``Hypergraph.from_edges`` does with arrays, and ``class_order``
-sorts the linked nodes by degree class, as ``ExpansionOperators.linked`` does
-with arrays.
+and ``edge_class_order`` sort the linked nodes by degree class and the edges by
+size class, as ``ExpansionOperators.linked`` does with arrays.
+``products_every_edge_in_the_tail`` is the kernel's products with the
+edge-side product taken on every edge in one expression, where
+``Propagation.products`` groups the edges by size class.
 """
 
 from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 
 from phenomnn.hypergraph import Hypergraph, HypergraphError, build_clique, build_star_normalized
 from helpers import hyperedges
@@ -151,9 +155,28 @@ def layer_vjp_reading_p(g, prop, kept):
             z = y[rows].T @ g[rows]
             y0 += ca * z
             y1 += cb * z
-        c0, c1 = p.T @ s, p.T @ (prop.e * s)
+        et = prop.edge_tail
+        c0, c1 = p[et:].T @ s[et:], p[et:].T @ (prop.e[et:] * s[et:])
+        for rows, e_s, _ in prop.edge_classes:
+            z = p[rows].T @ s[rows]
+            c0 += z
+            c1 += e_s * z
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
     return (dy, np.multiply(g, prop.c, out=g), *grads)
+
+
+def products_every_edge_in_the_tail(prop, v, left, right):
+    """``Propagation.products`` with no edge size class grouped: ``Q = P M0 + e * (P M1)``
+    on every edge in one expression, then the ``d x d`` row terms as the kernel adds them."""
+    p = right @ v
+    out = left @ (p @ prop.m0 + prop.e * (p @ prop.m1))
+    for rows, _, _, mg in prop.classes:
+        dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
+    t = prop.tail
+    for ck, ak in ((prop.ca, prop.a0), (prop.cb, prop.a1)):
+        w = np.multiply(v[t:], ck[t:], out=prop.scratch)
+        dgemm(1.0, ak.T, w.T, beta=1.0, c=out[t:].T, overwrite_c=True)
+    return out, p
 
 
 def build_star_bipartite(hg):
@@ -211,3 +234,10 @@ def class_order(ops):
     key = {i: (float(ops.d_c[i]), float(ops.d_s_bar[i])) for i in range(ops.n) if ops.d_c[i] > 0}
     size = {k: list(key.values()).count(k) for k in key.values()}
     return sorted(key, key=lambda i: (-size[key[i]], key[i], i))
+
+
+def edge_class_order(ops):
+    """The hyperedges by size class: larger classes first, ties by size, and edge
+    order within a class."""
+    sizes = [float(s) for s in ops.d_h]
+    return sorted(range(len(sizes)), key=lambda k: (-sizes.count(sizes[k]), sizes[k], k))

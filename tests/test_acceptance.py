@@ -25,7 +25,7 @@ from phenomnn.model import (
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
-from helpers import fd_gradient, one_layer, random_hypergraph, rel_err, rng_for
+from helpers import criterion_3_problems, fd_gradient, one_layer, random_hypergraph, rel_err, rng_for
 from oracles import (
     build_star_bipartite,
     energy_bruteforce,
@@ -149,20 +149,8 @@ def test_criterion_3_monotone_convergence():
     start = time.perf_counter()
     worst_gen, worst_sim = 0.0, 0.0
     any_increase_at_5x = False
-    for seed in range(20):
-        rng = rng_for(9200 + seed)
-        n = int(rng.integers(30, 201))
-        m = int(rng.integers(10, min(101, n)))
-        d = int(rng.integers(2, 17))
-        l0 = float(rng.uniform(0.0, 3.0))
-        l1 = float(rng.uniform(0.0, 3.0))
-        hg = random_hypergraph(rng, n, m)
-        ops = build_expansion_operators(hg, l0, l1)
-        noise = 0.01 if seed % 2 == 0 else 0.1
-        h0 = np.eye(d) + noise * rng.standard_normal((d, d))
-        h1 = np.eye(d) + noise * rng.standard_normal((d, d))
-        fx = rng.standard_normal((n, d))
-
+    for ops, h0, h1, fx in criterion_3_problems():
+        d = fx.shape[1]
         pg = EnergyParams(h0, h1)
         bound_g = step_bound_general(ops, pg)
         prop = Propagation(ops, pg, "general", 0.9 * bound_g.value)

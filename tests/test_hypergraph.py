@@ -13,7 +13,7 @@ from phenomnn.hypergraph import (
     parse_hypergraph,
 )
 from helpers import hyperedges, random_hypergraph, rng_for
-from oracles import build_star_bipartite, class_order, from_edges_by_edge, uniform_edge_size
+from oracles import build_star_bipartite, class_order, edge_class_order, from_edges_by_edge, uniform_edge_size
 
 TOY = "3 2\n0 1\n1 2\n"
 
@@ -413,13 +413,34 @@ def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
     # classes (d_c, d_s_bar): (3, 1) holds 2 and 6, then (2, 1) holds 1 and (5, 2) holds 4
     assert linked.tolist() == class_order(ops) == [2, 6, 1, 4] and isolated.tolist() == [0, 3, 5]
     assert lo.classes.tolist() == [0, 2, 3, 4] and ops.classes is None
+    # the edges by size class: one class of size 2, then one of size 3
+    edges = edge_class_order(ops)
+    assert edges == [0, 1] and lo.edge_classes.tolist() == [0, 1, 2] and ops.edge_classes is None
     assert np.array_equal(np.sort(np.concatenate([linked, isolated])), np.arange(7))
-    assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked])
+    assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked][:, edges])
+    assert lo.b.has_canonical_format
     for name in ("d_c", "d_s_bar", "d_tilde"):
         assert np.array_equal(getattr(lo, name), getattr(ops, name)[linked]), name
-    assert lo.d_h is ops.d_h and (lo.lambda0, lo.lambda1) == (1.0, 0.5)
+    assert np.array_equal(lo.d_h, ops.d_h[edges]) and (lo.lambda0, lo.lambda1) == (1.0, 0.5)
     assert ops.linked is ops.linked
     assert lo.linked == (None, None, lo)
+
+
+def test_linked_orders_the_edges_by_size_class():
+    # sizes 3, 2, 3, 2, 4: the classes of size 2 and 3 hold two edges each, so
+    # the tie goes to size 2; each class keeps edge order
+    hg = Hypergraph.from_edges(8, [[0, 1, 2], [3, 7], [2, 4, 5], [1, 6], [0, 3, 5, 6]])
+    orders = []
+    for lambdas in ((1.0, 0.5), (0.0, 2.0)):
+        ops = build_expansion_operators(hg, *lambdas)
+        linked, _, lo = ops.linked
+        edges = edge_class_order(ops)
+        assert edges == [1, 3, 0, 2, 4] and lo.edge_classes.tolist() == [0, 2, 4, 5]
+        assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked][:, edges])
+        assert lo.b.has_canonical_format and lo.b.indices.dtype == hg.incidence.indices.dtype
+        assert lo.d_h.tolist() == [2.0, 2.0, 3.0, 3.0, 4.0] and hg.edge_sizes.tolist() == [3.0, 2.0, 3.0, 2.0, 4.0]
+        orders.append((linked.tolist(), lo.b.toarray().tolist()))
+    assert orders[0] == orders[1]  # the order depends on B alone
 
 
 @pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])

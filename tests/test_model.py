@@ -1,10 +1,12 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import daxpy
 
 from phenomnn.autodiff import Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
@@ -32,8 +34,24 @@ from phenomnn.model import (
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
-from helpers import one_layer, random_hypergraph, random_instance, rng_for
-from oracles import energy_bruteforce, messagepassing_layer, prox_nonneg, z_star
+from helpers import (
+    criterion_3_problems,
+    load_workloads,
+    one_layer,
+    random_hypergraph,
+    random_instance,
+    record_dgemm,
+    rng_for,
+)
+from oracles import (
+    energy_bruteforce,
+    layer_keeping_mask_and_p,
+    layer_vjp_reading_p,
+    messagepassing_layer,
+    products_every_edge_in_the_tail,
+    prox_nonneg,
+    z_star,
+)
 
 
 # -- layer basics ---------------------------------------------------------------
@@ -392,20 +410,12 @@ def test_general_gradients_on_isolated_nodes_first_match_finite_differences():
 
 
 def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
-    import phenomnn.energy as energy_mod
-
     x, _, model, ops = isolated_first_problem(t_layers=2)
     d = model.config.d
     linked = int(np.count_nonzero(ops.d_c))
-    shapes, plain = [], energy_mod.dgemm
-
-    def counted(alpha, a, b, **kwargs):
-        shapes.append((b.shape, kwargs["c"].shape))
-        return plain(alpha, a, b, **kwargs)
-
-    monkeypatch.setattr(energy_mod, "dgemm", counted)
+    shapes = record_dgemm(monkeypatch)
     forward(x, model, ops)
-    assert shapes == [((d, linked), (d, linked))] * (2 * 2)
+    assert shapes == [((d, d), (d, linked))] * (2 * 2)
     # a layer and its adjoint on the linked operators hold the linked rows alone
     rows, _, lo = ops.linked
     prop = Propagation(lo, model.params, "general", model.config.alpha)
@@ -414,7 +424,7 @@ def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
     kept = []
     layer(fx, prop.c * fx, prop, kept)
     layer_vjp(rng_for(63).standard_normal((linked, d)), prop, kept)
-    assert shapes == [((d, linked), (d, linked))] * 4
+    assert shapes == [((d, d), (d, linked))] * 4
     assert prop.scratch.shape == (linked, d)
 
 
@@ -518,20 +528,10 @@ def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_diffe
 # -- general layers by degree class ------------------------------------------------------
 
 
-def degree_class_problem(isolated_share, seed=81):
-    """A general model at ``d = 32`` whose linked nodes form four degree classes.
-
-    With ``max(d, 2^16 / d^2) = 64`` rows as the class threshold, the classes
-    of 96 (edges of 4) and 64 rows (edges of 2) take their own products, and
-    those of 63 (edges of 3) and 40 rows (two edges of 5 each) form the tail.
-    The linked nodes are spread over the node ids, among the isolated ones."""
-    rng = rng_for(seed)
-    d, k = 32, 96 + 64 + 63 + 40
-    n = int(round(k / (1.0 - isolated_share)))
-    ids = rng.permutation(n)
-    blocks = np.split(ids[:k], [96, 160, 223])
-    edges = [e.tolist() for size, block in zip((4, 2, 3), blocks) for e in block.reshape(-1, size)]
-    edges += [e.tolist() for block in (blocks[3], rng.permutation(blocks[3])) for e in block.reshape(-1, 5)]
+def class_problem(n, edges, rng, seed):
+    """A general model at ``d = 32`` and two layers on the hypergraph of ``edges``,
+    with inputs and labels: ``(x, labels, model, ops)``."""
+    d = 32
     cfg = ModelConfig(variant="general", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
     model = init_model(cfg, 6, 3, seed=seed)
     model.params.h0 += 0.2 * rng.standard_normal((d, d))
@@ -539,6 +539,55 @@ def degree_class_problem(isolated_share, seed=81):
     x = rng.standard_normal((n, 6)) + 0.3
     labels = rng.integers(0, 3, n)
     return x, labels, model, build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
+
+
+def degree_class_problem(isolated_share, seed=81):
+    """A general model at ``d = 32`` whose linked nodes form four degree classes.
+
+    With ``max(d, 2^16 / d^2) = 64`` rows as the class threshold, the classes
+    of 96 (edges of 4) and 64 rows (edges of 2) take their own products, and
+    those of 63 (edges of 3) and 40 rows (two edges of 5 each) form the tail.
+    No edge size class (24, 32, 21 and 16 edges) reaches the threshold.
+    The linked nodes are spread over the node ids, among the isolated ones."""
+    rng = rng_for(seed)
+    k = 96 + 64 + 63 + 40
+    n = int(round(k / (1.0 - isolated_share)))
+    ids = rng.permutation(n)
+    blocks = np.split(ids[:k], [96, 160, 223])
+    edges = [e.tolist() for size, block in zip((4, 2, 3), blocks) for e in block.reshape(-1, size)]
+    edges += [e.tolist() for block in (blocks[3], rng.permutation(blocks[3])) for e in block.reshape(-1, 5)]
+    return class_problem(n, edges, rng, seed)
+
+
+def edge_class_problem(isolated_share, seed=83):
+    """A general model at ``d = 32`` whose edges form three size classes.
+
+    With 64 as the class threshold, the 64 edges of 2 nodes take their own
+    product, and the 63 edges of 3 and the 16 of 5 form the edge tail.  The
+    linked nodes form the degree classes of 189 rows (edges of 3), 128 rows
+    (edges of 2) and 40 rows (two edges of 5 each), the last in the tail.
+    The edges are listed in a random order, so the size classes interleave
+    in ``B``'s columns, and the linked nodes are spread among the isolated ones."""
+    rng = rng_for(seed)
+    k = 128 + 189 + 40
+    n = int(round(k / (1.0 - isolated_share)))
+    ids = rng.permutation(n)
+    blocks = np.split(ids[:k], [128, 317])
+    edges = [e.tolist() for size, block in zip((2, 3), blocks) for e in block.reshape(-1, size)]
+    edges += [e.tolist() for block in (blocks[2], rng.permutation(blocks[2])) for e in block.reshape(-1, 5)]
+    return class_problem(n, [edges[i] for i in rng.permutation(len(edges))], rng, seed)
+
+
+def assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain):
+    """One layer and its adjoint on ``prop`` within 1e-13 of the same on ``plain``, the
+    kernel with the classes of ``prop`` put in the tail."""
+    fx = model.predictor.apply(x)[linked]
+    g = rng_for(82).standard_normal(fx.shape)
+    kept, kept_plain = [], []
+    out, want = layer(fx, prop.c * fx, prop, kept), layer(fx, plain.c * fx, plain, kept_plain)
+    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+    for got, ref in zip(layer_vjp(g.copy(), prop, kept), layer_vjp(g.copy(), plain, kept_plain)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
@@ -559,18 +608,74 @@ def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share)
     # one layer and its adjoint, against the same kernel with every row in the tail
     plain = Propagation(lo, model.params, "general", model.config.alpha)
     plain.classes, plain.tail = [], 0
-    fx = model.predictor.apply(x)[linked]
-    g = rng_for(82).standard_normal(fx.shape)
-    kept, kept_plain = [], []
-    out, want = layer(fx, prop.c * fx, prop, kept), layer(fx, plain.c * fx, plain, kept_plain)
-    assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
-    for got, ref in zip(layer_vjp(g.copy(), prop, kept), layer_vjp(g.copy(), plain, kept_plain)):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
-def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share, monkeypatch):
-    x, labels, model, ops = degree_class_problem(isolated_share)
+def test_edge_size_classes_of_the_threshold_take_their_own_products(isolated_share):
+    x, _, model, ops = edge_class_problem(isolated_share)
+    linked, isolated, lo = ops.linked
+    assert isolated.size == ops.n - 357 and lo.classes.tolist() == [0, 189, 317, 357]
+    assert lo.edge_classes.tolist() == [0, 64, 127, 143] and np.all(np.diff(lo.d_h) >= 0)
+    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 189), (189, 317)] and prop.tail == 317
+    # a class of 64 edges takes its own product, one of 63 goes to the edge tail
+    assert [(r.start, r.stop) for r, *_ in prop.edge_classes] == [(0, 64)] and prop.edge_tail == 64
+    for a, b in zip(lo.edge_classes[:-1], lo.edge_classes[1:]):
+        col = prop.e[a:b]
+        assert np.array_equal(col, np.full_like(col, col[0, 0]))
+    for rows, e_s, ns in prop.edge_classes:
+        assert e_s == prop.e[rows.start, 0] == model.config.lambda1 / 2.0
+        assert np.array_equal(ns, ns.T)
+    # one layer and its adjoint, against the same kernel with every edge in the edge tail
+    plain = Propagation(lo, model.params, "general", model.config.alpha)
+    plain.edge_classes, plain.edge_tail = [], 0
+    assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
+    # the adjoint against the oracle that reads P, whose reductions mirror the per-class Z_s
+    fx = model.predictor.apply(x)[linked]
+    g = rng_for(84).standard_normal(fx.shape)
+    kept, kept_oracle = [], []
+    assert np.array_equal(layer(fx, prop.c * fx, prop, kept), layer_keeping_mask_and_p(fx, prop.c * fx, prop, kept_oracle))
+    for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(g.copy(), prop, kept_oracle)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
+    # no size class reaches the threshold: the edge-side product is, bit for bit,
+    # P M0 + e * (P M1) on every edge in one expression, and its arrays take no
+    # more memory at their peak than that expression's temporaries
+    x, _, model, ops = degree_class_problem(0.3)
+    linked, _, lo = ops.linked
+    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    assert prop.classes and prop.edge_classes == [] and prop.edge_tail == 0
+    fx = model.predictor.apply(x)[linked]
+    g = rng_for(85).standard_normal(fx.shape)
+    # the adjoint's reductions are the oracle's P^T S and P^T (e * S) on every edge
+    kept, kept_oracle = [], []
+    layer(fx, prop.c * fx, prop, kept)
+    layer_keeping_mask_and_p(fx, prop.c * fx, prop, kept_oracle)
+    for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(g.copy(), prop, kept_oracle)):
+        assert got.tobytes() == want.tobytes()
+
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            out = f(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for v, factors in ((fx, prop.fwd), (g, prop.adj)):
+        (got, got_p), got_peak = peak(prop.products, v, *factors)
+        (want, want_p), want_peak = peak(products_every_edge_in_the_tail, prop, v, *factors)
+        assert got.tobytes() == want.tobytes() and got_p.tobytes() == want_p.tobytes()
+        assert got_peak <= want_peak, (got_peak, want_peak)
+
+
+def assert_pass_matches_the_node_order_pass(problem, monkeypatch):
+    """``forward``, the taped logits, loss and gradients and ``descent_trace`` on the
+    linked operators within 1e-13 of the same passes in node order."""
+    x, labels, model, ops = problem
     rows = np.arange(0, x.shape[0], 2)
 
     def passes():
@@ -601,8 +706,17 @@ def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share,
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
-def test_general_gradients_by_degree_class_match_finite_differences(isolated_share):
-    x, labels, model, ops = degree_class_problem(isolated_share)
+def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share, monkeypatch):
+    assert_pass_matches_the_node_order_pass(degree_class_problem(isolated_share), monkeypatch)
+
+
+@pytest.mark.parametrize("isolated_share", [0.3, 0.0])
+def test_general_pass_by_edge_size_class_equals_the_node_order_pass(isolated_share, monkeypatch):
+    assert_pass_matches_the_node_order_pass(edge_class_problem(isolated_share), monkeypatch)
+
+
+def assert_gradients_match_finite_differences(problem):
+    x, labels, model, ops = problem
     rows = np.arange(0, x.shape[0], 2)
 
     def build(params):
@@ -614,21 +728,21 @@ def test_general_gradients_by_degree_class_match_finite_differences(isolated_sha
     assert report["passed"], report
 
 
-def test_general_layer_cost_is_one_product_per_class_and_two_on_the_tail(monkeypatch):
-    # the dgemm calls of a pass, by their row counts; every count is linear in depth
-    import phenomnn.energy as energy_mod
+@pytest.mark.parametrize("isolated_share", [0.3, 0.0])
+def test_general_gradients_by_degree_class_match_finite_differences(isolated_share):
+    assert_gradients_match_finite_differences(degree_class_problem(isolated_share))
 
-    x, labels, model, ops = degree_class_problem(0.3)
-    d = model.config.d
-    calls, plain = [], energy_mod.dgemm
 
-    def counted(alpha, a, b, **kwargs):
-        assert b.shape[0] == d and kwargs["c"].shape == b.shape
-        calls.append(b.shape[1])
-        return plain(alpha, a, b, **kwargs)
+@pytest.mark.parametrize("isolated_share", [0.3, 0.0])
+def test_general_gradients_by_edge_size_class_match_finite_differences(isolated_share):
+    assert_gradients_match_finite_differences(edge_class_problem(isolated_share))
 
-    monkeypatch.setattr(energy_mod, "dgemm", counted)
-    one_layer = [96, 64, 103, 103]  # the two classes, then A0 and A1 on the tail
+
+def dgemm_calls_in_depth(problem, calls, one_layer, adjoint):
+    """Check the ``dgemm`` calls, recorded into ``calls``, of ``forward`` and of the
+    taped pass and its backward at several depths: ``one_layer`` per layer and
+    ``adjoint`` per layer's adjoint, so that ``count(2T) - count(T) = T count(one layer)``."""
+    x, labels, model, ops = problem
     rows = np.arange(x.shape[0])
 
     def count(t_layers, taped):
@@ -642,11 +756,29 @@ def test_general_layer_cost_is_one_product_per_class_and_two_on_the_tail(monkeyp
         return list(calls)
 
     assert count(1, False) == one_layer
-    assert count(1, True) == one_layer * 2  # the layer, then its adjoint's dY
+    assert count(1, True) == one_layer + adjoint  # the layer, then its adjoint
     for taped in (False, True):
+        per_layer = one_layer + adjoint if taped else one_layer
         t_calls, t2_calls = count(3, taped), count(6, taped)
-        assert len(t2_calls) - len(t_calls) == 3 * len(one_layer) * (1 + taped)
-        assert t2_calls == one_layer * 6 * (1 + taped)
+        assert len(t2_calls) - len(t_calls) == 3 * len(per_layer)
+        assert t2_calls == one_layer * 6 + adjoint * 6 * taped
+
+
+def test_general_layer_cost_is_one_product_per_class_and_two_on_the_tail(monkeypatch):
+    # the dgemm calls of a pass, by their row counts; every count is linear in depth
+    calls = record_dgemm(monkeypatch)
+    d = 32
+    one_layer = [((d, d), (d, rows)) for rows in (96, 64, 103, 103)]  # the two classes, then A0 and A1 on the tail
+    dgemm_calls_in_depth(degree_class_problem(0.3), calls, one_layer, one_layer)  # the adjoint's dY
+
+
+def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
+    # a layer: the size class's N_s, the degree classes' M_g, then A0 and A1 on the
+    # tail; the edge tail takes numpy's products.  Its adjoint: the same for dY
+    calls = record_dgemm(monkeypatch)
+    d = 32
+    one_layer = [((d, d), (d, rows)) for rows in (64, 189, 128, 40, 40)]
+    dgemm_calls_in_depth(edge_class_problem(0.3), calls, one_layer, one_layer)
 
 
 # -- step bounds -----------------------------------------------------------------------
@@ -787,6 +919,47 @@ def test_step_bound_general_sigma_matches_dense_operator():
     numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
     denom = 1.0 + s * ops.d_c.min() + sigma_max
     assert abs(got.value - numer / denom) <= 1e-8
+
+
+def criterion_3_and_benchmark_bound_problems(monkeypatch):
+    """``(ops, params, bounds)``: the 20 hypergraphs of the criterion-3 test with its
+    compatibility matrices and both bounds, then the benchmark's three graphs with
+    the initial model and the bound each workload times."""
+    for ops, h0, h1, _ in criterion_3_problems():
+        yield ops, EnergyParams(h0, h1), ("simple", "general")
+    workloads = load_workloads(monkeypatch)
+    for w in workloads.WORKLOADS.values():
+        g = workloads.generate(w, 1)
+        ops = build_expansion_operators(Hypergraph.from_edges(g.features.shape[0], g.edges), w.lambda0, w.lambda1)
+        cfg = ModelConfig(variant=w.variant, t_layers=w.t_layers, d=w.d, alpha=w.alpha, lambda0=w.lambda0,
+                          lambda1=w.lambda1)
+        model = init_model(cfg, g.features.shape[1], int(g.labels.max()) + 1, seed=workloads.STRUCTURE_SEED)
+        yield ops, model.params, (w.bound,)
+
+
+def test_step_bounds_skip_the_zero_u_pass_and_keep_their_values(monkeypatch):
+    # the bounds' kernels run at u = 0, where out += 0 * v changes at most the
+    # sign of an exact zero: every bound is, bit for bit, the one with that pass
+    def daxpy_always(self, v, out):
+        if np.ndim(self.u):
+            out += self.u * v
+        else:
+            daxpy(v.ravel(), out.ravel(), a=self.u)
+        return out
+
+    def bounds(ops, params, kinds):
+        return [step_bound_simple(ops) if k == "simple" else step_bound_general(ops, params) for k in kinds]
+
+    solved = 0
+    for ops, params, kinds in criterion_3_and_benchmark_bound_problems(monkeypatch):
+        got = bounds(ops, params, kinds)
+        with monkeypatch.context() as patch:
+            patch.setattr(Propagation, "add_u", daxpy_always)
+            want = bounds(ops, params, kinds)
+        for a, b in zip(got, want):
+            assert (a.value, a.sigma, a.certificate, a.eig.iterations) == (b.value, b.sigma, b.certificate, b.eig.iterations)
+            solved += a.eig.iterations > 0
+    assert solved >= 20
 
 
 def test_monotone_descent_both_variants():

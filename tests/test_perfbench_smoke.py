@@ -6,11 +6,12 @@ kernel rewrite that drifts from the paper's update fails here too.
 """
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+from helpers import load_workloads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("autodiff", "linalg", "model", "train")
@@ -59,11 +60,7 @@ def test_names_the_benchmark_calls_resolve():
 
 def test_configs_take_the_benchmark_arguments(monkeypatch):
     # the keyword arguments and values perfbench/run.py passes, for each workload
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
+    workloads = load_workloads(monkeypatch)
     model, train = (importlib.import_module(f"phenomnn.{m}") for m in ("model", "train"))
     for w in workloads.WORKLOADS.values():
         model.ModelConfig(
