@@ -9,14 +9,12 @@ classification loss.
 
 from .autodiff import Tape, Var, backward, check_gradients
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
-from .energy import EnergyParams, EnergyValue, Propagation, energy_and_grad
+from .energy import EnergyParams, EnergyValue, Propagation
 from .hypergraph import (
     ExpansionOperators,
     Hypergraph,
     HypergraphError,
-    build_clique,
     build_expansion_operators,
-    build_star_normalized,
     load_hypergraph,
     parse_hypergraph,
 )

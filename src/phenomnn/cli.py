@@ -1,4 +1,4 @@
-"""Command-line interface: training, evaluation, diagnostics, and exports.
+"""Command-line interface: training, evaluation and diagnostics.
 
 Configuration is a flat JSON object whose keys mirror the preset tables
 (``lr``, ``dropout``, ``hidden``, ``lambda0``, ``lambda1``, ``alpha``,
@@ -19,12 +19,11 @@ import sys
 from importlib import resources
 
 import numpy as np
-from scipy.io import mmwrite
 
 from .autodiff import Tape, check_gradients
 from .data import SyntheticSpec, dataset_paths, generate_synthetic, load_dataset, make_splits, save_dataset
 from .energy import EnergyParams
-from .hypergraph import build_clique, build_expansion_operators, build_star_normalized, load_hypergraph
+from .hypergraph import build_expansion_operators, load_hypergraph
 from .model import (
     ModelConfig,
     build_taped_logits,
@@ -221,6 +220,9 @@ def cmd_eval(args) -> int:
     width, have = model.predictor.w.shape[0], dataset.features.shape[1]
     if have != width:
         raise ValueError(f"{args.checkpoint}: predictor.w0 takes {width} features, the dataset has {have}")
+    scored, have = model.classifier.b.size, dataset.n_classes
+    if have > scored:
+        raise ValueError(f"{args.checkpoint}: the classifier scores {scored} classes, the dataset has {have}")
     acc = evaluate(model, dataset, args.split)
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0
@@ -305,22 +307,6 @@ def cmd_step_bound(args) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
-    hg = _need_hypergraph(resolve_config(args), args)
-    out = _out_dir(args)
-    a_c, _ = build_clique(hg)
-    a_s_bar, _ = build_star_normalized(hg)
-    clique_path = os.path.join(out, "clique_adjacency.mtx")
-    star_path = os.path.join(out, "star_normalized.mtx")
-    mmwrite(clique_path, a_c, symmetry="general")
-    mmwrite(star_path, a_s_bar, symmetry="general")
-    print(f"n={hg.n} m={hg.m} nnz(A_C)={a_c.nnz} nnz(A_S_bar)={a_s_bar.nnz}")
-    if hg.collapsed_duplicates:
-        print(f"warning: collapsed {hg.collapsed_duplicates} duplicate node ids within hyperedges")
-    print(f"wrote {clique_path} and {star_path}")
-    return 0
-
-
 def cmd_gen_synthetic(args) -> int:
     seed = 0 if args.seed is None else args.seed
     if seed < 0:
@@ -386,11 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--hypergraph", help="hypergraph file (alternative to --data)")
     p.set_defaults(func=cmd_step_bound)
-
-    p = sub.add_parser("expand", help="export expansion operators in Matrix Market format")
-    _add_common(p)
-    p.add_argument("--hypergraph", help="hypergraph file (alternative to --data)")
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic community dataset")
     p.add_argument("--out", required=True)

@@ -1,4 +1,4 @@
-"""Hypergraph energies: their parameters, the one operator ``L_H``, and the energy entry point.
+"""Hypergraph energies: their parameters, the one operator ``L_H``, and the energy from ``-L_H Y``.
 
 Both variants share the form ``E(Y) = ||Y - Fx||_F^2 + <Y, L_H Y>``.  In the
 simple variant ``L_H = lambda0 L_C + lambda1 L_S_bar``, the clique and
@@ -17,20 +17,19 @@ update included, at the same ``(lambda0, lambda1)``.
 The weights ``lambda0``, ``lambda1`` are read from the ``ExpansionOperators``
 they were built for, and ``EnergyParams`` holds the learned ``H0``, ``H1``.
 ``L_H`` is written once, as ``Propagation.kernel``: its ``products`` plus a
-``u * V`` term.  The layers, the energy and its gradient (``energy_and_grad``)
-and the step bounds apply it at their own per-row constants; the descent
-trace reads ``-L_H Y`` off a layer's own products, so ``energy_from_neg_lap``
-turns ``-L_H Y`` into the energy and gradient for both.  Every adjacency
+``u * V`` term.  The layers and the step bounds apply it at their own per-row
+constants; the descent trace reads ``-L_H Y`` off a layer's own products, and
+``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
 zero rows in ``L_H``: the general layers run the kernel on
-``ExpansionOperators.linked``, the linked nodes alone, and the energy and the
-step bounds on every node, where the general kernel's ``d x d`` row terms
-add exact zeros on the isolated rows.  On the linked operators the nodes come
-by degree class and the edges by size class, and each large class takes its
-``d x d`` terms as one product with a matrix of its own.  The nonnegativity
-barrier is never represented as an infinite float: the energy is returned as
-its smooth value with a feasibility flag.
+``ExpansionOperators.linked``, the linked nodes alone, and the step bounds on
+every node, where the general kernel's ``d x d`` row terms add exact zeros on
+the isolated rows.  On the linked operators the nodes come by degree class
+and the edges by size class, and each large class takes its ``d x d`` terms
+as one product with a matrix of its own.  The nonnegativity barrier is never
+represented as an infinite float: the energy is returned as its smooth value
+with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "EnergyParams",
     "EnergyValue",
     "Propagation",
-    "energy_and_grad",
     "energy_from_neg_lap",
 ]
 
@@ -106,7 +104,7 @@ class EnergyValue:
 
 
 class Propagation:
-    """The kernel ``K``, the one definition of ``L_H``, at the per-row constants ``c`` and ``u``.
+    """The kernel ``K``, the one definition of ``L_H``, at the per-row constants ``c`` and the scalar ``u``.
 
     With ``*`` scaling rows, ``ca = c (lambda0/2) d_C`` and ``cb = c lambda1 d_S_bar``,
     ``K(V) = c * B Q(B^T V) + ca * (V A0) + cb * (V A1) + u * V``, where
@@ -123,8 +121,6 @@ class Propagation:
       ``model.layer`` adds ``u * Y`` to ``products`` itself, so that the
       descent trace can read the same products as ``-L_H Y = (d_tilde /
       alpha) * products - (d_tilde - 1) * Y``;
-    - ``-L_H`` (``energy_and_grad``): ``c = 1``, ``u = -(lambda0/2) d_C`` (general)
-      or ``-(lambda0 d_C + lambda1 d_S_bar)`` (simple), a column;
     - the general step bound's operator: ``c = -1``, ``u = 0``;
     - the simple step bound's operator ``B W B^T``: ``c = 1``, ``u = 0``.
 
@@ -170,11 +166,11 @@ class Propagation:
         self.edge_classes = [(r, self.e[r.start, 0], self.m0 + self.e[r.start, 0] * self.m1) for r in groups]
 
     @classmethod
-    def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float, u) -> "Propagation":
-        """The kernel at constants other than a layer's: ``c`` the same on every row, ``u`` a scalar or a column.
+    def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float) -> "Propagation":
+        """The kernel at constants other than a layer's: ``c`` the same on every row, ``u = 0``.
         ``params`` is read only when general."""
         self = cls.__new__(cls)
-        self._bind(ops, params, variant, np.full(ops.n, c), u)
+        self._bind(ops, params, variant, np.full(ops.n, c), 0.0)
         return self
 
     def _bind(self, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: np.ndarray, u) -> None:
@@ -230,9 +226,7 @@ class Propagation:
 
     def add_u(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out += u v``, in place, and ``out``."""
-        if np.ndim(self.u):  # per-row u, which daxpy cannot take
-            out += self.u * v
-        elif self.u != 0.0:  # the step bounds' u = 0 would read and write out for nothing
+        if self.u != 0.0:  # the step bounds' u = 0 would read and write out for nothing
             daxpy(v.ravel(), out.ravel(), a=self.u)
         return out
 
@@ -240,21 +234,6 @@ class Propagation:
         """``K(v; left, right)``, the ``products`` plus ``u v``, and the edge-side product ``right v``."""
         out, p = self.products(v, left, right)
         return self.add_u(v, out), p
-
-
-def energy_and_grad(
-    y: np.ndarray, fx: np.ndarray, ops: ExpansionOperators, params: EnergyParams, variant: str
-) -> EnergyValue:
-    """``E(Y)``, its feasibility and ``grad E(Y) = 2 (L_H Y + Y - Fx)``, from one kernel call."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != fx.shape:
-        raise ValueError(f"energy: shape mismatch {y.shape} vs {fx.shape}")
-    diag = 0.5 * ops.lambda0 * ops.d_c
-    if variant == "simple":
-        diag = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
-    k = Propagation._at(ops, params, variant, 1.0, -diag[:, None])
-    neg_lap, _ = k.kernel(y, *k.fwd)
-    return energy_from_neg_lap(y, fx, neg_lap, np.empty_like(neg_lap))
 
 
 def energy_from_neg_lap(y: np.ndarray, fx: np.ndarray, neg_lap: np.ndarray, work: np.ndarray) -> EnergyValue:

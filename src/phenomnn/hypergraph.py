@@ -7,8 +7,7 @@ The clique expansion is the raw algebraic form ``A_C = B B^T``
 (multiplicities and diagonal retained), and the normalized star contraction
 is ``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators
 the layers, energies and step bounds use keep only ``B`` and apply the
-expansions as ``B W B^T``; the n x n matrices are built only on request
-(``build_clique``, ``build_star_normalized``).
+expansions as ``B W B^T``; the package never forms an n x n matrix.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ __all__ = [
     "Hypergraph",
     "parse_hypergraph",
     "load_hypergraph",
-    "build_clique",
-    "build_star_normalized",
     "ExpansionOperators",
     "build_expansion_operators",
 ]
@@ -216,29 +213,6 @@ def _build(source: str, header: int, n: int, ids: np.ndarray, ptr: np.ndarray) -
 def load_hypergraph(path) -> Hypergraph:
     with open(path, "r", encoding="utf-8") as f:
         return parse_hypergraph(f.read(), source=str(path))
-
-
-def build_clique(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Clique expansion ``A_C = B B^T`` and its degree diagonal ``D_C = diag(A_C 1)``."""
-    b = hg.incidence
-    a_c = (b @ b.T).tocsr()
-    a_c.sort_indices()
-    return a_c, np.asarray(a_c.sum(axis=1), dtype=np.float64).ravel()
-
-
-def build_star_normalized(hg: Hypergraph) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Normalized star contraction ``A_S_bar = B D_H^{-1} B^T`` with its row-sum diagonal.
-
-    Each row sum equals the node's hyperedge count (the 1/m_e weights of one
-    edge add to one), so the diagonal is taken from the exact integer-valued
-    degrees rather than accumulated floats; ``D_S_bar[i, i] == node_degrees[i]``
-    holds exactly.
-    """
-    b = hg.incidence
-    inv_dh = sp.diags(1.0 / hg.edge_sizes)
-    a_s = (b @ inv_dh @ b.T).tocsr()
-    a_s.sort_indices()
-    return a_s, hg.node_degrees.copy()
 
 
 @dataclass(eq=False)

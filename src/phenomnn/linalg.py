@@ -3,8 +3,7 @@
 ``extreme_eigenvalue`` runs the three-term Lanczos recurrence and keeps no
 basis: three vectors of the operator's size and the tridiagonal's scalars.
 Everything operates on 64-bit floats.  The solve is pure: the same inputs
-yield bitwise-identical outputs in the (default) sequential build.  Matrix
-Market export is ``scipy.io.mmwrite``.
+yield bitwise-identical outputs in the (default) sequential build.
 """
 
 from __future__ import annotations

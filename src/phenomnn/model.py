@@ -372,7 +372,7 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
     if ops.b.shape[1] < ops.n or float(ops.d_s_bar.min()) == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "rank")
 
-    k = Propagation._at(ops, None, "simple", 1.0, 0.0)
+    k = Propagation._at(ops, None, "simple", 1.0)
 
     def apply(v):
         return k.kernel(v[:, None], *k.fwd)[0][:, 0]
@@ -397,7 +397,7 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     """
     n, d = ops.n, params.d
     s, lam1 = 0.5 * ops.lambda0, ops.lambda1
-    k = Propagation._at(ops, params, "general", -1.0, 0.0)
+    k = Propagation._at(ops, params, "general", -1.0)
 
     def apply(vec):
         return k.kernel(vec.reshape(n, d), *k.fwd)[0].ravel()

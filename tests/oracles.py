@@ -1,8 +1,12 @@
 """Reference forms the package is checked against; nothing in ``phenomnn`` calls them.
 
-The summation-form energy, the per-edge means, the trace-form energies, the
-node-wise layer and the bipartite star expansion each restate a quantity the
-package computes through ``Propagation.kernel``, by a different route.  The
+``build_clique`` and ``build_star_normalized`` form the n x n expansions that
+the package applies through ``B`` alone.  ``energy_and_grad`` evaluates the
+energy and its gradient from one kernel call at ``c = 1``, where the descent
+trace reads ``-L_H Y`` off a layer's products.  The summation-form energy,
+the per-edge means, the trace-form energies, the node-wise layer and the
+bipartite star expansion each restate a quantity the package computes
+through ``Propagation.kernel``, by a different route.  The
 cross entropy restates the tape's ``softmax_cross_entropy``, and ``prox_nonneg``
 the ReLU of a layer.  ``layer_keeping_mask_and_p`` and ``layer_vjp_reading_p``
 are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
@@ -21,7 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
 
-from phenomnn.hypergraph import Hypergraph, HypergraphError, build_clique, build_star_normalized
+from phenomnn.energy import Propagation, energy_from_neg_lap
+from phenomnn.hypergraph import Hypergraph, HypergraphError
 from helpers import hyperedges
 
 Energy = namedtuple("Energy", "smooth feasible")
@@ -42,6 +47,46 @@ def cross_entropy(logits, labels, rows):
     shifted = sel - sel.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     return float(np.mean(log_z - shifted[np.arange(rows.size), labels]))
+
+
+def build_clique(hg):
+    """Clique expansion ``A_C = B B^T`` and its degree diagonal ``D_C = diag(A_C 1)``."""
+    b = hg.incidence
+    a_c = (b @ b.T).tocsr()
+    a_c.sort_indices()
+    return a_c, np.asarray(a_c.sum(axis=1), dtype=np.float64).ravel()
+
+
+def build_star_normalized(hg):
+    """Normalized star contraction ``A_S_bar = B D_H^{-1} B^T`` with its row-sum diagonal.
+
+    Each row sum equals the node's hyperedge count (the 1/m_e weights of one
+    edge add to one), so the diagonal is taken from the exact integer-valued
+    degrees rather than accumulated floats; ``D_S_bar[i, i] == node_degrees[i]``
+    holds exactly.
+    """
+    b = hg.incidence
+    inv_dh = sp.diags(1.0 / hg.edge_sizes)
+    a_s = (b @ inv_dh @ b.T).tocsr()
+    a_s.sort_indices()
+    return a_s, hg.node_degrees.copy()
+
+
+def energy_and_grad(y, fx, ops, params, variant):
+    """``E(Y)``, its feasibility and ``grad E(Y) = 2 (L_H Y + Y - Fx)``, from one kernel call.
+
+    ``-L_H Y`` is the kernel at ``c = 1`` less ``diag * Y``, ``diag`` being the
+    row term the kernel leaves out: ``(lambda0/2) d_C`` (general) or
+    ``lambda0 d_C + lambda1 d_S_bar`` (simple)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != fx.shape:
+        raise ValueError(f"energy: shape mismatch {y.shape} vs {fx.shape}")
+    diag = 0.5 * ops.lambda0 * ops.d_c
+    if variant == "simple":
+        diag = ops.lambda0 * ops.d_c + ops.lambda1 * ops.d_s_bar
+    k = Propagation._at(ops, params, variant, 1.0)
+    neg_lap = k.kernel(y, *k.fwd)[0] - diag[:, None] * y
+    return energy_from_neg_lap(y, fx, neg_lap, np.empty_like(neg_lap))
 
 
 def z_star(hg, y):

@@ -13,8 +13,8 @@ import pytest
 
 from phenomnn.autodiff import Tape, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
-from phenomnn.energy import EnergyParams, energy_and_grad
-from phenomnn.hypergraph import build_clique, build_expansion_operators, build_star_normalized
+from phenomnn.energy import EnergyParams
+from phenomnn.hypergraph import build_expansion_operators
 from phenomnn.model import (
     ModelConfig,
     Propagation,
@@ -27,7 +27,10 @@ from phenomnn.model import (
 from phenomnn.train import TrainConfig, train
 from helpers import criterion_3_problems, fd_gradient, one_layer, random_hypergraph, rel_err, rng_for
 from oracles import (
+    build_clique,
     build_star_bipartite,
+    build_star_normalized,
+    energy_and_grad,
     energy_bruteforce,
     energy_trace_general,
     energy_trace_simple,

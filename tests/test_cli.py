@@ -4,13 +4,10 @@ import re
 
 import numpy as np
 import pytest
-from scipy.io import mmread
 
 from phenomnn import cli
 from phenomnn.cli import main
 from phenomnn.data import load_dataset
-from phenomnn.hypergraph import build_clique, build_star_normalized
-from helpers import hyperedges, random_hypergraph, rng_for
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,42 +36,6 @@ def test_step_bound_trivial_prints_one(toy_hypergraph, capsys):
     bound = float(out.split("step bound (simple):")[1].split()[0])
     assert bound == 1.0
     assert "certificate: trivial" in out
-
-
-def test_expand_writes_expected_matrices(toy_hypergraph, tmp_path, capsys):
-    out = str(tmp_path / "exp")
-    rc = main(["expand", "--hypergraph", toy_hypergraph, "--out", out])
-    assert rc == 0
-    clique = (tmp_path / "exp" / "clique_adjacency.mtx").read_text().strip().split("\n")
-    assert clique[0] == "%%MatrixMarket matrix coordinate real general"
-    clique = [line for line in clique if not line.startswith("%")]
-    assert clique[0] == "3 3 7"
-    entries = {tuple(line.split()[:2]): float(line.split()[2]) for line in clique[1:]}
-    assert entries[("1", "1")] == 1.0 and entries[("2", "2")] == 2.0 and entries[("1", "2")] == 1.0
-    star = (tmp_path / "exp" / "star_normalized.mtx").read_text().strip().split("\n")
-    svals = {tuple(line.split()[:2]): float(line.split()[2]) for line in star if not line.startswith("%")}
-    assert svals[("1", "1")] == 0.5 and svals[("2", "2")] == 1.0
-
-
-def test_expand_files_read_back_exactly(tmp_path):
-    # edges of 2-6 ids put 1/3 and 1/5 weights in A_S_bar, which must survive the text exactly
-    path = tmp_path / "hg.txt"
-    hg = random_hypergraph(rng_for(10), 30, 25)
-    path.write_text(f"{hg.n} {hg.m}\n" + "".join(" ".join(map(str, e)) + "\n" for e in hyperedges(hg)))
-    assert main(["expand", "--hypergraph", str(path), "--out", str(tmp_path / "exp")]) == 0
-    for name, build in (("clique_adjacency", build_clique), ("star_normalized", build_star_normalized)):
-        got = mmread(tmp_path / "exp" / f"{name}.mtx").tocsr()
-        want = build(hg)[0]
-        assert got.shape == want.shape and got.nnz == want.nnz
-        assert np.array_equal(got.toarray(), want.toarray())
-
-
-def test_expand_is_idempotent(toy_hypergraph, tmp_path):
-    out = str(tmp_path / "exp")
-    main(["expand", "--hypergraph", toy_hypergraph, "--out", out])
-    first = (tmp_path / "exp" / "clique_adjacency.mtx").read_bytes()
-    main(["expand", "--hypergraph", toy_hypergraph, "--out", out])
-    assert (tmp_path / "exp" / "clique_adjacency.mtx").read_bytes() == first
 
 
 def test_gen_synthetic_roundtrip(synthetic_dir):
@@ -154,6 +115,24 @@ def test_eval_rejects_a_dataset_of_another_feature_width(synthetic_dir, tmp_path
     assert main(["eval", "--data", synthetic_dir, "--checkpoint", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: predictor.w0 takes 8 features, the dataset has 5" in err
+
+
+def test_eval_rejects_a_dataset_of_more_classes_than_the_classifier(synthetic_dir, tmp_path, capsys):
+    three = str(tmp_path / "three")
+    assert main(["gen-synthetic", "--out", three, "--seed", "0", "--communities", "3", "--nodes-per-community", "20",
+                 "--edges", "25", "--feature-dim", "5"]) == 0
+    runs = {}
+    for name, data in (("two", synthetic_dir), ("three", three)):
+        runs[name] = tmp_path / f"run-{name}" / "checkpoint.json"
+        assert main(["train", "--data", data, "--out", str(runs[name].parent), "--seed", "1",
+                     "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=4"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", three, "--checkpoint", str(runs["two"])]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {runs['two']}: the classifier scores 2 classes, the dataset has 3" in err
+    # a dataset of fewer classes than the classifier scores is still evaluated
+    assert main(["eval", "--data", synthetic_dir, "--checkpoint", str(runs["three"])]) == 0
+    assert "test accuracy" in capsys.readouterr().out
 
 
 def test_train_repeats_summary(synthetic_dir, tmp_path):
@@ -277,14 +256,12 @@ def test_gen_synthetic_rejects_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
-def test_step_bound_and_expand_read_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
+def test_step_bound_reads_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
     data = tmp_path / "ds"
     data.mkdir()
     (data / "hypergraph.txt").write_text("3 2\n0 1\n1 2\n")
     assert main(["step-bound", "--data", str(data), "--set", "lambda0=0", "--set", "lambda1=0"]) == 0
     assert "step bound (simple): 1 " in capsys.readouterr().out
-    assert main(["expand", "--data", str(data), "--out", str(tmp_path / "exp")]) == 0
-    assert "n=3 m=2 nnz(A_C)=7" in capsys.readouterr().out
 
 
 def test_energy_trace_zero_steps_is_one_row(synthetic_dir, capsys):
@@ -416,7 +393,7 @@ def test_strict_alpha_takes_json_booleans(synthetic_dir, tmp_path, capsys, stric
 
 def test_unknown_flag_is_error(toy_hypergraph):
     with pytest.raises(SystemExit) as exc:
-        main(["expand", "--hypergraph", toy_hypergraph, "--frobnicate"])
+        main(["step-bound", "--hypergraph", toy_hypergraph, "--frobnicate"])
     assert exc.value.code == 2
 
 
@@ -479,5 +456,5 @@ def test_help_lists_subcommands(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for cmd in ("train", "eval", "energy-trace", "check-gradients", "step-bound", "expand", "gen-synthetic"):
+    for cmd in ("train", "eval", "energy-trace", "check-gradients", "step-bound", "gen-synthetic"):
         assert cmd in out

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phenomnn.autodiff import Tape
-from phenomnn.energy import EnergyParams, Propagation, energy_and_grad
-from phenomnn.hypergraph import Hypergraph, build_clique, build_expansion_operators, build_star_normalized
+from phenomnn.energy import EnergyParams, Propagation
+from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import ModelConfig, build_taped_logits, descent_trace, forward, init_model
 from helpers import fd_gradient, hyperedges, random_hypergraph, random_instance, rel_err, rng_for
 from oracles import (
+    build_clique,
     build_star_bipartite,
+    build_star_normalized,
+    energy_and_grad,
     energy_bruteforce,
     energy_trace_general,
     energy_trace_simple,
@@ -189,8 +192,8 @@ def test_prop1_term_equivalences_across_seeds():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_factored_products_match_dense_expansions(seed):
-    # the kernel at each of its four constant sets against dense I-, B B^T- and
-    # B D_H^{-1} B^T-built operators
+    # the kernel at each of its three constant sets, and -L_H as the kernel at
+    # c = 1 less its row term, against dense I-, B B^T- and B D_H^{-1} B^T-built operators
     rng = rng_for(700 + seed)
     n, d = int(rng.integers(5, 25)), int(rng.integers(1, 5))
     # edges avoid the last two nodes, which stay isolated; one edge is a singleton
@@ -205,6 +208,10 @@ def test_factored_products_match_dense_expansions(seed):
     a_s = b @ np.diag(1.0 / hg.edge_sizes) @ b.T
     d_c, d_s = np.diag(a_c.sum(axis=1)), np.diag(a_s.sum(axis=1))
     v = rng.standard_normal((n, d))
+
+    def applied(prop):
+        return prop.kernel(v, *prop.fwd)[0]
+
     h0, h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
     for l0, l1 in ((1.0, 0.0), (0.0, 1.0), (float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))):
         ops = build_expansion_operators(hg, l0, l1)
@@ -222,12 +229,12 @@ def test_factored_products_match_dense_expansions(seed):
             else:
                 diag, bound_c, bound = l0 * ops.d_c + l1 * ops.d_s_bar, 1.0, (l0 * a_c + l1 * a_s) @ v
             # a layer (the step Y - c * grad E(Y) / 2 without its c * Fx part), -L_H, the step bound's operator
-            for prop, want in (
-                (Propagation(ops, params, variant, 0.4), v - c * (lap + v)),
-                (Propagation._at(ops, params, variant, 1.0, -diag[:, None]), -lap),
-                (Propagation._at(ops, params, variant, bound_c, 0.0), bound),
+            for got, want in (
+                (applied(Propagation(ops, params, variant, 0.4)), v - c * (lap + v)),
+                (applied(Propagation._at(ops, params, variant, 1.0)) - diag[:, None] * v, -lap),
+                (applied(Propagation._at(ops, params, variant, bound_c)), bound),
             ):
-                assert rel_err(prop.kernel(v, *prop.fwd)[0], want) <= 1e-12
+                assert rel_err(got, want) <= 1e-12
 
 
 def test_mean_embedding_is_optimal():

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from phenomnn import hypergraph
-from phenomnn.hypergraph import (
-    Hypergraph,
-    HypergraphError,
-    build_clique,
-    build_expansion_operators,
-    build_star_normalized,
-    parse_hypergraph,
-)
+from phenomnn.hypergraph import Hypergraph, HypergraphError, build_expansion_operators, parse_hypergraph
 from helpers import hyperedges, random_hypergraph, rng_for
-from oracles import build_star_bipartite, class_order, edge_class_order, from_edges_by_edge, uniform_edge_size
+from oracles import (
+    build_clique,
+    build_star_bipartite,
+    build_star_normalized,
+    class_order,
+    edge_class_order,
+    from_edges_by_edge,
+    uniform_edge_size,
+)
 
 TOY = "3 2\n0 1\n1 2\n"
 
