@@ -1,9 +1,10 @@
-"""Reverse-mode differentiation over a recorded tape of numpy primitives.
+"""Reverse-mode differentiation over a recorded tape of nodes with hand-written adjoints.
 
-A :class:`Tape` records every primitive applied during one forward pass as an
-ordered list of operations.  Recording order is topological by construction,
-so :func:`backward` visits operations in strict reverse order, accumulating
-vector-Jacobian products; a propagation layer is one node (``Tape.layer``).
+A :class:`Tape` records the nodes of one forward pass as an ordered list of
+operations: the model's whole pass is one node (``Tape.node``) over its
+parameters, and the loss (``Tape.softmax_cross_entropy``) another.
+Recording order is topological by construction, so :func:`backward` visits
+operations in strict reverse order, accumulating vector-Jacobian products.
 Operators, index sets, and dropout masks are constants: no gradient flows to them.
 
 Gradients are exact for the recorded composition and bitwise deterministic:
@@ -25,7 +26,7 @@ GRADIENT_THRESHOLD = 1e-4
 
 @dataclass(eq=False)
 class Var:
-    """Handle to one tape node: its id, cached forward value, and grad flag.
+    """Handle to one tape node: its id and cached forward value.
 
     The node holds its tape weakly: the tape holds its parameter nodes, so a
     strong reference back would keep every finished tape, and the arrays its
@@ -35,7 +36,6 @@ class Var:
     tape_ref: weakref.ref
     idx: int
     value: np.ndarray
-    requires_grad: bool
 
     @property
     def tape(self) -> "Tape | None":
@@ -52,7 +52,8 @@ class TapeOp:
 
 
 class Tape:
-    """Ordered record of primitive operations for one forward pass.
+    """Ordered record of the nodes of one forward pass: named trainable leaves,
+    nodes with a hand-written adjoint, and the loss.
 
     Each op's ``vjp`` owns the output gradient it is handed: it may write into
     it and return it as an input gradient.  It returns no array that anything
@@ -66,96 +67,27 @@ class Tape:
         self.params: dict[str, Var] = {}
         self._next = 0
 
-    # -- node creation ----------------------------------------------------
-
-    def _new_var(self, value, requires_grad: bool) -> Var:
-        v = Var(weakref.ref(self), self._next, np.asarray(value, dtype=np.float64), requires_grad)
+    def _new_var(self, value) -> Var:
+        v = Var(weakref.ref(self), self._next, np.asarray(value, dtype=np.float64))
         self._next += 1
         return v
 
-    def leaf(self, value, name: str | None = None) -> Var:
-        """A trainable leaf when ``name`` is given, otherwise a constant input."""
-        v = self._new_var(value, requires_grad=name is not None)
-        if name is not None:
-            if name in self.params:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            self.params[name] = v
+    def leaf(self, value, name: str) -> Var:
+        """A trainable leaf; ``backward`` returns its gradient under ``name``."""
+        if name in self.params:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        v = self.params[name] = self._new_var(value)
         return v
 
-    def constant(self, value) -> Var:
-        return self._new_var(value, requires_grad=False)
-
     def _record(self, name: str, value, inputs: tuple, vjp) -> Var:
-        rg = any(v.requires_grad for v in inputs)
-        out = self._new_var(value, requires_grad=rg)
-        if rg:
-            self.ops.append(TapeOp(name, out.idx, tuple(v.idx for v in inputs), vjp))
+        out = self._new_var(value)
+        self.ops.append(TapeOp(name, out.idx, tuple(v.idx for v in inputs), vjp))
         return out
 
-    # -- primitives --------------------------------------------------------
-
-    def matmul(self, a: Var, b: Var) -> Var:
-        """``a @ b``; an operand that needs no gradient (the input features) is
-        not an input of the node, so its adjoint is never formed."""
-        if a.value.shape[1] != b.value.shape[0]:
-            raise ValueError(f"matmul: cannot multiply {a.value.shape} by {b.value.shape}")
-        av, bv = a.value, b.value
-        if not a.requires_grad:
-            return self._record("matmul", av @ bv, (b,), lambda g: (av.T @ g,))
-        if not b.requires_grad:
-            return self._record("matmul", av @ bv, (a,), lambda g: (g @ bv.T,))
-        return self._record("matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
-
-    def mul_const(self, a: Var, mask: np.ndarray) -> Var:
-        """Elementwise product with a constant array (dropout masks and the like)."""
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != a.value.shape:
-            raise ValueError(f"mul_const: shape mismatch {mask.shape} vs {a.value.shape}")
-        return self._record("mul_const", mask * a.value, (a,), lambda g: (mask * g,))
-
-    def layer(self, value: np.ndarray, inputs: tuple, vjp) -> Var:
-        """A node with a hand-written adjoint ``vjp``, one gradient per input: a
-        propagation layer's output (``model.layer``) over ``(Y, Fx[, H0, H1])``,
-        or every layer at once on the nodes in no hyperedge, in closed form."""
-        return self._record("layer", value, inputs, vjp)
-
-    def take_rows(self, a: Var, rows: np.ndarray) -> Var:
-        """Rows ``rows`` of ``a``, distinct and in any order (the linked nodes come by
-        degree class); the adjoint scatters ``g`` into those rows of a zero array
-        of ``a``'s shape."""
-        shape = a.value.shape
-        inside = rows.ndim == 1 and (not rows.size or 0 <= rows.min() and rows.max() < shape[0])
-        if not inside or np.unique(rows).size != rows.size:
-            raise ValueError(f"take_rows: rows must be distinct indices below {shape[0]}")
-
-        def vjp(g):
-            out = np.zeros(shape)
-            out[rows] = g
-            return (out,)
-
-        return self._record("take_rows", a.value[rows], (a,), vjp)
-
-    def merge_rows(self, parts: tuple, rows: tuple) -> Var:
-        """One array whose rows ``rows[i]`` are ``parts[i]``'s, the index sets
-        partitioning its rows; the adjoint of ``parts[i]`` is ``g[rows[i]]``."""
-        sizes = [p.value.shape[0] for p in parts]
-        if sizes != [r.size for r in rows]:
-            raise ValueError(f"merge_rows: parts of {sizes} rows for {[r.size for r in rows]} indices")
-        n = sum(sizes)
-        if n and not np.array_equal(np.bincount(np.concatenate(rows), minlength=n), np.ones(n, dtype=np.int64)):
-            raise ValueError(f"merge_rows: the row indices do not partition range({n})")
-        out = np.empty((n, *parts[0].value.shape[1:]))
-        for p, r in zip(parts, rows):
-            out[r] = p.value
-        return self._record("merge_rows", out, tuple(parts), lambda g: tuple(g[r] for r in rows))
-
-    def add_rowvec(self, a: Var, bias: Var) -> Var:
-        """Broadcast-add a 1-D bias across rows; its adjoint sums over rows."""
-        if bias.value.ndim != 1 or bias.value.shape[0] != a.value.shape[1]:
-            raise ValueError(f"add_rowvec: bias {bias.value.shape} for {a.value.shape}")
-        return self._record(
-            "add_rowvec", a.value + bias.value[None, :], (a, bias), lambda g: (g, g.sum(axis=0))
-        )
+    def node(self, value: np.ndarray, inputs: tuple, vjp) -> Var:
+        """A node with a hand-written adjoint ``vjp``, one gradient per input: the
+        model's whole pass (``model.build_taped_logits``) over its parameters."""
+        return self._record("node", value, inputs, vjp)
 
     def softmax_cross_entropy(self, logits: Var, labels: np.ndarray, rows: np.ndarray) -> Var:
         """Mean negative log softmax probability of the true class over ``rows``."""
@@ -204,7 +136,7 @@ def backward(tape: Tape, loss: Var) -> dict:
                 grads[idx] += ig
             else:
                 grads[idx] = ig
-        del ig  # or the last input gradient outlives its sum, through the next VJP
+        ig = None  # or the last input gradient outlives its sum, through the next VJP
     store = {}
     for name, var in tape.params.items():
         g = grads.get(var.idx)

@@ -282,17 +282,14 @@ def cmd_check_gradients(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _need_hypergraph(cfg: dict, args):
-    if cfg["dataset"]:
-        return load_hypergraph(os.path.join(cfg["dataset"], "hypergraph.txt"))
-    if args.hypergraph:
-        return load_hypergraph(args.hypergraph)
-    raise ValueError(f"{args.command} needs --data or --hypergraph")
-
-
 def cmd_step_bound(args) -> int:
     cfg = resolve_config(args)
-    hg = _need_hypergraph(cfg, args)
+    if cfg["dataset"]:
+        hg = load_hypergraph(os.path.join(cfg["dataset"], "hypergraph.txt"))
+    elif args.hypergraph:
+        hg = load_hypergraph(args.hypergraph)
+    else:
+        raise ValueError("step-bound needs --data or --hypergraph")
     mc = model_config(cfg)
     ops = build_expansion_operators(hg, mc.lambda0, mc.lambda1)
     if mc.variant == "simple":

@@ -7,25 +7,25 @@ energy variant:
 
 which is the kernel of ``energy.Propagation`` at a layer's constants plus
 ``alpha * D_tilde^{-1} Fx``; the ReLU is the prox of the nonnegativity
-barrier and applies at every step.  The step is written once, as ``layer``;
-``forward``, ``descent_trace`` and the taped pass call it, the last
-recording each layer as one node with the adjoint ``layer_vjp``.  The step
-bounds apply the same kernel at their own constants.
+barrier and applies at every step.  The step is written once, as ``layer``,
+and the pass once, as ``forward``, which training, evaluation and inference
+all run; the taped pass records it as one node, whose adjoint ``_pass_vjp``
+runs ``layer_vjp`` from the last layer down.  ``descent_trace`` calls
+``layer`` too, and the step bounds apply its kernel at their own constants.
 
 A node in no hyperedge has zero rows in ``L_H``, so its energy term is
 ``||y_i - f_i||^2`` alone: its minimiser over ``y_i >= 0``, ``ReLU(f_i)``, is
 where the first layer takes it from ``Y_0 = Fx`` and where every later layer
 keeps it.  The general layers therefore run on ``ExpansionOperators.linked``,
 the nodes in some hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in
-closed form: ``forward``, the taped pass and ``descent_trace`` hold ``k x d``
-arrays per layer, ``k`` the number of linked nodes.  The linked nodes come by
-degree class, so a general layer's ``d x d`` row terms take one BLAS
-``dgemm`` per class of at least ``max(d, 2^16 / d^2)`` rows and two on the
-other rows, and, the edges coming by size class, one per size class of as
-many edges: ``G + 2 + E`` calls for ``G`` and ``E`` such classes (``G + E``
-when the ``G`` hold every row).  Its adjoint makes as many for ``dY``; its
-``d x d`` reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per class, are
-numpy's.  A pass of ``T`` layers makes ``T`` times a layer's calls, and
+closed form: ``forward`` and ``descent_trace`` hold ``k x d`` arrays per
+layer, ``k`` the number of linked nodes.  The linked nodes come by degree
+class, so a general layer's ``d x d`` row terms take one BLAS ``dgemm`` per
+class of at least ``max(d, 2^16 / d^2)`` rows and two on the other rows,
+and, the edges coming by size class, one per size class of as many edges:
+``G + 2 + E`` calls for ``G`` and ``E`` such classes (``G + E`` when the
+``G`` hold every row).  Its adjoint makes as many for ``dY``; its ``d x d``
+reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per class, are numpy's.  A pass of ``T`` layers makes ``T`` times a layer's calls, and
 ``descent_trace`` one layer's per iterate.  The simple layers keep a ReLU
 mask alone, so they run on every node, in node order, and make no such call.
 """
@@ -236,14 +236,6 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
-def _isolated_vjp(g: np.ndarray, rows: np.ndarray, out: np.ndarray, n: int) -> tuple:
-    """Adjoint of ``ReLU(Fx[rows])`` with output ``out``: ``g * (out > 0)`` in rows ``rows``
-    of an ``n``-row zero array (``out > 0`` exactly where ``Fx[rows] > 0``)."""
-    dfx = np.zeros((n, g.shape[1]))
-    dfx[rows] = np.multiply(g, out > 0.0, out=g)
-    return (dfx,)
-
-
 def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
     """``(prop, linked, isolated)``: the layers' kernel of ``model`` and the rows it runs on.
 
@@ -262,21 +254,34 @@ def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
     return Propagation(ops, model.params, cfg.variant, cfg.alpha), linked, isolated
 
 
-def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
+def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np.ndarray | None = None,
+            feature_mask: np.ndarray | None = None, kept: dict | None = None):
     """Full unrolled pass: base projection, T propagation steps, classifier logits.
 
-    The layers run on the kernel's rows (see ``_propagation``); the last
-    ``Y`` and ``ReLU(Fx)`` on the isolated rows are written into ``Fx``'s
-    array, which is returned as ``Y``.  The classifier is applied to each
-    set of rows on its own, as in ``build_taped_logits``: a BLAS product's
-    rows can depend on its row count, and ``train`` scores an epoch from
-    the next taped pass's logits, which must equal these bit for bit."""
-    fx = model.predictor.apply(x)
+    Dropout enters as constant multiplicative masks, ``input_mask * X``
+    before the predictor and ``feature_mask * Fx`` after it; ``None`` leaves
+    either out.  The layers run on the kernel's rows (see ``_propagation``);
+    the last ``Y`` and ``ReLU(Fx)`` on the isolated rows are written into
+    ``Fx``'s array, which is returned as ``Y``.  The classifier is applied to
+    each set of rows on its own, so its adjoint reads the last ``Y`` on the
+    kernel's rows, which the last general layer keeps anyway, and no n x d
+    ``Y``.  A ``kept`` dict receives what ``_pass_vjp`` reads: the
+    predictor's input ``h``, the feature mask, the kernel and its rows, each
+    layer's ``layer`` list, and the classifier's inputs ``y`` and ``iso``."""
+    h = np.asarray(x, dtype=np.float64)
+    if input_mask is not None:
+        h = input_mask * h
+    fx = model.predictor.apply(h)
+    if feature_mask is not None:
+        fx = feature_mask * fx
     prop, linked, isolated = _propagation(model, ops)
     y = fx if linked is None else fx[linked]
     c_fx = prop.c * y
-    for _ in range(model.config.t_layers):
-        y = layer(y, c_fx, prop)
+    steps = [[] if kept is not None else None for _ in range(model.config.t_layers)]
+    for saved in steps:
+        y = layer(y, c_fx, prop, saved)
+    if kept is not None:
+        kept.update(h=h, feature_mask=feature_mask, prop=prop, linked=linked, isolated=isolated, layers=steps, y=y)
     if linked is None:
         return y, model.classifier.apply(y)
     logits = np.empty((fx.shape[0], model.classifier.b.size))
@@ -284,8 +289,65 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators):
     if isolated.size:
         iso = np.maximum(fx[isolated], 0.0)
         logits[isolated], fx[isolated] = model.classifier.apply(iso), iso
+        if kept is not None:
+            kept["iso"] = iso
     fx[linked] = y
     return fx, logits
+
+
+def _add(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """``total += term``, or ``term`` itself when there is no ``total`` yet."""
+    if total is None:
+        return term
+    total += term
+    return total
+
+
+def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
+    """Hand-written adjoint of ``forward`` from the logits' gradient ``g``, which it
+    owns: one gradient per entry of ``model.parameters()``, in order.
+
+    The sweep runs the pass backwards: the classifier on the isolated rows,
+    then on the kernel's rows; the layers from T down to 1 through
+    ``layer_vjp``, each ``dFx`` summed into one accumulator, layer 1's
+    ``dY`` just before its own ``dFx`` (its ``Y`` is ``Fx``); the isolated
+    rows' n x d gradient, to which a zero array holding the kernel rows'
+    gradient is added; and the predictor through the feature mask.  The
+    order of the sums fixes the gradients' bits, and so the checkpoints that
+    fixed seeds reproduce.  Each gradient is freed once it is summed."""
+    prop, linked, isolated, layers, y = (kept[k] for k in ("prop", "linked", "isolated", "layers", "y"))
+    w = model.classifier.w
+    dw = db = d_fx = None
+    if linked is not None:
+        if isolated.size:
+            g_iso, iso = g[isolated], kept["iso"]
+            dw, db = iso.T @ g_iso, g_iso.sum(axis=0)
+            d_fx = np.zeros((g.shape[0], w.shape[0]))
+            d_fx[isolated] = np.multiply(g_iso @ w.T, iso > 0.0)
+            del g_iso
+        g = g[linked]
+    dw, db = _add(dw, y.T @ g), _add(db, g.sum(axis=0))
+    dy = g @ w.T
+    del g
+    d_rows = dh0 = dh1 = None
+    for t in range(len(layers) - 1, -1, -1):
+        dy, d_c, *dh = layer_vjp(dy, prop, layers[t])
+        if not t:
+            d_rows = _add(d_rows, dy)
+        d_rows = _add(d_rows, d_c)
+        if dh:
+            dh0, dh1 = _add(dh0, dh[0]), _add(dh1, dh[1])
+        del d_c, dh
+    del dy
+    if linked is not None:
+        scatter = np.zeros((kept["h"].shape[0], d_rows.shape[1]))
+        scatter[linked] = d_rows
+        del d_rows
+        d_rows = _add(d_fx, scatter)
+        del d_fx, scatter
+    if kept["feature_mask"] is not None:
+        d_rows = kept["feature_mask"] * d_rows
+    return (kept["h"].T @ d_rows, d_rows.sum(axis=0), dw, db, *((dh0, dh1) if prop.general else ()))
 
 
 # -- taped forward (training path) -------------------------------------------
@@ -295,44 +357,13 @@ def build_taped_logits(
     tape: Tape, model: Model, ops: ExpansionOperators, x: np.ndarray,
     input_mask: np.ndarray | None = None, feature_mask: np.ndarray | None = None
 ) -> Var:
-    """Record the full forward pass on ``tape`` and return the logits node.
-
-    Dropout enters as constant multiplicative masks on the input features and
-    on the base prediction; passing ``None`` disables either mask.  When the
-    layers run on the linked nodes (see ``_propagation``), a ``take_rows``
-    node selects their rows of ``Fx``, by degree class, and when some node is
-    isolated, one node with the adjoint ``_isolated_vjp`` gives ``ReLU(Fx)``
-    on its rows.  The classifier runs on each set of rows, and a
-    ``merge_rows`` node puts the logits in node order: no n x d ``Y`` is held
-    for the classifier's adjoint.
-    """
-    cfg = model.config
-    params = {name: tape.leaf(arr, name=name) for name, arr in model.parameters().items()}
-    h = tape.constant(x)
-    if input_mask is not None:
-        h = tape.mul_const(h, input_mask)
-    fx = tape.add_rowvec(tape.matmul(h, params["predictor.w0"]), params["predictor.b0"])
-    if feature_mask is not None:
-        fx = tape.mul_const(fx, feature_mask)
-
-    def classify(y: Var) -> Var:
-        return tape.add_rowvec(tape.matmul(y, params["classifier.w"]), params["classifier.b"])
-
-    prop, linked, isolated = _propagation(model, ops)
-    y = fl = fx if linked is None else tape.take_rows(fx, linked)
-    c_fx = prop.c * fl.value
-    compat = (params["h0"], params["h1"]) if prop.general else ()
-    for _ in range(cfg.t_layers):
-        kept = []
-        value = layer(y.value, c_fx, prop, kept)
-        y = tape.layer(value, (y, fl, *compat), partial(layer_vjp, prop=prop, kept=kept))
-    if linked is None:
-        return classify(y)
-    if not isolated.size:
-        return tape.merge_rows((classify(y),), (linked,))
-    relu = np.maximum(fx.value[isolated], 0.0)
-    iso = tape.layer(relu, (fx,), partial(_isolated_vjp, rows=isolated, out=relu, n=fx.value.shape[0]))
-    return tape.merge_rows((classify(y), classify(iso)), (linked, isolated))
+    """Record ``forward`` on ``tape`` as one node, over a leaf per model parameter,
+    whose adjoint is ``_pass_vjp``; return the logits node.  The masks are
+    ``forward``'s, constants of the pass."""
+    leaves = tuple(tape.leaf(arr, name) for name, arr in model.parameters().items())
+    kept = {}
+    _, logits = forward(x, model, ops, input_mask, feature_mask, kept)
+    return tape.node(logits, leaves, partial(_pass_vjp, model=model, kept=kept))
 
 
 # -- step-size bounds ---------------------------------------------------------

@@ -264,6 +264,11 @@ def test_step_bound_reads_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
     assert "step bound (simple): 1 " in capsys.readouterr().out
 
 
+def test_step_bound_without_a_hypergraph_names_both_flags(capsys):
+    assert main(["step-bound"]) == 1
+    assert capsys.readouterr().err == "error: step-bound needs --data or --hypergraph\n"
+
+
 def test_energy_trace_zero_steps_is_one_row(synthetic_dir, capsys):
     rc = main(["energy-trace", "--data", synthetic_dir, "--steps", "0",
                "--set", "prop_step=2", "--set", "hidden=8"])
