@@ -284,6 +284,8 @@ def cmd_check_gradients(args) -> int:
 
 def cmd_step_bound(args) -> int:
     cfg = resolve_config(args)
+    if cfg["dataset"] and args.hypergraph:
+        raise ValueError("step-bound takes --data (or the config key 'dataset') or --hypergraph, not both")
     if cfg["dataset"]:
         hg = load_hypergraph(os.path.join(cfg["dataset"], "hypergraph.txt"))
     elif args.hypergraph:

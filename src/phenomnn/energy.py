@@ -16,9 +16,9 @@ update included, at the same ``(lambda0, lambda1)``.
 
 The weights ``lambda0``, ``lambda1`` are read from the ``ExpansionOperators``
 they were built for, and ``EnergyParams`` holds the learned ``H0``, ``H1``.
-``L_H`` is written once, as ``Propagation.kernel``: its ``products`` plus a
-``u * V`` term.  The layers and the step bounds apply it at their own per-row
-constants; the descent trace reads ``-L_H Y`` off a layer's own products, and
+``L_H`` is written once, as ``Propagation.kernel``, the operator ``K`` of a
+step whole.  The layers and the step bounds apply it at their own per-row
+constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y)``, and
 ``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
@@ -117,25 +117,22 @@ class Propagation:
     - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha``, so
       that ``K(Y) + c * Fx`` is the step ``Y - c * grad E(Y) / 2``.  When
       general, the step's diagonal term ``(ca + cb) * Y`` is folded into the
-      matrices, ``A_k = I - G_k``, so ``u`` stays the scalar ``1 - alpha``.
-      ``model.layer`` adds ``u * Y`` to ``products`` itself, so that the
-      descent trace can read the same products as ``-L_H Y = (d_tilde /
-      alpha) * products - (d_tilde - 1) * Y``;
+      matrices, ``A_k = I - G_k``, so ``u`` stays the scalar ``1 - alpha``;
     - the general step bound's operator: ``c = -1``, ``u = 0``;
     - the simple step bound's operator ``B W B^T``: ``c = 1``, ``u = 0``.
 
-    ``kernel`` is ``products`` followed by ``add_u``; the callers other than
-    ``model.layer`` take the whole kernel.  ``K``'s operators are symmetric,
-    so the adjoint of ``V -> K(V)`` is ``K(.; B, B^T diag(c))``; ``fwd`` and
-    ``adj`` hold the two factor pairs.
+    ``K``'s operators are symmetric, so the adjoint of ``V -> K(V)`` is
+    ``K(.; B, B^T diag(c))``; ``fwd`` and ``adj`` hold the two factor pairs.
 
     A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
     alone.  On ``ExpansionOperators.linked``'s operators, which list the rows
     by class, a layer's kernel (the constructor) gives each class of at least
     ``max(d, _CLASS_WORK / d^2)`` rows one product ``V_g M_g`` with the
-    symmetric ``M_g = ca_g A0 + cb_g A1``, and no row scaling: ``classes``
+    symmetric ``M_g = ca_g A0 + cb_g A1 + u I``, and no row scaling: ``classes``
     lists ``(rows, ca_g, cb_g, M_g)``.  Those classes come first, so the rows
-    from ``tail`` on, the tail, keep the two row-scaled products.
+    from ``tail`` on, the tail, keep the two row-scaled products, and take
+    ``u * V`` as one ``daxpy`` after them, as every row of the simple kernel
+    does; at ``u = 0`` there is no such pass.
 
     Likewise every edge of size ``s`` has ``e_s = lambda1 / s``, and the
     linked operators list the edges by size class: a layer's kernel gives
@@ -161,7 +158,7 @@ class Propagation:
         groups, self.tail = _grouped(ops.classes, params.d)
         for rows in groups:
             ca, cb = self.ca[rows.start, 0], self.cb[rows.start, 0]
-            self.classes.append((rows, ca, cb, ca * self.a0 + cb * self.a1))
+            self.classes.append((rows, ca, cb, ca * self.a0 + cb * self.a1 + self.u * np.eye(params.d)))
         groups, self.edge_tail = _grouped(ops.edge_classes, params.d)
         self.edge_classes = [(r, self.e[r.start, 0], self.m0 + self.e[r.start, 0] * self.m1) for r in groups]
 
@@ -194,46 +191,39 @@ class Propagation:
         self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
         self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
 
-    def products(self, v: np.ndarray, left, right):
-        """The kernel's products, ``K(v; left, right) - u v``, and the edge-side product ``right v``.
+    def kernel(self, v: np.ndarray, left, right):
+        """``K(v; left, right)`` and the edge-side product ``right v``.
 
-        ``left @ ...`` is a new C-contiguous array, so BLAS adds the ``A`` terms
-        into it in place, and it is what this returns."""
+        ``left @ ...`` is a new C-contiguous array, so BLAS adds the ``A`` and
+        ``u`` terms into it in place, and it is what this returns."""
         p = right @ v
         if not self.general:
-            return left @ p, p
-        # q^T = N_s^T p^T on each grouped class, in BLAS; the edge tail after them
-        q, et = np.empty(p.shape), self.edge_tail
-        for rows, _, ns in self.edge_classes:
-            dgemm(1.0, ns.T, p[rows].T, c=q[rows].T, overwrite_c=True)
-        np.multiply(self.e[et:], p[et:] @ self.m1, out=q[et:])
-        q[et:] += p[et:] @ self.m0
-        out = left @ q
-        del q  # freed before the row terms: held on, it raises the call's peak by its m x d
-        # out^T += M^T v^T in BLAS, all three F-contiguous views
-        for rows, _, _, mg in self.classes:
-            dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
-        v, out_t = v[self.tail :], out[self.tail :]
-        # one scratch for every call through this instance: a fresh one per
-        # layer is paged in anew whenever the allocator has trimmed the heap
-        if self.scratch is None or self.scratch.shape != v.shape:
-            self.scratch = np.empty(v.shape)
-        if v.size:
-            for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
-                t = np.multiply(v, ck[self.tail :], out=self.scratch)
-                dgemm(1.0, ak.T, t.T, beta=1.0, c=out_t.T, overwrite_c=True)
+            out = left @ p
+        else:
+            # q^T = N_s^T p^T on each grouped class, in BLAS; the edge tail after them
+            q, et = np.empty(p.shape), self.edge_tail
+            for rows, _, ns in self.edge_classes:
+                dgemm(1.0, ns.T, p[rows].T, c=q[rows].T, overwrite_c=True)
+            np.multiply(self.e[et:], p[et:] @ self.m1, out=q[et:])
+            q[et:] += p[et:] @ self.m0
+            out = left @ q
+            del q  # freed before the row terms: held on, it raises the call's peak by its m x d
+            # out^T += M^T v^T in BLAS, all three F-contiguous views
+            for rows, _, _, mg in self.classes:
+                dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
+            vt, out_t = v[self.tail :], out[self.tail :]
+            # one scratch for every call through this instance: a fresh one per
+            # layer is paged in anew whenever the allocator has trimmed the heap
+            if self.scratch is None or self.scratch.shape != vt.shape:
+                self.scratch = np.empty(vt.shape)
+            if vt.size:
+                for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
+                    t = np.multiply(vt, ck[self.tail :], out=self.scratch)
+                    dgemm(1.0, ak.T, t.T, beta=1.0, c=out_t.T, overwrite_c=True)
+        # u * v on the rows past the classes, whose M_g hold it; the step bounds' u = 0 skips the pass
+        if self.u != 0.0 and self.tail < v.shape[0]:
+            daxpy(v[self.tail :].ravel(), out[self.tail :].ravel(), a=self.u)
         return out, p
-
-    def add_u(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out += u v``, in place, and ``out``."""
-        if self.u != 0.0:  # the step bounds' u = 0 would read and write out for nothing
-            daxpy(v.ravel(), out.ravel(), a=self.u)
-        return out
-
-    def kernel(self, v: np.ndarray, left, right):
-        """``K(v; left, right)``, the ``products`` plus ``u v``, and the edge-side product ``right v``."""
-        out, p = self.products(v, left, right)
-        return self.add_u(v, out), p
 
 
 def energy_from_neg_lap(y: np.ndarray, fx: np.ndarray, neg_lap: np.ndarray, work: np.ndarray) -> EnergyValue:

@@ -24,10 +24,13 @@ class, so a general layer's ``d x d`` row terms take one BLAS ``dgemm`` per
 class of at least ``max(d, 2^16 / d^2)`` rows and two on the other rows,
 and, the edges coming by size class, one per size class of as many edges:
 ``G + 2 + E`` calls for ``G`` and ``E`` such classes (``G + E`` when the
-``G`` hold every row).  Its adjoint makes as many for ``dY``; its ``d x d``
-reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per class, are numpy's.  A pass of ``T`` layers makes ``T`` times a layer's calls, and
+``G`` hold every row).  The class matrices hold ``u * Y``; the other rows
+take it as one BLAS ``daxpy``.  Its adjoint makes as many calls for ``dY``;
+its ``d x d`` reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per class,
+are numpy's.  A pass of ``T`` layers makes ``T`` times a layer's calls, and
 ``descent_trace`` one layer's per iterate.  The simple layers keep a ReLU
-mask alone, so they run on every node, in node order, and make no such call.
+mask alone, so they run on every node, in node order, make no ``dgemm``
+call and one ``daxpy``.
 """
 
 from __future__ import annotations
@@ -173,9 +176,8 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
           pre: np.ndarray | None = None) -> np.ndarray:
     """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
 
-    ``K(Y)`` is the kernel's products, then ``u * Y``.  ``pre``, when given,
-    is ``prop.products(y, *prop.fwd)[0]``, taken by a caller that also reads
-    it; the step is finished in it, in place.
+    ``pre``, when given, is ``K(Y)``, ``prop.kernel(y, *prop.fwd)[0]``, taken
+    by a caller that also reads it; the step is finished in it, in place.
 
     A ``kept`` list receives what ``layer_vjp`` reads.  In the general variant
     that is ``(Y, out)``, two arrays the taped pass holds anyway (``out`` is
@@ -186,8 +188,7 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
     keeps the ReLU mask alone: n x d bytes, where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
-    out = prop.products(y, *prop.fwd)[0] if pre is None else pre
-    prop.add_u(y, out)
+    out = prop.kernel(y, *prop.fwd)[0] if pre is None else pre
     out += c_fx
     np.maximum(out, 0.0, out=out)
     if kept is not None:
@@ -463,12 +464,14 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
 
     Rows are dicts of ``iteration``, ``energy``, ``feasible`` and ``grad_norm``.
     ``steps`` defaults to ``t_layers``, so the last row is the energy of
-    ``forward``'s embedding.  Each row runs the layers' kernel products
-    ``pre`` once and reads them twice: ``-L_H Y = (d_tilde / alpha) * pre -
-    (d_tilde - 1) * Y`` (both variants, as ``lambda0 d_C + lambda1 d_S_bar =
-    d_tilde - 1``) for the energy, and the next iterate, which ``layer``
-    finishes in ``pre``.  The energy is not taken from ``(Y_t - Y_{t+1}) / c``:
-    its ``(1 - alpha) Y`` and ``c * Fx`` terms cancel as the descent converges.
+    ``forward``'s embedding.  Each row runs the layers' kernel ``pre = K(Y)``
+    once and reads it twice: ``-L_H Y = (d_tilde / alpha) * pre - (d_tilde /
+    alpha - 1) * Y`` (both variants, as ``K(Y) = (1 - alpha) Y - c L_H Y +
+    c (d_tilde - 1) Y`` with ``c = alpha / d_tilde`` and ``lambda0 d_C +
+    lambda1 d_S_bar = d_tilde - 1``) for the energy, and the next iterate,
+    which ``layer`` finishes in ``pre``.  The energy is not taken from
+    ``(Y_t - Y_{t+1}) / c``: its ``(1 - alpha) Y`` and ``c * Fx`` terms
+    cancel as the descent converges.
     The iterates cover the kernel's rows alone (see ``_propagation``).  An
     isolated row is ``Fx`` at iterate 0, where it adds nothing to the energy
     or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
@@ -490,12 +493,13 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
         fx = fx[linked]
     y = fx
     c_fx = prop.c * fx
-    scale, diag = (ops.d_tilde / cfg.alpha)[:, None], (ops.d_tilde - 1.0)[:, None]
+    scale = (ops.d_tilde / cfg.alpha)[:, None]
+    diag = scale - 1.0
     n, d = fx.shape
     block = max(1, _TRACE_BLOCK_BYTES // (8 * d))
     neg_lap, work = np.empty((min(n, block), d)), np.empty((min(n, block), d))
     for t in range(steps + 1):
-        pre, _ = prop.products(y, *prop.fwd)
+        pre, _ = prop.kernel(y, *prop.fwd)
         energy, feasible, grad_sq = 0.0, iso_feasible or t > 0, 0.0
         for lo in range(0, n, block):
             rb = slice(lo, lo + block)

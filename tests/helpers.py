@@ -96,6 +96,25 @@ def record_dgemm(monkeypatch):
     return calls
 
 
+def record_daxpy(monkeypatch):
+    """Route ``phenomnn.energy``'s BLAS ``daxpy`` calls through a recorder, and return the
+    list it appends the length of ``x`` to, one per call.
+
+    These are the kernel's ``u v`` passes, on the rows past its degree
+    classes.  A call must give ``x`` and ``y`` the same length."""
+    import phenomnn.energy as energy_mod
+
+    calls, plain = [], energy_mod.daxpy
+
+    def recorded(x, y, **kwargs):
+        assert x.size == y.size
+        calls.append(x.size)
+        return plain(x, y, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "daxpy", recorded)
+    return calls
+
+
 def criterion_3_problems():
     """The 20 seeded problems of the criterion-3 acceptance test, each as
     ``(ops, h0, h1, fx)``: a random hypergraph's operators, noisy compatibility

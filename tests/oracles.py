@@ -3,7 +3,7 @@
 ``build_clique`` and ``build_star_normalized`` form the n x n expansions that
 the package applies through ``B`` alone.  ``energy_and_grad`` evaluates the
 energy and its gradient from one kernel call at ``c = 1``, where the descent
-trace reads ``-L_H Y`` off a layer's products.  The summation-form energy,
+trace reads ``-L_H Y`` off a layer's ``K(Y)``.  The summation-form energy,
 the per-edge means, the trace-form energies, the node-wise layer and the
 bipartite star expansion each restate a quantity the package computes
 through ``Propagation.kernel``, by a different route.  The
@@ -14,16 +14,16 @@ kept, where ``model.layer_vjp`` rebuilds both.  ``from_edges_by_edge`` builds a 
 at a time, as ``Hypergraph.from_edges`` does with arrays, and ``class_order``
 and ``edge_class_order`` sort the linked nodes by degree class and the edges by
 size class, as ``ExpansionOperators.linked`` does with arrays.
-``products_every_edge_in_the_tail`` is the kernel's products with the
-edge-side product taken on every edge in one expression, where
-``Propagation.products`` groups the edges by size class.
+``products_every_edge_in_the_tail`` is the kernel with the edge-side
+product taken on every edge in one expression, where
+``Propagation.kernel`` groups the edges by size class.
 """
 
 from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import daxpy, dgemm
 
 from phenomnn.energy import Propagation, energy_from_neg_lap
 from phenomnn.hypergraph import Hypergraph, HypergraphError
@@ -211,8 +211,8 @@ def layer_vjp_reading_p(g, prop, kept):
 
 
 def products_every_edge_in_the_tail(prop, v, left, right):
-    """``Propagation.products`` with no edge size class grouped: ``Q = P M0 + e * (P M1)``
-    on every edge in one expression, then the ``d x d`` row terms as the kernel adds them."""
+    """``Propagation.kernel`` with no edge size class grouped: ``Q = P M0 + e * (P M1)``
+    on every edge in one expression, then the ``d x d`` row terms and ``u v`` as the kernel adds them."""
     p = right @ v
     out = left @ (p @ prop.m0 + prop.e * (p @ prop.m1))
     for rows, _, _, mg in prop.classes:
@@ -221,6 +221,7 @@ def products_every_edge_in_the_tail(prop, v, left, right):
     for ck, ak in ((prop.ca, prop.a0), (prop.cb, prop.a1)):
         w = np.multiply(v[t:], ck[t:], out=prop.scratch)
         dgemm(1.0, ak.T, w.T, beta=1.0, c=out[t:].T, overwrite_c=True)
+    daxpy(v[t:].ravel(), out[t:].ravel(), a=prop.u)
     return out, p
 
 

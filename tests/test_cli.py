@@ -269,6 +269,25 @@ def test_step_bound_without_a_hypergraph_names_both_flags(capsys):
     assert capsys.readouterr().err == "error: step-bound needs --data or --hypergraph\n"
 
 
+@pytest.mark.parametrize("source", ["data", "config"])
+def test_step_bound_rejects_a_dataset_and_a_hypergraph_together(toy_hypergraph, tmp_path, capsys, source):
+    # the dataset from --data or from the config's dataset key; either way one
+    # of the two hypergraphs would be ignored, so neither is read
+    data = tmp_path / "ds"
+    data.mkdir()
+    (data / "hypergraph.txt").write_text("4 1\n0 1 2 3\n")
+    if source == "data":
+        given = ["--data", str(data)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dataset": str(data)}))
+        given = ["--config", str(config)]
+    assert main(["step-bound", *given, "--hypergraph", toy_hypergraph]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step-bound takes --data (or the config key 'dataset') or --hypergraph, not both\n"
+
+
 def test_energy_trace_zero_steps_is_one_row(synthetic_dir, capsys):
     rc = main(["energy-trace", "--data", synthetic_dir, "--steps", "0",
                "--set", "prop_step=2", "--set", "hidden=8"])

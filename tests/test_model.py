@@ -34,6 +34,7 @@ from helpers import (
     one_layer,
     random_hypergraph,
     random_instance,
+    record_daxpy,
     record_dgemm,
     rng_for,
 )
@@ -222,11 +223,11 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
     y, _ = forward(ds.features, model, ops)
     fx = model.predictor.apply(ds.features)
     calls, binds, iterates = [0], [0], []
-    products, bind, plain_layer = Propagation.products, Propagation._bind, model_mod.layer
+    kernel, bind, plain_layer = Propagation.kernel, Propagation._bind, model_mod.layer
 
     def counted(self, *args):
         calls[0] += 1
-        return products(self, *args)
+        return kernel(self, *args)
 
     def built(self, *args):
         binds[0] += 1
@@ -236,12 +237,12 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
         iterates.append(plain_layer(*args, **kwargs))
         return iterates[-1]
 
-    monkeypatch.setattr(Propagation, "products", counted)
+    monkeypatch.setattr(Propagation, "kernel", counted)
     monkeypatch.setattr(Propagation, "_bind", built)
     monkeypatch.setattr(model_mod, "layer", recorded)
     rows = descent_trace(ds.features, model, ops)
-    # one set of kernel products per row, read by its energy and by the next
-    # layer, and no Propagation built after the pass's own
+    # one kernel call per row, read by its energy and by the next layer, and
+    # no Propagation built after the pass's own
     assert calls[0] == len(rows) == len(iterates) + 1 == 4
     assert binds[0] == 1
     # the general trace runs on the linked nodes alone
@@ -252,17 +253,22 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
 
 
 @pytest.mark.parametrize("block_rows", [None, 3])
-@pytest.mark.parametrize("variant", ["simple", "general"])
-def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant, block_rows, monkeypatch):
+@pytest.mark.parametrize(
+    "variant, alpha",
+    [pytest.param(v, a, id=v if a == 0.3 else f"{v}-alpha={a}") for a in (0.3, 1e-3) for v in ("simple", "general")],
+)
+def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant, alpha, block_rows, monkeypatch):
     # each row's energy against the literal summation form (pair weight lambda0/2),
     # its gradient norm against energy_and_grad's, at every iterate of the layers;
-    # with blocks of 3 rows, the 16 nodes take five full blocks and one of a row
+    # with blocks of 3 rows, the 16 nodes take five full blocks and one of a row.
+    # The trace scales K(Y) by d_tilde / alpha, most at the smaller alpha,
+    # which is below the presets' smallest, 0.01
     import phenomnn.model as model_mod
 
     if block_rows:
         monkeypatch.setattr(model_mod, "_TRACE_BLOCK_BYTES", 8 * 3 * block_rows)
     ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=7))
-    cfg = ModelConfig(variant=variant, t_layers=4, d=3, alpha=0.3, lambda0=1.5, lambda1=0.7)
+    cfg = ModelConfig(variant=variant, t_layers=4, d=3, alpha=alpha, lambda0=1.5, lambda1=0.7)
     model = init_model(cfg, 3, ds.n_classes, seed=7)
     if variant == "general":
         rng = rng_for(7)
@@ -663,7 +669,7 @@ def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
             tracemalloc.stop()
 
     for v, factors in ((fx, prop.fwd), (g, prop.adj)):
-        (got, got_p), got_peak = peak(prop.products, v, *factors)
+        (got, got_p), got_peak = peak(prop.kernel, v, *factors)
         (want, want_p), want_peak = peak(products_every_edge_in_the_tail, prop, v, *factors)
         assert got.tobytes() == want.tobytes() and got_p.tobytes() == want_p.tobytes()
         assert got_peak <= want_peak, (got_peak, want_peak)
@@ -776,6 +782,46 @@ def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
     d = 32
     one_layer = [((d, d), (d, rows)) for rows in (64, 189, 128, 40, 40)]
     dgemm_calls_in_depth(edge_class_problem(0.3), calls, one_layer, one_layer)
+
+
+def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch):
+    # u * Y rides in each grouped class's M_g; the tail rows, and every row of
+    # the simple kernel, take it as one daxpy, which the step bounds' u = 0 skips
+    calls = record_daxpy(monkeypatch)
+    d = 32
+
+    def layer_and_adjoint(x, model, ops):
+        """The daxpy lengths of one layer of ``model``; its adjoint makes the same calls."""
+        variant = model.config.variant
+        rows, _, ops = ops.linked if variant == "general" else (slice(None), None, ops)
+        prop = Propagation(ops, model.params, variant, model.config.alpha)
+        fx = model.predictor.apply(x)[rows]
+        kept = []
+        calls.clear()
+        layer(fx, prop.c * fx, prop, kept)
+        one_layer = list(calls)
+        layer_vjp(rng_for(86).standard_normal(fx.shape), prop, kept)
+        assert calls == one_layer * 2
+        return one_layer
+
+    # the degree classes of 96 rows (edges of 4) and 64 rows (edges of 2) hold every linked row
+    rng = rng_for(87)
+    ids = rng.permutation(229)
+    edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:160], [96])) for e in block.reshape(-1, size)]
+    x, _, model, ops = class_problem(229, edges, rng, 87)
+    assert ops.linked[2].classes.tolist() == [0, 96, 160]
+    assert layer_and_adjoint(x, model, ops) == []
+    # the tail of 103 rows after the classes of 96 and 64
+    x, _, model, ops = degree_class_problem(0.3)
+    assert layer_and_adjoint(x, model, ops) == [103 * d]
+    # the simple kernel, on every node
+    cfg = ModelConfig(variant="simple", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
+    assert layer_and_adjoint(x, init_model(cfg, 6, 3, seed=86), ops) == [ops.n * d]
+    # the step bounds, each with its eigenvalue solve: no node is isolated and m >= n
+    ops = build_expansion_operators(Hypergraph.from_edges(6, [[i, j] for i in range(6) for j in range(i)]), 1.0, 0.5)
+    calls.clear()
+    bounds = step_bound_simple(ops), step_bound_general(ops, EnergyParams.identity(3))
+    assert [b.eig.iterations > 0 for b in bounds] == [True, True] and calls == []
 
 
 # -- step bounds -----------------------------------------------------------------------
@@ -937,9 +983,13 @@ def criterion_3_and_benchmark_bound_problems(monkeypatch):
 def test_step_bounds_skip_the_zero_u_pass_and_keep_their_values(monkeypatch):
     # the bounds' kernels run at u = 0, where out += 0 * v changes at most the
     # sign of an exact zero: every bound is, bit for bit, the one with that pass
-    def daxpy_always(self, v, out):
+    # (their kernels have no degree class, so the pass covers every row)
+    kernel = Propagation.kernel
+
+    def daxpy_always(self, v, left, right):
+        out, p = kernel(self, v, left, right)
         daxpy(v.ravel(), out.ravel(), a=self.u)
-        return out
+        return out, p
 
     def bounds(ops, params, kinds):
         return [step_bound_simple(ops) if k == "simple" else step_bound_general(ops, params) for k in kinds]
@@ -948,7 +998,7 @@ def test_step_bounds_skip_the_zero_u_pass_and_keep_their_values(monkeypatch):
     for ops, params, kinds in criterion_3_and_benchmark_bound_problems(monkeypatch):
         got = bounds(ops, params, kinds)
         with monkeypatch.context() as patch:
-            patch.setattr(Propagation, "add_u", daxpy_always)
+            patch.setattr(Propagation, "kernel", daxpy_always)
             want = bounds(ops, params, kinds)
         for a, b in zip(got, want):
             assert (a.value, a.sigma, a.certificate, a.eig.iterations) == (b.value, b.sigma, b.certificate, b.eig.iterations)
