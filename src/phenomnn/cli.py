@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from .autodiff import Tape, check_gradients
-from .data import SyntheticSpec, dataset_paths, generate_synthetic, load_dataset, make_splits, save_dataset
+from .data import SyntheticSpec, generate_synthetic, load_dataset, make_splits, save_dataset
 from .energy import EnergyParams
 from .hypergraph import build_expansion_operators, load_hypergraph
 from .model import (
@@ -133,14 +133,10 @@ def train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def _dataset_dir(cfg: dict) -> str:
+def _need_dataset(cfg: dict):
     if not cfg["dataset"]:
         raise ValueError("no dataset given (use --data, or 'dataset' in the config)")
-    return cfg["dataset"]
-
-
-def _need_dataset(cfg: dict):
-    return load_dataset(_dataset_dir(cfg))
+    return load_dataset(cfg["dataset"])
 
 
 def _out_dir(args) -> str:
@@ -162,25 +158,18 @@ def _run_summary(dataset, mc: ModelConfig, tc: TrainConfig, resplit: bool) -> di
     return {"seed": tc.seed, **metrics.summary()}
 
 
-def _worker(payload):
-    cfg, *run = payload
-    return _run_summary(_need_dataset(cfg), *run)
-
-
 def cmd_train(args) -> int:
     repeats = args.repeats
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
     cfg = resolve_config(args)
-    # every value, and the dataset, is checked before the output directory is made
+    # every value, and the dataset, is loaded and checked before the output directory is made
     mc, tc = model_config(cfg), train_config(cfg)
-    if args.parallel and repeats > 1:  # each worker loads the dataset: its files are checked here
+    if args.parallel and repeats > 1:
         threads = os.environ.get("PHENOMNN_THREADS", str(os.cpu_count() or 1))
         if not threads.isdecimal() or int(threads) < 1:
             raise ValueError(f"PHENOMNN_THREADS must be a positive integer, got {threads!r}")
-        dataset_paths(_dataset_dir(cfg))
-    else:
-        dataset = _need_dataset(cfg)
+    dataset = _need_dataset(cfg)
     out = _out_dir(args)
     if repeats == 1:
         model, metrics = _single_run(dataset, mc, tc, cfg["resplit"])
@@ -197,7 +186,7 @@ def cmd_train(args) -> int:
 
         workers = min(repeats, int(threads))
         with mp.Pool(workers) as pool:
-            results = pool.map(_worker, [(cfg, *run) for run in runs])
+            results = pool.starmap(_run_summary, [(dataset, *run) for run in runs])
     else:
         results = [_run_summary(dataset, *run) for run in runs]
     accs = np.array([r["final_test_acc"] for r in results])

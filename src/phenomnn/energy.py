@@ -22,12 +22,11 @@ constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y)``, and
 ``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
-zero rows in ``L_H``: the general layers run the kernel on
-``ExpansionOperators.linked``, the linked nodes alone, and the step bounds on
-every node, where the general kernel's ``d x d`` row terms add exact zeros on
-the isolated rows.  On the linked operators the nodes come by degree class
-and the edges by size class, and each large class takes its ``d x d`` terms
-as one product with a matrix of its own.  The nonnegativity barrier is never
+zero rows in ``L_H``: the general layers and the general step bound's
+solve run the kernel on ``ExpansionOperators.linked``, the linked nodes
+alone, and the simple step bound on every node.  On the linked operators
+the nodes come by degree class and the edges by size class, and each large
+class takes its ``d x d`` terms as one product with a matrix of its own.  The nonnegativity barrier is never
 represented as an infinite float: the energy is returned as its smooth value
 with a feasibility flag.
 """

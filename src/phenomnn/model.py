@@ -391,15 +391,18 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
     Computes ``c / (c - sigma_min)`` with ``c = 1 + lambda0*d_Cmin +
     lambda1*d_Smin`` and ``sigma_min`` the minimum eigenvalue of the combined
     adjacency ``K = lambda0*A_C + lambda1*A_S_bar = B W B^T``, applied as the
-    kernel at ``c = 1``, ``u = 0``.  ``K`` is singular, so ``sigma_min = 0``
+    kernel at ``c = 1``, ``u = 0``.  Scalars decide ``trivial``: ``K = 0``
+    when there is no hyperedge or ``lambda0 = lambda1 = 0``, its weights
+    ``W = lambda0 + lambda1 / m_e`` being all zero then and only then, as
+    every edge size ``m_e >= 1``.  ``K`` is singular, so ``sigma_min = 0``
     with no solve, when ``m < n`` (rank ``K <= m``) or a node is isolated (a
-    zero row).  Otherwise Lanczos gives a Ritz value ``theta`` with residual
-    ``r``; some eigenvalue lies within ``||r||`` of ``theta``, and
-    ``sigma_min = max(theta - ||r||, 0)``.  ``K`` is PSD, so ``sigma_min = 0``
-    is used when the solve does not converge: an unconverged estimate of
-    ``sigma_min`` can only be too high.
+    zero row), the ``rank`` certificate.  Otherwise Lanczos gives a Ritz
+    value ``theta`` with residual ``r``; some eigenvalue lies within ``||r||``
+    of ``theta``, and ``sigma_min = max(theta - ||r||, 0)``.  ``K`` is PSD, so
+    ``sigma_min = 0`` is used when the solve does not converge: an unconverged
+    estimate of ``sigma_min`` can only be too high.
     """
-    if not np.any(ops.lambda0 + ops.lambda1 / ops.d_h):
+    if ops.b.shape[1] == 0 or ops.lambda0 == ops.lambda1 == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
     if ops.b.shape[1] < ops.n or float(ops.d_s_bar.min()) == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "rank")
@@ -422,28 +425,42 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     operator ``V -> s*(D_C V H0H0^T - A_C V (H0+H0^T)) + lambda1*(D_S_bar V
     H1H1^T - A_S_bar V (H1+H1^T) + A_S_bar V)`` with ``s = lambda0/2``,
     applied as the kernel at ``c = -1``, ``u = 0``; the bound is ``(1 +
-    lambda0*d_Cmin + lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``.  As ``||A_C|| <= max
-    d_C`` and ``||A_S_bar|| <= max d_S_bar``, ``lift`` bounds the operator's
-    norm; ``sigma_max`` is ``min(theta + ||r||, lift)`` for a converged Ritz
-    value ``theta`` with residual ``r``, and ``lift`` otherwise.
+    lambda0*d_Cmin + lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``, its
+    minima over every node.  As ``||A_C|| <= max d_C`` and ``||A_S_bar|| <=
+    max d_S_bar``, ``lift`` bounds the operator's norm; it is taken first,
+    from ``H0`` and ``H1`` alone, and ``lift = 0`` is the zero operator, the
+    ``trivial`` certificate, with no kernel built.
+    A node in no hyperedge has zero rows and columns in the operator, so the
+    solve runs on ``ops.linked``'s nonzero block, vectors of ``k * d`` for
+    ``k`` linked nodes, to which the Kuczynski-Wozniakowski and Paige
+    arguments of the Lanczos certificate apply; the isolated rows add the
+    eigenvalue 0.  ``sigma_max`` is ``theta + ||r||`` for a converged Ritz
+    value ``theta`` with residual ``r``, ``max(theta + ||r||, 0)`` when some
+    node is isolated, if that is below ``lift``, and ``lift`` otherwise.
     """
-    n, d = ops.n, params.d
     s, lam1 = 0.5 * ops.lambda0, ops.lambda1
-    k = Propagation._at(ops, params, "general", -1.0)
-
-    def apply(vec):
-        return k.kernel(vec.reshape(n, d), *k.fwd)[0].ravel()
+    h0, h1 = params.h0, params.h1
 
     def spec_norm(m):
         return float(np.max(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0))))
 
-    lift = s * float(ops.d_c.max()) * (spec_norm(k.h0 @ k.h0.T) + spec_norm(k.h0 + k.h0.T))
-    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(k.h1 @ k.h1.T) + spec_norm(k.h1 + k.h1.T) + 1.0)
+    lift = s * float(ops.d_c.max()) * (spec_norm(h0 @ h0.T) + spec_norm(h0 + h0.T))
+    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(h1 @ h1.T) + spec_norm(h1 + h1.T) + 1.0)
     if lift == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
+    linked = ops.linked[2]
+    n, d = linked.n, params.d
+    k = Propagation._at(linked, params, "general", -1.0)
+
+    def apply(vec):
+        return k.kernel(vec.reshape(n, d), *k.fwd)[0].ravel()
+
     eig = extreme_eigenvalue(apply, n * d, which="max")
-    if eig.converged and eig.value + eig.residual < lift:
-        sigma, certificate = eig.value + eig.residual, "lanczos"
+    sigma = eig.value + eig.residual
+    if n < ops.n:  # the isolated rows' eigenvalue 0
+        sigma = max(sigma, 0.0)
+    if eig.converged and sigma < lift:
+        certificate = "lanczos"
     else:
         sigma, certificate = lift, "norm-bound"
     numer = 1.0 + ops.lambda0 * float(ops.d_c.min()) + lam1 * float(ops.d_s_bar.min())
@@ -471,7 +488,12 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     lambda1 d_S_bar = d_tilde - 1``) for the energy, and the next iterate,
     which ``layer`` finishes in ``pre``.  The energy is not taken from
     ``(Y_t - Y_{t+1}) / c``: its ``(1 - alpha) Y`` and ``c * Fx`` terms
-    cancel as the descent converges.
+    cancel as the descent converges.  Reading ``-L_H Y`` off ``K(Y)``, which
+    holds ``(1 - alpha) Y``, scales that term's rounding by ``d_tilde /
+    alpha``: against the summation energy the rows are within 1.4e-14
+    (simple) and 1.7e-14 (general) relative at ``alpha = 0.01``, the presets'
+    smallest, and 1.6e-8 and 2.4e-8 at ``alpha = 1e-8``; a 1e-10 tolerance
+    holds down to about ``alpha = 1e-5``.
     The iterates cover the kernel's rows alone (see ``_propagation``).  An
     isolated row is ``Fx`` at iterate 0, where it adds nothing to the energy
     or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
@@ -545,7 +567,9 @@ def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file.  One that does not describe a model (a
     missing key, a config value not of its field's type as ``check_config_value``
     judges it, a predictor that is not one layer, array shapes that disagree
-    with ``config.d`` or with each other) raises ``ValueError`` naming ``path``.
+    with ``config.d`` or with each other, a non-finite entry in any array, the
+    simple variant's unread ``h0``/``h1`` included) raises ``ValueError``
+    naming ``path`` and, for an array, its key.
 
     Earlier files also hold ``config.relu_mode``; ``"every_step"`` is the layer
     this package runs, and any other value is rejected."""
@@ -582,4 +606,6 @@ def load_checkpoint(path) -> Model:
     for name, a, shape in zip(names, arrays, expected):
         if a.shape != shape:
             raise ValueError(f"{path}: {name} has shape {a.shape}, expected {shape} for d={d}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{path}: {name} holds a non-finite value")
     return Model(cfg, Affine(w, b), Affine(cw, cb), EnergyParams(h0, h1))

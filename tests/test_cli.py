@@ -74,6 +74,8 @@ def test_eval_on_checkpoint(synthetic_dir, tmp_path, capsys):
     ("short-bias", "predictor.b0 has shape (1,), expected (5,)"),
     ("fractional-layers", "config key 't_layers' must be an integer, got 2.5"),
     ("not-an-object", "not a recognized checkpoint"),
+    ("nan-h0", "h0 holds a non-finite value"),
+    ("infinite-classifier", "classifier.w holds a non-finite value"),
 ])
 def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_path, capsys, case, cause):
     # hidden equals the 5 features, so a predictor of zero or two layers would
@@ -94,6 +96,10 @@ def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_pa
         pred["biases"][0] = pred["biases"][0][:1]
     elif case == "fractional-layers":
         payload["config"]["t_layers"] = 2.5
+    elif case == "nan-h0":  # the simple variant never reads h0
+        payload["h0"][0][0] = float("nan")
+    elif case == "infinite-classifier":
+        payload["classifier"]["w"][1][0] = float("inf")
     else:
         payload = [payload]
     path.write_text(json.dumps(payload))
@@ -182,6 +188,27 @@ def test_train_parallel_repeats(synthetic_dir, tmp_path, monkeypatch):
     assert rc == 0
     summary = json.loads((tmp_path / "pruns" / "summary.json").read_text())
     assert summary["repeats"] == 2 and len(summary["runs"]) == 2
+
+
+@pytest.mark.parametrize("repeats", [["--repeats", "1"], ["--repeats", "2"], ["--repeats", "2", "--parallel"]])
+def test_train_on_a_dataset_that_fails_to_load_makes_no_output_directory(
+    synthetic_dir, tmp_path, monkeypatch, capsys, repeats
+):
+    # every file is there, so only loading the dataset finds the fault
+    monkeypatch.setenv("PHENOMNN_THREADS", "2")
+    path = os.path.join(synthetic_dir, "features.csv")
+    with open(path) as f:
+        lines = f.read().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--data", synthetic_dir, "--out", str(out), *repeats,
+               "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "features.csv:4" in err and "column 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "2.5", "x", ""])

@@ -30,6 +30,7 @@ from phenomnn.model import (
 from phenomnn.train import TrainConfig, train
 from helpers import (
     criterion_3_problems,
+    hyperedges,
     load_workloads,
     one_layer,
     random_hypergraph,
@@ -827,11 +828,27 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
 # -- step bounds -----------------------------------------------------------------------
 
 
-def test_step_bound_trivial_is_one():
-    hg = Hypergraph.from_edges(3, [[0, 1], [1, 2]])
-    ops = build_expansion_operators(hg, 0.0, 0.0)
-    assert step_bound_simple(ops).value == 1.0
-    assert step_bound_general(ops, EnergyParams.identity(2)).value == 1.0
+def forbid_kernels_and_solves(monkeypatch):
+    """Make building a step bound's kernel, or running its eigensolver, raise."""
+    import phenomnn.model as model_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("this certificate needs no kernel and no solve")
+
+    monkeypatch.setattr(Propagation, "_at", refuse)
+    monkeypatch.setattr(model_mod, "extreme_eigenvalue", refuse)
+
+
+def test_step_bound_trivial_is_one(monkeypatch):
+    # lambda0 = lambda1 = 0, and no hyperedge: both bounds know the zero
+    # operator before they build a kernel, whatever H0 and H1 are
+    rng = rng_for(9300)
+    params = EnergyParams(np.eye(2) + 0.2 * rng.standard_normal((2, 2)), np.eye(2) + 0.2 * rng.standard_normal((2, 2)))
+    forbid_kernels_and_solves(monkeypatch)
+    for hg, lambdas in (Hypergraph.from_edges(3, [[0, 1], [1, 2]]), (0.0, 0.0)), (Hypergraph.from_edges(4, []), (1.3, 0.7)):
+        ops = build_expansion_operators(hg, *lambdas)
+        for got in step_bound_simple(ops), step_bound_general(ops, params):
+            assert (got.value, got.sigma, got.certificate, got.eig.iterations) == (1.0, 0.0, "trivial", 0)
 
 
 def test_step_bound_simple_matches_hand_formula():
@@ -868,12 +885,13 @@ def test_step_bound_simple_unconverged_uses_zero_sigma(monkeypatch):
         (4, [[0, 1], [1, 2], [0, 2], [0, 1, 2]]),  # m >= n, node 3 isolated
     ],
 )
-def test_step_bound_simple_singular_needs_no_solve(n, edges):
+def test_step_bound_simple_singular_needs_no_solve(monkeypatch, n, edges):
     hg = Hypergraph.from_edges(n, edges)
     ops = build_expansion_operators(hg, 1.3, 0.7)
     # the dense oracle agrees that K is singular
     k = 1.3 * build_clique(hg)[0].toarray() + 0.7 * build_star_normalized(hg)[0].toarray()
     assert abs(np.linalg.eigvalsh(k)[0]) <= 1e-12
+    forbid_kernels_and_solves(monkeypatch)
     got = step_bound_simple(ops)
     assert got.sigma == 0.0 and got.value == 1.0
     assert got.eig.iterations == 0
@@ -962,6 +980,70 @@ def test_step_bound_general_sigma_matches_dense_operator():
     numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
     denom = 1.0 + s * ops.d_c.min() + sigma_max
     assert abs(got.value - numer / denom) <= 1e-8
+
+
+def hypergraph_with_isolated_nodes(rng, n, isolated, m):
+    """A random hypergraph of ``m`` edges on ``n`` nodes, ``isolated`` of which, at random
+    ids, are in none (and maybe more, if the edges miss a node)."""
+    hg = random_hypergraph(rng, n - isolated, m)
+    ids = rng.permutation(n)
+    return Hypergraph.from_edges(n, [ids[e].tolist() for e in hyperedges(hg)])
+
+
+@pytest.mark.parametrize("seed, isolated", [(9301, 0), (9302, 4), (9303, 15)])
+def test_step_bound_general_solves_on_the_linked_rows(monkeypatch, seed, isolated):
+    # the isolated rows are zero rows and columns of the operator: the solve runs
+    # on k * d entries, and the bound is the dense one over every node
+    import phenomnn.model as model_mod
+
+    rng = rng_for(seed)
+    n, d = 30, 3
+    hg = hypergraph_with_isolated_nodes(rng, n, isolated, 60)
+    ops = build_expansion_operators(hg, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
+    k = int(np.count_nonzero(ops.d_c))
+    assert (k == n) == (isolated == 0) and k <= n - isolated
+    params = EnergyParams(np.eye(d) + 0.2 * rng.standard_normal((d, d)), np.eye(d) + 0.2 * rng.standard_normal((d, d)))
+    sizes, solve = [], model_mod.extreme_eigenvalue
+
+    def recording(apply, size, *args, **kwargs):
+        sizes.append(size)
+        return solve(apply, size, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "extreme_eigenvalue", recording)
+    got = step_bound_general(ops, params)
+    assert sizes == [k * d]
+    want = _dense_general_bound(hg, ops, params)
+    assert got.value <= want * (1.0 + 1e-12)
+    assert abs(got.value - want) <= 1e-8 * want
+    assert got.certificate == "lanczos" and got.eig.converged
+
+
+def test_step_bound_general_isolated_rows_add_the_eigenvalue_zero():
+    # singleton edges at H0 = I and lambda1 = 0: the linked block is
+    # -(lambda0 / 2) diag(d_C) (x) I, negative definite, so the largest
+    # eigenvalue over every node is the isolated node's 0
+    hg = Hypergraph.from_edges(4, [[0], [1], [2], [2]])
+    ops = build_expansion_operators(hg, 1.0, 0.0)
+    params = EnergyParams.identity(2)
+    got = step_bound_general(ops, params)
+    assert got.eig.value < 0.0 and got.sigma == 0.0 and got.certificate == "lanczos"
+    want = _dense_general_bound(hg, ops, params)
+    assert abs(got.value - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["no-isolated", "one-isolated"])
+def test_step_bound_general_takes_zero_over_a_negative_ritz_value_when_a_node_is_isolated(monkeypatch, n):
+    import phenomnn.model as model_mod
+    from phenomnn.linalg import EigenResult
+
+    ops = build_expansion_operators(Hypergraph.from_edges(n, [[0, 1], [1, 2], [0, 2]]), 1.0, 0.5)
+    ritz = EigenResult(value=-0.3, residual=1e-3, converged=True, iterations=5)
+    monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: ritz)
+    got = step_bound_general(ops, EnergyParams.identity(2))
+    sigma = -0.3 + 1e-3 if n == 3 else 0.0
+    numer = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
+    assert got.sigma == sigma and got.certificate == "lanczos" and got.eig is ritz
+    assert got.value == numer / (1.0 + 0.5 * ops.lambda0 * float(ops.d_c.min()) + sigma)
 
 
 def criterion_3_and_benchmark_bound_problems(monkeypatch):
@@ -1170,6 +1252,27 @@ def test_checkpoint_config_out_of_range_names_the_file_and_key(tmp_path, key, va
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+@pytest.mark.parametrize("key, value", [("h0", float("nan")), ("classifier.w", float("inf")),
+                                        ("predictor.b0", -float("inf"))])
+def test_checkpoint_with_a_non_finite_value_names_the_file_and_key(tmp_path, variant, key, value):
+    # the simple variant never reads h0, and an infinite weight gives NaN logits
+    cfg = ModelConfig(variant=variant, t_layers=2, d=4, alpha=0.3, lambda0=1.0, lambda1=0.5)
+    path = tmp_path / "ck.json"
+    save_checkpoint(init_model(cfg, 3, 2, seed=15), path)
+    payload = json.loads(path.read_text())
+    if key == "h0":
+        payload["h0"][1][2] = value
+    elif key == "classifier.w":
+        payload["classifier"]["w"][0][1] = value
+    else:
+        payload["predictor"]["biases"][0][3] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {key} holds a non-finite value"
 
 
 def test_strict_alpha_rejects_oversized_step():
