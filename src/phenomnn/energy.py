@@ -22,13 +22,14 @@ constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y)``, and
 ``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
-zero rows in ``L_H``: the general layers and the general step bound's
-solve run the kernel on ``ExpansionOperators.linked``, the linked nodes
-alone, and the simple step bound on every node.  On the linked operators
-the nodes come by degree class and the edges by size class, and each large
-class takes its ``d x d`` terms as one product with a matrix of its own.  The nonnegativity barrier is never
-represented as an infinite float: the energy is returned as its smooth value
-with a feasibility flag.
+zero rows in ``L_H``: the layers of both variants and the general step
+bound's solve run the kernel on ``ExpansionOperators.linked``, one row set
+of the linked nodes alone, and the simple step bound on every node.  On
+the linked operators the nodes come by degree class and the edges by size
+class, and in the general variant each large class takes its ``d x d``
+terms as one product with a matrix of its own.  The nonnegativity barrier
+is never represented as an infinite float: the energy is returned as its
+smooth value with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -50,17 +51,10 @@ __all__ = [
 
 VARIANTS = ("general", "simple")
 
-# A degree class of n_g rows takes its own d x d product in a general layer
-# when n_g >= max(d, _CLASS_WORK / d^2); the rest form the tail, which scales
-# its rows and takes two products.  Measured on one class beside a 512-row
-# tail (layer plus layer_vjp, 300 interleaved calls, one BLAS thread, 2-vCPU
-# VM), a class's own product breaks even at about 256 rows for d = 16 (n_g d^2
-# = 2^16), 16-64 rows for d = 64 and 32 rows for d = 256: the call's overhead
-# sets the bound at small d.  The d floor, which binds above d = 40, makes each
-# class repay building its matrix and keeps the class matrices within one
-# k x d array.  An edge size class takes its own product by the same rule;
-# measured alike (one class beside a 512-edge tail), it breaks even at 128-256
-# edges for d = 16, 8-16 for d = 64 and 32-64 for d = 256.
+# A degree class of n_g rows, or an edge size class of n_g edges, takes its own
+# d x d product in a general layer when n_g >= max(d, _CLASS_WORK / d^2): the call's
+# overhead sets the bound at small d, and the d floor makes each class repay its
+# matrix and keeps the class matrices within one k x d array (timings: CHANGES.md).
 _CLASS_WORK = 1 << 16
 
 

@@ -48,7 +48,6 @@ class Hypergraph:
     incidence: sp.csr_matrix
     edge_sizes: np.ndarray
     node_degrees: np.ndarray
-    collapsed_duplicates: int = 0
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Hypergraph":
@@ -89,7 +88,6 @@ class Hypergraph:
             incidence=b,
             edge_sizes=sizes,
             node_degrees=np.diff(b.indptr).astype(np.float64),
-            collapsed_duplicates=int(ids.size - b.nnz),
         )
 
 
@@ -260,12 +258,13 @@ class ExpansionOperators:
         ``ops`` holds ``b[linked]`` and ``d_h`` with the edges in that order,
         and ``d_c``, ``d_s_bar`` and ``d_tilde`` on the linked rows; a layer's
         ``d x d`` terms share their weights within a class (see
-        ``energy.Propagation``).  Operators that carry classes, and those of a
-        hypergraph with no hyperedge, give ``(None, None, self)``.  Built once
-        per instance: a model pass reads it on every call."""
+        ``energy.Propagation``).  A hypergraph with no hyperedge gives ``k = 0``
+        linked nodes, and operators that carry classes give the identity
+        order ``(arange(n), [], self)``.  Built once per instance: every model
+        pass, of either variant, reads it on every call."""
+        if self.classes is not None:
+            return np.arange(self.n), np.arange(0), self
         isolated = self.d_c == 0
-        if self.classes is not None or isolated.all():
-            return None, None, self
         linked = np.flatnonzero(~isolated)
         order, classes = _class_order(np.stack((self.d_c[linked], self.d_s_bar[linked]), axis=1))
         linked = linked[order]

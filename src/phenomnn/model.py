@@ -14,23 +14,24 @@ runs ``layer_vjp`` from the last layer down.  ``descent_trace`` calls
 ``layer`` too, and the step bounds apply its kernel at their own constants.
 
 A node in no hyperedge has zero rows in ``L_H``, so its energy term is
-``||y_i - f_i||^2`` alone: its minimiser over ``y_i >= 0``, ``ReLU(f_i)``, is
-where the first layer takes it from ``Y_0 = Fx`` and where every later layer
-keeps it.  The general layers therefore run on ``ExpansionOperators.linked``,
-the nodes in some hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in
-closed form: ``forward`` and ``descent_trace`` hold ``k x d`` arrays per
-layer, ``k`` the number of linked nodes.  The linked nodes come by degree
-class, so a general layer's ``d x d`` row terms take one BLAS ``dgemm`` per
-class of at least ``max(d, 2^16 / d^2)`` rows and two on the other rows,
-and, the edges coming by size class, one per size class of as many edges:
-``G + 2 + E`` calls for ``G`` and ``E`` such classes (``G + E`` when the
-``G`` hold every row).  The class matrices hold ``u * Y``; the other rows
-take it as one BLAS ``daxpy``.  Its adjoint makes as many calls for ``dY``;
-its ``d x d`` reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per class,
-are numpy's.  A pass of ``T`` layers makes ``T`` times a layer's calls, and
-``descent_trace`` one layer's per iterate.  The simple layers keep a ReLU
-mask alone, so they run on every node, in node order, make no ``dgemm``
-call and one ``daxpy``.
+``||y_i - f_i||^2`` alone, in either variant: its minimiser over
+``y_i >= 0``, ``ReLU(f_i)``, is where the first layer takes it from
+``Y_0 = Fx`` and where every later layer keeps it.  The layers of both
+variants therefore run on ``ExpansionOperators.linked``, the nodes in some
+hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in closed form:
+``forward`` and ``descent_trace`` hold ``k x d`` arrays per layer, ``k``
+the number of linked nodes (0 on a hypergraph with no hyperedge).  The
+linked nodes come by degree class, so a general layer's ``d x d`` row terms
+take one BLAS ``dgemm`` per class of at least ``max(d, 2^16 / d^2)`` rows
+and two on the other rows, and, the edges coming by size class, one per
+size class of as many edges: ``G + 2 + E`` calls for ``G`` and ``E`` such
+classes (``G + E`` when the ``G`` hold every row).  The class matrices hold
+``u * Y``; the other rows take it as one BLAS ``daxpy``.  Its adjoint makes
+as many calls for ``dY``; its ``d x d`` reductions, one ``Z = Y_g^T g_g``
+or ``P_s^T S_s`` per class, are numpy's.  A pass of ``T`` layers makes
+``T`` times a layer's calls, and ``descent_trace`` one layer's per iterate.
+A simple layer's row terms are ``u * Y`` alone, so it makes no ``dgemm``
+call and one ``daxpy`` of ``k x d``.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
     nothing for its adjoint: the ReLU mask is ``out > 0`` and ``P = B^T Y``
     is one sparse product, both rebuilt in the reverse sweep.  The simple
     variant's adjoint does not read ``Y``, which nothing else holds, so it
-    keeps the ReLU mask alone: n x d bytes, where ``Y`` would cost eight times that."""
+    keeps the ReLU mask alone: k x d bytes on the ``k`` rows of ``prop``,
+    where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
     out = prop.kernel(y, *prop.fwd)[0] if pre is None else pre
@@ -240,18 +242,17 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
 def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
     """``(prop, linked, isolated)``: the layers' kernel of ``model`` and the rows it runs on.
 
-    ``ops`` must be built for the model's ``(lambda0, lambda1)``.  The general
-    kernel is built on ``ops.linked``, the nodes in some hyperedge, listed in
-    ``linked`` by degree class; ``isolated`` lists the others, whose rows are
-    ``ReLU(Fx)``, and may be empty.  Both are None when no node is linked,
-    and always for the simple kernel, which runs on every node in node order."""
+    ``ops`` must be built for the model's ``(lambda0, lambda1)``.  The kernel
+    of either variant is built on ``ops.linked``, the nodes in some hyperedge,
+    listed in ``linked`` by degree class; ``isolated`` lists the others, whose
+    rows are ``ReLU(Fx)``.  Either may be empty."""
     cfg = model.config
     if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
         raise ValueError(
             f"expansion operators were built for (lambda0={ops.lambda0}, lambda1={ops.lambda1}) "
             f"but the model's config has ({cfg.lambda0}, {cfg.lambda1})"
         )
-    linked, isolated, ops = ops.linked if cfg.variant == "general" else (None, None, ops)
+    linked, isolated, ops = ops.linked
     return Propagation(ops, model.params, cfg.variant, cfg.alpha), linked, isolated
 
 
@@ -261,11 +262,11 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
 
     Dropout enters as constant multiplicative masks, ``input_mask * X``
     before the predictor and ``feature_mask * Fx`` after it; ``None`` leaves
-    either out.  The layers run on the kernel's rows (see ``_propagation``);
+    either out.  The layers run on the linked rows (see ``_propagation``);
     the last ``Y`` and ``ReLU(Fx)`` on the isolated rows are written into
     ``Fx``'s array, which is returned as ``Y``.  The classifier is applied to
     each set of rows on its own, so its adjoint reads the last ``Y`` on the
-    kernel's rows, which the last general layer keeps anyway, and no n x d
+    linked rows, which the last general layer keeps anyway, and no n x d
     ``Y``.  A ``kept`` dict receives what ``_pass_vjp`` reads: the
     predictor's input ``h``, the feature mask, the kernel and its rows, each
     layer's ``layer`` list, and the classifier's inputs ``y`` and ``iso``."""
@@ -276,22 +277,18 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
     if feature_mask is not None:
         fx = feature_mask * fx
     prop, linked, isolated = _propagation(model, ops)
-    y = fx if linked is None else fx[linked]
+    y = fx[linked]
     c_fx = prop.c * y
     steps = [[] if kept is not None else None for _ in range(model.config.t_layers)]
     for saved in steps:
         y = layer(y, c_fx, prop, saved)
+    iso = np.maximum(fx[isolated], 0.0)
     if kept is not None:
-        kept.update(h=h, feature_mask=feature_mask, prop=prop, linked=linked, isolated=isolated, layers=steps, y=y)
-    if linked is None:
-        return y, model.classifier.apply(y)
+        kept.update(h=h, feature_mask=feature_mask, prop=prop, linked=linked, isolated=isolated,
+                    layers=steps, y=y, iso=iso)
     logits = np.empty((fx.shape[0], model.classifier.b.size))
     logits[linked] = model.classifier.apply(y)
-    if isolated.size:
-        iso = np.maximum(fx[isolated], 0.0)
-        logits[isolated], fx[isolated] = model.classifier.apply(iso), iso
-        if kept is not None:
-            kept["iso"] = iso
+    logits[isolated], fx[isolated] = model.classifier.apply(iso), iso
     fx[linked] = y
     return fx, logits
 
@@ -309,25 +306,22 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     owns: one gradient per entry of ``model.parameters()``, in order.
 
     The sweep runs the pass backwards: the classifier on the isolated rows,
-    then on the kernel's rows; the layers from T down to 1 through
+    then on the linked rows; the layers from T down to 1 through
     ``layer_vjp``, each ``dFx`` summed into one accumulator, layer 1's
-    ``dY`` just before its own ``dFx`` (its ``Y`` is ``Fx``); the isolated
-    rows' n x d gradient, to which a zero array holding the kernel rows'
-    gradient is added; and the predictor through the feature mask.  The
-    order of the sums fixes the gradients' bits, and so the checkpoints that
-    fixed seeds reproduce.  Each gradient is freed once it is summed."""
-    prop, linked, isolated, layers, y = (kept[k] for k in ("prop", "linked", "isolated", "layers", "y"))
+    ``dY`` just before its own ``dFx`` (its ``Y`` is ``Fx``); ``Fx``'s
+    n x d gradient, written from the linked and the isolated rows' parts;
+    and the predictor through the feature mask.  The order of the sums
+    fixes the gradients' bits, and so the checkpoints that fixed seeds
+    reproduce.  Each gradient is freed once it is summed."""
+    prop, linked, isolated, layers, y, iso = (kept[k] for k in ("prop", "linked", "isolated", "layers", "y", "iso"))
     w = model.classifier.w
-    dw = db = d_fx = None
-    if linked is not None:
-        if isolated.size:
-            g_iso, iso = g[isolated], kept["iso"]
-            dw, db = iso.T @ g_iso, g_iso.sum(axis=0)
-            d_fx = np.zeros((g.shape[0], w.shape[0]))
-            d_fx[isolated] = np.multiply(g_iso @ w.T, iso > 0.0)
-            del g_iso
-        g = g[linked]
-    dw, db = _add(dw, y.T @ g), _add(db, g.sum(axis=0))
+    g_iso = g[isolated]
+    dw, db = iso.T @ g_iso, g_iso.sum(axis=0)
+    d_iso = np.multiply(g_iso @ w.T, iso > 0.0)
+    del g_iso
+    g = g[linked]
+    dw += y.T @ g
+    db += g.sum(axis=0)
     dy = g @ w.T
     del g
     d_rows = dh0 = dh1 = None
@@ -340,15 +334,12 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
             dh0, dh1 = _add(dh0, dh[0]), _add(dh1, dh[1])
         del d_c, dh
     del dy
-    if linked is not None:
-        scatter = np.zeros((kept["h"].shape[0], d_rows.shape[1]))
-        scatter[linked] = d_rows
-        del d_rows
-        d_rows = _add(d_fx, scatter)
-        del d_fx, scatter
+    d_fx = np.empty((kept["h"].shape[0], w.shape[0]))
+    d_fx[linked], d_fx[isolated] = d_rows, d_iso
+    del d_rows, d_iso
     if kept["feature_mask"] is not None:
-        d_rows = kept["feature_mask"] * d_rows
-    return (kept["h"].T @ d_rows, d_rows.sum(axis=0), dw, db, *((dh0, dh1) if prop.general else ()))
+        d_fx = kept["feature_mask"] * d_fx
+    return (kept["h"].T @ d_fx, d_fx.sum(axis=0), dw, db, *((dh0, dh1) if prop.general else ()))
 
 
 # -- taped forward (training path) -------------------------------------------
@@ -490,12 +481,9 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     ``(Y_t - Y_{t+1}) / c``: its ``(1 - alpha) Y`` and ``c * Fx`` terms
     cancel as the descent converges.  Reading ``-L_H Y`` off ``K(Y)``, which
     holds ``(1 - alpha) Y``, scales that term's rounding by ``d_tilde /
-    alpha``: against the summation energy the rows are within 1.4e-14
-    (simple) and 1.7e-14 (general) relative at ``alpha = 0.01``, the presets'
-    smallest, and 1.6e-8 and 2.4e-8 at ``alpha = 1e-8``; a 1e-10 tolerance
-    holds down to about ``alpha = 1e-5``.
-    The iterates cover the kernel's rows alone (see ``_propagation``).  An
-    isolated row is ``Fx`` at iterate 0, where it adds nothing to the energy
+    alpha`` (CHANGES.md gives the error per ``alpha``; 1e-10 relative holds
+    down to about ``alpha = 1e-5``).  The iterates cover the linked rows
+    alone (see ``_propagation``).  An isolated row is ``Fx`` at iterate 0, where it adds nothing to the energy
     or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
     from iterate 1 on, where its residual ``min(Fx, 0)`` adds
     ``||min(Fx, 0)||^2`` to the energy and ``4 ||min(Fx, 0)||^2`` to the
@@ -507,12 +495,10 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     rows = []
     fx = model.predictor.apply(x)
     prop, linked, isolated = _propagation(model, ops)
-    iso_feasible, iso_sq = True, 0.0
-    if linked is not None:
-        ops = ops.linked[2]
-        residual = np.minimum(fx[isolated], 0.0)  # Fx - ReLU(Fx), zero where Fx >= 0
-        iso_feasible, iso_sq = not residual.any(), float(np.vdot(residual, residual))
-        fx = fx[linked]
+    ops = ops.linked[2]
+    residual = np.minimum(fx[isolated], 0.0)  # Fx - ReLU(Fx), zero where Fx >= 0
+    iso_feasible, iso_sq = not residual.any(), float(np.vdot(residual, residual))
+    fx = fx[linked]
     y = fx
     c_fx = prop.c * fx
     scale = (ops.d_tilde / cfg.alpha)[:, None]

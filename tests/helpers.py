@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from phenomnn import EnergyParams, Hypergraph, Propagation, build_expansion_operators, layer
+from phenomnn import EnergyParams, ExpansionOperators, Hypergraph, Propagation, build_expansion_operators, layer
 
 
 def rng_for(seed):
@@ -54,6 +54,13 @@ def one_layer(y, fx, ops, params, variant, alpha):
     """One ``layer`` step of size ``alpha``, with the pass constants built for this step alone."""
     prop = Propagation(ops, params, variant, alpha)
     return layer(y, prop.c * fx, prop)
+
+
+def node_order(monkeypatch):
+    """Make ``ExpansionOperators.linked`` the identity order on every operators object, so
+    the passes run their one code path on the node-order operators they are given: a
+    reference for the same passes on the linked operators."""
+    monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (np.arange(self.n), np.arange(0), self)))
 
 
 def fd_gradient(f, y, step=1e-5):

@@ -249,11 +249,9 @@ def from_edges_by_edge(n, edges):
     if n < 1:
         raise HypergraphError(f"node count must be positive, got {n}")
     clean = []
-    dups = 0
     for k, e in enumerate(edges):
         e = [int(i) for i in e]
         ids = np.asarray(sorted(set(e)), dtype=np.int64)
-        dups += len(e) - ids.size
         if ids.size == 0:
             raise HypergraphError(f"hyperedge {k} is empty")
         if ids[0] < 0 or ids[-1] >= n:
@@ -270,7 +268,6 @@ def from_edges_by_edge(n, edges):
         incidence=b,
         edge_sizes=sizes.astype(np.float64),
         node_degrees=np.diff(b.indptr).astype(np.float64),
-        collapsed_duplicates=dups,
     )
 
 

@@ -63,19 +63,18 @@ def test_parse_missing_and_extra_lines():
         parse_hypergraph("nonsense here\n")
 
 
-def test_duplicate_ids_collapsed_with_counter():
+def test_duplicate_ids_collapse():
     hg = parse_hypergraph("3 1\n1 1 2\n")
     assert hyperedges(hg)[0].tolist() == [1, 2]
     assert hg.edge_sizes[0] == 2.0
-    assert hg.collapsed_duplicates == 1
-    # an edge given as a one-shot iterator is counted like a list
+    # an edge given as a one-shot iterator collapses like a list
     gen = Hypergraph.from_edges(4, [(i for i in [0, 1, 1, 2]), [2, 3]])
-    assert gen.collapsed_duplicates == Hypergraph.from_edges(4, [[0, 1, 1, 2], [2, 3]]).collapsed_duplicates == 1
-    assert hyperedges(gen)[0].tolist() == [0, 1, 2]
+    assert_same_hypergraph(gen, Hypergraph.from_edges(4, [[0, 1, 1, 2], [2, 3]]))
+    assert hyperedges(gen)[0].tolist() == [0, 1, 2] and gen.edge_sizes.tolist() == [3.0, 2.0]
 
 
 def assert_same_hypergraph(got, want):
-    assert (got.n, got.m, got.collapsed_duplicates) == (want.n, want.m, want.collapsed_duplicates)
+    assert (got.n, got.m) == (want.n, want.m)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got.incidence, name), getattr(want.incidence, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -98,7 +97,6 @@ def test_from_edges_matches_the_per_edge_oracle(seed):
     edges = random_edge_lists(rng, n, int(rng.integers(0, 30)))
     hg = Hypergraph.from_edges(n, edges)
     assert_same_hypergraph(hg, from_edges_by_edge(n, edges))
-    assert hg.collapsed_duplicates == sum(len(e) - len(set(e)) for e in edges)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -424,7 +422,9 @@ def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
         assert np.array_equal(getattr(lo, name), getattr(ops, name)[linked]), name
     assert np.array_equal(lo.d_h, ops.d_h[edges]) and (lo.lambda0, lo.lambda1) == (1.0, 0.5)
     assert ops.linked is ops.linked
-    assert lo.linked == (None, None, lo)
+    # the linked operators, which carry classes, are in their own order
+    rows, none, same = lo.linked
+    assert rows.tolist() == list(range(4)) and none.size == 0 and same is lo
 
 
 def test_linked_orders_the_edges_by_size_class():
@@ -447,15 +447,13 @@ def test_linked_orders_the_edges_by_size_class():
 @pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])
 def test_linked_first_is_node_order_when_the_linked_nodes_come_first(n, edges):
     # The linked nodes are a prefix of node order: their rows come by degree class,
-    # each class in node order, also with no node isolated.  With no node linked
-    # (no hyperedge) the operators are returned themselves.
+    # each class in node order, also with no node isolated.  With no hyperedge,
+    # k = 0: the linked operators have no row and no column.
     ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
     k = len({v for e in edges for v in e})
-    if k == 0:
-        assert ops.linked == (None, None, ops)
-        return
     linked, isolated, lo = ops.linked
     assert sorted(linked.tolist()) == list(range(k)) and isolated.tolist() == list(range(k, n))
+    assert lo.b.shape == (k, len(edges)) and lo.classes[-1] == k and lo.edge_classes[-1] == len(edges)
     assert linked.tolist() == class_order(ops)
     for a, b in zip(lo.classes[:-1], lo.classes[1:]):
         assert np.all(np.diff(linked[a:b]) > 0)

@@ -11,7 +11,7 @@ from scipy.linalg.blas import daxpy
 from phenomnn.autodiff import Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams
-from phenomnn.hypergraph import ExpansionOperators, Hypergraph, build_expansion_operators
+from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import (
     Model,
     ModelConfig,
@@ -32,6 +32,7 @@ from helpers import (
     criterion_3_problems,
     hyperedges,
     load_workloads,
+    node_order,
     one_layer,
     random_hypergraph,
     random_instance,
@@ -246,9 +247,8 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
     # no Propagation built after the pass's own
     assert calls[0] == len(rows) == len(iterates) + 1 == 4
     assert binds[0] == 1
-    # the general trace runs on the linked nodes alone
-    linked = ops.linked[0] if variant == "general" else None
-    assert np.array_equal(iterates[-1], y if linked is None else y[linked])
+    # the trace runs on the linked nodes alone
+    assert np.array_equal(iterates[-1], y[ops.linked[0]])
     want = energy_and_grad(y, fx, ops, model.params, variant).smooth
     assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
 
@@ -386,7 +386,7 @@ def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked,
     assert np.max(np.abs(y - y_node_wise)) <= 1e-12 * np.max(np.abs(y))
     got_logits, got_loss, got = taped()
     trace = descent_trace(x, model, ops)
-    monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (None, None, self)))
+    node_order(monkeypatch)
     want_logits, want_loss, want = taped()
     if not masked:
         assert close(got_logits[linked], logits_ref[linked])
@@ -501,17 +501,33 @@ def test_general_passes_give_the_isolated_rows_the_relu_of_their_base_prediction
         assert row["feasible"] == want.feasible == (t > 0), t
 
 
-def test_general_passes_run_on_a_hypergraph_with_no_hyperedge():
-    # no node is linked: the layers run on every node, as on any other graph
-    cfg = ModelConfig(variant="general", t_layers=2, d=3, alpha=0.3, lambda0=1.0, lambda1=1.0)
-    model = init_model(cfg, 4, 2, seed=73)
-    x = rng_for(73).standard_normal((5, 4))
-    ops = build_expansion_operators(Hypergraph.from_edges(5, []), 1.0, 1.0)
-    y, logits = forward(x, model, ops)
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_passes_run_on_a_hypergraph_with_no_hyperedge(variant):
+    # no node is linked (k = 0), and the passes take the path of any other graph:
+    # Y is ReLU(Fx) bit for bit, the layers add nothing to the gradients, and the
+    # trace reads the energy of Fx, 0, and then that of ReLU(Fx), ||min(Fx, 0)||^2
+    n = 12
+    cfg = ModelConfig(variant=variant, t_layers=3, d=8, alpha=0.01, lambda0=1.0, lambda1=1.0)
+    model = init_model(cfg, 4, 3, seed=74)
+    rng = rng_for(74)
+    x, labels = rng.standard_normal((n, 4)), rng.integers(0, 3, n)
+    ops = build_expansion_operators(Hypergraph.from_edges(n, []), 1.0, 1.0)
+    assert ops.linked[0].size == 0
     fx = model.predictor.apply(x)
-    assert np.max(np.abs(y - np.maximum(fx, 0.0))) <= 1e-15 * np.max(np.abs(fx))
-    assert np.array_equal(build_taped_logits(Tape(), model, ops, x).value, logits)
-    assert [row["feasible"] for row in descent_trace(x, model, ops)] == [bool(fx.min() >= 0.0), True, True]
+    relu = np.maximum(fx, 0.0)
+    y, logits = forward(x, model, ops)
+    assert np.array_equal(y, relu) and np.array_equal(logits, model.classifier.apply(relu))
+    tape = Tape()
+    taped = build_taped_logits(tape, model, ops, x)
+    grads = backward(tape, tape.softmax_cross_entropy(taped, labels, np.arange(n)))
+    assert np.array_equal(taped.value, logits)
+    if variant == "general":
+        assert not grads["h0"].any() and not grads["h1"].any()
+    residual = np.minimum(fx, 0.0)
+    assert residual.any()
+    rows = descent_trace(x, model, ops)
+    assert [row["energy"] for row in rows] == [0.0] + [float(np.vdot(residual, residual))] * cfg.t_layers
+    assert [row["feasible"] for row in rows] == [False] + [True] * cfg.t_layers
 
 
 def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_differences():
@@ -532,21 +548,23 @@ def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_diffe
 # -- general layers by degree class ------------------------------------------------------
 
 
-def class_problem(n, edges, rng, seed):
-    """A general model at ``d = 32`` and two layers on the hypergraph of ``edges``,
-    with inputs and labels: ``(x, labels, model, ops)``."""
+def class_problem(n, edges, rng, seed, variant="general"):
+    """A model at ``d = 32`` and two layers on the hypergraph of ``edges``, with inputs
+    and labels: ``(x, labels, model, ops)``.  A general model's ``H0``, ``H1`` are noisy."""
     d = 32
-    cfg = ModelConfig(variant="general", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
+    cfg = ModelConfig(variant=variant, t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
     model = init_model(cfg, 6, 3, seed=seed)
-    model.params.h0 += 0.2 * rng.standard_normal((d, d))
-    model.params.h1 += 0.2 * rng.standard_normal((d, d))
+    if variant == "general":
+        model.params.h0 += 0.2 * rng.standard_normal((d, d))
+        model.params.h1 += 0.2 * rng.standard_normal((d, d))
     x = rng.standard_normal((n, 6)) + 0.3
     labels = rng.integers(0, 3, n)
     return x, labels, model, build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
 
 
-def degree_class_problem(isolated_share, seed=81):
-    """A general model at ``d = 32`` whose linked nodes form four degree classes.
+def degree_class_problem(isolated_share, seed=81, variant="general"):
+    """A model at ``d = 32``, general unless ``variant`` says otherwise, whose linked
+    nodes form four degree classes.
 
     With ``max(d, 2^16 / d^2) = 64`` rows as the class threshold, the classes
     of 96 (edges of 4) and 64 rows (edges of 2) take their own products, and
@@ -560,7 +578,7 @@ def degree_class_problem(isolated_share, seed=81):
     blocks = np.split(ids[:k], [96, 160, 223])
     edges = [e.tolist() for size, block in zip((4, 2, 3), blocks) for e in block.reshape(-1, size)]
     edges += [e.tolist() for block in (blocks[3], rng.permutation(blocks[3])) for e in block.reshape(-1, 5)]
-    return class_problem(n, edges, rng, seed)
+    return class_problem(n, edges, rng, seed, variant)
 
 
 def edge_class_problem(isolated_share, seed=83):
@@ -698,7 +716,7 @@ def assert_pass_matches_the_node_order_pass(problem, monkeypatch):
     for _ in range(model.config.t_layers):
         y_node_wise = messagepassing_layer(y_node_wise, fx, ops, model.params, model.config.alpha)
     assert close(y, y_node_wise, 1e-12)
-    monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (None, None, self)))
+    node_order(monkeypatch)
     (y_ref, logits_ref), taped_ref, loss_ref, grads_ref, trace_ref = passes()
     assert close(y, y_ref) and close(logits, logits_ref) and close(taped, taped_ref)
     assert abs(loss - loss_ref) <= 1e-13 * abs(loss_ref)
@@ -717,6 +735,15 @@ def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share,
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
 def test_general_pass_by_edge_size_class_equals_the_node_order_pass(isolated_share, monkeypatch):
     assert_pass_matches_the_node_order_pass(edge_class_problem(isolated_share), monkeypatch)
+
+
+def test_simple_pass_on_the_linked_nodes_equals_the_node_order_pass(monkeypatch):
+    x, _, model, ops = problem = degree_class_problem(0.3, variant="simple")
+    isolated = ops.linked[1]
+    assert isolated.size == ops.n - 263
+    y, _ = forward(x, model, ops)
+    assert np.array_equal(y[isolated], np.maximum(model.predictor.apply(x)[isolated], 0.0))
+    assert_pass_matches_the_node_order_pass(problem, monkeypatch)
 
 
 def assert_gradients_match_finite_differences(problem):
@@ -793,9 +820,8 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
 
     def layer_and_adjoint(x, model, ops):
         """The daxpy lengths of one layer of ``model``; its adjoint makes the same calls."""
-        variant = model.config.variant
-        rows, _, ops = ops.linked if variant == "general" else (slice(None), None, ops)
-        prop = Propagation(ops, model.params, variant, model.config.alpha)
+        rows, _, ops = ops.linked
+        prop = Propagation(ops, model.params, model.config.variant, model.config.alpha)
         fx = model.predictor.apply(x)[rows]
         kept = []
         calls.clear()
@@ -815,9 +841,23 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
     # the tail of 103 rows after the classes of 96 and 64
     x, _, model, ops = degree_class_problem(0.3)
     assert layer_and_adjoint(x, model, ops) == [103 * d]
-    # the simple kernel, on every node
+    # the simple kernel on the 263 linked rows, in a layer and in each layer of a pass,
+    # which keeps a k x d mask per layer and makes no dgemm; on node-order operators,
+    # one daxpy on every node
     cfg = ModelConfig(variant="simple", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
-    assert layer_and_adjoint(x, init_model(cfg, 6, 3, seed=86), ops) == [ops.n * d]
+    simple = init_model(cfg, 6, 3, seed=86)
+    k = ops.linked[0].size
+    assert k == 263 < ops.n
+    assert layer_and_adjoint(x, simple, ops) == [k * d]
+    shapes = record_dgemm(monkeypatch)
+    calls.clear()
+    kept = {}
+    forward(x, simple, ops, kept=kept)
+    assert calls == [k * d] * cfg.t_layers and shapes == []
+    assert [(mask.shape, mask.dtype) for mask, in kept["layers"]] == [((k, d), np.bool_)] * cfg.t_layers
+    with monkeypatch.context() as patch:
+        node_order(patch)
+        assert layer_and_adjoint(x, simple, ops) == [ops.n * d]
     # the step bounds, each with its eigenvalue solve: no node is isolated and m >= n
     ops = build_expansion_operators(Hypergraph.from_edges(6, [[i, j] for i in range(6) for j in range(i)]), 1.0, 0.5)
     calls.clear()
