@@ -22,10 +22,9 @@ constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y)``, and
 ``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
-zero rows in ``L_H``: the layers of both variants and the general step
-bound's solve run the kernel on ``ExpansionOperators.linked``, one row set
-of the linked nodes alone, and the simple step bound on every node.  On
-the linked operators the nodes come by degree class and the edges by size
+zero rows in ``L_H``, so ``ExpansionOperators`` holds the rows of the
+linked nodes alone, and the layers and step bounds of both variants run the
+kernel on them.  The nodes come by degree class and the edges by size
 class, and in the general variant each large class takes its ``d x d``
 terms as one product with a matrix of its own.  The nonnegativity barrier
 is never represented as an infinite float: the energy is returned as its
@@ -118,8 +117,8 @@ class Propagation:
     ``K(.; B, B^T diag(c))``; ``fwd`` and ``adj`` hold the two factor pairs.
 
     A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
-    alone.  On ``ExpansionOperators.linked``'s operators, which list the rows
-    by class, a layer's kernel (the constructor) gives each class of at least
+    alone.  ``ExpansionOperators`` lists the rows by class, and a layer's
+    kernel (the constructor) gives each class of at least
     ``max(d, _CLASS_WORK / d^2)`` rows one product ``V_g M_g`` with the
     symmetric ``M_g = ca_g A0 + cb_g A1 + u I``, and no row scaling: ``classes``
     lists ``(rows, ca_g, cb_g, M_g)``.  Those classes come first, so the rows
@@ -128,12 +127,12 @@ class Propagation:
     does; at ``u = 0`` there is no such pass.
 
     Likewise every edge of size ``s`` has ``e_s = lambda1 / s``, and the
-    linked operators list the edges by size class: a layer's kernel gives
-    each class of at least as many edges one product ``P_s N_s`` with the
+    operators list the edges by size class: a layer's kernel gives each
+    class of at least as many edges one product ``P_s N_s`` with the
     symmetric ``N_s = M0 + e_s M1``, and ``edge_classes`` lists ``(edges,
     e_s, N_s)``.  The edges from ``edge_tail`` on keep ``P M0 + e * (P M1)``.
-    On node-order operators, and in the kernels of the other constants,
-    there are no classes of either kind and ``tail`` and ``edge_tail`` are 0.
+    The kernels of the other constants group no class of either kind, and
+    their ``tail`` and ``edge_tail`` are 0.
 
     A general call writes ``ca * v`` and then ``cb * v`` on the tail rows into
     ``scratch``, the one work array of the instance, and leaves ``cb * v``
@@ -146,8 +145,6 @@ class Propagation:
             return
         self.a0 += np.eye(params.d)  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
         self.a1 += np.eye(params.d)
-        if ops.classes is None:
-            return
         groups, self.tail = _grouped(ops.classes, params.d)
         for rows in groups:
             ca, cb = self.ca[rows.start, 0], self.cb[rows.start, 0]
@@ -160,7 +157,7 @@ class Propagation:
         """The kernel at constants other than a layer's: ``c`` the same on every row, ``u = 0``.
         ``params`` is read only when general."""
         self = cls.__new__(cls)
-        self._bind(ops, params, variant, np.full(ops.n, c), 0.0)
+        self._bind(ops, params, variant, np.full(ops.b.shape[0], c), 0.0)
         return self
 
     def _bind(self, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: np.ndarray, u) -> None:

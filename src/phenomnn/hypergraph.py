@@ -6,14 +6,14 @@ structure, and every constructor builds it in ``Hypergraph._from_columns``.
 The clique expansion is the raw algebraic form ``A_C = B B^T``
 (multiplicities and diagonal retained), and the normalized star contraction
 is ``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators
-the layers, energies and step bounds use keep only ``B`` and apply the
-expansions as ``B W B^T``; the package never forms an n x n matrix.
+the layers, energies and step bounds use keep only ``B``'s rows of the nodes
+in some hyperedge and apply the expansions as ``B W B^T``; the package never
+forms an n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,21 +215,32 @@ def load_hypergraph(path) -> Hypergraph:
 
 @dataclass(eq=False)
 class ExpansionOperators:
-    """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form.
+    """The expansions of one hypergraph for one ``(lambda0, lambda1)`` pair, in factored form,
+    on the ``k`` nodes in some hyperedge.
 
-    ``b`` is the hypergraph's own CSR incidence matrix ``B``, the only sparse
-    array kept besides its reordered copy in ``linked`` (``b.T`` is its
-    CSC view, not a copy), so ``A_C Y = B (B^T Y)``
-    and ``A_S_bar Y = B D_H^{-1} (B^T Y)`` never form an n x n matrix.  The
-    diagonals are ``d_c = B m`` (row sums of ``A_C``, with ``m`` the edge
-    sizes), ``d_s_bar`` the node degrees (row sums of ``A_S_bar``), ``d_h``
-    the edge sizes, and ``d_tilde = lambda0 d_c + lambda1 d_s_bar + 1`` the
-    update preconditioner; ``d_s_bar`` and ``d_h`` are read and never written.
-    The weights must be nonnegative and finite.  ``classes`` and
-    ``edge_classes`` are None in node order, and in ``linked``'s operators
-    the offsets of the degree classes and of the edge size classes.
+    A node in no hyperedge has a zero row in ``A_C`` and ``A_S_bar``, so of
+    the hypergraph's ``n`` nodes the operators cover ``linked``, the ``k`` in
+    some hyperedge, by degree class, and ``isolated`` lists the others in
+    node order.  ``b`` is the k x m CSR incidence matrix ``B`` on the linked
+    rows, its columns by edge size class, the only sparse array kept (``b.T``
+    is its CSC view, not a copy), so ``A_C Y = B (B^T Y)`` and ``A_S_bar Y =
+    B D_H^{-1} (B^T Y)`` never form an n x n matrix.  On the linked rows ``d_c = B m`` (row sums
+    of ``A_C``, with ``m`` the edge sizes), ``d_s_bar`` the node degrees (row
+    sums of ``A_S_bar``) and ``d_tilde = lambda0 d_c + lambda1 d_s_bar + 1``
+    the update preconditioner; ``d_h`` holds the edge sizes by size class.
+    The weights are nonnegative and finite.
+
+    A degree class is the linked nodes of equal ``(d_c, d_s_bar)``, both
+    exact integer sums as ``B`` is binary, and a size class the edges of
+    equal size.  The classes come largest first, ties by key, each in node
+    or edge order; ``classes`` and ``edge_classes`` hold their offsets.  A
+    layer's ``d x d`` terms share their weights within a class (see
+    ``energy.Propagation``).  A hypergraph with no hyperedge gives ``k = 0``.
     """
 
+    n: int
+    linked: np.ndarray
+    isolated: np.ndarray
     b: sp.csr_matrix
     d_c: np.ndarray
     d_s_bar: np.ndarray
@@ -237,74 +248,44 @@ class ExpansionOperators:
     lambda0: float
     lambda1: float
     d_tilde: np.ndarray
-    classes: np.ndarray | None = None
-    edge_classes: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.b.shape[0]
-
-    @cached_property
-    def linked(self) -> tuple:
-        """``(linked, isolated, ops)``: the nodes in some hyperedge, those in none, and
-        these operators on the first alone, ordered by degree class and edge size class.
-
-        ``isolated`` lists the nodes with ``d_c = 0`` in node order, and
-        ``linked`` the others by degree class: the nodes of equal ``(d_c,
-        d_s_bar)``, both exact integer sums as ``B`` is binary.  The classes
-        come largest first, ties by ``(d_c, d_s_bar)``, each in node order, and
-        ``ops.classes`` holds their row offsets.  The edges come by the same
-        rule on their sizes, and ``ops.edge_classes`` holds their offsets.
-        ``ops`` holds ``b[linked]`` and ``d_h`` with the edges in that order,
-        and ``d_c``, ``d_s_bar`` and ``d_tilde`` on the linked rows; a layer's
-        ``d x d`` terms share their weights within a class (see
-        ``energy.Propagation``).  A hypergraph with no hyperedge gives ``k = 0``
-        linked nodes, and operators that carry classes give the identity
-        order ``(arange(n), [], self)``.  Built once per instance: every model
-        pass, of either variant, reads it on every call."""
-        if self.classes is not None:
-            return np.arange(self.n), np.arange(0), self
-        isolated = self.d_c == 0
-        linked = np.flatnonzero(~isolated)
-        order, classes = _class_order(np.stack((self.d_c[linked], self.d_s_bar[linked]), axis=1))
-        linked = linked[order]
-        edges, edge_classes = _class_order(self.d_h[:, None])
-        b = self.b[linked]
-        b = sp.csr_matrix((b.data, np.argsort(edges)[b.indices], b.indptr), shape=b.shape)  # column k: edge edges[k]
-        b.sort_indices()
-        ops = ExpansionOperators(
-            b=b,
-            d_c=self.d_c[linked],
-            d_s_bar=self.d_s_bar[linked],
-            d_h=self.d_h[edges],
-            lambda0=self.lambda0,
-            lambda1=self.lambda1,
-            d_tilde=self.d_tilde[linked],
-            classes=classes,
-            edge_classes=edge_classes,
-        )
-        return linked, np.flatnonzero(isolated), ops
+    classes: np.ndarray
+    edge_classes: np.ndarray
 
 
 def _class_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``keys`` by class, the rows of equal keys, and the class offsets in
-    that order: larger classes first, ties by key, each class in row order."""
-    _, cls, sizes = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    cls = cls.ravel()  # numbered in key order; lexsort is stable
+    """The entries of ``keys`` by class, the entries of equal key, and the class offsets in
+    that order: larger classes first, ties by key, each class in entry order."""
+    _, cls, sizes = np.unique(keys, return_inverse=True, return_counts=True)
     return np.lexsort((cls, -sizes[cls])), np.concatenate(([0], np.cumsum(np.sort(sizes)[::-1])))
 
 
 def build_expansion_operators(hg: Hypergraph, lambda0: float, lambda1: float) -> ExpansionOperators:
     if not (0.0 <= lambda0 < np.inf and 0.0 <= lambda1 < np.inf):
         raise ValueError(f"expansion weights must be nonnegative and finite, got {lambda0}, {lambda1}")
-    b = hg.incidence
-    d_c = b @ hg.edge_sizes
+    d_c = hg.incidence @ hg.edge_sizes
+    isolated = d_c == 0
+    linked = np.flatnonzero(~isolated)
+    # (d_c, d_s_bar) as one integer that orders as the pair does, d_c * (max d_s_bar + 1) + d_s_bar:
+    # both are at most nnz(B), so it is exact in int64 below 3e9 nonzeros
+    d_s = hg.node_degrees[linked].astype(np.int64)
+    order, classes = _class_order(d_c[linked].astype(np.int64) * (d_s.max(initial=0) + 1) + d_s)
+    linked = linked[order]
+    edges, edge_classes = _class_order(hg.edge_sizes)
+    b = hg.incidence[linked]
+    b = sp.csr_matrix((b.data, np.argsort(edges)[b.indices], b.indptr), shape=b.shape)  # column k: edge edges[k]
+    b.sort_indices()
+    d_c, d_s_bar = d_c[linked], hg.node_degrees[linked]
     return ExpansionOperators(
+        n=hg.n,
+        linked=linked,
+        isolated=np.flatnonzero(isolated),
         b=b,
         d_c=d_c,
-        d_s_bar=hg.node_degrees,
-        d_h=hg.edge_sizes,
+        d_s_bar=d_s_bar,
+        d_h=hg.edge_sizes[edges],
         lambda0=float(lambda0),
         lambda1=float(lambda1),
-        d_tilde=lambda0 * d_c + lambda1 * hg.node_degrees + 1.0,
+        d_tilde=lambda0 * d_c + lambda1 * d_s_bar + 1.0,
+        classes=classes,
+        edge_classes=edge_classes,
     )

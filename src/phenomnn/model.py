@@ -17,8 +17,8 @@ A node in no hyperedge has zero rows in ``L_H``, so its energy term is
 ``||y_i - f_i||^2`` alone, in either variant: its minimiser over
 ``y_i >= 0``, ``ReLU(f_i)``, is where the first layer takes it from
 ``Y_0 = Fx`` and where every later layer keeps it.  The layers of both
-variants therefore run on ``ExpansionOperators.linked``, the nodes in some
-hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in closed form:
+variants therefore run on the rows of ``ExpansionOperators``, the nodes in
+some hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in closed form:
 ``forward`` and ``descent_trace`` hold ``k x d`` arrays per layer, ``k``
 the number of linked nodes (0 on a hypergraph with no hyperedge).  The
 linked nodes come by degree class, so a general layer's ``d x d`` row terms
@@ -189,7 +189,7 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
     keeps the ReLU mask alone: k x d bytes on the ``k`` rows of ``prop``,
     where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
-        raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for n={prop.c.shape[0]}")
+        raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for the kernel's k={prop.c.shape[0]} rows")
     out = prop.kernel(y, *prop.fwd)[0] if pre is None else pre
     out += c_fx
     np.maximum(out, 0.0, out=out)
@@ -239,21 +239,23 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 
-def _propagation(model: Model, ops: ExpansionOperators) -> tuple:
-    """``(prop, linked, isolated)``: the layers' kernel of ``model`` and the rows it runs on.
+def _propagation(model: Model, ops: ExpansionOperators, x) -> Propagation:
+    """The layers' kernel of ``model``, for features ``x``.
 
-    ``ops`` must be built for the model's ``(lambda0, lambda1)``.  The kernel
-    of either variant is built on ``ops.linked``, the nodes in some hyperedge,
-    listed in ``linked`` by degree class; ``isolated`` lists the others, whose
-    rows are ``ReLU(Fx)``.  Either may be empty."""
+    ``ops`` must be built for the model's ``(lambda0, lambda1)``, and ``x``
+    must have a row per node of the hypergraph.  The kernel of either
+    variant runs on the nodes in some hyperedge, ``ops.linked``, by degree
+    class; the others, ``ops.isolated``, are ``ReLU(Fx)``.  Either may be
+    empty."""
     cfg = model.config
     if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
         raise ValueError(
             f"expansion operators were built for (lambda0={ops.lambda0}, lambda1={ops.lambda1}) "
             f"but the model's config has ({cfg.lambda0}, {cfg.lambda1})"
         )
-    linked, isolated, ops = ops.linked
-    return Propagation(ops, model.params, cfg.variant, cfg.alpha), linked, isolated
+    if len(x) != ops.n:
+        raise ValueError(f"the features have {len(x)} rows but the hypergraph has {ops.n} nodes")
+    return Propagation(ops, model.params, cfg.variant, cfg.alpha)
 
 
 def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np.ndarray | None = None,
@@ -271,12 +273,12 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
     predictor's input ``h``, the feature mask, the kernel and its rows, each
     layer's ``layer`` list, and the classifier's inputs ``y`` and ``iso``."""
     h = np.asarray(x, dtype=np.float64)
+    prop, linked, isolated = _propagation(model, ops, h), ops.linked, ops.isolated
     if input_mask is not None:
         h = input_mask * h
     fx = model.predictor.apply(h)
     if feature_mask is not None:
         fx = feature_mask * fx
-    prop, linked, isolated = _propagation(model, ops)
     y = fx[linked]
     c_fx = prop.c * y
     steps = [[] if kept is not None else None for _ in range(model.config.t_layers)]
@@ -387,15 +389,16 @@ def step_bound_simple(ops: ExpansionOperators) -> StepBound:
     ``W = lambda0 + lambda1 / m_e`` being all zero then and only then, as
     every edge size ``m_e >= 1``.  ``K`` is singular, so ``sigma_min = 0``
     with no solve, when ``m < n`` (rank ``K <= m``) or a node is isolated (a
-    zero row), the ``rank`` certificate.  Otherwise Lanczos gives a Ritz
-    value ``theta`` with residual ``r``; some eigenvalue lies within ``||r||``
-    of ``theta``, and ``sigma_min = max(theta - ||r||, 0)``.  ``K`` is PSD, so
-    ``sigma_min = 0`` is used when the solve does not converge: an unconverged
-    estimate of ``sigma_min`` can only be too high.
+    zero row), the ``rank`` certificate.  Otherwise every node is linked,
+    ``k = n``, and Lanczos on the linked rows, a permutation of ``K``, gives
+    a Ritz value ``theta`` with residual ``r``; some eigenvalue lies within
+    ``||r||`` of ``theta``, and ``sigma_min = max(theta - ||r||, 0)``.  ``K``
+    is PSD, so ``sigma_min = 0`` is used when the solve does not converge:
+    an unconverged estimate of ``sigma_min`` can only be too high.
     """
     if ops.b.shape[1] == 0 or ops.lambda0 == ops.lambda1 == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
-    if ops.b.shape[1] < ops.n or float(ops.d_s_bar.min()) == 0.0:
+    if ops.b.shape[1] < ops.n or ops.isolated.size:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "rank")
 
     k = Propagation._at(ops, None, "simple", 1.0)
@@ -417,17 +420,18 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     H1H1^T - A_S_bar V (H1+H1^T) + A_S_bar V)`` with ``s = lambda0/2``,
     applied as the kernel at ``c = -1``, ``u = 0``; the bound is ``(1 +
     lambda0*d_Cmin + lambda1*d_Smin) / (1 + s*d_Cmin + sigma_max)``, its
-    minima over every node.  As ``||A_C|| <= max d_C`` and ``||A_S_bar|| <=
-    max d_S_bar``, ``lift`` bounds the operator's norm; it is taken first,
-    from ``H0`` and ``H1`` alone, and ``lift = 0`` is the zero operator, the
-    ``trivial`` certificate, with no kernel built.
+    minima over every node, 0 when some node is isolated.  As ``||A_C|| <=
+    max d_C`` and ``||A_S_bar|| <= max d_S_bar``, ``lift`` bounds the
+    operator's norm; it is taken first, from ``H0`` and ``H1`` alone, and
+    ``lift = 0`` is the zero operator, the ``trivial`` certificate, with no
+    kernel built.
     A node in no hyperedge has zero rows and columns in the operator, so the
-    solve runs on ``ops.linked``'s nonzero block, vectors of ``k * d`` for
-    ``k`` linked nodes, to which the Kuczynski-Wozniakowski and Paige
-    arguments of the Lanczos certificate apply; the isolated rows add the
-    eigenvalue 0.  ``sigma_max`` is ``theta + ||r||`` for a converged Ritz
-    value ``theta`` with residual ``r``, ``max(theta + ||r||, 0)`` when some
-    node is isolated, if that is below ``lift``, and ``lift`` otherwise.
+    solve runs on its nonzero block, the linked rows of ``ops``, vectors of
+    ``k * d`` for ``k`` linked nodes, to which the Kuczynski-Wozniakowski and
+    Paige arguments of the Lanczos certificate apply; the isolated rows add
+    the eigenvalue 0.  ``sigma_max`` is ``theta + ||r||`` for a converged
+    Ritz value ``theta`` with residual ``r``, ``max(theta + ||r||, 0)`` when
+    some node is isolated, if that is below ``lift``, and ``lift`` otherwise.
     """
     s, lam1 = 0.5 * ops.lambda0, ops.lambda1
     h0, h1 = params.h0, params.h1
@@ -435,27 +439,28 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
     def spec_norm(m):
         return float(np.max(np.abs(np.linalg.eigvalsh((m + m.T) / 2.0))))
 
-    lift = s * float(ops.d_c.max()) * (spec_norm(h0 @ h0.T) + spec_norm(h0 + h0.T))
-    lift += lam1 * float(ops.d_s_bar.max()) * (spec_norm(h1 @ h1.T) + spec_norm(h1 + h1.T) + 1.0)
+    lift = s * float(ops.d_c.max(initial=0.0)) * (spec_norm(h0 @ h0.T) + spec_norm(h0 + h0.T))
+    lift += lam1 * float(ops.d_s_bar.max(initial=0.0)) * (spec_norm(h1 @ h1.T) + spec_norm(h1 + h1.T) + 1.0)
     if lift == 0.0:
         return StepBound(1.0, 0.0, EigenResult(0.0, 0.0, True, 0), "trivial")
-    linked = ops.linked[2]
-    n, d = linked.n, params.d
-    k = Propagation._at(linked, params, "general", -1.0)
+    n, d = ops.b.shape[0], params.d
+    k = Propagation._at(ops, params, "general", -1.0)
 
     def apply(vec):
         return k.kernel(vec.reshape(n, d), *k.fwd)[0].ravel()
 
     eig = extreme_eigenvalue(apply, n * d, which="max")
     sigma = eig.value + eig.residual
-    if n < ops.n:  # the isolated rows' eigenvalue 0
+    if ops.isolated.size:  # the isolated rows' eigenvalue 0
         sigma = max(sigma, 0.0)
     if eig.converged and sigma < lift:
         certificate = "lanczos"
     else:
         sigma, certificate = lift, "norm-bound"
-    numer = 1.0 + ops.lambda0 * float(ops.d_c.min()) + lam1 * float(ops.d_s_bar.min())
-    denom = 1.0 + s * float(ops.d_c.min()) + sigma
+    # the degree minima over every node: an isolated node's degrees are 0
+    d_c_min, d_s_min = (0.0, 0.0) if ops.isolated.size else (float(ops.d_c.min()), float(ops.d_s_bar.min()))
+    numer = 1.0 + ops.lambda0 * d_c_min + lam1 * d_s_min
+    denom = 1.0 + s * d_c_min + sigma
     if denom <= 0.0:
         raise ValueError(f"degenerate curvature: bound denominator {denom} <= 0")
     return StepBound(numer / denom, sigma, eig, certificate)
@@ -493,12 +498,11 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     if steps < 0:
         raise ValueError(f"descent_trace: steps must be nonnegative, got {steps}")
     rows = []
+    prop = _propagation(model, ops, x)
     fx = model.predictor.apply(x)
-    prop, linked, isolated = _propagation(model, ops)
-    ops = ops.linked[2]
-    residual = np.minimum(fx[isolated], 0.0)  # Fx - ReLU(Fx), zero where Fx >= 0
+    residual = np.minimum(fx[ops.isolated], 0.0)  # Fx - ReLU(Fx), zero where Fx >= 0
     iso_feasible, iso_sq = not residual.any(), float(np.vdot(residual, residual))
-    fx = fx[linked]
+    fx = fx[ops.linked]
     y = fx
     c_fx = prop.c * fx
     scale = (ops.d_tilde / cfg.alpha)[:, None]

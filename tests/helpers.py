@@ -29,7 +29,8 @@ def hyperedges(hg):
 
 
 def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha=0.5):
-    """One seeded problem instance: hypergraph, operators, params, step size, embeddings."""
+    """One seeded problem instance: hypergraph, node-order operators (``ops``) and
+    ``build_expansion_operators``'s (``linked_ops``), params, step size, embeddings."""
     rng = rng_for(seed)
     n = n or int(rng.integers(6, 16))
     m = m or int(rng.integers(3, 10))
@@ -37,7 +38,7 @@ def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha
     lambda0 = float(rng.uniform(0.0, lam_hi))
     lambda1 = float(rng.uniform(0.0, lam_hi))
     hg = random_hypergraph(rng, n, m)
-    ops = build_expansion_operators(hg, lambda0, lambda1)
+    ops = node_order_operators(hg, lambda0, lambda1)
     if h_noise > 0.0:
         h0 = np.eye(d) + h_noise * rng.standard_normal((d, d))
         h1 = np.eye(d) + h_noise * rng.standard_normal((d, d))
@@ -47,7 +48,9 @@ def random_instance(seed, n=None, m=None, d=None, h_noise=0.0, lam_hi=3.0, alpha
     params = EnergyParams(h0, h1)
     y = rng.standard_normal((n, d))
     fx = rng.standard_normal((n, d))
-    return {"hg": hg, "ops": ops, "params": params, "alpha": alpha, "y": y, "fx": fx, "d": d, "rng": rng}
+    linked_ops = build_expansion_operators(hg, lambda0, lambda1)
+    return {"hg": hg, "ops": ops, "linked_ops": linked_ops, "params": params, "alpha": alpha, "y": y, "fx": fx,
+            "d": d, "rng": rng}
 
 
 def one_layer(y, fx, ops, params, variant, alpha):
@@ -56,11 +59,33 @@ def one_layer(y, fx, ops, params, variant, alpha):
     return layer(y, prop.c * fx, prop)
 
 
-def node_order(monkeypatch):
-    """Make ``ExpansionOperators.linked`` the identity order on every operators object, so
-    the passes run their one code path on the node-order operators they are given: a
-    reference for the same passes on the linked operators."""
-    monkeypatch.setattr(ExpansionOperators, "linked", property(lambda self: (np.arange(self.n), np.arange(0), self)))
+def node_order_operators(hg, lambda0, lambda1):
+    """``ExpansionOperators`` of ``hg`` in node order: every node a row, isolated or not,
+    the edges in their own order, and each node and each edge a class of its own, which no
+    kernel groups.  The passes run their one code path on it, over all ``n`` rows with no
+    class product: a reference for the same passes on ``build_expansion_operators``'s."""
+    d_c = hg.incidence @ hg.edge_sizes
+    return ExpansionOperators(
+        n=hg.n,
+        linked=np.arange(hg.n),
+        isolated=np.arange(0),
+        b=hg.incidence,
+        d_c=d_c,
+        d_s_bar=hg.node_degrees,
+        d_h=hg.edge_sizes,
+        lambda0=float(lambda0),
+        lambda1=float(lambda1),
+        d_tilde=lambda0 * d_c + lambda1 * hg.node_degrees + 1.0,
+        classes=np.arange(hg.n + 1),
+        edge_classes=np.arange(hg.m + 1),
+    )
+
+
+def by_node(ops, values):
+    """``values``, one per linked row of ``ops``, in node order; an isolated node's entry is 0."""
+    out = np.zeros(ops.n)
+    out[ops.linked] = values
+    return out
 
 
 def fd_gradient(f, y, step=1e-5):
@@ -124,8 +149,8 @@ def record_daxpy(monkeypatch):
 
 def criterion_3_problems():
     """The 20 seeded problems of the criterion-3 acceptance test, each as
-    ``(ops, h0, h1, fx)``: a random hypergraph's operators, noisy compatibility
-    matrices and base predictions."""
+    ``(hg, ops, h0, h1, fx)``: a random hypergraph and its operators, noisy
+    compatibility matrices and base predictions."""
     for seed in range(20):
         rng = rng_for(9200 + seed)
         n = int(rng.integers(30, 201))
@@ -133,11 +158,12 @@ def criterion_3_problems():
         d = int(rng.integers(2, 17))
         l0 = float(rng.uniform(0.0, 3.0))
         l1 = float(rng.uniform(0.0, 3.0))
-        ops = build_expansion_operators(random_hypergraph(rng, n, m), l0, l1)
+        hg = random_hypergraph(rng, n, m)
+        ops = build_expansion_operators(hg, l0, l1)
         noise = 0.01 if seed % 2 == 0 else 0.1
         h0 = np.eye(d) + noise * rng.standard_normal((d, d))
         h1 = np.eye(d) + noise * rng.standard_normal((d, d))
-        yield ops, h0, h1, rng.standard_normal((n, d))
+        yield hg, ops, h0, h1, rng.standard_normal((n, d))
 
 
 def load_workloads(monkeypatch):

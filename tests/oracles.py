@@ -13,7 +13,7 @@ are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
 kept, where ``model.layer_vjp`` rebuilds both.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
 at a time, as ``Hypergraph.from_edges`` does with arrays, and ``class_order``
 and ``edge_class_order`` sort the linked nodes by degree class and the edges by
-size class, as ``ExpansionOperators.linked`` does with arrays.
+size class, as ``build_expansion_operators`` does with arrays.
 ``products_every_edge_in_the_tail`` is the kernel with the edge-side
 product taken on every edge in one expression, where
 ``Propagation.kernel`` groups the edges by size class.
@@ -271,16 +271,18 @@ def from_edges_by_edge(n, edges):
     )
 
 
-def class_order(ops):
+def class_order(hg):
     """The nodes in some hyperedge by degree class ``(d_c, d_s_bar)``: larger classes
     first, ties by ``(d_c, d_s_bar)``, and node order within a class."""
-    key = {i: (float(ops.d_c[i]), float(ops.d_s_bar[i])) for i in range(ops.n) if ops.d_c[i] > 0}
+    edges = hyperedges(hg)
+    d_c = [sum(float(e.size) for e in edges if i in e) for i in range(hg.n)]
+    key = {i: (d_c[i], float(hg.node_degrees[i])) for i in range(hg.n) if d_c[i] > 0}
     size = {k: list(key.values()).count(k) for k in key.values()}
     return sorted(key, key=lambda i: (-size[key[i]], key[i], i))
 
 
-def edge_class_order(ops):
+def edge_class_order(hg):
     """The hyperedges by size class: larger classes first, ties by size, and edge
     order within a class."""
-    sizes = [float(s) for s in ops.d_h]
+    sizes = [float(s) for s in hg.edge_sizes]
     return sorted(range(len(sizes)), key=lambda k: (-sizes.count(sizes[k]), sizes[k], k))

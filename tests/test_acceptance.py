@@ -25,7 +25,7 @@ from phenomnn.model import (
     step_bound_simple,
 )
 from phenomnn.train import TrainConfig, train
-from helpers import criterion_3_problems, fd_gradient, one_layer, random_hypergraph, rel_err, rng_for
+from helpers import criterion_3_problems, fd_gradient, node_order_operators, one_layer, random_hypergraph, rel_err, rng_for
 from oracles import (
     build_clique,
     build_star_bipartite,
@@ -72,7 +72,7 @@ def test_criterion_1_energy_equivalence_oracle():
         z = z_star(hg, y)
         brute = energy_bruteforce(y, z, fx, hg, pid, l0, l1).smooth
         # the kernel-derived energy: summation form at pair weight lambda0/2, and trace form
-        ops = build_expansion_operators(hg, l0, l1)
+        ops = node_order_operators(hg, l0, l1)
         h0, h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
         for variant, params in (("simple", pid), ("general", EnergyParams(h0, h1))):
             mine = energy_and_grad(y, fx, ops, params, variant).smooth
@@ -110,7 +110,7 @@ def test_criterion_2_gradient_correctness():
         n, d = int(rng.integers(8, 14)), int(rng.integers(2, 4))
         hg = random_hypergraph(rng, n, int(rng.integers(4, 9)))
         l0, l1 = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
-        ops = build_expansion_operators(hg, l0, l1)
+        ops = node_order_operators(hg, l0, l1)
         h0 = np.eye(d) + 0.2 * rng.standard_normal((d, d))
         h1 = np.eye(d) + 0.2 * rng.standard_normal((d, d))
         y = rng.standard_normal((n, d))
@@ -152,10 +152,12 @@ def test_criterion_3_monotone_convergence():
     start = time.perf_counter()
     worst_gen, worst_sim = 0.0, 0.0
     any_increase_at_5x = False
-    for ops, h0, h1, fx in criterion_3_problems():
+    for hg, bound_ops, h0, h1, fx in criterion_3_problems():
+        # the bounds of the hypergraph's operators, the descent on the node-order reference
+        ops = node_order_operators(hg, bound_ops.lambda0, bound_ops.lambda1)
         d = fx.shape[1]
         pg = EnergyParams(h0, h1)
-        bound_g = step_bound_general(ops, pg)
+        bound_g = step_bound_general(bound_ops, pg)
         prop = Propagation(ops, pg, "general", 0.9 * bound_g.value)
         y = prox_nonneg(fx)
         prev = energy_and_grad(y, fx, ops, pg, "general").smooth
@@ -165,7 +167,7 @@ def test_criterion_3_monotone_convergence():
             worst_gen = max(worst_gen, (e - prev) / max(1.0, abs(prev)))
             prev = e
 
-        bound_s = step_bound_simple(ops)
+        bound_s = step_bound_simple(bound_ops)
         alpha = 0.9 * bound_s.value
         ps = EnergyParams.identity(d)
         prop = Propagation(ops, ps, "simple", alpha)
@@ -204,7 +206,7 @@ def test_criterion_4_form_equivalences():
         n, d = int(rng.integers(4, 12)), int(rng.integers(2, 5))
         hg = random_hypergraph(rng, n, int(rng.integers(2, 8)))
         l0, l1 = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
-        ops = build_expansion_operators(hg, l0, l1)
+        ops = node_order_operators(hg, l0, l1)
         noise = 0.0 if seed % 2 == 0 else 0.3
         h0 = np.eye(d) + noise * rng.standard_normal((d, d))
         h1 = np.eye(d) + noise * rng.standard_normal((d, d))

@@ -287,7 +287,7 @@ def test_layer_adjoint_passes_dot_product_test(variant):
     hg = edge_case_hypergraph()
     ops = build_expansion_operators(hg, 1.3, 0.7)
     rng = rng_for(17)
-    n, d = hg.n, 4
+    n, d = ops.b.shape[0], 4  # the linked rows, which every layer runs on
     h0 = np.eye(d) + 0.3 * rng.standard_normal((d, d))
     h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d))
     y, fx, g, vy, vfx = (rng.standard_normal((n, d)) for _ in range(5))
@@ -358,8 +358,8 @@ def test_general_taped_forward_keeps_only_the_linked_rows():
     linked = rng.permutation(np.setdiff1d(np.arange(n), isolated))
     edges = [linked[i : i + 5].tolist() for i in range(0, linked.size - 1, 4)]
     ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
-    k = ops.linked[0].size
-    assert k == 1400 and ops.linked[1].min() < ops.linked[0].max()
+    k = ops.linked.size
+    assert k == 1400 and ops.isolated.min() < ops.linked.max()
     x = rng.standard_normal((n, 8))
     taped_bytes(ops, x, "general", 2)
     assert taped_bytes(ops, x, "general", 6) - taped_bytes(ops, x, "general", 2) <= 4 * (8 * k * d + BOOKKEEPING)
@@ -370,10 +370,11 @@ def test_layer_adjoint_allocates_only_dy():
     # written into g, cb * g and ca * g into the kernel's scratch, and e * B^T R
     # into B^T R; what is left is dY plus four m x d arrays: the kernel's
     # products (B^T R, P M0, P M1 and e * (P M1)) and then B^T R with the
-    # rebuilt P = B^T Y
-    n, m, d = 2000, 400, 16
+    # rebuilt P = B^T Y; a layer runs on the n linked rows
+    m, d = 400, 16
     rng = rng_for(23)
-    ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
+    ops = build_expansion_operators(random_hypergraph(rng, 2000, m), 1.0, 1.0)
+    n = ops.b.shape[0]
     h0, h1 = (np.eye(d) + 0.1 * rng.standard_normal((d, d)) for _ in range(2))
     prop = Propagation(ops, EnergyParams(h0, h1), "general", 0.3)
     y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
@@ -396,8 +397,9 @@ def test_layer_adjoint_matches_the_kept_mask_oracle_bitwise(variant):
     # the general adjoint rebuilds the mask as out > 0 and P = B^T Y; both must
     # be, bit for bit, the mask and P the forward computed, exact zeros included
     rng = rng_for(43)
-    n, d = 40, 6
-    ops = build_expansion_operators(random_hypergraph(rng, n, 12), 1.1, 0.9)
+    d = 6
+    ops = build_expansion_operators(random_hypergraph(rng, 40, 12), 1.1, 0.9)
+    n = ops.b.shape[0]  # the linked rows, which every layer runs on
     h0, h1 = (np.eye(d) + 0.3 * rng.standard_normal((d, d)) for _ in range(2))
     prop = Propagation(ops, EnergyParams(h0, h1), variant, 0.5)
     y, fx, g = (rng.standard_normal((n, d)) for _ in range(3))
@@ -478,7 +480,7 @@ def isolated_problem(variant, n=30, t_layers=3, d=5, seed=59):
     cfg = ModelConfig(variant=variant, t_layers=t_layers, d=d, alpha=0.4, lambda0=1.2, lambda1=0.8)
     model = init_model(cfg, 4, 3, seed=seed)
     ops = build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
-    assert ops.linked[1].size == n // 3
+    assert ops.isolated.size == n // 3
     x = rng.standard_normal((n, 4))
     masks = ((rng.random((n, 4)) > 0.3) / 0.7, (rng.random((n, cfg.d)) > 0.3) / 0.7)
     return model, ops, x, masks, rng.integers(0, 3, n)
@@ -542,6 +544,7 @@ def _primitive_cases():
     n, d = 9, 3
     hg = random_hypergraph(rng, n, 5)
     ops = build_expansion_operators(hg, 1.1, 0.6)
+    k = ops.b.shape[0]  # the linked rows, which a layer runs on
     h0, h1 = (np.eye(d) + 0.2 * rng.standard_normal((d, d)) for _ in range(2))
 
     def leaves(tape, *shapes):
@@ -554,7 +557,7 @@ def _primitive_cases():
     def layer_node(variant):
         def build(tape):
             prop = Propagation(ops, EnergyParams(h0, h1), variant, 0.4)
-            y, fx, p0, p1 = leaves(tape, (n, d), (n, d), (d, d), (d, d))
+            y, fx, p0, p1 = leaves(tape, (k, d), (k, d), (d, d), (d, d))
             kept = []
             value = layer(y.value, prop.c * fx.value, prop, kept)
             inputs = (y, fx, p0, p1) if prop.general else (y, fx)

@@ -9,7 +9,7 @@ from phenomnn.autodiff import Tape
 from phenomnn.energy import EnergyParams, Propagation
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import ModelConfig, build_taped_logits, descent_trace, forward, init_model
-from helpers import fd_gradient, hyperedges, random_hypergraph, random_instance, rel_err, rng_for
+from helpers import fd_gradient, hyperedges, node_order_operators, random_hypergraph, random_instance, rel_err, rng_for
 from oracles import (
     build_clique,
     build_star_bipartite,
@@ -88,7 +88,7 @@ def test_z_star_shape_mismatch():
 def test_energy_zero_at_base_prediction():
     inst = random_instance(4)
     hg, d = inst["hg"], inst["d"]
-    ops0 = build_expansion_operators(hg, 0.0, 0.0)
+    ops0 = node_order_operators(hg, 0.0, 0.0)
     fx = inst["fx"]
     p0 = EnergyParams.identity(d)
     assert energy_and_grad(fx, fx, ops0, p0, "simple").smooth == 0.0
@@ -193,7 +193,8 @@ def test_prop1_term_equivalences_across_seeds():
 @pytest.mark.parametrize("seed", range(8))
 def test_factored_products_match_dense_expansions(seed):
     # the kernel at each of its three constant sets, and -L_H as the kernel at
-    # c = 1 less its row term, against dense I-, B B^T- and B D_H^{-1} B^T-built operators
+    # c = 1 less its row term, against dense I-, B B^T- and B D_H^{-1} B^T-built operators,
+    # on the linked rows, which the isolated rows of those operators do not reach
     rng = rng_for(700 + seed)
     n, d = int(rng.integers(5, 25)), int(rng.integers(1, 5))
     # edges avoid the last two nodes, which stay isolated; one edge is a singleton
@@ -209,14 +210,17 @@ def test_factored_products_match_dense_expansions(seed):
     d_c, d_s = np.diag(a_c.sum(axis=1)), np.diag(a_s.sum(axis=1))
     v = rng.standard_normal((n, d))
 
-    def applied(prop):
-        return prop.kernel(v, *prop.fwd)[0]
-
     h0, h1 = np.eye(d) + 0.3 * rng.standard_normal((d, d)), np.eye(d) + 0.3 * rng.standard_normal((d, d))
     for l0, l1 in ((1.0, 0.0), (0.0, 1.0), (float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)))):
         ops = build_expansion_operators(hg, l0, l1)
-        assert np.max(np.abs(ops.d_c - a_c.sum(axis=1))) <= 1e-12
-        assert np.max(np.abs(ops.d_s_bar - a_s.sum(axis=1))) <= 1e-12
+        rows = ops.linked
+        assert {n - 2, n - 1} <= set(ops.isolated.tolist())
+
+        def applied(prop):
+            return prop.kernel(v[rows], *prop.fwd)[0]
+
+        assert np.max(np.abs(ops.d_c - a_c.sum(axis=1)[rows])) <= 1e-12
+        assert np.max(np.abs(ops.d_s_bar - a_s.sum(axis=1)[rows])) <= 1e-12
         c = 0.4 / ops.d_tilde[:, None]
         compat = {"simple": EnergyParams.identity(d), "general": EnergyParams(h0, h1)}
         for variant, params in compat.items():
@@ -228,10 +232,11 @@ def test_factored_products_match_dense_expansions(seed):
                 diag, bound_c, bound = 0.5 * l0 * ops.d_c, -1.0, lap - 0.5 * l0 * d_c @ v
             else:
                 diag, bound_c, bound = l0 * ops.d_c + l1 * ops.d_s_bar, 1.0, (l0 * a_c + l1 * a_s) @ v
+            lap, bound = lap[rows], bound[rows]
             # a layer (the step Y - c * grad E(Y) / 2 without its c * Fx part), -L_H, the step bound's operator
             for got, want in (
-                (applied(Propagation(ops, params, variant, 0.4)), v - c * (lap + v)),
-                (applied(Propagation._at(ops, params, variant, 1.0)) - diag[:, None] * v, -lap),
+                (applied(Propagation(ops, params, variant, 0.4)), v[rows] - c * (lap + v[rows])),
+                (applied(Propagation._at(ops, params, variant, 1.0)) - diag[:, None] * v[rows], -lap),
                 (applied(Propagation._at(ops, params, variant, bound_c)), bound),
             ):
                 assert rel_err(got, want) <= 1e-12
@@ -254,7 +259,7 @@ def test_mean_embedding_is_optimal():
 def test_gradient_zero_at_minimizer():
     inst = random_instance(9)
     hg = inst["hg"]
-    ops0 = build_expansion_operators(hg, 0.0, 0.0)
+    ops0 = node_order_operators(hg, 0.0, 0.0)
     fx = inst["fx"]
     p0 = EnergyParams.identity(inst["d"])
     assert np.max(np.abs(energy_and_grad(fx, fx, ops0, p0, "simple").grad)) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from phenomnn import hypergraph
 from phenomnn.hypergraph import Hypergraph, HypergraphError, build_expansion_operators, parse_hypergraph
-from helpers import hyperedges, random_hypergraph, rng_for
+from helpers import by_node, hyperedges, random_hypergraph, rng_for
 from oracles import (
     build_clique,
     build_star_bipartite,
@@ -368,19 +368,27 @@ def test_uniform_edge_size_cases():
 def test_precondition_diag_cases():
     # d_tilde = lambda0 D_C + lambda1 D_S_bar + I, with D_C = (2, 4, 2) and D_S_bar = (1, 2, 1) here
     hg = toy()
-    assert build_expansion_operators(hg, 0.0, 0.0).d_tilde.tolist() == [1.0, 1.0, 1.0]
-    assert build_expansion_operators(hg, 1.0, 0.0).d_tilde.tolist() == [3.0, 5.0, 3.0]
-    assert build_expansion_operators(hg, 0.0, 1.0).d_tilde.tolist() == [2.0, 3.0, 2.0]
+
+    def d_tilde(*lambdas):
+        ops = build_expansion_operators(hg, *lambdas)
+        return by_node(ops, ops.d_tilde).tolist()
+
+    assert d_tilde(0.0, 0.0) == [1.0, 1.0, 1.0]
+    assert d_tilde(1.0, 0.0) == [3.0, 5.0, 3.0]
+    assert d_tilde(0.0, 1.0) == [2.0, 3.0, 2.0]
     for lambdas in ((-1.0, 0.0), (0.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))):
         with pytest.raises(ValueError, match="expansion weights must be nonnegative and finite"):
             build_expansion_operators(hg, *lambdas)
 
 
 def test_isolated_nodes_degenerate_to_skip_connection():
-    hg = Hypergraph.from_edges(4, [[0, 1]])  # nodes 2, 3 isolated
+    # nodes 2, 3 isolated: no row of the operators, so a layer leaves them to ReLU(Fx)
+    hg = Hypergraph.from_edges(4, [[0, 1]])
     ops = build_expansion_operators(hg, 2.0, 3.0)
-    assert ops.d_c[2] == 0.0 and ops.d_s_bar[3] == 0.0
-    assert ops.d_tilde[2] == 1.0 and ops.d_tilde[3] == 1.0
+    assert ops.isolated.tolist() == [2, 3] and ops.linked.tolist() == [0, 1] and ops.b.shape == (2, 1)
+    assert (hg.incidence @ hg.edge_sizes)[2] == 0.0 and hg.node_degrees[3] == 0.0
+    assert ops.d_c.tolist() == [2.0, 2.0] and ops.d_s_bar.tolist() == [1.0, 1.0]
+    assert ops.d_tilde.tolist() == [8.0, 8.0]
 
 
 def test_operator_invariants():
@@ -389,8 +397,8 @@ def test_operator_invariants():
     ops = build_expansion_operators(hg, 1.5, 0.5)
     a_c, _ = build_clique(hg)
     a_s, _ = build_star_normalized(hg)
-    assert np.array_equal(ops.d_c, np.asarray(a_c.sum(axis=1)).ravel())
-    assert np.max(np.abs(ops.d_s_bar - np.asarray(a_s.sum(axis=1)).ravel())) <= 1e-12
+    assert np.array_equal(by_node(ops, ops.d_c), np.asarray(a_c.sum(axis=1)).ravel())
+    assert np.max(np.abs(by_node(ops, ops.d_s_bar) - np.asarray(a_s.sum(axis=1)).ravel())) <= 1e-12
     assert np.array_equal(ops.d_tilde, 1.5 * ops.d_c + 0.5 * ops.d_s_bar + 1.0)
 
 
@@ -399,7 +407,7 @@ def test_operators_store_no_more_than_the_incidence(seed):
     rng = rng_for(12 + seed)
     hg = random_hypergraph(rng, 30, 12, smin=4, smax=10)
     ops = build_expansion_operators(hg, 1.0, 2.0)
-    assert ops.b is hg.incidence
+    assert np.array_equal(ops.b.toarray(), hg.incidence.toarray()[ops.linked][:, edge_class_order(hg)])
     sparse = [v for v in vars(ops).values() if hasattr(v, "nnz")]
     assert len(sparse) == 1
     assert all(v.nnz <= hg.incidence.nnz for v in sparse)
@@ -408,23 +416,20 @@ def test_operators_store_no_more_than_the_incidence(seed):
 def test_linked_lists_the_nodes_in_some_hyperedge_and_their_operators():
     hg = Hypergraph.from_edges(7, [[1, 4], [6, 4, 2]])
     ops = build_expansion_operators(hg, 1.0, 0.5)
-    linked, isolated, lo = ops.linked
+    linked, isolated = ops.linked, ops.isolated
     # classes (d_c, d_s_bar): (3, 1) holds 2 and 6, then (2, 1) holds 1 and (5, 2) holds 4
-    assert linked.tolist() == class_order(ops) == [2, 6, 1, 4] and isolated.tolist() == [0, 3, 5]
-    assert lo.classes.tolist() == [0, 2, 3, 4] and ops.classes is None
+    assert linked.tolist() == class_order(hg) == [2, 6, 1, 4] and isolated.tolist() == [0, 3, 5]
+    assert ops.classes.tolist() == [0, 2, 3, 4] and ops.n == 7
     # the edges by size class: one class of size 2, then one of size 3
-    edges = edge_class_order(ops)
-    assert edges == [0, 1] and lo.edge_classes.tolist() == [0, 1, 2] and ops.edge_classes is None
+    edges = edge_class_order(hg)
+    assert edges == [0, 1] and ops.edge_classes.tolist() == [0, 1, 2]
     assert np.array_equal(np.sort(np.concatenate([linked, isolated])), np.arange(7))
-    assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked][:, edges])
-    assert lo.b.has_canonical_format
-    for name in ("d_c", "d_s_bar", "d_tilde"):
-        assert np.array_equal(getattr(lo, name), getattr(ops, name)[linked]), name
-    assert np.array_equal(lo.d_h, ops.d_h[edges]) and (lo.lambda0, lo.lambda1) == (1.0, 0.5)
-    assert ops.linked is ops.linked
-    # the linked operators, which carry classes, are in their own order
-    rows, none, same = lo.linked
-    assert rows.tolist() == list(range(4)) and none.size == 0 and same is lo
+    assert np.array_equal(ops.b.toarray(), hg.incidence.toarray()[linked][:, edges])
+    assert ops.b.has_canonical_format
+    d_c = hg.incidence @ hg.edge_sizes
+    for name, node_order in (("d_c", d_c), ("d_s_bar", hg.node_degrees), ("d_tilde", d_c + 0.5 * hg.node_degrees + 1.0)):
+        assert np.array_equal(getattr(ops, name), node_order[linked]), name
+    assert np.array_equal(ops.d_h, hg.edge_sizes[edges]) and (ops.lambda0, ops.lambda1) == (1.0, 0.5)
 
 
 def test_linked_orders_the_edges_by_size_class():
@@ -434,14 +439,36 @@ def test_linked_orders_the_edges_by_size_class():
     orders = []
     for lambdas in ((1.0, 0.5), (0.0, 2.0)):
         ops = build_expansion_operators(hg, *lambdas)
-        linked, _, lo = ops.linked
-        edges = edge_class_order(ops)
-        assert edges == [1, 3, 0, 2, 4] and lo.edge_classes.tolist() == [0, 2, 4, 5]
-        assert np.array_equal(lo.b.toarray(), hg.incidence.toarray()[linked][:, edges])
-        assert lo.b.has_canonical_format and lo.b.indices.dtype == hg.incidence.indices.dtype
-        assert lo.d_h.tolist() == [2.0, 2.0, 3.0, 3.0, 4.0] and hg.edge_sizes.tolist() == [3.0, 2.0, 3.0, 2.0, 4.0]
-        orders.append((linked.tolist(), lo.b.toarray().tolist()))
+        linked = ops.linked
+        edges = edge_class_order(hg)
+        assert edges == [1, 3, 0, 2, 4] and ops.edge_classes.tolist() == [0, 2, 4, 5]
+        assert np.array_equal(ops.b.toarray(), hg.incidence.toarray()[linked][:, edges])
+        assert ops.b.has_canonical_format and ops.b.indices.dtype == hg.incidence.indices.dtype
+        assert ops.d_h.tolist() == [2.0, 2.0, 3.0, 3.0, 4.0] and hg.edge_sizes.tolist() == [3.0, 2.0, 3.0, 2.0, 4.0]
+        orders.append((linked.tolist(), ops.b.toarray().tolist()))
     assert orders[0] == orders[1]  # the order depends on B alone
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degree_classes_by_one_integer_key_keep_the_order_of_the_pairs(seed):
+    # the degree class key is one exact integer per (d_c, d_s_bar) pair; on sets whose
+    # pairs collide under d_c + d_s_bar and under d_c alone, the linked order and the
+    # class offsets are those of np.unique over the pairs
+    rng = rng_for(40 + seed)
+    n = 60
+    hg = Hypergraph.from_edges(n, [rng.choice(n - 5, size=int(rng.integers(1, 7)), replace=False) for _ in range(50)])
+    d_c = hg.incidence @ hg.edge_sizes
+    linked = np.flatnonzero(d_c)
+    pairs = np.stack((d_c[linked], hg.node_degrees[linked]), axis=1)
+    _, cls, sizes = np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+    cls = cls.ravel()
+    for naive in (pairs.sum(axis=1), pairs[:, 0]):
+        assert np.unique(naive).size < sizes.size
+    assert sizes.max() >= 3
+    ops = build_expansion_operators(hg, 1.0, 1.0)
+    assert np.array_equal(ops.linked, linked[np.lexsort((cls, -sizes[cls]))])
+    assert np.array_equal(ops.classes, np.concatenate(([0], np.cumsum(np.sort(sizes)[::-1]))))
+    assert ops.linked.tolist() == class_order(hg) and ops.isolated.size >= 5
 
 
 @pytest.mark.parametrize("n, edges", [(4, [[0, 1], [1, 2]]), (3, [[0, 1, 2]]), (3, [])])
@@ -449,12 +476,13 @@ def test_linked_first_is_node_order_when_the_linked_nodes_come_first(n, edges):
     # The linked nodes are a prefix of node order: their rows come by degree class,
     # each class in node order, also with no node isolated.  With no hyperedge,
     # k = 0: the linked operators have no row and no column.
-    ops = build_expansion_operators(Hypergraph.from_edges(n, edges), 1.0, 1.0)
+    hg = Hypergraph.from_edges(n, edges)
+    ops = build_expansion_operators(hg, 1.0, 1.0)
     k = len({v for e in edges for v in e})
-    linked, isolated, lo = ops.linked
+    linked, isolated = ops.linked, ops.isolated
     assert sorted(linked.tolist()) == list(range(k)) and isolated.tolist() == list(range(k, n))
-    assert lo.b.shape == (k, len(edges)) and lo.classes[-1] == k and lo.edge_classes[-1] == len(edges)
-    assert linked.tolist() == class_order(ops)
-    for a, b in zip(lo.classes[:-1], lo.classes[1:]):
+    assert ops.b.shape == (k, len(edges)) and ops.classes[-1] == k and ops.edge_classes[-1] == len(edges)
+    assert linked.tolist() == class_order(hg)
+    for a, b in zip(ops.classes[:-1], ops.classes[1:]):
         assert np.all(np.diff(linked[a:b]) > 0)
-    assert np.array_equal(lo.b.toarray(), ops.b.toarray()[linked])
+    assert np.array_equal(ops.b.toarray(), hg.incidence.toarray()[linked][:, edge_class_order(hg)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -32,7 +33,7 @@ from helpers import (
     criterion_3_problems,
     hyperedges,
     load_workloads,
-    node_order,
+    node_order_operators,
     one_layer,
     random_hypergraph,
     random_instance,
@@ -60,7 +61,7 @@ from oracles import (
 def test_layer_collapses_to_skip_connection():
     inst = random_instance(0)
     hg, fx, y = inst["hg"], inst["fx"], inst["y"]
-    ops0 = build_expansion_operators(hg, 0.0, 0.0)
+    ops0 = node_order_operators(hg, 0.0, 0.0)
     p0 = EnergyParams.identity(inst["d"])
     out = one_layer(y, fx, ops0, p0, "simple", 1.0)
     assert np.array_equal(out, prox_nonneg(fx))
@@ -96,7 +97,7 @@ def test_layer_shape_validation():
 def test_messagepassing_single_isolated_node():
     hg = Hypergraph.from_edges(1, [[0]])
     # remove the only edge's influence by zero weights: update is the skip connection
-    ops = build_expansion_operators(hg, 0.0, 0.0)
+    ops = node_order_operators(hg, 0.0, 0.0)
     p = EnergyParams.identity(2)
     y = np.array([[-1.0, 2.0]])
     fx = np.array([[4.0, -8.0]])
@@ -117,7 +118,7 @@ def test_messagepassing_matches_matrix_layer(h_noise):
 def test_messagepassing_identity_pair_only_matches_simple():
     inst = random_instance(55, n=7, m=4, alpha=0.5)
     hg = inst["hg"]
-    ops = build_expansion_operators(hg, 2.0, 0.0)
+    ops = node_order_operators(hg, 2.0, 0.0)
     p = EnergyParams.identity(inst["d"])
     got = messagepassing_layer(inst["y"], inst["fx"], ops, p, inst["alpha"])
     want = one_layer(inst["y"], inst["fx"], ops, p, "simple", inst["alpha"])
@@ -131,7 +132,7 @@ def test_positive_fixed_point_of_simple_layer():
     rng = rng_for(3)
     hg = random_hypergraph(rng, 10, 6)
     l0, l1 = 0.8, 1.3
-    ops = build_expansion_operators(hg, l0, l1)
+    ops = node_order_operators(hg, l0, l1)
     d = 3
     y_star = 1.0 + rng.random((10, d))  # strictly positive target
     l_c = sp.diags(ops.d_c) - build_clique(hg)[0]
@@ -202,7 +203,7 @@ def test_forward_trivial_config_is_mlp():
 def test_forward_energy_nonincreasing_within_bound():
     inst = random_instance(5, n=15, m=8, alpha=0.5)
     ops, fx = inst["ops"], inst["fx"]
-    alpha = 0.9 * step_bound_simple(ops).value
+    alpha = 0.9 * step_bound_simple(inst["linked_ops"]).value
     params = EnergyParams.identity(inst["d"])
     prop = Propagation(ops, params, "simple", alpha)
     y = prox_nonneg(fx)
@@ -248,8 +249,8 @@ def test_descent_trace_ends_at_forward(variant, monkeypatch):
     assert calls[0] == len(rows) == len(iterates) + 1 == 4
     assert binds[0] == 1
     # the trace runs on the linked nodes alone
-    assert np.array_equal(iterates[-1], y[ops.linked[0]])
-    want = energy_and_grad(y, fx, ops, model.params, variant).smooth
+    assert np.array_equal(iterates[-1], y[ops.linked])
+    want = energy_and_grad(y, fx, node_order_operators(ds.hypergraph, 1.0, 0.5), model.params, variant).smooth
     assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
 
 
@@ -280,7 +281,8 @@ def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant,
     rows = descent_trace(ds.features, model, ops)
     fx = model.predictor.apply(ds.features)
     assert fx.shape == (16, 3)
-    prop = Propagation(ops, model.params, variant, cfg.alpha)
+    ref = node_order_operators(hg, 1.5, 0.7)
+    prop = Propagation(ref, model.params, variant, cfg.alpha)
     ys = [fx]
     for _ in range(cfg.t_layers):
         ys.append(layer(ys[-1], prop.c * fx, prop))
@@ -288,7 +290,7 @@ def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant,
     for row, y in zip(rows, ys):
         summed = energy_bruteforce(y, z_star(hg, y), fx, hg, model.params, 0.75, 0.7).smooth
         assert abs(row["energy"] - summed) <= 1e-10 * max(1.0, abs(summed))
-        norm = float(np.linalg.norm(energy_and_grad(y, fx, ops, model.params, variant).grad))
+        norm = float(np.linalg.norm(energy_and_grad(y, fx, ref, model.params, variant).grad))
         assert abs(row["grad_norm"] - norm) <= 1e-12 * norm
         assert row["feasible"] == bool(np.min(y) >= 0.0)
     # Fx = X with one negative entry, in node 0: the first row is infeasible
@@ -322,7 +324,7 @@ def test_descent_trace_recomputed_from_the_checkpoint(variant, tmp_path):
     assert rows == metrics.energy_trace
     y, _ = forward(ds.features, loaded, ops)
     fx = loaded.predictor.apply(ds.features)
-    want = energy_and_grad(y, fx, ops, loaded.params, variant).smooth
+    want = energy_and_grad(y, fx, node_order_operators(ds.hypergraph, 1.0, 0.5), loaded.params, variant).smooth
     assert abs(rows[-1]["energy"] - want) <= 1e-12 * abs(want)
 
 
@@ -330,7 +332,8 @@ def test_descent_trace_recomputed_from_the_checkpoint(variant, tmp_path):
 
 
 def isolated_first_problem(t_layers=3):
-    """A general model on a hypergraph whose nodes 0, 1, 5, 9 and 13 are in no hyperedge."""
+    """A general model on a hypergraph whose nodes 0, 1, 5, 9 and 13 are in no hyperedge,
+    with inputs and labels: ``(x, labels, model, ops, ref)``, ``ref`` the node-order reference."""
     rng = rng_for(61)
     n, d = 14, 5
     hg = Hypergraph.from_edges(n, [[2, 3, 4], [4, 6, 7], [8, 10], [2, 11, 12], [6, 12], [3]])
@@ -340,7 +343,8 @@ def isolated_first_problem(t_layers=3):
     model.params.h1 += 0.2 * rng.standard_normal((d, d))
     x = rng.standard_normal((n, 4)) + 0.5
     labels = rng.integers(0, 3, n)
-    return x, labels, model, build_expansion_operators(hg, cfg.lambda0, cfg.lambda1)
+    lambdas = cfg.lambda0, cfg.lambda1
+    return x, labels, model, build_expansion_operators(hg, *lambdas), node_order_operators(hg, *lambdas)
 
 
 def node_order_pass(x, model, ops):
@@ -354,9 +358,9 @@ def node_order_pass(x, model, ops):
 
 
 @pytest.mark.parametrize("masked", [False, True])
-def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked, monkeypatch):
-    x, labels, model, ops = isolated_first_problem()
-    linked, isolated, _ = ops.linked
+def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked):
+    x, labels, model, ops, ref = isolated_first_problem()
+    linked, isolated = ops.linked, ops.isolated
     assert sorted(linked.tolist()) == [2, 3, 4, 6, 7, 8, 10, 11, 12] and isolated.tolist() == [0, 1, 5, 9, 13]
     rows = np.arange(0, x.shape[0], 2)
     rng = rng_for(62)
@@ -364,7 +368,7 @@ def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked,
     if masked:
         masks = ((rng.random(x.shape) > 0.3) / 0.7, (rng.random((x.shape[0], model.config.d)) > 0.3) / 0.7)
 
-    def taped():
+    def taped(ops):
         tape = Tape()
         logits = build_taped_logits(tape, model, ops, x, *masks)
         loss = tape.softmax_cross_entropy(logits, labels[rows], rows)
@@ -375,32 +379,31 @@ def test_general_pass_on_isolated_nodes_first_equals_the_node_order_pass(masked,
         return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
     y, logits = forward(x, model, ops)
-    y_ref, logits_ref = node_order_pass(x, model, ops)
+    y_ref, logits_ref = node_order_pass(x, model, ref)
     assert close(y[linked], y_ref[linked]) and close(logits[linked], logits_ref[linked])
     # isolated rows are ReLU(Fx) in closed form; the loop's recurrence ends within ulps of it
     fx = y_node_wise = model.predictor.apply(x)
     assert np.array_equal(y[isolated], np.maximum(fx[isolated], 0.0))
     assert np.max(np.abs(y[isolated] - y_ref[isolated])) <= 1e-15 * np.max(np.abs(y_ref[isolated]))
     for _ in range(model.config.t_layers):
-        y_node_wise = messagepassing_layer(y_node_wise, fx, ops, model.params, model.config.alpha)
+        y_node_wise = messagepassing_layer(y_node_wise, fx, ref, model.params, model.config.alpha)
     assert np.max(np.abs(y - y_node_wise)) <= 1e-12 * np.max(np.abs(y))
-    got_logits, got_loss, got = taped()
+    got_logits, got_loss, got = taped(ops)
     trace = descent_trace(x, model, ops)
-    node_order(monkeypatch)
-    want_logits, want_loss, want = taped()
+    want_logits, want_loss, want = taped(ref)
     if not masked:
         assert close(got_logits[linked], logits_ref[linked])
     assert close(got_logits[linked], want_logits[linked]) and abs(got_loss - want_loss) <= 1e-13 * abs(want_loss)
     # sums over nodes, taken over the linked and the isolated rows apart
     for name in ("predictor.w0", "predictor.b0", "classifier.w", "classifier.b", "h0", "h1"):
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * np.max(np.abs(want[name])), name
-    for row, ref in zip(trace, descent_trace(x, model, ops)):
-        assert abs(row["energy"] - ref["energy"]) <= 1e-12 * abs(ref["energy"])
-        assert abs(row["grad_norm"] - ref["grad_norm"]) <= 1e-12 * ref["grad_norm"]
+    for row, want_row in zip(trace, descent_trace(x, model, ref)):
+        assert abs(row["energy"] - want_row["energy"]) <= 1e-12 * abs(want_row["energy"])
+        assert abs(row["grad_norm"] - want_row["grad_norm"]) <= 1e-12 * want_row["grad_norm"]
 
 
 def test_general_gradients_on_isolated_nodes_first_match_finite_differences():
-    x, labels, model, ops = isolated_first_problem()
+    x, labels, model, ops, _ = isolated_first_problem()
     rows = np.arange(x.shape[0])
 
     def build(params):
@@ -414,16 +417,15 @@ def test_general_gradients_on_isolated_nodes_first_match_finite_differences():
 
 
 def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
-    x, _, model, ops = isolated_first_problem(t_layers=2)
+    x, _, model, ops, _ = isolated_first_problem(t_layers=2)
     d = model.config.d
-    linked = int(np.count_nonzero(ops.d_c))
+    linked = ops.linked.size
     shapes = record_dgemm(monkeypatch)
     forward(x, model, ops)
     assert shapes == [((d, d), (d, linked))] * (2 * 2)
-    # a layer and its adjoint on the linked operators hold the linked rows alone
-    rows, _, lo = ops.linked
-    prop = Propagation(lo, model.params, "general", model.config.alpha)
-    fx = model.predictor.apply(x)[rows]
+    # a layer and its adjoint on the operators hold the linked rows alone
+    prop = Propagation(ops, model.params, "general", model.config.alpha)
+    fx = model.predictor.apply(x)[ops.linked]
     shapes.clear()
     kept = []
     layer(fx, prop.c * fx, prop, kept)
@@ -435,11 +437,11 @@ def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
 def test_isolated_nodes_end_at_the_relu_of_their_base_prediction():
     # a node in no hyperedge has the energy term ||y_i - f_i||^2 alone: its
     # minimiser over y_i >= 0 is ReLU(f_i), a fixed point of every layer
-    x, _, model, ops = isolated_first_problem(t_layers=6)
+    x, _, model, ops, _ = isolated_first_problem(t_layers=6)
     y, _ = forward(x, model, ops)
     fx = model.predictor.apply(x)
-    isolated = ops.d_c == 0
-    assert isolated.sum() == 5 and (fx[isolated] < 0.0).any() and (fx[isolated] > 0.0).any()
+    isolated = ops.isolated
+    assert isolated.size == 5 and (fx[isolated] < 0.0).any() and (fx[isolated] > 0.0).any()
     assert np.max(np.abs(y[isolated] - np.maximum(fx[isolated], 0.0))) <= 1e-12 * max(1.0, np.abs(fx).max())
 
 
@@ -448,7 +450,8 @@ def isolated_third_problem(seed=71, n=60, d=16, t_layers=3):
 
     With ``d = 16``, three classes and 42 linked nodes, a BLAS product's last
     rows can differ by the row count: the classifier must be applied alike by
-    ``forward`` and the taped pass."""
+    ``forward`` and the taped pass.  Returns ``(x, labels, model, ops, ref)``, ``ref``
+    the node-order reference."""
     rng = rng_for(seed)
     isolated = np.sort(rng.choice(n, size=int(0.3 * n), replace=False))
     linked = rng.permutation(np.setdiff1d(np.arange(n), isolated))
@@ -460,16 +463,17 @@ def isolated_third_problem(seed=71, n=60, d=16, t_layers=3):
     model.params.h1 += 0.2 * rng.standard_normal((d, d))
     x = rng.standard_normal((n, 6))
     labels = rng.integers(0, 3, n)
-    ops = build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
-    assert np.array_equal(ops.linked[1], isolated) and isolated[0] < linked.max()
-    return x, labels, model, ops
+    hg = Hypergraph.from_edges(n, edges)
+    ops = build_expansion_operators(hg, cfg.lambda0, cfg.lambda1)
+    assert np.array_equal(ops.isolated, isolated) and isolated[0] < linked.max()
+    return x, labels, model, ops, node_order_operators(hg, cfg.lambda0, cfg.lambda1)
 
 
 def test_general_passes_give_the_isolated_rows_the_relu_of_their_base_prediction(monkeypatch):
     import phenomnn.model as model_mod
 
-    x, _, model, ops = isolated_third_problem()
-    linked, isolated, _ = ops.linked
+    x, _, model, ops, ref = isolated_third_problem()
+    linked, isolated = ops.linked, ops.isolated
     fx = model.predictor.apply(x)
     relu = np.maximum(fx[isolated], 0.0)
     assert (fx[isolated] < 0.0).any() and (fx[isolated] > 0.0).any()
@@ -494,7 +498,7 @@ def test_general_passes_give_the_isolated_rows_the_relu_of_their_base_prediction
         y_t[linked] = y_linked
         if t:
             y_t[isolated] = relu
-        want = energy_and_grad(y_t, fx, ops, model.params, "general")
+        want = energy_and_grad(y_t, fx, ref, model.params, "general")
         assert abs(row["energy"] - want.smooth) <= 1e-12 * abs(want.smooth), t
         norm = float(np.linalg.norm(want.grad))
         assert abs(row["grad_norm"] - norm) <= 1e-12 * norm, t
@@ -512,7 +516,7 @@ def test_passes_run_on_a_hypergraph_with_no_hyperedge(variant):
     rng = rng_for(74)
     x, labels = rng.standard_normal((n, 4)), rng.integers(0, 3, n)
     ops = build_expansion_operators(Hypergraph.from_edges(n, []), 1.0, 1.0)
-    assert ops.linked[0].size == 0
+    assert ops.linked.size == 0 and ops.b.shape == (0, 0)
     fx = model.predictor.apply(x)
     relu = np.maximum(fx, 0.0)
     y, logits = forward(x, model, ops)
@@ -531,7 +535,7 @@ def test_passes_run_on_a_hypergraph_with_no_hyperedge(variant):
 
 
 def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_differences():
-    x, labels, model, ops = isolated_third_problem(d=4)
+    x, labels, model, ops, _ = isolated_third_problem(d=4)
     rows = np.arange(0, x.shape[0], 2)
     masks = [(rng_for(72).random(shape) > 0.3) / 0.7 for shape in (x.shape, (x.shape[0], 4))]
 
@@ -545,12 +549,67 @@ def test_general_gradients_with_a_third_of_the_nodes_isolated_match_finite_diffe
     assert report["max_rel_err"] <= 1e-5
 
 
+@pytest.mark.parametrize("variant", ["simple", "general"])
+@pytest.mark.parametrize("rows", [7, 3], ids=["too-many-rows", "too-few-rows"])
+def test_passes_reject_features_of_the_wrong_height(variant, rows):
+    # 7 rows on 5 nodes would give 7 rows of logits, two of them never written, and
+    # 3 rows an IndexError: each pass names both counts before it computes anything
+    hg = Hypergraph.from_edges(5, [[0, 1, 2], [2, 3]])
+    cfg = ModelConfig(variant=variant, t_layers=2, d=3, alpha=0.4, lambda0=1.0, lambda1=0.5)
+    model = init_model(cfg, 4, 2, seed=75)
+    ops = build_expansion_operators(hg, 1.0, 0.5)
+    x = rng_for(75).standard_normal((rows, 4))
+    message = f"the features have {rows} rows but the hypergraph has 5 nodes"
+    for run in (lambda: forward(x, model, ops), lambda: build_taped_logits(Tape(), model, ops, x),
+                lambda: descent_trace(x, model, ops)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_every_kernel_is_built_and_applied_on_the_linked_rows(monkeypatch):
+    # forward, the taped pass and its backward, descent_trace and both step bounds
+    # build each kernel on the k linked rows and apply it to k-row arrays: with
+    # nodes isolated, no kernel of n rows exists
+    bind, kernel = Propagation._bind, Propagation.kernel
+    built, applied = [], []
+
+    def recording_bind(self, *args):
+        bind(self, *args)
+        built.append((self.c.shape[0], *self.fwd[0].shape[:1], *self.adj[0].shape[:1]))
+
+    def recording_kernel(self, v, *factors):
+        applied.append(v.shape[0])
+        return kernel(self, v, *factors)
+
+    monkeypatch.setattr(Propagation, "_bind", recording_bind)
+    monkeypatch.setattr(Propagation, "kernel", recording_kernel)
+    x, labels, general, ops, _ = isolated_third_problem()
+    k, n = ops.linked.size, ops.n
+    assert k == 42 < n == 60
+    simple = init_model(dataclasses.replace(general.config, variant="simple"), x.shape[1], 3, seed=76)
+    for model in (simple, general):
+        forward(x, model, ops)
+        tape = Tape()
+        backward(tape, tape.softmax_cross_entropy(build_taped_logits(tape, model, ops, x), labels, np.arange(n)))
+        descent_trace(x, model, ops)
+    assert step_bound_simple(ops).certificate == "rank"  # an isolated node: no kernel
+    assert step_bound_general(ops, general.params).eig.iterations > 0
+    assert len(built) == 2 * 3 + 1 and set(built) == {(k, k, k)}
+    assert len(applied) > len(built) and set(applied) == {k}
+    # the simple solve, on a set with m >= n and no isolated node, runs on its k = n rows
+    built.clear(), applied.clear()
+    ops = build_expansion_operators(Hypergraph.from_edges(6, [[i, j] for i in range(6) for j in range(i)]), 1.0, 0.5)
+    assert step_bound_simple(ops).eig.iterations > 0
+    assert built == [(6, 6, 6)] and set(applied) == {6}
+
+
 # -- general layers by degree class ------------------------------------------------------
 
 
 def class_problem(n, edges, rng, seed, variant="general"):
     """A model at ``d = 32`` and two layers on the hypergraph of ``edges``, with inputs
-    and labels: ``(x, labels, model, ops)``.  A general model's ``H0``, ``H1`` are noisy."""
+    and labels: ``(x, labels, model, ops, ref)``, ``ref`` the node-order reference.  A
+    general model's ``H0``, ``H1`` are noisy."""
     d = 32
     cfg = ModelConfig(variant=variant, t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
     model = init_model(cfg, 6, 3, seed=seed)
@@ -559,7 +618,8 @@ def class_problem(n, edges, rng, seed, variant="general"):
         model.params.h1 += 0.2 * rng.standard_normal((d, d))
     x = rng.standard_normal((n, 6)) + 0.3
     labels = rng.integers(0, 3, n)
-    return x, labels, model, build_expansion_operators(Hypergraph.from_edges(n, edges), cfg.lambda0, cfg.lambda1)
+    hg, lambdas = Hypergraph.from_edges(n, edges), (cfg.lambda0, cfg.lambda1)
+    return x, labels, model, build_expansion_operators(hg, *lambdas), node_order_operators(hg, *lambdas)
 
 
 def degree_class_problem(isolated_share, seed=81, variant="general"):
@@ -614,13 +674,13 @@ def assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain):
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
 def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share):
-    x, _, model, ops = degree_class_problem(isolated_share)
-    linked, isolated, lo = ops.linked
-    assert isolated.size == ops.n - 263 and lo.classes.tolist() == [0, 96, 160, 223, 263]
-    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    x, _, model, ops, _ = degree_class_problem(isolated_share)
+    linked, isolated = ops.linked, ops.isolated
+    assert isolated.size == ops.n - 263 and ops.classes.tolist() == [0, 96, 160, 223, 263]
+    prop = Propagation(ops, model.params, "general", model.config.alpha)
     # a class of 64 rows takes its own product, one of 63 goes to the tail
     assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 96), (96, 160)] and prop.tail == 160
-    for a, b in zip(lo.classes[:-1], lo.classes[1:]):
+    for a, b in zip(ops.classes[:-1], ops.classes[1:]):
         for name in ("c", "ca", "cb"):
             col = getattr(prop, name)[a:b]
             assert np.array_equal(col, np.full_like(col, col[0, 0])), name
@@ -628,29 +688,29 @@ def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share)
         assert ca == prop.ca[rows.start, 0] and cb == prop.cb[rows.start, 0]
         assert np.array_equal(mg, mg.T)
     # one layer and its adjoint, against the same kernel with every row in the tail
-    plain = Propagation(lo, model.params, "general", model.config.alpha)
+    plain = Propagation(ops, model.params, "general", model.config.alpha)
     plain.classes, plain.tail = [], 0
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
 def test_edge_size_classes_of_the_threshold_take_their_own_products(isolated_share):
-    x, _, model, ops = edge_class_problem(isolated_share)
-    linked, isolated, lo = ops.linked
-    assert isolated.size == ops.n - 357 and lo.classes.tolist() == [0, 189, 317, 357]
-    assert lo.edge_classes.tolist() == [0, 64, 127, 143] and np.all(np.diff(lo.d_h) >= 0)
-    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    x, _, model, ops, _ = edge_class_problem(isolated_share)
+    linked, isolated = ops.linked, ops.isolated
+    assert isolated.size == ops.n - 357 and ops.classes.tolist() == [0, 189, 317, 357]
+    assert ops.edge_classes.tolist() == [0, 64, 127, 143] and np.all(np.diff(ops.d_h) >= 0)
+    prop = Propagation(ops, model.params, "general", model.config.alpha)
     assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 189), (189, 317)] and prop.tail == 317
     # a class of 64 edges takes its own product, one of 63 goes to the edge tail
     assert [(r.start, r.stop) for r, *_ in prop.edge_classes] == [(0, 64)] and prop.edge_tail == 64
-    for a, b in zip(lo.edge_classes[:-1], lo.edge_classes[1:]):
+    for a, b in zip(ops.edge_classes[:-1], ops.edge_classes[1:]):
         col = prop.e[a:b]
         assert np.array_equal(col, np.full_like(col, col[0, 0]))
     for rows, e_s, ns in prop.edge_classes:
         assert e_s == prop.e[rows.start, 0] == model.config.lambda1 / 2.0
         assert np.array_equal(ns, ns.T)
     # one layer and its adjoint, against the same kernel with every edge in the edge tail
-    plain = Propagation(lo, model.params, "general", model.config.alpha)
+    plain = Propagation(ops, model.params, "general", model.config.alpha)
     plain.edge_classes, plain.edge_tail = [], 0
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
     # the adjoint against the oracle that reads P, whose reductions mirror the per-class Z_s
@@ -666,11 +726,10 @@ def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
     # no size class reaches the threshold: the edge-side product is, bit for bit,
     # P M0 + e * (P M1) on every edge in one expression, and its arrays take no
     # more memory at their peak than that expression's temporaries
-    x, _, model, ops = degree_class_problem(0.3)
-    linked, _, lo = ops.linked
-    prop = Propagation(lo, model.params, "general", model.config.alpha)
+    x, _, model, ops, _ = degree_class_problem(0.3)
+    prop = Propagation(ops, model.params, "general", model.config.alpha)
     assert prop.classes and prop.edge_classes == [] and prop.edge_tail == 0
-    fx = model.predictor.apply(x)[linked]
+    fx = model.predictor.apply(x)[ops.linked]
     g = rng_for(85).standard_normal(fx.shape)
     # the adjoint's reductions are the oracle's P^T S and P^T (e * S) on every edge
     kept, kept_oracle = [], []
@@ -694,13 +753,13 @@ def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
         assert got_peak <= want_peak, (got_peak, want_peak)
 
 
-def assert_pass_matches_the_node_order_pass(problem, monkeypatch):
+def assert_pass_matches_the_node_order_pass(problem):
     """``forward``, the taped logits, loss and gradients and ``descent_trace`` on the
-    linked operators within 1e-13 of the same passes in node order."""
-    x, labels, model, ops = problem
+    operators within 1e-13 of the same passes on the node-order reference."""
+    x, labels, model, ops, ref = problem
     rows = np.arange(0, x.shape[0], 2)
 
-    def passes():
+    def passes(ops):
         tape = Tape()
         logits = build_taped_logits(tape, model, ops, x)
         loss = tape.softmax_cross_entropy(logits, labels[rows], rows)
@@ -710,14 +769,13 @@ def assert_pass_matches_the_node_order_pass(problem, monkeypatch):
     def close(a, b, rtol=1e-13):
         return np.max(np.abs(np.asarray(a) - b)) <= rtol * np.max(np.abs(b))
 
-    (y, logits), taped, loss, grads, trace = passes()
+    (y, logits), taped, loss, grads, trace = passes(ops)
     assert np.array_equal(taped, logits)
     y_node_wise = fx = model.predictor.apply(x)
     for _ in range(model.config.t_layers):
-        y_node_wise = messagepassing_layer(y_node_wise, fx, ops, model.params, model.config.alpha)
+        y_node_wise = messagepassing_layer(y_node_wise, fx, ref, model.params, model.config.alpha)
     assert close(y, y_node_wise, 1e-12)
-    node_order(monkeypatch)
-    (y_ref, logits_ref), taped_ref, loss_ref, grads_ref, trace_ref = passes()
+    (y_ref, logits_ref), taped_ref, loss_ref, grads_ref, trace_ref = passes(ref)
     assert close(y, y_ref) and close(logits, logits_ref) and close(taped, taped_ref)
     assert abs(loss - loss_ref) <= 1e-13 * abs(loss_ref)
     for name in grads_ref:
@@ -728,26 +786,26 @@ def assert_pass_matches_the_node_order_pass(problem, monkeypatch):
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
-def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share, monkeypatch):
-    assert_pass_matches_the_node_order_pass(degree_class_problem(isolated_share), monkeypatch)
+def test_general_pass_by_degree_class_equals_the_node_order_pass(isolated_share):
+    assert_pass_matches_the_node_order_pass(degree_class_problem(isolated_share))
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
-def test_general_pass_by_edge_size_class_equals_the_node_order_pass(isolated_share, monkeypatch):
-    assert_pass_matches_the_node_order_pass(edge_class_problem(isolated_share), monkeypatch)
+def test_general_pass_by_edge_size_class_equals_the_node_order_pass(isolated_share):
+    assert_pass_matches_the_node_order_pass(edge_class_problem(isolated_share))
 
 
-def test_simple_pass_on_the_linked_nodes_equals_the_node_order_pass(monkeypatch):
-    x, _, model, ops = problem = degree_class_problem(0.3, variant="simple")
-    isolated = ops.linked[1]
+def test_simple_pass_on_the_linked_nodes_equals_the_node_order_pass():
+    x, _, model, ops, _ = problem = degree_class_problem(0.3, variant="simple")
+    isolated = ops.isolated
     assert isolated.size == ops.n - 263
     y, _ = forward(x, model, ops)
     assert np.array_equal(y[isolated], np.maximum(model.predictor.apply(x)[isolated], 0.0))
-    assert_pass_matches_the_node_order_pass(problem, monkeypatch)
+    assert_pass_matches_the_node_order_pass(problem)
 
 
 def assert_gradients_match_finite_differences(problem):
-    x, labels, model, ops = problem
+    x, labels, model, ops, _ = problem
     rows = np.arange(0, x.shape[0], 2)
 
     def build(params):
@@ -773,7 +831,7 @@ def dgemm_calls_in_depth(problem, calls, one_layer, adjoint):
     """Check the ``dgemm`` calls, recorded into ``calls``, of ``forward`` and of the
     taped pass and its backward at several depths: ``one_layer`` per layer and
     ``adjoint`` per layer's adjoint, so that ``count(2T) - count(T) = T count(one layer)``."""
-    x, labels, model, ops = problem
+    x, labels, model, ops, _ = problem
     rows = np.arange(x.shape[0])
 
     def count(t_layers, taped):
@@ -820,9 +878,8 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
 
     def layer_and_adjoint(x, model, ops):
         """The daxpy lengths of one layer of ``model``; its adjoint makes the same calls."""
-        rows, _, ops = ops.linked
         prop = Propagation(ops, model.params, model.config.variant, model.config.alpha)
-        fx = model.predictor.apply(x)[rows]
+        fx = model.predictor.apply(x)[ops.linked]
         kept = []
         calls.clear()
         layer(fx, prop.c * fx, prop, kept)
@@ -835,18 +892,18 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
     rng = rng_for(87)
     ids = rng.permutation(229)
     edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:160], [96])) for e in block.reshape(-1, size)]
-    x, _, model, ops = class_problem(229, edges, rng, 87)
-    assert ops.linked[2].classes.tolist() == [0, 96, 160]
+    x, _, model, ops, _ = class_problem(229, edges, rng, 87)
+    assert ops.classes.tolist() == [0, 96, 160]
     assert layer_and_adjoint(x, model, ops) == []
     # the tail of 103 rows after the classes of 96 and 64
-    x, _, model, ops = degree_class_problem(0.3)
+    x, _, model, ops, ref = degree_class_problem(0.3)
     assert layer_and_adjoint(x, model, ops) == [103 * d]
     # the simple kernel on the 263 linked rows, in a layer and in each layer of a pass,
     # which keeps a k x d mask per layer and makes no dgemm; on node-order operators,
     # one daxpy on every node
     cfg = ModelConfig(variant="simple", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
     simple = init_model(cfg, 6, 3, seed=86)
-    k = ops.linked[0].size
+    k = ops.linked.size
     assert k == 263 < ops.n
     assert layer_and_adjoint(x, simple, ops) == [k * d]
     shapes = record_dgemm(monkeypatch)
@@ -855,9 +912,7 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
     forward(x, simple, ops, kept=kept)
     assert calls == [k * d] * cfg.t_layers and shapes == []
     assert [(mask.shape, mask.dtype) for mask, in kept["layers"]] == [((k, d), np.bool_)] * cfg.t_layers
-    with monkeypatch.context() as patch:
-        node_order(patch)
-        assert layer_and_adjoint(x, simple, ops) == [ops.n * d]
+    assert layer_and_adjoint(x, simple, ref) == [ops.n * d]
     # the step bounds, each with its eigenvalue solve: no node is isolated and m >= n
     ops = build_expansion_operators(Hypergraph.from_edges(6, [[i, j] for i in range(6) for j in range(i)]), 1.0, 0.5)
     calls.clear()
@@ -909,7 +964,8 @@ def test_step_bound_simple_unconverged_uses_zero_sigma(monkeypatch):
 
     # m >= n and no isolated node, so K is not known to be singular
     inst = random_instance(9, n=12, m=12)
-    ops = inst["ops"]
+    ops = inst["linked_ops"]
+    assert ops.isolated.size == 0
     stuck = EigenResult(value=0.5, residual=1e-3, converged=False, iterations=5000)
     monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: stuck)
     got = step_bound_simple(ops)
@@ -939,17 +995,19 @@ def test_step_bound_simple_singular_needs_no_solve(monkeypatch, n, edges):
 
 
 def _dense_general_bound(hg, ops, params):
-    """Step bound from the materialised curvature operator (row-major vec of V)."""
+    """Step bound from the materialised curvature operator (row-major vec of V) over every
+    node, at the weights of ``ops``."""
     d = params.d
     s = 0.5 * ops.lambda0
     g0, s0 = params.h0 @ params.h0.T, params.h0 + params.h0.T
     g1, s1 = params.h1 @ params.h1.T, params.h1 + params.h1.T
-    a_c, a_s = build_clique(hg)[0].toarray(), build_star_normalized(hg)[0].toarray()
-    op = s * (np.kron(np.diag(ops.d_c), g0.T) - np.kron(a_c, s0.T))
-    op += ops.lambda1 * (np.kron(np.diag(ops.d_s_bar), g1.T) - np.kron(a_s, s1.T) + np.kron(a_s, np.eye(d)))
+    (a_c, d_c), (a_s, d_s) = build_clique(hg), build_star_normalized(hg)
+    a_c, a_s = a_c.toarray(), a_s.toarray()
+    op = s * (np.kron(np.diag(d_c), g0.T) - np.kron(a_c, s0.T))
+    op += ops.lambda1 * (np.kron(np.diag(d_s), g1.T) - np.kron(a_s, s1.T) + np.kron(a_s, np.eye(d)))
     sigma_max = float(np.linalg.eigvalsh((op + op.T) / 2.0)[-1])
-    numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
-    return numer / (1.0 + s * ops.d_c.min() + sigma_max)
+    numer = 1.0 + ops.lambda0 * d_c.min() + ops.lambda1 * d_s.min()
+    return numer / (1.0 + s * d_c.min() + sigma_max)
 
 
 @pytest.mark.parametrize("seed", [9202, 9208])
@@ -979,10 +1037,10 @@ def test_step_bound_general_unconverged_uses_lift(monkeypatch):
     from phenomnn.linalg import EigenResult
 
     inst = random_instance(7, n=6, m=4, d=3, h_noise=0.2)
-    ops, params = inst["ops"], inst["params"]
+    ops, params = inst["ops"], inst["params"]  # ops: the node-order reference, for its degrees
     stuck = EigenResult(value=0.5, residual=1e-3, converged=False, iterations=5000)
     monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: stuck)
-    got = step_bound_general(ops, params)
+    got = step_bound_general(inst["linked_ops"], params)
     s = 0.5 * ops.lambda0
 
     def norm(m):
@@ -1000,7 +1058,7 @@ def test_step_bound_general_unconverged_uses_lift(monkeypatch):
 
 def test_step_bound_general_sigma_matches_dense_operator():
     inst = random_instance(7, n=6, m=4, d=3, h_noise=0.2)
-    ops, params = inst["ops"], inst["params"]
+    ops, params = inst["ops"], inst["params"]  # ops: the node-order reference, for its degrees
     n, d = 6, 3
     s = 0.5 * ops.lambda0
     h0g, h0s = params.h0 @ params.h0.T, params.h0 + params.h0.T
@@ -1015,7 +1073,7 @@ def test_step_bound_general_sigma_matches_dense_operator():
 
     dense = np.column_stack([apply(col) for col in np.eye(n * d)])
     sigma_max = float(np.linalg.eigvalsh((dense + dense.T) / 2.0)[-1])
-    got = step_bound_general(ops, params)
+    got = step_bound_general(inst["linked_ops"], params)
     assert abs(got.sigma - sigma_max) <= 1e-8
     numer = 1.0 + ops.lambda0 * ops.d_c.min() + ops.lambda1 * ops.d_s_bar.min()
     denom = 1.0 + s * ops.d_c.min() + sigma_max
@@ -1040,7 +1098,7 @@ def test_step_bound_general_solves_on_the_linked_rows(monkeypatch, seed, isolate
     n, d = 30, 3
     hg = hypergraph_with_isolated_nodes(rng, n, isolated, 60)
     ops = build_expansion_operators(hg, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
-    k = int(np.count_nonzero(ops.d_c))
+    k = ops.linked.size
     assert (k == n) == (isolated == 0) and k <= n - isolated
     params = EnergyParams(np.eye(d) + 0.2 * rng.standard_normal((d, d)), np.eye(d) + 0.2 * rng.standard_normal((d, d)))
     sizes, solve = [], model_mod.extreme_eigenvalue
@@ -1076,11 +1134,12 @@ def test_step_bound_general_takes_zero_over_a_negative_ritz_value_when_a_node_is
     import phenomnn.model as model_mod
     from phenomnn.linalg import EigenResult
 
-    ops = build_expansion_operators(Hypergraph.from_edges(n, [[0, 1], [1, 2], [0, 2]]), 1.0, 0.5)
+    hg = Hypergraph.from_edges(n, [[0, 1], [1, 2], [0, 2]])
     ritz = EigenResult(value=-0.3, residual=1e-3, converged=True, iterations=5)
     monkeypatch.setattr(model_mod, "extreme_eigenvalue", lambda *args, **kwargs: ritz)
-    got = step_bound_general(ops, EnergyParams.identity(2))
+    got = step_bound_general(build_expansion_operators(hg, 1.0, 0.5), EnergyParams.identity(2))
     sigma = -0.3 + 1e-3 if n == 3 else 0.0
+    ops = node_order_operators(hg, 1.0, 0.5)  # the degrees of every node
     numer = 1.0 + ops.lambda0 * float(ops.d_c.min()) + ops.lambda1 * float(ops.d_s_bar.min())
     assert got.sigma == sigma and got.certificate == "lanczos" and got.eig is ritz
     assert got.value == numer / (1.0 + 0.5 * ops.lambda0 * float(ops.d_c.min()) + sigma)
@@ -1090,7 +1149,7 @@ def criterion_3_and_benchmark_bound_problems(monkeypatch):
     """``(ops, params, bounds)``: the 20 hypergraphs of the criterion-3 test with its
     compatibility matrices and both bounds, then the benchmark's three graphs with
     the initial model and the bound each workload times."""
-    for ops, h0, h1, _ in criterion_3_problems():
+    for _, ops, h0, h1, _ in criterion_3_problems():
         yield ops, EnergyParams(h0, h1), ("simple", "general")
     workloads = load_workloads(monkeypatch)
     for w in workloads.WORKLOADS.values():
@@ -1135,7 +1194,7 @@ def test_monotone_descent_both_variants():
         rng = inst["rng"]
         fx = rng.standard_normal((40, 6))
 
-        bound = step_bound_general(ops, params)
+        bound = step_bound_general(inst["linked_ops"], params)
         prop = Propagation(ops, params, "general", 0.9 * bound.value)
         y = prox_nonneg(fx)
         prev = energy_and_grad(y, fx, ops, params, "general").smooth
@@ -1145,7 +1204,7 @@ def test_monotone_descent_both_variants():
             assert e <= prev + 1e-9 * abs(prev)
             prev = e
 
-        alpha = 0.9 * step_bound_simple(ops).value
+        alpha = 0.9 * step_bound_simple(inst["linked_ops"]).value
         ps = EnergyParams.identity(6)
         prop = Propagation(ops, ps, "simple", alpha)
         y = prox_nonneg(fx)
@@ -1163,7 +1222,7 @@ def test_fixed_point_approach_and_uniqueness():
         ops = inst["ops"]
         rng = inst["rng"]
         fx = rng.standard_normal((30, 4))
-        alpha = 0.9 * step_bound_simple(ops).value
+        alpha = 0.9 * step_bound_simple(inst["linked_ops"]).value
         prop = Propagation(ops, EnergyParams.identity(4), "simple", alpha)
 
         def run(y0, steps=5000, tol=1e-12):
