@@ -47,7 +47,6 @@ CONFIG_DEFAULTS = {
     "lambda1": 1.0,
     "alpha": 0.1,
     "prop_step": 16,
-    "strict_alpha": False,
     "epochs": 200,
     "seed": 0,
     "patience": 100,
@@ -119,7 +118,6 @@ def model_config(cfg: dict) -> ModelConfig:
         alpha=float(cfg["alpha"]),
         lambda0=float(cfg["lambda0"]),
         lambda1=float(cfg["lambda1"]),
-        strict_alpha=cfg["strict_alpha"],
     )
 
 
@@ -317,12 +315,15 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, preset: bool = True, seed_and_out: bool = True) -> None:
+    """Add the config flags, less those the subcommand would not read: ``--preset``, ``--seed`` and ``--out``."""
     p.add_argument("--config", help="path to a JSON run config")
-    p.add_argument("--preset", help="name of a shipped preset")
+    if preset:
+        p.add_argument("--preset", help="name of a shipped preset")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
-    p.add_argument("--seed", type=int, help="seed for all randomness")
-    p.add_argument("--out", help="output directory")
+    if seed_and_out:
+        p.add_argument("--seed", type=int, help="seed for all randomness")
+        p.add_argument("--out", help="output directory")
     p.add_argument("--data", help="dataset directory")
 
 
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
-    _add_common(p)
+    _add_common(p, preset=False, seed_and_out=False)  # presets hold no key eval reads
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.set_defaults(func=cmd_eval)
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_gradients)
 
     p = sub.add_parser("step-bound", help="print the convergence step-size bound")
-    _add_common(p)
+    _add_common(p, seed_and_out=False)  # the bound is taken at H0 = H1 = I
     p.add_argument("--hypergraph", help="hypergraph file (alternative to --data)")
     p.set_defaults(func=cmd_step_bound)
 

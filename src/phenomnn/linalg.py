@@ -31,15 +31,18 @@ class EigenResult:
     iterations: int
 
 
-# Convergence is checked after each of the first CHECK_EVERY_UP_TO operator
-# applications, then after every k // CHECK_SPACING more.  A check solves the
-# k x k tridiagonal: about 80 us at k = 50 (a 32,000-long operator application
-# takes about 600 us), but 3.5 ms at k = 5,000.
+# A solve stops unconverged after MAX_APPLICATIONS operator applications, and
+# converges on a residual of TOL relative to its Ritz value (see extreme_eigenvalue).
+# Convergence is checked after each of the first CHECK_EVERY_UP_TO applications,
+# then after every k // CHECK_SPACING more: a check solves the k x k tridiagonal,
+# cheap at small k and costly at large k (timings: CHANGES.md).
+MAX_APPLICATIONS = 5000
+TOL = 1e-10
 CHECK_EVERY_UP_TO = 32
 CHECK_SPACING = 8
 
 
-def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 5000, tol: float = 1e-10) -> EigenResult:
+def extreme_eigenvalue(apply, size: int, which: str = "max") -> EigenResult:
     """Largest (``which="max"``) or smallest (``"min"``) eigenvalue of a symmetric operator.
 
     ``apply`` maps a vector of length ``size`` to the operator applied to it.
@@ -53,13 +56,9 @@ def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 5000, 
     and the estimate is taken on Paige's (1980) result that a Ritz value with
     a small estimate lies that close to an eigenvalue, up to rounding of the
     size of ``eps ||A||``.  The solve stops, converged, on ARPACK's test
-    ``residual <= tol * max(eps^(2/3), |theta|)``, or unconverged after
-    ``iters`` applications, reporting the last Ritz value and estimate.
+    ``residual <= TOL * max(eps^(2/3), |theta|)``, or unconverged after
+    ``MAX_APPLICATIONS`` applications, reporting the last Ritz value and estimate.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
     v = np.random.Generator(np.random.PCG64(0)).standard_normal(size)
@@ -68,7 +67,7 @@ def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 5000, 
     alphas, betas = [], []
     floor = np.finfo(np.float64).eps ** (2.0 / 3.0)
     beta, check = 0.0, 1
-    for k in range(1, iters + 1):
+    for k in range(1, MAX_APPLICATIONS + 1):
         w = np.asarray(apply(v), dtype=np.float64)
         alphas.append(float(v @ w))
         r *= -beta
@@ -76,14 +75,14 @@ def extreme_eigenvalue(apply, size: int, which: str = "max", iters: int = 5000, 
         daxpy(v, r, a=-alphas[-1])
         beta = float(np.linalg.norm(r))
         # beta = 0 is an invariant subspace: its residual is 0 and the Ritz value exact
-        if k == check or k == iters or beta == 0.0:
+        if k == check or k == MAX_APPLICATIONS or beta == 0.0:
             i = k - 1 if which == "max" else 0
             theta, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(i, i))
             theta, residual = float(theta[0]), beta * abs(float(s[-1, 0]))
-            if residual <= tol * max(floor, abs(theta)):
+            if residual <= TOL * max(floor, abs(theta)):
                 return EigenResult(theta, residual, True, k)
             check = k + (1 if k < CHECK_EVERY_UP_TO else k // CHECK_SPACING)
         betas.append(beta)
         r /= beta
         r, v = v, r
-    return EigenResult(theta, residual, False, iters)
+    return EigenResult(theta, residual, False, MAX_APPLICATIONS)

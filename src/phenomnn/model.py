@@ -73,9 +73,6 @@ class ModelConfig:
 
     This is the one home of ``alpha``; a model runs only on operators built for
     its ``(lambda0, lambda1)``.
-    ``strict_alpha`` makes run setup reject an ``alpha`` above the computed
-    convergence bound for the variant; by default the configured value is
-    trusted (preset tables are empirical).
     """
 
     variant: str
@@ -84,7 +81,6 @@ class ModelConfig:
     alpha: float
     lambda0: float
     lambda1: float
-    strict_alpha: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -562,7 +558,8 @@ def load_checkpoint(path) -> Model:
     naming ``path`` and, for an array, its key.
 
     Earlier files also hold ``config.relu_mode``; ``"every_step"`` is the layer
-    this package runs, and any other value is rejected."""
+    this package runs, and any other value is rejected.  They may hold
+    ``config.strict_alpha`` too, a boolean that is checked and dropped."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
@@ -572,6 +569,7 @@ def load_checkpoint(path) -> Model:
         relu_mode = config.pop("relu_mode", "every_step")
         if relu_mode != "every_step":
             raise ValueError(f"relu_mode {relu_mode!r} is not supported; every layer applies the ReLU")
+        check_config_value("strict_alpha", config.pop("strict_alpha", False), bool)
         kinds = typing.get_type_hints(ModelConfig)
         for key, value in config.items():
             if kinds.get(key) in _KIND_NAMES:

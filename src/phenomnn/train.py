@@ -32,8 +32,6 @@ from .model import (
     descent_trace,
     forward,
     init_model,
-    step_bound_general,
-    step_bound_simple,
 )
 
 __all__ = [
@@ -198,13 +196,6 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
     model = init_model(
         model_config, dataset.features.shape[1], dataset.n_classes, seed=train_config.seed
     )
-    if model_config.strict_alpha:
-        simple = model_config.variant == "simple"
-        bound = step_bound_simple(ops) if simple else step_bound_general(ops, model.params)
-        if model_config.alpha >= bound.value:
-            raise ValueError(
-                f"alpha={model_config.alpha} violates the convergence bound {bound.value:.6g}"
-            )
 
     params = model.parameters()
     state = AdamState.for_params(params)

@@ -147,6 +147,39 @@ def record_daxpy(monkeypatch):
     return calls
 
 
+class _CountedFactor:
+    """A sparse factor of a ``Propagation`` whose ``@`` products are logged as ``nnz * d``,
+    ``d`` the dense operand's column count (1 for a vector); it reads as the factor otherwise."""
+
+    def __init__(self, matrix, log):
+        self.matrix, self.log = matrix, log
+
+    def __matmul__(self, v):
+        self.log.append(self.matrix.nnz * (v.shape[1] if v.ndim == 2 else 1))
+        return self.matrix @ v
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
+def count_sparse_products(monkeypatch):
+    """Wrap the ``fwd`` and ``adj`` factors of every ``Propagation`` built from now on in
+    proxies, and return the list they append ``nnz * d`` to, one entry per sparse product.
+
+    These are the kernel's two products, ``B^T V`` and the left factor's, and
+    the general adjoint's ``P = B^T Y``."""
+    import phenomnn.energy as energy_mod
+
+    products, bind = [], energy_mod.Propagation._bind
+
+    def counted(self, *args):
+        bind(self, *args)
+        self.fwd, self.adj = (tuple(_CountedFactor(f, products) for f in pair) for pair in (self.fwd, self.adj))
+
+    monkeypatch.setattr(energy_mod.Propagation, "_bind", counted)
+    return products
+
+
 def criterion_3_problems():
     """The 20 seeded problems of the criterion-3 acceptance test, each as
     ``(hg, ops, h0, h1, fx)``: a random hypergraph and its operators, noisy

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import pytest
 
 from phenomnn import cli
 from phenomnn.cli import main
-from phenomnn.data import load_dataset
+from phenomnn.data import load_dataset, make_splits
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -363,17 +364,18 @@ def test_unknown_config_key_rejected(synthetic_dir, capsys):
 
 @pytest.mark.parametrize("key, value", [("relu_mode", "every_step"), ("optimizer", "adam"),
                                         ("dropout_inputs", "true"), ("dropout_features", "true"),
-                                        ("weight_decay", "0.001")])
+                                        ("weight_decay", "0.001"), ("strict_alpha", "false")])
 def test_removed_config_keys_are_unknown(synthetic_dir, capsys, key, value):
     # one layer (ReLU at every step), one optimizer (Adam) without weight decay,
-    # and both dropout masks whenever dropout > 0: none of these is a key any longer
+    # both dropout masks whenever dropout > 0, and no check of alpha against the
+    # sufficient step bounds: none of these is a key any longer
     rc = main(["train", "--data", synthetic_dir, "--set", f"{key}={value}"])
     assert rc == 1
     assert f"--set: unknown config keys ['{key}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("strict_alpha=False", "config key 'strict_alpha' must be true or false, got 'False'"),
+    ("resplit=False", "config key 'resplit' must be true or false, got 'False'"),
     ("resplit=1", "config key 'resplit' must be true or false, got 1"),
     ("hidden=true", "config key 'hidden' must be an integer, got True"),
     ("prop_step=2.5", "config key 'prop_step' must be an integer, got 2.5"),
@@ -433,19 +435,57 @@ def test_range_error_names_the_config_key(synthetic_dir, capsys, key):
     assert f"(the config key '{key}')" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("strict, rc", [("false", 0), ("true", 1)])
-def test_strict_alpha_takes_json_booleans(synthetic_dir, tmp_path, capsys, strict, rc):
-    # alpha=1.5 lies above the simple bound of at most 1
-    got = main(["train", "--data", synthetic_dir, "--out", str(tmp_path / "run"), "--set", f"strict_alpha={strict}",
-                "--set", "alpha=1.5", "--set", "epochs=1", "--set", "prop_step=2", "--set", "hidden=4"])
-    assert got == rc
-    assert ("violates the convergence bound" in capsys.readouterr().err) == (rc == 1)
+@pytest.mark.parametrize("resplit, splits", [("false", 0), ("true", 1)])
+def test_resplit_takes_json_booleans(synthetic_dir, tmp_path, monkeypatch, resplit, splits):
+    # the string "false" would read as true: only the JSON true draws new splits
+    calls = []
+
+    def counted(n, seed):
+        calls.append(n)
+        return make_splits(n, seed=seed)
+
+    monkeypatch.setattr(cli, "make_splits", counted)
+    got = main(["train", "--data", synthetic_dir, "--out", str(tmp_path / "run"), "--set", f"resplit={resplit}",
+                "--set", "epochs=1", "--set", "prop_step=2", "--set", "hidden=4"])
+    assert got == 0
+    assert len(calls) == splits
 
 
 def test_unknown_flag_is_error(toy_hypergraph):
     with pytest.raises(SystemExit) as exc:
         main(["step-bound", "--hypergraph", toy_hypergraph, "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--out"), ("eval", "--seed"), ("eval", "--preset"), ("step-bound", "--out"), ("step-bound", "--seed"),
+])
+def test_flags_a_subcommand_would_not_read_are_unrecognized(synthetic_dir, tmp_path, capsys, command, flag):
+    # eval reads no seed, writes nothing, and no preset key; the step bound is taken at H0 = H1 = I
+    out = tmp_path / "d"
+    value = {"--out": str(out), "--seed": "5", "--preset": "cora_coauthorship_simple"}[flag]
+    given = ["--checkpoint", str(tmp_path / "ck.json")] if command == "eval" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", synthetic_dir, *given, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_subcommand_takes_its_flags():
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in p._actions for f in a.option_strings if f != "-h"}
+             for name, p in subcommands.choices.items()}
+    common = {"--help", "--config", "--preset", "--set", "--seed", "--out", "--data"}
+    assert flags == {
+        "train": common | {"--repeats", "--parallel"},
+        "eval": common - {"--preset", "--seed", "--out"} | {"--checkpoint", "--split"},
+        "energy-trace": common | {"--steps"},
+        "check-gradients": common | {"--samples", "--step"},
+        "step-bound": common - {"--seed", "--out"} | {"--hypergraph"},
+        "gen-synthetic": {"--help", "--out", "--seed", "--communities", "--nodes-per-community", "--edges",
+                          "--edge-size-min", "--edge-size-max", "--p-intra", "--feature-dim", "--noise-std"},
+    }
 
 
 def test_preset_loading(synthetic_dir, tmp_path):

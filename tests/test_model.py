@@ -30,6 +30,7 @@ from phenomnn.model import (
 )
 from phenomnn.train import TrainConfig, train
 from helpers import (
+    count_sparse_products,
     criterion_3_problems,
     hyperedges,
     load_workloads,
@@ -432,6 +433,45 @@ def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
     layer_vjp(rng_for(63).standard_normal((linked, d)), prop, kept)
     assert shapes == [((d, d), (d, linked))] * 4
     assert prop.scratch.shape == (linked, d)
+
+
+@pytest.mark.parametrize("t_layers", [1, 16])
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_sparse_products_per_pass(monkeypatch, variant, t_layers):
+    # a layer's kernel makes two sparse products of nnz(B) * d each, B^T V and the
+    # left factor's, and so does its adjoint; a general adjoint rebuilds P = B^T Y
+    # with a third; the trace runs the kernel once per iterate
+    x, labels, model, ops, _ = isolated_third_problem(t_layers=t_layers)
+    if variant == "simple":
+        model = init_model(dataclasses.replace(model.config, variant="simple"), x.shape[1], 3, seed=76)
+    products, t, work = count_sparse_products(monkeypatch), t_layers, ops.b.nnz * model.config.d
+    forward(x, model, ops)
+    assert products == [work] * 2 * t
+    products.clear()
+    tape = Tape()
+    loss = tape.softmax_cross_entropy(build_taped_logits(tape, model, ops, x), labels, np.arange(x.shape[0]))
+    assert products == [work] * 2 * t
+    products.clear()
+    backward(tape, loss)
+    assert products == [work] * (3 if variant == "general" else 2) * t
+    for steps in (0, 5):
+        products.clear()
+        descent_trace(x, model, ops, steps)
+        assert products == [work] * 2 * (steps + 1)
+
+
+def test_step_bounds_make_two_sparse_products_per_operator_application(monkeypatch):
+    x, _, model, ops, _ = isolated_third_problem()
+    products = count_sparse_products(monkeypatch)
+    bound = step_bound_general(ops, model.params)
+    assert bound.eig.iterations > 0
+    assert products == [ops.b.nnz * model.config.d] * 2 * bound.eig.iterations
+    products.clear()
+    # the simple solve, on a set with m >= n and no isolated node, applies K to vectors
+    ops = build_expansion_operators(Hypergraph.from_edges(6, [[i, j] for i in range(6) for j in range(i)]), 1.0, 0.5)
+    bound = step_bound_simple(ops)
+    assert bound.eig.iterations > 0
+    assert products == [ops.b.nnz] * 2 * bound.eig.iterations
 
 
 def test_isolated_nodes_end_at_the_relu_of_their_base_prediction():
@@ -1312,6 +1352,19 @@ def test_checkpoint_with_every_step_relu_mode_loads_the_same_model(tmp_path):
     assert forward(ds.features, loaded, ops)[1].tobytes() == forward(ds.features, model, ops)[1].tobytes()
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_checkpoint_with_strict_alpha_loads_the_same_model(tmp_path, strict):
+    # earlier files hold strict_alpha, a setting of run setup alone: it is checked and dropped
+    ds, model, path = _earlier_checkpoint(tmp_path, "every_step")
+    payload = json.loads(path.read_text())
+    payload["config"]["strict_alpha"] = strict
+    path.write_text(json.dumps(payload))
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
+    assert forward(ds.features, loaded, ops)[1].tobytes() == forward(ds.features, model, ops)[1].tobytes()
+
+
 def test_checkpoint_with_end_only_relu_mode_is_rejected(tmp_path):
     # the every-step layer would give other logits than the model was trained with
     _, _, path = _earlier_checkpoint(tmp_path, "end_only")
@@ -1372,12 +1425,3 @@ def test_checkpoint_with_a_non_finite_value_names_the_file_and_key(tmp_path, var
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == f"{path}: {key} holds a non-finite value"
-
-
-def test_strict_alpha_rejects_oversized_step():
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=12))
-    cfg = ModelConfig(
-        variant="simple", t_layers=2, d=4, alpha=5.0, lambda0=1.0, lambda1=1.0, strict_alpha=True
-    )
-    with pytest.raises(ValueError, match="bound"):
-        train(ds, cfg, TrainConfig(lr=0.01, epochs=1, seed=0))
