@@ -2,11 +2,15 @@
 
 Configuration is a flat JSON object whose keys mirror the preset tables
 (``lr``, ``dropout``, ``hidden``, ``lambda0``, ``lambda1``, ``alpha``,
-``prop_step``, ...).  Precedence: built-in defaults, then ``--preset``, then
-``--config``, then repeated ``--set key=value`` overrides, then explicit
-flags such as ``--seed``.  Unknown keys are rejected, and so is a value not
-of its key's type: a boolean key takes ``true`` or ``false``, an integer key
-an integer, a float key a finite number.  The seed must be at least 0.
+``prop_step``, ...).  Each key but ``dataset`` and ``resplit`` is a field of
+``ModelConfig`` or ``TrainConfig`` and takes that field's default and type;
+three keys differ from their field's name (``_KEYS``).  Precedence: the
+defaults, then ``--preset``, then ``--config``, then repeated ``--set
+key=value`` overrides, then explicit flags such as ``--seed``.  Unknown keys
+are rejected, and so is a value not of its key's type: a boolean key takes
+``true`` or ``false``, an integer key an integer, a float key a finite
+number.  The seed must be at least 0.  ``--set`` takes only a key that its
+subcommand reads; a preset or a ``--config`` file may hold any key.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from importlib import resources
 
 import numpy as np
@@ -37,21 +42,21 @@ from .model import (
 )
 from .train import TrainConfig, evaluate, train
 
-CONFIG_DEFAULTS = {
-    "dataset": None,
-    "variant": "simple",
-    "lr": 0.01,
-    "dropout": 0.0,
-    "hidden": 64,
-    "lambda0": 1.0,
-    "lambda1": 1.0,
-    "alpha": 0.1,
-    "prop_step": 16,
-    "epochs": 200,
-    "seed": 0,
-    "patience": 100,
-    "resplit": False,
-}
+# by field name, the config keys that differ from it; every other field's key is its name
+_KEYS = {"d": "hidden", "t_layers": "prop_step", "early_stop_patience": "patience"}
+
+
+def _fields(cls) -> dict:
+    """``{config key: (field name, type, default)}`` of ``ModelConfig`` or ``TrainConfig``."""
+    kinds = typing.get_type_hints(cls)
+    return {_KEYS.get(f.name, f.name): (f.name, kinds[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+_FIELDS = {**_fields(ModelConfig), **_fields(TrainConfig)}
+CONFIG_DEFAULTS = {"dataset": None, **{key: default for key, (_, _, default) in _FIELDS.items()}, "resplit": False}
+_KINDS = {"resplit": bool, **{key: kind for key, (_, kind, _) in _FIELDS.items()}}
+# what a subcommand that builds an untrained model reads
+_MODEL_KEYS = {"dataset", *_fields(ModelConfig)}
 
 
 def _reject_unknown(keys, origin: str) -> None:
@@ -61,10 +66,10 @@ def _reject_unknown(keys, origin: str) -> None:
 
 
 def _check_types(cfg: dict) -> None:
-    """Each boolean, integer or float key takes a value of its default's type (a float key also
+    """Each boolean, integer or float key takes a value of its field's type (a float key also
     takes an int), and the seed is at least 0."""
     for key, value in cfg.items():
-        kind = type(CONFIG_DEFAULTS[key])
+        kind = _KINDS.get(key)
         if kind in (bool, int, float):
             check_config_value(key, value, kind)
     if cfg["seed"] < 0:
@@ -80,55 +85,46 @@ def load_preset(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def resolve_config(args) -> dict:
+def resolve_config(args, reads=CONFIG_DEFAULTS) -> dict:
+    """The run config of ``args``; ``--set`` may name only a key in ``reads``, those the subcommand reads."""
     cfg = dict(CONFIG_DEFAULTS)
-    if getattr(args, "preset", None):
+    if args.preset:
         preset = load_preset(args.preset)
         _reject_unknown(preset, f"preset {args.preset}")
         cfg.update(preset)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             user = json.load(f)
         if not isinstance(user, dict):
             raise ValueError(f"{args.config}: a config must be a JSON object, got {type(user).__name__}")
         _reject_unknown(user, args.config)
         cfg.update(user)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         _reject_unknown([key], "--set")
+        if key not in reads:
+            raise ValueError(f"--set: {args.command} does not read config key {key!r}")
         try:
             cfg[key] = json.loads(raw)
         except json.JSONDecodeError:
             cfg[key] = raw
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "data", None):
+    if args.data:
         cfg["dataset"] = args.data
     _check_types(cfg)
     return cfg
 
 
-def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        variant=cfg["variant"],
-        t_layers=cfg["prop_step"],
-        d=cfg["hidden"],
-        alpha=float(cfg["alpha"]),
-        lambda0=float(cfg["lambda0"]),
-        lambda1=float(cfg["lambda1"]),
-    )
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        lr=float(cfg["lr"]),
-        dropout=float(cfg["dropout"]),
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        early_stop_patience=cfg["patience"],
-    )
+def _config(cls, cfg: dict):
+    """``ModelConfig`` or ``TrainConfig`` from the config's values.  A float field takes
+    ``float(value)``, so a preset's JSON integer is written to a checkpoint as a float."""
+    values = {}
+    for key, (name, kind, _) in _fields(cls).items():
+        values[name] = float(cfg[key]) if kind is float else cfg[key]
+    return cls(**values)
 
 
 def _need_dataset(cfg: dict):
@@ -160,13 +156,11 @@ def cmd_train(args) -> int:
     repeats = args.repeats
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
+    if args.parallel is not None and args.parallel < 1:
+        raise ValueError(f"--parallel must be at least 1, got {args.parallel}")
     cfg = resolve_config(args)
     # every value, and the dataset, is loaded and checked before the output directory is made
-    mc, tc = model_config(cfg), train_config(cfg)
-    if args.parallel and repeats > 1:
-        threads = os.environ.get("PHENOMNN_THREADS", str(os.cpu_count() or 1))
-        if not threads.isdecimal() or int(threads) < 1:
-            raise ValueError(f"PHENOMNN_THREADS must be a positive integer, got {threads!r}")
+    mc, tc = _config(ModelConfig, cfg), _config(TrainConfig, cfg)
     dataset = _need_dataset(cfg)
     out = _out_dir(args)
     if repeats == 1:
@@ -182,8 +176,7 @@ def cmd_train(args) -> int:
     if args.parallel:
         import multiprocessing as mp
 
-        workers = min(repeats, int(threads))
-        with mp.Pool(workers) as pool:
+        with mp.Pool(min(repeats, args.parallel)) as pool:
             results = pool.starmap(_run_summary, [(dataset, *run) for run in runs])
     else:
         results = [_run_summary(dataset, *run) for run in runs]
@@ -201,8 +194,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    dataset = _need_dataset(cfg)
+    dataset = load_dataset(args.data)
     model = load_checkpoint(args.checkpoint)
     width, have = model.predictor.w.shape[0], dataset.features.shape[1]
     if have != width:
@@ -218,9 +210,9 @@ def cmd_eval(args) -> int:
 def cmd_energy_trace(args) -> int:
     if args.steps is not None and args.steps < 0:
         raise ValueError(f"--steps must be at least 0, got {args.steps}")
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, _MODEL_KEYS | {"seed"})
     dataset = _need_dataset(cfg)
-    mc = model_config(cfg)
+    mc = _config(ModelConfig, cfg)
     ops = build_expansion_operators(dataset.hypergraph, mc.lambda0, mc.lambda1)
     model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=cfg["seed"])
     rows = descent_trace(dataset.features, model, ops, args.steps)
@@ -238,14 +230,14 @@ def cmd_energy_trace(args) -> int:
 
 
 def cmd_check_gradients(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, _MODEL_KEYS | {"seed"})
     if cfg["dataset"]:
         dataset = _need_dataset(cfg)
     else:
         dataset = generate_synthetic(
-            SyntheticSpec(nodes_per_community=12, num_edges=10, feature_dim=5, seed=cfg["seed"])
+            SyntheticSpec(nodes_per_community=12, edges=10, feature_dim=5, seed=cfg["seed"])
         )
-    mc = model_config(cfg)
+    mc = _config(ModelConfig, cfg)
     ops = build_expansion_operators(dataset.hypergraph, mc.lambda0, mc.lambda1)
     model = init_model(mc, dataset.features.shape[1], dataset.n_classes, seed=cfg["seed"])
     base = model.parameters()
@@ -270,7 +262,7 @@ def cmd_check_gradients(args) -> int:
 
 
 def cmd_step_bound(args) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, _MODEL_KEYS - {"prop_step"})
     if cfg["dataset"] and args.hypergraph:
         raise ValueError("step-bound takes --data (or the config key 'dataset') or --hypergraph, not both")
     if cfg["dataset"]:
@@ -279,7 +271,7 @@ def cmd_step_bound(args) -> int:
         hg = load_hypergraph(args.hypergraph)
     else:
         raise ValueError("step-bound needs --data or --hypergraph")
-    mc = model_config(cfg)
+    mc = _config(ModelConfig, cfg)
     ops = build_expansion_operators(hg, mc.lambda0, mc.lambda1)
     if mc.variant == "simple":
         bound = step_bound_simple(ops)
@@ -294,20 +286,9 @@ def cmd_step_bound(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {seed}")
-    spec = SyntheticSpec(
-        communities=args.communities,
-        nodes_per_community=args.nodes_per_community,
-        num_edges=args.edges,
-        edge_size_min=args.edge_size_min,
-        edge_size_max=args.edge_size_max,
-        p_intra=args.p_intra,
-        feature_dim=args.feature_dim,
-        noise_std=args.noise_std,
-        seed=seed,
-    )
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticSpec)})
     ds = generate_synthetic(spec)
     out = _out_dir(args)
     save_dataset(out, ds)
@@ -315,11 +296,10 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, preset: bool = True, seed_and_out: bool = True) -> None:
-    """Add the config flags, less those the subcommand would not read: ``--preset``, ``--seed`` and ``--out``."""
+def _add_common(p: argparse.ArgumentParser, seed_and_out: bool = True) -> None:
+    """Add the config flags, less ``--seed`` and ``--out`` where the subcommand would not read them."""
     p.add_argument("--config", help="path to a JSON run config")
-    if preset:
-        p.add_argument("--preset", help="name of a shipped preset")
+    p.add_argument("--preset", help="name of a shipped preset")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
     if seed_and_out:
         p.add_argument("--seed", type=int, help="seed for all randomness")
@@ -337,11 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
     _add_common(p)
     p.add_argument("--repeats", type=int, default=1, help="number of seeded runs")
-    p.add_argument("--parallel", action="store_true", help="run repeats in parallel processes")
+    p.add_argument("--parallel", nargs="?", type=int, const=os.cpu_count() or 1, metavar="N",
+                   help="run repeats in N parallel processes (bare: one per CPU)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
-    _add_common(p, preset=False, seed_and_out=False)  # presets hold no key eval reads
+    p.add_argument("--data", required=True, help="dataset directory")  # the checkpoint holds the rest
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.set_defaults(func=cmd_eval)
@@ -364,15 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic community dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--communities", type=int, default=2)
-    p.add_argument("--nodes-per-community", type=int, default=100)
-    p.add_argument("--edges", type=int, default=60)
-    p.add_argument("--edge-size-min", type=int, default=4)
-    p.add_argument("--edge-size-max", type=int, default=8)
-    p.add_argument("--p-intra", type=float, default=1.0)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--noise-std", type=float, default=0.5)
+    kinds = typing.get_type_hints(SyntheticSpec)
+    for f in dataclasses.fields(SyntheticSpec):  # one flag per generator setting, at its default
+        p.add_argument("--" + f.name.replace("_", "-"), type=kinds[f.name], default=f.default)
     p.set_defaults(func=cmd_gen_synthetic)
 
     return parser

@@ -46,7 +46,6 @@ __all__ = [
     "DatasetShapeMismatch",
     "UnlabeledTrainNode",
     "Dataset",
-    "dataset_paths",
     "load_dataset",
     "save_dataset",
     "make_splits",
@@ -208,19 +207,12 @@ def _read_splits(path: str) -> np.ndarray:
     return np.array(names, dtype=str)
 
 
-# the files of a dataset directory, in the order ``dataset_paths`` returns them
-DATASET_FILES = ("hypergraph.txt", "features.csv", "labels.txt", "splits.txt")
-
-
-def dataset_paths(directory) -> tuple:
-    """The paths of a dataset directory's files, in ``DATASET_FILES`` order;
-    raises ``MissingDatasetFile`` for the first that is not a file."""
-    return tuple(_require(os.path.join(str(directory), name)) for name in DATASET_FILES)
-
-
 def load_dataset(directory) -> Dataset:
-    """Load and validate a dataset directory."""
-    graph_path, features_path, labels_path, splits_path = dataset_paths(directory)
+    """Load and validate a dataset directory; ``MissingDatasetFile`` names the first
+    of its four files that is missing, before any is read."""
+    names = ("hypergraph.txt", "features.csv", "labels.txt", "splits.txt")
+    paths = [_require(os.path.join(str(directory), name)) for name in names]
+    graph_path, features_path, labels_path, splits_path = paths
     hg = load_hypergraph(graph_path)
     features = _read_features(features_path)
     labels = _read_labels(labels_path)
@@ -285,7 +277,7 @@ class SyntheticSpec:
 
     communities: int = 2
     nodes_per_community: int = 100
-    num_edges: int = 60
+    edges: int = 60
     edge_size_min: int = 4
     edge_size_max: int = 8
     p_intra: float = 1.0
@@ -316,7 +308,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     edges = []
     members = [np.flatnonzero(labels == c) for c in range(spec.communities)]
-    for _ in range(spec.num_edges):
+    for _ in range(spec.edges):
         size = int(rng.integers(spec.edge_size_min, spec.edge_size_max + 1))
         if rng.random() < spec.p_intra:
             pool = members[int(rng.integers(spec.communities))]

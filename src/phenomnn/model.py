@@ -72,15 +72,15 @@ class ModelConfig:
     """Architecture settings: variant, depth, width, step size, expansion weights.
 
     This is the one home of ``alpha``; a model runs only on operators built for
-    its ``(lambda0, lambda1)``.
+    its ``(lambda0, lambda1)``.  The defaults are the CLI's.
     """
 
-    variant: str
-    t_layers: int
-    d: int
-    alpha: float
-    lambda0: float
-    lambda1: float
+    variant: str = "simple"
+    t_layers: int = 16
+    d: int = 64
+    alpha: float = 0.1
+    lambda0: float = 1.0
+    lambda1: float = 1.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -551,11 +551,11 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file.  One that does not describe a model (a
-    missing key, a config value not of its field's type as ``check_config_value``
-    judges it, a predictor that is not one layer, array shapes that disagree
-    with ``config.d`` or with each other, a non-finite entry in any array, the
-    simple variant's unread ``h0``/``h1`` included) raises ``ValueError``
-    naming ``path`` and, for an array, its key.
+    missing key, a config field among them, a config value not of its field's
+    type as ``check_config_value`` judges it, a predictor that is not one layer,
+    array shapes that disagree with ``config.d`` or with each other, a
+    non-finite entry in any array, the simple variant's unread ``h0``/``h1``
+    included) raises ``ValueError`` naming ``path`` and, for an array, its key.
 
     Earlier files also hold ``config.relu_mode``; ``"every_step"`` is the layer
     this package runs, and any other value is rejected.  They may hold
@@ -570,10 +570,10 @@ def load_checkpoint(path) -> Model:
         if relu_mode != "every_step":
             raise ValueError(f"relu_mode {relu_mode!r} is not supported; every layer applies the ReLU")
         check_config_value("strict_alpha", config.pop("strict_alpha", False), bool)
-        kinds = typing.get_type_hints(ModelConfig)
-        for key, value in config.items():
-            if kinds.get(key) in _KIND_NAMES:
-                check_config_value(key, value, kinds[key])
+        for key, kind in typing.get_type_hints(ModelConfig).items():
+            value = config[key]  # a field's default would hide a truncated config
+            if kind in _KIND_NAMES:
+                check_config_value(key, value, kind)
         cfg = ModelConfig(**config)
         pred, head = payload["predictor"], payload["classifier"]
         layers = (len(pred["weights"]), len(pred["biases"]))

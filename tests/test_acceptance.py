@@ -124,7 +124,7 @@ def test_criterion_2_gradient_correctness():
     worst_loss = 0.0
     for variant in ("simple", "general"):
         ds = generate_synthetic(
-            SyntheticSpec(nodes_per_community=10, num_edges=12, feature_dim=4, noise_std=0.8, seed=17)
+            SyntheticSpec(nodes_per_community=10, edges=12, feature_dim=4, noise_std=0.8, seed=17)
         )
         cfg = ModelConfig(variant=variant, t_layers=3, d=6, alpha=0.4, lambda0=1.1, lambda1=0.9)
         model = init_model(cfg, 4, ds.n_classes, seed=17)
@@ -233,7 +233,7 @@ def test_criterion_5_learning_sanity():
 
     def run(noise, seed, zero_weights=False):
         spec = SyntheticSpec(
-            communities=2, nodes_per_community=100, num_edges=120, edge_size_min=4,
+            communities=2, nodes_per_community=100, edges=120, edge_size_min=4,
             edge_size_max=8, p_intra=1.0, feature_dim=8, noise_std=noise, seed=seed,
         )
         ds = generate_synthetic(spec)
@@ -281,7 +281,7 @@ def test_criterion_6_citation_benchmark_conditional():
 
 def test_criterion_7_depth_scaling():
     ds = generate_synthetic(
-        SyntheticSpec(nodes_per_community=150, num_edges=200, feature_dim=16, noise_std=1.0, seed=23)
+        SyntheticSpec(nodes_per_community=150, edges=200, feature_dim=16, noise_std=1.0, seed=23)
     )
 
     def timed(t_layers, warm=False):

@@ -26,7 +26,7 @@ from oracles import cross_entropy, layer_keeping_mask_and_p, layer_vjp_reading_p
 
 def small_problem(seed=0, variant="general", t_layers=2, noise=0.5):
     ds = generate_synthetic(
-        SyntheticSpec(nodes_per_community=8, num_edges=8, edge_size_min=2, edge_size_max=4,
+        SyntheticSpec(nodes_per_community=8, edges=8, edge_size_min=2, edge_size_max=4,
                       feature_dim=4, noise_std=noise, seed=seed)
     )
     cfg = ModelConfig(variant=variant, t_layers=t_layers, d=5, alpha=0.4, lambda0=1.2, lambda1=0.8)

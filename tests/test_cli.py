@@ -9,6 +9,8 @@ import pytest
 from phenomnn import cli
 from phenomnn.cli import main
 from phenomnn.data import load_dataset, make_splits
+from phenomnn.model import ModelConfig
+from phenomnn.train import TrainConfig
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,6 +76,7 @@ def test_eval_on_checkpoint(synthetic_dir, tmp_path, capsys):
     ("stacked-predictor", "2 weight and 2 bias arrays, not one layer"),
     ("short-bias", "predictor.b0 has shape (1,), expected (5,)"),
     ("fractional-layers", "config key 't_layers' must be an integer, got 2.5"),
+    ("no-alpha", "no key 'alpha'"),
     ("not-an-object", "not a recognized checkpoint"),
     ("nan-h0", "h0 holds a non-finite value"),
     ("infinite-classifier", "classifier.w holds a non-finite value"),
@@ -97,6 +100,8 @@ def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_pa
         pred["biases"][0] = pred["biases"][0][:1]
     elif case == "fractional-layers":
         payload["config"]["t_layers"] = 2.5
+    elif case == "no-alpha":  # not ModelConfig's default alpha
+        del payload["config"]["alpha"]
     elif case == "nan-h0":  # the simple variant never reads h0
         payload["h0"][0][0] = float("nan")
     elif case == "infinite-classifier":
@@ -180,11 +185,10 @@ def test_serial_repeats_load_the_dataset_once(synthetic_dir, tmp_path, monkeypat
         }
 
 
-def test_train_parallel_repeats(synthetic_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("PHENOMNN_THREADS", "2")
+def test_train_parallel_repeats(synthetic_dir, tmp_path):
     out = str(tmp_path / "pruns")
     rc = main(["train", "--data", synthetic_dir, "--out", out, "--seed", "0",
-               "--repeats", "2", "--parallel", "--set", "epochs=2",
+               "--repeats", "2", "--parallel", "2", "--set", "epochs=2",
                "--set", "prop_step=2", "--set", "hidden=8", "--set", "dropout=0.0"])
     assert rc == 0
     summary = json.loads((tmp_path / "pruns" / "summary.json").read_text())
@@ -192,11 +196,8 @@ def test_train_parallel_repeats(synthetic_dir, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("repeats", [["--repeats", "1"], ["--repeats", "2"], ["--repeats", "2", "--parallel"]])
-def test_train_on_a_dataset_that_fails_to_load_makes_no_output_directory(
-    synthetic_dir, tmp_path, monkeypatch, capsys, repeats
-):
+def test_train_on_a_dataset_that_fails_to_load_makes_no_output_directory(synthetic_dir, tmp_path, capsys, repeats):
     # every file is there, so only loading the dataset finds the fault
-    monkeypatch.setenv("PHENOMNN_THREADS", "2")
     path = os.path.join(synthetic_dir, "features.csv")
     with open(path) as f:
         lines = f.read().splitlines()
@@ -213,15 +214,20 @@ def test_train_on_a_dataset_that_fails_to_load_makes_no_output_directory(
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "2.5", "x", ""])
-def test_parallel_rejects_a_thread_count_that_is_not_a_positive_integer(
-    synthetic_dir, tmp_path, monkeypatch, capsys, threads
-):
-    monkeypatch.setenv("PHENOMNN_THREADS", threads)
-    rc = main(["train", "--data", synthetic_dir, "--out", str(tmp_path / "pruns"), "--repeats", "2",
-               "--parallel", "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=8"])
-    assert rc == 1
-    assert f"error: PHENOMNN_THREADS must be a positive integer, got {threads!r}" in capsys.readouterr().err
-    assert not (tmp_path / "pruns").exists()
+def test_parallel_rejects_a_thread_count_that_is_not_a_positive_integer(synthetic_dir, tmp_path, capsys, threads):
+    # 0 and -2 are integers that would start no worker; argparse rejects the others
+    out = tmp_path / "pruns"
+    argv = ["train", "--data", synthetic_dir, "--out", str(out), "--repeats", "2", "--parallel", threads,
+            "--set", "epochs=2", "--set", "prop_step=2", "--set", "hidden=8"]
+    if threads in ("0", "-2"):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --parallel must be at least 1, got {threads}\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --parallel: invalid int value: {threads!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_energy_trace_csv(synthetic_dir, capsys):
@@ -458,12 +464,15 @@ def test_unknown_flag_is_error(toy_hypergraph):
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("eval", "--out"), ("eval", "--seed"), ("eval", "--preset"), ("step-bound", "--out"), ("step-bound", "--seed"),
+    ("eval", "--out"), ("eval", "--seed"), ("eval", "--preset"), ("eval", "--set"), ("eval", "--config"),
+    ("step-bound", "--out"), ("step-bound", "--seed"),
 ])
 def test_flags_a_subcommand_would_not_read_are_unrecognized(synthetic_dir, tmp_path, capsys, command, flag):
-    # eval reads no seed, writes nothing, and no preset key; the step bound is taken at H0 = H1 = I
+    # eval reads no seed, writes nothing, and takes every setting but the dataset from the
+    # checkpoint; the step bound is taken at H0 = H1 = I
     out = tmp_path / "d"
-    value = {"--out": str(out), "--seed": "5", "--preset": "cora_coauthorship_simple"}[flag]
+    value = {"--out": str(out), "--seed": "5", "--preset": "cora_coauthorship_simple", "--set": "variant=general",
+             "--config": str(tmp_path / "run.json")}[flag]
     given = ["--checkpoint", str(tmp_path / "ck.json")] if command == "eval" else []
     with pytest.raises(SystemExit) as exc:
         main([command, "--data", synthetic_dir, *given, flag, value])
@@ -479,12 +488,46 @@ def test_each_subcommand_takes_its_flags():
     common = {"--help", "--config", "--preset", "--set", "--seed", "--out", "--data"}
     assert flags == {
         "train": common | {"--repeats", "--parallel"},
-        "eval": common - {"--preset", "--seed", "--out"} | {"--checkpoint", "--split"},
+        "eval": {"--help", "--data", "--checkpoint", "--split"},
         "energy-trace": common | {"--steps"},
         "check-gradients": common | {"--samples", "--step"},
         "step-bound": common - {"--seed", "--out"} | {"--hypergraph"},
         "gen-synthetic": {"--help", "--out", "--seed", "--communities", "--nodes-per-community", "--edges",
                           "--edge-size-min", "--edge-size-max", "--p-intra", "--feature-dim", "--noise-std"},
+    }
+
+
+def test_eval_needs_a_dataset_directory(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", str(tmp_path / "ck.json")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("step-bound", "prop_step", 2), ("step-bound", "seed", 3), ("step-bound", "lr", 0.5),
+    ("energy-trace", "epochs", 7), ("energy-trace", "resplit", True), ("check-gradients", "dropout", 0.5),
+])
+def test_set_rejects_a_key_the_subcommand_does_not_read(synthetic_dir, tmp_path, capsys, command, key, value):
+    # the bound is taken at H0 = H1 = I and reads no depth or seed; nothing but train trains
+    rc = main([command, "--data", synthetic_dir, "--set", "hidden=4", "--set", f"{key}={json.dumps(value)}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --set: {command} does not read config key {key!r}\n"
+    # a config file, like a preset, may hold the whole run's keys
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    extra = ["--samples", "4"] if command == "check-gradients" else []
+    assert main([command, "--data", synthetic_dir, "--set", "hidden=4", "--config", str(path), *extra]) == 0
+
+
+def test_run_settings_default_to_the_published_values():
+    assert ModelConfig() == ModelConfig("simple", 16, 64, 0.1, 1.0, 1.0)
+    assert TrainConfig() == TrainConfig(0.01, 0.0, 200, 0, 100)
+    assert cli.CONFIG_DEFAULTS == {
+        "dataset": None, "variant": "simple", "prop_step": 16, "hidden": 64, "alpha": 0.1, "lambda0": 1.0,
+        "lambda1": 1.0, "lr": 0.01, "dropout": 0.0, "epochs": 200, "seed": 0, "patience": 100, "resplit": False,
     }
 
 

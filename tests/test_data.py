@@ -177,7 +177,7 @@ def test_files_numpy_turns_away_load_as_the_line_reader_reads_them(tmp_path, nam
 def test_numpy_read_equals_the_line_read(tmp_path):
     # a line of one form feed is blank to the line reader and sends each file
     # to it; the C reader must give the same arrays bit for bit
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=30, num_edges=20, seed=4))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=30, edges=20, seed=4))
     save_dataset(tmp_path / "fast", ds)
     save_dataset(tmp_path / "slow", ds)
     for name in ("features.csv", "labels.txt", "splits.txt"):
@@ -282,7 +282,7 @@ def test_synthetic_intra_fraction_matches_expectation():
     # expected single-community fraction: p + (1-p) * q, where q comes from a
     # hypergeometric count over uniform edges, evaluated per edge size
     spec = SyntheticSpec(
-        communities=2, nodes_per_community=50, num_edges=100, edge_size_min=3,
+        communities=2, nodes_per_community=50, edges=100, edge_size_min=3,
         edge_size_max=3, p_intra=0.5, feature_dim=4, seed=0,
     )
     n = 100
@@ -295,7 +295,7 @@ def test_synthetic_intra_fraction_matches_expectation():
         single = sum(1 for e in hyperedges(ds.hypergraph) if len(set(ds.labels[e])) == 1)
         fractions.append(single / ds.hypergraph.m)
     measured = np.mean(fractions)
-    sigma = math.sqrt(expect * (1 - expect) / (spec.num_edges * 30))
+    sigma = math.sqrt(expect * (1 - expect) / (spec.edges * 30))
     assert abs(measured - expect) <= 3 * sigma
 
 
@@ -309,7 +309,7 @@ def test_synthetic_deterministic_per_seed():
 
 
 def test_roundtrip_save_load_exact(tmp_path):
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=20, num_edges=15, seed=2))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=20, edges=15, seed=2))
     save_dataset(tmp_path / "ds", ds)
     out = load_dataset(tmp_path / "ds")
     assert np.array_equal(out.features, ds.features)

@@ -191,7 +191,7 @@ def test_model_config_rejects_weights_that_are_not_nonnegative_and_finite(kwargs
 
 
 def test_forward_trivial_config_is_mlp():
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=5, feature_dim=3, seed=4))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, edges=5, feature_dim=3, seed=4))
     cfg = ModelConfig(variant="simple", t_layers=5, d=4, alpha=1.0, lambda0=0.0, lambda1=0.0)
     model = init_model(cfg, 3, ds.n_classes, seed=4)
     ops = build_expansion_operators(ds.hypergraph, 0.0, 0.0)
@@ -220,7 +220,7 @@ def test_forward_energy_nonincreasing_within_bound():
 def test_descent_trace_ends_at_forward(variant, monkeypatch):
     import phenomnn.model as model_mod
 
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, edges=6, feature_dim=3, seed=6))
     cfg = ModelConfig(variant=variant, t_layers=3, d=4, alpha=0.4, lambda0=1.0, lambda1=0.5)
     model = init_model(cfg, 3, ds.n_classes, seed=6)
     ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
@@ -270,7 +270,7 @@ def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant,
 
     if block_rows:
         monkeypatch.setattr(model_mod, "_TRACE_BLOCK_BYTES", 8 * 3 * block_rows)
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=7))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, edges=8, feature_dim=3, seed=7))
     cfg = ModelConfig(variant=variant, t_layers=4, d=3, alpha=alpha, lambda0=1.5, lambda1=0.7)
     model = init_model(cfg, 3, ds.n_classes, seed=7)
     if variant == "general":
@@ -303,7 +303,7 @@ def test_descent_trace_rows_match_the_summation_energy_and_the_gradient(variant,
 
 
 def test_descent_trace_rejects_negative_steps():
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, num_edges=6, feature_dim=3, seed=6))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=6, edges=6, feature_dim=3, seed=6))
     ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
     cfg = ModelConfig(variant="simple", t_layers=3, d=2, alpha=0.5, lambda0=1.0, lambda1=0.5)
     model = init_model(cfg, 3, ds.n_classes)
@@ -315,7 +315,7 @@ def test_descent_trace_rejects_negative_steps():
 @pytest.mark.parametrize("variant", ["simple", "general"])
 def test_descent_trace_recomputed_from_the_checkpoint(variant, tmp_path):
     # the trace a run writes must be the one its saved model gives, ending at forward's energy
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=10, num_edges=10, feature_dim=4, seed=8))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=10, edges=10, feature_dim=4, seed=8))
     cfg = ModelConfig(variant=variant, t_layers=3, d=5, alpha=0.2, lambda0=1.0, lambda1=0.5)
     model, metrics = train(ds, cfg, TrainConfig(lr=0.05, dropout=0.3, epochs=4, seed=2))
     save_checkpoint(model, tmp_path / "ckpt.json")
@@ -1287,7 +1287,7 @@ def test_fixed_point_approach_and_uniqueness():
 
 def test_forward_runtime_scales_linearly_in_depth():
     ds = generate_synthetic(
-        SyntheticSpec(nodes_per_community=150, num_edges=200, feature_dim=16, seed=9)
+        SyntheticSpec(nodes_per_community=150, edges=200, feature_dim=16, seed=9)
     )
     ops = build_expansion_operators(ds.hypergraph, 1.0, 1.0)
 
@@ -1332,7 +1332,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 def _earlier_checkpoint(tmp_path, relu_mode):
     """A model and the file an earlier version wrote for it, which also held ``config.relu_mode``."""
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, num_edges=8, feature_dim=3, seed=14))
+    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, edges=8, feature_dim=3, seed=14))
     model = init_model(ModelConfig(variant="general", t_layers=3, d=4, alpha=0.3, lambda0=1.0, lambda1=0.5),
                        3, ds.n_classes, seed=14)
     path = tmp_path / "v1.json"
@@ -1389,6 +1389,18 @@ def test_checkpoint_config_of_the_wrong_type_is_rejected(tmp_path, key, value, m
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("key", ["variant", "t_layers", "d", "alpha", "lambda0", "lambda1"])
+def test_checkpoint_config_without_a_field_is_rejected(tmp_path, key):
+    # every ModelConfig field has a default, which must not stand in for a missing value
+    _, _, path = _earlier_checkpoint(tmp_path, "every_step")
+    payload = json.loads(path.read_text())
+    del payload["config"][key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: checkpoint has no key '{key}'"
 
 
 @pytest.mark.parametrize("key, value, message", [

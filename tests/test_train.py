@@ -29,7 +29,7 @@ train_mod = importlib.import_module("phenomnn.train")
 
 def dataset(noise=0.5, seed=0, n_per=40, edges=40):
     return generate_synthetic(
-        SyntheticSpec(nodes_per_community=n_per, num_edges=edges, feature_dim=6,
+        SyntheticSpec(nodes_per_community=n_per, edges=edges, feature_dim=6,
                       noise_std=noise, seed=seed)
     )
 
@@ -219,7 +219,7 @@ def test_general_variant_learns_end_to_end():
     accs = []
     for seed in (0, 1, 2):
         ds = generate_synthetic(
-            SyntheticSpec(communities=2, nodes_per_community=60, num_edges=80,
+            SyntheticSpec(communities=2, nodes_per_community=60, edges=80,
                           edge_size_min=4, edge_size_max=8, p_intra=1.0,
                           feature_dim=8, noise_std=0.8, seed=seed)
         )
@@ -355,7 +355,7 @@ def test_train_peak_grows_by_one_embedding_per_general_layer():
     # 8nd bytes (Y_{t+1} is the next layer's).  Keeping the ReLU mask and
     # P_t = B^T Y_t as well would add 9nd + 8md bytes a layer.
     ds = generate_synthetic(
-        SyntheticSpec(communities=4, nodes_per_community=500, num_edges=400, feature_dim=8, seed=3)
+        SyntheticSpec(communities=4, nodes_per_community=500, edges=400, feature_dim=8, seed=3)
     )
     n, d = ds.features.shape[0], 16
 
