@@ -67,7 +67,9 @@ def _reject_unknown(keys, origin: str) -> None:
 
 def _check_types(cfg: dict) -> None:
     """Each boolean, integer or float key takes a value of its field's type (a float key also
-    takes an int), and the seed is at least 0."""
+    takes an int), ``dataset`` a string or none, and the seed is at least 0."""
+    if not isinstance(cfg["dataset"], (str, type(None))):
+        raise ValueError(f"config key 'dataset' must be a string, got {cfg['dataset']!r}")
     for key, value in cfg.items():
         kind = _KINDS.get(key)
         if kind in (bool, int, float):

@@ -21,10 +21,10 @@ step whole.  The layers and the step bounds apply it at their own per-row
 constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y)``, and
 ``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
-one ``B`` product; no n x n matrix is formed.  A node in no hyperedge has
-zero rows in ``L_H``, so ``ExpansionOperators`` holds the rows of the
-linked nodes alone, and the layers and step bounds of both variants run the
-kernel on them.  The nodes come by degree class and the edges by size
+one ``B`` product, each one ``_spmm`` call; no n x n matrix is formed.  A
+node in no hyperedge has zero rows in ``L_H``, so ``ExpansionOperators``
+holds the rows of the linked nodes alone, and the layers and step bounds of
+both variants run the kernel on them.  The nodes come by degree class and the edges by size
 class, and in the general variant each large class takes its ``d x d``
 terms as one product with a matrix of its own.  The nonnegativity barrier
 is never represented as an infinite float: the energy is returned as its
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, dgemm
+from scipy.sparse import _sparsetools
 
 from .hypergraph import ExpansionOperators
 
@@ -55,6 +56,20 @@ VARIANTS = ("general", "simple")
 # overhead sets the bound at small d, and the d floor makes each class repay its
 # matrix and keeps the class matrices within one k x d array (timings: CHANGES.md).
 _CLASS_WORK = 1 << 16
+
+
+def _spmm(a, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a CSR or CSC ``a`` and a 2-d ``x``, bit for bit, and every sparse product of
+    the layers and step bounds: a new zeroed C-contiguous float64 array that scipy's private
+    ``csr_matvecs`` or ``csc_matvecs`` sums into, the call ``@`` makes after a dispatch that costs about 10 us."""
+    out = np.zeros((a.shape[0], x.shape[1]))
+    matvecs = _sparsetools.csr_matvecs if a.format == "csr" else _sparsetools.csc_matvecs
+    matvecs(a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    return out
+
+
+# numpy's dense products in the kernel and in ``layer_vjp``, under one name that tests count
+_matmul = np.matmul
 
 
 def _grouped(offsets: np.ndarray, d: int) -> tuple[list, int]:
@@ -136,7 +151,13 @@ class Propagation:
 
     A general call writes ``ca * v`` and then ``cb * v`` on the tail rows into
     ``scratch``, the one work array of the instance, and leaves ``cb * v``
-    there for ``layer_vjp`` to read.
+    there for ``layer_vjp`` to read.  It and ``layer_vjp`` multiply by
+    ``ca_wide``, ``cb_wide`` and ``e_wide``: ``ca`` and ``cb`` on the tail
+    rows and ``e`` on the edge-tail rows, written ``d`` columns wide once per
+    instance by ``_widen``, as a multiply by a ``(rows, 1)`` column costs
+    about twice one by a full-width array at small ``d``.  The columns stay
+    for the class scalars.  A caller that changes ``tail`` or ``edge_tail``
+    calls ``_widen`` again.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
@@ -151,6 +172,13 @@ class Propagation:
             self.classes.append((rows, ca, cb, ca * self.a0 + cb * self.a1 + self.u * np.eye(params.d)))
         groups, self.edge_tail = _grouped(ops.edge_classes, params.d)
         self.edge_classes = [(r, self.e[r.start, 0], self.m0 + self.e[r.start, 0] * self.m1) for r in groups]
+        self._widen()
+
+    def _widen(self) -> None:
+        """Write ``ca`` and ``cb`` from ``tail`` on, and ``e`` from ``edge_tail`` on, ``d`` columns wide."""
+        d = self.h0.shape[0]
+        self.ca_wide, self.cb_wide = (np.repeat(col[self.tail :], d, axis=1) for col in (self.ca, self.cb))
+        self.e_wide = np.repeat(self.e[self.edge_tail :], d, axis=1)
 
     @classmethod
     def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float) -> "Propagation":
@@ -158,6 +186,8 @@ class Propagation:
         ``params`` is read only when general."""
         self = cls.__new__(cls)
         self._bind(ops, params, variant, np.full(ops.b.shape[0], c), 0.0)
+        if self.general:
+            self._widen()
         return self
 
     def _bind(self, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: np.ndarray, u) -> None:
@@ -184,19 +214,20 @@ class Propagation:
     def kernel(self, v: np.ndarray, left, right):
         """``K(v; left, right)`` and the edge-side product ``right v``.
 
-        ``left @ ...`` is a new C-contiguous array, so BLAS adds the ``A`` and
-        ``u`` terms into it in place, and it is what this returns."""
-        p = right @ v
+        Both sparse products are ``_spmm``'s, each a new zeroed C-contiguous
+        array: BLAS adds the ``A`` and ``u`` terms into ``left``'s in place,
+        and it is what this returns."""
+        p = _spmm(right, v)
         if not self.general:
-            out = left @ p
+            out = _spmm(left, p)
         else:
             # q^T = N_s^T p^T on each grouped class, in BLAS; the edge tail after them
             q, et = np.empty(p.shape), self.edge_tail
             for rows, _, ns in self.edge_classes:
                 dgemm(1.0, ns.T, p[rows].T, c=q[rows].T, overwrite_c=True)
-            np.multiply(self.e[et:], p[et:] @ self.m1, out=q[et:])
-            q[et:] += p[et:] @ self.m0
-            out = left @ q
+            np.multiply(self.e_wide, _matmul(p[et:], self.m1), out=q[et:])
+            q[et:] += _matmul(p[et:], self.m0)
+            out = _spmm(left, q)
             del q  # freed before the row terms: held on, it raises the call's peak by its m x d
             # out^T += M^T v^T in BLAS, all three F-contiguous views
             for rows, _, _, mg in self.classes:
@@ -207,8 +238,8 @@ class Propagation:
             if self.scratch is None or self.scratch.shape != vt.shape:
                 self.scratch = np.empty(vt.shape)
             if vt.size:
-                for ck, ak in ((self.ca, self.a0), (self.cb, self.a1)):
-                    t = np.multiply(vt, ck[self.tail :], out=self.scratch)
+                for ck, ak in ((self.ca_wide, self.a0), (self.cb_wide, self.a1)):
+                    t = np.multiply(vt, ck, out=self.scratch)
                     dgemm(1.0, ak.T, t.T, beta=1.0, c=out_t.T, overwrite_c=True)
         # u * v on the rows past the classes, whose M_g hold it; the step bounds' u = 0 skips the pass
         if self.u != 0.0 and self.tail < v.shape[0]:

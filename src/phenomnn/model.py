@@ -26,9 +26,10 @@ take one BLAS ``dgemm`` per class of at least ``max(d, 2^16 / d^2)`` rows
 and two on the other rows, and, the edges coming by size class, one per
 size class of as many edges: ``G + 2 + E`` calls for ``G`` and ``E`` such
 classes (``G + E`` when the ``G`` hold every row).  The class matrices hold
-``u * Y``; the other rows take it as one BLAS ``daxpy``.  Its adjoint makes
-as many calls for ``dY``; its ``d x d`` reductions, one ``Z = Y_g^T g_g``
-or ``P_s^T S_s`` per class, are numpy's.  A pass of ``T`` layers makes
+``u * Y``; the other rows take it as one BLAS ``daxpy``, and the edges past
+the size classes two numpy products.  Its adjoint makes as many calls for
+``dY``; its ``d x d`` reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per
+class and two on each tail, are numpy's.  A pass of ``T`` layers makes
 ``T`` times a layer's calls, and ``descent_trace`` one layer's per iterate.
 A simple layer's row terms are ``u * Y`` alone, so it makes no ``dgemm``
 call and one ``daxpy`` of ``k x d``.
@@ -45,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tape, Var
-from .energy import VARIANTS, EnergyParams, Propagation, energy_from_neg_lap
+from .energy import VARIANTS, EnergyParams, Propagation, _matmul, _spmm, energy_from_neg_lap
 from .hypergraph import ExpansionOperators
 from .linalg import EigenResult, extreme_eigenvalue
 
@@ -209,29 +210,34 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
     leaves it, and ``ca * g`` is then written over it.  Each edge size class
     adds ``Z_s = P_s^T S_s`` and ``e_s Z_s`` to ``P^T S`` and ``P^T (e * S)``,
-    ``S = B^T R``; on the edge tail ``e`` scales ``S`` in place."""
+    ``S = B^T R``; on the edge tail ``e`` scales ``S`` in place.  The tails
+    read ``ca`` and ``e`` at full width (``prop.ca_wide``, ``prop.e_wide``).
+    ``P`` is one ``_spmm`` call, and the ``d x d`` products, these reductions
+    and the two of ``dH_k``, are ``_matmul``'s: ``8 + G + E`` of them with the
+    kernel's two, for ``G`` degree and ``E`` size classes grouped."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
         y = kept[0]
-        p = prop.fwd[1] @ y
+        p = _spmm(prop.fwd[1], y)
         t = prop.tail
-        y1 = y[t:].T @ prop.scratch
-        y0 = y[t:].T @ np.multiply(g[t:], prop.ca[t:], out=prop.scratch)
+        y1 = _matmul(y[t:].T, prop.scratch)
+        y0 = _matmul(y[t:].T, np.multiply(g[t:], prop.ca_wide, out=prop.scratch))
         for rows, ca, cb, _ in prop.classes:
-            z = y[rows].T @ g[rows]
+            z = _matmul(y[rows].T, g[rows])
             y0 += ca * z
             y1 += cb * z
         t = prop.edge_tail
-        c0 = p[t:].T @ s[t:]
-        s[t:] *= prop.e[t:]
-        c1 = p[t:].T @ s[t:]
+        c0 = _matmul(p[t:].T, s[t:])
+        s[t:] *= prop.e_wide
+        c1 = _matmul(p[t:].T, s[t:])
         for rows, w, _ in prop.edge_classes:
-            z = p[rows].T @ s[rows]
+            z = _matmul(p[rows].T, s[rows])
             c0 += z
             c1 += w * z
-        grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
+        grads = (prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0),
+                 (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
     return (dy, np.multiply(g, prop.c, out=g), *grads)
 
 

@@ -111,8 +111,8 @@ def record_dgemm(monkeypatch):
 
     These are the kernel's ``d x d`` class and row-tail products: ``a`` is
     the ``d x d`` matrix and ``b`` is ``d x rows``.  The edge tail's two
-    products and the adjoint's ``d x d`` reductions are numpy's and are not
-    recorded.  A call given an output ``c`` must give it the product's shape."""
+    products and the adjoint's ``d x d`` reductions are ``_matmul``'s, which
+    ``record_matmul`` records.  A call given an output ``c`` must give it the product's shape."""
     import phenomnn.energy as energy_mod
 
     calls, plain = [], energy_mod.dgemm
@@ -147,37 +147,43 @@ def record_daxpy(monkeypatch):
     return calls
 
 
-class _CountedFactor:
-    """A sparse factor of a ``Propagation`` whose ``@`` products are logged as ``nnz * d``,
-    ``d`` the dense operand's column count (1 for a vector); it reads as the factor otherwise."""
+def _record(monkeypatch, name, entry):
+    """Route the helper ``name`` of ``phenomnn.energy``, at its name there and in ``phenomnn.model``,
+    through a recorder, and return the list it appends ``entry(a, b)`` to, one per call."""
+    import phenomnn.energy as energy_mod
+    import phenomnn.model as model_mod
 
-    def __init__(self, matrix, log):
-        self.matrix, self.log = matrix, log
+    calls, plain = [], getattr(energy_mod, name)
 
-    def __matmul__(self, v):
-        self.log.append(self.matrix.nnz * (v.shape[1] if v.ndim == 2 else 1))
-        return self.matrix @ v
+    def recorded(a, b):
+        calls.append(entry(a, b))
+        return plain(a, b)
 
-    def __getattr__(self, name):
-        return getattr(self.matrix, name)
+    for mod in (energy_mod, model_mod):
+        monkeypatch.setattr(mod, name, recorded)
+    return calls
 
 
 def count_sparse_products(monkeypatch):
-    """Wrap the ``fwd`` and ``adj`` factors of every ``Propagation`` built from now on in
-    proxies, and return the list they append ``nnz * d`` to, one entry per sparse product.
+    """Route ``_spmm``, the one sparse product of the passes, through a recorder, and return
+    the list it appends ``nnz * d`` to, one entry per product, ``d`` the dense operand's columns.
 
     These are the kernel's two products, ``B^T V`` and the left factor's, and
     the general adjoint's ``P = B^T Y``."""
-    import phenomnn.energy as energy_mod
+    return _record(monkeypatch, "_spmm", lambda a, x: a.nnz * x.shape[1])
 
-    products, bind = [], energy_mod.Propagation._bind
 
-    def counted(self, *args):
-        bind(self, *args)
-        self.fwd, self.adj = (tuple(_CountedFactor(f, products) for f in pair) for pair in (self.fwd, self.adj))
+def record_matmul(monkeypatch):
+    """Route ``_matmul``, the dense products that no BLAS call of ``record_dgemm`` makes,
+    through a recorder, and return the list it appends ``(a.shape, b.shape)`` to, one pair per call.
 
-    monkeypatch.setattr(energy_mod.Propagation, "_bind", counted)
-    return products
+    These are the kernel's two edge-tail products, ``P M1`` and ``P M0`` on the
+    edges past its size classes, and the general adjoint's ``d x d`` products:
+    ``Y^T (cb * g)`` and ``Y^T (ca * g)`` on the tail, ``Z_g = Y_g^T g_g`` per
+    degree class, ``P^T S`` and ``P^T (e * S)`` on the edge tail,
+    ``Z_s = P_s^T S_s`` per size class, and the two ``(Y0 + Y0^T) H0``-like
+    products of ``dH0`` and ``dH1``."""
+    return _record(monkeypatch, "_matmul", lambda a, b: (a.shape, b.shape))
 
 
 def criterion_3_problems():

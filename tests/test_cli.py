@@ -298,6 +298,22 @@ def test_step_bound_reads_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
     assert "step bound (simple): 1 " in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("value", ["5", '["a"]', "true"])
+@pytest.mark.parametrize("command", ["step-bound", "train"])
+def test_dataset_key_that_is_not_a_string_is_rejected(synthetic_dir, tmp_path, monkeypatch, capsys, command, value):
+    # JSON reads 5 as an int: step-bound passed it to os.path.join, which raised a
+    # TypeError, and train read it as the directory 5, which is a dataset here
+    monkeypatch.chdir(tmp_path)
+    os.rename(synthetic_dir, tmp_path / "5")
+    out = tmp_path / "run"
+    train_flags = ["--out", str(out), "--set", "epochs=1"] if command == "train" else []
+    assert main([command, "--set", f"dataset={value}", *train_flags]) == 1
+    assert capsys.readouterr().err == f"error: config key 'dataset' must be a string, got {json.loads(value)!r}\n"
+    assert not out.exists()
+    # as a JSON string it names the directory
+    assert main([command, "--set", 'dataset="5"', *train_flags]) == 0
+
 def test_step_bound_without_a_hypergraph_names_both_flags(capsys):
     assert main(["step-bound"]) == 1
     assert capsys.readouterr().err == "error: step-bound needs --data or --hypergraph\n"

@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phenomnn.autodiff import Tape
-from phenomnn.energy import EnergyParams, Propagation
+from phenomnn.energy import EnergyParams, Propagation, _spmm
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
 from phenomnn.model import ModelConfig, build_taped_logits, descent_trace, forward, init_model
 from helpers import fd_gradient, hyperedges, node_order_operators, random_hypergraph, random_instance, rel_err, rng_for
@@ -241,6 +242,23 @@ def test_factored_products_match_dense_expansions(seed):
             ):
                 assert rel_err(got, want) <= 1e-12
 
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_spmm_is_the_scipy_product_bit_for_bit(fmt, index_dtype):
+    # the private csr_matvecs/csc_matvecs call against scipy's own dispatch, which
+    # takes csr_matvec for one column; a non-contiguous operand is raveled as @ does
+    rng = rng_for(720)
+    a = sp.random(40, 30, density=0.2, format=fmt, random_state=721)
+    a.indices, a.indptr = a.indices.astype(index_dtype), a.indptr.astype(index_dtype)
+    assert a.indices.dtype == a.indptr.dtype == index_dtype
+    wide = rng.standard_normal((30, 14))
+    for x in (wide[:, :1], wide[:, 5:6].copy(), wide[:, ::2], wide, wide.T.copy().T):
+        got, want = _spmm(a, x), a @ x
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert _spmm(a[:0], wide).shape == (0, 14) and _spmm(a, wide[:, :0]).shape == (40, 0)
 
 def test_mean_embedding_is_optimal():
     inst = random_instance(8)

@@ -40,6 +40,7 @@ from helpers import (
     random_instance,
     record_daxpy,
     record_dgemm,
+    record_matmul,
     rng_for,
 )
 from oracles import (
@@ -730,6 +731,7 @@ def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share)
     # one layer and its adjoint, against the same kernel with every row in the tail
     plain = Propagation(ops, model.params, "general", model.config.alpha)
     plain.classes, plain.tail = [], 0
+    plain._widen()
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
 
 
@@ -752,6 +754,7 @@ def test_edge_size_classes_of_the_threshold_take_their_own_products(isolated_sha
     # one layer and its adjoint, against the same kernel with every edge in the edge tail
     plain = Propagation(ops, model.params, "general", model.config.alpha)
     plain.edge_classes, plain.edge_tail = [], 0
+    plain._widen()
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
     # the adjoint against the oracle that reads P, whose reductions mirror the per-class Z_s
     fx = model.predictor.apply(x)[linked]
@@ -909,6 +912,42 @@ def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
     one_layer = [((d, d), (d, rows)) for rows in (64, 189, 128, 40, 40)]
     dgemm_calls_in_depth(edge_class_problem(0.3), calls, one_layer, one_layer)
 
+
+
+@pytest.mark.parametrize("problem, tail, classes, edge_tail, edge_classes", [
+    (degree_class_problem, 103, (96, 64), 93, ()),
+    (edge_class_problem, 40, (189, 128), 79, (64,)),
+], ids=["degree-classes", "edge-size-classes"])
+def test_general_layer_numpy_products_are_two_per_kernel_and_one_per_class_in_the_adjoint(
+        monkeypatch, problem, tail, classes, edge_tail, edge_classes):
+    # a kernel call: P M1 and P M0 on the edge tail.  An adjoint: its kernel's two, then
+    # Y^T (cb g) and Y^T (ca g) on the row tail, Z_g per degree class, P^T S and
+    # P^T (e S) on the edge tail, Z_s per size class, and the d x d products of dH0
+    # and dH1: 8 + G + E for G degree and E size classes.  The trace runs a kernel
+    # per iterate, a step bound's solve one per application; the simple variant makes none
+    calls = record_matmul(monkeypatch)
+    d = 32
+
+    def reduction(rows):
+        return (d, rows), (rows, d)
+
+    kernel = [((edge_tail, d), (d, d))] * 2
+    adjoint = kernel + [reduction(tail)] * 2 + [reduction(r) for r in classes]
+    adjoint += [reduction(edge_tail)] * 2 + [reduction(r) for r in edge_classes] + [((d, d), (d, d))] * 2
+    assert len(adjoint) == 8 + len(classes) + len(edge_classes)
+    x, labels, model, ops, _ = problem(0.3)
+    dgemm_calls_in_depth((x, labels, model, ops, None), calls, kernel, adjoint)
+    calls.clear()
+    descent_trace(x, model, ops, 3)
+    assert calls == kernel * 4
+    calls.clear()
+    bound = step_bound_general(ops, model.params)  # no class grouped: every edge in the tail
+    assert bound.eig.iterations > 0 and calls == [((ops.b.shape[1], d), (d, d))] * 2 * bound.eig.iterations
+    simple = init_model(dataclasses.replace(model.config, variant="simple"), x.shape[1], 3, seed=88)
+    calls.clear()
+    tape = Tape()
+    backward(tape, tape.softmax_cross_entropy(build_taped_logits(tape, simple, ops, x), labels, np.arange(len(x))))
+    assert calls == []
 
 def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch):
     # u * Y rides in each grouped class's M_g; the tail rows, and every row of
