@@ -871,7 +871,7 @@ def test_general_gradients_by_edge_size_class_match_finite_differences(isolated_
 
 
 def dgemm_calls_in_depth(problem, calls, one_layer, adjoint):
-    """Check the ``dgemm`` calls, recorded into ``calls``, of ``forward`` and of the
+    """Check the ``dgemm`` (or ``_matmul``) calls, recorded into ``calls``, of ``forward`` and of the
     taped pass and its backward at several depths: ``one_layer`` per layer and
     ``adjoint`` per layer's adjoint, so that ``count(2T) - count(T) = T count(one layer)``."""
     x, labels, model, ops, _ = problem
@@ -935,8 +935,8 @@ def test_general_layer_numpy_products_are_two_per_kernel_and_one_per_class_in_th
     adjoint = kernel + [reduction(tail)] * 2 + [reduction(r) for r in classes]
     adjoint += [reduction(edge_tail)] * 2 + [reduction(r) for r in edge_classes] + [((d, d), (d, d))] * 2
     assert len(adjoint) == 8 + len(classes) + len(edge_classes)
-    x, labels, model, ops, _ = problem(0.3)
-    dgemm_calls_in_depth((x, labels, model, ops, None), calls, kernel, adjoint)
+    x, labels, model, ops, _ = instance = problem(0.3)
+    dgemm_calls_in_depth(instance, calls, kernel, adjoint)
     calls.clear()
     descent_trace(x, model, ops, 3)
     assert calls == kernel * 4
