@@ -294,6 +294,10 @@ class SyntheticSpec:
             raise ValueError("edge sizes must satisfy 1 <= min <= max")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        if self.edges < 0:
+            raise ValueError(f"edges must be >= 0, got {self.edges}")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -153,63 +153,87 @@ class Propagation:
     ``scratch``, the one work array of the instance, and leaves ``cb * v``
     there for ``layer_vjp`` to read.  It and ``layer_vjp`` multiply by
     ``ca_wide``, ``cb_wide`` and ``e_wide``: ``ca`` and ``cb`` on the tail
-    rows and ``e`` on the edge-tail rows, written ``d`` columns wide once per
-    instance by ``_widen``, as a multiply by a ``(rows, 1)`` column costs
-    about twice one by a full-width array at small ``d``.  The columns stay
-    for the class scalars.  A caller that changes ``tail`` or ``edge_tail``
-    calls ``_widen`` again.
+    rows and ``e`` on the edge-tail rows, written ``d`` columns wide by
+    ``_widen``, as a multiply by a ``(rows, 1)`` column costs about twice
+    one by a full-width array at small ``d``.  The columns stay for the
+    class scalars.  A caller that changes ``tail`` or ``edge_tail`` calls
+    ``_widen`` again.
+
+    What ``H0`` and ``H1`` leave alone, ``_constants`` builds: ``fwd`` and
+    ``adj``, ``c``, ``u``, ``ca``, ``cb``, ``e``, ``half_l0``, the grouped
+    classes' slices and scalars with ``tail`` and ``edge_tail``, and the
+    ``_wide`` arrays.  A layer's are built once per operator set and kept,
+    read-only, in ``ops.kernels`` under ``(variant, float(alpha), d)``;
+    ``_at``'s are not kept.  ``_bind`` reads ``params`` as each instance is
+    built and forms the ``d x d`` matrices alone (``m0``, ``m1``, ``a0``,
+    ``a1``, each ``M_g`` and ``N_s``), so an ``H0`` or ``H1`` changed in
+    place reaches the next instance.  ``scratch`` is the instance's own.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
-        self._bind(ops, params, variant, alpha / ops.d_tilde, 1.0 - alpha)
+        d, key = params.d, (variant, float(alpha), params.d)
+        if key not in ops.kernels:
+            ops.kernels[key] = self._constants(ops, variant, alpha / ops.d_tilde, 1.0 - alpha, d, grouped=True)
+        self._bind(ops.kernels[key], params)
         if not self.general:
             return
-        self.a0 += np.eye(params.d)  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
-        self.a1 += np.eye(params.d)
-        groups, self.tail = _grouped(ops.classes, params.d)
-        for rows in groups:
-            ca, cb = self.ca[rows.start, 0], self.cb[rows.start, 0]
-            self.classes.append((rows, ca, cb, ca * self.a0 + cb * self.a1 + self.u * np.eye(params.d)))
-        groups, self.edge_tail = _grouped(ops.edge_classes, params.d)
-        self.edge_classes = [(r, self.e[r.start, 0], self.m0 + self.e[r.start, 0] * self.m1) for r in groups]
-        self._widen()
+        self.a0 += np.eye(d)  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
+        self.a1 += np.eye(d)
+        self.classes = [(r, ca, cb, ca * self.a0 + cb * self.a1 + self.u * np.eye(d)) for r, ca, cb in self.groups]
+        self.edge_classes = [(r, e, self.m0 + e * self.m1) for r, e in self.edge_groups]
 
     def _widen(self) -> None:
         """Write ``ca`` and ``cb`` from ``tail`` on, and ``e`` from ``edge_tail`` on, ``d`` columns wide."""
-        d = self.h0.shape[0]
-        self.ca_wide, self.cb_wide = (np.repeat(col[self.tail :], d, axis=1) for col in (self.ca, self.cb))
-        self.e_wide = np.repeat(self.e[self.edge_tail :], d, axis=1)
+        self.ca_wide, self.cb_wide = (np.repeat(col[self.tail :], self.d, axis=1) for col in (self.ca, self.cb))
+        self.e_wide = np.repeat(self.e[self.edge_tail :], self.d, axis=1)
 
     @classmethod
     def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float) -> "Propagation":
         """The kernel at constants other than a layer's: ``c`` the same on every row, ``u = 0``.
         ``params`` is read only when general."""
         self = cls.__new__(cls)
-        self._bind(ops, params, variant, np.full(ops.b.shape[0], c), 0.0)
-        if self.general:
-            self._widen()
+        d = getattr(params, "d", 0)
+        self._bind(cls._constants(ops, variant, np.full(ops.b.shape[0], c), 0.0, d, grouped=False), params)
         return self
 
-    def _bind(self, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: np.ndarray, u) -> None:
+    @classmethod
+    def _constants(cls, ops: ExpansionOperators, variant: str, c: np.ndarray, u: float, d: int, grouped: bool) -> dict:
+        """The constants of the kernel at ``c`` and ``u`` that ``H0`` and ``H1`` leave alone, its
+        arrays read-only; ``grouped`` lists the classes of a layer's kernel."""
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        self.general = variant == "general"
-        self.scratch, self.classes, self.tail, self.edge_classes, self.edge_tail = None, [], 0, [], 0
-        self.c, self.u = c[:, None], u
+        k = cls.__new__(cls)
+        k.general, k.d, k.c, k.u = variant == "general", d, c[:, None], u
+        k.groups, k.tail, k.edge_groups, k.edge_tail = [], 0, [], 0
         data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
-        if not self.general:
+        if not k.general:
             data *= (ops.lambda0 + ops.lambda1 / ops.d_h)[ops.b.indices]
         left = sp.csr_matrix((data, ops.b.indices, ops.b.indptr), shape=ops.b.shape)
-        self.fwd, self.adj = (left, ops.b.T), (ops.b, left.T)
+        k.fwd, k.adj = (left, ops.b.T), (ops.b, left.T)
+        if k.general:
+            k.half_l0 = 0.5 * ops.lambda0
+            k.e = (ops.lambda1 / ops.d_h)[:, None]
+            k.ca = k.c * (k.half_l0 * ops.d_c)[:, None]
+            k.cb = k.c * (ops.lambda1 * ops.d_s_bar)[:, None]
+            if grouped:
+                rows, k.tail = _grouped(ops.classes, d)
+                k.groups = [(r, k.ca[r.start, 0], k.cb[r.start, 0]) for r in rows]
+                rows, k.edge_tail = _grouped(ops.edge_classes, d)
+                k.edge_groups = [(r, k.e[r.start, 0]) for r in rows]
+            k._widen()
+        for a in (left.data, *(v for v in vars(k).values() if isinstance(v, np.ndarray))):
+            a.flags.writeable = False
+        return vars(k)
+
+    def _bind(self, constants: dict, params: EnergyParams | None) -> None:
+        """Take the ``constants`` of ``_constants`` and form the ``d x d`` matrices of ``params``."""
+        vars(self).update(constants)
+        self.scratch, self.classes, self.edge_classes = None, [], []
         if not self.general:
             return
         h0, h1 = self.h0, self.h1 = params.h0, params.h1
-        self.half_l0 = 0.5 * ops.lambda0
-        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(params.d)
+        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(self.d)
         self.a0, self.a1 = -(h0 @ h0.T), -(h1 @ h1.T)
-        self.e = (ops.lambda1 / ops.d_h)[:, None]
-        self.ca = self.c * (self.half_l0 * ops.d_c)[:, None]
-        self.cb = self.c * (ops.lambda1 * ops.d_s_bar)[:, None]
 
     def kernel(self, v: np.ndarray, left, right):
         """``K(v; left, right)`` and the edge-side product ``right v``.

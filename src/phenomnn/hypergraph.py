@@ -13,7 +13,7 @@ forms an n x n matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -236,6 +236,8 @@ class ExpansionOperators:
     or edge order; ``classes`` and ``edge_classes`` hold their offsets.  A
     layer's ``d x d`` terms share their weights within a class (see
     ``energy.Propagation``).  A hypergraph with no hyperedge gives ``k = 0``.
+    ``kernels`` holds the layers' kernel constants that ``Propagation``
+    builds from these operators, once per variant, ``alpha`` and ``d``.
     """
 
     n: int
@@ -250,6 +252,7 @@ class ExpansionOperators:
     d_tilde: np.ndarray
     classes: np.ndarray
     edge_classes: np.ndarray
+    kernels: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _class_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,11 @@ which is the kernel of ``energy.Propagation`` at a layer's constants plus
 barrier and applies at every step.  The step is written once, as ``layer``,
 and the pass once, as ``forward``, which training, evaluation and inference
 all run; the taped pass records it as one node, whose adjoint ``_pass_vjp``
-runs ``layer_vjp`` from the last layer down.  ``descent_trace`` calls
-``layer`` too, and the step bounds apply its kernel at their own constants.
+runs ``layer_vjp`` from the last layer down.  Every layer reads the same
+``c_fx = c * Fx``, so ``layer_vjp`` returns the gradient of ``c_fx`` and
+``_pass_vjp`` multiplies the sum of the layers' by ``c`` once.
+``descent_trace`` calls ``layer`` too, and the step bounds apply its
+kernel at their own constants.
 
 A node in no hyperedge has zero rows in ``L_H``, so its energy term is
 ``||y_i - f_i||^2`` alone, in either variant: its minimiser over
@@ -196,15 +199,18 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
 
 
 def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
-    """Hand-written adjoint of ``layer``: gradients for ``(Y, Fx)``, and ``(H0, H1)`` when general.
+    """Hand-written adjoint of ``layer``: gradients for ``(Y, c_fx)``, and ``(H0, H1)`` when general.
 
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
-    ``dFx = R``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
-    ``Y^T (ca * g)`` and ``Y^T (cb * g)``.  The general variant's mask
-    ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the forward's
-    own factor, so they equal, bit for bit, what the forward computed.
-    ``backward`` hands ``g`` over, so the mask, and then ``R``, are written
-    into it.  ``dY`` takes the kernel's per-class products, each ``M_g`` and
+    ``dc_fx = g``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
+    ``Y^T (ca * g)`` and ``Y^T (cb * g)``; ``c`` enters through ``B^T diag(c)``,
+    ``ca`` and ``cb``, and ``R`` is never formed.  ``Fx``'s gradient is ``c``
+    times ``c_fx``'s, a multiply that ``_pass_vjp`` makes once for the sum
+    over the layers.  The general variant's mask ``out > 0`` and ``P = B^T Y``
+    are rebuilt from ``kept`` with the forward's own factor, so they equal,
+    bit for bit, what the forward computed.  ``backward`` hands ``g`` over,
+    so the mask is written into it, and it is returned as the ``c_fx``
+    gradient.  ``dY`` takes the kernel's per-class products, each ``M_g`` and
     ``N_s`` being symmetric.  Each class (``prop.classes``) adds ``ca_g Z_g``
     and ``cb_g Z_g`` to the two reductions, ``Z_g = Y_g^T g_g``; on the tail,
     ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
@@ -238,7 +244,7 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
             c1 += w * z
         grads = (prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0),
                  (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
-    return (dy, np.multiply(g, prop.c, out=g), *grads)
+    return (dy, g, *grads)
 
 
 def _propagation(model: Model, ops: ExpansionOperators, x) -> Propagation:
@@ -311,12 +317,13 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
 
     The sweep runs the pass backwards: the classifier on the isolated rows,
     then on the linked rows; the layers from T down to 1 through
-    ``layer_vjp``, each ``dFx`` summed into one accumulator, layer 1's
-    ``dY`` just before its own ``dFx`` (its ``Y`` is ``Fx``); ``Fx``'s
-    n x d gradient, written from the linked and the isolated rows' parts;
-    and the predictor through the feature mask.  The order of the sums
-    fixes the gradients' bits, and so the checkpoints that fixed seeds
-    reproduce.  Each gradient is freed once it is summed."""
+    ``layer_vjp``, each layer's ``c_fx`` gradient summed into one
+    accumulator, which is then multiplied by ``c`` once, as every layer
+    reads ``c_fx = c * Fx``, and takes layer 1's ``dY`` (its ``Y`` is
+    ``Fx``); ``Fx``'s n x d gradient, written from the linked and the
+    isolated rows' parts; and the predictor through the feature mask.  The
+    order of the sums fixes the gradients' bits, and so the checkpoints that
+    fixed seeds reproduce.  Each gradient is freed once it is summed."""
     prop, linked, isolated, layers, y, iso = (kept[k] for k in ("prop", "linked", "isolated", "layers", "y", "iso"))
     w = model.classifier.w
     g_iso = g[isolated]
@@ -329,14 +336,14 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     dy = g @ w.T
     del g
     d_rows = dh0 = dh1 = None
-    for t in range(len(layers) - 1, -1, -1):
-        dy, d_c, *dh = layer_vjp(dy, prop, layers[t])
-        if not t:
-            d_rows = _add(d_rows, dy)
+    for saved in reversed(layers):
+        dy, d_c, *dh = layer_vjp(dy, prop, saved)
         d_rows = _add(d_rows, d_c)
         if dh:
             dh0, dh1 = _add(dh0, dh[0]), _add(dh1, dh[1])
         del d_c, dh
+    d_rows *= prop.c  # every layer's c_fx = c * Fx: one multiply of the sum
+    d_rows += dy  # layer 1's Y is Fx
     del dy
     d_fx = np.empty((kept["h"].shape[0], w.shape[0]))
     d_fx[linked], d_fx[isolated] = d_rows, d_iso

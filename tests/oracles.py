@@ -17,6 +17,8 @@ size class, as ``build_expansion_operators`` does with arrays.
 ``products_every_edge_in_the_tail`` is the kernel with the edge-side
 product taken on every edge in one expression, where
 ``Propagation.kernel`` groups the edges by size class.
+``pass_vjp_scaling_each_layer`` is the pass's adjoint with each layer's
+``c_fx`` gradient scaled by ``c``, where ``model._pass_vjp`` scales their sum.
 """
 
 from collections import namedtuple
@@ -27,6 +29,7 @@ from scipy.linalg.blas import daxpy, dgemm
 
 from phenomnn.energy import Propagation, energy_from_neg_lap
 from phenomnn.hypergraph import Hypergraph, HypergraphError
+from phenomnn.model import layer_vjp as model_layer_vjp
 from helpers import hyperedges
 
 Energy = namedtuple("Energy", "smooth feasible")
@@ -207,7 +210,27 @@ def layer_vjp_reading_p(g, prop, kept):
             c0 += z
             c1 += e_s * z
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
-    return (dy, np.multiply(g, prop.c, out=g), *grads)
+    return (dy, g, *grads)
+
+
+def pass_vjp_scaling_each_layer(g, model, kept):
+    """``model._pass_vjp`` over the same ``kept``, with each layer's ``c_fx`` gradient
+    scaled by ``c`` on its own before it is summed into ``Fx``'s, where the pass
+    scales their sum once."""
+    prop, linked, isolated, y, iso = (kept[k] for k in ("prop", "linked", "isolated", "y", "iso"))
+    w = model.classifier.w
+    d_fx = np.empty((g.shape[0], w.shape[0]))
+    d_fx[isolated] = (g[isolated] @ w.T) * (iso > 0.0)
+    dy, d_rows, dh = g[linked] @ w.T, np.zeros((linked.size, w.shape[0])), []
+    for saved in reversed(kept["layers"]):
+        dy, d_c, *grads = model_layer_vjp(dy, prop, saved)
+        d_rows = d_rows + prop.c * d_c
+        dh.append(grads)
+    d_fx[linked] = d_rows + dy
+    if kept["feature_mask"] is not None:
+        d_fx = kept["feature_mask"] * d_fx
+    out = [kept["h"].T @ d_fx, d_fx.sum(axis=0), iso.T @ g[isolated] + y.T @ g[linked], g.sum(axis=0)]
+    return out + ([sum(grads[0] for grads in dh), sum(grads[1] for grads in dh)] if prop.general else [])
 
 
 def products_every_edge_in_the_tail(prop, v, left, right):

@@ -21,7 +21,7 @@ from phenomnn.model import (
     layer_vjp,
 )
 from helpers import random_hypergraph, rel_err, rng_for
-from oracles import cross_entropy, layer_keeping_mask_and_p, layer_vjp_reading_p
+from oracles import cross_entropy, layer_keeping_mask_and_p, layer_vjp_reading_p, pass_vjp_scaling_each_layer
 
 
 def small_problem(seed=0, variant="general", t_layers=2, noise=0.5):
@@ -283,7 +283,7 @@ def test_gradients_match_finite_differences_isolated_node_and_singleton_edge(var
 
 @pytest.mark.parametrize("variant", ["simple", "general"])
 def test_layer_adjoint_passes_dot_product_test(variant):
-    # <g, J v> = <J^T g, v> for the pre-ReLU step's derivative in Y, Fx, H0, H1
+    # <g, J v> = <J^T g, v> for the pre-ReLU step's derivative in Y, c_fx, H0, H1
     hg = edge_case_hypergraph()
     ops = build_expansion_operators(hg, 1.3, 0.7)
     rng = rng_for(17)
@@ -293,23 +293,24 @@ def test_layer_adjoint_passes_dot_product_test(variant):
     y, fx, g, vy, vfx = (rng.standard_normal((n, d)) for _ in range(5))
     v0, v1 = rng.standard_normal((d, d)), rng.standard_normal((d, d))
 
-    def step(y_, fx_, h0_=h0, h1_=h1):
+    def step(y_, c_fx_, h0_=h0, h1_=h1):
         prop = Propagation(ops, EnergyParams(h0_, h1_), variant, 0.45)
-        return prop.kernel(y_, *prop.fwd)[0] + prop.c * fx_
+        return prop.kernel(y_, *prop.fwd)[0] + c_fx_
 
     prop = Propagation(ops, EnergyParams(h0, h1), variant, 0.45)
     kept = []
-    # the pre-ReLU step: Fx is lifted so that every output entry passes the mask
-    lift = 1.0 - step(y, fx).min()
-    assert layer(y, prop.c * fx + lift, prop, kept).min() > 0.0
+    # the pre-ReLU step: c_fx is lifted so that every output entry passes the mask
+    c_fx = prop.c * fx
+    c_fx += 1.0 - step(y, c_fx).min()
+    assert layer(y, c_fx, prop, kept).min() > 0.0
     grads = layer_vjp(g.copy(), prop, kept)  # the adjoint writes into the gradient it is handed
     zero = np.zeros((n, d))
-    # the step is linear in (Y, Fx)
+    # the step is linear in (Y, c_fx)
     pairs = [(step(vy, zero), grads[0], vy), (step(zero, vfx), grads[1], vfx)]
     if variant == "general":
         # and quadratic in each H, so a central difference of step 1 is exact
-        pairs.append(((step(y, fx, h0_=h0 + v0) - step(y, fx, h0_=h0 - v0)) / 2.0, grads[2], v0))
-        pairs.append(((step(y, fx, h1_=h1 + v1) - step(y, fx, h1_=h1 - v1)) / 2.0, grads[3], v1))
+        pairs.append(((step(y, c_fx, h0_=h0 + v0) - step(y, c_fx, h0_=h0 - v0)) / 2.0, grads[2], v0))
+        pairs.append(((step(y, c_fx, h1_=h1 + v1) - step(y, c_fx, h1_=h1 - v1)) / 2.0, grads[3], v1))
     assert len(grads) == len(pairs)
     for jv, jtg, v in pairs:
         lhs, rhs = float(np.sum(g * jv)), float(np.sum(jtg * v))
@@ -366,11 +367,12 @@ def test_general_taped_forward_keeps_only_the_linked_rows():
 
 
 def test_layer_adjoint_allocates_only_dy():
-    # with a ReLU mask in the general variant, the mask and R = c * g are
-    # written into g, cb * g and ca * g into the kernel's scratch, and e * B^T R
-    # into B^T R; what is left is dY plus four m x d arrays: the kernel's
-    # products (B^T R, P M0, P M1 and e * (P M1)) and then B^T R with the
-    # rebuilt P = B^T Y; a layer runs on the n linked rows
+    # with a ReLU mask in the general variant, the mask is written into g, which
+    # is returned as the c_fx gradient, cb * g and ca * g into the kernel's
+    # scratch, and e * B^T R into B^T R, R = c * g; what is left is dY plus
+    # four m x d arrays: the kernel's products (B^T R, P M0, P M1 and
+    # e * (P M1)) and then B^T R with the rebuilt P = B^T Y; a layer runs on
+    # the n linked rows
     m, d = 400, 16
     rng = rng_for(23)
     ops = build_expansion_operators(random_hypergraph(rng, 2000, m), 1.0, 1.0)
@@ -537,6 +539,22 @@ def test_pass_adjoint_passes_dot_product_test(variant, t_layers):
         params[name] += v
         lhs, rhs = float(np.sum(g * (plus - minus))) / 2.0, float(np.sum(jtg[name] * v))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs)), name
+
+
+@pytest.mark.parametrize("t_layers", [1, 3])
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_pass_adjoint_scales_the_summed_c_fx_gradient_as_each_layer_would(variant, t_layers):
+    # every layer reads c_fx = c * Fx, so c scales the sum of the layers' c_fx
+    # gradients once: the result is that of scaling each layer's, to rounding
+    model, ops, x, masks, _ = isolated_problem(variant, t_layers=t_layers)
+    kept = {}
+    logits = forward(x, model, ops, *masks, kept)[1]
+    g = rng_for(62).standard_normal(logits.shape)
+    got = _pass_vjp(g.copy(), model, kept)
+    want = pass_vjp_scaling_each_layer(g.copy(), model, kept)
+    assert len(got) == len(want) == len(model.parameters())
+    for name, a, b in zip(model.parameters(), got, want):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
 
 def _primitive_cases():

@@ -290,6 +290,23 @@ def test_gen_synthetic_rejects_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--edges", "-1", "edges must be >= 0, got -1"),
+        ("--noise-std", "-1", "noise_std must be nonnegative and finite, got -1.0"),
+        ("--noise-std", "nan", "noise_std must be nonnegative and finite, got nan"),
+        ("--noise-std", "inf", "noise_std must be nonnegative and finite, got inf"),
+    ],
+    ids=["edges-negative", "noise-negative", "noise-nan", "noise-inf"],
+)
+def test_gen_synthetic_rejects_a_setting_outside_its_range(flag, value, message, tmp_path, capsys):
+    rc = main(["gen-synthetic", "--out", str(tmp_path / "ds"), "--seed", "0", flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "ds").exists()
+
+
 def test_step_bound_reads_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
     data = tmp_path / "ds"
     data.mkdir()

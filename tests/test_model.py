@@ -796,6 +796,51 @@ def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
         assert got_peak <= want_peak, (got_peak, want_peak)
 
 
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_layer_constants_are_built_once_per_operator_set(variant, monkeypatch):
+    # what H0 and H1 leave alone is built once per (variant, alpha, d) and kept,
+    # read-only, on the operators; each pass forms its d x d matrices anew
+    x, _, model, ops, _ = degree_class_problem(0.3, variant=variant)
+    cfg = model.config
+    first = Propagation(ops, model.params, variant, cfg.alpha)
+    assert list(ops.kernels) == [(variant, cfg.alpha, cfg.d)]
+    built, init = [], sp.csr_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for kind in (sp.csr_matrix, sp.csc_matrix):
+            patch.setattr(kind, "__init__", counted)
+        second = Propagation(ops, model.params, variant, cfg.alpha)
+    assert built == [] and list(ops.kernels) == [(variant, cfg.alpha, cfg.d)]
+    shared = ["c", "fwd", "adj", "groups", "edge_groups"]
+    if variant == "general":
+        shared += ["ca", "cb", "e", "ca_wide", "cb_wide", "e_wide"]
+        assert first.groups and second.a0 is not first.a0 and np.array_equal(second.a0, first.a0)
+    for name in shared:
+        assert getattr(second, name) is getattr(first, name), name
+    # the cached arrays, the scaled factor's included, cannot be written
+    arrays = [v for v in ops.kernels[variant, cfg.alpha, cfg.d].values() if isinstance(v, np.ndarray)]
+    for a in (*arrays, first.fwd[0].data):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+    # another alpha, d or variant is another entry, with a factor of its own
+    other = "simple" if variant == "general" else "general"
+    for args in ((model.params, variant, 0.5 * cfg.alpha), (EnergyParams.identity(8), variant, cfg.alpha),
+                 (model.params, other, cfg.alpha)):
+        assert Propagation(ops, *args).fwd[0] is not first.fwd[0]
+    assert sorted(ops.kernels) == sorted([(variant, cfg.alpha, cfg.d), (variant, 0.5 * cfg.alpha, cfg.d),
+                                          (variant, cfg.alpha, 8), (other, cfg.alpha, cfg.d)])
+    # an H0 changed in place, as check_gradients perturbs it, reaches the next pass
+    before = forward(x, model, ops)[1]
+    model.params.h0.ravel()[5] += 0.25
+    got, want = forward(x, model, ops)[1], forward(x, model, dataclasses.replace(ops))[1]
+    assert got.tobytes() == want.tobytes()
+    assert (got.tobytes() != before.tobytes()) == (variant == "general")
+
+
 def assert_pass_matches_the_node_order_pass(problem):
     """``forward``, the taped logits, loss and gradients and ``descent_trace`` on the
     operators within 1e-13 of the same passes on the node-order reference."""
