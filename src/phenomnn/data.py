@@ -254,6 +254,8 @@ def make_splits(n: int, seed: int = 0) -> np.ndarray:
     Counts are ``floor(n * fraction)`` per split of ``SPLIT_FRACTIONS``; any
     remainder stays 'none'.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
     out = np.array(["none"] * n, dtype="<U5")
@@ -296,6 +298,8 @@ class SyntheticSpec:
             raise ValueError("feature_dim must be >= 1")
         if self.edges < 0:
             raise ValueError(f"edges must be >= 0, got {self.edges}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
 

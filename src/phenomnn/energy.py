@@ -24,11 +24,9 @@ product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product, each one ``_spmm`` call; no n x n matrix is formed.  A
 node in no hyperedge has zero rows in ``L_H``, so ``ExpansionOperators``
 holds the rows of the linked nodes alone, and the layers and step bounds of
-both variants run the kernel on them.  The nodes come by degree class and the edges by size
-class, and in the general variant each large class takes its ``d x d``
-terms as one product with a matrix of its own.  The nonnegativity barrier
-is never represented as an infinite float: the energy is returned as its
-smooth value with a feasibility flag.
+both variants run the kernel on them.  The nonnegativity barrier is never
+represented as an infinite float: the energy is returned as its smooth value
+with a feasibility flag.
 """
 
 from __future__ import annotations
@@ -116,76 +114,47 @@ class Propagation:
     With ``*`` scaling rows, ``ca = c (lambda0/2) d_C`` and ``cb = c lambda1 d_S_bar``,
     ``K(V) = c * B Q(B^T V) + ca * (V A0) + cb * (V A1) + u * V``, where
     ``Q(P) = P M0 + (lambda1 / m_e) * (P M1)``, ``M0 = (lambda0/2)(H0 + H0^T)``,
-    ``M1 = H1 + H1^T - I`` and ``A_k = -G_k`` with ``G_k = H_k H_k^T``.  In the
-    simple variant (``H0 = H1 = I``) the ``A`` terms are left out, ``u`` absorbs
-    them, and ``Q`` folds into the left factor: ``K(V) = c * (B W B^T V) + u * V``
-    with ``W = lambda0 + lambda1 / m_e``.  The constants used in the package are:
+    ``M1 = H1 + H1^T - I`` and ``A_k = fold * I - G_k`` with ``G_k = H_k H_k^T``.
+    In the simple variant (``H0 = H1 = I``) the ``A`` terms are left out, ``u``
+    absorbs them, and ``Q`` folds into the left factor: ``K(V) = c * (B W B^T V)
+    + u * V`` with ``W = lambda0 + lambda1 / m_e``.  The constants used in the package are:
 
-    - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha``, so
-      that ``K(Y) + c * Fx`` is the step ``Y - c * grad E(Y) / 2``.  When
-      general, the step's diagonal term ``(ca + cb) * Y`` is folded into the
-      matrices, ``A_k = I - G_k``, so ``u`` stays the scalar ``1 - alpha``;
-    - the general step bound's operator: ``c = -1``, ``u = 0``;
+    - a layer (the constructor): ``c = alpha / d_tilde``, ``u = 1 - alpha`` and
+      ``fold = 1``, so that ``K(Y) + c * Fx`` is the step ``Y - c * grad E(Y) / 2``,
+      its diagonal term ``(ca + cb) * Y`` folded into the ``A_k``;
+    - the general step bound's operator: ``c = -1``, ``u = 0``, ``fold = 0``;
     - the simple step bound's operator ``B W B^T``: ``c = 1``, ``u = 0``.
 
     ``K``'s operators are symmetric, so the adjoint of ``V -> K(V)`` is
     ``K(.; B, B^T diag(c))``; ``fwd`` and ``adj`` hold the two factor pairs.
 
     A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
-    alone.  ``ExpansionOperators`` lists the rows by class, and a layer's
-    kernel (the constructor) gives each class of at least
-    ``max(d, _CLASS_WORK / d^2)`` rows one product ``V_g M_g`` with the
-    symmetric ``M_g = ca_g A0 + cb_g A1 + u I``, and no row scaling: ``classes``
-    lists ``(rows, ca_g, cb_g, M_g)``.  Those classes come first, so the rows
-    from ``tail`` on, the tail, keep the two row-scaled products, and take
-    ``u * V`` as one ``daxpy`` after them, as every row of the simple kernel
-    does; at ``u = 0`` there is no such pass.
+    alone, an edge's ``e = lambda1 / m_e`` on its size class, and
+    ``ExpansionOperators`` lists both by class, largest first.  A general kernel
+    gives each class of at least ``max(d, _CLASS_WORK / d^2)`` rows one product
+    with the symmetric ``M_g = ca_g A0 + cb_g A1 + u I`` (``classes`` lists
+    ``(rows, ca_g, cb_g, M_g)``), and each size class of as many edges one with
+    ``N_s = M0 + e_s M1`` (``edge_classes`` lists ``(edges, e_s, N_s)``).  The
+    rows from ``tail`` on and the edges from ``edge_tail`` on keep the row-scaled
+    products, by ``ca``, ``cb`` and ``e`` written ``d`` columns wide
+    (``ca_wide``, ``cb_wide``, ``e_wide``: a multiply by a ``(rows, 1)`` column
+    costs about twice as much at small ``d``), and the tail rows take ``u * V``
+    as one ``daxpy``, as every row of the simple kernel does.  A general call
+    leaves ``cb * v`` on the tail rows in ``scratch``, the instance's one work
+    array, for ``layer_vjp`` to read.
 
-    Likewise every edge of size ``s`` has ``e_s = lambda1 / s``, and the
-    operators list the edges by size class: a layer's kernel gives each
-    class of at least as many edges one product ``P_s N_s`` with the
-    symmetric ``N_s = M0 + e_s M1``, and ``edge_classes`` lists ``(edges,
-    e_s, N_s)``.  The edges from ``edge_tail`` on keep ``P M0 + e * (P M1)``.
-    The kernels of the other constants group no class of either kind, and
-    their ``tail`` and ``edge_tail`` are 0.
-
-    A general call writes ``ca * v`` and then ``cb * v`` on the tail rows into
-    ``scratch``, the one work array of the instance, and leaves ``cb * v``
-    there for ``layer_vjp`` to read.  It and ``layer_vjp`` multiply by
-    ``ca_wide``, ``cb_wide`` and ``e_wide``: ``ca`` and ``cb`` on the tail
-    rows and ``e`` on the edge-tail rows, written ``d`` columns wide by
-    ``_widen``, as a multiply by a ``(rows, 1)`` column costs about twice
-    one by a full-width array at small ``d``.  The columns stay for the
-    class scalars.  A caller that changes ``tail`` or ``edge_tail`` calls
-    ``_widen`` again.
-
-    What ``H0`` and ``H1`` leave alone, ``_constants`` builds: ``fwd`` and
-    ``adj``, ``c``, ``u``, ``ca``, ``cb``, ``e``, ``half_l0``, the grouped
-    classes' slices and scalars with ``tail`` and ``edge_tail``, and the
-    ``_wide`` arrays.  A layer's are built once per operator set and kept,
-    read-only, in ``ops.kernels`` under ``(variant, float(alpha), d)``;
-    ``_at``'s are not kept.  ``_bind`` reads ``params`` as each instance is
-    built and forms the ``d x d`` matrices alone (``m0``, ``m1``, ``a0``,
-    ``a1``, each ``M_g`` and ``N_s``), so an ``H0`` or ``H1`` changed in
-    place reaches the next instance.  ``scratch`` is the instance's own.
+    What ``H0`` and ``H1`` leave alone, ``_constants`` builds, its arrays
+    read-only; a layer's are kept in ``ops.kernels`` under ``(variant,
+    float(alpha), d)``.  ``_bind`` forms the ``d x d`` matrices of ``params`` as
+    each instance is built, so an ``H0`` or ``H1`` changed in place reaches the
+    next instance.
     """
 
     def __init__(self, ops: ExpansionOperators, params: EnergyParams, variant: str, alpha: float):
-        d, key = params.d, (variant, float(alpha), params.d)
+        key = (variant, float(alpha), params.d)
         if key not in ops.kernels:
-            ops.kernels[key] = self._constants(ops, variant, alpha / ops.d_tilde, 1.0 - alpha, d, grouped=True)
-        self._bind(ops.kernels[key], params)
-        if not self.general:
-            return
-        self.a0 += np.eye(d)  # (ca + cb) * V moves from u into the A terms: A_k = I - G_k
-        self.a1 += np.eye(d)
-        self.classes = [(r, ca, cb, ca * self.a0 + cb * self.a1 + self.u * np.eye(d)) for r, ca, cb in self.groups]
-        self.edge_classes = [(r, e, self.m0 + e * self.m1) for r, e in self.edge_groups]
-
-    def _widen(self) -> None:
-        """Write ``ca`` and ``cb`` from ``tail`` on, and ``e`` from ``edge_tail`` on, ``d`` columns wide."""
-        self.ca_wide, self.cb_wide = (np.repeat(col[self.tail :], self.d, axis=1) for col in (self.ca, self.cb))
-        self.e_wide = np.repeat(self.e[self.edge_tail :], self.d, axis=1)
+            ops.kernels[key] = self._constants(ops, variant, alpha / ops.d_tilde, 1.0 - alpha, params.d)
+        self._bind(ops.kernels[key], params, 1.0)
 
     @classmethod
     def _at(cls, ops: ExpansionOperators, params: EnergyParams | None, variant: str, c: float) -> "Propagation":
@@ -193,13 +162,13 @@ class Propagation:
         ``params`` is read only when general."""
         self = cls.__new__(cls)
         d = getattr(params, "d", 0)
-        self._bind(cls._constants(ops, variant, np.full(ops.b.shape[0], c), 0.0, d, grouped=False), params)
+        self._bind(cls._constants(ops, variant, np.full(ops.b.shape[0], c), 0.0, d), params, 0.0)
         return self
 
     @classmethod
-    def _constants(cls, ops: ExpansionOperators, variant: str, c: np.ndarray, u: float, d: int, grouped: bool) -> dict:
+    def _constants(cls, ops: ExpansionOperators, variant: str, c: np.ndarray, u: float, d: int) -> dict:
         """The constants of the kernel at ``c`` and ``u`` that ``H0`` and ``H1`` leave alone, its
-        arrays read-only; ``grouped`` lists the classes of a layer's kernel."""
+        arrays read-only."""
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         k = cls.__new__(cls)
@@ -215,25 +184,32 @@ class Propagation:
             k.e = (ops.lambda1 / ops.d_h)[:, None]
             k.ca = k.c * (k.half_l0 * ops.d_c)[:, None]
             k.cb = k.c * (ops.lambda1 * ops.d_s_bar)[:, None]
-            if grouped:
-                rows, k.tail = _grouped(ops.classes, d)
-                k.groups = [(r, k.ca[r.start, 0], k.cb[r.start, 0]) for r in rows]
-                rows, k.edge_tail = _grouped(ops.edge_classes, d)
-                k.edge_groups = [(r, k.e[r.start, 0]) for r in rows]
-            k._widen()
+            rows, k.tail = _grouped(ops.classes, d)
+            k.groups = [(r, k.ca[r.start, 0], k.cb[r.start, 0]) for r in rows]
+            rows, k.edge_tail = _grouped(ops.edge_classes, d)
+            k.edge_groups = [(r, k.e[r.start, 0]) for r in rows]
+            k.ca_wide, k.cb_wide = (np.repeat(col[k.tail :], d, axis=1) for col in (k.ca, k.cb))
+            k.e_wide = np.repeat(k.e[k.edge_tail :], d, axis=1)
         for a in (left.data, *(v for v in vars(k).values() if isinstance(v, np.ndarray))):
             a.flags.writeable = False
         return vars(k)
 
-    def _bind(self, constants: dict, params: EnergyParams | None) -> None:
-        """Take the ``constants`` of ``_constants`` and form the ``d x d`` matrices of ``params``."""
+    def _bind(self, constants: dict, params: EnergyParams | None, fold: float) -> None:
+        """Take the ``constants`` of ``_constants`` and form the ``d x d`` matrices of ``params``,
+        with ``A_k = fold * I - G_k``."""
         vars(self).update(constants)
         self.scratch, self.classes, self.edge_classes = None, [], []
         if not self.general:
             return
         h0, h1 = self.h0, self.h1 = params.h0, params.h1
-        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - np.eye(self.d)
-        self.a0, self.a1 = -(h0 @ h0.T), -(h1 @ h1.T)
+        eye = np.eye(self.d)
+        self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - eye
+        self.a0, self.a1 = fold * eye - h0 @ h0.T, fold * eye - h1 @ h1.T
+        self.classes = [(r, ca, cb, ca * self.a0 + cb * self.a1 + self.u * eye) for r, ca, cb in self.groups]
+        self.edge_classes = [(r, e, self.m0 + e * self.m1) for r, e in self.edge_groups]
+        # one scratch for every kernel call through this instance: a fresh one per
+        # layer is paged in anew whenever the allocator has trimmed the heap
+        self.scratch = np.empty(self.ca_wide.shape)
 
     def kernel(self, v: np.ndarray, left, right):
         """``K(v; left, right)`` and the edge-side product ``right v``.
@@ -257,10 +233,6 @@ class Propagation:
             for rows, _, _, mg in self.classes:
                 dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
             vt, out_t = v[self.tail :], out[self.tail :]
-            # one scratch for every call through this instance: a fresh one per
-            # layer is paged in anew whenever the allocator has trimmed the heap
-            if self.scratch is None or self.scratch.shape != vt.shape:
-                self.scratch = np.empty(vt.shape)
             if vt.size:
                 for ck, ak in ((self.ca_wide, self.a0), (self.cb_wide, self.a1)):
                     t = np.multiply(vt, ck, out=self.scratch)

@@ -10,32 +10,27 @@ which is the kernel of ``energy.Propagation`` at a layer's constants plus
 barrier and applies at every step.  The step is written once, as ``layer``,
 and the pass once, as ``forward``, which training, evaluation and inference
 all run; the taped pass records it as one node, whose adjoint ``_pass_vjp``
-runs ``layer_vjp`` from the last layer down.  Every layer reads the same
-``c_fx = c * Fx``, so ``layer_vjp`` returns the gradient of ``c_fx`` and
-``_pass_vjp`` multiplies the sum of the layers' by ``c`` once.
-``descent_trace`` calls ``layer`` too, and the step bounds apply its
-kernel at their own constants.
+runs ``layer_vjp`` from the last layer down.  ``descent_trace`` calls
+``layer`` too, and the step bounds apply its kernel at their own constants.
 
 A node in no hyperedge has zero rows in ``L_H``, so its energy term is
 ``||y_i - f_i||^2`` alone, in either variant: its minimiser over
 ``y_i >= 0``, ``ReLU(f_i)``, is where the first layer takes it from
 ``Y_0 = Fx`` and where every later layer keeps it.  The layers of both
-variants therefore run on the rows of ``ExpansionOperators``, the nodes in
-some hyperedge alone, and the isolated rows are ``ReLU(Fx)`` in closed form:
-``forward`` and ``descent_trace`` hold ``k x d`` arrays per layer, ``k``
-the number of linked nodes (0 on a hypergraph with no hyperedge).  The
-linked nodes come by degree class, so a general layer's ``d x d`` row terms
-take one BLAS ``dgemm`` per class of at least ``max(d, 2^16 / d^2)`` rows
-and two on the other rows, and, the edges coming by size class, one per
-size class of as many edges: ``G + 2 + E`` calls for ``G`` and ``E`` such
-classes (``G + E`` when the ``G`` hold every row).  The class matrices hold
-``u * Y``; the other rows take it as one BLAS ``daxpy``, and the edges past
-the size classes two numpy products.  Its adjoint makes as many calls for
-``dY``; its ``d x d`` reductions, one ``Z = Y_g^T g_g`` or ``P_s^T S_s`` per
-class and two on each tail, are numpy's.  A pass of ``T`` layers makes
-``T`` times a layer's calls, and ``descent_trace`` one layer's per iterate.
-A simple layer's row terms are ``u * Y`` alone, so it makes no ``dgemm``
-call and one ``daxpy`` of ``k x d``.
+variants therefore run on the rows of ``ExpansionOperators``, the ``k``
+nodes in some hyperedge (0 on a hypergraph with no hyperedge), and the
+isolated rows are ``ReLU(Fx)`` in closed form.
+
+The cost of a layer, with ``G`` degree and ``E`` edge size classes grouped
+(see ``Propagation``): a general kernel call makes ``G + E + 2`` BLAS
+``dgemm`` calls (``G + E`` when the classes hold every row), one ``daxpy`` on
+the tail rows and two numpy ``d x d`` products on the edge tail; a simple one
+makes one ``daxpy`` of ``k x d`` and no ``dgemm``.  A general adjoint makes a
+kernel call for ``dY`` and ``6 + G + E`` more numpy products: one reduction
+per class, two on each tail and the two of ``dH0`` and ``dH1``; a simple
+one makes the kernel call alone.  A pass of ``T`` layers makes ``T`` times a
+layer's calls, ``descent_trace`` a kernel call per iterate, and a step bound
+one per operator application.
 """
 
 from __future__ import annotations
@@ -205,22 +200,15 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     ``dc_fx = g``, and ``dH_k`` follows through ``M_k`` and ``G_k`` from ``P^T (B^T R)``,
     ``Y^T (ca * g)`` and ``Y^T (cb * g)``; ``c`` enters through ``B^T diag(c)``,
     ``ca`` and ``cb``, and ``R`` is never formed.  ``Fx``'s gradient is ``c``
-    times ``c_fx``'s, a multiply that ``_pass_vjp`` makes once for the sum
-    over the layers.  The general variant's mask ``out > 0`` and ``P = B^T Y``
-    are rebuilt from ``kept`` with the forward's own factor, so they equal,
-    bit for bit, what the forward computed.  ``backward`` hands ``g`` over,
-    so the mask is written into it, and it is returned as the ``c_fx``
-    gradient.  ``dY`` takes the kernel's per-class products, each ``M_g`` and
-    ``N_s`` being symmetric.  Each class (``prop.classes``) adds ``ca_g Z_g``
-    and ``cb_g Z_g`` to the two reductions, ``Z_g = Y_g^T g_g``; on the tail,
-    ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
-    leaves it, and ``ca * g`` is then written over it.  Each edge size class
-    adds ``Z_s = P_s^T S_s`` and ``e_s Z_s`` to ``P^T S`` and ``P^T (e * S)``,
-    ``S = B^T R``; on the edge tail ``e`` scales ``S`` in place.  The tails
-    read ``ca`` and ``e`` at full width (``prop.ca_wide``, ``prop.e_wide``).
-    ``P`` is one ``_spmm`` call, and the ``d x d`` products, these reductions
-    and the two of ``dH_k``, are ``_matmul``'s: ``8 + G + E`` of them with the
-    kernel's two, for ``G`` degree and ``E`` size classes grouped."""
+    times ``c_fx``'s, a multiply left to ``_pass_vjp``.  The general variant's
+    mask ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the
+    forward's own factor, so they equal, bit for bit, what the forward
+    computed.  ``backward`` hands ``g`` over, so the mask is written into it,
+    and it is returned as the ``c_fx`` gradient.  Each grouped class adds
+    its ``Z_g = Y_g^T g_g`` (``Z_s = P_s^T S_s``, ``S = B^T R``) to both
+    reductions it enters, at its scalars; on the tail, ``Y^T (cb * g)`` reads
+    ``cb * g`` from ``prop.scratch``, where the kernel leaves it, and ``ca * g``
+    is then written over it; on the edge tail ``e`` scales ``S`` in place."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
@@ -248,13 +236,8 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
 
 
 def _propagation(model: Model, ops: ExpansionOperators, x) -> Propagation:
-    """The layers' kernel of ``model``, for features ``x``.
-
-    ``ops`` must be built for the model's ``(lambda0, lambda1)``, and ``x``
-    must have a row per node of the hypergraph.  The kernel of either
-    variant runs on the nodes in some hyperedge, ``ops.linked``, by degree
-    class; the others, ``ops.isolated``, are ``ReLU(Fx)``.  Either may be
-    empty."""
+    """The layers' kernel of ``model``, for features ``x``: ``ops`` must be built for the
+    model's ``(lambda0, lambda1)``, and ``x`` must have a row per node of the hypergraph."""
     cfg = model.config
     if (ops.lambda0, ops.lambda1) != (cfg.lambda0, cfg.lambda1):
         raise ValueError(
@@ -272,14 +255,14 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
 
     Dropout enters as constant multiplicative masks, ``input_mask * X``
     before the predictor and ``feature_mask * Fx`` after it; ``None`` leaves
-    either out.  The layers run on the linked rows (see ``_propagation``);
-    the last ``Y`` and ``ReLU(Fx)`` on the isolated rows are written into
-    ``Fx``'s array, which is returned as ``Y``.  The classifier is applied to
-    each set of rows on its own, so its adjoint reads the last ``Y`` on the
-    linked rows, which the last general layer keeps anyway, and no n x d
-    ``Y``.  A ``kept`` dict receives what ``_pass_vjp`` reads: the
-    predictor's input ``h``, the feature mask, the kernel and its rows, each
-    layer's ``layer`` list, and the classifier's inputs ``y`` and ``iso``."""
+    either out.  The layers run on the linked rows; the last ``Y`` and
+    ``ReLU(Fx)`` on the isolated rows are written into ``Fx``'s array, which
+    is returned as ``Y``.  The classifier is applied to each set of rows on
+    its own, so its adjoint reads the last ``Y`` on the linked rows, which the
+    last general layer keeps anyway, and no n x d ``Y``.  A ``kept`` dict
+    receives what ``_pass_vjp`` reads: the predictor's input ``h``, the
+    feature mask, the kernel and its rows, each layer's ``layer`` list, and
+    the classifier's inputs ``y`` and ``iso``."""
     h = np.asarray(x, dtype=np.float64)
     prop, linked, isolated = _propagation(model, ops, h), ops.linked, ops.isolated
     if input_mask is not None:
@@ -303,24 +286,16 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
     return fx, logits
 
 
-def _add(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
-    """``total += term``, or ``term`` itself when there is no ``total`` yet."""
-    if total is None:
-        return term
-    total += term
-    return total
-
-
 def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     """Hand-written adjoint of ``forward`` from the logits' gradient ``g``, which it
     owns: one gradient per entry of ``model.parameters()``, in order.
 
     The sweep runs the pass backwards: the classifier on the isolated rows,
     then on the linked rows; the layers from T down to 1 through
-    ``layer_vjp``, each layer's ``c_fx`` gradient summed into one
-    accumulator, which is then multiplied by ``c`` once, as every layer
-    reads ``c_fx = c * Fx``, and takes layer 1's ``dY`` (its ``Y`` is
-    ``Fx``); ``Fx``'s n x d gradient, written from the linked and the
+    ``layer_vjp``, each layer's ``c_fx``, ``H0`` and ``H1`` gradients summed
+    into the last layer's, the ``c_fx`` sum then multiplied by ``c`` once, as
+    every layer reads ``c_fx = c * Fx``, and given layer 1's ``dY`` (its ``Y``
+    is ``Fx``); ``Fx``'s n x d gradient, written from the linked and the
     isolated rows' parts; and the predictor through the feature mask.  The
     order of the sums fixes the gradients' bits, and so the checkpoints that
     fixed seeds reproduce.  Each gradient is freed once it is summed."""
@@ -335,13 +310,12 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     db += g.sum(axis=0)
     dy = g @ w.T
     del g
-    d_rows = dh0 = dh1 = None
-    for saved in reversed(layers):
-        dy, d_c, *dh = layer_vjp(dy, prop, saved)
-        d_rows = _add(d_rows, d_c)
-        if dh:
-            dh0, dh1 = _add(dh0, dh[0]), _add(dh1, dh[1])
-        del d_c, dh
+    dy, d_rows, *dh = layer_vjp(dy, prop, layers[-1])
+    for saved in reversed(layers[:-1]):
+        dy, *terms = layer_vjp(dy, prop, saved)
+        for total, term in zip((d_rows, *dh), terms):
+            total += term
+        del terms
     d_rows *= prop.c  # every layer's c_fx = c * Fx: one multiply of the sum
     d_rows += dy  # layer 1's Y is Fx
     del dy
@@ -350,7 +324,7 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     del d_rows, d_iso
     if kept["feature_mask"] is not None:
         d_fx = kept["feature_mask"] * d_fx
-    return (kept["h"].T @ d_fx, d_fx.sum(axis=0), dw, db, *((dh0, dh1) if prop.general else ()))
+    return (kept["h"].T @ d_fx, d_fx.sum(axis=0), dw, db, *dh)
 
 
 # -- taped forward (training path) -------------------------------------------
@@ -497,8 +471,8 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     holds ``(1 - alpha) Y``, scales that term's rounding by ``d_tilde /
     alpha`` (CHANGES.md gives the error per ``alpha``; 1e-10 relative holds
     down to about ``alpha = 1e-5``).  The iterates cover the linked rows
-    alone (see ``_propagation``).  An isolated row is ``Fx`` at iterate 0, where it adds nothing to the energy
-    or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
+    alone.  An isolated row is ``Fx`` at iterate 0, where it adds nothing to
+    the energy or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
     from iterate 1 on, where its residual ``min(Fx, 0)`` adds
     ``||min(Fx, 0)||^2`` to the energy and ``4 ||min(Fx, 0)||^2`` to the
     squared gradient norm."""
@@ -543,17 +517,15 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
 
 # -- checkpoints ---------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "phenomnn-checkpoint-v1"
+CHECKPOINT_FORMAT = "phenomnn-checkpoint-v2"
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Serialize every parameter tensor plus the config; round-trips bit-exactly.
-
-    The predictor is stored as one-element ``weights``/``biases`` lists."""
+    """Serialize every parameter tensor plus the config; round-trips bit-exactly."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
-        "predictor": {"weights": [model.predictor.w.tolist()], "biases": [model.predictor.b.tolist()]},
+        "predictor": {"w": model.predictor.w.tolist(), "b": model.predictor.b.tolist()},
         "classifier": {"w": model.classifier.w.tolist(), "b": model.classifier.b.tolist()},
         "h0": model.params.h0.tolist(),
         "h1": model.params.h1.tolist(),
@@ -565,41 +537,31 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file.  One that does not describe a model (a
     missing key, a config field among them, a config value not of its field's
-    type as ``check_config_value`` judges it, a predictor that is not one layer,
-    array shapes that disagree with ``config.d`` or with each other, a
-    non-finite entry in any array, the simple variant's unread ``h0``/``h1``
-    included) raises ``ValueError`` naming ``path`` and, for an array, its key.
-
-    Earlier files also hold ``config.relu_mode``; ``"every_step"`` is the layer
-    this package runs, and any other value is rejected.  They may hold
-    ``config.strict_alpha`` too, a boolean that is checked and dropped."""
+    type as ``check_config_value`` judges it, array shapes that disagree with
+    ``config.d`` or with each other, a non-finite entry in any array, the
+    simple variant's unread ``h0``/``h1`` included) raises ``ValueError``
+    naming ``path`` and, for an array, its key.  So does a file of any format
+    but ``CHECKPOINT_FORMAT``, an earlier ``phenomnn-checkpoint-v1`` among them."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognized checkpoint: {path}")
+        raise ValueError(f"not a recognized checkpoint: {path} is not a {CHECKPOINT_FORMAT} file")
     try:
         config = dict(payload["config"])
-        relu_mode = config.pop("relu_mode", "every_step")
-        if relu_mode != "every_step":
-            raise ValueError(f"relu_mode {relu_mode!r} is not supported; every layer applies the ReLU")
-        check_config_value("strict_alpha", config.pop("strict_alpha", False), bool)
         for key, kind in typing.get_type_hints(ModelConfig).items():
             value = config[key]  # a field's default would hide a truncated config
             if kind in _KIND_NAMES:
                 check_config_value(key, value, kind)
         cfg = ModelConfig(**config)
         pred, head = payload["predictor"], payload["classifier"]
-        layers = (len(pred["weights"]), len(pred["biases"]))
         arrays = [
             np.array(a, dtype=np.float64)
-            for a in (*pred["weights"], *pred["biases"], head["w"], head["b"], payload["h0"], payload["h1"])
+            for a in (pred["w"], pred["b"], head["w"], head["b"], payload["h0"], payload["h1"])
         ]
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint has no key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if layers != (1, 1):
-        raise ValueError(f"{path}: the predictor has {layers[0]} weight and {layers[1]} bias arrays, not one layer")
     w, b, cw, cb, h0, h1 = arrays
     d = cfg.d
     expected = (w.shape[:1] + (d,), (d,), (d, cb.size), (cb.size,), (d, d), (d, d))

@@ -255,14 +255,10 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDiverged(f"{kind} {name!r} became non-finite at epoch {epoch}")
         metrics.loss.append(loss)
-        if masked:
+        if masked or epoch == train_config.epochs - 1:
             _, eval_logits = forward(x, model, ops)
             if score(epoch, eval_logits, time.perf_counter()):
                 break
-    else:
-        if not masked:
-            _, eval_logits = forward(x, model, ops)
-            score(train_config.epochs - 1, eval_logits, time.perf_counter())
 
     # the last tape is not needed by the trace: free it before the trace allocates
     del tape, logits_var, loss_var, grads, eval_logits, input_mask, feature_mask

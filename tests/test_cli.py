@@ -72,8 +72,8 @@ def test_eval_on_checkpoint(synthetic_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("case, cause", [
     ("no-predictor", "no key 'predictor'"),
-    ("empty-predictor", "0 weight and 0 bias arrays, not one layer"),
-    ("stacked-predictor", "2 weight and 2 bias arrays, not one layer"),
+    ("empty-predictor", "predictor.w0 has shape (0,), expected (0, 5)"),
+    ("stacked-predictor", "predictor.w0 has shape (2, 5, 5), expected (2, 5)"),
     ("short-bias", "predictor.b0 has shape (1,), expected (5,)"),
     ("fractional-layers", "config key 't_layers' must be an integer, got 2.5"),
     ("no-alpha", "no key 'alpha'"),
@@ -93,11 +93,11 @@ def test_eval_rejects_a_checkpoint_that_describes_no_model(synthetic_dir, tmp_pa
     if case == "no-predictor":
         del payload["predictor"]
     elif case == "empty-predictor":
-        pred["weights"], pred["biases"] = [], []
+        pred["w"], pred["b"] = [], []
     elif case == "stacked-predictor":
-        pred["weights"], pred["biases"] = pred["weights"] * 2, pred["biases"] * 2
+        pred["w"], pred["b"] = [pred["w"]] * 2, [pred["b"]] * 2
     elif case == "short-bias":
-        pred["biases"][0] = pred["biases"][0][:1]
+        pred["b"] = pred["b"][:1]
     elif case == "fractional-layers":
         payload["config"]["t_layers"] = 2.5
     elif case == "no-alpha":  # not ModelConfig's default alpha
@@ -305,6 +305,18 @@ def test_gen_synthetic_rejects_a_setting_outside_its_range(flag, value, message,
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "energy-trace", "check-gradients"])
+def test_an_absurd_width_exits_with_one_line(synthetic_dir, tmp_path, capsys, command):
+    # 10^16 columns put the first array past any address space but under numpy's size
+    # limit, so its allocation fails at once, as a MemoryError, and is never attempted
+    args = {"train": ["--data", synthetic_dir, "--out", str(tmp_path / "run")],
+            "energy-trace": ["--data", synthetic_dir], "check-gradients": []}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--set", "hidden=10000000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_step_bound_reads_only_the_hypergraph_of_a_dataset(tmp_path, capsys):

@@ -254,6 +254,15 @@ def test_make_splits_deterministic_and_disjoint():
     assert set(np.unique(a)) <= {"train", "val", "test", "none"}
 
 
+@pytest.mark.parametrize("make", [lambda: make_splits(10, seed=-1), lambda: SyntheticSpec(seed=-1)],
+                         ids=["make_splits", "SyntheticSpec"])
+def test_a_negative_seed_is_rejected_by_name(make):
+    # numpy's own error, "expected non-negative integer", names no setting
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == "seed must be >= 0, got -1"
+
+
 def test_make_splits_small_n():
     s = make_splits(4, seed=1)
     assert (s == "train").sum() == 2

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 
+from phenomnn import energy
 from phenomnn.autodiff import Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams
@@ -713,8 +714,17 @@ def assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def tail_only_kernel(monkeypatch, ops, model):
+    """The layers' kernel of ``model`` on a fresh copy of ``ops`` with no class of either
+    kind grouped: every row in the tail and every edge in the edge tail."""
+    monkeypatch.setattr(energy, "_CLASS_WORK", float("inf"))
+    plain = Propagation(dataclasses.replace(ops), model.params, "general", model.config.alpha)
+    assert plain.classes == plain.edge_classes == [] and plain.tail == plain.edge_tail == 0
+    return plain
+
+
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
-def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share):
+def test_degree_classes_of_the_threshold_take_their_own_products(monkeypatch, isolated_share):
     x, _, model, ops, _ = degree_class_problem(isolated_share)
     linked, isolated = ops.linked, ops.isolated
     assert isolated.size == ops.n - 263 and ops.classes.tolist() == [0, 96, 160, 223, 263]
@@ -729,14 +739,11 @@ def test_degree_classes_of_the_threshold_take_their_own_products(isolated_share)
         assert ca == prop.ca[rows.start, 0] and cb == prop.cb[rows.start, 0]
         assert np.array_equal(mg, mg.T)
     # one layer and its adjoint, against the same kernel with every row in the tail
-    plain = Propagation(ops, model.params, "general", model.config.alpha)
-    plain.classes, plain.tail = [], 0
-    plain._widen()
-    assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
+    assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, tail_only_kernel(monkeypatch, ops, model))
 
 
 @pytest.mark.parametrize("isolated_share", [0.3, 0.0])
-def test_edge_size_classes_of_the_threshold_take_their_own_products(isolated_share):
+def test_edge_size_classes_of_the_threshold_take_their_own_products(monkeypatch, isolated_share):
     x, _, model, ops, _ = edge_class_problem(isolated_share)
     linked, isolated = ops.linked, ops.isolated
     assert isolated.size == ops.n - 357 and ops.classes.tolist() == [0, 189, 317, 357]
@@ -751,11 +758,8 @@ def test_edge_size_classes_of_the_threshold_take_their_own_products(isolated_sha
     for rows, e_s, ns in prop.edge_classes:
         assert e_s == prop.e[rows.start, 0] == model.config.lambda1 / 2.0
         assert np.array_equal(ns, ns.T)
-    # one layer and its adjoint, against the same kernel with every edge in the edge tail
-    plain = Propagation(ops, model.params, "general", model.config.alpha)
-    plain.edge_classes, plain.edge_tail = [], 0
-    plain._widen()
-    assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, plain)
+    # one layer and its adjoint, against the same kernel with every row and edge in the tails
+    assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, tail_only_kernel(monkeypatch, ops, model))
     # the adjoint against the oracle that reads P, whose reductions mirror the per-class Z_s
     fx = model.predictor.apply(x)[linked]
     g = rng_for(84).standard_normal(fx.shape)
@@ -986,8 +990,8 @@ def test_general_layer_numpy_products_are_two_per_kernel_and_one_per_class_in_th
     descent_trace(x, model, ops, 3)
     assert calls == kernel * 4
     calls.clear()
-    bound = step_bound_general(ops, model.params)  # no class grouped: every edge in the tail
-    assert bound.eig.iterations > 0 and calls == [((ops.b.shape[1], d), (d, d))] * 2 * bound.eig.iterations
+    bound = step_bound_general(ops, model.params)  # the layers' classes: a kernel's products per application
+    assert bound.eig.iterations > 0 and calls == kernel * bound.eig.iterations
     simple = init_model(dataclasses.replace(model.config, variant="simple"), x.shape[1], 3, seed=88)
     calls.clear()
     tape = Tape()
@@ -1414,59 +1418,38 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-def _earlier_checkpoint(tmp_path, relu_mode):
-    """A model and the file an earlier version wrote for it, which also held ``config.relu_mode``."""
-    ds = generate_synthetic(SyntheticSpec(nodes_per_community=8, edges=8, feature_dim=3, seed=14))
+def _checkpoint(tmp_path):
+    """A general model and the file ``save_checkpoint`` writes for it."""
     model = init_model(ModelConfig(variant="general", t_layers=3, d=4, alpha=0.3, lambda0=1.0, lambda1=0.5),
-                       3, ds.n_classes, seed=14)
-    path = tmp_path / "v1.json"
+                       3, 2, seed=14)
+    path = tmp_path / "ck.json"
     save_checkpoint(model, path)
+    return model, path
+
+
+def test_checkpoint_of_format_v1_is_rejected_by_name(tmp_path):
+    # a v1 file stored the predictor as one-layer weights/biases lists, and might hold
+    # relu_mode and strict_alpha: it is refused by its format, before any key is read
+    model, path = _checkpoint(tmp_path)
     payload = json.loads(path.read_text())
-    assert "relu_mode" not in payload["config"]
-    payload["config"]["relu_mode"] = relu_mode
+    payload["format"] = "phenomnn-checkpoint-v1"
+    payload["config"].update(relu_mode="every_step", strict_alpha=False)
+    payload["predictor"] = {"weights": [model.predictor.w.tolist()], "biases": [model.predictor.b.tolist()]}
     path.write_text(json.dumps(payload))
-    return ds, model, path
-
-
-def test_checkpoint_with_every_step_relu_mode_loads_the_same_model(tmp_path):
-    ds, model, path = _earlier_checkpoint(tmp_path, "every_step")
-    loaded = load_checkpoint(path)
-    assert loaded.config == model.config
-    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
-    assert forward(ds.features, loaded, ops)[1].tobytes() == forward(ds.features, model, ops)[1].tobytes()
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_checkpoint_with_strict_alpha_loads_the_same_model(tmp_path, strict):
-    # earlier files hold strict_alpha, a setting of run setup alone: it is checked and dropped
-    ds, model, path = _earlier_checkpoint(tmp_path, "every_step")
-    payload = json.loads(path.read_text())
-    payload["config"]["strict_alpha"] = strict
-    path.write_text(json.dumps(payload))
-    loaded = load_checkpoint(path)
-    assert loaded.config == model.config
-    ops = build_expansion_operators(ds.hypergraph, 1.0, 0.5)
-    assert forward(ds.features, loaded, ops)[1].tobytes() == forward(ds.features, model, ops)[1].tobytes()
-
-
-def test_checkpoint_with_end_only_relu_mode_is_rejected(tmp_path):
-    # the every-step layer would give other logits than the model was trained with
-    _, _, path = _earlier_checkpoint(tmp_path, "end_only")
-    with pytest.raises(ValueError, match="relu_mode 'end_only'") as exc:
+    with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
-    assert str(path) in str(exc.value)
+    assert str(exc.value) == f"not a recognized checkpoint: {path} is not a phenomnn-checkpoint-v2 file"
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("t_layers", 2.5, "config key 't_layers' must be an integer, got 2.5"),
     ("alpha", "0.1", "config key 'alpha' must be a finite number, got '0.1'"),
-    ("strict_alpha", "False", "config key 'strict_alpha' must be true or false, got 'False'"),
     ("d", True, "config key 'd' must be an integer, got True"),
 ])
 def test_checkpoint_config_of_the_wrong_type_is_rejected(tmp_path, key, value, message):
     # 2.5 layers would fail inside forward, "0.1" in a comparison, "False"
     # would read as true, and true as a width of 1
-    _, _, path = _earlier_checkpoint(tmp_path, "every_step")
+    _, path = _checkpoint(tmp_path)
     payload = json.loads(path.read_text())
     payload["config"][key] = value
     path.write_text(json.dumps(payload))
@@ -1478,7 +1461,7 @@ def test_checkpoint_config_of_the_wrong_type_is_rejected(tmp_path, key, value, m
 @pytest.mark.parametrize("key", ["variant", "t_layers", "d", "alpha", "lambda0", "lambda1"])
 def test_checkpoint_config_without_a_field_is_rejected(tmp_path, key):
     # every ModelConfig field has a default, which must not stand in for a missing value
-    _, _, path = _earlier_checkpoint(tmp_path, "every_step")
+    _, path = _checkpoint(tmp_path)
     payload = json.loads(path.read_text())
     del payload["config"][key]
     path.write_text(json.dumps(payload))
@@ -1493,7 +1476,7 @@ def test_checkpoint_config_without_a_field_is_rejected(tmp_path, key):
     ("alpha", 0.0, "alpha must be positive and finite, got 0.0"),
 ])
 def test_checkpoint_config_out_of_range_names_the_file_and_key(tmp_path, key, value, message):
-    _, _, path = _earlier_checkpoint(tmp_path, "every_step")
+    _, path = _checkpoint(tmp_path)
     payload = json.loads(path.read_text())
     payload["config"][key] = value
     path.write_text(json.dumps(payload))
@@ -1516,7 +1499,7 @@ def test_checkpoint_with_a_non_finite_value_names_the_file_and_key(tmp_path, var
     elif key == "classifier.w":
         payload["classifier"]["w"][0][1] = value
     else:
-        payload["predictor"]["biases"][0][3] = value
+        payload["predictor"]["b"][3] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
