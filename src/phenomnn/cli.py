@@ -16,9 +16,11 @@ subcommand reads; a preset or a ``--config`` file may hold any key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import typing
 from importlib import resources
@@ -141,6 +143,19 @@ def _out_dir(args) -> str:
     return out
 
 
+@contextlib.contextmanager
+def _out_dir_for_runs(args):
+    """``--out``, made before the runs; a directory made here is removed again if they fail."""
+    made = not os.path.exists(args.out or ".")
+    out = _out_dir(args)
+    try:
+        yield out
+    except BaseException:
+        if made:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
+
+
 def _single_run(dataset, mc: ModelConfig, tc: TrainConfig, resplit: bool):
     if resplit:
         # on a copy: every serial run shares the loaded dataset
@@ -161,38 +176,38 @@ def cmd_train(args) -> int:
     if args.parallel is not None and args.parallel < 1:
         raise ValueError(f"--parallel must be at least 1, got {args.parallel}")
     cfg = resolve_config(args)
-    # every value, and the dataset, is loaded and checked before the output directory is made
     mc, tc = _config(ModelConfig, cfg), _config(TrainConfig, cfg)
     dataset = _need_dataset(cfg)
-    out = _out_dir(args)
-    if repeats == 1:
-        model, metrics = _single_run(dataset, mc, tc, cfg["resplit"])
-        metrics.write(out)
-        save_checkpoint(model, os.path.join(out, "checkpoint.json"))
-        print(
-            f"trained {cfg['variant']} variant: best val acc {metrics.best_val_acc:.4f}, "
-            f"test acc {metrics.final_test_acc:.4f} (epoch {metrics.best_epoch})"
-        )
-        return 0
-    runs = [(mc, dataclasses.replace(tc, seed=tc.seed + i), cfg["resplit"]) for i in range(repeats)]
-    if args.parallel:
-        import multiprocessing as mp
+    # every value, and the dataset, is checked and --out is made before the runs
+    with _out_dir_for_runs(args) as out:
+        if repeats == 1:
+            model, metrics = _single_run(dataset, mc, tc, cfg["resplit"])
+            metrics.write(out)
+            save_checkpoint(model, os.path.join(out, "checkpoint.json"))
+            print(
+                f"trained {cfg['variant']} variant: best val acc {metrics.best_val_acc:.4f}, "
+                f"test acc {metrics.final_test_acc:.4f} (epoch {metrics.best_epoch})"
+            )
+            return 0
+        runs = [(mc, dataclasses.replace(tc, seed=tc.seed + i), cfg["resplit"]) for i in range(repeats)]
+        if args.parallel:
+            import multiprocessing as mp
 
-        with mp.Pool(min(repeats, args.parallel)) as pool:
-            results = pool.starmap(_run_summary, [(dataset, *run) for run in runs])
-    else:
-        results = [_run_summary(dataset, *run) for run in runs]
-    accs = np.array([r["final_test_acc"] for r in results])
-    summary = {
-        "repeats": repeats,
-        "mean_test_acc": float(accs.mean()),
-        "std_test_acc": float(accs.std()),
-        "runs": results,
-    }
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2)
-    print(f"{repeats} runs: test acc {accs.mean():.4f} +/- {accs.std():.4f}")
-    return 0
+            with mp.Pool(min(repeats, args.parallel)) as pool:
+                results = pool.starmap(_run_summary, [(dataset, *run) for run in runs])
+        else:
+            results = [_run_summary(dataset, *run) for run in runs]
+        accs = np.array([r["final_test_acc"] for r in results])
+        summary = {
+            "repeats": repeats,
+            "mean_test_acc": float(accs.mean()),
+            "std_test_acc": float(accs.std()),
+            "runs": results,
+        }
+        with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as f:
+            json.dump(summary, f, indent=2)
+        print(f"{repeats} runs: test acc {accs.mean():.4f} +/- {accs.std():.4f}")
+        return 0
 
 
 def cmd_eval(args) -> int:
@@ -264,7 +279,7 @@ def cmd_check_gradients(args) -> int:
 
 
 def cmd_step_bound(args) -> int:
-    cfg = resolve_config(args, _MODEL_KEYS - {"prop_step"})
+    cfg = resolve_config(args, _MODEL_KEYS - {"prop_step", "hidden"})
     if cfg["dataset"] and args.hypergraph:
         raise ValueError("step-bound takes --data (or the config key 'dataset') or --hypergraph, not both")
     if cfg["dataset"]:
@@ -278,7 +293,8 @@ def cmd_step_bound(args) -> int:
     if mc.variant == "simple":
         bound = step_bound_simple(ops)
     else:
-        bound = step_bound_general(ops, EnergyParams.identity(mc.d))
+        # at H0 = H1 = I the operator is I_d (x) M, so its bound does not depend on the width d
+        bound = step_bound_general(ops, EnergyParams.identity(1))
     status = "converged" if bound.eig.converged else f"NOT converged (residual {bound.eig.residual:.3g})"
     print(f"step bound ({mc.variant}): {bound.value:.10g}  [sigma={bound.sigma:.6g}, {status}]")
     print(f"certificate: {bound.certificate} ({bound.eig.iterations} operator applications)")
@@ -341,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_gradients)
 
     p = sub.add_parser("step-bound", help="print the convergence step-size bound")
-    _add_common(p, seed_and_out=False)  # the bound is taken at H0 = H1 = I
+    _add_common(p, seed_and_out=False)  # the bound is taken at H0 = H1 = I, of any width
     p.add_argument("--hypergraph", help="hypergraph file (alternative to --data)")
     p.set_defaults(func=cmd_step_bound)
 

@@ -2,7 +2,8 @@
 
 The incidence matrix ``B`` is binary, with ``B[i, k] = 1`` when node ``i``
 belongs to hyperedge ``k``.  A scipy CSR matrix, it is the only copy of the
-structure, and every constructor builds it in ``Hypergraph._from_columns``.
+structure, and every constructor builds it in ``Hypergraph._from_columns``;
+``parse_hypergraph`` is the one reader of the text grammar.
 The clique expansion is the raw algebraic form ``A_C = B B^T``
 (multiplicities and diagonal retained), and the normalized star contraction
 is ``A_S_bar = B D_H^{-1} B^T``.  Both factor through ``B``, so the operators
@@ -111,50 +112,15 @@ def _check_edges(n: int, ids: np.ndarray, ptr: np.ndarray) -> None:
         raise HypergraphError(f"hyperedge {k_out}: node id {bad} out of range (n={n})")
 
 
-# a file of these bytes alone has no comment, sign or other whitespace for
-# the line parser to judge: its tokens are the digit runs of each line
-_PLAIN_BYTES = b"0123456789 \t\n"
-
-
-def _parse_plain(text: str):
-    """``(n, ids, ptr)`` of a well-formed file of digits, blanks and newlines; else None."""
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    if raw.translate(None, _PLAIN_BYTES):
-        return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    digit = (buf >= ord("0")).view(np.int8)  # of these bytes, the digits are those from "0" up
-    starts = np.flatnonzero(np.diff(digit, prepend=np.int8(0)) == 1)
-    line_of = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
-    lines = text.count("\n") + (not text.endswith("\n"))  # as str.splitlines counts them
-    counts = np.bincount(line_of, minlength=lines)
-    if counts[0] != 2:
-        return None
-    try:
-        values = np.array(raw.split(), dtype=np.int64)
-    except OverflowError:
-        return None
-    n, m = int(values[0]), int(values[1])
-    ids = values[2:]
-    edges = counts[1:]  # blank lines after the last hyperedge are skipped
-    if n < 1 or edges.size < m or not edges[:m].all() or edges[m:].any() or (ids.size and ids.max() >= n):
-        return None
-    return n, ids, np.concatenate(([0], np.cumsum(edges[:m])))
-
-
 def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
-    """Parse the hypergraph text grammar; errors name the offending line.
+    """Parse the hypergraph text grammar; a fault raises ``HypergraphError`` naming its line.
 
-    Blank lines after the last hyperedge are skipped; a blank line before it
-    is an empty hyperedge.  A file of digits, blanks and newlines alone is
-    parsed as arrays in one pass; any other file, and any file that pass
-    finds at fault, is read line by line, which accepts the same files and
-    names the line at fault.
+    ``#`` lines aside, the first line is the header ``n m`` and each of the next ``m``
+    lists one hyperedge's ids, read by ``int``, in ``[0, n)``.  A blank line before the
+    last hyperedge is an empty one; blank lines after it are skipped.  The file is read
+    one line at a time, so the first line at fault is named, and within a line a token
+    ``int`` rejects comes before an id out of range.
     """
-    plain = _parse_plain(text)
-    if plain is not None:
-        return _build(source, 1, *plain)
     header = None  # the header's line number, once read
     ids, ptr = [], [0]  # hyperedge k holds ids[ptr[k]:ptr[k + 1]]
     n = m = 0
@@ -195,17 +161,11 @@ def parse_hypergraph(text: str, source: str = "<string>") -> Hypergraph:
         raise HypergraphError(f"{source}: missing header line 'n m'")
     if len(ptr) - 1 != m:
         raise HypergraphError(f"{source}: expected {m} hyperedges, found {len(ptr) - 1}")
-    return _build(source, header, n, np.array(ids, dtype=np.int64), np.array(ptr, dtype=np.int64))
-
-
-def _build(source: str, header: int, n: int, ids: np.ndarray, ptr: np.ndarray) -> Hypergraph:
-    """``Hypergraph._from_columns`` of parsed, checked columns; a ``B`` that cannot be
-    built for the header's sizes raises ``HypergraphError`` naming the header line."""
     try:
-        return Hypergraph._from_columns(n, ids, ptr)
+        return Hypergraph._from_columns(n, np.array(ids, dtype=np.int64), np.array(ptr, dtype=np.int64))
     except (ValueError, MemoryError) as err:  # numpy's dimension limit, or an allocation refused
         reason = str(err) or type(err).__name__
-    raise HypergraphError(f"{source}:{header}: cannot build the incidence matrix for n={n} m={ptr.size - 1}: {reason}")
+    raise HypergraphError(f"{source}:{header}: cannot build the incidence matrix for n={n} m={m}: {reason}")
 
 
 def load_hypergraph(path) -> Hypergraph:

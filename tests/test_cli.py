@@ -317,14 +317,35 @@ def test_an_absurd_width_exits_with_one_line(synthetic_dir, tmp_path, capsys, co
     assert main([command, *args, "--set", "hidden=10000000000000000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()  # train removes the --out it made for a failed run
+
+
+@pytest.mark.parametrize("repeats", [[], ["--repeats", "2"]])
+def test_train_stops_before_its_runs_if_out_cannot_be_made(synthetic_dir, tmp_path, capsys, monkeypatch, repeats):
+    out = tmp_path / "run"
+    out.write_text("kept")
+    monkeypatch.setattr(cli, "_single_run", lambda *args: pytest.fail("a run started"))
+    assert main(["train", "--data", synthetic_dir, "--out", str(out), *repeats]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "kept"
+
+
+def test_a_failed_run_leaves_an_out_that_was_there(synthetic_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert main(["train", "--data", synthetic_dir, "--out", str(out), "--set", "hidden=10000000000000000"]) == 1
+    assert os.listdir(out) == ["notes.txt"]
 
 
 def test_step_bound_reads_only_the_hypergraph_of_a_dataset(tmp_path, capsys):
     data = tmp_path / "ds"
     data.mkdir()
-    (data / "hypergraph.txt").write_text("3 2\n0 1\n1 2\n")
-    assert main(["step-bound", "--data", str(data), "--set", "lambda0=0", "--set", "lambda1=0"]) == 0
-    assert "step bound (simple): 1 " in capsys.readouterr().out
+    for text in ("3 2\n0 1\n1 2\n", "# sizes\n3 2\n0 1\n  # edge 1\n1 2\n"):
+        (data / "hypergraph.txt").write_text(text)
+        assert main(["step-bound", "--data", str(data), "--set", "lambda0=0", "--set", "lambda1=0"]) == 0
+        assert "step bound (simple): 1 " in capsys.readouterr().out
 
 
 
@@ -550,12 +571,13 @@ def test_eval_needs_a_dataset_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("step-bound", "prop_step", 2), ("step-bound", "seed", 3), ("step-bound", "lr", 0.5),
+    ("step-bound", "prop_step", 2), ("step-bound", "seed", 3), ("step-bound", "lr", 0.5), ("step-bound", "hidden", 4),
     ("energy-trace", "epochs", 7), ("energy-trace", "resplit", True), ("check-gradients", "dropout", 0.5),
 ])
 def test_set_rejects_a_key_the_subcommand_does_not_read(synthetic_dir, tmp_path, capsys, command, key, value):
-    # the bound is taken at H0 = H1 = I and reads no depth or seed; nothing but train trains
-    rc = main([command, "--data", synthetic_dir, "--set", "hidden=4", "--set", f"{key}={json.dumps(value)}"])
+    # the bound is taken at H0 = H1 = I and reads no depth, width or seed; nothing but train trains
+    width = [] if command == "step-bound" else ["--set", "hidden=4"]
+    rc = main([command, "--data", synthetic_dir, *width, "--set", f"{key}={json.dumps(value)}"])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -564,7 +586,7 @@ def test_set_rejects_a_key_the_subcommand_does_not_read(synthetic_dir, tmp_path,
     path = tmp_path / "run.json"
     path.write_text(json.dumps({key: value}))
     extra = ["--samples", "4"] if command == "check-gradients" else []
-    assert main([command, "--data", synthetic_dir, "--set", "hidden=4", "--config", str(path), *extra]) == 0
+    assert main([command, "--data", synthetic_dir, *width, "--config", str(path), *extra]) == 0
 
 
 def test_run_settings_default_to_the_published_values():

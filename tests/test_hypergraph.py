@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from phenomnn import hypergraph
 from phenomnn.hypergraph import Hypergraph, HypergraphError, build_expansion_operators, parse_hypergraph
 from helpers import by_node, hyperedges, random_hypergraph, rng_for
 from oracles import (
@@ -128,26 +127,39 @@ def test_from_edges_names_an_earlier_fault_before_a_bad_id():
 
 
 def random_hypergraph_text(rng, n, m):
-    """A file of the grammar with blank runs, tabs, leading zeros and repeated ids."""
+    """A file of the grammar with blank runs, tabs, leading zeros and repeated ids, and its edges."""
     def blank():
         return str(rng.choice([" ", "  ", "\t", " \t"]))
 
+    edges = random_edge_lists(rng, n, m)
     lines = [f"{n}{blank()}{m}"]
-    for e in random_edge_lists(rng, n, m):
+    for e in edges:
         ids = [f"{i:0{int(rng.integers(1, 4))}d}" for i in e]
         lines.append(blank() * int(rng.integers(0, 2)) + blank().join(ids) + blank() * int(rng.integers(0, 2)))
-    return "\n".join(lines) + "\n" * int(rng.integers(0, 2))
+    return "\n".join(lines) + "\n" * int(rng.integers(0, 2)), edges
+
+
+def commented(text):
+    """``text`` with a ``#`` line before each line, so line k moves to 2k, and an indented one after the last."""
+    end = "\r\n" if "\r\n" in text else "\n"
+    return "".join(f"# c{end}{line}{end}" for line in text.splitlines()) + f"  #{end}"
+
+
+def line_end_variants(text):
+    """``text`` with LF line ends, with CRLF ones, and each with ``#`` lines inserted."""
+    crlf = text.replace("\n", "\r\n")
+    return [text, crlf, commented(text), commented(crlf)]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_parse_of_plain_text_matches_the_line_parser(seed):
-    # with CRLF line ends the text is read line by line; on plain text the
-    # array parse must give the same hypergraph
+    # every line end and comment variant gives the hypergraph of the edges written
     rng = rng_for(500 + seed)
     n = int(rng.integers(1, 40))
-    text = random_hypergraph_text(rng, n, int(rng.integers(0, 30)))
-    assert hypergraph._parse_plain(text) is not None
-    assert_same_hypergraph(parse_hypergraph(text), parse_hypergraph(text.replace("\n", "\r\n")))
+    text, edges = random_hypergraph_text(rng, n, int(rng.integers(0, 30)))
+    want = Hypergraph.from_edges(n, edges)
+    for variant in line_end_variants(text):
+        assert_same_hypergraph(parse_hypergraph(variant), want)
 
 
 @pytest.mark.parametrize(
@@ -169,20 +181,44 @@ def test_parse_of_plain_text_matches_the_line_parser(seed):
     ],
 )
 def test_parse_of_plain_text_faults_matches_the_line_parser(text):
-    with pytest.raises(Exception) as want:
-        parse_hypergraph(text.replace("\n", "\r\n"))
-    with pytest.raises(want.type) as got:
-        parse_hypergraph(text)
-    assert str(got.value) == str(want.value)
+    # every variant raises the LF text's fault, at the line it moved to
+    with pytest.raises(HypergraphError) as want:
+        parse_hypergraph(text, source="f.txt")
+    moved = re.sub(r"^f\.txt:(\d+):", lambda k: f"f.txt:{2 * int(k[1])}:", str(want.value))
+    for variant in line_end_variants(text):
+        with pytest.raises(HypergraphError) as got:
+            parse_hypergraph(variant, source="f.txt")
+        assert str(got.value) == (moved if "# c" in variant else str(want.value))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the first line at fault is named, whatever the fault of a later line
+        ("3 2\n0 5\n0 x\n", "f.txt:2: node id 5 out of range (n=3)"),
+        ("3 3\n0 x\n\n1\n", "f.txt:2: malformed hyperedge line '0 x'"),
+        # within a line, a token int rejects comes before an id out of range
+        ("3 1\n5 x\n", "f.txt:2: malformed hyperedge line '5 x'"),
+    ],
+)
+def test_a_fault_is_named_by_its_line_in_file_order(text, message):
+    with pytest.raises(HypergraphError) as got:
+        parse_hypergraph(text, source="f.txt")
+    assert str(got.value) == message
+
+
+def test_ids_read_as_int_reads_them():
+    # a sign, digit separators and non-ASCII digits, as int() takes them
+    want = Hypergraph.from_edges(12, [[3, 10], [0, 3]])
+    for text in ("12 2\n+3 1_0\n0 \u0663\n", "12 2\n03 10\n-0 3\n"):
+        assert_same_hypergraph(parse_hypergraph(text), want)
 
 
 @pytest.mark.parametrize("text", ["3 1\n0 1\n\n", "3 2\n0 1\n1 2\n\n", "3 2\n0 1\n1 2\n \t\n\n", "3 2\n0 1\n1 2\n\n  "])
 def test_blank_lines_after_the_last_hyperedge_are_skipped(text):
-    # on the array path and, with CRLF line ends, on the line path alike
-    assert hypergraph._parse_plain(text) is not None
     want = parse_hypergraph(text.rstrip() + "\n")
-    for got in (parse_hypergraph(text), parse_hypergraph(text.replace("\n", "\r\n"))):
-        assert_same_hypergraph(got, want)
+    for variant in line_end_variants(text):
+        assert_same_hypergraph(parse_hypergraph(variant), want)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -197,7 +233,6 @@ def test_blank_line_before_the_last_hyperedge_is_an_empty_one(newline):
 def test_a_node_count_past_numpy_dimensions_names_the_header(newline):
     # B's row pointer would hold n + 1 entries: numpy refuses it before allocating
     text = "9223372036854775807 1\n0\n".replace("\n", newline)
-    assert (hypergraph._parse_plain(text) is None) == (newline == "\r\n")
     with pytest.raises(HypergraphError, match=r"^f\.txt:1: cannot build the incidence matrix for n=9223372036854775807 m=1: "):
         parse_hypergraph(text, source="f.txt")
 
