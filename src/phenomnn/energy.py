@@ -18,7 +18,7 @@ The weights ``lambda0``, ``lambda1`` are read from the ``ExpansionOperators``
 they were built for, and ``EnergyParams`` holds the learned ``H0``, ``H1``.
 ``L_H`` is written once, as ``Propagation.kernel``, the operator ``K`` of a
 step whole.  The layers and the step bounds apply it at their own per-row
-constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y)``, and
+constants; the descent trace reads ``-L_H Y`` off a layer's own ``K(Y) + c Fx``, and
 ``energy_from_neg_lap`` turns it into the energy and gradient.  Every adjacency
 product goes through the incidence matrix, one ``B^T`` product followed by
 one ``B`` product, each one ``_spmm`` call; no n x n matrix is formed.  A
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, dgemm
+from scipy.linalg.blas import dgemm
 from scipy.sparse import _sparsetools
 
 from .hypergraph import ExpansionOperators
@@ -56,11 +56,13 @@ VARIANTS = ("general", "simple")
 _CLASS_WORK = 1 << 16
 
 
-def _spmm(a, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a CSR or CSC ``a`` and a 2-d ``x``, bit for bit, and every sparse product of
-    the layers and step bounds: a new zeroed C-contiguous float64 array that scipy's private
-    ``csr_matvecs`` or ``csc_matvecs`` sums into, the call ``@`` makes after a dispatch that costs about 10 us."""
-    out = np.zeros((a.shape[0], x.shape[1]))
+def _spmm(a, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ x``, or ``out + a @ x`` summed into ``out`` in place, for a CSR or CSC ``a``, a 2-d
+    ``x`` and a C-contiguous float64 ``out``: every sparse product of the layers and step bounds.
+    scipy's private ``csr_matvecs`` or ``csc_matvecs`` sums into ``out``, a new zeroed array when
+    none is given, so that case is ``a @ x`` bit for bit, the call ``@`` makes after a dispatch
+    that costs about 10 us."""
+    out = np.zeros((a.shape[0], x.shape[1])) if out is None else out
     matvecs = _sparsetools.csr_matvecs if a.format == "csr" else _sparsetools.csc_matvecs
     matvecs(a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel())
     return out
@@ -139,9 +141,10 @@ class Propagation:
     products, by ``ca``, ``cb`` and ``e`` written ``d`` columns wide
     (``ca_wide``, ``cb_wide``, ``e_wide``: a multiply by a ``(rows, 1)`` column
     costs about twice as much at small ``d``), and the tail rows take ``u * V``
-    as one ``daxpy``, as every row of the simple kernel does.  A general call
-    leaves ``cb * v`` on the tail rows in ``scratch``, the instance's one work
-    array, for ``layer_vjp`` to read.
+    in the output's first write, as every row of the simple kernel does: no
+    row is swept again for ``u``.  A general call leaves ``cb * v`` on the
+    tail rows in ``scratch``, the instance's one work array, for
+    ``layer_vjp`` to read.
 
     What ``H0`` and ``H1`` leave alone, ``_constants`` builds, its arrays
     read-only; a layer's are kept in ``ops.kernels`` under ``(variant,
@@ -211,15 +214,22 @@ class Propagation:
         # layer is paged in anew whenever the allocator has trimmed the heap
         self.scratch = np.empty(self.ca_wide.shape)
 
-    def kernel(self, v: np.ndarray, left, right):
-        """``K(v; left, right)`` and the edge-side product ``right v``.
+    def kernel(self, v: np.ndarray, left, right, base: np.ndarray | None = None):
+        """``K(v; left, right)``, plus ``base`` when given, and the edge-side product ``right v``.
 
-        Both sparse products are ``_spmm``'s, each a new zeroed C-contiguous
-        array: BLAS adds the ``A`` and ``u`` terms into ``left``'s in place,
-        and it is what this returns."""
+        The output's first write, before any product, is ``u * v`` on the rows
+        past the degree classes and 0 on the grouped rows, whose ``M_g`` hold
+        ``u`` (0 on every row at the step bounds' ``u = 0``); then ``base`` is
+        added.  ``_spmm`` sums ``left``'s product into it and BLAS adds the
+        ``A`` terms, each in place."""
         p = _spmm(right, v)
+        out, z = np.empty((left.shape[0], v.shape[1])), self.tail if self.u != 0.0 else len(v)
+        out[:z] = 0.0
+        np.multiply(v[z:], self.u, out=out[z:])
+        if base is not None:
+            out += base
         if not self.general:
-            out = _spmm(left, p)
+            _spmm(left, p, out)
         else:
             # q^T = N_s^T p^T on each grouped class, in BLAS; the edge tail after them
             q, et = np.empty(p.shape), self.edge_tail
@@ -227,19 +237,15 @@ class Propagation:
                 dgemm(1.0, ns.T, p[rows].T, c=q[rows].T, overwrite_c=True)
             np.multiply(self.e_wide, _matmul(p[et:], self.m1), out=q[et:])
             q[et:] += _matmul(p[et:], self.m0)
-            out = _spmm(left, q)
+            _spmm(left, q, out)
             del q  # freed before the row terms: held on, it raises the call's peak by its m x d
             # out^T += M^T v^T in BLAS, all three F-contiguous views
             for rows, _, _, mg in self.classes:
                 dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
-            vt, out_t = v[self.tail :], out[self.tail :]
-            if vt.size:
+            if self.tail < len(v):
                 for ck, ak in ((self.ca_wide, self.a0), (self.cb_wide, self.a1)):
-                    t = np.multiply(vt, ck, out=self.scratch)
-                    dgemm(1.0, ak.T, t.T, beta=1.0, c=out_t.T, overwrite_c=True)
-        # u * v on the rows past the classes, whose M_g hold it; the step bounds' u = 0 skips the pass
-        if self.u != 0.0 and self.tail < v.shape[0]:
-            daxpy(v[self.tail :].ravel(), out[self.tail :].ravel(), a=self.u)
+                    t = np.multiply(v[self.tail :], ck, out=self.scratch)
+                    dgemm(1.0, ak.T, t.T, beta=1.0, c=out[self.tail :].T, overwrite_c=True)
         return out, p
 
 

@@ -23,9 +23,10 @@ isolated rows are ``ReLU(Fx)`` in closed form.
 
 The cost of a layer, with ``G`` degree and ``E`` edge size classes grouped
 (see ``Propagation``): a general kernel call makes ``G + E + 2`` BLAS
-``dgemm`` calls (``G + E`` when the classes hold every row), one ``daxpy`` on
-the tail rows and two numpy ``d x d`` products on the edge tail; a simple one
-makes one ``daxpy`` of ``k x d`` and no ``dgemm``.  A general adjoint makes a
+``dgemm`` calls (``G + E`` when the classes hold every row) and two numpy
+``d x d`` products on the edge tail; a simple one makes no ``dgemm``.  Either
+starts its k x d output from ``u * Y`` plus, in a layer, ``c * Fx``, with no
+zero fill, and sums its products into it in place.  A general adjoint makes a
 kernel call for ``dY`` and ``6 + G + E`` more numpy products: one reduction
 per class, two on each tail and the two of ``dH0`` and ``dH1``; a simple
 one makes the kernel call alone.  A pass of ``T`` layers makes ``T`` times a
@@ -172,8 +173,8 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
           pre: np.ndarray | None = None) -> np.ndarray:
     """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
 
-    ``pre``, when given, is ``K(Y)``, ``prop.kernel(y, *prop.fwd)[0]``, taken
-    by a caller that also reads it; the step is finished in it, in place.
+    ``pre``, when given, is ``K(Y) + c_fx``, ``prop.kernel(y, *prop.fwd, c_fx)[0]``,
+    taken by a caller that also reads it; the step is finished in it, in place.
 
     A ``kept`` list receives what ``layer_vjp`` reads.  In the general variant
     that is ``(Y, out)``, two arrays the taped pass holds anyway (``out`` is
@@ -185,8 +186,7 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
     where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for the kernel's k={prop.c.shape[0]} rows")
-    out = prop.kernel(y, *prop.fwd)[0] if pre is None else pre
-    out += c_fx
+    out = prop.kernel(y, *prop.fwd, c_fx)[0] if pre is None else pre
     np.maximum(out, 0.0, out=out)
     if kept is not None:
         kept += (y, out) if prop.general else (out > 0.0,)
@@ -455,22 +455,26 @@ def step_bound_general(ops: ExpansionOperators, params: EnergyParams) -> StepBou
 _TRACE_BLOCK_BYTES = 1 << 18
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row raises below
 def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: int | None = None) -> list:
     """Run ``model``'s layers from its base prediction ``Fx`` and record one row per iterate.
 
     Rows are dicts of ``iteration``, ``energy``, ``feasible`` and ``grad_norm``.
     ``steps`` defaults to ``t_layers``, so the last row is the energy of
-    ``forward``'s embedding.  Each row runs the layers' kernel ``pre = K(Y)``
-    once and reads it twice: ``-L_H Y = (d_tilde / alpha) * pre - (d_tilde /
-    alpha - 1) * Y`` (both variants, as ``K(Y) = (1 - alpha) Y - c L_H Y +
-    c (d_tilde - 1) Y`` with ``c = alpha / d_tilde`` and ``lambda0 d_C +
-    lambda1 d_S_bar = d_tilde - 1``) for the energy, and the next iterate,
-    which ``layer`` finishes in ``pre``.  The energy is not taken from
-    ``(Y_t - Y_{t+1}) / c``: its ``(1 - alpha) Y`` and ``c * Fx`` terms
-    cancel as the descent converges.  Reading ``-L_H Y`` off ``K(Y)``, which
-    holds ``(1 - alpha) Y``, scales that term's rounding by ``d_tilde /
-    alpha`` (CHANGES.md gives the error per ``alpha``; 1e-10 relative holds
-    down to about ``alpha = 1e-5``).  The iterates cover the linked rows
+    ``forward``'s embedding.  Each row runs the layers' kernel once, as a
+    layer does, for the pre-activation ``Z = K(Y) + c * Fx``, and reads it
+    twice: ``-L_H Y = (d_tilde / alpha) * Z - Fx - (d_tilde / alpha - 1) * Y``
+    (both variants, as ``K(Y) = (1 - alpha) Y - c L_H Y + c (d_tilde - 1) Y``
+    with ``c = alpha / d_tilde`` and ``lambda0 d_C + lambda1 d_S_bar =
+    d_tilde - 1``) for the energy, and the next iterate, which ``layer``
+    finishes in ``Z``, so the iterates are ``forward``'s bit for bit.  The
+    energy is not taken from ``(Y_t - Y_{t+1}) / c``: its ``(1 - alpha) Y``
+    and ``c * Fx`` terms cancel as the descent converges.  Reading ``-L_H Y``
+    off ``Z``, which holds ``(1 - alpha) Y``, scales that term's rounding by
+    ``d_tilde / alpha`` (CHANGES.md gives the error per ``alpha``; 1e-10
+    relative holds down to about ``alpha = 1e-5``).  A row whose energy or
+    gradient norm is not finite raises ``ValueError``, naming its iteration
+    and ``alpha``; no row after it is run.  The iterates cover the linked rows
     alone.  An isolated row is ``Fx`` at iterate 0, where it adds nothing to
     the energy or the gradient but is feasible only if ``Fx >= 0``, and ``ReLU(Fx)``
     from iterate 1 on, where its residual ``min(Fx, 0)`` adds
@@ -485,22 +489,21 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
     fx = model.predictor.apply(x)
     residual = np.minimum(fx[ops.isolated], 0.0)  # Fx - ReLU(Fx), zero where Fx >= 0
     iso_feasible, iso_sq = not residual.any(), float(np.vdot(residual, residual))
-    fx = fx[ops.linked]
-    y = fx
+    y = fx = fx[ops.linked]
     c_fx = prop.c * fx
     scale = (ops.d_tilde / cfg.alpha)[:, None]
     diag = scale - 1.0
-    n, d = fx.shape
-    block = max(1, _TRACE_BLOCK_BYTES // (8 * d))
-    neg_lap, work = np.empty((min(n, block), d)), np.empty((min(n, block), d))
+    block = max(1, _TRACE_BLOCK_BYTES // (8 * fx.shape[1]))
+    neg_lap, work = np.empty_like(fx[:block]), np.empty_like(fx[:block])
     for t in range(steps + 1):
-        pre, _ = prop.kernel(y, *prop.fwd)
+        pre, _ = prop.kernel(y, *prop.fwd, c_fx)
         energy, feasible, grad_sq = 0.0, iso_feasible or t > 0, 0.0
-        for lo in range(0, n, block):
+        for lo in range(0, len(fx), block):
             rb = slice(lo, lo + block)
             y_b = y[rb]
             nl, w = neg_lap[: len(y_b)], work[: len(y_b)]
             np.multiply(pre[rb], scale[rb], out=nl)
+            nl -= fx[rb]
             nl -= np.multiply(y_b, diag[rb], out=w)
             e = energy_from_neg_lap(y_b, fx[rb], nl, w)
             energy += e.smooth
@@ -509,6 +512,8 @@ def descent_trace(x: np.ndarray, model: Model, ops: ExpansionOperators, steps: i
         if t:  # the isolated rows, at ReLU(Fx)
             energy += iso_sq
             grad_sq += 4.0 * iso_sq
+        if not np.isfinite([energy, grad_sq]).all():
+            raise ValueError(f"descent_trace: energy or gradient not finite at iteration {t} (alpha={cfg.alpha})")
         rows.append({"iteration": t, "energy": energy, "feasible": feasible, "grad_norm": grad_sq**0.5})
         if t < steps:
             y = layer(y, c_fx, prop, pre=pre)

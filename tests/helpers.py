@@ -128,25 +128,6 @@ def record_dgemm(monkeypatch):
     return calls
 
 
-def record_daxpy(monkeypatch):
-    """Route ``phenomnn.energy``'s BLAS ``daxpy`` calls through a recorder, and return the
-    list it appends the length of ``x`` to, one per call.
-
-    These are the kernel's ``u v`` passes, on the rows past its degree
-    classes.  A call must give ``x`` and ``y`` the same length."""
-    import phenomnn.energy as energy_mod
-
-    calls, plain = [], energy_mod.daxpy
-
-    def recorded(x, y, **kwargs):
-        assert x.size == y.size
-        calls.append(x.size)
-        return plain(x, y, **kwargs)
-
-    monkeypatch.setattr(energy_mod, "daxpy", recorded)
-    return calls
-
-
 def _record(monkeypatch, name, entry):
     """Route the helper ``name`` of ``phenomnn.energy``, at its name there and in ``phenomnn.model``,
     through a recorder, and return the list it appends ``entry(a, b)`` to, one per call."""
@@ -155,9 +136,9 @@ def _record(monkeypatch, name, entry):
 
     calls, plain = [], getattr(energy_mod, name)
 
-    def recorded(a, b):
+    def recorded(a, b, *out):
         calls.append(entry(a, b))
-        return plain(a, b)
+        return plain(a, b, *out)
 
     for mod in (energy_mod, model_mod):
         monkeypatch.setattr(mod, name, recorded)

@@ -3,7 +3,7 @@
 ``build_clique`` and ``build_star_normalized`` form the n x n expansions that
 the package applies through ``B`` alone.  ``energy_and_grad`` evaluates the
 energy and its gradient from one kernel call at ``c = 1``, where the descent
-trace reads ``-L_H Y`` off a layer's ``K(Y)``.  The summation-form energy,
+trace reads ``-L_H Y`` off a layer's ``K(Y) + c Fx``.  The summation-form energy,
 the per-edge means, the trace-form energies, the node-wise layer and the
 bipartite star expansion each restate a quantity the package computes
 through ``Propagation.kernel``, by a different route.  The
@@ -25,9 +25,9 @@ from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, dgemm
+from scipy.linalg.blas import dgemm
 
-from phenomnn.energy import Propagation, energy_from_neg_lap
+from phenomnn.energy import Propagation, _spmm, energy_from_neg_lap
 from phenomnn.hypergraph import Hypergraph, HypergraphError
 from phenomnn.model import layer_vjp as model_layer_vjp
 from helpers import hyperedges
@@ -179,8 +179,7 @@ def messagepassing_layer(y, fx, ops, params, alpha):
 def layer_keeping_mask_and_p(y, c_fx, prop, kept=None):
     """``model.layer``, its ``kept`` list receiving the ReLU mask, plus ``Y`` and
     the kernel's own ``P = B^T Y`` in the general variant."""
-    out, p = prop.kernel(y, *prop.fwd)
-    out += c_fx
+    out, p = prop.kernel(y, *prop.fwd, c_fx)
     np.maximum(out, 0.0, out=out)
     if kept is not None:
         kept.append(out > 0.0)
@@ -234,17 +233,18 @@ def pass_vjp_scaling_each_layer(g, model, kept):
 
 
 def products_every_edge_in_the_tail(prop, v, left, right):
-    """``Propagation.kernel`` with no edge size class grouped: ``Q = P M0 + e * (P M1)``
-    on every edge in one expression, then the ``d x d`` row terms and ``u v`` as the kernel adds them."""
-    p = right @ v
-    out = left @ (p @ prop.m0 + prop.e * (p @ prop.m1))
+    """``Propagation.kernel`` with no edge size class grouped: the output started as the
+    kernel starts it, ``Q = P M0 + e * (P M1)`` on every edge in one expression summed into
+    it, then the ``d x d`` row terms as the kernel adds them."""
+    p, t = right @ v, prop.tail
+    out = np.zeros((left.shape[0], v.shape[1]))
+    out[t:] = prop.u * v[t:]
+    _spmm(left, p @ prop.m0 + prop.e * (p @ prop.m1), out)
     for rows, _, _, mg in prop.classes:
         dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
-    t = prop.tail
     for ck, ak in ((prop.ca, prop.a0), (prop.cb, prop.a1)):
         w = np.multiply(v[t:], ck[t:], out=prop.scratch)
         dgemm(1.0, ak.T, w.T, beta=1.0, c=out[t:].T, overwrite_c=True)
-    daxpy(v[t:].ravel(), out[t:].ravel(), a=prop.u)
     return out, p
 
 

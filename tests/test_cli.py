@@ -320,6 +320,25 @@ def test_an_absurd_width_exits_with_one_line(synthetic_dir, tmp_path, capsys, co
     assert not (tmp_path / "run").exists()  # train removes the --out it made for a failed run
 
 
+@pytest.mark.parametrize("command, alpha, extra", [
+    ("energy-trace", "1e200", ["--steps", "3"]),
+    ("train", "1e155", ["--set", "prop_step=1", "--set", "epochs=2"]),
+], ids=["energy-trace", "train"])
+def test_a_trace_that_is_not_finite_exits_with_one_line(tmp_path, capsys, command, alpha, extra):
+    # a step of alpha = 1e200 takes the first iterate past the float range, and one of
+    # 1e155 its energy: the trace stops at iteration 1, naming it and alpha, with no
+    # warning (a warning fails this test), and train writes no metrics.json
+    data, run = str(tmp_path / "toy"), tmp_path / "run"
+    assert main(["gen-synthetic", "--out", data, "--seed", "1"]) == 0
+    out = ["--out", str(run)] if command == "train" else []
+    capsys.readouterr()
+    assert main([command, "--data", data, *out, "--set", f"alpha={alpha}", "--set", "hidden=4", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: descent_trace: energy or gradient not finite at iteration 1 "
+                            f"(alpha={float(alpha)})\n")
+    assert captured.out == "" and not run.exists()
+
+
 @pytest.mark.parametrize("repeats", [[], ["--repeats", "2"]])
 def test_train_stops_before_its_runs_if_out_cannot_be_made(synthetic_dir, tmp_path, capsys, monkeypatch, repeats):
     out = tmp_path / "run"

@@ -39,7 +39,6 @@ from helpers import (
     one_layer,
     random_hypergraph,
     random_instance,
-    record_daxpy,
     record_dgemm,
     record_matmul,
     rng_for,
@@ -998,23 +997,69 @@ def test_general_layer_numpy_products_are_two_per_kernel_and_one_per_class_in_th
     backward(tape, tape.softmax_cross_entropy(build_taped_logits(tape, simple, ops, x), labels, np.arange(len(x))))
     assert calls == []
 
-def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch):
-    # u * Y rides in each grouped class's M_g; the tail rows, and every row of
-    # the simple kernel, take it as one daxpy, which the step bounds' u = 0 skips
-    calls = record_daxpy(monkeypatch)
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "tail-only"])
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_kernel_adds_base_into_its_output(monkeypatch, variant, grouped):
+    # kernel(v, ..., base) starts its output from base and sums the products into it,
+    # where kernel(v, ...) + base adds base last: the two agree within 4 ulps of the
+    # largest entry, in a layer's kernel call and in its adjoint's
+    if not grouped:
+        monkeypatch.setattr(energy, "_CLASS_WORK", float("inf"))
+    x, _, model, ops, _ = degree_class_problem(0.3, variant=variant)
+    prop = Propagation(ops, model.params, variant, model.config.alpha)
+    assert len(prop.classes) == (2 if grouped and variant == "general" else 0)
+    fx = model.predictor.apply(x)[ops.linked]
+    rng = rng_for(89)
+    for v, factors in ((fx, prop.fwd), (rng.standard_normal(fx.shape), prop.adj)):
+        base = rng.standard_normal(fx.shape)
+        got, p = prop.kernel(v, *factors, base)
+        want, want_p = prop.kernel(v, *factors)
+        want += base
+        assert p.tobytes() == want_p.tobytes()
+        assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+
+
+def test_simple_taped_layer_allocates_its_output_mask_and_edge_product_alone():
+    # one simple layer with a kept list: the k x d output, written once, the m x d
+    # edge-side product B^T Y, freed when the kernel returns, then the k x d bool mask
+    x, _, model, ops, _ = degree_class_problem(0.3, variant="simple")
+    prop = Propagation(ops, model.params, "simple", model.config.alpha)
+    fx = model.predictor.apply(x)[ops.linked]
+    c_fx, (k, d), m = prop.c * fx, fx.shape, ops.b.shape[1]
+    kept = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = layer(fx, c_fx, prop, kept)
+        held, peak = (t - start for t in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept[0].dtype == np.bool_ and kept[0].shape == out.shape == (k, d)
+    assert 9 * k * d <= held <= 9 * k * d + 1024
+    assert 8 * k * d + max(8 * m * d, k * d) <= peak <= 8 * k * d + max(8 * m * d, k * d) + 1024
+
+
+def test_u_term_enters_each_row_once_through_m_g_or_the_first_write(monkeypatch):
+    # u * V rides in each grouped class's M_g; the rows past the classes, and every
+    # row of the simple kernel, take it in the output's first write.  So a kernel at
+    # u, less the same kernel at u = 0, is u * V on every row to rounding, where a
+    # u term missed or added twice would leave 0 or 2u * V
     d = 32
 
-    def layer_and_adjoint(x, model, ops):
-        """The daxpy lengths of one layer of ``model``; its adjoint makes the same calls."""
-        prop = Propagation(ops, model.params, model.config.variant, model.config.alpha)
+    def u_once(x, model, ops):
+        """The tail offset of the layers' kernel of ``model``, after checking that ``u`` enters
+        each row once in a layer's kernel call and in its adjoint's."""
+        cfg = model.config
+        prop = Propagation(ops, model.params, cfg.variant, cfg.alpha)
+        at_zero = Propagation.__new__(Propagation)
+        at_zero._bind(Propagation._constants(ops, cfg.variant, cfg.alpha / ops.d_tilde, 0.0, d), model.params, 1.0)
         fx = model.predictor.apply(x)[ops.linked]
-        kept = []
-        calls.clear()
-        layer(fx, prop.c * fx, prop, kept)
-        one_layer = list(calls)
-        layer_vjp(rng_for(86).standard_normal(fx.shape), prop, kept)
-        assert calls == one_layer * 2
-        return one_layer
+        for v, name in ((fx, "fwd"), (rng_for(86).standard_normal(fx.shape), "adj")):
+            got, plain = prop.kernel(v, *getattr(prop, name))[0], at_zero.kernel(v, *getattr(at_zero, name))[0]
+            assert np.max(np.abs(got - plain - prop.u * v)) <= 1e-13 * max(np.max(np.abs(got)), np.max(np.abs(plain)))
+        for rows, ca, cb, mg in prop.classes:
+            assert np.max(np.abs(mg - ca * prop.a0 - cb * prop.a1 - prop.u * np.eye(d))) <= 1e-15
+        return prop.tail
 
     # the degree classes of 96 rows (edges of 4) and 64 rows (edges of 2) hold every linked row
     rng = rng_for(87)
@@ -1022,30 +1067,22 @@ def test_u_term_takes_one_daxpy_on_the_rows_past_the_degree_classes(monkeypatch)
     edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:160], [96])) for e in block.reshape(-1, size)]
     x, _, model, ops, _ = class_problem(229, edges, rng, 87)
     assert ops.classes.tolist() == [0, 96, 160]
-    assert layer_and_adjoint(x, model, ops) == []
+    assert u_once(x, model, ops) == 160
     # the tail of 103 rows after the classes of 96 and 64
     x, _, model, ops, ref = degree_class_problem(0.3)
-    assert layer_and_adjoint(x, model, ops) == [103 * d]
-    # the simple kernel on the 263 linked rows, in a layer and in each layer of a pass,
-    # which keeps a k x d mask per layer and makes no dgemm; on node-order operators,
-    # one daxpy on every node
+    assert u_once(x, model, ops) == 160
+    # the simple kernel on the 263 linked rows and on node-order operators, whose
+    # layers make no dgemm and keep a k x d mask each
     cfg = ModelConfig(variant="simple", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
     simple = init_model(cfg, 6, 3, seed=86)
     k = ops.linked.size
     assert k == 263 < ops.n
-    assert layer_and_adjoint(x, simple, ops) == [k * d]
+    assert u_once(x, simple, ops) == u_once(x, simple, ref) == 0
     shapes = record_dgemm(monkeypatch)
-    calls.clear()
     kept = {}
     forward(x, simple, ops, kept=kept)
-    assert calls == [k * d] * cfg.t_layers and shapes == []
+    assert shapes == []
     assert [(mask.shape, mask.dtype) for mask, in kept["layers"]] == [((k, d), np.bool_)] * cfg.t_layers
-    assert layer_and_adjoint(x, simple, ref) == [ops.n * d]
-    # the step bounds, each with its eigenvalue solve: no node is isolated and m >= n
-    ops = build_expansion_operators(Hypergraph.from_edges(6, [[i, j] for i in range(6) for j in range(i)]), 1.0, 0.5)
-    calls.clear()
-    bounds = step_bound_simple(ops), step_bound_general(ops, EnergyParams.identity(3))
-    assert [b.eig.iterations > 0 for b in bounds] == [True, True] and calls == []
 
 
 # -- step bounds -----------------------------------------------------------------------
