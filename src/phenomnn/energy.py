@@ -214,16 +214,23 @@ class Propagation:
         # layer is paged in anew whenever the allocator has trimmed the heap
         self.scratch = np.empty(self.ca_wide.shape)
 
-    def kernel(self, v: np.ndarray, left, right, base: np.ndarray | None = None):
+    def kernel(self, v: np.ndarray, left, right, base: np.ndarray | None = None, out: np.ndarray | None = None):
         """``K(v; left, right)``, plus ``base`` when given, and the edge-side product ``right v``.
 
-        The output's first write, before any product, is ``u * v`` on the rows
-        past the degree classes and 0 on the grouped rows, whose ``M_g`` hold
-        ``u`` (0 on every row at the step bounds' ``u = 0``); then ``base`` is
-        added.  ``_spmm`` sums ``left``'s product into it and BLAS adds the
-        ``A`` terms, each in place."""
-        p = _spmm(right, v)
-        out, z = np.empty((left.shape[0], v.shape[1])), self.tail if self.u != 0.0 else len(v)
+        The output, ``out`` when given (a C-contiguous float64 array of the
+        output's shape) and a new array otherwise, is written whole.  Its first
+        write, before any product, is ``u * v`` on the rows past the degree
+        classes and 0 on the grouped rows, whose ``M_g`` hold ``u`` (0 on every
+        row at the step bounds' ``u = 0``); then ``base`` is added.  ``_spmm``
+        sums ``left``'s product into it and BLAS adds the ``A`` terms, each in
+        place.  A simple kernel may be handed ``out=v``: it reads ``v`` only for
+        ``right v``, taken first, and for the elementwise first write.  A general
+        kernel raises ``ValueError`` then, as its class products read ``v`` while
+        they write the output."""
+        if out is v and self.general:
+            raise ValueError("kernel: a general kernel cannot write its output over its input v")
+        p, z = _spmm(right, v), self.tail if self.u != 0.0 else len(v)
+        out = np.empty((left.shape[0], v.shape[1])) if out is None else out
         out[:z] = 0.0
         np.multiply(v[z:], self.u, out=out[z:])
         if base is not None:

@@ -170,11 +170,14 @@ def init_model(config: ModelConfig, d_x: int, n_classes: int, seed: int = 0) -> 
 
 
 def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None = None,
-          pre: np.ndarray | None = None) -> np.ndarray:
+          pre: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """One descent step of either variant, ``ReLU(K(Y) + c_fx)`` with ``c_fx = prop.c * fx``.
 
     ``pre``, when given, is ``K(Y) + c_fx``, ``prop.kernel(y, *prop.fwd, c_fx)[0]``,
     taken by a caller that also reads it; the step is finished in it, in place.
+    Otherwise ``out``, when given, is the kernel's output array, which a simple
+    layer may be handed as ``y`` itself (see ``Propagation.kernel``): the step
+    is then written over ``Y``, and no k x d float array is allocated.
 
     A ``kept`` list receives what ``layer_vjp`` reads.  In the general variant
     that is ``(Y, out)``, two arrays the taped pass holds anyway (``out`` is
@@ -186,14 +189,14 @@ def layer(y: np.ndarray, c_fx: np.ndarray, prop: Propagation, kept: list | None 
     where ``Y`` would cost eight times that."""
     if y.shape != c_fx.shape or y.shape[0] != prop.c.shape[0]:
         raise ValueError(f"layer: shapes {y.shape}, {c_fx.shape} for the kernel's k={prop.c.shape[0]} rows")
-    out = prop.kernel(y, *prop.fwd, c_fx)[0] if pre is None else pre
+    out = prop.kernel(y, *prop.fwd, c_fx, out=out)[0] if pre is None else pre
     np.maximum(out, 0.0, out=out)
     if kept is not None:
         kept += (y, out) if prop.general else (out > 0.0,)
     return out
 
 
-def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
+def layer_vjp(g: np.ndarray, prop: Propagation, kept: list, d_c_fx: np.ndarray | None = None) -> tuple:
     """Hand-written adjoint of ``layer``: gradients for ``(Y, c_fx)``, and ``(H0, H1)`` when general.
 
     With ``g`` masked by the ReLU and ``R = c * g``: ``dY = K(g; B, B^T diag(c))``,
@@ -203,14 +206,20 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
     times ``c_fx``'s, a multiply left to ``_pass_vjp``.  The general variant's
     mask ``out > 0`` and ``P = B^T Y`` are rebuilt from ``kept`` with the
     forward's own factor, so they equal, bit for bit, what the forward
-    computed.  ``backward`` hands ``g`` over, so the mask is written into it,
-    and it is returned as the ``c_fx`` gradient.  Each grouped class adds
+    computed.  ``backward`` hands ``g`` over, so the mask is written into it.
+    The ``c_fx`` gradient is then added into ``d_c_fx``, the running sum of the
+    later layers' (``_pass_vjp``'s, returned in place of ``g``), or is ``g``
+    itself when ``d_c_fx`` is None.  Only after that does a simple adjoint
+    kernel write ``dY`` over ``g``, so a reverse sweep that hands each layer the
+    last one's ``dY`` and the sum runs in those two arrays; with no sum given,
+    ``dY`` is a new array, as it always is when general.  Each grouped class adds
     its ``Z_g = Y_g^T g_g`` (``Z_s = P_s^T S_s``, ``S = B^T R``) to both
     reductions it enters, at its scalars; on the tail, ``Y^T (cb * g)`` reads
     ``cb * g`` from ``prop.scratch``, where the kernel leaves it, and ``ca * g``
     is then written over it; on the edge tail ``e`` scales ``S`` in place."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
-    dy, s = prop.kernel(g, *prop.adj)
+    d_c_fx = g if d_c_fx is None else np.add(d_c_fx, g, out=d_c_fx)
+    dy, s = prop.kernel(g, *prop.adj, out=None if prop.general or d_c_fx is g else g)
     grads = ()
     if prop.general:
         y = kept[0]
@@ -232,7 +241,7 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list) -> tuple:
             c1 += w * z
         grads = (prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0),
                  (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
-    return (dy, g, *grads)
+    return (dy, d_c_fx, *grads)
 
 
 def _propagation(model: Model, ops: ExpansionOperators, x) -> Propagation:
@@ -274,7 +283,7 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
     c_fx = prop.c * y
     steps = [[] if kept is not None else None for _ in range(model.config.t_layers)]
     for saved in steps:
-        y = layer(y, c_fx, prop, saved)
+        y = layer(y, c_fx, prop, saved, out=None if prop.general else y)
     iso = np.maximum(fx[isolated], 0.0)
     if kept is not None:
         kept.update(h=h, feature_mask=feature_mask, prop=prop, linked=linked, isolated=isolated,
@@ -310,12 +319,10 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     db += g.sum(axis=0)
     dy = g @ w.T
     del g
-    dy, d_rows, *dh = layer_vjp(dy, prop, layers[-1])
-    for saved in reversed(layers[:-1]):
-        dy, *terms = layer_vjp(dy, prop, saved)
-        for total, term in zip((d_rows, *dh), terms):
-            total += term
-        del terms
+    d_rows = dh = None
+    for saved in reversed(layers):
+        dy, d_rows, *terms = layer_vjp(dy, prop, saved, d_rows)
+        dh = terms if dh is None else [np.add(total, term, out=total) for total, term in zip(dh, terms)]
     d_rows *= prop.c  # every layer's c_fx = c * Fx: one multiply of the sum
     d_rows += dy  # layer 1's Y is Fx
     del dy

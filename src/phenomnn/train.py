@@ -53,7 +53,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss, a gradient or a parameter becomes non-finite."""
+    """Raised when the training loss, a gradient, a parameter or Adam's second moment becomes non-finite."""
 
 
 @dataclass
@@ -151,20 +151,21 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            t=0,
-        )
+        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()})
 
 
+@np.errstate(over="ignore", invalid="ignore")  # train raises on a moment or parameter that is not finite
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig) -> None:
     """Standard bias-corrected Adam update, applied in place.
 
     The moments are updated in their own arrays too.  Moments allocated anew
     at every step land among that epoch's tape arrays and outlive them, and
     so can keep the last tape's freed memory from being returned to the OS
-    after ``train`` ends."""
+    after ``train`` ends.  A gradient entry above about 1e154 takes the second
+    moment past the float range, where its step would be 0: numpy's overflow
+    warning is silenced here, and ``train`` raises ``TrainingDiverged`` on the
+    moment that is not finite."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
@@ -250,7 +251,7 @@ def train(dataset, model_config: ModelConfig, train_config: TrainConfig):
             )
         grads = backward(tape, loss_var)
         adam_step(params, grads, state, train_config)
-        for kind, arrays in (("gradient", grads), ("parameter", params)):
+        for kind, arrays in (("gradient", grads), ("parameter", params), ("Adam second moment of", state.v)):
             for name, arr in arrays.items():
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDiverged(f"{kind} {name!r} became non-finite at epoch {epoch}")

@@ -136,9 +136,9 @@ def _record(monkeypatch, name, entry):
 
     calls, plain = [], getattr(energy_mod, name)
 
-    def recorded(a, b, *out):
+    def recorded(a, b, *out, **kwargs):
         calls.append(entry(a, b))
-        return plain(a, b, *out)
+        return plain(a, b, *out, **kwargs)
 
     for mod in (energy_mod, model_mod):
         monkeypatch.setattr(mod, name, recorded)

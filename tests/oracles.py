@@ -10,7 +10,9 @@ through ``Propagation.kernel``, by a different route.  The
 cross entropy restates the tape's ``softmax_cross_entropy``, and ``prox_nonneg``
 the ReLU of a layer.  ``layer_keeping_mask_and_p`` and ``layer_vjp_reading_p``
 are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
-kept, where ``model.layer_vjp`` rebuilds both.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
+kept, where ``model.layer_vjp`` rebuilds both.  ``layer_out_of_place`` and
+``layer_vjp_out_of_place`` are the layer and its adjoint with every output a
+new array, where a simple pass writes each layer over its input.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
 at a time, as ``Hypergraph.from_edges`` does with arrays, and ``class_order``
 and ``edge_class_order`` sort the linked nodes by degree class and the edges by
 size class, as ``build_expansion_operators`` does with arrays.
@@ -29,7 +31,7 @@ from scipy.linalg.blas import dgemm
 
 from phenomnn.energy import Propagation, _spmm, energy_from_neg_lap
 from phenomnn.hypergraph import Hypergraph, HypergraphError
-from phenomnn.model import layer_vjp as model_layer_vjp
+from phenomnn.model import layer as model_layer, layer_vjp as model_layer_vjp
 from helpers import hyperedges
 
 Energy = namedtuple("Energy", "smooth feasible")
@@ -176,10 +178,11 @@ def messagepassing_layer(y, fx, ops, params, alpha):
     return np.maximum(out, 0.0)
 
 
-def layer_keeping_mask_and_p(y, c_fx, prop, kept=None):
+def layer_keeping_mask_and_p(y, c_fx, prop, kept=None, out=None):
     """``model.layer``, its ``kept`` list receiving the ReLU mask, plus ``Y`` and
-    the kernel's own ``P = B^T Y`` in the general variant."""
-    out, p = prop.kernel(y, *prop.fwd, c_fx)
+    the kernel's own ``P = B^T Y`` in the general variant.  ``out`` is handed to
+    the kernel, as ``model.layer`` hands it, so a simple layer may write over ``Y``."""
+    out, p = prop.kernel(y, *prop.fwd, c_fx, out=out)
     np.maximum(out, 0.0, out=out)
     if kept is not None:
         kept.append(out > 0.0)
@@ -188,10 +191,13 @@ def layer_keeping_mask_and_p(y, c_fx, prop, kept=None):
     return out
 
 
-def layer_vjp_reading_p(g, prop, kept):
+def layer_vjp_reading_p(g, prop, kept, d_c_fx=None):
     """``model.layer_vjp`` over the ``kept`` of ``layer_keeping_mask_and_p``: the
-    mask and ``P`` are read, not rebuilt.  Writes into ``g``, as the adjoint does."""
+    mask and ``P`` are read, not rebuilt.  Writes into ``g``, as the adjoint does,
+    and returns the ``c_fx`` gradient summed into ``d_c_fx`` when given, but
+    takes ``dY`` in a new array."""
     np.multiply(g, kept[0], out=g)
+    d_c_fx = g if d_c_fx is None else np.add(d_c_fx, g, out=d_c_fx)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
@@ -209,7 +215,19 @@ def layer_vjp_reading_p(g, prop, kept):
             c0 += z
             c1 += e_s * z
         grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
-    return (dy, g, *grads)
+    return (dy, d_c_fx, *grads)
+
+
+def layer_out_of_place(y, c_fx, prop, kept=None, pre=None, out=None):
+    """``model.layer`` with its output always a new array: ``out`` is not read."""
+    return model_layer(y, c_fx, prop, kept, pre)
+
+
+def layer_vjp_out_of_place(g, prop, kept, d_c_fx=None):
+    """``model.layer_vjp`` with ``dY`` always a new array, and the ``c_fx`` gradient
+    sum ``d_c_fx + g`` a new array too: ``d_c_fx`` is not written."""
+    dy, d_c, *grads = model_layer_vjp(g, prop, kept)
+    return (dy, d_c if d_c_fx is None else d_c_fx + d_c, *grads)
 
 
 def pass_vjp_scaling_each_layer(g, model, kept):

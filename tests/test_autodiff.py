@@ -350,6 +350,38 @@ def test_taped_forward_keeps_only_what_the_adjoint_reads(variant):
     assert taped_bytes(ops, x, variant, 6) - taped_bytes(ops, x, variant, 2) <= 4 * (per_layer + BOOKKEEPING)
 
 
+def pass_and_backward_peak(ops, x, labels, t_layers, d=16):
+    """The peak bytes of a simple taped pass of ``t_layers`` layers and its ``backward``."""
+    cfg = ModelConfig(variant="simple", t_layers=t_layers, d=d, alpha=0.3, lambda0=1.0, lambda1=1.0)
+    model = init_model(cfg, x.shape[1], 3, seed=19)
+    rows = np.arange(x.shape[0])
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        backward(tape, tape.softmax_cross_entropy(build_taped_logits(tape, model, ops, x), labels, rows))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        del tape
+        tracemalloc.stop()
+
+
+def test_simple_pass_and_backward_keep_no_float_array_per_layer():
+    # each simple layer writes over its input, and each adjoint but the last layer's
+    # over its gradient, so more layers add their k x d bool masks to the peak and no
+    # k x d float array: a new array per layer, alive beside its input, raises the
+    # peak by 8kd bytes from the second layer on (the last layer's adjoint, the
+    # sweep's first, takes dY in a new array at any depth)
+    n, m, d = 2000, 400, 16
+    rng = rng_for(29)
+    ops = build_expansion_operators(random_hypergraph(rng, n, m), 1.0, 1.0)
+    x, labels = rng.standard_normal((n, 8)), rng.integers(0, 3, n)
+    k = ops.linked.size
+    pass_and_backward_peak(ops, x, labels, 2)  # the first pass also counts one-time allocations
+    peak = {t: pass_and_backward_peak(ops, x, labels, t) for t in (1, 2, 16)}
+    assert peak[16] - peak[2] <= 14 * k * d + 65536
+    assert peak[2] - peak[1] <= k * d + 65536 < 8 * k * d
+
+
 def test_general_taped_forward_keeps_only_the_linked_rows():
     # with 30% of the nodes in no hyperedge, spread among the others, a general
     # layer keeps Y_t on the k linked rows alone
@@ -670,8 +702,8 @@ def test_check_gradients_detects_corrupted_adjoint(monkeypatch):
 
     original = model_mod.layer_vjp
 
-    def corrupted(g, prop, kept):
-        dy, *rest = original(g, prop, kept)
+    def corrupted(g, prop, kept, *d_c_fx):
+        dy, *rest = original(g, prop, kept, *d_c_fx)
         return (1.7 * dy, *rest)
 
     monkeypatch.setattr(model_mod, "layer_vjp", corrupted)

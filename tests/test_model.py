@@ -49,6 +49,8 @@ from oracles import (
     energy_and_grad,
     energy_bruteforce,
     layer_keeping_mask_and_p,
+    layer_out_of_place,
+    layer_vjp_out_of_place,
     layer_vjp_reading_p,
     messagepassing_layer,
     products_every_edge_in_the_tail,
@@ -618,9 +620,9 @@ def test_every_kernel_is_built_and_applied_on_the_linked_rows(monkeypatch):
         bind(self, *args)
         built.append((self.c.shape[0], *self.fwd[0].shape[:1], *self.adj[0].shape[:1]))
 
-    def recording_kernel(self, v, *factors):
+    def recording_kernel(self, v, *factors, out=None):
         applied.append(v.shape[0])
-        return kernel(self, v, *factors)
+        return kernel(self, v, *factors, out=out)
 
     monkeypatch.setattr(Propagation, "_bind", recording_bind)
     monkeypatch.setattr(Propagation, "kernel", recording_kernel)
@@ -1019,24 +1021,91 @@ def test_kernel_adds_base_into_its_output(monkeypatch, variant, grouped):
         assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
 
 
-def test_simple_taped_layer_allocates_its_output_mask_and_edge_product_alone():
-    # one simple layer with a kept list: the k x d output, written once, the m x d
-    # edge-side product B^T Y, freed when the kernel returns, then the k x d bool mask
+def test_simple_taped_layer_allocates_its_mask_and_edge_product_alone():
+    # one simple layer with a kept list, handed its input as the output, as forward
+    # hands it: the m x d edge-side product B^T Y, freed when the kernel returns,
+    # then the k x d bool mask; the step is written over Y, with no k x d float array
     x, _, model, ops, _ = degree_class_problem(0.3, variant="simple")
     prop = Propagation(ops, model.params, "simple", model.config.alpha)
     fx = model.predictor.apply(x)[ops.linked]
     c_fx, (k, d), m = prop.c * fx, fx.shape, ops.b.shape[1]
+    want = layer(fx.copy(), c_fx, prop)
     kept = []
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = layer(fx, c_fx, prop, kept)
+        out = layer(fx, c_fx, prop, kept, out=fx)
         held, peak = (t - start for t in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    assert out is fx and out.tobytes() == want.tobytes()
     assert kept[0].dtype == np.bool_ and kept[0].shape == out.shape == (k, d)
-    assert 9 * k * d <= held <= 9 * k * d + 1024
-    assert 8 * k * d + max(8 * m * d, k * d) <= peak <= 8 * k * d + max(8 * m * d, k * d) + 1024
+    assert k * d <= held <= k * d + 1024
+    assert max(8 * m * d, k * d) <= peak <= max(8 * m * d, k * d) + 1024
+
+
+@pytest.mark.parametrize("variant", ["simple", "general"])
+def test_kernel_writes_over_its_input_only_when_simple(variant):
+    # a simple kernel handed out=v returns v, holding what a new output would hold,
+    # bit for bit, in a layer's kernel call and in its adjoint's; a general kernel's
+    # class products read v while they write the output, so it refuses out=v and
+    # leaves v as it was
+    x, _, model, ops, _ = degree_class_problem(0.3, variant=variant)
+    prop = Propagation(ops, model.params, variant, model.config.alpha)
+    assert len(prop.classes) == (2 if variant == "general" else 0)
+    fx = model.predictor.apply(x)[ops.linked]
+    rng = rng_for(92)
+    for v, factors in ((fx, prop.fwd), (rng.standard_normal(fx.shape), prop.adj)):
+        base, before = prop.c * rng.standard_normal(fx.shape), v.copy()
+        want, want_p = prop.kernel(v, *factors, base)
+        if variant == "general":
+            with pytest.raises(ValueError, match="a general kernel cannot write its output over its input"):
+                prop.kernel(v, *factors, base, out=v)
+            assert v.tobytes() == before.tobytes()
+        else:
+            got, p = prop.kernel(v, *factors, base, out=v)
+            assert got is v and got.tobytes() == want.tobytes() and p.tobytes() == want_p.tobytes()
+
+
+@pytest.mark.parametrize("edges", [True, False], ids=["linked", "no-hyperedge"])
+@pytest.mark.parametrize("masked", [False, True], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("t_layers", [1, 2, 3, 16])
+def test_simple_pass_in_place_matches_the_out_of_place_oracle_bitwise(monkeypatch, t_layers, masked, edges):
+    # a simple pass writes each layer over its input and each adjoint over its
+    # gradient: Y, the untaped and the taped logits and every gradient are, bit for
+    # bit, those of the same pass with a new array per layer; the caller's features
+    # and masks are not written, and a second run gives the first one's bits
+    import phenomnn.model as model_mod
+
+    x, labels, model, ops, _ = degree_class_problem(0.3, variant="simple")
+    model.config.t_layers = t_layers
+    if not edges:
+        ops = build_expansion_operators(Hypergraph.from_edges(len(x), []), ops.lambda0, ops.lambda1)
+    rng = rng_for(93)
+    masks = (None, None)
+    if masked:
+        masks = ((rng.random(x.shape) > 0.3) / 0.7, (rng.random((len(x), model.config.d)) > 0.3) / 0.7)
+    inputs = [a for a in (x, *masks) if a is not None]
+    before = [a.copy() for a in inputs]
+    rows = np.arange(0, len(x), 2)
+
+    def run():
+        y, logits = forward(x, model, ops, *masks)
+        tape = Tape()
+        taped = build_taped_logits(tape, model, ops, x, *masks)
+        grads = backward(tape, tape.softmax_cross_entropy(taped, labels[rows], rows))
+        return [y, logits, taped.value, *(grads[name] for name in model.parameters())]
+
+    got, again = run(), run()
+    with monkeypatch.context() as patch:
+        patch.setattr(model_mod, "layer", layer_out_of_place)
+        patch.setattr(model_mod, "layer_vjp", layer_vjp_out_of_place)
+        want = run()
+    assert len(got) == len(want) == 7 and 0.0 < (got[0] == 0.0).mean() < 1.0
+    for a, b, c in zip(got, again, want):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_u_term_enters_each_row_once_through_m_g_or_the_first_write(monkeypatch):

@@ -379,6 +379,22 @@ def test_divergence_is_reported():
             train(ds, simple_cfg(t_layers=4), TrainConfig(lr=1e200, epochs=5, seed=0))
 
 
+def test_an_adam_moment_past_the_float_range_stops_training(monkeypatch):
+    # a gradient entry of 1e160 is finite, but its square takes Adam's second moment
+    # past the float range, where the entry's step would be 0: train raises, naming
+    # the parameter and the epoch, where numpy would warn and the run go on
+    plain = train_mod.backward
+
+    def huge(tape, loss):
+        grads = plain(tape, loss)
+        grads["classifier.w"][0, 0] = 1e160
+        return grads
+
+    monkeypatch.setattr(train_mod, "backward", huge)
+    with pytest.raises(TrainingDiverged, match="Adam second moment of 'classifier.w' became non-finite at epoch 0"):
+        train(dataset(n_per=10, edges=10), simple_cfg(t_layers=2), TrainConfig(lr=0.02, epochs=3, seed=0))
+
+
 def test_nan_feature_stops_training():
     # in memory, so load_dataset's check does not apply; NaN reaches the
     # predictor's gradient through the input column
