@@ -31,7 +31,12 @@ kernel call for ``dY`` and ``6 + G + E`` more numpy products: one reduction
 per class, two on each tail and the two of ``dH0`` and ``dH1``; a simple
 one makes the kernel call alone.  A pass of ``T`` layers makes ``T`` times a
 layer's calls, ``descent_trace`` a kernel call per iterate, and a step bound
-one per operator application.
+one per operator application.  A simple pass allocates no k x d float array
+per layer: each layer writes its output over its ``Y``, in one array that
+starts as ``forward``'s own copy of ``Fx``'s linked rows, and each adjoint
+after the sweep's first writes ``dY`` over the gradient it is handed, after
+adding it into the one ``c * Fx`` gradient sum.  A general layer's output is
+a new array, as its taped pass keeps every ``Y_t``.
 """
 
 from __future__ import annotations
@@ -210,13 +215,14 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list, d_c_fx: np.ndarray |
     The ``c_fx`` gradient is then added into ``d_c_fx``, the running sum of the
     later layers' (``_pass_vjp``'s, returned in place of ``g``), or is ``g``
     itself when ``d_c_fx`` is None.  Only after that does a simple adjoint
-    kernel write ``dY`` over ``g``, so a reverse sweep that hands each layer the
-    last one's ``dY`` and the sum runs in those two arrays; with no sum given,
-    ``dY`` is a new array, as it always is when general.  Each grouped class adds
-    its ``Z_g = Y_g^T g_g`` (``Z_s = P_s^T S_s``, ``S = B^T R``) to both
-    reductions it enters, at its scalars; on the tail, ``Y^T (cb * g)`` reads
-    ``cb * g`` from ``prop.scratch``, where the kernel leaves it, and ``ca * g``
-    is then written over it; on the edge tail ``e`` scales ``S`` in place."""
+    kernel write ``dY`` over ``g``, so a reverse sweep that hands each layer
+    the ``dY`` of the layer after it, and the sum, runs in those two arrays;
+    with no sum given, ``dY`` is a new array, as it always is when general.
+    Each grouped class adds its ``Z_g = Y_g^T g_g`` (``Z_s = P_s^T S_s``,
+    ``S = B^T R``) to both reductions it enters, at its scalars; on the tail,
+    ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
+    leaves it, and ``ca * g`` is then written over it; on the edge tail ``e``
+    scales ``S`` in place."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     d_c_fx = g if d_c_fx is None else np.add(d_c_fx, g, out=d_c_fx)
     dy, s = prop.kernel(g, *prop.adj, out=None if prop.general or d_c_fx is g else g)
@@ -268,7 +274,10 @@ def forward(x: np.ndarray, model: Model, ops: ExpansionOperators, input_mask: np
     ``ReLU(Fx)`` on the isolated rows are written into ``Fx``'s array, which
     is returned as ``Y``.  The classifier is applied to each set of rows on
     its own, so its adjoint reads the last ``Y`` on the linked rows, which the
-    last general layer keeps anyway, and no n x d ``Y``.  A ``kept`` dict
+    last general layer keeps anyway, and no n x d ``Y``.  In the simple
+    variant every layer writes over its input, in one k x d array that starts
+    as ``Fx[linked]``, a copy the pass owns: taped or not, no caller's array
+    is written, and a layer allocates its bool mask alone.  A ``kept`` dict
     receives what ``_pass_vjp`` reads: the predictor's input ``h``, the
     feature mask, the kernel and its rows, each layer's ``layer`` list, and
     the classifier's inputs ``y`` and ``iso``."""
@@ -302,12 +311,14 @@ def _pass_vjp(g: np.ndarray, model: Model, kept: dict) -> tuple:
     The sweep runs the pass backwards: the classifier on the isolated rows,
     then on the linked rows; the layers from T down to 1 through
     ``layer_vjp``, each layer's ``c_fx``, ``H0`` and ``H1`` gradients summed
-    into the last layer's, the ``c_fx`` sum then multiplied by ``c`` once, as
-    every layer reads ``c_fx = c * Fx``, and given layer 1's ``dY`` (its ``Y``
-    is ``Fx``); ``Fx``'s n x d gradient, written from the linked and the
-    isolated rows' parts; and the predictor through the feature mask.  The
-    order of the sums fixes the gradients' bits, and so the checkpoints that
-    fixed seeds reproduce.  Each gradient is freed once it is summed."""
+    into the last layer's (``layer_vjp`` adds ``c_fx``'s, before a simple
+    adjoint writes ``dY`` over its ``g``), the ``c_fx`` sum then multiplied
+    by ``c`` once, as every layer reads ``c_fx = c * Fx``, and given layer
+    1's ``dY`` (its ``Y`` is ``Fx``); ``Fx``'s n x d gradient, written from
+    the linked and the isolated rows' parts; and the predictor through the
+    feature mask.  The order of the sums fixes the gradients' bits, and so
+    the checkpoints that fixed seeds reproduce.  Each gradient is freed once
+    it is summed."""
     prop, linked, isolated, layers, y, iso = (kept[k] for k in ("prop", "linked", "isolated", "layers", "y", "iso"))
     w = model.classifier.w
     g_iso = g[isolated]

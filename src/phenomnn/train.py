@@ -151,8 +151,11 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+            t=0,
+        )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # train raises on a moment or parameter that is not finite

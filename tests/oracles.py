@@ -12,7 +12,8 @@ the ReLU of a layer.  ``layer_keeping_mask_and_p`` and ``layer_vjp_reading_p``
 are the layer and its adjoint with the ReLU mask and the forward's ``P = B^T Y``
 kept, where ``model.layer_vjp`` rebuilds both.  ``layer_out_of_place`` and
 ``layer_vjp_out_of_place`` are the layer and its adjoint with every output a
-new array, where a simple pass writes each layer over its input.  ``from_edges_by_edge`` builds a ``Hypergraph`` one edge
+new array, where a simple pass writes each layer over its input.
+``from_edges_by_edge`` builds a ``Hypergraph`` one edge
 at a time, as ``Hypergraph.from_edges`` does with arrays, and ``class_order``
 and ``edge_class_order`` sort the linked nodes by degree class and the edges by
 size class, as ``build_expansion_operators`` does with arrays.

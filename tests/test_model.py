@@ -1021,7 +1021,7 @@ def test_kernel_adds_base_into_its_output(monkeypatch, variant, grouped):
         assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
 
 
-def test_simple_taped_layer_allocates_its_mask_and_edge_product_alone():
+def test_simple_taped_layer_allocates_its_output_mask_and_edge_product_alone():
     # one simple layer with a kept list, handed its input as the output, as forward
     # hands it: the m x d edge-side product B^T Y, freed when the kernel returns,
     # then the k x d bool mask; the step is written over Y, with no k x d float array
