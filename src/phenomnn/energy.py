@@ -50,10 +50,13 @@ __all__ = [
 VARIANTS = ("general", "simple")
 
 # A degree class of n_g rows, or an edge size class of n_g edges, takes its own
-# d x d product in a general layer when n_g >= max(d, _CLASS_WORK / d^2): the call's
-# overhead sets the bound at small d, and the d floor makes each class repay its
-# matrix and keeps the class matrices within one k x d array (timings: CHANGES.md).
-_CLASS_WORK = 1 << 16
+# d x d product in a general layer when n_g >= max(d, _CLASS_WORK / d^2): 256 at
+# d = 8, 64 at d = 16 and d from d = 32 on.  The calls' overhead sets the bound at
+# small d: timed per class size, a layer's kernel and adjoint together gain from a
+# degree class from about 200 rows at d = 8 and 80 at d = 16, and from fewer than d
+# rows at d >= 32, and an edge class gains most where the edge tail empties
+# (timing table: CHANGES.md).  The d floor keeps the class matrices within one k x d array.
+_CLASS_WORK = 1 << 14
 
 
 def _spmm(a, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,9 +136,10 @@ class Propagation:
     A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
     alone, an edge's ``e = lambda1 / m_e`` on its size class, and
     ``ExpansionOperators`` lists both by class, largest first.  A general kernel
-    gives each class of at least ``max(d, _CLASS_WORK / d^2)`` rows one product
-    with the symmetric ``M_g = ca_g A0 + cb_g A1 + u I`` (``classes`` lists
-    ``(rows, ca_g, cb_g, M_g)``), and each size class of as many edges one with
+    gives each class of at least ``max(d, _CLASS_WORK / d^2)`` rows (256 at
+    ``d = 8``, 64 at ``d = 16``, ``d`` from ``d = 32`` on; see
+    ``_CLASS_WORK``) one product with the symmetric ``M_g = ca_g A0 + cb_g A1
+    + u I`` (``classes`` lists ``(rows, ca_g, cb_g, M_g)``), and each size class of as many edges one with
     ``N_s = M0 + e_s M1`` (``edge_classes`` lists ``(edges, e_s, N_s)``).  The
     rows from ``tail`` on and the edges from ``edge_tail`` on keep the row-scaled
     products, by ``ca``, ``cb`` and ``e`` written ``d`` columns wide

@@ -67,3 +67,21 @@ def test_a_lead_within_the_parent_spread_is_no_gain(bench_pairs):
         runs += [canned("parent", seed, parent, 0.5), canned("change", seed, parent - 0.01, 0.5)]
     rows = {r["metric"]: r for r in bench_pairs.summarize(runs, SPEC)}
     assert rows["epoch_s"]["won"] == 10 and rows["epoch_s"]["verdict"] == "same"
+
+
+def test_gain_needs_the_minimum_pair_count(bench_pairs):
+    # one pair won 1 of 1 with no parent spread, so without a minimum a 2% win would read gain
+    one = [canned("parent", 0, 1.0, 0.5), canned("change", 0, 0.98, 0.5)]
+    row = {r["metric"]: r for r in bench_pairs.summarize(one, SPEC)}["epoch_s"]
+    assert (row["pairs"], row["won"], row["parent_iqr"], row["verdict"]) == (1, 1, 0.0, "same")
+    # ten pairs, each won by 5%, against a parent spread of about 2%
+    ten = []
+    for seed in range(bench_pairs.MIN_PAIRS):
+        parent = 1.0 + 0.005 * seed
+        ten += [canned("parent", seed, parent, 0.5), canned("change", seed, 0.95 * parent, 0.5)]
+    row = {r["metric"]: r for r in bench_pairs.summarize(ten, SPEC)}["epoch_s"]
+    assert row["pairs"] == bench_pairs.MIN_PAIRS == 10 and row["won"] == 10
+    assert row["parent"] - row["change"] > row["parent_iqr"] > 0.0 and row["verdict"] == "gain"
+    # the same ten less one pair: nine pairs cannot read gain
+    row = {r["metric"]: r for r in bench_pairs.summarize(ten[2:], SPEC)}["epoch_s"]
+    assert (row["pairs"], row["won"], row["verdict"]) == (9, 9, "same")

@@ -669,17 +669,17 @@ def degree_class_problem(isolated_share, seed=81, variant="general"):
     """A model at ``d = 32``, general unless ``variant`` says otherwise, whose linked
     nodes form four degree classes.
 
-    With ``max(d, 2^16 / d^2) = 64`` rows as the class threshold, the classes
-    of 96 (edges of 4) and 64 rows (edges of 2) take their own products, and
-    those of 63 (edges of 3) and 40 rows (two edges of 5 each) form the tail.
-    No edge size class (24, 32, 21 and 16 edges) reaches the threshold.
-    The linked nodes are spread over the node ids, among the isolated ones."""
+    With ``d = 32`` rows as the class threshold, the classes of 48 (edges of 4)
+    and 32 rows (edges of 2) take their own products, and those of 31 (one edge
+    of 31) and 30 rows (two edges of 5 each) form the tail.  No edge size class
+    (16, 12, 12 and 1 edges) reaches the threshold.  The linked nodes are spread over the node ids, among the
+    isolated ones."""
     rng = rng_for(seed)
-    k = 96 + 64 + 63 + 40
+    k = 48 + 32 + 31 + 30
     n = int(round(k / (1.0 - isolated_share)))
     ids = rng.permutation(n)
-    blocks = np.split(ids[:k], [96, 160, 223])
-    edges = [e.tolist() for size, block in zip((4, 2, 3), blocks) for e in block.reshape(-1, size)]
+    blocks = np.split(ids[:k], [48, 80, 111])
+    edges = [e.tolist() for size, block in zip((4, 2, 31), blocks) for e in block.reshape(-1, size)]
     edges += [e.tolist() for block in (blocks[3], rng.permutation(blocks[3])) for e in block.reshape(-1, 5)]
     return class_problem(n, edges, rng, seed, variant)
 
@@ -687,17 +687,17 @@ def degree_class_problem(isolated_share, seed=81, variant="general"):
 def edge_class_problem(isolated_share, seed=83):
     """A general model at ``d = 32`` whose edges form three size classes.
 
-    With 64 as the class threshold, the 64 edges of 2 nodes take their own
-    product, and the 63 edges of 3 and the 16 of 5 form the edge tail.  The
-    linked nodes form the degree classes of 189 rows (edges of 3), 128 rows
-    (edges of 2) and 40 rows (two edges of 5 each), the last in the tail.
+    With 32 as the class threshold, the 32 edges of 2 nodes take their own
+    product, and the 31 edges of 3 and the 8 of 5 form the edge tail.  The
+    linked nodes form the degree classes of 93 rows (edges of 3), 64 rows
+    (edges of 2) and 20 rows (two edges of 5 each), the last in the tail.
     The edges are listed in a random order, so the size classes interleave
     in ``B``'s columns, and the linked nodes are spread among the isolated ones."""
     rng = rng_for(seed)
-    k = 128 + 189 + 40
+    k = 64 + 93 + 20
     n = int(round(k / (1.0 - isolated_share)))
     ids = rng.permutation(n)
-    blocks = np.split(ids[:k], [128, 317])
+    blocks = np.split(ids[:k], [64, 157])
     edges = [e.tolist() for size, block in zip((2, 3), blocks) for e in block.reshape(-1, size)]
     edges += [e.tolist() for block in (blocks[2], rng.permutation(blocks[2])) for e in block.reshape(-1, 5)]
     return class_problem(n, [edges[i] for i in rng.permutation(len(edges))], rng, seed)
@@ -728,10 +728,10 @@ def tail_only_kernel(monkeypatch, ops, model):
 def test_degree_classes_of_the_threshold_take_their_own_products(monkeypatch, isolated_share):
     x, _, model, ops, _ = degree_class_problem(isolated_share)
     linked, isolated = ops.linked, ops.isolated
-    assert isolated.size == ops.n - 263 and ops.classes.tolist() == [0, 96, 160, 223, 263]
+    assert isolated.size == ops.n - 141 and ops.classes.tolist() == [0, 48, 80, 111, 141]
     prop = Propagation(ops, model.params, "general", model.config.alpha)
-    # a class of 64 rows takes its own product, one of 63 goes to the tail
-    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 96), (96, 160)] and prop.tail == 160
+    # a class of 32 rows takes its own product, one of 31 goes to the tail
+    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 48), (48, 80)] and prop.tail == 80
     for a, b in zip(ops.classes[:-1], ops.classes[1:]):
         for name in ("c", "ca", "cb"):
             col = getattr(prop, name)[a:b]
@@ -747,12 +747,12 @@ def test_degree_classes_of_the_threshold_take_their_own_products(monkeypatch, is
 def test_edge_size_classes_of_the_threshold_take_their_own_products(monkeypatch, isolated_share):
     x, _, model, ops, _ = edge_class_problem(isolated_share)
     linked, isolated = ops.linked, ops.isolated
-    assert isolated.size == ops.n - 357 and ops.classes.tolist() == [0, 189, 317, 357]
-    assert ops.edge_classes.tolist() == [0, 64, 127, 143] and np.all(np.diff(ops.d_h) >= 0)
+    assert isolated.size == ops.n - 177 and ops.classes.tolist() == [0, 93, 157, 177]
+    assert ops.edge_classes.tolist() == [0, 32, 63, 71] and np.all(np.diff(ops.d_h) >= 0)
     prop = Propagation(ops, model.params, "general", model.config.alpha)
-    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 189), (189, 317)] and prop.tail == 317
-    # a class of 64 edges takes its own product, one of 63 goes to the edge tail
-    assert [(r.start, r.stop) for r, *_ in prop.edge_classes] == [(0, 64)] and prop.edge_tail == 64
+    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 93), (93, 157)] and prop.tail == 157
+    # a class of 32 edges takes its own product, one of 31 goes to the edge tail
+    assert [(r.start, r.stop) for r, *_ in prop.edge_classes] == [(0, 32)] and prop.edge_tail == 32
     for a, b in zip(ops.edge_classes[:-1], ops.edge_classes[1:]):
         col = prop.e[a:b]
         assert np.array_equal(col, np.full_like(col, col[0, 0]))
@@ -768,6 +768,27 @@ def test_edge_size_classes_of_the_threshold_take_their_own_products(monkeypatch,
     assert np.array_equal(layer(fx, prop.c * fx, prop, kept), layer_keeping_mask_and_p(fx, prop.c * fx, prop, kept_oracle))
     for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(g.copy(), prop, kept_oracle)):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d, threshold", [(1, 1 << 14), (8, 256), (16, 64), (32, 32), (64, 64), (128, 128)])
+def test_class_threshold_is_the_width_or_2_to_the_14_over_its_square(d, threshold):
+    # a class of max(d, 2^14 / d^2) rows or edges takes its own product and one a row
+    # smaller does not; from d = 64 on the threshold is d, so a width-64 run groups
+    # the classes it grouped before 2^14
+    assert energy._grouped(np.array([0, threshold, 2 * threshold - 1]), d) == ([slice(0, threshold)], threshold)
+    assert energy._grouped(np.array([0, threshold - 1, 2 * threshold - 2]), d) == ([], 0)
+
+
+def test_the_ci_toy_step_bound_groups_no_class():
+    # the CLI's general step bound runs at d = 1, where no class of the CI toy set
+    # (gen-synthetic --seed 1) is grouped, so the bound and its count are the ones
+    # the CI pins
+    ops = build_expansion_operators(generate_synthetic(SyntheticSpec(seed=1)).hypergraph, 1.0, 1.0)
+    assert np.max(np.diff(ops.classes)) < 1 << 14 and np.max(np.diff(ops.edge_classes)) < 1 << 14
+    kernel = Propagation._at(ops, EnergyParams.identity(1), "general", -1.0)
+    assert kernel.classes == kernel.edge_classes == [] and kernel.tail == kernel.edge_tail == 0
+    bound = step_bound_general(ops, EnergyParams.identity(1))
+    assert (f"{bound.value:.10g}", bound.certificate, bound.eig.iterations) == ("0.04049672177", "lanczos", 27)
 
 
 def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
@@ -891,7 +912,7 @@ def test_general_pass_by_edge_size_class_equals_the_node_order_pass(isolated_sha
 def test_simple_pass_on_the_linked_nodes_equals_the_node_order_pass():
     x, _, model, ops, _ = problem = degree_class_problem(0.3, variant="simple")
     isolated = ops.isolated
-    assert isolated.size == ops.n - 263
+    assert isolated.size == ops.n - 141
     y, _ = forward(x, model, ops)
     assert np.array_equal(y[isolated], np.maximum(model.predictor.apply(x)[isolated], 0.0))
     assert_pass_matches_the_node_order_pass(problem)
@@ -950,7 +971,7 @@ def test_general_layer_cost_is_one_product_per_class_and_two_on_the_tail(monkeyp
     # the dgemm calls of a pass, by their row counts; every count is linear in depth
     calls = record_dgemm(monkeypatch)
     d = 32
-    one_layer = [((d, d), (d, rows)) for rows in (96, 64, 103, 103)]  # the two classes, then A0 and A1 on the tail
+    one_layer = [((d, d), (d, rows)) for rows in (48, 32, 61, 61)]  # the two classes, then A0 and A1 on the tail
     dgemm_calls_in_depth(degree_class_problem(0.3), calls, one_layer, one_layer)  # the adjoint's dY
 
 
@@ -959,14 +980,14 @@ def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
     # tail; the edge tail takes numpy's products.  Its adjoint: the same for dY
     calls = record_dgemm(monkeypatch)
     d = 32
-    one_layer = [((d, d), (d, rows)) for rows in (64, 189, 128, 40, 40)]
+    one_layer = [((d, d), (d, rows)) for rows in (32, 93, 64, 20, 20)]
     dgemm_calls_in_depth(edge_class_problem(0.3), calls, one_layer, one_layer)
 
 
 
 @pytest.mark.parametrize("problem, tail, classes, edge_tail, edge_classes", [
-    (degree_class_problem, 103, (96, 64), 93, ()),
-    (edge_class_problem, 40, (189, 128), 79, (64,)),
+    (degree_class_problem, 61, (48, 32), 41, ()),
+    (edge_class_problem, 20, (93, 64), 39, (32,)),
 ], ids=["degree-classes", "edge-size-classes"])
 def test_general_layer_numpy_products_are_two_per_kernel_and_one_per_class_in_the_adjoint(
         monkeypatch, problem, tail, classes, edge_tail, edge_classes):
@@ -1130,22 +1151,22 @@ def test_u_term_enters_each_row_once_through_m_g_or_the_first_write(monkeypatch)
             assert np.max(np.abs(mg - ca * prop.a0 - cb * prop.a1 - prop.u * np.eye(d))) <= 1e-15
         return prop.tail
 
-    # the degree classes of 96 rows (edges of 4) and 64 rows (edges of 2) hold every linked row
+    # the degree classes of 48 rows (edges of 4) and 32 rows (edges of 2) hold every linked row
     rng = rng_for(87)
     ids = rng.permutation(229)
-    edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:160], [96])) for e in block.reshape(-1, size)]
+    edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:80], [48])) for e in block.reshape(-1, size)]
     x, _, model, ops, _ = class_problem(229, edges, rng, 87)
-    assert ops.classes.tolist() == [0, 96, 160]
-    assert u_once(x, model, ops) == 160
-    # the tail of 103 rows after the classes of 96 and 64
+    assert ops.classes.tolist() == [0, 48, 80]
+    assert u_once(x, model, ops) == 80
+    # the tail of 61 rows after the classes of 48 and 32
     x, _, model, ops, ref = degree_class_problem(0.3)
-    assert u_once(x, model, ops) == 160
-    # the simple kernel on the 263 linked rows and on node-order operators, whose
+    assert u_once(x, model, ops) == 80
+    # the simple kernel on the 141 linked rows and on node-order operators, whose
     # layers make no dgemm and keep a k x d mask each
     cfg = ModelConfig(variant="simple", t_layers=2, d=d, alpha=0.4, lambda0=1.2, lambda1=0.7)
     simple = init_model(cfg, 6, 3, seed=86)
     k = ops.linked.size
-    assert k == 263 < ops.n
+    assert k == 141 < ops.n
     assert u_once(x, simple, ops) == u_once(x, simple, ref) == 0
     shapes = record_dgemm(monkeypatch)
     kept = {}

@@ -19,8 +19,9 @@ not scale.
 For each metric it prints both sides' medians, the change in percent, the
 interquartile range of PARENT's runs, the pairs CHANGE won, and a verdict
 against ``BENCHMARK.json``'s end-to-end bounds: ``worse`` past the bound,
-``gain`` when CHANGE won at least 9 pairs in 10 and its median moved by
-more than PARENT's interquartile range, and ``same`` otherwise.  Every
+``gain`` when there are at least ``MIN_PAIRS`` pairs, CHANGE won at least 9
+in 10 of them and its median moved by more than PARENT's interquartile
+range, and ``same`` otherwise.  Every
 raw result, failed runs included, goes to ``BENCH_<label>.json`` at the
 root of the repository.  The tool imports nothing of the repository and
 writes nothing under ``perfbench/``.
@@ -39,6 +40,8 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
+# the fewest pairs that can read ``gain``: one pair wins 1 of 1, and one run has no spread
+MIN_PAIRS = 10
 
 
 def git(repo: str, *args: str) -> str:
@@ -125,7 +128,7 @@ def summarize(runs: list, spec: dict) -> list:
             bound = spec[name].get("bound")
             if bound is not None and worse_by > bound * abs(row["parent"]):
                 row["verdict"] = "worse"
-            elif row["won"] >= 0.9 * len(pairs) and -worse_by > row["parent_iqr"]:
+            elif len(pairs) >= MIN_PAIRS and row["won"] >= 0.9 * len(pairs) and -worse_by > row["parent_iqr"]:
                 row["verdict"] = "gain"
             else:
                 row["verdict"] = "same"
