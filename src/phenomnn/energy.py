@@ -51,11 +51,11 @@ VARIANTS = ("general", "simple")
 
 # A degree class of n_g rows, or an edge size class of n_g edges, takes its own
 # d x d product in a general layer when n_g >= max(d, _CLASS_WORK / d^2): 256 at
-# d = 8, 64 at d = 16 and d from d = 32 on.  The calls' overhead sets the bound at
-# small d: timed per class size, a layer's kernel and adjoint together gain from a
-# degree class from about 200 rows at d = 8 and 80 at d = 16, and from fewer than d
-# rows at d >= 32, and an edge class gains most where the edge tail empties
-# (timing table: CHANGES.md).  The d floor keeps the class matrices within one k x d array.
+# d = 8, 64 at d = 16, and d from d = 32 on.  The calls' overhead sets the bound at
+# small d.  Timed per class size, a layer's kernel and adjoint together gain from a
+# degree class of about 200 rows at d = 8, 100 at d = 16 and 32 or fewer at d >= 32; an
+# edge class at d <= 16 gains most when it empties the edge tail (table: CHANGES.md).
+# The d floor keeps the class matrices within one k x d array.
 _CLASS_WORK = 1 << 14
 
 
@@ -139,16 +139,16 @@ class Propagation:
     gives each class of at least ``max(d, _CLASS_WORK / d^2)`` rows (256 at
     ``d = 8``, 64 at ``d = 16``, ``d`` from ``d = 32`` on; see
     ``_CLASS_WORK``) one product with the symmetric ``M_g = ca_g A0 + cb_g A1
-    + u I`` (``classes`` lists ``(rows, ca_g, cb_g, M_g)``), and each size class of as many edges one with
-    ``N_s = M0 + e_s M1`` (``edge_classes`` lists ``(edges, e_s, N_s)``).  The
-    rows from ``tail`` on and the edges from ``edge_tail`` on keep the row-scaled
-    products, by ``ca``, ``cb`` and ``e`` written ``d`` columns wide
-    (``ca_wide``, ``cb_wide``, ``e_wide``: a multiply by a ``(rows, 1)`` column
-    costs about twice as much at small ``d``), and the tail rows take ``u * V``
-    in the output's first write, as every row of the simple kernel does: no
-    row is swept again for ``u``.  A general call leaves ``cb * v`` on the
-    tail rows in ``scratch``, the instance's one work array, for
-    ``layer_vjp`` to read.
+    + u I`` (``classes`` lists ``(rows, ca_g, cb_g, M_g)``), and each size
+    class of as many edges one with ``N_s = M0 + e_s M1`` (``edge_classes``
+    lists ``(edges, e_s, N_s)``).  The rows from ``tail`` on and the edges
+    from ``edge_tail`` on keep the row-scaled products, by ``ca``, ``cb`` and
+    ``e`` written ``d`` columns wide (``ca_wide``, ``cb_wide``, ``e_wide``: a
+    multiply by a ``(rows, 1)`` column costs about twice as much at small
+    ``d``), and the tail rows take ``u * V`` in the output's first write, as
+    every row of the simple kernel does: no row is swept again for ``u``.  A
+    general call leaves ``cb * v`` on the tail rows in ``scratch``, the
+    instance's one work array, for ``layer_vjp`` to read.
 
     What ``H0`` and ``H1`` leave alone, ``_constants`` builds, its arrays
     read-only; a layer's are kept in ``ops.kernels`` under ``(variant,

@@ -784,7 +784,6 @@ def test_the_ci_toy_step_bound_groups_no_class():
     # (gen-synthetic --seed 1) is grouped, so the bound and its count are the ones
     # the CI pins
     ops = build_expansion_operators(generate_synthetic(SyntheticSpec(seed=1)).hypergraph, 1.0, 1.0)
-    assert np.max(np.diff(ops.classes)) < 1 << 14 and np.max(np.diff(ops.edge_classes)) < 1 << 14
     kernel = Propagation._at(ops, EnergyParams.identity(1), "general", -1.0)
     assert kernel.classes == kernel.edge_classes == [] and kernel.tail == kernel.edge_tail == 0
     bound = step_bound_general(ops, EnergyParams.identity(1))
