@@ -31,6 +31,7 @@ with a feasibility flag.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +72,56 @@ def _spmm(a, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-# numpy's dense products in the kernel and in ``layer_vjp``, under one name that tests count
+# numpy's dense products in ``_reductions`` and ``layer_vjp``, under one name that tests count
 _matmul = np.matmul
 
 
-def _grouped(offsets: np.ndarray, d: int) -> tuple[list, int]:
-    """The classes of ``offsets`` that take their own ``d x d`` product, as slices, and the
-    tail's offset: the classes come largest first, so those of ``max(d, _CLASS_WORK / d^2)`` are a prefix."""
+# One side of a general kernel, the rows or the edges, as ``_side`` builds it: its grouped
+# ``classes``, each ``(slice, a_g, b_g)`` and, once bound to ``H0`` and ``H1``, its ``M_g``; the
+# ``tail``'s offset; the tail's weights ``a`` and ``b`` written ``d`` columns ``wide`` (``None`` for
+# a weight of 1); and, once bound, the side's ``mats`` ``(A, B)`` and a ``work`` array of the tail's shape.
+_Side = namedtuple("_Side", "classes tail wide mats work", defaults=((), None))
+
+
+def _side(offsets: np.ndarray, d: int, a: np.ndarray | None, b: np.ndarray) -> _Side:
+    """The side whose rows (or edges) carry the weights ``a`` and ``b``, ``(len, 1)`` columns
+    (``a = None`` for a weight of 1), constant on each class of ``offsets``: the classes of at
+    least ``max(d, _CLASS_WORK / d^2)``, a prefix as they come largest first, take their own
+    ``d x d`` product, and the rest are the tail."""
     bounds = offsets[: np.count_nonzero(np.diff(offsets) >= max(d, _CLASS_WORK / d**2)) + 1].tolist()
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds[-1]
+    t = bounds[-1]
+    wide = tuple(w if w is None else np.repeat(w[t:], d, axis=1) for w in (a, b))
+    classes = [(slice(lo, hi), 1.0 if a is None else a[lo, 0], b[lo, 0]) for lo, hi in zip(bounds, bounds[1:])]
+    return _Side(classes, t, wide)
+
+
+def _products(side: _Side, x: np.ndarray, out: np.ndarray, beta: float) -> np.ndarray:
+    """``beta * out + x M`` on ``side``, written into ``out`` and returned: ``x_g M_g`` on each
+    grouped class and ``(a * x) A + (b * x) B`` on the tail, each a BLAS ``dgemm`` into
+    F-contiguous views, ``beta`` the first write of each row; an empty tail makes no call."""
+    for rows, _, _, mg in side.classes:
+        dgemm(1.0, mg.T, x[rows].T, beta=beta, c=out[rows].T, overwrite_c=True)
+    t = side.tail
+    if t < len(x):
+        for w, m in zip(side.wide, side.mats):
+            xw = x[t:] if w is None else np.multiply(x[t:], w, out=side.work)
+            dgemm(1.0, m.T, xw.T, beta=beta, c=out[t:].T, overwrite_c=True)
+            beta = 1.0
+    return out
+
+
+def _reductions(side: _Side, x: np.ndarray, g: np.ndarray) -> list:
+    """``[x^T (a * g), x^T (b * g)]`` on ``side``: the tail's two products, or zeros when the tail
+    is empty, which makes no call, then one ``Z_g = x_g^T g_g`` per grouped class, added into both
+    at its scalars ``a_g`` and ``b_g``."""
+    t = side.tail
+    r = [_matmul(x[t:].T, g[t:] if w is None else np.multiply(g[t:], w, out=side.work))
+         for w in side.wide] if t < len(x) else list(np.zeros((2, x.shape[1], x.shape[1])))
+    for rows, a, b, _ in side.classes:
+        z = _matmul(x[rows].T, g[rows])
+        r[0] += a * z
+        r[1] += b * z
+    return r
 
 
 @dataclass(eq=False)
@@ -118,7 +160,7 @@ class Propagation:
 
     With ``*`` scaling rows, ``ca = c (lambda0/2) d_C`` and ``cb = c lambda1 d_S_bar``,
     ``K(V) = c * B Q(B^T V) + ca * (V A0) + cb * (V A1) + u * V``, where
-    ``Q(P) = P M0 + (lambda1 / m_e) * (P M1)``, ``M0 = (lambda0/2)(H0 + H0^T)``,
+    ``Q(P) = P M0 + ((lambda1 / m_e) * P) M1``, ``M0 = (lambda0/2)(H0 + H0^T)``,
     ``M1 = H1 + H1^T - I`` and ``A_k = fold * I - G_k`` with ``G_k = H_k H_k^T``.
     In the simple variant (``H0 = H1 = I``) the ``A`` terms are left out, ``u``
     absorbs them, and ``Q`` folds into the left factor: ``K(V) = c * (B W B^T V)
@@ -135,20 +177,22 @@ class Propagation:
 
     A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
     alone, an edge's ``e = lambda1 / m_e`` on its size class, and
-    ``ExpansionOperators`` lists both by class, largest first.  A general kernel
-    gives each class of at least ``max(d, _CLASS_WORK / d^2)`` rows (256 at
-    ``d = 8``, 64 at ``d = 16``, ``d`` from ``d = 32`` on; see
-    ``_CLASS_WORK``) one product with the symmetric ``M_g = ca_g A0 + cb_g A1
-    + u I`` (``classes`` lists ``(rows, ca_g, cb_g, M_g)``), and each size
-    class of as many edges one with ``N_s = M0 + e_s M1`` (``edge_classes``
-    lists ``(edges, e_s, N_s)``).  The rows from ``tail`` on and the edges
-    from ``edge_tail`` on keep the row-scaled products, by ``ca``, ``cb`` and
-    ``e`` written ``d`` columns wide (``ca_wide``, ``cb_wide``, ``e_wide``: a
-    multiply by a ``(rows, 1)`` column costs about twice as much at small
-    ``d``), and the tail rows take ``u * V`` in the output's first write, as
-    every row of the simple kernel does: no row is swept again for ``u``.  A
-    general call leaves ``cb * v`` on the tail rows in ``scratch``, the
-    instance's one work array, for ``layer_vjp`` to read.
+    ``ExpansionOperators`` lists both by class, largest first.  So a general
+    kernel has two sides of one form, each built once by ``_side``: ``edges``,
+    whose ``Q`` weighs ``M0`` by 1 and ``M1`` by ``e``, and ``rows``, whose
+    terms weigh ``A0`` by ``ca`` and ``A1`` by ``cb``.  On either side a class
+    of at least ``max(d, _CLASS_WORK / d^2)`` rows or edges (256 at ``d = 8``,
+    64 at ``d = 16``, ``d`` from ``d = 32`` on; see ``_CLASS_WORK``) takes one
+    product with its symmetric ``M_g = a_g A + b_g B`` (plus ``u I`` on the row
+    side), and the tail after the classes takes the two row-scaled products,
+    by its weights written ``d`` columns wide (a multiply by a ``(rows, 1)``
+    column costs about twice as much at small ``d``).  ``_products`` makes a
+    side's products and ``_reductions`` its adjoint's ``d x d`` reductions,
+    each one routine for both sides; neither makes a call on an empty tail.
+    The tail rows take ``u * V`` in the output's first write, as every row of
+    the simple kernel does: no row is swept again for ``u``.  Each side of an
+    instance has its own ``work`` array for its tail's scaled operand, which
+    no caller reads.
 
     What ``H0`` and ``H1`` leave alone, ``_constants`` builds, its arrays
     read-only; a layer's are kept in ``ops.kernels`` under ``(variant,
@@ -180,7 +224,7 @@ class Propagation:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         k = cls.__new__(cls)
         k.general, k.d, k.c, k.u = variant == "general", d, c[:, None], u
-        k.groups, k.tail, k.edge_groups, k.edge_tail = [], 0, [], 0
+        k.rows = k.edges = _Side([], 0, ())
         data = ops.b.data * np.repeat(c, np.diff(ops.b.indptr))
         if not k.general:
             data *= (ops.lambda0 + ops.lambda1 / ops.d_h)[ops.b.indices]
@@ -188,16 +232,10 @@ class Propagation:
         k.fwd, k.adj = (left, ops.b.T), (ops.b, left.T)
         if k.general:
             k.half_l0 = 0.5 * ops.lambda0
-            k.e = (ops.lambda1 / ops.d_h)[:, None]
-            k.ca = k.c * (k.half_l0 * ops.d_c)[:, None]
-            k.cb = k.c * (ops.lambda1 * ops.d_s_bar)[:, None]
-            rows, k.tail = _grouped(ops.classes, d)
-            k.groups = [(r, k.ca[r.start, 0], k.cb[r.start, 0]) for r in rows]
-            rows, k.edge_tail = _grouped(ops.edge_classes, d)
-            k.edge_groups = [(r, k.e[r.start, 0]) for r in rows]
-            k.ca_wide, k.cb_wide = (np.repeat(col[k.tail :], d, axis=1) for col in (k.ca, k.cb))
-            k.e_wide = np.repeat(k.e[k.edge_tail :], d, axis=1)
-        for a in (left.data, *(v for v in vars(k).values() if isinstance(v, np.ndarray))):
+            k.edges = _side(ops.edge_classes, d, None, (ops.lambda1 / ops.d_h)[:, None])
+            ca, cb = k.c * (k.half_l0 * ops.d_c)[:, None], k.c * (ops.lambda1 * ops.d_s_bar)[:, None]
+            k.rows = _side(ops.classes, d, ca, cb)
+        for a in (left.data, k.c, *(w for side in (k.rows, k.edges) for w in side.wide if w is not None)):
             a.flags.writeable = False
         return vars(k)
 
@@ -205,18 +243,18 @@ class Propagation:
         """Take the ``constants`` of ``_constants`` and form the ``d x d`` matrices of ``params``,
         with ``A_k = fold * I - G_k``."""
         vars(self).update(constants)
-        self.scratch, self.classes, self.edge_classes = None, [], []
         if not self.general:
             return
         h0, h1 = self.h0, self.h1 = params.h0, params.h1
         eye = np.eye(self.d)
         self.m0, self.m1 = self.half_l0 * (h0 + h0.T), h1 + h1.T - eye
         self.a0, self.a1 = fold * eye - h0 @ h0.T, fold * eye - h1 @ h1.T
-        self.classes = [(r, ca, cb, ca * self.a0 + cb * self.a1 + self.u * eye) for r, ca, cb in self.groups]
-        self.edge_classes = [(r, e, self.m0 + e * self.m1) for r, e in self.edge_groups]
-        # one scratch for every kernel call through this instance: a fresh one per
+        # one work array per side for every call through this instance: a fresh one per
         # layer is paged in anew whenever the allocator has trimmed the heap
-        self.scratch = np.empty(self.ca_wide.shape)
+        self.edges, self.rows = (
+            side._replace(classes=[(r, a, b, a * ma + b * mb + u * eye) for r, a, b in side.classes],
+                          mats=(ma, mb), work=np.empty(side.wide[1].shape))
+            for side, ma, mb, u in ((self.edges, self.m0, self.m1, 0.0), (self.rows, self.a0, self.a1, self.u)))
 
     def kernel(self, v: np.ndarray, left, right, base: np.ndarray | None = None, out: np.ndarray | None = None):
         """``K(v; left, right)``, plus ``base`` when given, and the edge-side product ``right v``.
@@ -226,14 +264,15 @@ class Propagation:
         write, before any product, is ``u * v`` on the rows past the degree
         classes and 0 on the grouped rows, whose ``M_g`` hold ``u`` (0 on every
         row at the step bounds' ``u = 0``); then ``base`` is added.  ``_spmm``
-        sums ``left``'s product into it and BLAS adds the ``A`` terms, each in
+        sums ``left``'s product of ``Q``, which ``_products`` writes on the
+        edge side, into it, and ``_products`` adds the row side's terms, each in
         place.  A simple kernel may be handed ``out=v``: it reads ``v`` only for
         ``right v``, taken first, and for the elementwise first write.  A general
         kernel raises ``ValueError`` then, as its class products read ``v`` while
         they write the output."""
         if out is v and self.general:
             raise ValueError("kernel: a general kernel cannot write its output over its input v")
-        p, z = _spmm(right, v), self.tail if self.u != 0.0 else len(v)
+        p, z = _spmm(right, v), self.rows.tail if self.u != 0.0 else len(v)
         out = np.empty((left.shape[0], v.shape[1])) if out is None else out
         out[:z] = 0.0
         np.multiply(v[z:], self.u, out=out[z:])
@@ -241,22 +280,9 @@ class Propagation:
             out += base
         if not self.general:
             _spmm(left, p, out)
-        else:
-            # q^T = N_s^T p^T on each grouped class, in BLAS; the edge tail after them
-            q, et = np.empty(p.shape), self.edge_tail
-            for rows, _, ns in self.edge_classes:
-                dgemm(1.0, ns.T, p[rows].T, c=q[rows].T, overwrite_c=True)
-            np.multiply(self.e_wide, _matmul(p[et:], self.m1), out=q[et:])
-            q[et:] += _matmul(p[et:], self.m0)
-            _spmm(left, q, out)
-            del q  # freed before the row terms: held on, it raises the call's peak by its m x d
-            # out^T += M^T v^T in BLAS, all three F-contiguous views
-            for rows, _, _, mg in self.classes:
-                dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
-            if self.tail < len(v):
-                for ck, ak in ((self.ca_wide, self.a0), (self.cb_wide, self.a1)):
-                    t = np.multiply(v[self.tail :], ck, out=self.scratch)
-                    dgemm(1.0, ak.T, t.T, beta=1.0, c=out[self.tail :].T, overwrite_c=True)
+        else:  # Q(P), a temporary freed before the row terms: held on, it raises the call's peak by its m x d
+            _spmm(left, _products(self.edges, p, np.empty(p.shape), 0.0), out)
+            _products(self.rows, v, out, 1.0)
         return out, p
 
 

@@ -22,14 +22,15 @@ nodes in some hyperedge (0 on a hypergraph with no hyperedge), and the
 isolated rows are ``ReLU(Fx)`` in closed form.
 
 The cost of a layer, with ``G`` degree and ``E`` edge size classes grouped
-(see ``Propagation``): a general kernel call makes ``G + E + 2`` BLAS
-``dgemm`` calls (``G + E`` when the classes hold every row) and two numpy
-``d x d`` products on the edge tail; a simple one makes no ``dgemm``.  Either
-starts its k x d output from ``u * Y`` plus, in a layer, ``c * Fx``, with no
-zero fill, and sums its products into it in place.  A general adjoint makes a
-kernel call for ``dY`` and ``6 + G + E`` more numpy products: one reduction
-per class, two on each tail and the two of ``dH0`` and ``dH1``; a simple
-one makes the kernel call alone.  A pass of ``T`` layers makes ``T`` times a
+(see ``Propagation``): a general kernel call makes ``G + E + 4`` BLAS
+``dgemm`` calls, one per class and two on each tail, and no numpy product; a
+simple one makes no ``dgemm``.  Either starts its k x d output from ``u * Y``
+plus, in a layer, ``c * Fx``, with no zero fill, and sums its products into
+it in place.  A general adjoint makes a kernel call for ``dY`` and
+``6 + G + E`` numpy products: one reduction per class, two on each tail and
+the two of ``dH0`` and ``dH1``; a simple one makes the kernel call alone.  A
+tail that holds no row, or no edge, makes none of its two products or two
+reductions.  A pass of ``T`` layers makes ``T`` times a
 layer's calls, ``descent_trace`` a kernel call per iterate, and a step bound
 one per operator application.  A simple pass allocates no k x d float array
 per layer: each layer writes its output over its ``Y``, in one array that
@@ -50,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .autodiff import Tape, Var
-from .energy import VARIANTS, EnergyParams, Propagation, _matmul, _spmm, energy_from_neg_lap
+from .energy import VARIANTS, EnergyParams, Propagation, _matmul, _reductions, _spmm, energy_from_neg_lap
 from .hypergraph import ExpansionOperators
 from .linalg import EigenResult, extreme_eigenvalue
 
@@ -218,35 +219,19 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list, d_c_fx: np.ndarray |
     kernel write ``dY`` over ``g``, so a reverse sweep that hands each layer
     the ``dY`` of the layer after it, and the sum, runs in those two arrays;
     with no sum given, ``dY`` is a new array, as it always is when general.
-    Each grouped class adds its ``Z_g = Y_g^T g_g`` (``Z_s = P_s^T S_s``,
-    ``S = B^T R``) to both reductions it enters, at its scalars; on the tail,
-    ``Y^T (cb * g)`` reads ``cb * g`` from ``prop.scratch``, where the kernel
-    leaves it, and ``ca * g`` is then written over it; on the edge tail ``e``
-    scales ``S`` in place."""
+    ``_reductions`` takes each side's pair, ``Y^T (ca * g)`` and
+    ``Y^T (cb * g)`` on the rows, then ``P^T S`` and ``P^T (e * S)`` on the
+    edges (``S = B^T R``): each grouped class adds its ``Z_g = Y_g^T g_g``
+    (``Z_s = P_s^T S_s``) to both, at its scalars, after the tail's two
+    products, whose scaled operand it writes into the side's work array."""
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     d_c_fx = g if d_c_fx is None else np.add(d_c_fx, g, out=d_c_fx)
     dy, s = prop.kernel(g, *prop.adj, out=None if prop.general or d_c_fx is g else g)
     grads = ()
     if prop.general:
-        y = kept[0]
-        p = _spmm(prop.fwd[1], y)
-        t = prop.tail
-        y1 = _matmul(y[t:].T, prop.scratch)
-        y0 = _matmul(y[t:].T, np.multiply(g[t:], prop.ca_wide, out=prop.scratch))
-        for rows, ca, cb, _ in prop.classes:
-            z = _matmul(y[rows].T, g[rows])
-            y0 += ca * z
-            y1 += cb * z
-        t = prop.edge_tail
-        c0 = _matmul(p[t:].T, s[t:])
-        s[t:] *= prop.e_wide
-        c1 = _matmul(p[t:].T, s[t:])
-        for rows, w, _ in prop.edge_classes:
-            z = _matmul(p[rows].T, s[rows])
-            c0 += z
-            c1 += w * z
-        grads = (prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0),
-                 (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
+        y0, y1 = _reductions(prop.rows, kept[0], g)
+        c0, c1 = _reductions(prop.edges, _spmm(prop.fwd[1], kept[0]), s)
+        grads = (prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0), (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
     return (dy, d_c_fx, *grads)
 
 

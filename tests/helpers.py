@@ -109,10 +109,11 @@ def record_dgemm(monkeypatch):
     """Route ``phenomnn.energy``'s BLAS ``dgemm`` calls through a recorder, and return the
     list it appends ``(a.shape, b.shape)`` to, one pair per call, as the arguments are given.
 
-    These are the kernel's ``d x d`` class and row-tail products: ``a`` is
-    the ``d x d`` matrix and ``b`` is ``d x rows``.  The edge tail's two
-    products and the adjoint's ``d x d`` reductions are ``_matmul``'s, which
-    ``record_matmul`` records.  A call given an output ``c`` must give it the product's shape."""
+    These are every ``d x d`` product of a general kernel call, the edge
+    side's and then the row side's: one per grouped class and two on each
+    tail.  ``a`` is the ``d x d`` matrix and ``b`` is ``d x rows``.  The
+    adjoint's ``d x d`` reductions are ``_matmul``'s, which ``record_matmul``
+    records.  A call given an output ``c`` must give it the product's shape."""
     import phenomnn.energy as energy_mod
 
     calls, plain = [], energy_mod.dgemm
@@ -158,9 +159,8 @@ def record_matmul(monkeypatch):
     """Route ``_matmul``, the dense products that no BLAS call of ``record_dgemm`` makes,
     through a recorder, and return the list it appends ``(a.shape, b.shape)`` to, one pair per call.
 
-    These are the kernel's two edge-tail products, ``P M1`` and ``P M0`` on the
-    edges past its size classes, and the general adjoint's ``d x d`` products:
-    ``Y^T (cb * g)`` and ``Y^T (ca * g)`` on the tail, ``Z_g = Y_g^T g_g`` per
+    These are the general adjoint's ``d x d`` products, as the kernel makes
+    none: ``Y^T (ca * g)`` and ``Y^T (cb * g)`` on the tail, ``Z_g = Y_g^T g_g`` per
     degree class, ``P^T S`` and ``P^T (e * S)`` on the edge tail,
     ``Z_s = P_s^T S_s`` per size class, and the two ``(Y0 + Y0^T) H0``-like
     products of ``dH0`` and ``dH1``."""

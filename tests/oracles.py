@@ -19,7 +19,9 @@ and ``edge_class_order`` sort the linked nodes by degree class and the edges by
 size class, as ``build_expansion_operators`` does with arrays.
 ``products_every_edge_in_the_tail`` is the kernel with the edge-side
 product taken on every edge in one expression, where
-``Propagation.kernel`` groups the edges by size class.
+``Propagation.kernel`` groups the edges by size class.  It and
+``layer_vjp_reading_p`` take the kernel's weights from ``kernel_weights``, which rebuilds them from
+the operators, and their work arrays are their own.
 ``pass_vjp_scaling_each_layer`` is the pass's adjoint with each layer's
 ``c_fx`` gradient scaled by ``c``, where ``model._pass_vjp`` scales their sum.
 """
@@ -192,30 +194,38 @@ def layer_keeping_mask_and_p(y, c_fx, prop, kept=None, out=None):
     return out
 
 
-def layer_vjp_reading_p(g, prop, kept, d_c_fx=None):
-    """``model.layer_vjp`` over the ``kept`` of ``layer_keeping_mask_and_p``: the
-    mask and ``P`` are read, not rebuilt.  Writes into ``g``, as the adjoint does,
-    and returns the ``c_fx`` gradient summed into ``d_c_fx`` when given, but
-    takes ``dY`` in a new array."""
+def kernel_weights(ops, prop):
+    """The general kernel's row weights ``ca = c (lambda0/2) d_C`` and ``cb = c lambda1 d_S_bar`` and
+    its edge weights ``e = lambda1 / m_e``, as ``(len, 1)`` columns, rebuilt from ``ops`` and
+    ``prop.c`` by the operations ``Propagation`` makes, in its order."""
+    half_l0 = 0.5 * ops.lambda0
+    ca, cb = prop.c * (half_l0 * ops.d_c)[:, None], prop.c * (ops.lambda1 * ops.d_s_bar)[:, None]
+    return ca, cb, (ops.lambda1 / ops.d_h)[:, None]
+
+
+def layer_vjp_reading_p(ops, g, prop, kept, d_c_fx=None):
+    """``model.layer_vjp`` over the ``kept`` of ``layer_keeping_mask_and_p``, for the kernel
+    ``prop`` on ``ops``: the mask and ``P`` are read, not rebuilt, and the weights are
+    ``kernel_weights``'.  Writes into ``g``, as the adjoint does, and returns the ``c_fx``
+    gradient summed into ``d_c_fx`` when given, but takes ``dY`` in a new array."""
     np.multiply(g, kept[0], out=g)
     d_c_fx = g if d_c_fx is None else np.add(d_c_fx, g, out=d_c_fx)
     dy, s = prop.kernel(g, *prop.adj)
     grads = ()
     if prop.general:
-        y, p, t = kept[1], kept[2], prop.tail
-        y1 = y[t:].T @ prop.scratch
-        y0 = y[t:].T @ np.multiply(g[t:], prop.ca[t:], out=prop.scratch)
-        for rows, ca, cb, _ in prop.classes:
+        (y, p), (ca, cb, e), t = kept[1:], kernel_weights(ops, prop), prop.rows.tail
+        y0, y1 = y[t:].T @ (g[t:] * ca[t:]), y[t:].T @ (g[t:] * cb[t:])
+        for rows, *_ in prop.rows.classes:
             z = y[rows].T @ g[rows]
-            y0 += ca * z
-            y1 += cb * z
-        et = prop.edge_tail
-        c0, c1 = p[et:].T @ s[et:], p[et:].T @ (prop.e[et:] * s[et:])
-        for rows, e_s, _ in prop.edge_classes:
+            y0 += ca[rows.start, 0] * z
+            y1 += cb[rows.start, 0] * z
+        et = prop.edges.tail
+        c0, c1 = p[et:].T @ s[et:], p[et:].T @ (e[et:] * s[et:])
+        for rows, *_ in prop.edges.classes:
             z = p[rows].T @ s[rows]
             c0 += z
-            c1 += e_s * z
-        grads = (prop.half_l0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
+            c1 += e[rows.start, 0] * z
+        grads = (0.5 * ops.lambda0 * (c0 + c0.T) - (y0 + y0.T) @ prop.h0, (c1 + c1.T) - (y1 + y1.T) @ prop.h1)
     return (dy, d_c_fx, *grads)
 
 
@@ -251,19 +261,21 @@ def pass_vjp_scaling_each_layer(g, model, kept):
     return out + ([sum(grads[0] for grads in dh), sum(grads[1] for grads in dh)] if prop.general else [])
 
 
-def products_every_edge_in_the_tail(prop, v, left, right):
-    """``Propagation.kernel`` with no edge size class grouped: the output started as the
-    kernel starts it, ``Q = P M0 + e * (P M1)`` on every edge in one expression summed into
-    it, then the ``d x d`` row terms as the kernel adds them."""
-    p, t = right @ v, prop.tail
+def products_every_edge_in_the_tail(ops, prop, v, left, right):
+    """``Propagation.kernel`` on ``ops`` with no edge size class grouped: the output started as
+    the kernel starts it, ``Q = P M0 + (e * P) M1`` on every edge in one expression summed into
+    it, then the ``d x d`` row terms as the kernel adds them, with the weights of
+    ``kernel_weights`` and each class's ``M_g`` formed here."""
+    (ca, cb, e), eye = kernel_weights(ops, prop), np.eye(v.shape[1])
+    p, t = right @ v, prop.rows.tail
     out = np.zeros((left.shape[0], v.shape[1]))
     out[t:] = prop.u * v[t:]
-    _spmm(left, p @ prop.m0 + prop.e * (p @ prop.m1), out)
-    for rows, _, _, mg in prop.classes:
+    _spmm(left, p @ prop.m0 + (e * p) @ prop.m1, out)
+    for rows, *_ in prop.rows.classes:
+        mg = ca[rows.start, 0] * prop.a0 + cb[rows.start, 0] * prop.a1 + prop.u * eye
         dgemm(1.0, mg.T, v[rows].T, beta=1.0, c=out[rows].T, overwrite_c=True)
-    for ck, ak in ((prop.ca, prop.a0), (prop.cb, prop.a1)):
-        w = np.multiply(v[t:], ck[t:], out=prop.scratch)
-        dgemm(1.0, ak.T, w.T, beta=1.0, c=out[t:].T, overwrite_c=True)
+    for ck, ak in ((ca, prop.a0), (cb, prop.a1)):
+        dgemm(1.0, ak.T, (v[t:] * ck[t:]).T, beta=1.0, c=out[t:].T, overwrite_c=True)
     return out, p
 
 

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from phenomnn.autodiff import Tape, backward, check_gradients
+from phenomnn.autodiff import GRADIENT_THRESHOLD, Tape, backward, check_gradients
 from phenomnn.data import SyntheticSpec, generate_synthetic
 from phenomnn.energy import EnergyParams
 from phenomnn.hypergraph import Hypergraph, build_expansion_operators
@@ -400,11 +400,10 @@ def test_general_taped_forward_keeps_only_the_linked_rows():
 
 def test_layer_adjoint_allocates_only_dy():
     # with a ReLU mask in the general variant, the mask is written into g, which
-    # is returned as the c_fx gradient, cb * g and ca * g into the kernel's
-    # scratch, and e * B^T R into B^T R, R = c * g; what is left is dY plus
-    # four m x d arrays: the kernel's products (B^T R, P M0, P M1 and
-    # e * (P M1)) and then B^T R with the rebuilt P = B^T Y; a layer runs on
-    # the n linked rows
+    # is returned as the c_fx gradient, and ca * g, cb * g and e * B^T R, R = c * g,
+    # into the kernel's work arrays; what is left is dY plus at most four m x d
+    # arrays: the kernel's B^T R and Q, then B^T R with the rebuilt P = B^T Y; a
+    # layer runs on the n linked rows
     m, d = 400, 16
     rng = rng_for(23)
     ops = build_expansion_operators(random_hypergraph(rng, 2000, m), 1.0, 1.0)
@@ -442,7 +441,7 @@ def test_layer_adjoint_matches_the_kept_mask_oracle_bitwise(variant):
     assert out.tobytes() == layer_keeping_mask_and_p(y, prop.c * fx, prop, kept_oracle).tobytes()
     assert 0.0 < (out == 0.0).mean() < 1.0
     got = layer_vjp(g.copy(), prop, kept)
-    want = layer_vjp_reading_p(g.copy(), prop, kept_oracle)
+    want = layer_vjp_reading_p(ops, g.copy(), prop, kept_oracle)
     assert len(got) == len(want) == (4 if variant == "general" else 2)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -464,7 +463,7 @@ def test_taped_pass_with_dropout_masks_matches_the_kept_mask_oracle_bitwise(vari
 
     got = gradients()
     monkeypatch.setattr(model_mod, "layer", layer_keeping_mask_and_p)
-    monkeypatch.setattr(model_mod, "layer_vjp", layer_vjp_reading_p)
+    monkeypatch.setattr(model_mod, "layer_vjp", partial(layer_vjp_reading_p, ops))
     want = gradients()
     assert sorted(got) == sorted(want) == sorted(model.parameters())
     for name in want:
@@ -612,7 +611,7 @@ def _primitive_cases():
             value = layer(y.value, prop.c * fx.value, prop, kept)
             inputs = (y, fx, p0, p1) if prop.general else (y, fx)
             out = tape.node(value, inputs, partial(layer_vjp, prop=prop, kept=kept))
-            return out, (*kept, prop.scratch)
+            return out, (*kept, prop.rows.work, prop.edges.work)
 
         return build
 
@@ -624,7 +623,7 @@ def _primitive_cases():
             kept = tape.ops[-1].vjp.keywords["kept"]
             arrays = [kept.get(k) for k in ("h", "feature_mask", "y", "iso")]
             layers = [a for saved in kept["layers"] for a in saved]
-            return out, (*arrays, *layers, kept["prop"].scratch, x, *masks)
+            return out, (*arrays, *layers, kept["prop"].rows.work, kept["prop"].edges.work, x, *masks)
 
         return build
 
@@ -715,6 +714,38 @@ def test_check_gradients_detects_corrupted_adjoint(monkeypatch):
     monkeypatch.setattr(model_mod, "layer_vjp", original)
     assert not report["passed"]
     assert report["max_rel_err"] >= 1e-2
+
+
+def test_check_gradients_passes_a_correct_gradient_whose_step_straddles_a_relu_kink():
+    # the first isolated train node's Fx[i, 3] is step / 2, so its ReLU's kink at 0 lies
+    # within the +-step of predictor.b0[3]: the difference there misses the threshold,
+    # and the retake at step / 10 lies on one side of the kink and passes
+    ds = generate_synthetic(SyntheticSpec(seed=1))
+    cfg = ModelConfig(variant="general", d=8)
+    ops = build_expansion_operators(ds.hypergraph, cfg.lambda0, cfg.lambda1)
+    model = init_model(cfg, ds.features.shape[1], ds.n_classes, seed=0)
+    rows, step = ds.split_indices("train"), 1e-5
+    i = rows[np.isin(rows, ops.isolated)][0]
+    model.predictor.b[3] += step / 2 - model.predictor.apply(ds.features)[i, 3]
+
+    def build(params):
+        tape = Tape()
+        logits = build_taped_logits(tape, model, ops, ds.features)
+        return tape, tape.softmax_cross_entropy(logits, ds.labels[rows], rows)
+
+    def loss_at(shift):
+        model.predictor.b[3] += shift
+        try:
+            return float(build(None)[1].value)
+        finally:
+            model.predictor.b[3] -= shift
+
+    tape, loss = build(None)
+    a = float(backward(tape, loss)["predictor.b0"][3])
+    fd = (loss_at(step) - loss_at(-step)) / (2.0 * step)
+    assert abs(a - fd) / max(1.0, abs(a), abs(fd)) > GRADIENT_THRESHOLD
+    report = check_gradients(build, model.parameters(), step=step)
+    assert report["passed"], report
 
 
 @pytest.mark.parametrize(

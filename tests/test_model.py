@@ -48,6 +48,7 @@ from oracles import (
     build_star_normalized,
     energy_and_grad,
     energy_bruteforce,
+    kernel_weights,
     layer_keeping_mask_and_p,
     layer_out_of_place,
     layer_vjp_out_of_place,
@@ -423,10 +424,11 @@ def test_general_gradients_on_isolated_nodes_first_match_finite_differences():
 def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
     x, _, model, ops, _ = isolated_first_problem(t_layers=2)
     d = model.config.d
-    linked = ops.linked.size
+    linked, m = ops.linked.size, ops.b.shape[1]
     shapes = record_dgemm(monkeypatch)
     forward(x, model, ops)
-    assert shapes == [((d, d), (d, linked))] * (2 * 2)
+    kernel = [((d, d), (d, m))] * 2 + [((d, d), (d, linked))] * 2  # the edge tail's products, then the row tail's
+    assert shapes == kernel * 2
     # a layer and its adjoint on the operators hold the linked rows alone
     prop = Propagation(ops, model.params, "general", model.config.alpha)
     fx = model.predictor.apply(x)[ops.linked]
@@ -434,8 +436,8 @@ def test_general_dense_products_see_only_the_linked_rows(monkeypatch):
     kept = []
     layer(fx, prop.c * fx, prop, kept)
     layer_vjp(rng_for(63).standard_normal((linked, d)), prop, kept)
-    assert shapes == [((d, d), (d, linked))] * 4
-    assert prop.scratch.shape == (linked, d)
+    assert shapes == kernel * 2
+    assert prop.rows.work.shape == (linked, d)
 
 
 @pytest.mark.parametrize("t_layers", [1, 16])
@@ -720,7 +722,7 @@ def tail_only_kernel(monkeypatch, ops, model):
     kind grouped: every row in the tail and every edge in the edge tail."""
     monkeypatch.setattr(energy, "_CLASS_WORK", float("inf"))
     plain = Propagation(dataclasses.replace(ops), model.params, "general", model.config.alpha)
-    assert plain.classes == plain.edge_classes == [] and plain.tail == plain.edge_tail == 0
+    assert plain.rows.classes == plain.edges.classes == [] and plain.rows.tail == plain.edges.tail == 0
     return plain
 
 
@@ -731,13 +733,14 @@ def test_degree_classes_of_the_threshold_take_their_own_products(monkeypatch, is
     assert isolated.size == ops.n - 141 and ops.classes.tolist() == [0, 48, 80, 111, 141]
     prop = Propagation(ops, model.params, "general", model.config.alpha)
     # a class of 32 rows takes its own product, one of 31 goes to the tail
-    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 48), (48, 80)] and prop.tail == 80
+    assert [(r.start, r.stop) for r, *_ in prop.rows.classes] == [(0, 48), (48, 80)] and prop.rows.tail == 80
+    ca_col, cb_col, _ = kernel_weights(ops, prop)
     for a, b in zip(ops.classes[:-1], ops.classes[1:]):
-        for name in ("c", "ca", "cb"):
-            col = getattr(prop, name)[a:b]
+        for name, col in (("c", prop.c), ("ca", ca_col), ("cb", cb_col)):
+            col = col[a:b]
             assert np.array_equal(col, np.full_like(col, col[0, 0])), name
-    for rows, ca, cb, mg in prop.classes:
-        assert ca == prop.ca[rows.start, 0] and cb == prop.cb[rows.start, 0]
+    for rows, ca, cb, mg in prop.rows.classes:
+        assert ca == ca_col[rows.start, 0] and cb == cb_col[rows.start, 0]
         assert np.array_equal(mg, mg.T)
     # one layer and its adjoint, against the same kernel with every row in the tail
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, tail_only_kernel(monkeypatch, ops, model))
@@ -750,14 +753,15 @@ def test_edge_size_classes_of_the_threshold_take_their_own_products(monkeypatch,
     assert isolated.size == ops.n - 177 and ops.classes.tolist() == [0, 93, 157, 177]
     assert ops.edge_classes.tolist() == [0, 32, 63, 71] and np.all(np.diff(ops.d_h) >= 0)
     prop = Propagation(ops, model.params, "general", model.config.alpha)
-    assert [(r.start, r.stop) for r, *_ in prop.classes] == [(0, 93), (93, 157)] and prop.tail == 157
+    assert [(r.start, r.stop) for r, *_ in prop.rows.classes] == [(0, 93), (93, 157)] and prop.rows.tail == 157
     # a class of 32 edges takes its own product, one of 31 goes to the edge tail
-    assert [(r.start, r.stop) for r, *_ in prop.edge_classes] == [(0, 32)] and prop.edge_tail == 32
+    assert [(r.start, r.stop) for r, *_ in prop.edges.classes] == [(0, 32)] and prop.edges.tail == 32
+    e = kernel_weights(ops, prop)[2]
     for a, b in zip(ops.edge_classes[:-1], ops.edge_classes[1:]):
-        col = prop.e[a:b]
+        col = e[a:b]
         assert np.array_equal(col, np.full_like(col, col[0, 0]))
-    for rows, e_s, ns in prop.edge_classes:
-        assert e_s == prop.e[rows.start, 0] == model.config.lambda1 / 2.0
+    for rows, one, e_s, ns in prop.edges.classes:
+        assert one == 1.0 and e_s == e[rows.start, 0] == model.config.lambda1 / 2.0
         assert np.array_equal(ns, ns.T)
     # one layer and its adjoint, against the same kernel with every row and edge in the tails
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, tail_only_kernel(monkeypatch, ops, model))
@@ -766,7 +770,7 @@ def test_edge_size_classes_of_the_threshold_take_their_own_products(monkeypatch,
     g = rng_for(84).standard_normal(fx.shape)
     kept, kept_oracle = [], []
     assert np.array_equal(layer(fx, prop.c * fx, prop, kept), layer_keeping_mask_and_p(fx, prop.c * fx, prop, kept_oracle))
-    for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(g.copy(), prop, kept_oracle)):
+    for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(ops, g.copy(), prop, kept_oracle)):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -775,8 +779,12 @@ def test_class_threshold_is_the_width_or_2_to_the_14_over_its_square(d, threshol
     # a class of max(d, 2^14 / d^2) rows or edges takes its own product and one a row
     # smaller does not; from d = 64 on the threshold is d, so a width-64 run groups
     # the classes it grouped before 2^14
-    assert energy._grouped(np.array([0, threshold, 2 * threshold - 1]), d) == ([slice(0, threshold)], threshold)
-    assert energy._grouped(np.array([0, threshold - 1, 2 * threshold - 2]), d) == ([], 0)
+    def grouped(offsets):
+        side = energy._side(np.array(offsets), d, None, np.ones((offsets[-1], 1)))
+        return [rows for rows, *_ in side.classes], side.tail
+
+    assert grouped([0, threshold, 2 * threshold - 1]) == ([slice(0, threshold)], threshold)
+    assert grouped([0, threshold - 1, 2 * threshold - 2]) == ([], 0)
 
 
 def test_the_ci_toy_step_bound_groups_no_class():
@@ -785,25 +793,25 @@ def test_the_ci_toy_step_bound_groups_no_class():
     # the CI pins
     ops = build_expansion_operators(generate_synthetic(SyntheticSpec(seed=1)).hypergraph, 1.0, 1.0)
     kernel = Propagation._at(ops, EnergyParams.identity(1), "general", -1.0)
-    assert kernel.classes == kernel.edge_classes == [] and kernel.tail == kernel.edge_tail == 0
+    assert kernel.rows.classes == kernel.edges.classes == [] and kernel.rows.tail == kernel.edges.tail == 0
     bound = step_bound_general(ops, EnergyParams.identity(1))
     assert (f"{bound.value:.10g}", bound.certificate, bound.eig.iterations) == ("0.04049672177", "lanczos", 27)
 
 
 def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
     # no size class reaches the threshold: the edge-side product is, bit for bit,
-    # P M0 + e * (P M1) on every edge in one expression, and its arrays take no
+    # P M0 + (e * P) M1 on every edge in one expression, and its arrays take no
     # more memory at their peak than that expression's temporaries
     x, _, model, ops, _ = degree_class_problem(0.3)
     prop = Propagation(ops, model.params, "general", model.config.alpha)
-    assert prop.classes and prop.edge_classes == [] and prop.edge_tail == 0
+    assert prop.rows.classes and prop.edges.classes == [] and prop.edges.tail == 0
     fx = model.predictor.apply(x)[ops.linked]
     g = rng_for(85).standard_normal(fx.shape)
     # the adjoint's reductions are the oracle's P^T S and P^T (e * S) on every edge
     kept, kept_oracle = [], []
     layer(fx, prop.c * fx, prop, kept)
     layer_keeping_mask_and_p(fx, prop.c * fx, prop, kept_oracle)
-    for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(g.copy(), prop, kept_oracle)):
+    for got, want in zip(layer_vjp(g.copy(), prop, kept), layer_vjp_reading_p(ops, g.copy(), prop, kept_oracle)):
         assert got.tobytes() == want.tobytes()
 
     def peak(f, *args):
@@ -816,7 +824,7 @@ def test_no_edge_class_keeps_the_edge_side_products_and_their_arrays():
 
     for v, factors in ((fx, prop.fwd), (g, prop.adj)):
         (got, got_p), got_peak = peak(prop.kernel, v, *factors)
-        (want, want_p), want_peak = peak(products_every_edge_in_the_tail, prop, v, *factors)
+        (want, want_p), want_peak = peak(products_every_edge_in_the_tail, ops, prop, v, *factors)
         assert got.tobytes() == want.tobytes() and got_p.tobytes() == want_p.tobytes()
         assert got_peak <= want_peak, (got_peak, want_peak)
 
@@ -840,14 +848,19 @@ def test_layer_constants_are_built_once_per_operator_set(variant, monkeypatch):
             patch.setattr(kind, "__init__", counted)
         second = Propagation(ops, model.params, variant, cfg.alpha)
     assert built == [] and list(ops.kernels) == [(variant, cfg.alpha, cfg.d)]
-    shared = ["c", "fwd", "adj", "groups", "edge_groups"]
-    if variant == "general":
-        shared += ["ca", "cb", "e", "ca_wide", "cb_wide", "e_wide"]
-        assert first.groups and second.a0 is not first.a0 and np.array_equal(second.a0, first.a0)
-    for name in shared:
+    for name in ("c", "fwd", "adj"):
         assert getattr(second, name) is getattr(first, name), name
-    # the cached arrays, the scaled factor's included, cannot be written
-    arrays = [v for v in ops.kernels[variant, cfg.alpha, cfg.d].values() if isinstance(v, np.ndarray)]
+    for name in ("rows", "edges"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert b.tail == a.tail and b.wide is a.wide, name
+        assert [(r, ca, cb) for r, ca, cb, *_ in b.classes] == [(r, ca, cb) for r, ca, cb, *_ in a.classes], name
+    if variant == "general":
+        assert first.rows.classes and second.a0 is not first.a0 and np.array_equal(second.a0, first.a0)
+    # the cached arrays, the scaled factor's and the sides' tail weights included, cannot be written
+    cached = ops.kernels[variant, cfg.alpha, cfg.d]
+    arrays = [v for v in cached.values() if isinstance(v, np.ndarray)]
+    arrays += [w for side in (cached["rows"], cached["edges"]) for w in side.wide if w is not None]
+    assert len(arrays) == (4 if variant == "general" else 1)
     for a in (*arrays, first.fwd[0].data):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1.0
@@ -970,16 +983,17 @@ def test_general_layer_cost_is_one_product_per_class_and_two_on_the_tail(monkeyp
     # the dgemm calls of a pass, by their row counts; every count is linear in depth
     calls = record_dgemm(monkeypatch)
     d = 32
-    one_layer = [((d, d), (d, rows)) for rows in (48, 32, 61, 61)]  # the two classes, then A0 and A1 on the tail
+    # M0 and M1 on the edge tail, the two classes, then A0 and A1 on the tail
+    one_layer = [((d, d), (d, rows)) for rows in (41, 41, 48, 32, 61, 61)]
     dgemm_calls_in_depth(degree_class_problem(0.3), calls, one_layer, one_layer)  # the adjoint's dY
 
 
 def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
-    # a layer: the size class's N_s, the degree classes' M_g, then A0 and A1 on the
-    # tail; the edge tail takes numpy's products.  Its adjoint: the same for dY
+    # a layer: the size class's N_s, M0 and M1 on the edge tail, the degree classes'
+    # M_g, then A0 and A1 on the tail.  Its adjoint: the same for dY
     calls = record_dgemm(monkeypatch)
     d = 32
-    one_layer = [((d, d), (d, rows)) for rows in (32, 93, 64, 20, 20)]
+    one_layer = [((d, d), (d, rows)) for rows in (32, 39, 39, 93, 64, 20, 20)]
     dgemm_calls_in_depth(edge_class_problem(0.3), calls, one_layer, one_layer)
 
 
@@ -988,23 +1002,23 @@ def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
     (degree_class_problem, 61, (48, 32), 41, ()),
     (edge_class_problem, 20, (93, 64), 39, (32,)),
 ], ids=["degree-classes", "edge-size-classes"])
-def test_general_layer_numpy_products_are_two_per_kernel_and_one_per_class_in_the_adjoint(
+def test_general_numpy_products_are_one_per_class_and_two_per_tail(
         monkeypatch, problem, tail, classes, edge_tail, edge_classes):
-    # a kernel call: P M1 and P M0 on the edge tail.  An adjoint: its kernel's two, then
-    # Y^T (cb g) and Y^T (ca g) on the row tail, Z_g per degree class, P^T S and
-    # P^T (e S) on the edge tail, Z_s per size class, and the d x d products of dH0
-    # and dH1: 8 + G + E for G degree and E size classes.  The trace runs a kernel
-    # per iterate, a step bound's solve one per application; the simple variant makes none
+    # a kernel call makes none: its products are dgemm calls.  An adjoint: Y^T (ca g)
+    # and Y^T (cb g) on the row tail, Z_g per degree class, P^T S and P^T (e S) on
+    # the edge tail, Z_s per size class, and the d x d products of dH0 and dH1:
+    # 6 + G + E for G degree and E size classes.  The trace runs a kernel per
+    # iterate, a step bound's solve one per application; the simple variant makes none
     calls = record_matmul(monkeypatch)
     d = 32
 
     def reduction(rows):
         return (d, rows), (rows, d)
 
-    kernel = [((edge_tail, d), (d, d))] * 2
-    adjoint = kernel + [reduction(tail)] * 2 + [reduction(r) for r in classes]
+    kernel = []
+    adjoint = [reduction(tail)] * 2 + [reduction(r) for r in classes]
     adjoint += [reduction(edge_tail)] * 2 + [reduction(r) for r in edge_classes] + [((d, d), (d, d))] * 2
-    assert len(adjoint) == 8 + len(classes) + len(edge_classes)
+    assert len(adjoint) == 6 + len(classes) + len(edge_classes)
     x, labels, model, ops, _ = instance = problem(0.3)
     dgemm_calls_in_depth(instance, calls, kernel, adjoint)
     calls.clear()
@@ -1029,7 +1043,7 @@ def test_kernel_adds_base_into_its_output(monkeypatch, variant, grouped):
         monkeypatch.setattr(energy, "_CLASS_WORK", float("inf"))
     x, _, model, ops, _ = degree_class_problem(0.3, variant=variant)
     prop = Propagation(ops, model.params, variant, model.config.alpha)
-    assert len(prop.classes) == (2 if grouped and variant == "general" else 0)
+    assert len(prop.rows.classes) == (2 if grouped and variant == "general" else 0)
     fx = model.predictor.apply(x)[ops.linked]
     rng = rng_for(89)
     for v, factors in ((fx, prop.fwd), (rng.standard_normal(fx.shape), prop.adj)):
@@ -1072,7 +1086,7 @@ def test_kernel_writes_over_its_input_only_when_simple(variant):
     # leaves v as it was
     x, _, model, ops, _ = degree_class_problem(0.3, variant=variant)
     prop = Propagation(ops, model.params, variant, model.config.alpha)
-    assert len(prop.classes) == (2 if variant == "general" else 0)
+    assert len(prop.rows.classes) == (2 if variant == "general" else 0)
     fx = model.predictor.apply(x)[ops.linked]
     rng = rng_for(92)
     for v, factors in ((fx, prop.fwd), (rng.standard_normal(fx.shape), prop.adj)):
@@ -1128,6 +1142,46 @@ def test_simple_pass_in_place_matches_the_out_of_place_oracle_bitwise(monkeypatc
         assert a.tobytes() == b.tobytes()
 
 
+def full_degree_class_problem():
+    """``class_problem`` on 229 nodes whose 80 linked rows form the degree classes of 48 rows
+    (12 edges of 4) and 32 rows (16 edges of 2): at ``d = 32`` both are grouped and the row tail
+    is empty, and neither size class is, so every edge is in the edge tail."""
+    rng = rng_for(87)
+    ids = rng.permutation(229)
+    edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:80], [48])) for e in block.reshape(-1, size)]
+    return class_problem(229, edges, rng, 87)
+
+
+def small_general_problem(monkeypatch):
+    """A general model at ``d = 16`` on the structure of the benchmark's ``small-general``
+    workload (seed 1), with its inputs and labels: ``(x, labels, model, ops, None)``."""
+    workloads = load_workloads(monkeypatch)
+    w = workloads.WORKLOADS["small-general"]
+    g = workloads.generate(w, 1)
+    ops = build_expansion_operators(Hypergraph.from_edges(len(g.features), g.edges), w.lambda0, w.lambda1)
+    cfg = ModelConfig(variant="general", t_layers=1, d=w.d, alpha=w.alpha, lambda0=w.lambda0, lambda1=w.lambda1)
+    return g.features, g.labels, init_model(cfg, g.features.shape[1], int(g.labels.max()) + 1, seed=1), ops, None
+
+
+@pytest.mark.parametrize("empty", ["edge-tail", "row-tail"])
+def test_an_empty_tail_makes_no_product(monkeypatch, empty):
+    # small-general's structure at d = 16 groups all 5 of its edge size classes, and
+    # full_degree_class_problem's degree classes hold every linked row: on the empty
+    # tail, neither a kernel call nor an adjoint makes a product, so none has an
+    # operand of 0 rows
+    x, _, model, ops, _ = small_general_problem(monkeypatch) if empty == "edge-tail" else full_degree_class_problem()
+    prop = Propagation(ops, model.params, "general", model.config.alpha)
+    tails = {"edge-tail": (prop.edges.tail, ops.b.shape[1]), "row-tail": (prop.rows.tail, ops.linked.size)}
+    assert tails[empty][0] == tails[empty][1] > 0
+    fx = model.predictor.apply(x)[ops.linked]
+    calls, products = record_dgemm(monkeypatch), record_matmul(monkeypatch)
+    kept = []
+    layer(fx, prop.c * fx, prop, kept)
+    layer_vjp(rng_for(94).standard_normal(fx.shape), prop, kept)
+    assert calls and products
+    assert [(a, b) for a, b in calls + products if 0 in a + b] == []
+
+
 def test_u_term_enters_each_row_once_through_m_g_or_the_first_write(monkeypatch):
     # u * V rides in each grouped class's M_g; the rows past the classes, and every
     # row of the simple kernel, take it in the output's first write.  So a kernel at
@@ -1146,15 +1200,12 @@ def test_u_term_enters_each_row_once_through_m_g_or_the_first_write(monkeypatch)
         for v, name in ((fx, "fwd"), (rng_for(86).standard_normal(fx.shape), "adj")):
             got, plain = prop.kernel(v, *getattr(prop, name))[0], at_zero.kernel(v, *getattr(at_zero, name))[0]
             assert np.max(np.abs(got - plain - prop.u * v)) <= 1e-13 * max(np.max(np.abs(got)), np.max(np.abs(plain)))
-        for rows, ca, cb, mg in prop.classes:
+        for rows, ca, cb, mg in prop.rows.classes:
             assert np.max(np.abs(mg - ca * prop.a0 - cb * prop.a1 - prop.u * np.eye(d))) <= 1e-15
-        return prop.tail
+        return prop.rows.tail
 
     # the degree classes of 48 rows (edges of 4) and 32 rows (edges of 2) hold every linked row
-    rng = rng_for(87)
-    ids = rng.permutation(229)
-    edges = [e.tolist() for size, block in zip((4, 2), np.split(ids[:80], [48])) for e in block.reshape(-1, size)]
-    x, _, model, ops, _ = class_problem(229, edges, rng, 87)
+    x, _, model, ops, _ = full_degree_class_problem()
     assert ops.classes.tolist() == [0, 48, 80]
     assert u_once(x, model, ops) == 80
     # the tail of 61 rows after the classes of 48 and 32
