@@ -150,12 +150,11 @@ def check_gradients(build, params: dict, samples: int = 256, step: float = 1e-5,
     ``build(params)`` must run a fresh forward pass and return ``(tape, loss)``.
     For each parameter a random subset of coordinates is perturbed by ``step``.
     The error is ``|analytic - fd|`` normalized by ``max(1, |analytic|, |fd|)``
-    per coordinate.  A coordinate whose error exceeds ``GRADIENT_THRESHOLD``
-    is taken again at ``step / 10`` and then at ``step / 100``, and reports
-    the least of the errors taken: a ReLU kink that one step straddles lies
-    outside a smaller one, while a wrong adjoint misses at every step.  The
-    check fails when any parameter exceeds ``GRADIENT_THRESHOLD`` or an error
-    is not finite.
+    per coordinate; one past ``GRADIENT_THRESHOLD`` is taken again at
+    ``step / 10``, then ``step / 100``, and keeps the least, as a ReLU kink that
+    one step straddles lies outside a smaller one, while a wrong adjoint misses
+    at every step.  The check fails when any parameter exceeds
+    ``GRADIENT_THRESHOLD`` or an error is not finite.
     """
     if samples < 1:
         raise ValueError(f"check_gradients: samples must be at least 1, got {samples}")

@@ -76,18 +76,17 @@ def _spmm(a, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 _matmul = np.matmul
 
 
-# One side of a general kernel, the rows or the edges, as ``_side`` builds it: its grouped
-# ``classes``, each ``(slice, a_g, b_g)`` and, once bound to ``H0`` and ``H1``, its ``M_g``; the
-# ``tail``'s offset; the tail's weights ``a`` and ``b`` written ``d`` columns ``wide`` (``None`` for
-# a weight of 1); and, once bound, the side's ``mats`` ``(A, B)`` and a ``work`` array of the tail's shape.
+# a side of a general kernel, as ``_side`` builds it and ``Propagation._bind`` binds it
 _Side = namedtuple("_Side", "classes tail wide mats work", defaults=((), None))
 
 
 def _side(offsets: np.ndarray, d: int, a: np.ndarray | None, b: np.ndarray) -> _Side:
-    """The side whose rows (or edges) carry the weights ``a`` and ``b``, ``(len, 1)`` columns
-    (``a = None`` for a weight of 1), constant on each class of ``offsets``: the classes of at
-    least ``max(d, _CLASS_WORK / d^2)``, a prefix as they come largest first, take their own
-    ``d x d`` product, and the rest are the tail."""
+    """One side of a general kernel, the rows or the edges, whose weights ``a`` and ``b``,
+    ``(len, 1)`` columns (``a = None`` for a weight of 1), are constant on each class of
+    ``offsets``: its ``classes`` of at least ``max(d, _CLASS_WORK / d^2)``, a prefix as they come
+    largest first, each ``(slice, a_g, b_g)`` and, once bound, its ``M_g``; the ``tail``'s offset;
+    the tail's weights written ``d`` columns ``wide``; and, once bound, the side's ``mats``
+    ``(A, B)`` and a ``work`` array of the tail's shape."""
     bounds = offsets[: np.count_nonzero(np.diff(offsets) >= max(d, _CLASS_WORK / d**2)) + 1].tolist()
     t = bounds[-1]
     wide = tuple(w if w is None else np.repeat(w[t:], d, axis=1) for w in (a, b))
@@ -178,21 +177,18 @@ class Propagation:
     A row's ``ca`` and ``cb`` depend on its degree class ``(d_C, d_S_bar)``
     alone, an edge's ``e = lambda1 / m_e`` on its size class, and
     ``ExpansionOperators`` lists both by class, largest first.  So a general
-    kernel has two sides of one form, each built once by ``_side``: ``edges``,
-    whose ``Q`` weighs ``M0`` by 1 and ``M1`` by ``e``, and ``rows``, whose
-    terms weigh ``A0`` by ``ca`` and ``A1`` by ``cb``.  On either side a class
-    of at least ``max(d, _CLASS_WORK / d^2)`` rows or edges (256 at ``d = 8``,
-    64 at ``d = 16``, ``d`` from ``d = 32`` on; see ``_CLASS_WORK``) takes one
-    product with its symmetric ``M_g = a_g A + b_g B`` (plus ``u I`` on the row
-    side), and the tail after the classes takes the two row-scaled products,
-    by its weights written ``d`` columns wide (a multiply by a ``(rows, 1)``
-    column costs about twice as much at small ``d``).  ``_products`` makes a
-    side's products and ``_reductions`` its adjoint's ``d x d`` reductions,
-    each one routine for both sides; neither makes a call on an empty tail.
-    The tail rows take ``u * V`` in the output's first write, as every row of
-    the simple kernel does: no row is swept again for ``u``.  Each side of an
-    instance has its own ``work`` array for its tail's scaled operand, which
-    no caller reads.
+    kernel has two sides of one form, built by ``_side``: ``edges``, whose
+    ``Q`` weighs ``M0`` by 1 and ``M1`` by ``e``, and ``rows``, whose terms
+    weigh ``A0`` by ``ca`` and ``A1`` by ``cb``.  A class of at least
+    ``max(d, _CLASS_WORK / d^2)`` rows or edges (256 at ``d = 8``, 64 at
+    ``d = 16``, ``d`` from ``d = 32`` on) takes one product with its symmetric
+    ``M_g = a_g A + b_g B`` (plus ``u I`` on the rows), and the tail after the
+    classes the two row-scaled products, by weights written ``d`` columns wide
+    (a multiply by a ``(rows, 1)`` column costs about twice as much at small
+    ``d``).  ``_products`` makes a side's products and ``_reductions`` its
+    adjoint's ``d x d`` reductions; an empty tail makes no call.  The tail rows
+    take ``u * V`` in the output's first write, as every row of the simple
+    kernel does: no row is swept again for ``u``.
 
     What ``H0`` and ``H1`` leave alone, ``_constants`` builds, its arrays
     read-only; a layer's are kept in ``ops.kernels`` under ``(variant,

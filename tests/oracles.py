@@ -20,8 +20,8 @@ size class, as ``build_expansion_operators`` does with arrays.
 ``products_every_edge_in_the_tail`` is the kernel with the edge-side
 product taken on every edge in one expression, where
 ``Propagation.kernel`` groups the edges by size class.  It and
-``layer_vjp_reading_p`` take the kernel's weights from ``kernel_weights``, which rebuilds them from
-the operators, and their work arrays are their own.
+``layer_vjp_reading_p`` take the kernel's weights from ``kernel_weights``,
+which rebuilds them from the operators, and their work arrays are their own.
 ``pass_vjp_scaling_each_layer`` is the pass's adjoint with each layer's
 ``c_fx`` gradient scaled by ``c``, where ``model._pass_vjp`` scales their sum.
 """

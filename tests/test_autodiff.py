@@ -734,11 +734,12 @@ def test_check_gradients_passes_a_correct_gradient_whose_step_straddles_a_relu_k
         return tape, tape.softmax_cross_entropy(logits, ds.labels[rows], rows)
 
     def loss_at(shift):
-        model.predictor.b[3] += shift
+        orig = model.predictor.b[3]
+        model.predictor.b[3] = orig + shift
         try:
             return float(build(None)[1].value)
         finally:
-            model.predictor.b[3] -= shift
+            model.predictor.b[3] = orig
 
     tape, loss = build(None)
     a = float(backward(tape, loss)["predictor.b0"][3])
