@@ -84,14 +84,24 @@ def _side(offsets: np.ndarray, d: int, a: np.ndarray | None, b: np.ndarray) -> _
     """One side of a general kernel, the rows or the edges, whose weights ``a`` and ``b``,
     ``(len, 1)`` columns (``a = None`` for a weight of 1), are constant on each class of
     ``offsets``: its ``classes`` of at least ``max(d, _CLASS_WORK / d^2)``, a prefix as they come
-    largest first, each ``(slice, a_g, b_g)`` and, once bound, its ``M_g``; the ``tail``'s offset;
-    the tail's weights written ``d`` columns ``wide``; and, once bound, the side's ``mats``
-    ``(A, B)`` and a ``work`` array of the tail's shape."""
+    largest first, each ``(slice, a_g, b_g)`` (``a_g = None`` when ``a`` is) and, once bound, its
+    ``M_g``; the ``tail``'s offset; the tail's weights written ``d`` columns ``wide``; and, once
+    bound, the side's ``mats`` ``(A, B)`` and a ``work`` array of the tail's shape."""
     bounds = offsets[: np.count_nonzero(np.diff(offsets) >= max(d, _CLASS_WORK / d**2)) + 1].tolist()
     t = bounds[-1]
     wide = tuple(w if w is None else np.repeat(w[t:], d, axis=1) for w in (a, b))
-    classes = [(slice(lo, hi), 1.0 if a is None else a[lo, 0], b[lo, 0]) for lo, hi in zip(bounds, bounds[1:])]
+    classes = [(slice(lo, hi), None if a is None else a[lo, 0], b[lo, 0]) for lo, hi in zip(bounds, bounds[1:])]
     return _Side(classes, t, wide)
+
+
+def _bound(side: _Side, ma: np.ndarray, mb: np.ndarray, diag: np.ndarray | None) -> _Side:
+    """``side`` bound to its matrices ``(A, B)``: each class's ``M_g = a_g A + b_g B`` (``A`` alone
+    for ``a_g = None``), plus ``diag`` when given, and the side's work array."""
+    classes = []
+    for rows, a, b in side.classes:
+        mg = (ma if a is None else a * ma) + b * mb
+        classes.append((rows, a, b, mg if diag is None else mg + diag))
+    return side._replace(classes=classes, mats=(ma, mb), work=np.empty(side.wide[1].shape))
 
 
 def _products(side: _Side, x: np.ndarray, out: np.ndarray, beta: float) -> np.ndarray:
@@ -118,7 +128,7 @@ def _reductions(side: _Side, x: np.ndarray, g: np.ndarray) -> list:
          for w in side.wide] if t < len(x) else list(np.zeros((2, x.shape[1], x.shape[1])))
     for rows, a, b, _ in side.classes:
         z = _matmul(x[rows].T, g[rows])
-        r[0] += a * z
+        r[0] += z if a is None else a * z
         r[1] += b * z
     return r
 
@@ -247,10 +257,8 @@ class Propagation:
         self.a0, self.a1 = fold * eye - h0 @ h0.T, fold * eye - h1 @ h1.T
         # one work array per side for every call through this instance: a fresh one per
         # layer is paged in anew whenever the allocator has trimmed the heap
-        self.edges, self.rows = (
-            side._replace(classes=[(r, a, b, a * ma + b * mb + u * eye) for r, a, b in side.classes],
-                          mats=(ma, mb), work=np.empty(side.wide[1].shape))
-            for side, ma, mb, u in ((self.edges, self.m0, self.m1, 0.0), (self.rows, self.a0, self.a1, self.u)))
+        self.edges = _bound(self.edges, self.m0, self.m1, None)
+        self.rows = _bound(self.rows, self.a0, self.a1, self.u * eye if self.u != 0.0 else None)
 
     def kernel(self, v: np.ndarray, left, right, base: np.ndarray | None = None, out: np.ndarray | None = None):
         """``K(v; left, right)``, plus ``base`` when given, and the edge-side product ``right v``.

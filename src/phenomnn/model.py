@@ -227,12 +227,12 @@ def layer_vjp(g: np.ndarray, prop: Propagation, kept: list, d_c_fx: np.ndarray |
     np.multiply(g, kept[1] > 0.0 if prop.general else kept[0], out=g)
     d_c_fx = g if d_c_fx is None else np.add(d_c_fx, g, out=d_c_fx)
     dy, s = prop.kernel(g, *prop.adj, out=None if prop.general or d_c_fx is g else g)
-    grads = ()
-    if prop.general:
-        y0, y1 = _reductions(prop.rows, kept[0], g)
-        c0, c1 = _reductions(prop.edges, _spmm(prop.fwd[1], kept[0]), s)
-        grads = (prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0), (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
-    return (dy, d_c_fx, *grads)
+    if not prop.general:
+        return dy, d_c_fx
+    y0, y1 = _reductions(prop.rows, kept[0], g)
+    c0, c1 = _reductions(prop.edges, _spmm(prop.fwd[1], kept[0]), s)
+    return (dy, d_c_fx, prop.half_l0 * (c0 + c0.T) - _matmul(y0 + y0.T, prop.h0),
+            (c1 + c1.T) - _matmul(y1 + y1.T, prop.h1))
 
 
 def _propagation(model: Model, ops: ExpansionOperators, x) -> Propagation:

@@ -1,4 +1,4 @@
-"""The package's size budget: at most 1,521 code lines in ``src/phenomnn/*.py``.
+"""The package's size budget: at most 1,525 code lines in ``src/phenomnn/*.py``.
 
 Every line of a module is one of four kinds: a docstring line (any line of a
 module, class or function docstring, as ``ast`` finds them), a code line
@@ -12,7 +12,7 @@ import io
 import os
 import tokenize
 
-CODE_BUDGET = 1521
+CODE_BUDGET = 1525
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "phenomnn")
 _NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
 

@@ -760,9 +760,9 @@ def test_edge_size_classes_of_the_threshold_take_their_own_products(monkeypatch,
     for a, b in zip(ops.edge_classes[:-1], ops.edge_classes[1:]):
         col = e[a:b]
         assert np.array_equal(col, np.full_like(col, col[0, 0]))
-    for rows, one, e_s, ns in prop.edges.classes:
-        assert one == 1.0 and e_s == e[rows.start, 0] == model.config.lambda1 / 2.0
-        assert np.array_equal(ns, ns.T)
+    for rows, one, e_s, ns in prop.edges.classes:  # M0's weight of 1 is written None: N_s = M0 + e_s M1
+        assert one is None and e_s == e[rows.start, 0] == model.config.lambda1 / 2.0
+        assert np.array_equal(ns, ns.T) and ns.tobytes() == (prop.m0 + e_s * prop.m1).tobytes()
     # one layer and its adjoint, against the same kernel with every row and edge in the tails
     assert_layer_matches_the_tail_only_kernel(x, model, linked, prop, tail_only_kernel(monkeypatch, ops, model))
     # the adjoint against the oracle that reads P, whose reductions mirror the per-class Z_s
@@ -1004,29 +1004,32 @@ def test_general_layer_cost_is_one_product_per_edge_size_class(monkeypatch):
 ], ids=["degree-classes", "edge-size-classes"])
 def test_general_numpy_products_are_one_per_class_and_two_per_tail(
         monkeypatch, problem, tail, classes, edge_tail, edge_classes):
-    # a kernel call makes none: its products are dgemm calls.  An adjoint: Y^T (ca g)
-    # and Y^T (cb g) on the row tail, Z_g per degree class, P^T S and P^T (e S) on
-    # the edge tail, Z_s per size class, and the d x d products of dH0 and dH1:
-    # 6 + G + E for G degree and E size classes.  The trace runs a kernel per
-    # iterate, a step bound's solve one per application; the simple variant makes none
-    calls = record_matmul(monkeypatch)
+    # a kernel call makes none: its products are dgemm calls, those of a layer's
+    # kernel.  An adjoint: Y^T (ca g) and Y^T (cb g) on the row tail, Z_g per degree
+    # class, P^T S and P^T (e S) on the edge tail, Z_s per size class, and the d x d
+    # products of dH0 and dH1: 6 + G + E for G degree and E size classes.  The trace
+    # runs a kernel per iterate, a step bound's solve one per application, each with
+    # the layers' classes; the simple variant makes none
+    calls, dgemms = record_matmul(monkeypatch), record_dgemm(monkeypatch)
     d = 32
 
     def reduction(rows):
         return (d, rows), (rows, d)
 
-    kernel = []
+    kernel = [((d, d), (d, r)) for r in (*edge_classes, edge_tail, edge_tail, *classes, tail, tail)]
     adjoint = [reduction(tail)] * 2 + [reduction(r) for r in classes]
     adjoint += [reduction(edge_tail)] * 2 + [reduction(r) for r in edge_classes] + [((d, d), (d, d))] * 2
     assert len(adjoint) == 6 + len(classes) + len(edge_classes)
     x, labels, model, ops, _ = instance = problem(0.3)
-    dgemm_calls_in_depth(instance, calls, kernel, adjoint)
+    dgemm_calls_in_depth(instance, calls, [], adjoint)
     calls.clear()
+    dgemms.clear()
     descent_trace(x, model, ops, 3)
-    assert calls == kernel * 4
+    assert calls == [] and dgemms == kernel * 4
     calls.clear()
-    bound = step_bound_general(ops, model.params)  # the layers' classes: a kernel's products per application
-    assert bound.eig.iterations > 0 and calls == kernel * bound.eig.iterations
+    dgemms.clear()
+    bound = step_bound_general(ops, model.params)
+    assert bound.eig.iterations > 0 and calls == [] and dgemms == kernel * bound.eig.iterations
     simple = init_model(dataclasses.replace(model.config, variant="simple"), x.shape[1], 3, seed=88)
     calls.clear()
     tape = Tape()
